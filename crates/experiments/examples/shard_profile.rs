@@ -48,7 +48,7 @@ fn main() {
     let mut sim = netsim::Simulator::new(1);
     // Unweighted, the partitioner balances node *count* and sorts the
     // two heavy routers — every packet crosses both — adjacently, so
-    // they land on one shard (~84% of all events). A `--weights` file
+    // they land on one shard (72.1% of all events). A `--weights` file
     // from a profiled run tells it to balance event load instead, which
     // isolates each router on its own shard.
     let a = sim.add_node();
@@ -148,6 +148,11 @@ fn main() {
         }
     } else {
         sim.run_until(until);
+        let (pending, bytes) = sim.calendar_footprint();
+        eprintln!(
+            "calendar: {pending} pending events in {:.1} MiB",
+            bytes as f64 / (1 << 20) as f64
+        );
         (sim.events_processed(), sim.trace.drops.len())
     };
     let wall = t0.elapsed();

@@ -47,7 +47,7 @@
 //! heap ordering panics with both orderings in the message.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::arena::PacketRef;
@@ -99,9 +99,9 @@ pub fn default_calendar() -> CalendarKind {
 
 /// What an event does when it fires.
 ///
-/// Sixteen bytes: packets ride as arena refs, not values, so the calendar
-/// (and every cascade inside the wheel) moves small `Copy` payloads.
-#[derive(Debug)]
+/// Packets ride as arena refs, not values, so the calendar stores small
+/// `Copy` payloads.
+#[derive(Clone, Copy, Debug)]
 pub enum EventKind {
     /// A packet arrives at `node` (after propagating across a link, or
     /// injected directly by the simulation driver).
@@ -155,7 +155,7 @@ impl EventKind {
 
 /// A scheduled event: a firing time, the tiebreak triple (schedule time,
 /// content tie, insertion sequence), and the action.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// When the event fires.
     pub at: SimTime,
@@ -226,14 +226,15 @@ const WHEEL_LEVELS: usize = 11;
 /// log2(WHEEL_SLOTS).
 const SLOT_BITS: u32 = 6;
 
-/// A conservative lower bound on the times stored in a backend, used to
-/// decide whether a newly scheduled event may take the front slot.
-#[derive(Clone, Copy, Debug)]
-enum MinBound {
-    /// Every stored event fires at or after this time.
-    AtLeast(u64),
-    /// No bound known (a pop emptied the slot that held the minimum).
-    Unknown,
+/// Null link: end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pooled wheel entry: an event and the next node of whichever list
+/// (a slot's, or the free list, where `ev` is stale) it is on.
+#[derive(Debug)]
+struct Node {
+    ev: Event,
+    next: u32,
 }
 
 /// Hierarchical timing wheel over integer nanoseconds.
@@ -245,11 +246,21 @@ enum MinBound {
 /// `elapsed` (`level = msb(at ^ elapsed) / 6`) and cascades toward level
 /// 0 as the horizon advances, so each event is touched at most
 /// `WHEEL_LEVELS` times in its life — O(1) amortized.
+///
+/// Slots are singly linked lists through one node pool (Varghese–Lauck):
+/// a cascade relinks nodes, a pop frees one, so the footprint is the
+/// high-water number of stored events × the node size, not per slot.
 #[derive(Debug)]
 struct Wheel {
-    slots: Vec<[VecDeque<Event>; WHEEL_SLOTS]>,
-    /// Per-level occupancy bitmaps; bit `s` set iff `slots[level][s]` is
-    /// non-empty.
+    nodes: Vec<Node>,
+    /// Head of the free list through `nodes`.
+    free: u32,
+    /// First and last node of each slot's list, meaningful only while the
+    /// slot's `occupied` bit is set. Level-0 lists (1 ns wide) are kept
+    /// in pop order by [`Wheel::link`], the others in arrival order.
+    head: [[u32; WHEEL_SLOTS]; WHEEL_LEVELS],
+    tail: [[u32; WHEEL_SLOTS]; WHEEL_LEVELS],
+    /// Per-level occupancy bitmaps: bit `s` set iff slot `s` is non-empty.
     occupied: [u64; WHEEL_LEVELS],
     /// Internal horizon (see type docs).
     elapsed: u64,
@@ -258,76 +269,92 @@ struct Wheel {
     level_occ: u16,
     /// Events physically stored (including cancelled residents).
     stored: usize,
-    /// Lower bound on stored event times (for the front-slot fast path).
-    min_bound: MinBound,
-    /// Scratch buffer for cascades. Swapped with the slot being cascaded
-    /// (instead of `mem::take`-ing it), so slot capacities rotate between
-    /// the wheel and this buffer rather than being freed and reallocated
-    /// — in steady state a cascade touches the heap zero times.
-    cascade: VecDeque<Event>,
+    /// A lower bound on their times (for the front-slot fast path): exact
+    /// after a pop returns an event, `u64::MAX` once that empties the wheel.
+    min_bound: u64,
 }
 
 impl Wheel {
-    fn new() -> Self {
+    fn new(elapsed: u64) -> Self {
         Wheel {
-            slots: (0..WHEEL_LEVELS)
-                .map(|_| std::array::from_fn(|_| VecDeque::new()))
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            head: [[NIL; WHEEL_SLOTS]; WHEEL_LEVELS],
+            tail: [[NIL; WHEEL_SLOTS]; WHEEL_LEVELS],
             occupied: [0; WHEEL_LEVELS],
             level_occ: 0,
-            elapsed: 0,
+            elapsed,
             stored: 0,
-            min_bound: MinBound::AtLeast(0),
-            cascade: VecDeque::new(),
+            min_bound: u64::MAX,
         }
     }
 
-    fn level_for(at: u64, elapsed: u64) -> usize {
-        let x = at ^ elapsed;
-        if x == 0 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / SLOT_BITS) as usize
+    /// Where node `idx` sorts within a level-0 slot.
+    fn order(&self, idx: u32) -> (SimTime, u64, u64) {
+        let ev = &self.nodes[idx as usize].ev;
+        (ev.sched, ev.tie, ev.seq)
+    }
+
+    /// Mark a slot whose list was just taken or drained as empty.
+    fn vacate(&mut self, level: usize, slot: usize) {
+        self.occupied[level] &= !(1 << slot);
+        if self.occupied[level] == 0 {
+            self.level_occ &= !(1 << level);
         }
     }
 
-    /// Place `ev` without touching the stored count (cascade re-insert).
-    /// `first` prepends instead of appending: slot queues are FIFO by
-    /// arrival, and a front-slot event demoted back into the wheel
-    /// precedes every stored event in `(time, sched, tie, seq)` order.
-    /// (The level-0 drain sorts slots by the tiebreak pair anyway, so
-    /// this is a keep-the-slot-nearly-sorted optimization, not a
-    /// correctness requirement.)
-    fn place(&mut self, ev: Event, first: bool) {
-        let at = ev.at.as_nanos();
+    /// Link node `idx` (its `next` already [`NIL`]) into the slot its time
+    /// maps to under the current horizon: at the tail, or — at level 0,
+    /// when it precedes the tail — at its place in `(sched, tie, seq)`
+    /// order. Same-instant events mostly arrive in that order, so the walk
+    /// is rare and short: same-nanosecond arrivals, shard injections,
+    /// demoted front events, cascades landing behind direct inserts.
+    fn link(&mut self, idx: u32) {
+        let at = self.nodes[idx as usize].ev.at.as_nanos();
         debug_assert!(
             at >= self.elapsed,
             "wheel insert below horizon: {at} < {}",
             self.elapsed
         );
-        let level = Self::level_for(at, self.elapsed);
+        // `| 1`: equal times have no differing bit and belong to level 0.
+        let level = ((63 - ((at ^ self.elapsed) | 1).leading_zeros()) / SLOT_BITS) as usize;
         let slot = ((at >> (SLOT_BITS as u64 * level as u64)) & 63) as usize;
-        if first {
-            self.slots[level][slot].push_front(ev);
+        let tail = self.tail[level][slot];
+        if self.occupied[level] & (1 << slot) == 0 {
+            self.head[level][slot] = idx;
+            self.tail[level][slot] = idx;
+            self.occupied[level] |= 1 << slot;
+            self.level_occ |= 1 << level;
+        } else if level > 0 || self.order(tail) < self.order(idx) {
+            self.nodes[tail as usize].next = idx;
+            self.tail[level][slot] = idx;
         } else {
-            self.slots[level][slot].push_back(ev);
+            // The tail follows `idx`, so the walk stops at or before it.
+            let (mut prev, mut cur) = (NIL, self.head[0][slot]);
+            while self.order(cur) < self.order(idx) {
+                (prev, cur) = (cur, self.nodes[cur as usize].next);
+            }
+            self.nodes[idx as usize].next = cur;
+            match prev {
+                NIL => self.head[0][slot] = idx,
+                _ => self.nodes[prev as usize].next = idx,
+            }
         }
-        self.occupied[level] |= 1 << slot;
-        self.level_occ |= 1 << level;
     }
 
-    fn insert(&mut self, ev: Event, first: bool) {
-        let at = ev.at.as_nanos();
-        self.min_bound = if self.stored == 0 {
-            MinBound::AtLeast(at)
-        } else {
-            match self.min_bound {
-                MinBound::AtLeast(m) => MinBound::AtLeast(m.min(at)),
-                MinBound::Unknown => MinBound::Unknown,
-            }
-        };
+    fn insert(&mut self, ev: Event) {
+        self.min_bound = self.min_bound.min(ev.at.as_nanos());
         self.stored += 1;
-        self.place(ev, first);
+        if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
+            self.free = self.nodes.len() as u32;
+            self.nodes.push(Node { ev, next: NIL });
+        }
+        let idx = self.free;
+        let node = &mut self.nodes[idx as usize];
+        self.free = std::mem::replace(&mut node.next, NIL);
+        node.ev = ev;
+        self.link(idx);
     }
 
     /// The earliest candidate: `(level, slot, deadline)`. For level 0 the
@@ -370,7 +397,7 @@ impl Wheel {
     }
 
     /// Remove and return the earliest live event if it fires at or before
-    /// `until`, dropping cancelled tombstones along the way. The horizon
+    /// `until`, dropping the cancelled tombstones it reaches. The horizon
     /// never advances past `until`.
     fn pop_before(&mut self, until: u64, cancelled: &mut HashSet<u64>) -> Option<Event> {
         loop {
@@ -383,68 +410,39 @@ impl Wheel {
                 return None;
             }
             self.elapsed = deadline;
+            let mut cur = self.head[level][slot];
             if level == 0 {
-                // Level-0 slots are 1 ns wide: everything here fires at
-                // exactly `deadline`, in (sched, tie, seq) order. For
-                // queue-local non-arrival schedules insertion order
-                // already matches (the watermark is monotone, tie is 0),
-                // so the sort below is usually a near-no-op pass;
-                // same-instant arrivals and cross-shard injections land
-                // out of key order and are repositioned here. Re-sorting
-                // on every pop is cheap: the slice is mostly sorted
-                // (pdqsort detects runs) and same-instant schedules made
-                // while the slot drains append in order.
-                if self.slots[0][slot].len() > 1 {
-                    self.slots[0][slot]
-                        .make_contiguous()
-                        .sort_by_key(|e| (e.sched, e.tie, e.seq));
+                // Level-0 slots are 1 ns wide and kept in pop order: the
+                // head fires at `deadline`, next; its node is freed.
+                let node = &mut self.nodes[cur as usize];
+                let (ev, next) = (node.ev, std::mem::replace(&mut node.next, self.free));
+                self.free = cur;
+                self.stored -= 1;
+                match next {
+                    NIL => self.vacate(0, slot),
+                    _ => self.head[0][slot] = next,
                 }
-                while let Some(ev) = self.slots[0][slot].pop_front() {
-                    self.stored -= 1;
-                    let emptied = self.slots[0][slot].is_empty();
-                    if emptied {
-                        self.occupied[0] &= !(1 << slot);
-                        if self.occupied[0] == 0 {
-                            self.level_occ &= !1;
-                        }
-                    }
-                    if !cancelled.is_empty() && cancelled.remove(&ev.seq) {
-                        continue;
-                    }
-                    self.min_bound = if !emptied {
-                        MinBound::AtLeast(deadline)
-                    } else if let Some((_, _, d)) = self.next_candidate() {
-                        // One extra scan keeps the bound known, which is
-                        // what lets newly scheduled near-term events take
-                        // the front slot instead of entering the wheel.
-                        MinBound::AtLeast(d)
-                    } else {
-                        MinBound::AtLeast(u64::MAX)
-                    };
-                    return Some(ev);
+                if !cancelled.is_empty() && cancelled.remove(&ev.seq) {
+                    continue;
                 }
-                // Slot held only tombstones; look again.
-                self.min_bound = MinBound::Unknown;
-            } else {
-                // Cascade the whole slot one or more levels down, relative
-                // to the advanced horizon. Preserves relative order, so
-                // equal-time events keep their FIFO relationship.
-                debug_assert!(self.cascade.is_empty());
-                std::mem::swap(&mut self.slots[level][slot], &mut self.cascade);
-                self.occupied[level] &= !(1 << slot);
-                if self.occupied[level] == 0 {
-                    self.level_occ &= !(1 << level);
-                }
-                // Cascaded events land strictly below `level` (the horizon
-                // now starts this slot, so their differing bits sit lower),
-                // never back in the slot being drained.
-                while let Some(ev) = self.cascade.pop_front() {
-                    if !cancelled.is_empty() && cancelled.remove(&ev.seq) {
-                        self.stored -= 1;
-                        continue;
-                    }
-                    self.place(ev, false);
-                }
+                // Keeping the bound exact (one extra scan when the slot
+                // empties) is what lets newly scheduled near-term events
+                // take the front slot instead of entering the wheel.
+                self.min_bound = match next {
+                    NIL => self.next_candidate().map_or(u64::MAX, |c| c.2),
+                    _ => deadline,
+                };
+                return Some(ev);
+            }
+            // Cascade the whole slot one or more levels down, relative to
+            // the advanced horizon, in list order (tombstones too: level 0
+            // drops them). The nodes land strictly below `level` (the
+            // horizon now starts this slot), never back in this slot.
+            self.vacate(level, slot);
+            while cur != NIL {
+                let next = std::mem::replace(&mut self.nodes[cur as usize].next, NIL);
+                self.link(cur);
+                cur = next;
             }
         }
     }
@@ -559,7 +557,7 @@ impl EventQueue {
     pub fn with_calendar(kind: CalendarKind) -> Self {
         let backend = match kind {
             CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
+            CalendarKind::Wheel => Backend::Wheel(Box::new(Wheel::new(0))),
         };
         EventQueue {
             #[cfg(feature = "audit")]
@@ -648,11 +646,11 @@ impl EventQueue {
             Some(f) if ev.key() < f.key() => {
                 // New event precedes the cached next event: swap it in.
                 // The demoted event still precedes everything in the
-                // backend (in `(time, sched, seq)` order), so the front
-                // invariant survives — and it re-enters the wheel *ahead*
-                // of any equal-time event already there.
+                // backend (in `(time, sched, tie, seq)` order), so the
+                // front invariant survives; the backend orders it ahead
+                // of any equal-time event already there by its key.
                 let demoted = std::mem::replace(f, ev);
-                self.backend_insert_first(demoted);
+                self.backend_insert(demoted);
             }
             Some(_) => self.backend_insert(ev),
             None => {
@@ -660,7 +658,7 @@ impl EventQueue {
                 // held directly and never enters the backend — the common
                 // shape for a busy link scheduling its next back-to-back
                 // serialization.
-                if self.backend_min_bound().is_some_and(|m| at.as_nanos() < m) {
+                if at.as_nanos() < self.backend_min_bound() {
                     self.front = Some(ev);
                 } else {
                     self.backend_insert(ev);
@@ -675,11 +673,19 @@ impl EventQueue {
     /// perturbing the order of surviving events. This is what keeps
     /// far-future idle sentinels (timers parked at [`SimTime::MAX`]) free.
     ///
-    /// # Contract
-    /// `id` must identify an event that has been scheduled and has
-    /// neither fired nor been cancelled; cancelling a dead id corrupts
-    /// the live-event count.
-    pub fn cancel(&mut self, id: EventId) {
+    /// Returns `false`, changing nothing, for an id this queue never
+    /// issued or one whose tombstone is still pending (a double cancel);
+    /// under `--audit` that is a calendar violation. An id whose event
+    /// already fired or was already dropped cannot be told from a live
+    /// one: passing it is a caller bug that corrupts the live count.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        if id.0 >= self.next_seq || self.cancelled.contains(&id.0) {
+            #[cfg(feature = "audit")]
+            if self.shadow.is_some() {
+                crate::audit::violation("calendar", format_args!("cancel of dead {id:?}"));
+            }
+            return false;
+        }
         #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
             s.cancel(id.0);
@@ -687,47 +693,27 @@ impl EventQueue {
         self.live -= 1;
         if self.front.as_ref().is_some_and(|f| f.seq == id.0) {
             self.front = None;
-            return;
+        } else {
+            self.cancelled.insert(id.0);
         }
-        self.cancelled.insert(id.0);
+        true
     }
 
     fn backend_insert(&mut self, ev: Event) {
         match &mut self.backend {
             Backend::Heap(h) => h.push(ev),
-            Backend::Wheel(w) => w.insert(ev, false),
+            Backend::Wheel(w) => w.insert(ev),
         }
     }
 
-    /// Insert an event known to precede every stored event in
-    /// `(time, sched, tie, seq)` order (a demoted front-slot occupant). The
-    /// heap orders fully by comparison; the wheel prefers it prepended
-    /// to its slot so the slot stays sorted.
-    fn backend_insert_first(&mut self, ev: Event) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(ev),
-            Backend::Wheel(w) => w.insert(ev, true),
-        }
-    }
-
-    /// A lower bound on every event stored in the backend, or `None` when
-    /// no bound is known. `Some(m)` guarantees no backend event fires
-    /// before `m`, so an event strictly before `m` may take the front
-    /// slot. (Cancelled residents may weaken the bound below the live
-    /// minimum; that only makes the check stricter, never wrong.)
-    fn backend_min_bound(&self) -> Option<u64> {
+    /// A lower bound on every event stored in the backend: an event
+    /// strictly before it may take the front slot. (Cancelled residents
+    /// may hold the bound below the live minimum; that only makes the
+    /// check stricter, never wrong.)
+    fn backend_min_bound(&self) -> u64 {
         match &self.backend {
-            Backend::Heap(h) => Some(h.peek().map_or(u64::MAX, |e| e.at.as_nanos())),
-            Backend::Wheel(w) => {
-                if w.stored == 0 {
-                    Some(u64::MAX)
-                } else {
-                    match w.min_bound {
-                        MinBound::AtLeast(m) => Some(m),
-                        MinBound::Unknown => None,
-                    }
-                }
-            }
+            Backend::Heap(h) => h.peek().map_or(u64::MAX, |e| e.at.as_nanos()),
+            Backend::Wheel(w) => w.min_bound,
         }
     }
 
@@ -797,9 +783,6 @@ impl EventQueue {
     /// Remove and return the earliest event, advancing the internal
     /// causality watermark.
     pub fn pop(&mut self) -> Option<Event> {
-        if self.live == 0 {
-            return None;
-        }
         self.pop_before(SimTime::MAX)
     }
 
@@ -892,6 +875,13 @@ impl EventQueue {
             self.live -= 1;
             out.push(ev);
         }
+        // Only cancelled residents are left, and the wheel's horizon ran to
+        // the last event: restart at the watermark so a refill (the split's
+        // rollback) works.
+        match &mut self.backend {
+            Backend::Heap(h) => h.clear(),
+            Backend::Wheel(w) => **w = Wheel::new(self.watermark.as_nanos()),
+        }
         self.cancelled.clear();
         #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
@@ -899,6 +889,15 @@ impl EventQueue {
             s.cancelled.clear();
         }
         out
+    }
+
+    /// Bytes of event storage the backend holds (capacity, not use): on
+    /// the wheel at most 2 × high-water stored events × the 64-byte node.
+    pub fn footprint_bytes(&self) -> usize {
+        match &self.backend {
+            Backend::Heap(h) => h.capacity() * std::mem::size_of::<Event>(),
+            Backend::Wheel(w) => w.nodes.capacity() * std::mem::size_of::<Node>(),
+        }
     }
 
     /// Number of pending (scheduled, unfired, uncancelled) events.
@@ -940,6 +939,16 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect()
+    }
+
+    /// Deterministic pseudorandom stream for the churn tests.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
     }
 
     fn both() -> [EventQueue; 2] {
@@ -1202,13 +1211,7 @@ mod tests {
     fn batched_stream_equals_unbatched_stream_under_churn() {
         let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
         let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64; // deterministic xorshift
-        let mut rnd = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
         let mut watermark = 0u64;
         let mut batch = Vec::new();
         for round in 0..200 {
@@ -1216,7 +1219,7 @@ mod tests {
                 // Coarse times force same-timestamp collisions; alternate
                 // classes so batches actually split.
                 let at = watermark + (rnd() % 40) * 10;
-                let kind = if rnd() % 2 == 0 {
+                let kind = if rnd().is_multiple_of(2) {
                     ctrl(round)
                 } else {
                     EventKind::Timer {
@@ -1224,16 +1227,8 @@ mod tests {
                         token: TimerToken(round),
                     }
                 };
-                let kind2 = match &kind {
-                    EventKind::Control { code } => ctrl(*code),
-                    EventKind::Timer { agent, token } => EventKind::Timer {
-                        agent: *agent,
-                        token: *token,
-                    },
-                    _ => unreachable!(),
-                };
                 wheel.schedule(SimTime::from_nanos(at), kind);
-                heap.schedule(SimTime::from_nanos(at), kind2);
+                heap.schedule(SimTime::from_nanos(at), kind);
             }
             let until = SimTime::from_nanos(watermark + rnd() % 300);
             loop {
@@ -1260,13 +1255,7 @@ mod tests {
     fn wheel_matches_heap_under_churn() {
         let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
         let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
-        let mut x = 0x243f_6a88_85a3_08d3u64; // deterministic xorshift
-        let mut rnd = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut rnd = xorshift(0x243f_6a88_85a3_08d3);
         let mut watermark = 0u64;
         for round in 0..200 {
             for _ in 0..(rnd() % 8) {

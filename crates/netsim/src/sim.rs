@@ -145,9 +145,9 @@ impl Ctx<'_> {
 
     /// Cancel a timer armed with [`Ctx::schedule`] that has not yet fired.
     /// O(1); see [`crate::event::EventQueue::cancel`] for the contract
-    /// (the id must still be pending).
-    pub fn cancel_timer(&mut self, id: EventId) {
-        self.sim.events.cancel(id);
+    /// (the id must still be pending) and the meaning of `false`.
+    pub fn cancel_timer(&mut self, id: EventId) -> bool {
+        self.sim.events.cancel(id)
     }
 
     /// Deterministic per-simulation random source.
@@ -442,6 +442,12 @@ impl Simulator {
         self.events_processed
     }
 
+    /// Pending events and the bytes of storage the calendar holds for
+    /// them (see [`crate::event::EventQueue::footprint_bytes`]).
+    pub fn calendar_footprint(&self) -> (usize, usize) {
+        (self.events.len(), self.events.footprint_bytes())
+    }
+
     /// The current measurement window's event counters (restarted by
     /// [`Simulator::reset_measurements`]).
     pub fn counters(&self) -> SimCounters {
@@ -620,9 +626,10 @@ impl Simulator {
     }
 
     /// Cancel a still-pending timer (see
-    /// [`crate::event::EventQueue::cancel`] for the contract).
-    pub fn cancel_timer(&mut self, id: EventId) {
-        self.events.cancel(id);
+    /// [`crate::event::EventQueue::cancel`] for the contract and the
+    /// meaning of `false`).
+    pub fn cancel_timer(&mut self, id: EventId) -> bool {
+        self.events.cancel(id)
     }
 
     /// Borrow an installed agent immutably, downcast to `T`.
@@ -2042,5 +2049,44 @@ mod tests {
             .unwrap_or_else(|| "<non-string payload>".into());
         assert!(msg.contains("audit violation [link]"), "{msg}");
         assert!(msg.contains("over-delivery"), "{msg}");
+    }
+
+    /// `split_shards` drains the calendar to route its events and, when it
+    /// then refuses, schedules them straight back: the drained queue must
+    /// take the refill as a first fill. The wheel's horizon used to stay at
+    /// the last drained event (so earlier refills landed behind it), and a
+    /// cancelled event later than every live one came back to life when
+    /// the drain cleared its tombstone.
+    #[test]
+    fn drained_calendar_refills_in_the_same_order() {
+        use crate::event::{CalendarKind, EventQueue};
+        let at = SimTime::from_nanos;
+        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+            let mut q = EventQueue::with_calendar(kind);
+            q.schedule(at(5), EventKind::Control { code: 99 });
+            assert_eq!(q.pop().map(|e| e.at), Some(at(5)));
+            let times = [7, 1 << 30, 7, 1 << 20, 9, u64::MAX];
+            let ids: Vec<_> = (0u64..)
+                .zip(times)
+                .map(|(code, t)| q.schedule(at(t), EventKind::Control { code }))
+                .collect();
+            assert!(q.cancel(ids[5]));
+
+            let code = |e: &Event| match e.kind {
+                EventKind::Control { code } => code,
+                _ => unreachable!(),
+            };
+            let in_order = [0, 2, 4, 3, 1];
+            let drained = q.drain_all();
+            assert_eq!(drained.iter().map(code).collect::<Vec<_>>(), in_order);
+            assert!(q.is_empty());
+            for ev in &drained {
+                q.schedule_keyed(ev.at, ev.sched, ev.tie, ev.kind);
+            }
+            assert_eq!(q.len(), 5);
+            let again: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(again.iter().map(code).collect::<Vec<_>>(), in_order);
+            assert_eq!(again.last().map(|e| e.at), Some(at(1 << 30)), "{kind:?}");
+        }
     }
 }

@@ -1,38 +1,53 @@
 //! Pins the arena/slab memory claim: once warm, the simulator's inner
 //! event loop runs without touching the heap.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the test
-//! drives a two-node ping-pong (the smallest workload whose event stream
-//! has the same shape as the fig6 inner loop: data departure/arrival,
-//! ACK departure/arrival, all through one queue discipline) and asserts
-//! that after a warm-up window the allocation count stays flat while the
-//! event count grows by hundreds of thousands.
+//! A counting `#[global_allocator]` wraps the system allocator. The first
+//! test drives a two-node ping-pong (the smallest workload whose event
+//! stream has the same shape as the fig6 inner loop: data
+//! departure/arrival, ACK departure/arrival, all through one queue
+//! discipline) and asserts that after a warm-up window the allocation
+//! count stays flat while the event count grows by hundreds of thousands.
+//! That loop never puts two events in one 1 ns calendar slot and never
+//! carries a burst across a high wheel level's boundary; the second test
+//! drives the calendar with the shape of the 100k-flow dumbbell, which
+//! does both.
 //!
 //! This lives in its own integration-test file because the global
 //! allocator is process-wide: sharing a binary with unrelated tests would
-//! let their allocations bleed into the measurement window.
+//! let their allocations bleed into the measurement window. The count is
+//! per thread, so the two tests here do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use netsim::event::TimerToken;
+use netsim::event::{EventKind, EventQueue, TimerToken};
 use netsim::ids::{AgentId, FlowId, NodeId};
 use netsim::packet::{Ecn, Packet, Payload};
 use netsim::queue::DropTail;
 use netsim::sim::{Agent, Ctx, Simulator};
 use netsim::time::{SimDuration, SimTime};
 
-/// Counts every allocation routed through the global allocator. Only
-/// `alloc` is counted (the default `realloc`/`alloc_zeroed` forward to
-/// it), which is exactly the "did the inner loop touch the heap" signal.
+/// Counts every allocation the calling thread routes through the global
+/// allocator. Only `alloc` is counted (the default
+/// `realloc`/`alloc_zeroed` forward to it), which is exactly the "did the
+/// inner loop touch the heap" signal.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by this thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A thread being torn down has no counter left; nothing measured
+        // runs there.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -172,16 +187,16 @@ fn steady_state_event_loop_is_allocation_free() {
     // are the O(1) per-`run_until` setup (the hoisted batch vector and
     // stray calendar-slot growth), so the budget is a small constant
     // that does NOT scale with the event count.
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     sim.run_until(SimTime::from_secs(2));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocs() - allocs_before;
     let events = sim.events_processed() - warm_events;
 
     assert!(events > 100_000, "window too quiet: {events} events");
-    // The budget is a flat constant (covering the hoisted batch vector,
-    // late calendar-slot growth, and test-harness background noise), four
-    // orders of magnitude below the event count: one allocation per event
-    // would blow it by ~1000x, which is exactly the regression this pins.
+    // The budget is a flat constant (covering the hoisted batch vector and
+    // late container growth), four orders of magnitude below the event
+    // count: one allocation per event would blow it by ~1000x, which is
+    // exactly the regression this pins.
     assert!(
         allocs <= 256,
         "inner loop touched the heap: {allocs} allocations over {events} events"
@@ -191,4 +206,76 @@ fn steady_state_event_loop_is_allocation_free() {
     // measuring an idle simulator).
     let acked = sim.agent::<Pinger>(ping_id).acked;
     assert!(acked > 25_000, "pinger only completed {acked} exchanges");
+}
+
+/// The calendar under the 100k-flow dumbbell's load shape: cohorts of 100
+/// start timers due at the same nanosecond every simulated millisecond
+/// (one level-0 slot holding 100 events), and 10 000 packets in flight
+/// with 5–10 ms to go, so that every 2^24 ns boundary finds thousands of
+/// them parked in one level-4 slot to cascade. Per-slot deques leaked
+/// capacity into every slot such a burst passed through, and sorting a
+/// level-0 slot allocated a scratch buffer per pop; the node pool does
+/// neither, so after warm-up the loop makes no allocation at all and the
+/// calendar's storage stays within Vec doubling of its high-water mark.
+#[test]
+fn same_instant_cohorts_and_boundary_bursts_are_allocation_free() {
+    const COHORT: u64 = 100;
+    const IN_FLIGHT: u64 = 10_000;
+    const MS: u64 = 1_000_000;
+    const TICK: u64 = u64::MAX;
+    /// Size of one pooled calendar node (an `Event` plus a link).
+    const NODE_BYTES: usize = 64;
+
+    let at = SimTime::from_nanos;
+    let timer = |i| EventKind::Timer {
+        agent: AgentId(0),
+        token: TimerToken(i),
+    };
+    let mut q = EventQueue::new();
+    q.schedule(at(0), EventKind::Control { code: TICK });
+    for i in 0..IN_FLIGHT {
+        q.schedule(at(i * 1_000), EventKind::Control { code: i });
+    }
+
+    // One simulated second spans 59 boundaries of 2^24 ns (16.8 ms).
+    let run_until = |q: &mut EventQueue, until: SimTime, high_water: &mut usize| {
+        let mut popped = 0u64;
+        while let Some(ev) = q.pop_before(until) {
+            popped += 1;
+            let now = ev.at.as_nanos();
+            match ev.kind {
+                EventKind::Control { code: TICK } => {
+                    for i in 0..COHORT {
+                        q.schedule(at(now + MS), timer(i));
+                    }
+                    q.schedule(at(now + MS), EventKind::Control { code: TICK });
+                }
+                EventKind::Control { code } => {
+                    let delay = 5 * MS + (code * 7_919 + now) % (5 * MS);
+                    q.schedule(at(now + delay), EventKind::Control { code });
+                }
+                _ => {}
+            }
+            *high_water = (*high_water).max(q.len());
+        }
+        popped
+    };
+
+    let mut high_water = 0;
+    run_until(&mut q, SimTime::from_millis(100), &mut high_water);
+    let before = allocs();
+    let popped = run_until(&mut q, SimTime::from_secs(1), &mut high_water);
+    let allocs = allocs() - before;
+
+    assert!(popped > 1_000_000, "window too quiet: {popped} events");
+    assert_eq!(allocs, 0, "calendar touched the heap over {popped} events");
+    assert!(
+        high_water >= (IN_FLIGHT + COHORT) as usize,
+        "load never built up: {high_water}"
+    );
+    assert!(
+        q.footprint_bytes() <= 2 * high_water * NODE_BYTES,
+        "calendar holds {} bytes for a high-water mark of {high_water} events",
+        q.footprint_bytes()
+    );
 }

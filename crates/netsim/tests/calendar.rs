@@ -1,8 +1,8 @@
 //! Calendar-equivalence property tests: the timing wheel and the binary
 //! heap must emit byte-identical `(time, seq, kind)` pop streams for any
 //! legal schedule, including simultaneous events, `SimTime::MAX` idle
-//! sentinels, cancellations, and events scheduled while a pop loop is in
-//! flight.
+//! sentinels, cancellations, events scheduled while a pop loop is in
+//! flight, and every way the wheel's pooled nodes are freed and reused.
 
 use std::collections::BTreeMap;
 
@@ -89,7 +89,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     };
 
     for &(sel, a, b) in ops {
-        match sel % 8 {
+        match sel % 10 {
             // Spread-out schedule: anywhere in the next millisecond.
             0 | 1 => {
                 let at = after(now, a % 1_000_000);
@@ -147,6 +147,26 @@ fn drive(ops: &[(u8, u64, u64)]) {
                 prop_assert_eq!(wheel.len(), heap.len());
                 now = now.max(until);
             }
+            // Drain to exhaustion: every live node returns to the pool (a
+            // pending tombstone keeps its own until reached), and the ops
+            // that follow refill from the free list.
+            7 => loop {
+                let (x, y) = (wheel.pop(), heap.pop());
+                if compare_pop(x, y, &mut pending, &mut now).is_none() {
+                    break;
+                }
+            },
+            // Demotion into a non-empty level-0 list: two events a few ns
+            // out share a 1 ns slot, the first of them usually in the
+            // front slot; a third just ahead of them takes the front and
+            // pushes its occupant back into the wheel, where it must sort
+            // ahead of its later-scheduled twin.
+            8 => {
+                let twin = after(now, 2 + a % 3);
+                for at in [twin, twin, after(now, 1)] {
+                    schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                }
+            }
             // Peek must agree and may advance the causality watermark.
             _ => {
                 let (tw, th) = (wheel.peek_time(), heap.peek_time());
@@ -173,11 +193,12 @@ fn drive(ops: &[(u8, u64, u64)]) {
 proptest! {
     /// Randomized op streams: wheel and heap pop identical
     /// `(time, seq, kind)` sequences under schedules, collisions,
-    /// sentinels, cancellations, peeks, and mid-drain schedules.
+    /// sentinels, cancellations, peeks, mid-drain schedules, full drains
+    /// followed by refills, and front-slot demotions.
     #[test]
     fn wheel_and_heap_pop_identical_streams(
         ops in proptest::collection::vec(
-            (0u8..8, 0u64..u64::MAX, 0u64..u64::MAX),
+            (0u8..10, 0u64..u64::MAX, 0u64..u64::MAX),
             1..120,
         ),
     ) {
@@ -196,5 +217,49 @@ proptest! {
             .map(|(i, &hi)| (2u8, if hi { 3 } else { 0 }, i as u64))
             .collect();
         drive(&ops);
+    }
+}
+
+/// Cancelling an id that is not pending — never issued, or already
+/// cancelled — is refused without touching the live count: `false`, or
+/// under the audit flag (wheel queues then carry the shadow oracle) a
+/// calendar violation. Before, it decremented the count regardless and
+/// left a tombstone nothing ever reaches, so every later pop paid a hash
+/// probe.
+#[test]
+fn cancelling_a_dead_id_is_refused() {
+    let refused = |q: &mut EventQueue, id| match std::panic::catch_unwind(
+        std::panic::AssertUnwindSafe(|| q.cancel(id)),
+    ) {
+        Ok(cancelled) => !cancelled,
+        Err(panic) => panic
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("audit violation [calendar]")),
+    };
+    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+        let at = SimTime::from_nanos;
+        // Ids are insertion sequence numbers: another queue's later ids
+        // are ids this queue never issued.
+        let mut other = EventQueue::with_calendar(kind);
+        let issued: Vec<_> = (0..4)
+            .map(|i| other.schedule(at(i), kind_for(1, i)))
+            .collect();
+
+        let mut q = EventQueue::with_calendar(kind);
+        let front = q.schedule(at(10), kind_for(1, 0));
+        let stored = q.schedule(at(20), kind_for(1, 1));
+        q.schedule(at(30), kind_for(1, 2));
+        assert!(refused(&mut q, issued[3]), "{kind:?}: never-issued id");
+        assert_eq!(q.len(), 3);
+
+        assert!(q.cancel(stored), "{kind:?}: first cancel of a stored event");
+        assert!(refused(&mut q, stored), "{kind:?}: double cancel");
+        assert_eq!(q.len(), 2);
+
+        assert!(q.cancel(front), "{kind:?}: cancel of the front-slot event");
+        assert_eq!(q.len(), 1);
+        let left: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.at).collect();
+        assert_eq!(left, [at(30)], "{kind:?}");
+        assert!(q.is_empty());
     }
 }

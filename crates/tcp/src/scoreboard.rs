@@ -8,12 +8,14 @@
 //! least [`DUP_THRESH`] positions above it has been SACKed — the
 //! SACK-based equivalent of TCP's three-duplicate-ACK threshold.
 //!
-//! All bookkeeping is incremental: `in_flight()` and `first_lost()` are
-//! O(1)/O(log n), and the FACK sweep visits each sequence number at most
-//! once over the window's lifetime (watermark-based), so processing stays
-//! linear in packets even for very large windows.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The outstanding window is always the contiguous range
+//! `[high_ack, next_seq)`, so the states live in a flat ring offset by the
+//! lowest outstanding sequence, one byte per segment: [`INLINE`] of them
+//! inside the struct (a short transfer never touches the heap), then a
+//! doubling heap ring kept across transfers. `in_flight()` and
+//! `first_lost()` are O(1) (counters and a forward cursor), and the FACK
+//! sweep visits each sequence number at most once over the window's
+//! lifetime (watermark-based), so processing stays linear in packets.
 
 #[cfg(feature = "audit")]
 use pert_core::audit;
@@ -23,10 +25,14 @@ use netsim::SackBlock;
 /// Number of SACKed segments above a hole required to declare it lost.
 pub const DUP_THRESH: u64 = 3;
 
+/// Window length held inside the [`Scoreboard`] itself (a power of two).
+const INLINE: usize = 16;
+
 /// Delivery state of one outstanding segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SegState {
     /// Sent once, no feedback yet.
+    #[default]
     InFlight,
     /// Covered by a SACK block.
     Sacked,
@@ -36,20 +42,24 @@ pub enum SegState {
     Retx,
 }
 
-/// The send-window scoreboard.
-///
-/// Beyond the per-segment state map, a `not_sacked` index keeps every
-/// non-SACKed outstanding sequence number; SACK-block processing and the
-/// FACK sweep walk only that index, so repeatedly receiving the same wide
-/// SACK blocks (one per ACK) costs O(log n), not O(block width).
+/// The send-window scoreboard: a ring of states for `[base, base + len)`
+/// plus the counters and cursors that summarize it.
 #[derive(Debug, Default)]
 pub struct Scoreboard {
-    segs: BTreeMap<u64, SegState>,
-    /// InFlight/Lost/Retx sequence numbers (everything except Sacked).
-    not_sacked: BTreeSet<u64>,
-    lost: BTreeSet<u64>,
+    /// The ring until a window first outgrows it.
+    inline: [SegState; INLINE],
+    /// The ring from then on (power-of-two length); empty before.
+    spill: Vec<SegState>,
+    /// Ring index of `base`'s state, unreduced (`seg` masks it).
+    head: usize,
+    /// Lowest outstanding sequence number (meaningful while `len > 0`).
+    base: u64,
+    len: usize,
     in_flight: usize,
     sacked: usize,
+    lost: usize,
+    /// Lowest `Lost` sequence number (meaningful while `lost > 0`).
+    first_lost: u64,
     highest_sacked: Option<u64>,
     /// FACK sweep watermark: holes below this were already examined.
     fack_mark: u64,
@@ -64,15 +74,14 @@ impl Scoreboard {
         Self::default()
     }
 
-    /// Segments currently consuming network capacity
-    /// (`InFlight` + `Retx`).
+    /// Segments consuming network capacity (`InFlight` + `Retx`).
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
 
     /// Segments declared lost and not yet retransmitted.
     pub fn lost_count(&self) -> usize {
-        self.lost.len()
+        self.lost
     }
 
     /// Segments currently SACKed.
@@ -82,95 +91,113 @@ impl Scoreboard {
 
     /// Total tracked (sent, unacknowledged) segments.
     pub fn len(&self) -> usize {
-        self.segs.len()
+        self.len
     }
 
     /// True if nothing is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
+        self.len == 0
     }
 
-    /// Record the (first) transmission of `seq`.
+    /// One past the highest outstanding sequence number.
+    fn end(&self) -> u64 {
+        self.base + self.len as u64
+    }
+
+    fn ring(&mut self) -> &mut [SegState] {
+        if self.spill.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.spill
+        }
+    }
+
+    /// The state of outstanding segment `seq`.
+    fn seg(&mut self, seq: u64) -> &mut SegState {
+        debug_assert!(
+            self.base <= seq && seq < self.end(),
+            "{seq} not outstanding"
+        );
+        let i = self.head + (seq - self.base) as usize;
+        let ring = self.ring();
+        &mut ring[i & (ring.len() - 1)]
+    }
+
+    /// Record the (first) transmission of `seq`, which must extend the
+    /// outstanding window by one.
     pub fn on_send_new(&mut self, seq: u64) {
-        let prev = self.segs.insert(seq, SegState::InFlight);
-        debug_assert!(prev.is_none(), "segment {seq} sent twice as new");
-        self.not_sacked.insert(seq);
+        if self.len == 0 {
+            self.base = seq;
+        }
+        assert_eq!(seq, self.end(), "new segment must extend the window");
+        if self.len == self.ring().len() {
+            // Full: unroll the ring to start at `base` and double it.
+            let head = self.head & (self.len - 1);
+            self.head = 0;
+            self.ring().rotate_left(head);
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.resize(2 * self.len, SegState::InFlight);
+        }
+        self.len += 1;
+        *self.seg(seq) = SegState::InFlight;
         self.in_flight += 1;
         self.audit();
     }
 
     /// Record the retransmission of a lost segment.
     pub fn on_retransmit(&mut self, seq: u64) {
-        let st = self.segs.get_mut(&seq).expect("retransmit of unknown seq");
+        assert!(
+            self.base <= seq && seq < self.end(),
+            "retransmit of unknown seq {seq}"
+        );
+        let st = self.seg(seq);
         debug_assert_eq!(*st, SegState::Lost, "retransmit of non-lost seq {seq}");
         *st = SegState::Retx;
-        self.lost.remove(&seq);
+        self.lost -= 1;
         self.in_flight += 1;
+        self.settle_first_lost();
         self.audit();
     }
 
     /// Cumulative ACK up to (exclusive) `cum`: forget all covered segments.
     /// Returns the number of segments newly removed.
     pub fn ack_to(&mut self, cum: u64) -> u64 {
-        let mut removed = 0;
-        while let Some((&seq, &st)) = self.segs.first_key_value() {
-            if seq >= cum {
-                break;
-            }
-            self.segs.remove(&seq);
-            self.not_sacked.remove(&seq);
-            match st {
+        let removed = cum.saturating_sub(self.base).min(self.len as u64);
+        for seq in self.base..self.base + removed {
+            match *self.seg(seq) {
                 SegState::InFlight | SegState::Retx => self.in_flight -= 1,
                 SegState::Sacked => self.sacked -= 1,
-                SegState::Lost => {
-                    self.lost.remove(&seq);
-                }
+                SegState::Lost => self.lost -= 1,
             }
-            removed += 1;
         }
-        if self.fack_mark < cum {
-            self.fack_mark = cum;
-        }
+        self.head += removed as usize;
+        self.base += removed;
+        self.len -= removed as usize;
+        self.fack_mark = self.fack_mark.max(cum);
+        self.settle_first_lost();
         self.audit();
         removed
     }
 
-    /// Apply one SACK block. Only not-yet-SACKed segments inside the block
-    /// are visited, so repeated identical blocks are nearly free.
+    /// Apply one SACK block. Blocks can reference acked-away data
+    /// harmlessly; only the part inside the window is visited.
     pub fn sack(&mut self, block: SackBlock) {
         if block.is_empty() {
             return;
         }
-        let hits: Vec<u64> = self
-            .not_sacked
-            .range(block.start..block.end)
-            .copied()
-            .collect();
-        for seq in hits {
-            let st = self.segs.get_mut(&seq).expect("indexed segment exists");
-            match *st {
-                SegState::InFlight | SegState::Retx => {
-                    *st = SegState::Sacked;
-                    self.in_flight -= 1;
-                    self.sacked += 1;
-                }
-                SegState::Lost => {
-                    *st = SegState::Sacked;
-                    self.lost.remove(&seq);
-                    self.sacked += 1;
-                }
-                SegState::Sacked => unreachable!("sacked segment in not_sacked index"),
+        for seq in block.start.max(self.base)..block.end.min(self.end()) {
+            match *self.seg(seq) {
+                SegState::InFlight | SegState::Retx => self.in_flight -= 1,
+                SegState::Lost => self.lost -= 1,
+                SegState::Sacked => continue,
             }
-            self.not_sacked.remove(&seq);
+            *self.seg(seq) = SegState::Sacked;
+            self.sacked += 1;
         }
-        // Record the highest SACKed sequence actually covered by the
-        // window (blocks can reference acked-away data harmlessly).
-        if block.end > 0 {
-            self.highest_sacked = Some(
-                self.highest_sacked
-                    .map_or(block.end - 1, |h| h.max(block.end - 1)),
-            );
-        }
+        self.highest_sacked = self.highest_sacked.max(Some(block.end - 1));
+        self.settle_first_lost();
         self.audit();
     }
 
@@ -178,56 +205,58 @@ impl Scoreboard {
     /// [`DUP_THRESH`] or more below the highest SACKed sequence. Returns
     /// the number of segments newly declared lost.
     pub fn declare_losses(&mut self) -> usize {
-        let Some(hs) = self.highest_sacked else {
+        let limit = self
+            .highest_sacked
+            .and_then(|hs| (hs + 1).checked_sub(DUP_THRESH));
+        let Some(limit) = limit.filter(|&l| self.fack_mark < l) else {
             return 0;
         };
-        let Some(limit) = (hs + 1).checked_sub(DUP_THRESH) else {
-            return 0;
-        };
-        let from = self.fack_mark;
-        if from >= limit {
-            return 0;
-        }
-        let mut newly = Vec::new();
-        for &seq in self.not_sacked.range(from..limit) {
-            if self.segs[&seq] == SegState::InFlight {
-                newly.push(seq);
-            }
-        }
+        let range = self.fack_mark.max(self.base)..limit.min(self.end());
         self.fack_mark = limit;
-        let n = newly.len();
-        for seq in newly {
-            *self.segs.get_mut(&seq).expect("indexed") = SegState::Lost;
-            self.lost.insert(seq);
-            self.in_flight -= 1;
-        }
-        self.audit();
-        n
+        self.mark_lost(range, false)
     }
 
     /// Declare every non-SACKed outstanding segment lost (RTO recovery).
     /// Returns how many were newly marked.
     pub fn mark_all_lost(&mut self) -> usize {
-        let mut newly = Vec::new();
-        for &seq in &self.not_sacked {
-            if matches!(self.segs[&seq], SegState::InFlight | SegState::Retx) {
-                newly.push(seq);
-            }
-        }
-        let n = newly.len();
-        for seq in newly {
-            *self.segs.get_mut(&seq).expect("indexed") = SegState::Lost;
-            self.lost.insert(seq);
-            self.in_flight -= 1;
-        }
-        self.audit();
-        n
+        self.mark_lost(self.base..self.end(), true)
     }
 
-    /// Differential check of the incremental bookkeeping against the state
-    /// map it summarizes: O(1) conservation identity on every mutation,
-    /// full linear rescan (the naive implementation the counters replace)
-    /// every 64th.
+    /// Move the `InFlight` (and, if `retx_too`, `Retx`) segments of `range`
+    /// to `Lost`; returns how many.
+    fn mark_lost(&mut self, range: std::ops::Range<u64>, retx_too: bool) -> usize {
+        let before = self.lost;
+        for seq in range {
+            let st = *self.seg(seq);
+            if st == SegState::InFlight || (retx_too && st == SegState::Retx) {
+                *self.seg(seq) = SegState::Lost;
+                self.in_flight -= 1;
+                if self.lost == 0 || seq < self.first_lost {
+                    self.first_lost = seq;
+                }
+                self.lost += 1;
+            }
+        }
+        self.audit();
+        self.lost - before
+    }
+
+    /// Re-establish the `first_lost` cursor after segments left the `Lost`
+    /// state: nothing below it is `Lost`, so it only ever scans forward.
+    fn settle_first_lost(&mut self) {
+        if self.lost > 0 {
+            let mut seq = self.first_lost.max(self.base);
+            while *self.seg(seq) != SegState::Lost {
+                seq += 1;
+            }
+            self.first_lost = seq;
+        }
+    }
+
+    /// Differential check of the incremental bookkeeping against the ring
+    /// it summarizes: O(1) conservation identity on every mutation, full
+    /// linear rescan (the naive implementation the counters and the cursor
+    /// replace) every 64th.
     #[cfg(feature = "audit")]
     fn audit(&mut self) {
         if !audit::enabled() {
@@ -235,56 +264,38 @@ impl Scoreboard {
         }
         self.ops += 1;
         audit::count_tcp_checks(1);
-        if self.in_flight + self.sacked + self.lost.len() != self.segs.len() {
+        if self.in_flight + self.sacked + self.lost != self.len {
             audit::violation(
                 "scoreboard",
                 format_args!(
                     "conservation broken: in_flight={} + sacked={} + lost={} != len={}",
-                    self.in_flight,
-                    self.sacked,
-                    self.lost.len(),
-                    self.segs.len(),
+                    self.in_flight, self.sacked, self.lost, self.len,
                 ),
             );
         }
         if !self.ops.is_multiple_of(64) {
             return;
         }
-        let (mut in_flight, mut sacked, mut lost) = (0usize, 0usize, 0usize);
-        for (&seq, &st) in &self.segs {
-            match st {
+        let (mut in_flight, mut sacked, mut lost, mut first_lost) = (0usize, 0usize, 0usize, None);
+        for seq in self.base..self.end() {
+            match *self.seg(seq) {
                 SegState::InFlight | SegState::Retx => in_flight += 1,
                 SegState::Sacked => sacked += 1,
-                SegState::Lost => lost += 1,
-            }
-            if (st == SegState::Sacked) == self.not_sacked.contains(&seq) {
-                audit::violation(
-                    "scoreboard",
-                    format_args!("not_sacked index wrong for seq {seq} in state {st:?}"),
-                );
-            }
-            if (st == SegState::Lost) != self.lost.contains(&seq) {
-                audit::violation(
-                    "scoreboard",
-                    format_args!("lost index wrong for seq {seq} in state {st:?}"),
-                );
+                SegState::Lost => {
+                    lost += 1;
+                    first_lost = first_lost.or(Some(seq));
+                }
             }
         }
-        if in_flight != self.in_flight
-            || sacked != self.sacked
-            || lost != self.lost.len()
-            || self.not_sacked.len() + self.sacked != self.segs.len()
-        {
+        let rescan = (in_flight, sacked, lost, first_lost);
+        let held = (self.in_flight, self.sacked, self.lost, self.first_lost());
+        if held != rescan {
             audit::violation(
                 "scoreboard",
                 format_args!(
-                    "counters diverged from linear rescan: in_flight={} rescan={in_flight}, \
-                     sacked={} rescan={sacked}, lost={} rescan={lost}, not_sacked={}, len={}",
-                    self.in_flight,
-                    self.sacked,
-                    self.lost.len(),
-                    self.not_sacked.len(),
-                    self.segs.len(),
+                    "(in_flight, sacked, lost, first_lost) = {held:?} diverged from linear \
+                     rescan {rescan:?} of {} segments",
+                    self.len,
                 ),
             );
         }
@@ -296,7 +307,7 @@ impl Scoreboard {
 
     /// Lowest lost segment awaiting retransmission.
     pub fn first_lost(&self) -> Option<u64> {
-        self.lost.first().copied()
+        (self.lost > 0).then_some(self.first_lost)
     }
 
     /// Highest SACKed sequence, if any.

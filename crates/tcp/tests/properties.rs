@@ -1,13 +1,16 @@
 //! Property-based tests for the SACK scoreboard, sink reassembly, and
 //! the congestion-control zoo's window invariants.
 
+use std::collections::BTreeMap;
+
 use netsim::SackBlock;
 use pert_core::pert::PertParams;
 use pert_core::pi::PertPiParams;
 use pert_core::rem::PertRemParams;
+use pert_tcp::scoreboard::DUP_THRESH;
 use pert_tcp::{
     Bbr, CcAction, CcAlgorithm, CcContext, Cubic, PertCc, PertPiCc, PertRemCc, Reno, Scoreboard,
-    Vegas,
+    SegState, Vegas,
 };
 use proptest::prelude::*;
 
@@ -110,6 +113,162 @@ proptest! {
         prop_assert!(sb.is_empty());
         prop_assert_eq!(sb.in_flight(), 0);
         prop_assert_eq!(sb.lost_count(), 0);
+    }
+}
+
+// --- Scoreboard against a map model ------------------------------------
+
+/// The scoreboard as the obvious ordered map from sequence number to
+/// state, every summary recomputed by a scan: what the flat ring with its
+/// counters and cursors has to agree with.
+#[derive(Default)]
+struct MapBoard {
+    segs: BTreeMap<u64, SegState>,
+    highest_sacked: Option<u64>,
+    fack_mark: u64,
+}
+
+impl MapBoard {
+    fn count(&self, pred: impl Fn(SegState) -> bool) -> usize {
+        self.segs.values().filter(|&&st| pred(st)).count()
+    }
+
+    fn first_lost(&self) -> Option<u64> {
+        let lost = |(&seq, &st)| (st == SegState::Lost).then_some(seq);
+        self.segs.iter().find_map(lost)
+    }
+
+    fn ack_to(&mut self, cum: u64) -> u64 {
+        let kept = self.segs.split_off(&cum);
+        let removed = std::mem::replace(&mut self.segs, kept).len() as u64;
+        self.fack_mark = self.fack_mark.max(cum);
+        removed
+    }
+
+    fn sack(&mut self, start: u64, end: u64) {
+        for (_, st) in self.segs.range_mut(start..end) {
+            *st = SegState::Sacked;
+        }
+        self.highest_sacked = self.highest_sacked.max(Some(end - 1));
+    }
+
+    /// Mark the segments of `range` in one of `from` lost; how many.
+    fn lose(&mut self, range: std::ops::Range<u64>, from: &[SegState]) -> usize {
+        let mut n = 0;
+        for (_, st) in self.segs.range_mut(range) {
+            if from.contains(st) {
+                *st = SegState::Lost;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    fn declare_losses(&mut self) -> usize {
+        match self
+            .highest_sacked
+            .and_then(|hs| (hs + 1).checked_sub(DUP_THRESH))
+        {
+            Some(limit) if self.fack_mark < limit => {
+                let from = std::mem::replace(&mut self.fack_mark, limit);
+                self.lose(from..limit, &[SegState::InFlight])
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// Protocol-valid traffic: sends extend the window, ACKs and SACK blocks
+/// stay inside it. Bursts and wide ACKs push the window across the
+/// scoreboard's 16-segment inline ring in both directions (nine streams
+/// in ten outgrow it, three in four outgrow the first spill ring too).
+#[derive(Clone, Debug)]
+enum ModelOp {
+    Send(u64),
+    AckTo(u64),
+    Sack { start: u64, len: u64 },
+    DeclareLosses,
+    Retransmit(u64),
+    MarkAllLost,
+}
+
+fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        4 => (1u64..12).prop_map(ModelOp::Send),
+        3 => (1u64..40).prop_map(ModelOp::AckTo),
+        4 => (0u64..64, 1u64..8).prop_map(|(start, len)| ModelOp::Sack { start, len }),
+        2 => Just(ModelOp::DeclareLosses),
+        3 => (1u64..6).prop_map(ModelOp::Retransmit),
+        1 => Just(ModelOp::MarkAllLost),
+    ]
+}
+
+proptest! {
+    /// Every accessor and every return value equals the map model's after
+    /// every operation.
+    #[test]
+    fn scoreboard_matches_map_model(
+        ops in proptest::collection::vec(model_op_strategy(), 1..400),
+    ) {
+        let mut sb = Scoreboard::new();
+        let mut model = MapBoard::default();
+        let (mut high_ack, mut next_seq) = (0u64, 0u64);
+        for op in ops {
+            match op {
+                ModelOp::Send(n) => {
+                    for _ in 0..n {
+                        sb.on_send_new(next_seq);
+                        model.segs.insert(next_seq, SegState::InFlight);
+                        next_seq += 1;
+                    }
+                }
+                ModelOp::AckTo(n) => {
+                    let cum = (high_ack + n).min(next_seq);
+                    if cum > high_ack {
+                        prop_assert_eq!(sb.ack_to(cum), model.ack_to(cum));
+                        high_ack = cum;
+                    }
+                }
+                ModelOp::Sack { start, len } => {
+                    let s = high_ack + start;
+                    let e = (s + len).min(next_seq);
+                    if s < e {
+                        sb.sack(SackBlock { start: s, end: e });
+                        model.sack(s, e);
+                    }
+                }
+                ModelOp::DeclareLosses => {
+                    prop_assert_eq!(sb.declare_losses(), model.declare_losses());
+                }
+                ModelOp::Retransmit(n) => {
+                    for _ in 0..n {
+                        let Some(seq) = sb.first_lost() else { break };
+                        sb.on_retransmit(seq);
+                        model.segs.insert(seq, SegState::Retx);
+                    }
+                }
+                ModelOp::MarkAllLost => {
+                    let all = model.lose(0..u64::MAX, &[SegState::InFlight, SegState::Retx]);
+                    prop_assert_eq!(sb.mark_all_lost(), all);
+                }
+            }
+            prop_assert_eq!(sb.len(), model.segs.len());
+            prop_assert_eq!(sb.is_empty(), model.segs.is_empty());
+            prop_assert_eq!(
+                sb.in_flight(),
+                model.count(|st| matches!(st, SegState::InFlight | SegState::Retx))
+            );
+            prop_assert_eq!(sb.sacked_count(), model.count(|st| st == SegState::Sacked));
+            prop_assert_eq!(sb.lost_count(), model.count(|st| st == SegState::Lost));
+            prop_assert_eq!(sb.first_lost(), model.first_lost());
+            prop_assert_eq!(sb.highest_sacked(), model.highest_sacked);
+        }
+        // Drain: a spilled window shrinks back through the inline size.
+        if next_seq > high_ack {
+            prop_assert_eq!(sb.ack_to(next_seq), model.ack_to(next_seq));
+        }
+        prop_assert!(sb.is_empty() && sb.first_lost().is_none());
+        prop_assert_eq!(sb.in_flight() + sb.sacked_count() + sb.lost_count(), 0);
     }
 }
 
