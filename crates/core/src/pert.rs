@@ -23,7 +23,7 @@ use crate::estimators::Ewma;
 use crate::reference::PertReference;
 use crate::response::ResponseCurve;
 #[cfg(feature = "telemetry")]
-use crate::telemetry;
+use crate::telemetry::{self, SeriesId};
 
 /// Configuration of the PERT controller.
 #[derive(Clone, Copy, Debug)]
@@ -230,9 +230,9 @@ impl PertController {
         let p = self.params.curve.probability(qd);
         #[cfg(feature = "telemetry")]
         if let Some(key) = self.tap_key {
-            telemetry::record("pert/srtt", key, now, srtt);
-            telemetry::record("pert/qdelay", key, now, qd);
-            telemetry::record("pert/prob", key, now, p);
+            telemetry::record_id(SeriesId::PERT_SRTT, key, now, srtt);
+            telemetry::record_id(SeriesId::PERT_QDELAY, key, now, qd);
+            telemetry::record_id(SeriesId::PERT_PROB, key, now, p);
         }
         if p <= 0.0 {
             return None;
@@ -248,7 +248,12 @@ impl PertController {
         self.stats.early_responses += 1;
         #[cfg(feature = "telemetry")]
         if let Some(key) = self.tap_key {
-            telemetry::record("pert/response", key, now, encode_response(self.regime, p));
+            telemetry::record_id(
+                SeriesId::PERT_RESPONSE,
+                key,
+                now,
+                encode_response(self.regime, p),
+            );
         }
         Some(EarlyResponse {
             factor: self.params.decrease_factor,

@@ -1,5 +1,5 @@
-//! Process-wide telemetry: signal taps, the metrics registry, profiler
-//! spans, and the flight recorder.
+//! Telemetry: signal taps, the metrics registry, profiler spans, and
+//! the flight recorder.
 //!
 //! This mirrors the two-gate design of [`crate::audit`]:
 //!
@@ -17,10 +17,12 @@
 //!
 //! * **Records** — `(scope, series, key, t, value)` samples published
 //!   by attached taps (PERT `srtt`, queue lengths, controller state).
-//!   Every record lands in a bounded ring (the *flight recorder*,
-//!   newest [`FLIGHT_CAP`] records); with [`set_full_trace`] they are
-//!   additionally kept in full for `--trace-out`.
-//! * **Metrics** — named counters/gauges/histograms in a global
+//!   The publishing thread owns them: a record goes into a thread-local
+//!   sink, which is *handed over* — to the flight recorder (newest
+//!   [`FLIGHT_CAP`] handed-over records), under [`set_full_trace`] to
+//!   the full trace, its reducers to the derive state — once per
+//!   [`BATCH`] records and whenever its scope ends or changes hands.
+//! * **Metrics** — named counters/gauges/histograms in a shared
 //!   [`MetricsSet`]. All operations are commutative, so per-job flushes
 //!   arriving in any thread order yield identical snapshots — the
 //!   `--jobs 1` vs `--jobs N` determinism contract.
@@ -33,30 +35,34 @@
 //!
 //! ## Scopes and ordering
 //!
-//! Records carry a thread-local *scope* string, set by the experiment
-//! runner to the job label via [`scoped`]. Within one scope all records
-//! come from one deterministic, single-threaded simulation, so their
-//! relative order is reproducible; across scopes the interleaving
-//! depends on worker scheduling. [`write_trace_jsonl`] therefore
-//! stable-sorts by `(scope, series, key)` before writing, which makes
-//! the trace file itself identical at any `--jobs N`.
+//! Records carry their thread's *scope*, set by the experiment runner
+//! to the job label via [`scoped`]. One `(scope, series, key)` stream
+//! is only ever published by one thread at a time, and a thread hands
+//! its sink over whenever such a stream changes hands ([`ScopeGuard`]
+//! drop, [`fork_scope`]), so the stream keeps its publication order;
+//! across scopes the interleaving depends on worker scheduling.
+//! [`write_trace_jsonl`] therefore stable-sorts by `(scope, series,
+//! key)`, which makes the trace file identical at any `--jobs N`.
 //!
 //! ## Series naming
 //!
 //! `subsystem/signal`, keyed by an integer the publisher chooses (PERT:
-//! controller seed; queues: link index; TCP: flow id). Current series
-//! are listed in DESIGN.md §7.
+//! controller seed; queues: link index; TCP: flow id), listed in
+//! DESIGN.md §7. In-tree publishers hold the [`SeriesId`] constant.
 
 pub use sim_stats::derive::{DeriveSet, DerivedSummary};
 pub use sim_stats::metrics::{BucketHistogram, MetricValue, MetricsSet};
+pub use sim_stats::series::SeriesId;
 
-use std::cell::{Cell, RefCell};
+use sim_stats::derive::DeriveScope;
+use sim_stats::series::BUILTIN_SERIES;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -69,12 +75,29 @@ pub const FLIGHT_CAP: usize = 65_536;
 
 /// Flight-window bounds accepted by [`set_flight_cap`]. The lower bound
 /// keeps a panic dump useful; the upper bound keeps the ring's memory
-/// footprint sane (records are ~100 bytes).
+/// footprint sane (a record in the ring is 32 bytes).
 pub const FLIGHT_CAP_MIN: usize = 64;
 /// See [`FLIGHT_CAP_MIN`].
 pub const FLIGHT_CAP_MAX: usize = 16_777_216;
 
 static FLIGHT_CAP_VAR: AtomicUsize = AtomicUsize::new(FLIGHT_CAP);
+
+/// Lock a registry that stays valid whatever a panicking holder was
+/// doing (commutative counters, append-only buffers): a job that panics
+/// must not take the other jobs' telemetry with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How often the two registries records flow into (`BUFFERS`, `DERIVE`)
+/// have been locked, so a test can pin what publishing costs.
+#[doc(hidden)]
+pub static HOT_LOCKS: AtomicU64 = AtomicU64::new(0);
+
+fn lock_counted<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    HOT_LOCKS.fetch_add(1, Ordering::Relaxed);
+    lock(m)
+}
 
 /// The current flight-recorder ring capacity.
 #[inline]
@@ -91,11 +114,11 @@ pub fn set_flight_cap(n: usize) -> Result<(), String> {
             "flight window {n} out of range [{FLIGHT_CAP_MIN}, {FLIGHT_CAP_MAX}]"
         ));
     }
+    hand_over_thread();
     FLIGHT_CAP_VAR.store(n, Ordering::Relaxed);
-    let mut buf = BUFFERS.lock().unwrap();
-    while buf.ring.len() > n {
-        buf.ring.pop_front();
-    }
+    let mut buf = lock_counted(&BUFFERS);
+    let excess = buf.ring.len().saturating_sub(n);
+    buf.ring.drain(..excess);
     Ok(())
 }
 
@@ -121,50 +144,187 @@ pub fn set_full_trace(on: bool) {
 }
 
 // ---------------------------------------------------------------------
-// Scopes
+// Scopes and sinks
 // ---------------------------------------------------------------------
 
-thread_local! {
-    static SCOPE: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
-    static SHARD: Cell<Option<u32>> = const { Cell::new(None) };
+/// Scope labels and non-built-in series names, interned so a record
+/// carries two small integers: scope id 0 is the empty (unscoped) label
+/// and `n` is `scopes[n - 1]`; series id `BUILTIN_SERIES.len() + n` is
+/// `series[n]`.
+struct Names {
+    scopes: Vec<Arc<str>>,
+    series: Vec<&'static str>,
 }
 
-/// Set this thread's telemetry scope for the lifetime of the returned
-/// guard (the previous scope is restored on drop). The experiment
-/// runner scopes each job by its label.
-pub fn scoped(label: &str) -> ScopeGuard {
-    let prev = SCOPE.with(|s| s.borrow_mut().replace(Arc::from(label)));
-    ScopeGuard { prev }
-}
+static NAMES: Mutex<Names> = Mutex::new(Names {
+    scopes: Vec::new(),
+    series: Vec::new(),
+});
 
-/// Restores the previous thread scope on drop. See [`scoped`].
-#[derive(Debug)]
-pub struct ScopeGuard {
-    prev: Option<Arc<str>>,
-}
+impl Names {
+    fn scope(&self, id: u32) -> Arc<str> {
+        let known = |i| self.scopes[i as usize].clone();
+        id.checked_sub(1).map_or_else(empty_scope, known)
+    }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPE.with(|s| *s.borrow_mut() = self.prev.take());
+    fn series(&self, id: SeriesId) -> &'static str {
+        let i = usize::from(id.0);
+        let builtin = BUILTIN_SERIES.get(i).copied();
+        builtin.unwrap_or_else(|| self.series[i - BUILTIN_SERIES.len()])
     }
 }
 
-/// This thread's current telemetry scope (empty when unscoped). Exposed
-/// so multi-threaded drivers (the shard workers) can capture the calling
-/// thread's scope and re-establish it with [`scoped`] on their workers —
-/// records published from a worker then group with the owning job.
-pub fn current_scope() -> Arc<str> {
-    // A shared `Arc<str>` instead of a fresh `String`: `record()` runs
-    // per sample on the simulation hot path, and cloning the scope must
-    // be a refcount bump, not an allocation.
-    SCOPE
-        .with(|s| s.borrow().clone())
-        .unwrap_or_else(empty_scope)
+/// Index of the entry of `table` that `is` holds for, `make`ing it first
+/// if there is none.
+fn intern<T>(table: &mut Vec<T>, is: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> usize {
+    table.iter().position(is).unwrap_or_else(|| {
+        table.push(make());
+        table.len() - 1
+    })
 }
 
 fn empty_scope() -> Arc<str> {
     static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
     EMPTY.get_or_init(|| Arc::from("")).clone()
+}
+
+/// The id of series `name`: its built-in constant, or an interned id.
+pub fn series_id(name: &'static str) -> SeriesId {
+    SeriesId::builtin(name).unwrap_or_else(|| {
+        let i = intern(&mut lock(&NAMES).series, |n| *n == name, || name);
+        SeriesId(u16::try_from(BUILTIN_SERIES.len() + i).expect("under 65 536 series names"))
+    })
+}
+
+/// Records a scoped sink holds before it is handed over.
+pub const BATCH: usize = 4_096;
+
+/// Shard tag of a record published outside any shard worker.
+const NO_SHARD: u16 = u16::MAX;
+
+/// A record as sinks, ring and full trace hold it: 32 bytes, names as
+/// interned ids. Readers materialise [`Record`]s from it.
+#[derive(Clone, Copy)]
+struct Raw {
+    t: f64,
+    value: f64,
+    key: u64,
+    scope: u32,
+    series: SeriesId,
+    shard: u16,
+}
+
+/// What a thread has published and not handed over yet. Nothing here is
+/// shared, so publishing takes no lock.
+struct Sink {
+    scope: u32,
+    shard: u16,
+    batch: Vec<Raw>,
+    /// This thread's reducers for `scope` while derivation is running.
+    derive: Option<DeriveScope>,
+}
+
+thread_local! {
+    static SINK: RefCell<Sink> = const {
+        RefCell::new(Sink { scope: 0, shard: NO_SHARD, batch: Vec::new(), derive: None })
+    };
+}
+
+/// Run `f` on the calling thread's sink. Does nothing (`None`) when the
+/// sink is in use further up the stack — a panic hook running inside
+/// `record` — or the thread's locals are already torn down.
+#[inline]
+fn with_sink<R>(f: impl FnOnce(&mut Sink) -> R) -> Option<R> {
+    SINK.try_with(|s| s.try_borrow_mut().ok().map(|mut s| f(&mut s)))
+        .ok()
+        .flatten()
+}
+
+impl Sink {
+    /// Hand the batch over: reduce it into this thread's own derive
+    /// state, then feed the flight ring and the full trace under one
+    /// `BUFFERS` lock. With `close` (the scope ends or changes hands)
+    /// the reducers are absorbed into the shared set under one `DERIVE`
+    /// lock. Runs while a job unwinds, so it must not panic.
+    fn hand_over(&mut self, close: bool) {
+        if !self.batch.is_empty() {
+            if DERIVE_ON.load(Ordering::Relaxed) {
+                let d = self.derive.get_or_insert_with(DeriveScope::default);
+                for r in &self.batch {
+                    d.ingest_id(r.series, r.key, r.t, r.value);
+                }
+            }
+            let mut buf = lock_counted(&BUFFERS);
+            if FULL_TRACE.load(Ordering::Relaxed) {
+                buf.full.extend_from_slice(&self.batch);
+            }
+            let cap = flight_cap();
+            let newest = &self.batch[self.batch.len().saturating_sub(cap)..];
+            let excess = (buf.ring.len() + newest.len()).saturating_sub(cap);
+            buf.ring.drain(..excess);
+            buf.ring.extend(newest);
+            drop(buf);
+            self.batch.clear();
+        }
+        if let Some(part) = self.derive.take_if(|_| close) {
+            let scope = lock(&NAMES).scope(self.scope);
+            if let Some(set) = lock_counted(&DERIVE).as_mut() {
+                set.absorb_scope(&scope, part);
+            }
+        }
+    }
+}
+
+/// Hand over what the calling thread has published so far. Every reader
+/// starts with this, so a thread always sees its own records.
+fn hand_over_thread() {
+    with_sink(|s| s.hand_over(true));
+}
+
+/// Set this thread's telemetry scope for the lifetime of the returned
+/// guard (the previous scope is restored on drop). The experiment
+/// runner scopes each job by its label. What the thread publishes in
+/// the scope stays with it until [`BATCH`] records or the guard's drop.
+pub fn scoped(label: &str) -> ScopeGuard {
+    let id = match label {
+        "" => 0,
+        _ => 1 + intern(&mut lock(&NAMES).scopes, |s| **s == *label, || label.into()) as u32,
+    };
+    let prev = with_sink(|s| {
+        s.hand_over(true);
+        std::mem::replace(&mut s.scope, id)
+    });
+    ScopeGuard { prev }
+}
+
+/// Hands the thread's sink over and restores the previous scope on
+/// drop. See [`scoped`].
+#[derive(Debug)]
+pub struct ScopeGuard {
+    prev: Option<u32>,
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        with_sink(|s| {
+            s.hand_over(true);
+            s.scope = self.prev.unwrap_or(s.scope);
+        });
+    }
+}
+
+/// This thread's current telemetry scope (empty when unscoped).
+pub fn current_scope() -> Arc<str> {
+    lock(&NAMES).scope(with_sink(|s| s.scope).unwrap_or(0))
+}
+
+/// Hand the calling thread's sink over and return its scope, for worker
+/// threads to re-establish with [`scoped`]: the shard driver calls this
+/// right before it spawns, so a worker's records group with the owning
+/// job *after* everything the caller published before the fork.
+pub fn fork_scope() -> Arc<str> {
+    hand_over_thread();
+    current_scope()
 }
 
 /// Tag every record this thread publishes with the originating shard id
@@ -175,24 +335,20 @@ fn empty_scope() -> Arc<str> {
 /// Monolithic runs never set it, and untagged records serialize exactly
 /// as before, so single-shard trace bytes are unchanged.
 pub fn shard_scoped(shard: u32) -> ShardScopeGuard {
-    let prev = SHARD.with(|s| s.replace(Some(shard)));
+    let tag = shard.min(u32::from(NO_SHARD) - 1) as u16;
+    let prev = with_sink(|s| std::mem::replace(&mut s.shard, tag));
     ShardScopeGuard { prev }
-}
-
-/// This thread's current shard tag (`None` outside shard workers).
-pub fn current_shard() -> Option<u32> {
-    SHARD.with(|s| s.get())
 }
 
 /// Restores the previous shard tag on drop. See [`shard_scoped`].
 #[derive(Debug)]
 pub struct ShardScopeGuard {
-    prev: Option<u32>,
+    prev: Option<u16>,
 }
 
 impl Drop for ShardScopeGuard {
     fn drop(&mut self) {
-        SHARD.with(|s| s.set(self.prev));
+        with_sink(|s| s.shard = self.prev.unwrap_or(s.shard));
     }
 }
 
@@ -222,8 +378,8 @@ pub struct Record {
 }
 
 struct Buffers {
-    ring: VecDeque<Record>,
-    full: Vec<Record>,
+    ring: VecDeque<Raw>,
+    full: Vec<Raw>,
 }
 
 static BUFFERS: Mutex<Buffers> = Mutex::new(Buffers {
@@ -231,31 +387,32 @@ static BUFFERS: Mutex<Buffers> = Mutex::new(Buffers {
     full: Vec::new(),
 });
 
-/// Publish one sample. Prefer holding a [`Tap`]: attachment is the
-/// runtime gate, so detached code paths never reach this.
+/// Publish one sample by series name. In-tree publishers hold a
+/// [`Tap`] or a [`SeriesId`] constant and skip the name lookup.
 pub fn record(series: &'static str, key: u64, t: f64, value: f64) {
-    let rec = Record {
-        scope: current_scope(),
-        series,
-        key,
-        t,
-        value,
-        shard: current_shard(),
-    };
-    if DERIVE_ON.load(Ordering::Relaxed) {
-        if let Some(d) = DERIVE.lock().unwrap().as_mut() {
-            d.ingest(&rec.scope, rec.series, rec.key, rec.t, rec.value);
+    record_id(series_id(series), key, t, value);
+}
+
+/// Publish one sample into the calling thread's sink. Prefer holding a
+/// [`Tap`]: attachment is the runtime gate, so detached code paths
+/// never reach this.
+#[inline]
+pub fn record_id(series: SeriesId, key: u64, t: f64, value: f64) {
+    with_sink(|s| {
+        s.batch.push(Raw {
+            t,
+            value,
+            key,
+            scope: s.scope,
+            series,
+            shard: s.shard,
+        });
+        // Outside any scope nobody promises a hand-over later, so a
+        // record is a batch of one.
+        if s.scope == 0 || s.batch.len() >= BATCH {
+            s.hand_over(s.scope == 0);
         }
-    }
-    let cap = flight_cap();
-    let mut buf = BUFFERS.lock().unwrap();
-    while buf.ring.len() >= cap {
-        buf.ring.pop_front();
-    }
-    if FULL_TRACE.load(Ordering::Relaxed) {
-        buf.full.push(rec.clone());
-    }
-    buf.ring.push_back(rec);
+    });
 }
 
 /// A handle a publisher holds when telemetry was enabled at its
@@ -263,42 +420,57 @@ pub fn record(series: &'static str, key: u64, t: f64, value: f64) {
 /// on it is the whole runtime cost when detached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tap {
-    series: &'static str,
+    series: SeriesId,
     key: u64,
 }
 
 impl Tap {
     /// Attach a tap for `series[key]`, or `None` when telemetry is off.
     pub fn attach(series: &'static str, key: u64) -> Option<Tap> {
-        enabled().then_some(Tap { series, key })
+        enabled().then(|| Tap {
+            series: series_id(series),
+            key,
+        })
     }
 
     /// Publish one sample on this tap's series.
+    #[inline]
     pub fn record(&self, t: f64, value: f64) {
-        record(self.series, self.key, t, value);
-    }
-
-    /// The instance key this tap was attached with.
-    pub fn key(&self) -> u64 {
-        self.key
+        record_id(self.series, self.key, t, value);
     }
 }
 
-/// The newest records (up to [`FLIGHT_CAP`]), oldest first, in arrival
-/// order — the window a post-mortem wants.
+/// Materialise public records from raw ones (one `NAMES` lock).
+fn materialise(raw: &[Raw]) -> Vec<Record> {
+    let names = lock(&NAMES);
+    let public = |r: &Raw| Record {
+        scope: names.scope(r.scope),
+        series: names.series(r.series),
+        key: r.key,
+        t: r.t,
+        value: r.value,
+        shard: (r.shard != NO_SHARD).then_some(u32::from(r.shard)),
+    };
+    raw.iter().map(public).collect()
+}
+
+/// The newest handed-over records (up to [`flight_cap`]), oldest first,
+/// in hand-over order — the window a post-mortem wants. The calling
+/// thread's own sink is handed over first.
 pub fn flight_snapshot() -> Vec<Record> {
-    let buf = BUFFERS.lock().unwrap();
-    buf.ring.iter().cloned().collect()
+    hand_over_thread();
+    let raw: Vec<Raw> = lock_counted(&BUFFERS).ring.iter().copied().collect();
+    materialise(&raw)
 }
 
 /// All records collected under [`set_full_trace`], stable-sorted by
 /// `(scope, series, key)` so the output is deterministic at any worker
-/// count (within a group, records come from one single-threaded job and
-/// keep their publication order).
+/// count (within a group, records were published by one thread at a
+/// time and keep their publication order).
 pub fn trace_snapshot_sorted() -> Vec<Record> {
-    let buf = BUFFERS.lock().unwrap();
-    let mut out = buf.full.clone();
-    drop(buf);
+    hand_over_thread();
+    let raw = lock_counted(&BUFFERS).full.clone();
+    let mut out = materialise(&raw);
     out.sort_by(|a, b| (&*a.scope, a.series, a.key).cmp(&(&*b.scope, b.series, b.key)));
     out
 }
@@ -330,34 +502,31 @@ pub const RTT_EDGES_NS: [u64; 12] = [
 /// and flush once (typically on drop) — never per event.
 pub fn counter_add(name: &str, n: u64) {
     if n > 0 {
-        METRICS.lock().unwrap().counter_add(name, n);
+        lock(&METRICS).counter_add(name, n);
     }
 }
 
 /// Raise the global gauge `name` to at least `v`.
 pub fn gauge_max(name: &str, v: u64) {
-    METRICS.lock().unwrap().gauge_max(name, v);
+    lock(&METRICS).gauge_max(name, v);
 }
 
 /// Record one observation into the global histogram `name`.
 pub fn histogram_observe(name: &str, edges: &[u64], value: u64) {
-    METRICS
-        .lock()
-        .unwrap()
-        .histogram_observe(name, edges, value);
+    lock(&METRICS).histogram_observe(name, edges, value);
 }
 
 /// Merge a locally accumulated histogram into the global one.
 pub fn histogram_merge(name: &str, hist: &BucketHistogram) {
     if hist.total > 0 {
-        METRICS.lock().unwrap().histogram_merge(name, hist);
+        lock(&METRICS).histogram_merge(name, hist);
     }
 }
 
 /// A point-in-time copy of the global metrics. Use
 /// [`MetricsSet::since`] on two snapshots for per-target deltas.
 pub fn metrics_snapshot() -> MetricsSet {
-    METRICS.lock().unwrap().clone()
+    lock(&METRICS).clone()
 }
 
 // ---------------------------------------------------------------------
@@ -371,21 +540,24 @@ static DERIVE: Mutex<Option<DeriveSet>> = Mutex::new(None);
 /// is also fed through a fresh [`DeriveSet`]. The experiments binary
 /// calls this per target so each report gets its own derived block.
 pub fn derive_reset() {
-    *DERIVE.lock().unwrap() = Some(DeriveSet::new());
+    hand_over_thread();
+    *lock_counted(&DERIVE) = Some(DeriveSet::new());
     DERIVE_ON.store(true, Ordering::Relaxed);
 }
 
 /// Stop online derivation and drop the accumulated state.
 pub fn derive_clear() {
+    hand_over_thread();
     DERIVE_ON.store(false, Ordering::Relaxed);
-    *DERIVE.lock().unwrap() = None;
+    *lock_counted(&DERIVE) = None;
 }
 
 /// Summarize the records derived since [`derive_reset`], or `None`
 /// when derivation is not running. The summary is integer-only and
 /// order-independent, so it is byte-identical at any worker count.
 pub fn derive_summary() -> Option<DerivedSummary> {
-    DERIVE.lock().unwrap().as_ref().map(DeriveSet::summary)
+    hand_over_thread();
+    lock_counted(&DERIVE).as_ref().map(DeriveSet::summary)
 }
 
 // ---------------------------------------------------------------------
@@ -498,7 +670,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let start_us = self.started.saturating_duration_since(epoch()).as_micros() as u64;
         let dur_us = self.started.elapsed().as_micros() as u64;
-        SPANS.lock().unwrap().push(Span {
+        lock(&SPANS).push(Span {
             name: std::mem::take(&mut self.name),
             scope: current_scope().to_string(),
             tid: thread_id(),
@@ -516,7 +688,7 @@ pub fn span_closed(name: impl Into<String>, dur_us: u64) {
         return;
     }
     let end_us = epoch().elapsed().as_micros() as u64;
-    SPANS.lock().unwrap().push(Span {
+    lock(&SPANS).push(Span {
         name: name.into(),
         scope: current_scope().to_string(),
         tid: thread_id(),
@@ -527,7 +699,7 @@ pub fn span_closed(name: impl Into<String>, dur_us: u64) {
 
 /// All closed spans so far.
 pub fn spans_snapshot() -> Vec<Span> {
-    SPANS.lock().unwrap().clone()
+    lock(&SPANS).clone()
 }
 
 // ---------------------------------------------------------------------
@@ -563,26 +735,19 @@ fn write_records_jsonl(path: &Path, records: &[Record]) -> io::Result<usize> {
     for r in records {
         // The shard tag is emitted only when present, so traces from
         // monolithic runs stay byte-identical to pre-tagging output.
-        match r.shard {
-            Some(sh) => writeln!(
-                w,
-                "{{\"scope\":\"{}\",\"series\":\"{}\",\"key\":{},\"t\":{},\"v\":{},\"shard\":{sh}}}",
-                json_escape(&r.scope),
-                json_escape(r.series),
-                r.key,
-                json_num(r.t),
-                json_num(r.value),
-            )?,
-            None => writeln!(
-                w,
-                "{{\"scope\":\"{}\",\"series\":\"{}\",\"key\":{},\"t\":{},\"v\":{}}}",
-                json_escape(&r.scope),
-                json_escape(r.series),
-                r.key,
-                json_num(r.t),
-                json_num(r.value),
-            )?,
+        write!(
+            w,
+            "{{\"scope\":\"{}\",\"series\":\"{}\",\"key\":{},\"t\":{},\"v\":{}",
+            json_escape(&r.scope),
+            json_escape(r.series),
+            r.key,
+            json_num(r.t),
+            json_num(r.value),
+        )?;
+        if let Some(sh) = r.shard {
+            write!(w, ",\"shard\":{sh}")?;
         }
+        writeln!(w, "}}")?;
     }
     w.flush()?;
     Ok(records.len())
@@ -636,6 +801,9 @@ pub fn install_flight_dump_on_panic(path: PathBuf) {
     INSTALL.call_once(move || {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
+            // The snapshot hands the panicking thread's sink over first
+            // (unless the panic came from inside `record`), so the dump
+            // ends with the failing job's newest records.
             match write_flight_jsonl(&path) {
                 Ok(n) => eprintln!("flight recorder: dumped {n} records to {}", path.display()),
                 Err(e) => eprintln!("flight recorder: dump to {} failed: {e}", path.display()),
@@ -845,10 +1013,8 @@ mod tests {
         set_enabled(true);
         {
             let _g = shard_scoped(3);
-            assert_eq!(current_shard(), Some(3));
             record("test/shard_tag", 1, 0.0, 1.0);
         }
-        assert_eq!(current_shard(), None);
         record("test/shard_tag", 2, 0.0, 2.0);
         let recs: Vec<Record> = flight_snapshot()
             .into_iter()

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 
 use experiments::common::Scale;
-use experiments::runner::run_jobs;
+use experiments::runner::{run_jobs, Job};
 use experiments::scenario::lookup;
 use pert_core::telemetry;
 use sim_stats::MetricsSet;
@@ -114,22 +114,136 @@ fn flight_window_flag_bounds_the_ring() {
     telemetry::set_enabled(true);
     let default_cap = telemetry::flight_cap();
 
-    telemetry::set_flight_cap(telemetry::FLIGHT_CAP_MIN).unwrap();
     let sc = lookup("fig6").expect("known target");
     let seed = sc.default_seed();
-    let mut jobs = sc.points(Scale::Quick, seed);
-    jobs.truncate(2);
-    let (results, _) = run_jobs(jobs, 1);
-    drop(results);
-    let flight = telemetry::flight_snapshot();
-    assert!(
-        flight.len() <= telemetry::FLIGHT_CAP_MIN,
-        "ring exceeded the configured window: {}",
-        flight.len()
-    );
-    assert!(!flight.is_empty(), "shrunken ring kept nothing");
+    // Smaller than one hand-over batch, and larger than one without
+    // being a multiple of it.
+    for window in [telemetry::FLIGHT_CAP_MIN, 2 * telemetry::BATCH + 77] {
+        telemetry::set_flight_cap(window).unwrap();
+        let mut jobs = sc.points(Scale::Quick, seed);
+        jobs.truncate(2);
+        let (results, _) = run_jobs(jobs, 1);
+        drop(results);
+        let flight = telemetry::flight_snapshot();
+        assert_eq!(flight.len(), window, "ring does not hold the window");
+    }
 
     telemetry::set_flight_cap(default_cap).unwrap();
+}
+
+/// A trace record with its scope as the job labelled it.
+type Traced = (String, &'static str, u64, f64, f64, Option<u32>);
+
+/// Run fig6's 5 Mbps points (all four schemes, a tenth of the figure's
+/// records) with every job label prefixed by `run`, so the one full
+/// trace of this process keeps the runs apart.
+fn run_fig6_5mbps(run: &str, workers: usize, shards: usize) {
+    let sc = lookup("fig6").expect("known target");
+    let mut jobs = sc.points(Scale::Quick, sc.default_seed());
+    jobs.retain(|j| j.label.contains("/5Mbps/"));
+    assert_eq!(jobs.len(), 4, "fig6 quick has four 5 Mbps points");
+    for j in &mut jobs {
+        j.label = format!("{run}:{}", j.label);
+    }
+    netsim::set_default_shards(shards);
+    drop(run_jobs(jobs, workers));
+    netsim::set_default_shards(1);
+}
+
+/// Panic naming the first `(scope, series, key, t)` where two traces
+/// part ways.
+fn assert_same_trace(what: &str, a: &[Traced], b: &[Traced]) {
+    if let Some((x, y)) = a.iter().zip(b).find(|(x, y)| x != y) {
+        panic!("{what}: traces diverge at {x:?} vs {y:?}");
+    }
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "{what}: one trace is a prefix of the other"
+    );
+}
+
+#[test]
+fn full_trace_is_equal_across_workers_and_shards() {
+    let _g = LOCK.lock().unwrap();
+    telemetry::set_enabled(true);
+    telemetry::set_full_trace(true);
+    run_fig6_5mbps("w1", 1, 1);
+    run_fig6_5mbps("w4", 4, 1);
+    run_fig6_5mbps("s2", 2, 2);
+    telemetry::set_full_trace(false);
+
+    let sorted = telemetry::trace_snapshot_sorted();
+    let of_run = |run: &str| -> Vec<Traced> {
+        let mine = |r: &&telemetry::Record| r.scope.starts_with(run);
+        let traced = |r: &telemetry::Record| {
+            let scope = r.scope[run.len() + 1..].to_owned();
+            (scope, r.series, r.key, r.t, r.value, r.shard)
+        };
+        sorted.iter().filter(mine).map(traced).collect()
+    };
+    let w1 = of_run("w1");
+    assert!(w1.len() > 50_000, "only {} records traced", w1.len());
+    assert_same_trace("workers 1 vs 4", &w1, &of_run("w4"));
+
+    // A sharded run adds the shard/* series and the shard tag, and moves
+    // every other series from the job's thread (warm-up) to the shard
+    // workers and back (final records) without reordering one of them.
+    let mut s2 = of_run("s2");
+    assert!(s2.iter().any(|r| r.5.is_some()), "no job ran sharded");
+    s2.retain(|r| !r.1.starts_with("shard/"));
+    s2.iter_mut().for_each(|r| r.5 = None);
+    assert_same_trace("shards 1 vs 2", &w1, &s2);
+}
+
+#[test]
+fn panicking_job_keeps_the_other_jobs_telemetry() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::channel;
+
+    let _g = LOCK.lock().unwrap();
+    telemetry::set_enabled(true);
+    let dump = std::env::temp_dir().join("pert_test_panicking_job_flight.jsonl");
+    let _ = std::fs::remove_file(&dump);
+    telemetry::install_flight_dump_on_panic(dump.clone());
+    telemetry::derive_reset();
+
+    let offered = |n: f64| telemetry::record("queue/final_offered", 0, 0.0, n);
+    let (started_tx, started_rx) = channel::<()>();
+    let (boom_tx, boom_rx) = channel::<()>();
+    let jobs = vec![
+        Job::new("panic/done", move || offered(100.0)),
+        // Publishes, then panics once `panic/bystander` is running.
+        Job::new("panic/boom", move || {
+            let _dropped_by_the_unwind = boom_tx;
+            telemetry::record("queue/final_dropped", 0, 0.0, 7.0);
+            telemetry::record("test/boom_last", 1, 2.5, 42.0);
+            started_rx.recv().unwrap();
+            panic!("induced job failure");
+        }),
+        // Holds unhanded-over records while the other job panics, and
+        // finishes only after the panic hook has run.
+        Job::new("panic/bystander", move || {
+            offered(100.0);
+            started_tx.send(()).unwrap();
+            assert!(boom_rx.recv().is_err(), "boom never sends");
+        }),
+    ];
+    let err = catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, 2))).err();
+    assert!(err.is_some(), "the job's panic was swallowed");
+
+    let loss = telemetry::derive_summary().and_then(|s| s.loss);
+    telemetry::derive_clear();
+    let loss = loss.expect("the finished jobs' records were derived");
+    assert_eq!((loss.offered, loss.dropped), (200, 7));
+
+    let body = std::fs::read_to_string(&dump).expect("the panic hook dumped the flight window");
+    let last = body.lines().last().expect("the dump has records");
+    assert!(
+        last.contains("\"scope\":\"panic/boom\",\"series\":\"test/boom_last\""),
+        "the dump ends with {last}"
+    );
+    let _ = std::fs::remove_file(dump);
 }
 
 #[test]

@@ -24,7 +24,7 @@ use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
 use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
-use crate::telemetry::{self, QueueTap};
+use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::SimTime;
 
 /// AVQ configuration.
@@ -145,8 +145,8 @@ impl QueueDiscipline for AvqQueue {
             };
             if tap.on_enqueue(now, len, bytes, p) {
                 let t = now.as_secs_f64();
-                telemetry::record("avq/vq", tap.key(), t, vq);
-                telemetry::record("avq/c_tilde", tap.key(), t, c_tilde);
+                telemetry::record_id(SeriesId::AVQ_VQ, tap.key(), t, vq);
+                telemetry::record_id(SeriesId::AVQ_C_TILDE, tap.key(), t, c_tilde);
             }
         }
 

@@ -28,7 +28,7 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::audit;
 use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
-use crate::telemetry::{self, QueueTap};
+use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// PI controller configuration.
@@ -240,7 +240,7 @@ impl QueueDiscipline for PiQueue {
         self.q_old = q;
         #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
-            telemetry::record("pi/p", tap.key(), _now.as_secs_f64(), self.p);
+            telemetry::record_id(SeriesId::PI_P, tap.key(), _now.as_secs_f64(), self.p);
         }
         #[cfg(feature = "audit")]
         if let Some(oracle) = &mut self.oracle {

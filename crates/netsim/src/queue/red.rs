@@ -29,7 +29,7 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::audit;
 use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
-use crate::telemetry::{self, QueueTap};
+use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// Static RED configuration.
@@ -299,7 +299,7 @@ impl QueueDiscipline for RedQueue {
         if let Some(tap) = &mut self.tap {
             let (len, bytes) = (self.store.len(), self.store.bytes());
             if tap.on_enqueue(now, len, bytes, truth_p) {
-                telemetry::record("red/avg", tap.key(), now.as_secs_f64(), self.avg);
+                telemetry::record_id(SeriesId::RED_AVG, tap.key(), now.as_secs_f64(), self.avg);
             }
         }
 
@@ -404,7 +404,12 @@ impl QueueDiscipline for RedQueue {
         self.adapt();
         #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
-            telemetry::record("red/max_p", tap.key(), _now.as_secs_f64(), self.max_p);
+            telemetry::record_id(
+                SeriesId::RED_MAX_P,
+                tap.key(),
+                _now.as_secs_f64(),
+                self.max_p,
+            );
         }
     }
 

@@ -27,7 +27,7 @@ use crate::arena::{PacketArena, PacketRef};
 use crate::audit;
 use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
-use crate::telemetry::{self, QueueTap};
+use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// REM configuration.
@@ -195,8 +195,8 @@ impl QueueDiscipline for RemQueue {
         #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
             let t = _now.as_secs_f64();
-            telemetry::record("rem/price", tap.key(), t, self.price);
-            telemetry::record("rem/prob", tap.key(), t, self.probability());
+            telemetry::record_id(SeriesId::REM_PRICE, tap.key(), t, self.price);
+            telemetry::record_id(SeriesId::REM_PROB, tap.key(), t, self.probability());
         }
         #[cfg(feature = "audit")]
         if let Some(oracle) = &mut self.oracle {

@@ -524,9 +524,12 @@ impl ShardedSim {
             .collect();
         // Workers inherit the caller's telemetry scope (the job label),
         // so records they publish group exactly like the monolithic
-        // run's would.
+        // run's would. The fork hands the caller's own sink over first
+        // and each worker hands its over as its scope guard drops, before
+        // the join: a series that moves from this thread to a worker and
+        // back keeps its publication order.
         #[cfg(feature = "telemetry")]
-        let scope = crate::telemetry::current_scope();
+        let scope = crate::telemetry::fork_scope();
         let cpu: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|s| {
             for (me, shard) in self.shards.iter_mut().enumerate() {
@@ -731,16 +734,17 @@ fn run_worker(
         }
         #[cfg(feature = "telemetry")]
         if tel {
-            use crate::telemetry as tele;
+            use crate::telemetry::{self as tele, SeriesId};
             let tb = b.as_nanos() as f64 / 1e9;
+            let publish = |series, v: f64| tele::record_id(series, me as u64, tb, v);
             let ev_now = shard.events_processed();
-            tele::record("shard/events", me as u64, tb, (ev_now - ev_last) as f64);
+            publish(SeriesId::SHARD_EVENTS, (ev_now - ev_last) as f64);
             ev_last = ev_now;
-            tele::record("shard/mailbox_out_pkts", me as u64, tb, out_pkts as f64);
-            tele::record("shard/mailbox_in_pkts", me as u64, tb, in_pkts as f64);
+            publish(SeriesId::SHARD_MAILBOX_OUT_PKTS, out_pkts as f64);
+            publish(SeriesId::SHARD_MAILBOX_IN_PKTS, in_pkts as f64);
             if let (Some(c), Some(w)) = (compute_ns, wait_ns) {
-                tele::record("shard/epoch_compute_ns", me as u64, tb, c as f64);
-                tele::record("shard/barrier_wait_ns", me as u64, tb, w as f64);
+                publish(SeriesId::SHARD_EPOCH_COMPUTE_NS, c as f64);
+                publish(SeriesId::SHARD_BARRIER_WAIT_NS, w as f64);
                 tele::span_closed(format!("shard/{me}/stall"), w / 1_000);
             }
         }

@@ -999,8 +999,8 @@ impl Simulator {
                 w.idle_pending += 1;
             } else {
                 if w.idle_pending > 0 {
-                    crate::telemetry::record(
-                        "link/idle_wins",
+                    crate::telemetry::record_id(
+                        crate::telemetry::SeriesId::LINK_IDLE_WINS,
                         link_id.0 as u64,
                         w.start_ns as f64 / 1e9,
                         w.idle_pending as f64,
@@ -1033,8 +1033,8 @@ impl Simulator {
                 // panicked above rather than hiding under this clamp).
                 let bp = (u128::from(w.bits) * 10_000 / u128::from(capacity_bps.max(1))).min(10_000)
                     as u64;
-                crate::telemetry::record(
-                    "link/util_bp",
+                crate::telemetry::record_id(
+                    crate::telemetry::SeriesId::LINK_UTIL_BP,
                     link_id.0 as u64,
                     (w.start_ns + UTIL_WINDOW_NS) as f64 / 1e9,
                     bp as f64,
@@ -1702,7 +1702,7 @@ impl Simulator {
         if self.events_processed == 0 && self.links.is_empty() {
             return;
         }
-        use crate::telemetry as tel;
+        use crate::telemetry::{self as tel, SeriesId};
         tel::counter_add("sim/events", self.events_processed);
         tel::counter_add("sim/timers_scheduled", self.counters.timers_scheduled);
         tel::counter_add("queue/enqueued", self.counters.enqueued);
@@ -1754,9 +1754,10 @@ impl Simulator {
             let s = link.queue.stats();
             let offered = s.enqueued + s.dropped;
             if offered > 0 {
-                tel::record("queue/final_offered", i as u64, 0.0, offered as f64);
-                tel::record("queue/final_dropped", i as u64, 0.0, s.dropped as f64);
-                tel::record("queue/final_marked", i as u64, 0.0, s.marked as f64);
+                let publish = |series, n: u64| tel::record_id(series, i as u64, 0.0, n as f64);
+                publish(SeriesId::QUEUE_FINAL_OFFERED, offered);
+                publish(SeriesId::QUEUE_FINAL_DROPPED, s.dropped);
+                publish(SeriesId::QUEUE_FINAL_MARKED, s.marked);
             }
         }
         // Flush coalesced idle utilization windows left pending (the
@@ -1764,8 +1765,8 @@ impl Simulator {
         // skew the distribution).
         for (i, w) in self.util.iter().enumerate() {
             if w.idle_pending > 0 {
-                tel::record(
-                    "link/idle_wins",
+                tel::record_id(
+                    SeriesId::LINK_IDLE_WINS,
                     i as u64,
                     w.start_ns as f64 / 1e9,
                     w.idle_pending as f64,

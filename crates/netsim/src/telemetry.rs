@@ -94,15 +94,15 @@ impl QueueTap {
         self.enqueues = self.enqueues.wrapping_add(1);
         if sample {
             let t = now.as_secs_f64();
-            record("queue/len", self.key, t, len as f64);
-            record("queue/ewma_len", self.key, t, self.ewma_len);
+            record_id(SeriesId::QUEUE_LEN, self.key, t, len as f64);
+            record_id(SeriesId::QUEUE_EWMA_LEN, self.key, t, self.ewma_len);
             let qdelay = if self.capacity_bps == 0 {
                 0.0
             } else {
                 (len_bytes as f64 * 8.0) / self.capacity_bps as f64
             };
-            record("truth/qdelay", self.key, t, qdelay);
-            record("truth/prob", self.key, t, truth_prob);
+            record_id(SeriesId::TRUTH_QDELAY, self.key, t, qdelay);
+            record_id(SeriesId::TRUTH_PROB, self.key, t, truth_prob);
         }
         sample
     }

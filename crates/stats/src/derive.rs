@@ -21,6 +21,7 @@
 //! [`MetricsSet`]: crate::metrics::MetricsSet
 
 use crate::metrics::BucketHistogram;
+use crate::series::SeriesId;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
@@ -50,37 +51,48 @@ pub const FIDELITY_WINDOW_US: u64 = 10_000;
 /// how far the end-host estimate trails the router truth.
 pub const FIDELITY_LAG_WINDOWS: [u64; 5] = [0, 1, 2, 5, 10];
 
-/// Per-scope fidelity accumulators: windowed sums of the router-truth
+/// (key, fidelity window) → (Σ quantized value, samples).
+type FidMap = HashMap<(u64, u64), (u64, u64)>;
+
+/// Fold one sample at time `t` into its fidelity window.
+fn fid_add(map: &mut FidMap, key: u64, t: f64, amount: u64) {
+    let win = quantize_us(t) / FIDELITY_WINDOW_US;
+    let e = map.entry((key, win)).or_insert((0, 0));
+    e.0 = e.0.saturating_add(amount);
+    e.1 += 1;
+}
+
+/// Fidelity accumulators of one scope: windowed sums of the router-truth
 /// series (`truth/qdelay`, `truth/prob`, keyed by link) and of the
 /// end-host estimate series (`pert/qdelay`, `pert/prob`, keyed by
 /// flow). Everything is integer sums; accumulation is commutative and
 /// merge is plain addition, so the maps can be hash maps — the ingest
-/// side runs per ACK under the telemetry lock, and every reader either
-/// adds commutatively or sorts into `BTreeMap`s first.
+/// side runs per ACK, and every reader either adds commutatively or
+/// sorts into `BTreeMap`s first.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct FidScope {
-    /// (link key, window) → (Σ qdelay µs, samples).
-    truth_qd: HashMap<(u64, u64), (u64, u64)>,
-    /// (link key, window) → (Σ probability bp, samples).
-    truth_p: HashMap<(u64, u64), (u64, u64)>,
-    /// (flow key, window) → (Σ qdelay µs, samples).
-    est_qd: HashMap<(u64, u64), (u64, u64)>,
-    /// (flow key, window) → (Σ probability bp, samples).
-    est_p: HashMap<(u64, u64), (u64, u64)>,
+    truth_qd: FidMap,
+    truth_p: FidMap,
+    est_qd: FidMap,
+    est_p: FidMap,
 }
 
 impl FidScope {
-    fn merge(&mut self, other: &FidScope) {
+    fn absorb(&mut self, other: FidScope) {
         // Commutative sums: HashMap iteration order cannot matter.
         for (dst, src) in [
-            (&mut self.truth_qd, &other.truth_qd),
-            (&mut self.truth_p, &other.truth_p),
-            (&mut self.est_qd, &other.est_qd),
-            (&mut self.est_p, &other.est_p),
+            (&mut self.truth_qd, other.truth_qd),
+            (&mut self.truth_p, other.truth_p),
+            (&mut self.est_qd, other.est_qd),
+            (&mut self.est_p, other.est_p),
         ] {
+            if dst.is_empty() {
+                *dst = src;
+                continue;
+            }
             for (k, (sum, n)) in src {
-                let e = dst.entry(*k).or_insert((0, 0));
-                e.0 += sum;
+                let e = dst.entry(k).or_insert((0, 0));
+                e.0 = e.0.saturating_add(sum);
                 e.1 += n;
             }
         }
@@ -94,13 +106,12 @@ impl FidScope {
     }
 }
 
-/// Streaming reducers over the telemetry record stream.
-///
-/// Feed every record through [`ingest`](Self::ingest) (the telemetry
-/// layer does this under its buffer lock when derivation is enabled),
-/// then call [`summary`](Self::summary) once the run is complete.
+/// The streaming reducers of one scope (one job). A telemetry sink owns
+/// one for its thread's scope, feeds it with [`ingest_id`](Self::ingest_id)
+/// — an integer `match`, no name compare, no map probe for the scope —
+/// and hands it to [`DeriveSet::absorb_scope`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct DeriveSet {
+pub struct DeriveScope {
     /// Queueing delay samples, quantized to microseconds.
     qdelay_us: BucketHistogram,
     /// Windowed link utilization, quantized to basis points.
@@ -111,14 +122,15 @@ pub struct DeriveSet {
     dropped: u64,
     /// Packets ECN-marked.
     marked: u64,
-    /// Per-scope, per-flow delivered segment counts for Jain's index.
-    acked: BTreeMap<String, BTreeMap<u64, u64>>,
+    /// Per-flow delivered segment counts for Jain's index.
+    acked: BTreeMap<u64, u64>,
     /// PERT early responses (window reductions triggered by the
     /// delay-based controller).
     responses: u64,
-    /// Per-scope last-activity time, quantized to microseconds; the
-    /// sum over scopes approximates total active simulated time.
-    active_us: BTreeMap<String, u64>,
+    /// Last-activity time, quantized to microseconds (`None` until a
+    /// PERT record arrives); the sum over scopes approximates total
+    /// active simulated time.
+    active_us: Option<u64>,
     /// Per-shard processed-event counts (`shard/events`, keyed by shard
     /// id). Exact: the shard runner emits them every epoch.
     shard_events: BTreeMap<u64, u64>,
@@ -146,20 +158,13 @@ pub struct DeriveSet {
     cc_bbr_transitions: u64,
     /// Transitions into ProbeRTT (state index 3).
     cc_probe_rtt_entries: u64,
-    /// Per-scope fidelity accumulators (router truth vs PERT estimate).
-    fid: BTreeMap<String, FidScope>,
+    /// Fidelity accumulators (router truth vs PERT estimate).
+    fid: FidScope,
 }
 
-impl Default for DeriveSet {
+impl Default for DeriveScope {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeriveSet {
-    /// An empty reducer set.
-    pub fn new() -> Self {
-        DeriveSet {
+        DeriveScope {
             qdelay_us: BucketHistogram::new(&QDELAY_EDGES_US),
             util_bp: BucketHistogram::new(&UTIL_EDGES_BP),
             offered: 0,
@@ -167,7 +172,7 @@ impl DeriveSet {
             marked: 0,
             acked: BTreeMap::new(),
             responses: 0,
-            active_us: BTreeMap::new(),
+            active_us: None,
             shard_events: BTreeMap::new(),
             shard_compute_ns: BTreeMap::new(),
             shard_wait_ns: BTreeMap::new(),
@@ -180,115 +185,68 @@ impl DeriveSet {
             cc_min_rtt_us: u64::MAX,
             cc_bbr_transitions: 0,
             cc_probe_rtt_entries: 0,
-            fid: BTreeMap::new(),
+            fid: FidScope::default(),
         }
     }
+}
 
-    fn fid_scope(&mut self, scope: &str) -> &mut FidScope {
-        if !self.fid.contains_key(scope) {
-            self.fid.insert(scope.to_owned(), FidScope::default());
-        }
-        self.fid.get_mut(scope).unwrap()
-    }
-
-    /// Consume one telemetry record. Unrecognized series are ignored,
-    /// so the reducer set can sit on the full record stream.
-    pub fn ingest(&mut self, scope: &str, series: &str, key: u64, t: f64, value: f64) {
+impl DeriveScope {
+    /// Consume one record of this scope. Series no reducer reads are
+    /// ignored, so this can sit on the full record stream.
+    pub fn ingest_id(&mut self, series: SeriesId, key: u64, t: f64, value: f64) {
         match series {
-            "pert/qdelay" => {
+            SeriesId::PERT_QDELAY => {
                 // Seconds → µs. The quantization is a pure function of
                 // the record value, so ingestion order cannot matter.
                 let us = quantize_us(value);
                 self.qdelay_us.observe(us);
-                let win = quantize_us(t) / FIDELITY_WINDOW_US;
-                let e = self
-                    .fid_scope(scope)
-                    .est_qd
-                    .entry((key, win))
-                    .or_insert((0, 0));
-                e.0 += us;
-                e.1 += 1;
+                fid_add(&mut self.fid.est_qd, key, t, us);
             }
-            "link/util_bp" => self.util_bp.observe(value as u64),
-            "link/idle_wins" => self.util_bp.observe_n(0, value as u64),
-            "queue/final_offered" => self.offered += value as u64,
-            "queue/final_dropped" => self.dropped += value as u64,
-            "queue/final_marked" => self.marked += value as u64,
-            "tcp/acked_final" => {
-                *self
-                    .acked
-                    .entry(scope.to_owned())
-                    .or_default()
-                    .entry(key)
-                    .or_insert(0) += value as u64;
-            }
-            "pert/response" => {
+            SeriesId::LINK_UTIL_BP => self.util_bp.observe(value as u64),
+            SeriesId::LINK_IDLE_WINS => self.util_bp.observe_n(0, value as u64),
+            SeriesId::QUEUE_FINAL_OFFERED => self.offered += value as u64,
+            SeriesId::QUEUE_FINAL_DROPPED => self.dropped += value as u64,
+            SeriesId::QUEUE_FINAL_MARKED => self.marked += value as u64,
+            SeriesId::TCP_ACKED_FINAL => *self.acked.entry(key).or_insert(0) += value as u64,
+            SeriesId::PERT_RESPONSE => {
                 // One record per early response. The value carries the
                 // encoded (regime, probability) tag, so it no longer
                 // counts as the response weight itself.
                 self.responses += 1;
-                self.touch(scope, t);
+                self.touch(t);
             }
-            "pert/prob" => {
-                let win = quantize_us(t) / FIDELITY_WINDOW_US;
-                let bp = prob_bp(value);
-                let e = self
-                    .fid_scope(scope)
-                    .est_p
-                    .entry((key, win))
-                    .or_insert((0, 0));
-                e.0 += bp;
-                e.1 += 1;
-                self.touch(scope, t);
+            SeriesId::PERT_PROB => {
+                fid_add(&mut self.fid.est_p, key, t, prob_bp(value));
+                self.touch(t);
             }
-            "pert/srtt" => self.touch(scope, t),
-            "truth/qdelay" => {
-                let win = quantize_us(t) / FIDELITY_WINDOW_US;
-                let us = quantize_us(value);
-                let e = self
-                    .fid_scope(scope)
-                    .truth_qd
-                    .entry((key, win))
-                    .or_insert((0, 0));
-                e.0 += us;
-                e.1 += 1;
-            }
-            "truth/prob" => {
-                let win = quantize_us(t) / FIDELITY_WINDOW_US;
-                let bp = prob_bp(value);
-                let e = self
-                    .fid_scope(scope)
-                    .truth_p
-                    .entry((key, win))
-                    .or_insert((0, 0));
-                e.0 += bp;
-                e.1 += 1;
-            }
-            "shard/events" => {
+            SeriesId::PERT_SRTT => self.touch(t),
+            SeriesId::TRUTH_QDELAY => fid_add(&mut self.fid.truth_qd, key, t, quantize_us(value)),
+            SeriesId::TRUTH_PROB => fid_add(&mut self.fid.truth_p, key, t, prob_bp(value)),
+            SeriesId::SHARD_EVENTS => {
                 *self.shard_events.entry(key).or_insert(0) += value as u64;
             }
-            "shard/epoch_compute_ns" => {
+            SeriesId::SHARD_EPOCH_COMPUTE_NS => {
                 *self.shard_compute_ns.entry(key).or_insert(0) += value as u64;
                 self.shard_samples += 1;
             }
-            "shard/barrier_wait_ns" => {
+            SeriesId::SHARD_BARRIER_WAIT_NS => {
                 *self.shard_wait_ns.entry(key).or_insert(0) += value as u64;
             }
             // Congestion-control zoo series. Counts and maxima/minima
             // only — all commutative, floats quantized at ingest.
-            "cubic/hystart_exit" => self.cc_hystart_exits += 1,
-            "cubic/w_max" => {
+            SeriesId::CUBIC_HYSTART_EXIT => self.cc_hystart_exits += 1,
+            SeriesId::CUBIC_W_MAX => {
                 self.cc_cubic_epochs += 1;
                 self.cc_wmax_max_milli = self.cc_wmax_max_milli.max(quantize_milli(value));
             }
-            "bbr/btlbw" => {
+            SeriesId::BBR_BTLBW => {
                 self.cc_bbr_rounds += 1;
                 self.cc_btlbw_max_milli = self.cc_btlbw_max_milli.max(quantize_milli(value));
             }
-            "bbr/min_rtt" => {
+            SeriesId::BBR_MIN_RTT => {
                 self.cc_min_rtt_us = self.cc_min_rtt_us.min(quantize_us(value));
             }
-            "bbr/state" => {
+            SeriesId::BBR_STATE => {
                 self.cc_bbr_transitions += 1;
                 if value as u64 == 3 {
                     self.cc_probe_rtt_entries += 1;
@@ -298,38 +256,27 @@ impl DeriveSet {
         }
     }
 
-    fn touch(&mut self, scope: &str, t: f64) {
-        let us = quantize_us(t);
-        let e = self.active_us.entry(scope.to_owned()).or_insert(0);
-        *e = (*e).max(us);
+    fn touch(&mut self, t: f64) {
+        self.active_us = self.active_us.max(Some(quantize_us(t)));
     }
 
-    /// Merge another reducer set into this one (commutative).
-    pub fn merge(&mut self, other: &DeriveSet) {
+    /// Add `other`'s cross-scope reducers (everything but the per-flow
+    /// `acked`, `active_us` and `fid`) into this one (commutative).
+    fn add_totals(&mut self, other: &DeriveScope) {
         self.qdelay_us.merge(&other.qdelay_us);
         self.util_bp.merge(&other.util_bp);
         self.offered += other.offered;
         self.dropped += other.dropped;
         self.marked += other.marked;
-        for (scope, flows) in &other.acked {
-            let mine = self.acked.entry(scope.clone()).or_default();
-            for (flow, n) in flows {
-                *mine.entry(*flow).or_insert(0) += n;
-            }
-        }
         self.responses += other.responses;
-        for (scope, us) in &other.active_us {
-            let e = self.active_us.entry(scope.clone()).or_insert(0);
-            *e = (*e).max(*us);
-        }
-        for (shard, n) in &other.shard_events {
-            *self.shard_events.entry(*shard).or_insert(0) += n;
-        }
-        for (shard, ns) in &other.shard_compute_ns {
-            *self.shard_compute_ns.entry(*shard).or_insert(0) += ns;
-        }
-        for (shard, ns) in &other.shard_wait_ns {
-            *self.shard_wait_ns.entry(*shard).or_insert(0) += ns;
+        for (mine, theirs) in [
+            (&mut self.shard_events, &other.shard_events),
+            (&mut self.shard_compute_ns, &other.shard_compute_ns),
+            (&mut self.shard_wait_ns, &other.shard_wait_ns),
+        ] {
+            for (shard, n) in theirs {
+                *mine.entry(*shard).or_insert(0) += n;
+            }
         }
         self.shard_samples += other.shard_samples;
         self.cc_hystart_exits += other.cc_hystart_exits;
@@ -340,17 +287,25 @@ impl DeriveSet {
         self.cc_min_rtt_us = self.cc_min_rtt_us.min(other.cc_min_rtt_us);
         self.cc_bbr_transitions += other.cc_bbr_transitions;
         self.cc_probe_rtt_entries += other.cc_probe_rtt_entries;
-        for (scope, fs) in &other.fid {
-            if let Some(mine) = self.fid.get_mut(scope) {
-                mine.merge(fs);
-            } else {
-                self.fid.insert(scope.clone(), fs.clone());
+    }
+
+    /// Merge another part of the same scope into this one (commutative).
+    /// Consuming: maps this side has nothing in yet are moved, not copied.
+    fn absorb(&mut self, other: DeriveScope) {
+        self.add_totals(&other);
+        if self.acked.is_empty() {
+            self.acked = other.acked;
+        } else {
+            for (flow, n) in other.acked {
+                *self.acked.entry(flow).or_insert(0) += n;
             }
         }
+        self.active_us = self.active_us.max(other.active_us);
+        self.fid.absorb(other.fid);
     }
 
     /// True when no record has contributed anything.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.qdelay_us.total == 0
             && self.util_bp.total == 0
             && self.offered == 0
@@ -358,13 +313,13 @@ impl DeriveSet {
             && self.marked == 0
             && self.acked.is_empty()
             && self.responses == 0
-            && self.active_us.is_empty()
+            && self.active_us.is_none()
             && self.shard_events.is_empty()
             && self.shard_compute_ns.is_empty()
             && self.shard_wait_ns.is_empty()
             && self.shard_samples == 0
             && !self.cc_active()
-            && self.fid.values().all(FidScope::is_empty)
+            && self.fid.is_empty()
     }
 
     /// True when any congestion-control-zoo record has arrived.
@@ -375,39 +330,101 @@ impl DeriveSet {
             || self.cc_min_rtt_us != u64::MAX
             || self.cc_bbr_transitions > 0
     }
+}
+
+/// Streaming reducers over the telemetry record stream, one
+/// [`DeriveScope`] per scope.
+///
+/// Feed records through [`ingest`](Self::ingest), or per-thread parts
+/// through [`absorb_scope`](Self::absorb_scope) (the telemetry layer, when
+/// a sink is handed over), then call [`summary`](Self::summary).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DeriveSet {
+    scopes: BTreeMap<String, DeriveScope>,
+}
+
+impl DeriveSet {
+    /// An empty reducer set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Consume one telemetry record by name. Unrecognized series are
+    /// ignored, so the reducer set can sit on the full record stream.
+    pub fn ingest(&mut self, scope: &str, series: &str, key: u64, t: f64, value: f64) {
+        let Some(id) = SeriesId::builtin(series).filter(|id| id.is_reduced()) else {
+            return;
+        };
+        // Probe by `&str`: a `String` is made on first sight of a scope only.
+        if let Some(s) = self.scopes.get_mut(scope) {
+            return s.ingest_id(id, key, t, value);
+        }
+        let mut s = DeriveScope::default();
+        s.ingest_id(id, key, t, value);
+        self.scopes.insert(scope.to_owned(), s);
+    }
+
+    /// Merge one scope's reducers into this set (commutative); a scope
+    /// seen for the first time is moved in whole.
+    pub fn absorb_scope(&mut self, scope: &str, part: DeriveScope) {
+        match self.scopes.get_mut(scope) {
+            Some(mine) => mine.absorb(part),
+            None => {
+                self.scopes.insert(scope.to_owned(), part);
+            }
+        }
+    }
+
+    /// Merge another reducer set into this one (commutative).
+    pub fn absorb(&mut self, other: DeriveSet) {
+        for (scope, part) in other.scopes {
+            self.absorb_scope(&scope, part);
+        }
+    }
+
+    /// True when no record has contributed anything.
+    pub fn is_empty(&self) -> bool {
+        self.scopes.values().all(DeriveScope::is_empty)
+    }
 
     /// Reduce to the reported summary. Pure integer arithmetic over
     /// state that is itself order-independent, so the summary is
     /// byte-identical at any worker count.
     pub fn summary(&self) -> DerivedSummary {
-        let qdelay = (self.qdelay_us.total > 0).then(|| QdelaySummary {
-            samples: self.qdelay_us.total,
-            mean_us: (self.qdelay_us.sum / u128::from(self.qdelay_us.total)) as u64,
-            p50_us: self.qdelay_us.percentile_upper(50).unwrap(),
-            p95_us: self.qdelay_us.percentile_upper(95).unwrap(),
-            p99_us: self.qdelay_us.percentile_upper(99).unwrap(),
+        let mut all = DeriveScope::default();
+        for s in self.scopes.values() {
+            all.add_totals(s);
+        }
+
+        let qdelay = (all.qdelay_us.total > 0).then(|| QdelaySummary {
+            samples: all.qdelay_us.total,
+            mean_us: (all.qdelay_us.sum / u128::from(all.qdelay_us.total)) as u64,
+            p50_us: all.qdelay_us.percentile_upper(50).unwrap(),
+            p95_us: all.qdelay_us.percentile_upper(95).unwrap(),
+            p99_us: all.qdelay_us.percentile_upper(99).unwrap(),
         });
 
-        let util = (self.util_bp.total > 0).then(|| UtilSummary {
-            windows: self.util_bp.total,
-            mean_bp: (self.util_bp.sum / u128::from(self.util_bp.total)) as u64,
-            p50_bp: self.util_bp.percentile_upper(50).unwrap(),
+        let util = (all.util_bp.total > 0).then(|| UtilSummary {
+            windows: all.util_bp.total,
+            mean_bp: (all.util_bp.sum / u128::from(all.util_bp.total)) as u64,
+            p50_bp: all.util_bp.percentile_upper(50).unwrap(),
         });
 
-        let loss = (self.offered > 0).then(|| LossSummary {
-            offered: self.offered,
-            dropped: self.dropped,
-            marked: self.marked,
-            drop_bp: rate_bp(self.dropped, self.offered),
-            mark_bp: rate_bp(self.marked, self.offered),
+        let loss = (all.offered > 0).then(|| LossSummary {
+            offered: all.offered,
+            dropped: all.dropped,
+            marked: all.marked,
+            drop_bp: rate_bp(all.dropped, all.offered),
+            mark_bp: rate_bp(all.marked, all.offered),
         });
 
         let fairness = self.fairness_summary();
 
-        let pert = (self.responses > 0 || !self.active_us.is_empty()).then(|| {
-            let active_us: u64 = self.active_us.values().sum();
+        let mut active = self.scopes.values().filter_map(|s| s.active_us).peekable();
+        let pert = (all.responses > 0 || active.peek().is_some()).then(|| {
+            let active_us: u64 = active.sum();
             PertSummary {
-                responses: self.responses,
+                responses: all.responses,
                 active_us,
                 // Responses per second of active simulated time, in
                 // milli-hertz (u128 intermediate: no overflow below
@@ -415,24 +432,24 @@ impl DeriveSet {
                 freq_mhz: if active_us == 0 {
                     0
                 } else {
-                    (u128::from(self.responses) * 1_000_000_000 / u128::from(active_us)) as u64
+                    (u128::from(all.responses) * 1_000_000_000 / u128::from(active_us)) as u64
                 },
             }
         });
 
-        let cc = self.cc_active().then_some(CcSummary {
-            hystart_exits: self.cc_hystart_exits,
-            cubic_epochs: self.cc_cubic_epochs,
-            cubic_wmax_max_milli: self.cc_wmax_max_milli,
-            bbr_rounds: self.cc_bbr_rounds,
-            bbr_btlbw_max_milli: self.cc_btlbw_max_milli,
-            bbr_min_rtt_us: if self.cc_min_rtt_us == u64::MAX {
+        let cc = all.cc_active().then_some(CcSummary {
+            hystart_exits: all.cc_hystart_exits,
+            cubic_epochs: all.cc_cubic_epochs,
+            cubic_wmax_max_milli: all.cc_wmax_max_milli,
+            bbr_rounds: all.cc_bbr_rounds,
+            bbr_btlbw_max_milli: all.cc_btlbw_max_milli,
+            bbr_min_rtt_us: if all.cc_min_rtt_us == u64::MAX {
                 0
             } else {
-                self.cc_min_rtt_us
+                all.cc_min_rtt_us
             },
-            bbr_transitions: self.cc_bbr_transitions,
-            bbr_probe_rtt_entries: self.cc_probe_rtt_entries,
+            bbr_transitions: all.cc_bbr_transitions,
+            bbr_probe_rtt_entries: all.cc_probe_rtt_entries,
         });
 
         DerivedSummary {
@@ -441,7 +458,7 @@ impl DeriveSet {
             loss,
             fairness,
             pert,
-            shards: self.shard_summary(),
+            shards: all.shard_summary(),
             cc,
             fidelity: self.fidelity_summary(),
         }
@@ -478,7 +495,7 @@ impl DeriveSet {
         let mut lag_acc: BTreeMap<u64, (i128, u64)> = BTreeMap::new();
         let mut scopes_used: u64 = 0;
 
-        for (scope, fs) in &self.fid {
+        for (scope, fs) in self.scopes.iter().map(|(name, s)| (name, &s.fid)) {
             // The scope's bottleneck is the truth link with the most
             // qdelay samples (ties break to the lowest link id) — the
             // link PERT's estimator is actually tracking.
@@ -494,7 +511,7 @@ impl DeriveSet {
                 continue;
             };
             // window → truth mean (µs / bp) on the bottleneck link.
-            let win_mean = |m: &HashMap<(u64, u64), (u64, u64)>| -> BTreeMap<u64, u64> {
+            let win_mean = |m: &FidMap| -> BTreeMap<u64, u64> {
                 m.iter()
                     .filter(|((k, _), _)| *k == bkey)
                     .map(|((_, w), (sum, n))| (*w, sum / n))
@@ -657,6 +674,45 @@ impl DeriveSet {
         })
     }
 
+    fn fairness_summary(&self) -> Option<FairnessSummary> {
+        let mut indices = Vec::new();
+        let mut flows = 0u64;
+        for per_flow in self.scopes.values().map(|s| &s.acked) {
+            let n = per_flow.len() as u128;
+            if n == 0 {
+                continue;
+            }
+            flows += per_flow.len() as u64;
+            let sum: u128 = per_flow.values().map(|&x| u128::from(x)).sum();
+            let sum_sq: u128 = per_flow
+                .values()
+                .map(|&x| u128::from(x) * u128::from(x))
+                .sum();
+            // Jain's index in milli-units: (Σx)² · 1000 / (n · Σx²).
+            // Zero throughput everywhere degenerates to a perfectly
+            // fair 1.000 by convention.
+            let jain_milli = if sum_sq == 0 {
+                1_000
+            } else {
+                (sum * sum * 1_000 / (n * sum_sq)) as u64
+            };
+            indices.push(jain_milli);
+        }
+        if indices.is_empty() {
+            return None;
+        }
+        let total: u128 = indices.iter().map(|&x| u128::from(x)).sum();
+        Some(FairnessSummary {
+            scopes: indices.len() as u64,
+            flows,
+            jain_min_milli: *indices.iter().min().unwrap(),
+            jain_mean_milli: (total / indices.len() as u128) as u64,
+            jain_max_milli: *indices.iter().max().unwrap(),
+        })
+    }
+}
+
+impl DeriveScope {
     fn shard_summary(&self) -> Option<ShardSummary> {
         if self.shard_events.is_empty() {
             return None;
@@ -703,43 +759,6 @@ impl DeriveSet {
             sampled_epochs: self.shard_samples,
             critpath_bp,
             stall_bp,
-        })
-    }
-
-    fn fairness_summary(&self) -> Option<FairnessSummary> {
-        let mut indices = Vec::new();
-        let mut flows = 0u64;
-        for per_flow in self.acked.values() {
-            let n = per_flow.len() as u128;
-            if n == 0 {
-                continue;
-            }
-            flows += per_flow.len() as u64;
-            let sum: u128 = per_flow.values().map(|&x| u128::from(x)).sum();
-            let sum_sq: u128 = per_flow
-                .values()
-                .map(|&x| u128::from(x) * u128::from(x))
-                .sum();
-            // Jain's index in milli-units: (Σx)² · 1000 / (n · Σx²).
-            // Zero throughput everywhere degenerates to a perfectly
-            // fair 1.000 by convention.
-            let jain_milli = if sum_sq == 0 {
-                1_000
-            } else {
-                (sum * sum * 1_000 / (n * sum_sq)) as u64
-            };
-            indices.push(jain_milli);
-        }
-        if indices.is_empty() {
-            return None;
-        }
-        let total: u128 = indices.iter().map(|&x| u128::from(x)).sum();
-        Some(FairnessSummary {
-            scopes: indices.len() as u64,
-            flows,
-            jain_min_milli: *indices.iter().min().unwrap(),
-            jain_mean_milli: (total / indices.len() as u128) as u64,
-            jain_max_milli: *indices.iter().max().unwrap(),
         })
     }
 }
@@ -1379,6 +1398,19 @@ mod tests {
     }
 
     #[test]
+    fn by_name_ingest_skips_exactly_what_no_reducer_reads() {
+        for (i, name) in crate::series::BUILTIN_SERIES.iter().enumerate() {
+            let id = SeriesId(i as u16);
+            let mut by_id = DeriveScope::default();
+            by_id.ingest_id(id, 1, 1.0, 1.0);
+            assert_eq!(by_id.is_empty(), !id.is_reduced(), "{name}");
+            let mut by_name = DeriveSet::new();
+            by_name.ingest("j", name, 1, 1.0, 1.0);
+            assert_eq!(by_name.scopes.get("j"), id.is_reduced().then_some(&by_id));
+        }
+    }
+
+    #[test]
     fn merge_matches_single_stream() {
         let mut a = DeriveSet::new();
         a.ingest("job/a", "pert/qdelay", 1, 0.5, 0.010);
@@ -1387,8 +1419,8 @@ mod tests {
         b.ingest("job/b", "pert/qdelay", 2, 1.5, 0.030);
         b.ingest("job/a", "tcp/acked_final", 7, 0.0, 5.0);
 
-        let mut merged = a.clone();
-        merged.merge(&b);
+        let mut merged = a;
+        merged.absorb(b);
 
         let mut single = DeriveSet::new();
         single.ingest("job/a", "pert/qdelay", 1, 0.5, 0.010);
@@ -1497,8 +1529,8 @@ mod tests {
         let mut b = DeriveSet::new();
         b.ingest("shard", "shard/events", 0, 2.0, 5.0);
         b.ingest("shard", "shard/events", 1, 2.0, 15.0);
-        let mut merged = a.clone();
-        merged.merge(&b);
+        let mut merged = a;
+        merged.absorb(b);
         let mut single = DeriveSet::new();
         single.ingest("shard", "shard/events", 0, 1.0, 10.0);
         single.ingest("shard", "shard/events", 0, 2.0, 5.0);
@@ -1539,8 +1571,8 @@ mod tests {
         let mut b = DeriveSet::new();
         b.ingest("j", "bbr/min_rtt", 20, 2.0, 0.040);
         b.ingest("j", "cubic/w_max", 10, 2.0, 80.0);
-        let mut merged = a.clone();
-        merged.merge(&b);
+        let mut merged = a;
+        merged.absorb(b);
         let mut single = DeriveSet::new();
         single.ingest("j", "bbr/min_rtt", 20, 1.0, 0.050);
         single.ingest("j", "cubic/w_max", 10, 1.0, 30.0);

@@ -17,7 +17,9 @@
 //! * [`derive::DeriveSet`] — streaming reducers that turn raw telemetry
 //!   records into derived metrics (delay CDFs, utilization, loss rates,
 //!   fairness, PERT response frequency) with the same commutative
-//!   integer contract.
+//!   integer contract;
+//! * [`series::SeriesId`] — the integer ids of the telemetry series the
+//!   reducers dispatch on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,6 +28,7 @@ pub mod derive;
 pub mod histogram;
 pub mod jain;
 pub mod metrics;
+pub mod series;
 pub mod summary;
 pub mod timeseries;
 pub mod transitions;
@@ -34,6 +37,7 @@ pub use derive::{DeriveSet, DerivedSummary};
 pub use histogram::Histogram;
 pub use jain::jain_index;
 pub use metrics::{BucketHistogram, MetricValue, MetricsSet};
+pub use series::SeriesId;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;
 pub use transitions::{analyze, cluster_losses, TransitionCounts};

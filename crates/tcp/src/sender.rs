@@ -766,8 +766,8 @@ impl Drop for FlowCold {
         // One record per flow with its final delivered-segment count —
         // the per-flow throughput sample Jain's fairness index is
         // derived from (key = flow id, summed per (scope, key)).
-        telemetry::record(
-            "tcp/acked_final",
+        telemetry::record_id(
+            telemetry::SeriesId::TCP_ACKED_FINAL,
             self.cfg.flow.0 as u64,
             0.0,
             self.stats.acked_segments as f64,
