@@ -54,6 +54,18 @@ fn fig6_metrics_merge_identically_across_worker_counts() {
     ] {
         assert!(m1.get(name).is_some(), "metric {name} missing: {m1:?}");
     }
+
+    // A link departure nobody waits for is never scheduled, only counted:
+    // the events that fire plus the elided ones are the events of an
+    // always-scheduled departure — fig6 quick's count from before
+    // departures went lazy.
+    let counter = |name: &str| match m1.get(name) {
+        Some(sim_stats::MetricValue::Counter(n)) => *n,
+        other => panic!("{name} is not a counter: {other:?}"),
+    };
+    let (events, elided) = (counter("sim/events"), counter("sim/ev_departure_elided"));
+    assert_eq!((events, elided), (2_645_126, 1_873_793));
+    assert_eq!(events + elided, 4_518_919);
 }
 
 /// Run fig6 at Quick scale on `workers` threads and return the derived
@@ -68,6 +80,114 @@ fn fig6_derived_with_workers(workers: usize) -> sim_stats::DerivedSummary {
     let summary = telemetry::derive_summary().expect("derivation was running");
     telemetry::derive_clear();
     summary
+}
+
+/// Re-render compact JSON of objects, arrays, strings without escapes
+/// and integers the way `jq -S .` prints it: keys sorted, two-space
+/// indent, one element per line, a final newline.
+fn jq_sorted(json: &str) -> String {
+    enum Value {
+        Object(Vec<(String, Value)>),
+        Array(Vec<Value>),
+        Atom(String),
+    }
+    fn parse(s: &[u8], i: &mut usize) -> Value {
+        let list_end = |s: &[u8], i: &mut usize, close: u8| {
+            let done = s[*i] == close;
+            *i += usize::from(done || s[*i] == b',');
+            done
+        };
+        match s[*i] {
+            open @ (b'{' | b'[') => {
+                *i += 1;
+                let (mut fields, mut items) = (Vec::new(), Vec::new());
+                while !list_end(s, i, open + 2) {
+                    if open == b'{' {
+                        let Value::Atom(key) = parse(s, i) else {
+                            panic!("object key at byte {i}");
+                        };
+                        assert_eq!(s[*i], b':', "after key {key}");
+                        *i += 1;
+                        fields.push((key, parse(s, i)));
+                    } else {
+                        items.push(parse(s, i));
+                    }
+                }
+                if open == b'{' {
+                    fields.sort_by(|a, b| a.0.cmp(&b.0));
+                    Value::Object(fields)
+                } else {
+                    Value::Array(items)
+                }
+            }
+            first => {
+                // A string runs to its closing quote, a number to the next
+                // delimiter.
+                let start = *i;
+                let find = |from: usize, stop: &[u8]| {
+                    let len = s[from..].iter().position(|c| stop.contains(c));
+                    from + len.expect("unterminated value")
+                };
+                *i = match first {
+                    b'"' => find(start + 1, b"\"") + 1,
+                    _ => find(start, b",]}"),
+                };
+                Value::Atom(String::from_utf8(s[start..*i].to_vec()).unwrap())
+            }
+        }
+    }
+    fn print(v: &Value, depth: usize, out: &mut String) {
+        let pad = |n| "  ".repeat(n);
+        let (open, close, len) = match v {
+            Value::Atom(a) => return out.push_str(a),
+            Value::Object(f) => ('{', '}', f.len()),
+            Value::Array(a) => ('[', ']', a.len()),
+        };
+        out.push(open);
+        for k in 0..len {
+            out.push_str(if k == 0 { "\n" } else { ",\n" });
+            out.push_str(&pad(depth + 1));
+            match v {
+                Value::Object(f) => {
+                    out.push_str(&format!("{}: ", f[k].0));
+                    print(&f[k].1, depth + 1, out);
+                }
+                Value::Array(a) => print(&a[k], depth + 1, out),
+                Value::Atom(_) => unreachable!(),
+            }
+        }
+        if len > 0 {
+            out.push('\n');
+            out.push_str(&pad(depth));
+        }
+        out.push(close);
+    }
+    let mut out = String::new();
+    print(&parse(json.as_bytes(), &mut 0), 0, &mut out);
+    out.push('\n');
+    out
+}
+
+/// The check CI's `observatory` job does in shell (`jq -S '.[0].derived'`
+/// diffed against the golden file): fig6 quick's derived summary has not
+/// moved by a byte.
+#[test]
+fn fig6_quick_derived_matches_the_golden_file() {
+    let _g = LOCK.lock().unwrap();
+    telemetry::set_enabled(true);
+
+    let golden = include_str!("../../../ci/golden/fig6_quick_derived.json");
+    assert_eq!(jq_sorted(r#"{"b":[],"a":{"y":[{"k":-1},2],"x":"s"}}"#), {
+        "{\n  \"a\": {\n    \"x\": \"s\",\n    \"y\": [\n      {\n        \"k\": -1\n      },\n      2\n    ]\n  },\n  \"b\": []\n}\n"
+    });
+    let derived = jq_sorted(&fig6_derived_with_workers(2).render_json());
+    if let Some((n, (got, want))) = (1..)
+        .zip(derived.lines().zip(golden.lines()))
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!("line {n} of ci/golden/fig6_quick_derived.json: got {got:?}, want {want:?}");
+    }
+    assert_eq!(derived, golden);
 }
 
 #[test]

@@ -13,6 +13,11 @@
 //!   integral, the event counters, `peak_len` and `last_change` are
 //!   mirrored step by step by an independent [`QueueLedger`] and compared
 //!   with *exact* (integer) equality.
+//! * **Link service**: per link, a [`ServiceLedger`] re-derives from the
+//!   same op stream when each serialization ends, and checks that no
+//!   serialization starts before the previous one ended and that the link
+//!   never idles over a backlog — whatever mechanism (scheduled or lazy
+//!   departures) drives the link.
 //! * **Time monotonicity**: the event loop never goes backwards.
 //! * **TCP sequence-space invariants** at delivery: cumulative ACKs are
 //!   monotone per flow, SACK blocks are non-empty and well-ordered, new
@@ -41,9 +46,10 @@ pub use pert_core::audit::{
 };
 
 use crate::ids::LinkId;
+use crate::link::Link;
 use crate::packet::{Packet, Payload};
 use crate::queue::QueueDiscipline;
-use crate::time::SimTime;
+use crate::time::{transmission_delay, SimTime};
 
 /// Where an audited operation happened: everything needed to reproduce a
 /// violation (re-run the same seed and break at the event index).
@@ -98,16 +104,9 @@ pub trait AuditHook: Send {
     /// Called once per event, before it is dispatched.
     fn on_event(&mut self, _ctx: &AuditCtx) {}
 
-    /// Called after every queue operation, with the queue in its post-op
-    /// state.
-    fn on_queue_op(
-        &mut self,
-        _link: LinkId,
-        _op: &QueueOp,
-        _queue: &dyn QueueDiscipline,
-        _ctx: &AuditCtx,
-    ) {
-    }
+    /// Called after every queue operation on `link`, with its queue in
+    /// the post-op state.
+    fn on_queue_op(&mut self, _link: &Link, _op: &QueueOp, _ctx: &AuditCtx) {}
 
     /// Called when a packet reaches its destination agent, before the
     /// agent sees it.
@@ -309,6 +308,114 @@ impl QueueLedger {
     }
 }
 
+/// An independent mirror of one link's service discipline, driven by
+/// the same [`QueueOp`] stream as the [`QueueLedger`]: a successful
+/// dequeue *is* the start of a serialization, and its end follows from the
+/// packet size and the link capacity alone. Two rules, checked at every
+/// serialization start and at every flush:
+///
+/// * **one packet at a time** — a serialization never starts before the
+///   previous one ended;
+/// * **work conservation** — the link never idles over a backlog: a
+///   serialization starts either at the instant the previous one ended, or
+///   at the enqueue instant of a packet that found the queue empty, and at
+///   a flush no packet waits behind a link that has fallen free.
+///
+/// The ledger knows nothing about departure events, reserved keys or the
+/// pop order, so it holds for any way of driving the link.
+#[derive(Clone, Copy, Debug)]
+pub struct ServiceLedger {
+    /// End of the last serialization seen; `None` on a ledger attached
+    /// mid-run until it sees one start.
+    free_at: Option<SimTime>,
+    /// Packets resident in the queue (the one in service is not).
+    backlog: usize,
+    /// Instant of the last accepted enqueue, if it found the queue empty.
+    filled_at: Option<SimTime>,
+}
+
+impl ServiceLedger {
+    /// Mirror a link that has never served a packet.
+    pub fn fresh() -> Self {
+        ServiceLedger {
+            free_at: Some(SimTime::ZERO),
+            backlog: 0,
+            filled_at: None,
+        }
+    }
+
+    /// Mirror a link from mid-run on: its current service end is unknown.
+    pub fn adopt(queue: &dyn QueueDiscipline) -> Self {
+        ServiceLedger {
+            free_at: None,
+            backlog: queue.len(),
+            filled_at: None,
+        }
+    }
+
+    /// Apply one observed operation on `link` and check the two rules.
+    pub fn apply(&mut self, link: &Link, op: &QueueOp, ctx: &AuditCtx) {
+        match *op {
+            QueueOp::Enqueue {
+                kind: EnqueueKind::Stored | EnqueueKind::Marked,
+                ..
+            } => {
+                self.filled_at = (self.backlog == 0).then_some(ctx.now);
+                self.backlog += 1;
+            }
+            QueueOp::Dequeue {
+                popped: Some(size_bytes),
+            } => {
+                self.backlog -= 1;
+                if let Some(free_at) = self.free_at {
+                    if ctx.now < free_at {
+                        self.fail(link, ctx, "serialization started before the last one ended");
+                    }
+                    if ctx.now > free_at && self.filled_at != Some(ctx.now) {
+                        self.fail(link, ctx, "link idled over a backlog");
+                    }
+                }
+                let tx = transmission_delay(u64::from(size_bytes) * 8, link.capacity_bps);
+                self.free_at = Some(ctx.now + tx);
+            }
+            _ => {}
+        }
+    }
+
+    /// At a flush (outside the event loop, every event due by now has
+    /// fired): nothing may wait behind a link that has fallen free.
+    pub fn on_flush(&self, link: LinkId, ctx: &AuditCtx) {
+        if self.backlog > 0 && self.free_at.is_some_and(|free_at| ctx.now >= free_at) {
+            violation(
+                "link",
+                format_args!(
+                    "{link} is free with {} packets waiting at flush (seed {}, t={:?}, \
+                     free since {:?})",
+                    self.backlog, ctx.seed, ctx.now, self.free_at
+                ),
+            );
+        }
+    }
+
+    #[cold]
+    fn fail(&self, link: &Link, ctx: &AuditCtx, what: &str) -> ! {
+        violation(
+            "link",
+            format_args!(
+                "{what} on {} at event #{} (seed {}, t={:?}): free_at={:?} backlog={} \
+                 last fill={:?}",
+                link.id,
+                ctx.event_index,
+                ctx.seed,
+                ctx.now,
+                self.free_at,
+                self.backlog,
+                self.filled_at
+            ),
+        )
+    }
+}
+
 /// Per-flow sequence-space state for the delivery checks.
 #[derive(Clone, Copy, Debug, Default)]
 struct FlowAudit {
@@ -321,7 +428,7 @@ struct FlowAudit {
 /// sequence-space checks at delivery.
 #[derive(Default)]
 pub struct ConservationAuditor {
-    ledgers: BTreeMap<usize, QueueLedger>,
+    ledgers: BTreeMap<usize, (QueueLedger, ServiceLedger)>,
     flows: BTreeMap<(u64, usize), FlowAudit>,
     last_event: SimTime,
     // Locally batched check counts, flushed to the global registry on drop.
@@ -340,7 +447,10 @@ impl ConservationAuditor {
 
 impl AuditHook for ConservationAuditor {
     fn on_link_added(&mut self, link: LinkId, queue: &dyn QueueDiscipline) {
-        self.ledgers.insert(link.index(), QueueLedger::new(queue));
+        self.ledgers.insert(
+            link.index(),
+            (QueueLedger::new(queue), ServiceLedger::fresh()),
+        );
     }
 
     fn on_event(&mut self, ctx: &AuditCtx) {
@@ -357,22 +467,21 @@ impl AuditHook for ConservationAuditor {
         self.last_event = ctx.now;
     }
 
-    fn on_queue_op(
-        &mut self,
-        link: LinkId,
-        op: &QueueOp,
-        queue: &dyn QueueDiscipline,
-        ctx: &AuditCtx,
-    ) {
-        let Some(ledger) = self.ledgers.get_mut(&link.index()) else {
+    fn on_queue_op(&mut self, link: &Link, op: &QueueOp, ctx: &AuditCtx) {
+        let queue = link.queue.as_ref();
+        let Some((ledger, service)) = self.ledgers.get_mut(&link.id.index()) else {
             // Hook was attached mid-run and missed this link's creation:
             // the op already mutated the queue, so mirror its post-op
             // state and audit from the next operation on.
-            self.ledgers.insert(link.index(), QueueLedger::new(queue));
+            self.ledgers.insert(
+                link.id.index(),
+                (QueueLedger::new(queue), ServiceLedger::adopt(queue)),
+            );
             return;
         };
         ledger.apply(op, ctx.now);
-        ledger.verify(link, queue, ctx);
+        ledger.verify(link.id, queue, ctx);
+        service.apply(link, op, ctx);
         self.queue_checks += 1;
     }
 
@@ -449,14 +558,15 @@ impl AuditHook for ConservationAuditor {
     }
 
     fn on_window_reset(&mut self, ctx: &AuditCtx) {
-        for ledger in self.ledgers.values_mut() {
+        for (ledger, _) in self.ledgers.values_mut() {
             ledger.on_window_reset(ctx.now);
         }
     }
 
     fn on_flush(&mut self, ctx: &AuditCtx) {
-        for ledger in self.ledgers.values_mut() {
+        for (&link, (ledger, service)) in &mut self.ledgers {
             ledger.on_flush(ctx.now);
+            service.on_flush(LinkId(link), ctx);
         }
     }
 
@@ -629,6 +739,208 @@ mod tests {
         ledger.on_flush(flush_at);
         ledger.verify(LinkId(0), &q, &ctx(flush_at));
         assert_eq!(q.stats().integral_pkt_ns, 1_000 * 4);
+    }
+
+    /// 1000-byte packets on 10 Mbps: 800 µs of serialization each.
+    const TX_US: u64 = 800;
+
+    fn link_10mbps(cap: usize) -> Link {
+        Link::new(
+            LinkId(0),
+            NodeId(0),
+            NodeId(1),
+            10_000_000,
+            crate::time::SimDuration::from_millis(1),
+            Box::new(DropTail::new(cap)),
+        )
+    }
+
+    /// Feed `(µs, op)` pairs to a fresh service ledger; the panic text of
+    /// the violation it reports, if any.
+    fn service_violation(ops: &[(u64, QueueOp)], flush_at_us: u64) -> Option<String> {
+        let link = link_10mbps(8);
+        let run = || {
+            let mut ledger = ServiceLedger::fresh();
+            for (us, op) in ops {
+                ledger.apply(&link, op, &ctx(SimTime::from_micros(*us)));
+            }
+            ledger.on_flush(link.id, &ctx(SimTime::from_micros(flush_at_us)));
+        };
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).err()?;
+        let msg = *err.downcast::<String>().unwrap();
+        assert!(msg.contains("audit violation [link]"), "{msg}");
+        Some(msg)
+    }
+
+    #[test]
+    fn service_ledger_accepts_work_conserving_service_only() {
+        let enq = QueueOp::Enqueue {
+            kind: EnqueueKind::Stored,
+            size_bytes: 1000,
+        };
+        let drop = QueueOp::Enqueue {
+            kind: EnqueueKind::DroppedOverflow,
+            size_bytes: 1000,
+        };
+        let deq = QueueOp::Dequeue { popped: Some(1000) };
+        let empty = QueueOp::Dequeue { popped: None };
+        // Idle start, a waiter served back to back (also when it arrived
+        // exactly as the link fell free), an idle gap, a drop, an empty
+        // pop; one packet still in service at the flush.
+        let good = [
+            (100, enq),
+            (100, deq),
+            (500, enq),
+            (900, deq),
+            (1700, enq),
+            (1700, drop),
+            (1700, deq),
+            (2500, empty),
+            (4000, enq),
+            (4000, deq),
+        ];
+        assert_eq!(service_violation(&good, 4100), None);
+
+        let overlap = [(0, enq), (0, deq), (100, enq), (100, deq)];
+        let msg = service_violation(&overlap, 0).expect("two packets in service at once");
+        assert!(msg.contains("before the last one ended"), "{msg}");
+
+        let late = [(0, enq), (0, deq), (100, enq), (TX_US + 100, deq)];
+        let msg = service_violation(&late, 0).expect("served 100 µs after the link fell free");
+        assert!(msg.contains("idled over a backlog"), "{msg}");
+
+        let stuck = [(0, enq), (0, deq), (100, enq)];
+        assert_eq!(service_violation(&stuck, TX_US - 1), None);
+        let msg = service_violation(&stuck, TX_US).expect("a waiter nobody will serve");
+        assert!(msg.contains("packets waiting at flush"), "{msg}");
+    }
+
+    /// Timer-driven sender for the tie tests. `SEND_THEN_ARM` puts one
+    /// packet on the idle link and *then* arms the burst timer one
+    /// serialization time ahead — the timer's key sorts after the
+    /// departure key the transmission reserved; `ARM_THEN_SEND` does it
+    /// the other way round, so the timer sorts before. `BURST + n` sends
+    /// `n` packets, at the instant the first one's serialization ends.
+    struct Script {
+        sink: (NodeId, AgentId),
+        burst: u64,
+        next_seq: u64,
+    }
+    const SEND_THEN_ARM: u64 = 0;
+    const ARM_THEN_SEND: u64 = 1;
+    const BURST: u64 = 2;
+
+    impl crate::sim::Agent for Script {
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut crate::sim::Ctx<'_>) {}
+        fn on_timer(&mut self, t: crate::TimerToken, ctx: &mut crate::sim::Ctx<'_>) {
+            let tx = crate::time::SimDuration::from_micros(TX_US);
+            let mut send = |ctx: &mut crate::sim::Ctx<'_>| {
+                let mut p = pkt(1000);
+                (p.dst_node, p.dst_agent) = self.sink;
+                p.payload = Payload::Data {
+                    seq: self.next_seq,
+                    retransmit: false,
+                };
+                self.next_seq += 1;
+                ctx.send(p);
+            };
+            match t.0 {
+                SEND_THEN_ARM => {
+                    send(ctx);
+                    ctx.schedule(tx, crate::TimerToken(BURST));
+                }
+                ARM_THEN_SEND => {
+                    ctx.schedule(tx, crate::TimerToken(BURST));
+                    send(ctx);
+                }
+                _ => (0..self.burst).for_each(|_| send(ctx)),
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Arrival instants, µs.
+    #[derive(Default)]
+    struct Sink(Vec<u64>);
+
+    impl crate::sim::Agent for Sink {
+        fn on_packet(&mut self, _pkt: Packet, ctx: &mut crate::sim::Ctx<'_>) {
+            self.0.push(ctx.now().as_nanos() / 1_000);
+        }
+        fn on_timer(&mut self, _t: crate::TimerToken, _ctx: &mut crate::sim::Ctx<'_>) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Run one tie scenario on a 10 Mbps, 1 ms two-node link with a
+    /// DropTail of `cap`: (arrival µs at the sink, departures fired,
+    /// departures elided, overflow drops).
+    fn tie_run(order: u64, burst: u64, cap: usize) -> (Vec<u64>, u64, u64, u64) {
+        assert!(enabled(), "the link-service ledger must ride along");
+        let mut sim = crate::sim::Simulator::new(3);
+        let (a, b) = (sim.add_node(), sim.add_node());
+        sim.add_duplex_link(
+            a,
+            b,
+            10_000_000,
+            crate::time::SimDuration::from_millis(1),
+            |_| Box::new(DropTail::new(cap)),
+        );
+        sim.compute_routes();
+        let sink = sim.add_agent(b, Box::new(Sink::default()));
+        let script = Script {
+            sink: (b, sink),
+            burst,
+            next_seq: 0,
+        };
+        let sender = sim.add_agent(a, Box::new(script));
+        sim.schedule_agent_timer(SimTime::ZERO, sender, crate::TimerToken(order));
+        sim.run_until(SimTime::from_millis(10));
+        sim.flush_measurements();
+        let c = sim.counters();
+        (
+            sim.agent::<Sink>(sink).0.clone(),
+            sim.event_class_counts()[1],
+            c.departures_elided,
+            c.dropped_overflow,
+        )
+    }
+
+    /// A packet offered at `now == free_at` by an event that sorts *after*
+    /// the reserved departure finds the link idle: no departure ever
+    /// fires. Offered by one that sorts *before* it, it queues and the
+    /// departure is armed at the current instant. Either way it leaves at
+    /// 800 µs, exactly as with an always-scheduled departure.
+    #[test]
+    fn tie_at_free_at_follows_the_reserved_key() {
+        let arrivals = vec![TX_US + 1000, 2 * TX_US + 1000];
+        assert_eq!(tie_run(SEND_THEN_ARM, 1, 8), (arrivals.clone(), 0, 2, 0));
+        assert_eq!(tie_run(ARM_THEN_SEND, 1, 8), (arrivals, 1, 1, 0));
+    }
+
+    /// Two packets offered at `now == free_at` must see queue lengths 0
+    /// and 1 in that order if the departure has not fired (a DropTail of
+    /// one drops the second), and an idle link then length 0 if it has
+    /// (both get through) — `now >= free_at` alone cannot tell the two
+    /// apart.
+    #[test]
+    fn same_instant_pair_sees_the_backlog_the_pop_order_implies() {
+        let (arrivals, fired, elided, drops) = tie_run(ARM_THEN_SEND, 2, 1);
+        assert_eq!(arrivals, [TX_US + 1000, 2 * TX_US + 1000]);
+        assert_eq!((fired, elided, drops), (1, 1, 1));
+
+        let (arrivals, fired, elided, drops) = tie_run(SEND_THEN_ARM, 2, 1);
+        assert_eq!(arrivals, [TX_US + 1000, 2 * TX_US + 1000, 3 * TX_US + 1000]);
+        assert_eq!((fired, elided, drops), (1, 2, 0));
     }
 
     #[test]

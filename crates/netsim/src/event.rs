@@ -40,6 +40,15 @@
 //! [`EventQueue::schedule`]; cancellation is lazy (a tombstone), so it is
 //! O(1) and never perturbs the order of surviving events.
 //!
+//! A key can also be **reserved** without an event behind it
+//! ([`EventQueue::reserve`]): the caller holds the `(schedule time,
+//! sequence)` a [`EventQueue::schedule`] call at that point would have
+//! stamped, and may later insert an event under exactly that key
+//! ([`EventQueue::schedule_reserved`]) — or never. Either way every other
+//! event keeps the key it would have had, so deleting a no-op event from
+//! the stream (a link departure nobody waits for) leaves the surviving
+//! pop order untouched.
+//!
 //! When the `audit` feature is compiled in and the runtime audit flag is
 //! up, every wheel-backed queue carries a **shadow heap** that mirrors the
 //! schedule/cancel stream and independently re-derives each pop's
@@ -191,6 +200,38 @@ impl Event {
     fn key(&self) -> (SimTime, SimTime, u64, u64) {
         (self.at, self.sched, self.tie, self.seq)
     }
+
+    /// The part of the key that orders events firing at the same instant.
+    #[inline]
+    pub fn tie_key(&self) -> TieKey {
+        (self.sched, self.tie, self.seq)
+    }
+}
+
+/// `(schedule time, content tie, insertion sequence)`: what orders two
+/// events that fire at the same instant.
+pub type TieKey = (SimTime, u64, u64);
+
+/// A [`TieKey`] that sorts after every event's.
+pub const TIE_KEY_MAX: TieKey = (SimTime::MAX, u64::MAX, u64::MAX);
+
+/// A calendar key held for an event that is not (yet) in the calendar:
+/// the schedule time and sequence number [`EventQueue::schedule`] would
+/// have stamped where [`EventQueue::reserve`] was called.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reservation {
+    sched: SimTime,
+    seq: u64,
+}
+
+impl Reservation {
+    /// Where an event inserted under this reservation sorts among events
+    /// firing at the same instant (reserved keys carry a zero content tie,
+    /// like every non-arrival event).
+    #[inline]
+    pub fn tie_key(&self) -> TieKey {
+        (self.sched, 0, self.seq)
+    }
 }
 
 impl PartialEq for Event {
@@ -290,9 +331,8 @@ impl Wheel {
     }
 
     /// Where node `idx` sorts within a level-0 slot.
-    fn order(&self, idx: u32) -> (SimTime, u64, u64) {
-        let ev = &self.nodes[idx as usize].ev;
-        (ev.sched, ev.tie, ev.seq)
+    fn order(&self, idx: u32) -> TieKey {
+        self.nodes[idx as usize].ev.tie_key()
     }
 
     /// Mark a slot whose list was just taken or drained as empty.
@@ -619,27 +659,85 @@ impl EventQueue {
         tie: u64,
         kind: EventKind,
     ) -> EventId {
-        assert!(
-            at >= self.watermark,
-            "scheduling into the past: {at:?} < {:?}",
-            self.watermark
-        );
-        debug_assert!(
-            sched <= at,
-            "schedule time after firing time: {sched:?} > {at:?}"
-        );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event {
+        self.insert(Event {
             at,
             sched,
             tie,
             seq,
             kind,
-        };
+        });
+        EventId(seq)
+    }
+
+    /// Take the key a [`EventQueue::schedule`] call would stamp right now
+    /// — `(sched = watermark, seq = next)` — without scheduling anything.
+    /// Every later event gets the sequence number it would have had if
+    /// the event had been scheduled here.
+    pub fn reserve(&mut self) -> Reservation {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Reservation {
+            sched: self.watermark,
+            seq,
+        }
+    }
+
+    /// Schedule `kind` at `at` under a key taken earlier by
+    /// [`EventQueue::reserve`] (once per reservation): it pops exactly
+    /// where an event scheduled at the reservation point would — in
+    /// particular *before* events already pending at `at` with a later
+    /// key, including when `at` is the current instant.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the causality watermark.
+    pub fn schedule_reserved(&mut self, at: SimTime, key: Reservation, kind: EventKind) {
+        debug_assert!(key.seq < self.next_seq, "reservation from another queue");
+        self.insert(Event {
+            at,
+            sched: key.sched,
+            tie: 0,
+            seq: key.seq,
+            kind,
+        });
+    }
+
+    /// Put an event taken out by [`EventQueue::drain_all`] back under its
+    /// own key: into the queue it came from (the split's rollback) or into
+    /// a [`EventQueue::fork`] of it (a shard calendar).
+    pub(crate) fn adopt(&mut self, ev: Event) {
+        debug_assert!(ev.seq < self.next_seq, "adopted event from another queue");
+        self.insert(ev);
+    }
+
+    /// An empty queue on the process-default backend that continues this
+    /// queue's sequence numbers: events adopted from this queue, the
+    /// [`EventId`]s and [`Reservation`]s issued by it, and everything the
+    /// fork schedules later all stay distinct.
+    pub(crate) fn fork(&self) -> EventQueue {
+        let mut q = EventQueue::new();
+        q.next_seq = self.next_seq;
+        q
+    }
+
+    /// Insert a fully keyed event (mirrored into the audit shadow).
+    fn insert(&mut self, ev: Event) {
+        assert!(
+            ev.at >= self.watermark,
+            "scheduling into the past: {:?} < {:?}",
+            ev.at,
+            self.watermark
+        );
+        debug_assert!(
+            ev.sched <= ev.at,
+            "schedule time after firing time: {:?} > {:?}",
+            ev.sched,
+            ev.at
+        );
         #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
-            s.push(at, sched, tie, seq);
+            s.push(ev.at, ev.sched, ev.tie, ev.seq);
         }
         self.live += 1;
         match &mut self.front {
@@ -658,14 +756,13 @@ impl EventQueue {
                 // held directly and never enters the backend — the common
                 // shape for a busy link scheduling its next back-to-back
                 // serialization.
-                if at.as_nanos() < self.backend_min_bound() {
+                if ev.at.as_nanos() < self.backend_min_bound() {
                     self.front = Some(ev);
                 } else {
                     self.backend_insert(ev);
                 }
             }
         }
-        EventId(seq)
     }
 
     /// Cancel a pending event. O(1): a tombstone is recorded and the
@@ -786,51 +883,35 @@ impl EventQueue {
         self.pop_before(SimTime::MAX)
     }
 
-    /// Pop the maximal consecutive run of events sharing the next event's
-    /// timestamp *and* event class into `batch` (cleared first), in exact
-    /// `(time, sched, tie, seq)` order. Returns the number popped (0 when
-    /// nothing fires by `until`).
+    /// Pop the next event if it continues a run: it fires at `at` (the
+    /// instant of the event popped last) and is of class `class`.
     ///
     /// This is what lets the dispatch loop match on the event class once
-    /// per batch instead of once per event. Only a *consecutive prefix*
-    /// run is taken — a same-time event of another class ends the batch
-    /// and stays pending — so concatenating successive batches reproduces
-    /// the unbatched pop stream byte for byte, and the shadow oracle
-    /// (which verifies each pop individually) is none the wiser.
+    /// per run instead of once per event. Only the very next event in
+    /// `(time, sched, tie, seq)` order is considered — a same-time event of
+    /// another class ends the run and stays pending — and it is looked for
+    /// only when asked, i.e. after the previous handler returned: a handler
+    /// may insert a reserved-key event at `at` that sorts *before* events
+    /// already pending there, and nothing may have been popped past it.
     ///
-    /// Unlike [`EventQueue::peek_time`], probing for the batch's
-    /// continuation never raises the causality watermark past the batch
-    /// instant: handlers of batched events may still schedule at that
-    /// instant (the new events land after the batch in FIFO order,
-    /// exactly as they would mid-stream without batching).
-    pub fn pop_batch_before(&mut self, until: SimTime, batch: &mut Vec<Event>) -> usize {
-        batch.clear();
-        let Some(first) = self.pop_before(until) else {
-            return 0;
-        };
-        let at = first.at;
-        let class = first.kind.class();
-        batch.push(first);
-        loop {
-            if self.front.is_none() {
-                if self.live == 0 {
-                    break;
-                }
-                // Bounded pull: the backend never drains (nor, on the
-                // wheel, cascades) past `at`, which equals the watermark,
-                // so this probe cannot move either. An event pulled in
-                // but not taken simply waits in the front slot.
-                self.front = self.backend_pop_before(at);
+    /// Unlike [`EventQueue::peek_time`], the probe never raises the
+    /// causality watermark past `at`: handlers of later events in the run
+    /// may still schedule at that instant.
+    pub fn pop_next_in_run(&mut self, at: SimTime, class: usize) -> Option<Event> {
+        if self.front.is_none() {
+            if self.live == 0 {
+                return None;
             }
-            match &self.front {
-                Some(f) if f.at == at && f.kind.class() == class => {
-                    let ev = self.pop_before(at).expect("front event vanished");
-                    batch.push(ev);
-                }
-                _ => break,
-            }
+            // Bounded pull: the backend never drains (nor, on the wheel,
+            // cascades) past `at`, which equals the watermark, so this
+            // probe cannot move either. An event pulled in but not taken
+            // simply waits in the front slot.
+            self.front = self.backend_pop_before(at);
         }
-        batch.len()
+        match &self.front {
+            Some(f) if f.at == at && f.kind.class() == class => self.pop_before(at),
+            _ => None,
+        }
     }
 
     /// The firing time of the next event, if any.
@@ -857,10 +938,11 @@ impl EventQueue {
 
     /// Remove **every** pending event in `(time, sched, tie, seq)` order,
     /// without advancing the causality watermark and without consulting
-    /// the shadow oracle. The shard-split path migrates each drained
-    /// event into a shard-local queue, where its eventual pop is verified
-    /// (once) against that queue's own shadow — so audit check totals
-    /// stay identical at any shard count. The shadow's accumulated check
+    /// the shadow oracle. The shard-split path moves each drained event,
+    /// key and all, into a shard-local [`EventQueue::fork`]
+    /// ([`EventQueue::adopt`]), where its eventual pop is verified (once)
+    /// against that queue's own shadow — so audit check totals stay
+    /// identical at any shard count. The shadow's accumulated check
     /// count is preserved (it is flushed by `Drop`); its mirrored pending
     /// set and the tombstone set are cleared alongside the events.
     pub(crate) fn drain_all(&mut self) -> Vec<Event> {
@@ -1154,6 +1236,18 @@ mod tests {
         assert_eq!(EventQueue::new().calendar(), CalendarKind::Wheel);
     }
 
+    /// One dispatch run as the simulator's loop takes it: the next event
+    /// due by `until`, then every event that continues its run.
+    fn pop_run(q: &mut EventQueue, until: SimTime) -> Vec<Event> {
+        let mut run: Vec<Event> = q.pop_before(until).into_iter().collect();
+        if let Some(first) = run.first().copied() {
+            while let Some(ev) = q.pop_next_in_run(first.at, first.kind.class()) {
+                run.push(ev);
+            }
+        }
+        run
+    }
+
     #[test]
     fn batches_group_consecutive_same_time_same_class_runs() {
         for mut q in both() {
@@ -1167,23 +1261,20 @@ mod tests {
             q.schedule(t(10), timer());
             q.schedule(t(10), ctrl(2));
             q.schedule(t(20), ctrl(3));
-            let mut batch = Vec::new();
-            // The two leading controls at t=10 batch together…
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 2);
-            assert!(batch.iter().all(|e| e.at == t(10)));
-            assert_eq!(
-                batch.iter().map(|e| e.seq()).collect::<Vec<_>>(),
-                vec![0, 1]
-            );
+            // The two leading controls at t=10 run together…
+            let run = pop_run(&mut q, SimTime::MAX);
+            assert!(run.iter().all(|e| e.at == t(10)));
+            assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![0, 1]);
             // …the interleaved timer pops alone (it broke the class run)…
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 1);
-            assert_eq!(batch[0].kind.class(), 2);
+            let run = pop_run(&mut q, SimTime::MAX);
+            assert_eq!(run.len(), 1);
+            assert_eq!(run[0].kind.class(), 2);
             // …the trailing control does NOT rejoin the earlier run…
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 1);
-            assert_eq!(batch[0].seq(), 3);
-            // …and the t=20 event was never dragged into a t=10 batch.
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 1);
-            assert_eq!(batch[0].at, t(20));
+            let run = pop_run(&mut q, SimTime::MAX);
+            assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![3]);
+            // …and the t=20 event was never dragged into a t=10 run.
+            let run = pop_run(&mut q, SimTime::MAX);
+            assert_eq!(run.iter().map(|e| e.at).collect::<Vec<_>>(), vec![t(20)]);
             assert!(q.is_empty());
         }
     }
@@ -1194,30 +1285,47 @@ mod tests {
             q.schedule(SimTime::from_nanos(10), ctrl(0));
             q.schedule(SimTime::from_nanos(10), ctrl(1));
             q.schedule(SimTime::from_nanos(50), ctrl(9));
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 2);
-            // A handler of a batched event scheduling at the batch instant
-            // must not hit the causality assert (peek_time would have
-            // raised the watermark to 50 here), and its event fires after
-            // the batch — identical to the unbatched order.
+            assert_eq!(pop_run(&mut q, SimTime::MAX).len(), 2);
+            // The probe that ended the run pulled the t=50 event forward; a
+            // handler scheduling at the run's instant must still not hit
+            // the causality assert (peek_time would have raised the
+            // watermark to 50 here), and its event fires next.
             q.schedule(SimTime::from_nanos(10), ctrl(2));
             assert_eq!(codes(&mut q), vec![2, 9]);
         }
     }
 
-    /// The concatenation of batched pops is byte-identical to the
-    /// unbatched pop stream, across backends, under dense churn.
+    /// A reservation consumes a sequence number and nothing else: the
+    /// events around it keep the keys they would have had, whether or not
+    /// it is ever scheduled.
+    #[test]
+    fn reservations_keep_every_other_key() {
+        for mut q in both() {
+            let t = SimTime::from_nanos;
+            q.schedule(t(5), ctrl(0));
+            let unused = q.reserve();
+            let used = q.reserve();
+            q.schedule(t(5), ctrl(3));
+            assert_eq!(q.len(), 2);
+            q.schedule_reserved(t(5), used, ctrl(2));
+            assert_eq!(unused.tie_key(), (SimTime::ZERO, 0, 1));
+            let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq()).collect();
+            assert_eq!(seqs, vec![0, 2, 3]);
+        }
+    }
+
+    /// The concatenation of dispatch runs is byte-identical to the plain
+    /// pop stream, across backends, under dense churn.
     #[test]
     fn batched_stream_equals_unbatched_stream_under_churn() {
         let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
         let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
         let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
         let mut watermark = 0u64;
-        let mut batch = Vec::new();
         for round in 0..200 {
             for _ in 0..(rnd() % 8) {
                 // Coarse times force same-timestamp collisions; alternate
-                // classes so batches actually split.
+                // classes so runs actually split.
                 let at = watermark + (rnd() % 40) * 10;
                 let kind = if rnd().is_multiple_of(2) {
                     ctrl(round)
@@ -1232,12 +1340,12 @@ mod tests {
             }
             let until = SimTime::from_nanos(watermark + rnd() % 300);
             loop {
-                let n = wheel.pop_batch_before(until, &mut batch);
-                if n == 0 {
+                let run = pop_run(&mut wheel, until);
+                if run.is_empty() {
                     assert!(heap.pop_before(until).is_none(), "heap had more events");
                     break;
                 }
-                for ev in batch.drain(..) {
+                for ev in run {
                     let other = heap.pop_before(until).expect("heap ran dry");
                     assert_eq!((ev.at, ev.seq()), (other.at, other.seq()));
                     assert_eq!(ev.kind.class(), other.kind.class());

@@ -3,10 +3,25 @@
 //! A link connects two nodes with a fixed capacity (bits/second) and a
 //! fixed propagation delay, and owns a [`QueueDiscipline`] that buffers
 //! packets awaiting transmission. The link transmits one packet at a time:
-//! when a packet finishes serializing (a `Departure` event), it starts
-//! propagating (arriving at the far end `delay` later) and the next queued
-//! packet begins serialization.
+//! when a packet finishes serializing, the next queued packet begins
+//! serialization (the packet itself arrives at the far end `delay` later).
+//!
+//! # Lazy departures
+//!
+//! The end of a serialization is a `Departure` event, but most of them
+//! would pop, find the queue empty and do nothing. So a transmission only
+//! *reserves* its departure's calendar key ([`EventQueue::reserve`]) and
+//! notes when the link falls free; the event enters the calendar
+//! ([`Link::arm`]) when a packet actually queues up behind the one in
+//! service. A packet offered to a link whose departure was never armed
+//! decides for itself whether that departure would already have fired
+//! ([`Link::idle_for`]) — by the full pop order, not by time alone, so the
+//! events that do fire are exactly those of an always-scheduled departure
+//! with the no-ops deleted.
+//!
+//! [`EventQueue::reserve`]: crate::event::EventQueue::reserve
 
+use crate::event::{Reservation, TieKey};
 use crate::ids::{LinkId, NodeId};
 use crate::queue::QueueDiscipline;
 use crate::time::{SimDuration, SimTime};
@@ -25,8 +40,14 @@ pub struct Link {
     pub delay: SimDuration,
     /// Buffer management discipline.
     pub queue: Box<dyn QueueDiscipline>,
-    /// True while a packet is being serialized.
-    pub(crate) busy: bool,
+    /// When the packet in service finishes serializing (meaningful while
+    /// `departure` is `Some`).
+    free_at: SimTime,
+    /// Key of the departure that ends the current serialization; `None`
+    /// once that departure has fired or was seen to be a no-op.
+    departure: Option<Reservation>,
+    /// The reserved departure is in the calendar.
+    armed: bool,
     /// Bits fully serialized since the last measurement-window reset;
     /// `delivered_bits / (capacity × window)` is the link utilization.
     pub delivered_bits: u64,
@@ -51,10 +72,64 @@ impl Link {
             capacity_bps,
             delay,
             queue,
-            busy: false,
+            free_at: SimTime::ZERO,
+            departure: None,
+            armed: false,
             delivered_bits: 0,
             delivered_pkts: 0,
         }
+    }
+
+    /// Would an always-scheduled departure have freed the link for a
+    /// packet offered at `now` by the event whose tie key is `cur`
+    /// ([`crate::event::TIE_KEY_MAX`] outside the event loop)?
+    ///
+    /// An armed departure frees the link when it pops, not before. An
+    /// unarmed one has "fired" iff its reserved key sorts before the
+    /// event being dispatched — at `now == free_at` that is the `(sched,
+    /// tie, seq)` comparison, because round serialization times make such
+    /// ties routine and `now >= free_at` alone would show the queue a
+    /// different backlog than the eager schedule did.
+    #[inline]
+    pub(crate) fn idle_for(&self, now: SimTime, cur: TieKey) -> bool {
+        match self.departure {
+            None => true,
+            Some(key) => !self.armed && (self.free_at, key.tie_key()) < (now, cur),
+        }
+    }
+
+    /// A packet entered service until `free_at`; `departure` is the key
+    /// its departure event will carry if anyone ever needs it.
+    #[inline]
+    pub(crate) fn begin_service(&mut self, free_at: SimTime, departure: Reservation) {
+        debug_assert!(
+            self.departure.is_none(),
+            "link {} is already serving",
+            self.id
+        );
+        self.free_at = free_at;
+        self.departure = Some(departure);
+        self.armed = false;
+    }
+
+    /// The current service is over (its departure popped, or
+    /// [`Link::idle_for`] said it would have). Returns `true` when that
+    /// departure never entered the calendar — an elided event.
+    #[inline]
+    pub(crate) fn end_service(&mut self) -> bool {
+        let elided = self.departure.take().is_some() && !self.armed;
+        self.armed = false;
+        elided
+    }
+
+    /// A packet is waiting behind the one in service: hand out the
+    /// reserved departure (firing time and key) for insertion into the
+    /// calendar, once.
+    #[inline]
+    pub(crate) fn arm(&mut self) -> Option<(SimTime, Reservation)> {
+        let key = self.departure.filter(|_| !self.armed)?;
+        self.armed = true;
+        Some((self.free_at, key))
     }
 
     /// Utilization over a window of `span`: delivered bits divided by the
@@ -92,7 +167,9 @@ impl std::fmt::Debug for Link {
             .field("capacity_bps", &self.capacity_bps)
             .field("delay", &self.delay)
             .field("queue", &self.queue.name())
-            .field("busy", &self.busy)
+            .field("free_at", &self.free_at)
+            .field("departure", &self.departure)
+            .field("armed", &self.armed)
             .finish()
     }
 }
@@ -117,6 +194,58 @@ mod tests {
         l.reset_measurement(SimTime::ZERO);
         assert_eq!(l.delivered_bits, 0);
         assert_eq!(l.utilization_percent(SimDuration::from_secs(1)), 0.0);
+    }
+
+    /// The idle/busy decision as a function of `(now, current key)`: time
+    /// decides away from `free_at`, the reserved key against the
+    /// dispatching event's `(sched, tie, seq)` decides at it, and an armed
+    /// departure keeps the link busy until it pops.
+    #[test]
+    fn idle_decision_follows_the_pop_order() {
+        use crate::event::{EventQueue, TIE_KEY_MAX};
+        let t = SimTime::from_nanos;
+        let mut q = EventQueue::new();
+        let mut l = Link::new(
+            LinkId(0),
+            NodeId(0),
+            NodeId(1),
+            10_000_000,
+            SimDuration::ZERO,
+            Box::new(DropTail::new(10)),
+        );
+        // Never served: idle for anyone, even the very first key at t = 0.
+        assert!(l.idle_for(t(0), (t(0), 0, 0)));
+        assert!(!l.end_service(), "nothing to elide on a fresh link");
+
+        q.reserve(); // seq 0: an event scheduled before the transmission
+        let key = q.reserve(); // (sched 0, seq 1)
+        l.begin_service(t(800), key);
+        assert!(!l.idle_for(t(799), TIE_KEY_MAX), "still serializing");
+        assert!(l.idle_for(t(801), (t(0), 0, 0)), "long gone");
+        // now == free_at: whoever sorts after the reserved (0, 0, 1) finds
+        // the departure fired, whoever sorts before it does not.
+        assert!(!l.idle_for(t(800), (t(0), 0, 0)), "scheduled earlier");
+        assert!(!l.idle_for(t(800), key.tie_key()), "the departure itself");
+        assert!(l.idle_for(t(800), (t(0), 0, 2)), "scheduled later");
+        assert!(l.idle_for(t(800), (t(0), 7, 0)), "arrival: content tie");
+        assert!(l.idle_for(t(800), (t(5), 0, 0)), "later schedule time");
+        assert!(l.idle_for(t(800), TIE_KEY_MAX), "outside the event loop");
+
+        // Seen idle without ever being armed: one elided departure.
+        assert!(l.end_service());
+        assert!(l.idle_for(t(0), (t(0), 0, 0)));
+
+        // Armed: busy until the departure pops, whatever the clock says;
+        // the key is handed out once, and popping it elides nothing.
+        let key = q.reserve();
+        l.begin_service(t(1600), key);
+        assert_eq!(l.arm(), Some((t(1600), key)));
+        assert_eq!(l.arm(), None);
+        assert!(!l.idle_for(t(1600), TIE_KEY_MAX));
+        assert!(!l.idle_for(t(9999), TIE_KEY_MAX));
+        assert!(!l.end_service());
+        assert!(l.idle_for(t(1600), (t(0), 0, 0)));
+        assert_eq!(l.arm(), None, "nothing in service, nothing to arm");
     }
 
     #[test]

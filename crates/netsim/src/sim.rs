@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use crate::arena::{PacketArena, PacketRef};
 #[cfg(feature = "audit")]
 use crate::audit::{AuditCtx, AuditHook, ConservationAuditor, EnqueueKind, QueueOp};
-use crate::event::{Event, EventId, EventKind, EventQueue, TimerToken};
+use crate::event::{Event, EventId, EventKind, EventQueue, TieKey, TimerToken, TIE_KEY_MAX};
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::{compute_routes, Node};
@@ -247,7 +247,7 @@ impl QueueOpCost {
 }
 
 /// Cost-attribution timing sample rate: 1 in this many queue ops /
-/// dispatch batches gets the two `Instant::now` reads (power of two, so
+/// dispatch runs gets the two `Instant::now` reads (power of two, so
 /// the selector is a mask). Counts stay exact either way; only the
 /// wall-clock spans are estimates, and they are profiling output exempt
 /// from the determinism contract.
@@ -273,12 +273,21 @@ pub struct SimCounters {
     pub dropped_overflow: u64,
     /// Packets dropped early by an AQM decision.
     pub dropped_early: u64,
+    /// Link departures never scheduled because no packet was waiting (see
+    /// [`crate::link`]); counted when the link is next seen idle, or at the
+    /// end of [`Simulator::run_until`]. Lifetime, not windowed: added to
+    /// [`Simulator::events_processed`] it gives the always-scheduled count.
+    pub departures_elided: u64,
 }
 
 /// The discrete-event network simulator.
 pub struct Simulator {
     now: SimTime,
     events: EventQueue,
+    /// Tie key of the event being dispatched ([`TIE_KEY_MAX`] outside
+    /// [`Simulator::run_until`]): what a lazily scheduled link departure
+    /// is ordered against at `now == free_at`.
+    cur_key: TieKey,
     /// In-flight packets, interned once at first enqueue and addressed by
     /// [`PacketRef`] everywhere downstream (queues, Arrival events). Slot
     /// assignment is a pure function of the deterministic event stream.
@@ -315,15 +324,15 @@ pub struct Simulator {
     /// Wall-clock nanoseconds spent handling events, by class
     /// (accumulated only when `tel_on`; profiling, exempt from the
     /// determinism contract). Sampled: every [`TEL_SAMPLE`]-th dispatch
-    /// batch of a class is timed, and the flush scales by the fraction of
-    /// the class's events that fell in timed batches.
+    /// run of a class is timed, and the flush scales by the fraction of
+    /// the class's events that fell in timed runs.
     #[cfg(feature = "telemetry")]
     ev_ns: [u64; EventKind::CLASSES],
-    /// Dispatch batches seen per class (the sampling selector).
+    /// Dispatch runs seen per class (the sampling selector).
     #[cfg(feature = "telemetry")]
     ev_batches: [u64; EventKind::CLASSES],
-    /// Events that fell inside *timed* batches, per class (the scaling
-    /// denominator — event-weighted so variable batch sizes don't skew
+    /// Events dispatched inside *timed* runs, per class (the scaling
+    /// denominator — event-weighted so variable run lengths don't skew
     /// the estimate).
     #[cfg(feature = "telemetry")]
     ev_timed: [u64; EventKind::CLASSES],
@@ -350,6 +359,7 @@ impl Simulator {
         Simulator {
             now: SimTime::ZERO,
             events: EventQueue::new(),
+            cur_key: TIE_KEY_MAX,
             arena: PacketArena::new(),
             nodes: Vec::new(),
             links: Vec::new(),
@@ -430,9 +440,9 @@ impl Simulator {
         let Simulator {
             links, audit_hooks, ..
         } = self;
-        let queue = links[link_id.index()].queue.as_ref();
+        let link = &links[link_id.index()];
         for hook in audit_hooks.iter_mut() {
-            hook.on_queue_op(link_id, &op, queue, &ctx);
+            hook.on_queue_op(link, &op, &ctx);
         }
     }
 
@@ -740,7 +750,10 @@ impl Simulator {
             link.reset_measurement(now);
         }
         self.trace.clear();
-        self.counters = SimCounters::default();
+        self.counters = SimCounters {
+            departures_elided: self.counters.departures_elided,
+            ..SimCounters::default()
+        };
         // Utilization windows restart with the measurement window, so
         // derived utilization covers the same interval as the link and
         // queue statistics (warm-up windows are discarded, not flushed).
@@ -878,13 +891,27 @@ impl Simulator {
                 return;
             }
         }
-        if !self.links[link_id.index()].busy {
+        let link = &mut self.links[link_id.index()];
+        if link.idle_for(now, self.cur_key) {
+            self.counters.departures_elided += u64::from(link.end_service());
             self.start_transmission(link_id);
+        } else {
+            self.arm_departure(link_id);
         }
     }
 
-    /// Pull the next packet from the queue (if any) and schedule its
-    /// departure after the serialization delay.
+    /// A packet now waits behind the one `link_id` is serializing: put the
+    /// reserved departure into the calendar unless it already is there.
+    fn arm_departure(&mut self, link_id: LinkId) {
+        if let Some((at, key)) = self.links[link_id.index()].arm() {
+            self.events
+                .schedule_reserved(at, key, EventKind::Departure { link: link_id });
+        }
+    }
+
+    /// Pull the next packet from the queue (if any), put it in service and
+    /// reserve its departure; the departure is scheduled only when a
+    /// packet is left waiting.
     fn start_transmission(&mut self, link_id: LinkId) {
         let now = self.now;
         #[cfg(feature = "telemetry")]
@@ -893,7 +920,6 @@ impl Simulator {
                 .ops
                 .is_multiple_of(TEL_SAMPLE))
         .then(std::time::Instant::now);
-        debug_assert!(!self.links[link_id.index()].busy);
         // The departing packet stays logically "on the wire": we dequeue
         // now (disciplines may reorder in principle, so its size must come
         // from the actual pop) and the Arrival event carries only the
@@ -919,14 +945,15 @@ impl Simulator {
         #[cfg(feature = "audit")]
         let size_bytes = self.arena[pkt].size_bytes;
         let link = &mut self.links[link_id.index()];
-        link.busy = true;
         let tx = transmission_delay(bits, link.capacity_bps);
+        link.begin_service(now + tx, self.events.reserve());
         link.delivered_bits += bits;
         link.delivered_pkts += 1;
         let arrive_at = now + tx + link.delay;
         let to = link.to;
-        self.events
-            .schedule(now + tx, EventKind::Departure { link: link_id });
+        if !link.queue.is_empty() {
+            self.arm_departure(link_id);
+        }
         // On shard-local simulators, an arrival node owned by another
         // shard diverts the packet to the outbox: it leaves this shard's
         // arena here and is re-interned by the destination shard when
@@ -1104,32 +1131,20 @@ impl Simulator {
         let mut prog_events: u64 = 0;
         #[cfg(feature = "telemetry")]
         let mut prog_since = self.now;
-        // Batched dispatch: the queue hands back maximal same-(time, class)
-        // runs, so the dispatch `match` below executes once per run instead
-        // of once per event. The buffer is hoisted and reused — steady
-        // state allocates nothing. Concatenating batches reproduces the
-        // unbatched pop stream exactly (see `EventQueue::pop_batch_before`).
-        let mut batch: Vec<Event> = Vec::new();
-        while self.events.pop_batch_before(until, &mut batch) > 0 {
-            let at = batch[0].at;
-            #[cfg(feature = "telemetry")]
-            let n = batch.len() as u64;
-            if at == stuck_at {
-                stuck_count += batch.len() as u64;
-                assert!(
-                    stuck_count < 10_000_000,
-                    "event storm: 10M events at t = {stuck_at:?} without progress \
-                     (last kind: {:?})",
-                    batch[0].kind
-                );
-            } else {
+        // Run dispatch: the `match` below executes once per maximal run of
+        // same-(time, class) events, not once per event; a run is extended
+        // one pop at a time, after each handler returned (see
+        // `EventQueue::pop_next_in_run`).
+        while let Some(first) = self.events.pop_before(until) {
+            let at = first.at;
+            if at != stuck_at {
                 stuck_at = at;
-                stuck_count = batch.len() as u64;
+                stuck_count = 0;
             }
             self.now = at;
-            let class = batch[0].kind.class();
-            // Wall-clock attribution is sampled 1-in-TEL_SAMPLE batches;
-            // `note_event` below keeps the per-event counts exact.
+            let class = first.kind.class();
+            // Wall-clock attribution is sampled 1-in-TEL_SAMPLE runs;
+            // `dispatch_run` keeps the per-event counts exact.
             #[cfg(feature = "telemetry")]
             let t0 = (self.tel_on && self.ev_batches[class].is_multiple_of(TEL_SAMPLE))
                 .then(std::time::Instant::now);
@@ -1137,38 +1152,37 @@ impl Simulator {
             if self.tel_on {
                 self.ev_batches[class] += 1;
             }
-            match batch[0].kind {
+            #[cfg(feature = "telemetry")]
+            let before = stuck_count;
+            match first.kind {
                 EventKind::Arrival { .. } => {
-                    for ev in batch.drain(..) {
-                        self.note_event(class);
-                        let EventKind::Arrival { node, packet } = ev.kind else {
-                            unreachable!("mixed-class batch");
+                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                        let EventKind::Arrival { node, packet } = kind else {
+                            unreachable!("mixed-class run");
                         };
-                        self.node_events[node.index()] += 1;
-                        self.on_arrival(node, packet);
-                    }
+                        sim.node_events[node.index()] += 1;
+                        sim.on_arrival(node, packet);
+                    })
                 }
                 EventKind::Departure { .. } => {
-                    for ev in batch.drain(..) {
-                        self.note_event(class);
-                        let EventKind::Departure { link } = ev.kind else {
-                            unreachable!("mixed-class batch");
+                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                        let EventKind::Departure { link } = kind else {
+                            unreachable!("mixed-class run");
                         };
-                        let (from, _) = self.link_endpoints[link.index()];
-                        self.node_events[from.index()] += 1;
-                        self.on_link_free(link);
-                    }
+                        let (from, _) = sim.link_endpoints[link.index()];
+                        sim.node_events[from.index()] += 1;
+                        sim.on_link_free(link);
+                    })
                 }
                 EventKind::Timer { .. } => {
-                    for ev in batch.drain(..) {
-                        self.note_event(class);
-                        let EventKind::Timer { agent, token } = ev.kind else {
-                            unreachable!("mixed-class batch");
+                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                        let EventKind::Timer { agent, token } = kind else {
+                            unreachable!("mixed-class run");
                         };
-                        let mut a = self.agents[agent.index()]
+                        let mut a = sim.agents[agent.index()]
                             .take()
                             .unwrap_or_else(|| panic!("timer for missing agent {agent}"));
-                        let node = self.agent_nodes[agent.index()];
+                        let node = sim.agent_nodes[agent.index()];
                         // Shared slab agents carry the sentinel home node;
                         // their per-flow timers name a node via the same
                         // routing hook the shard splitter uses.
@@ -1178,33 +1192,31 @@ impl Simulator {
                             Some(node)
                         };
                         if let Some(p) = profiled {
-                            self.node_events[p.index()] += 1;
+                            sim.node_events[p.index()] += 1;
                         }
-                        let mut ctx = Ctx {
-                            sim: self,
-                            agent,
-                            node,
-                        };
+                        let mut ctx = Ctx { sim, agent, node };
                         a.on_timer(token, &mut ctx);
-                        self.agents[agent.index()] = Some(a);
-                    }
+                        sim.agents[agent.index()] = Some(a);
+                    })
                 }
                 EventKind::Control { .. } => {
-                    for ev in batch.drain(..) {
-                        self.note_event(class);
-                        let EventKind::Control { code } = ev.kind else {
-                            unreachable!("mixed-class batch");
+                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                        let EventKind::Control { code } = kind else {
+                            unreachable!("mixed-class run");
                         };
                         // Queue ticks belong to their link's from-node;
                         // probes sample global state and stay unattributed.
                         if code & (0xffff_ffff << 32) == CTRL_QUEUE_TICK {
-                            let (from, _) = self.link_endpoints[(code & 0xffff_ffff) as usize];
-                            self.node_events[from.index()] += 1;
+                            let (from, _) = sim.link_endpoints[(code & 0xffff_ffff) as usize];
+                            sim.node_events[from.index()] += 1;
                         }
-                        self.on_control(code);
-                    }
+                        sim.on_control(code);
+                    })
                 }
             }
+            // Events actually dispatched in this run.
+            #[cfg(feature = "telemetry")]
+            let n = stuck_count - before;
             #[cfg(feature = "telemetry")]
             if let Some(t0) = t0 {
                 self.ev_ns[class] += t0.elapsed().as_nanos() as u64;
@@ -1230,27 +1242,55 @@ impl Simulator {
         if self.now < until {
             self.now = until;
         }
+        // Every departure due by now has fired, scheduled or not: count the
+        // elided ones here, not when (or whether) their links see a packet.
+        self.cur_key = TIE_KEY_MAX;
+        for link in &mut self.links {
+            if link.idle_for(self.now, TIE_KEY_MAX) {
+                self.counters.departures_elided += u64::from(link.end_service());
+            }
+        }
     }
 
-    /// Per-event bookkeeping, identical to the unbatched loop's: the event
-    /// counter increments *before* the audit hooks run so `event_index` in
-    /// reproducers keeps its historical meaning.
+    /// Dispatch `first`, then every event that follows it in the pop order
+    /// at the same instant with the same class, through `handle`; `storm`
+    /// counts the events dispatched since the clock last moved. Each
+    /// event's counters increment *before* the audit hooks run so
+    /// `event_index` in reproducers keeps its historical meaning.
     #[inline]
-    fn note_event(&mut self, class: usize) {
-        self.events_processed += 1;
-        self.ev_counts[class] += 1;
-        #[cfg(feature = "audit")]
-        if !self.audit_hooks.is_empty() {
-            let ctx = self.audit_ctx();
-            for hook in &mut self.audit_hooks {
-                hook.on_event(&ctx);
+    fn dispatch_run(
+        &mut self,
+        first: Event,
+        storm: &mut u64,
+        mut handle: impl FnMut(&mut Simulator, EventKind),
+    ) {
+        let (at, class) = (first.at, first.kind.class());
+        let mut next = Some(first);
+        while let Some(ev) = next {
+            *storm += 1;
+            assert!(
+                *storm < 10_000_000,
+                "event storm: 10M events at t = {at:?} without progress (last kind: {:?})",
+                ev.kind
+            );
+            self.cur_key = ev.tie_key();
+            self.events_processed += 1;
+            self.ev_counts[class] += 1;
+            #[cfg(feature = "audit")]
+            if !self.audit_hooks.is_empty() {
+                let ctx = self.audit_ctx();
+                for hook in &mut self.audit_hooks {
+                    hook.on_event(&ctx);
+                }
             }
+            handle(self, ev.kind);
+            next = self.events.pop_next_in_run(at, class);
         }
     }
 
     fn on_link_free(&mut self, link_id: LinkId) {
         let link = &mut self.links[link_id.index()];
-        link.busy = false;
+        link.end_service();
         if !link.queue.is_empty() {
             self.start_transmission(link_id);
         }
@@ -1388,7 +1428,7 @@ impl Simulator {
         }
         if let Some(err) = route_err {
             for ev in drained {
-                self.events.schedule_keyed(ev.at, ev.sched, ev.tie, ev.kind);
+                self.events.adopt(ev);
             }
             return Err(err);
         }
@@ -1476,19 +1516,20 @@ impl Simulator {
         let mut shard_hooks = shard_hooks.into_iter();
         let mut shards = Vec::with_capacity(n);
         for me in 0..n {
-            // Migrated events re-enter a fresh calendar in drained
-            // `(time, sched, tie, seq)` order with their original
-            // schedule times and ties preserved, so same-time tie order
-            // survives both the migration and any later tie against a
-            // cross-shard injection; the new queue's watermark starts at
-            // zero, below every migrated timestamp.
-            let mut events = EventQueue::new();
+            // Migrated events enter a fresh calendar under their own
+            // `(time, sched, tie, seq)` keys, and it goes on numbering
+            // where this one stopped: same-time tie order survives, the
+            // departure keys links reserved stay free, and pre-split
+            // `EventId`s still name their events. The new queue's watermark
+            // starts at zero, below every migrated timestamp.
+            let mut events = self.events.fork();
             for ev in shard_events.next().expect("one list per shard") {
-                events.schedule_keyed(ev.at, ev.sched, ev.tie, ev.kind);
+                events.adopt(ev);
             }
             shards.push(Simulator {
                 now: self.now,
                 events,
+                cur_key: TIE_KEY_MAX,
                 arena: self.arena.clone(),
                 nodes: self.nodes.clone(),
                 links: shard_links.next().expect("one list per shard"),
@@ -1582,6 +1623,7 @@ impl Simulator {
             self.counters.marked += shard.counters.marked;
             self.counters.dropped_overflow += shard.counters.dropped_overflow;
             self.counters.dropped_early += shard.counters.dropped_early;
+            self.counters.departures_elided += shard.counters.departures_elided;
             #[cfg(feature = "telemetry")]
             for c in 0..EventKind::CLASSES {
                 self.ev_ns[c] += shard.ev_ns[c];
@@ -1704,6 +1746,7 @@ impl Simulator {
         }
         use crate::telemetry::{self as tel, SeriesId};
         tel::counter_add("sim/events", self.events_processed);
+        tel::counter_add("sim/ev_departure_elided", self.counters.departures_elided);
         tel::counter_add("sim/timers_scheduled", self.counters.timers_scheduled);
         tel::counter_add("queue/enqueued", self.counters.enqueued);
         tel::counter_add("queue/marked", self.counters.marked);
@@ -1718,7 +1761,7 @@ impl Simulator {
         for (i, name) in EventKind::CLASS_NAMES.iter().enumerate() {
             tel::counter_add(&format!("sim/ev_{name}"), self.ev_counts[i]);
             // Scale the sampled wall-clock up to the full class: the timed
-            // batches covered `ev_timed[i]` of `ev_counts[i]` events.
+            // runs covered `ev_timed[i]` of `ev_counts[i]` events.
             let est_ns = if self.ev_timed[i] == 0 {
                 0
             } else {
@@ -1947,7 +1990,14 @@ mod tests {
 
         // End of warm-up: everything windowed must return to zero.
         sim.reset_measurements();
-        assert_eq!(sim.counters(), SimCounters::default());
+        assert_eq!(
+            sim.counters(),
+            SimCounters {
+                departures_elided: warm.departures_elided,
+                ..SimCounters::default()
+            },
+            "only the lifetime elision tally survives the reset"
+        );
         assert!(sim.trace.drops.is_empty());
         assert!(sim.trace.marks.is_empty());
         assert_eq!(sim.trace.marks_dropped, 0);
@@ -2082,7 +2132,7 @@ mod tests {
             assert_eq!(drained.iter().map(code).collect::<Vec<_>>(), in_order);
             assert!(q.is_empty());
             for ev in &drained {
-                q.schedule_keyed(ev.at, ev.sched, ev.tie, ev.kind);
+                q.adopt(*ev);
             }
             assert_eq!(q.len(), 5);
             let again: Vec<_> = std::iter::from_fn(|| q.pop()).collect();

@@ -1,8 +1,9 @@
 //! Calendar-equivalence property tests: the timing wheel and the binary
-//! heap must emit byte-identical `(time, seq, kind)` pop streams for any
-//! legal schedule, including simultaneous events, `SimTime::MAX` idle
-//! sentinels, cancellations, events scheduled while a pop loop is in
-//! flight, and every way the wheel's pooled nodes are freed and reused.
+//! heap must emit byte-identical `(time, sched, tie, seq, kind)` pop
+//! streams for any legal schedule, including simultaneous events,
+//! `SimTime::MAX` idle sentinels, cancellations, events scheduled while a
+//! pop loop is in flight, keys reserved early and scheduled late (or
+//! never), and every way the wheel's pooled nodes are freed and reused.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +53,10 @@ fn drive(ops: &[(u8, u64, u64)]) {
     let mut now = SimTime::ZERO;
     // insertion index -> (wheel id, heap id), removed on pop/cancel.
     let mut pending = BTreeMap::new();
+    // Mirrors both queues' next sequence number (schedules and reserves).
     let mut scheduled: u64 = 0;
+    // Keys reserved on (wheel, heap) and not yet scheduled.
+    let mut reserved = Vec::new();
 
     let schedule = |wheel: &mut EventQueue,
                     heap: &mut EventQueue,
@@ -76,8 +80,8 @@ fn drive(ops: &[(u8, u64, u64)]) {
             (None, None) => None,
             (Some(x), Some(y)) => {
                 prop_assert_eq!(
-                    (x.at, x.seq(), disc(&x.kind)),
-                    (y.at, y.seq(), disc(&y.kind)),
+                    (x.at, x.sched, x.tie, x.seq(), disc(&x.kind)),
+                    (y.at, y.sched, y.tie, y.seq(), disc(&y.kind)),
                     "wheel and heap popped different events"
                 );
                 pending.remove(&x.seq());
@@ -89,7 +93,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     };
 
     for &(sel, a, b) in ops {
-        match sel % 10 {
+        match sel % 12 {
             // Spread-out schedule: anywhere in the next millisecond.
             0 | 1 => {
                 let at = after(now, a % 1_000_000);
@@ -167,6 +171,24 @@ fn drive(ops: &[(u8, u64, u64)]) {
                     schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
                 }
             }
+            // Reserve the key a schedule would take here, on both queues.
+            10 => {
+                let (w, h) = (wheel.reserve(), heap.reserve());
+                prop_assert_eq!(w.tie_key(), h.tie_key());
+                reserved.push((w, h));
+                scheduled += 1;
+            }
+            // Schedule under a reserved key, at the current instant
+            // (`a % 3 == 0`: it may sort before events already pending
+            // there) or just after it.
+            11 => {
+                if !reserved.is_empty() {
+                    let (w, h) = reserved.swap_remove(b as usize % reserved.len());
+                    let at = after(now, a % 3);
+                    wheel.schedule_reserved(at, w, kind_for(b, w.tie_key().2));
+                    heap.schedule_reserved(at, h, kind_for(b, h.tie_key().2));
+                }
+            }
             // Peek must agree and may advance the causality watermark.
             _ => {
                 let (tw, th) = (wheel.peek_time(), heap.peek_time());
@@ -194,11 +216,11 @@ proptest! {
     /// Randomized op streams: wheel and heap pop identical
     /// `(time, seq, kind)` sequences under schedules, collisions,
     /// sentinels, cancellations, peeks, mid-drain schedules, full drains
-    /// followed by refills, and front-slot demotions.
+    /// followed by refills, front-slot demotions, and reserved keys.
     #[test]
     fn wheel_and_heap_pop_identical_streams(
         ops in proptest::collection::vec(
-            (0u8..10, 0u64..u64::MAX, 0u64..u64::MAX),
+            (0u8..12, 0u64..u64::MAX, 0u64..u64::MAX),
             1..120,
         ),
     ) {
@@ -217,6 +239,43 @@ proptest! {
             .map(|(i, &hi)| (2u8, if hi { 3 } else { 0 }, i as u64))
             .collect();
         drive(&ops);
+    }
+}
+
+/// A key reserved early and scheduled at the *current* instant — by the
+/// handler of the event just popped — pops where an event scheduled at
+/// the reservation point would have: before the later-keyed events
+/// already pending at that instant, on both backends, whether the next of
+/// them waits in the front slot or in the backend. That is why a dispatch
+/// run is extended one pop at a time (`pop_next_in_run`), after each
+/// handler, and never popped ahead.
+#[test]
+fn reserved_key_at_the_current_instant_precedes_later_keys() {
+    let at = SimTime::from_nanos;
+    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+        for peek_first in [false, true] {
+            let mut q = EventQueue::with_calendar(kind);
+            q.schedule(at(10), kind_for(1, 0));
+            let key = q.reserve();
+            q.schedule(at(10), kind_for(1, 2));
+            q.schedule(at(10), kind_for(1, 3));
+            q.schedule(at(11), kind_for(1, 4));
+            let first = q.pop().expect("due");
+            assert_eq!(first.seq(), 0);
+            if peek_first {
+                // Pull event 2 into the front slot; the insert demotes it.
+                assert_eq!(q.peek_time(), Some(at(10)));
+            }
+            q.schedule_reserved(at(10), key, kind_for(1, 1));
+            assert_eq!(q.len(), 4);
+            let next = q.pop_next_in_run(first.at, first.kind.class());
+            assert_eq!(next.map(|e| e.tie_key()), Some(key.tie_key()));
+            let order: Vec<_> = std::iter::from_fn(|| q.pop())
+                .map(|e| (e.at, e.seq()))
+                .collect();
+            let want = [(at(10), 2), (at(10), 3), (at(11), 4)];
+            assert_eq!(order, want, "{kind:?}, peeked: {peek_first}");
+        }
     }
 }
 

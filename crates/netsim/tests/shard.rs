@@ -192,13 +192,15 @@ fn build(topo: &Topo) -> (Simulator, Vec<AgentId>) {
     (sim, pingers)
 }
 
-/// Everything the runs must agree on.
+/// Everything the runs must agree on: events fired and link departures
+/// elided (no shard materialises or loses either across a split or a
+/// merge), per-agent progress, the drop trace.
 #[allow(clippy::type_complexity)]
 fn fingerprint(
     sim: &Simulator,
     events: u64,
     pingers: &[AgentId],
-) -> (u64, Vec<(u64, u64)>, Vec<(SimTime, FlowId)>) {
+) -> ((u64, u64), Vec<(u64, u64)>, Vec<(SimTime, FlowId)>) {
     let progress = pingers
         .iter()
         .map(|&id| {
@@ -207,7 +209,75 @@ fn fingerprint(
         })
         .collect();
     let drops = sim.trace.drops.iter().map(|d| (d.at, d.flow)).collect();
-    (events, progress, drops)
+    let elided = sim.counters().departures_elided;
+    ((events, elided), progress, drops)
+}
+
+/// Records the timers that fire on it; the trigger timer cancels
+/// `victim` through the id it was given before the split.
+struct Canceller {
+    victim: Option<netsim::EventId>,
+    cancelled: Option<bool>,
+    fired: Vec<u64>,
+}
+
+const TRIGGER: u64 = 3;
+
+impl Agent for Canceller {
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+    fn on_timer(&mut self, t: TimerToken, ctx: &mut Ctx<'_>) {
+        self.fired.push(t.0);
+        if t.0 == TRIGGER {
+            let victim = self.victim.take().expect("one trigger");
+            self.cancelled = Some(ctx.cancel_timer(victim));
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// An `EventId` is the event's sequence number, and shard calendars keep
+/// the sequence numbers of the events they adopt: a timer armed before
+/// the split is cancelled through its old id on the shard that owns it.
+/// (Shard calendars used to number adopted events from zero, so the old
+/// id named nothing there, or an unrelated event.)
+#[test]
+fn event_ids_survive_the_split() {
+    let topo = Topo {
+        segment_delays_ms: vec![5],
+        hosts: vec![(0, 2, 0), (1, 2, 0)],
+    };
+    let (mut sim, pingers) = build(&topo);
+    // Let the ping-pong use up sequence numbers first, so the timers' ids
+    // are not the ranks they will have on their shard.
+    sim.run_until(SimTime::from_millis(40));
+    let host = sim.num_nodes() - 1;
+    let agent = sim.add_agent(
+        NodeId(host),
+        Box::new(Canceller {
+            victim: None,
+            cancelled: None,
+            fired: Vec::new(),
+        }),
+    );
+    let at = SimTime::from_millis;
+    let victim = sim.schedule_agent_timer(at(60), agent, TimerToken(1));
+    sim.schedule_agent_timer(at(70), agent, TimerToken(2));
+    sim.schedule_agent_timer(at(50), agent, TimerToken(TRIGGER));
+    sim.agent_mut::<Canceller>(agent).victim = Some(victim);
+
+    let mut sharded = ShardedSim::split(sim, 2).unwrap_or_else(|(_, why)| panic!("{why}"));
+    assert_eq!(sharded.num_shards(), 2);
+    sharded.run_until(at(100));
+    let merged = sharded.merge();
+    let c = merged.agent::<Canceller>(agent);
+    assert_eq!(c.cancelled, Some(true), "the pre-split id was refused");
+    assert_eq!(c.fired, [TRIGGER, 2], "the cancelled timer fired");
+    assert!(merged.agent::<Pinger>(pingers[0]).acked > 0);
 }
 
 proptest! {
