@@ -16,6 +16,13 @@
 //! Determinism: slot assignment depends only on the alloc/free sequence
 //! (the free list is LIFO), which is itself a pure function of the event
 //! stream — identical runs intern identical packets in identical slots.
+//!
+//! Each slot also memoises its packet's calendar tiebreak
+//! ([`Packet::order_tie`]) per **content version**: filled on first use by
+//! [`PacketArena::order_tie`], cleared by every mutable borrow
+//! ([`PacketArena::get_mut`], `IndexMut`) and on allocation — so a packet
+//! is hashed once per life plus once per in-flight edit (an AQM's CE
+//! mark), not once per hop, and no writer has to know the memo exists.
 
 use crate::packet::Packet;
 
@@ -50,6 +57,9 @@ struct Slot {
     gen: u32,
     /// `Some` while the slot is occupied.
     pkt: Option<Packet>,
+    /// The occupant's [`Packet::order_tie`], or 0 while nobody has asked
+    /// since the content last changed (the tie itself is always odd).
+    tie: u64,
 }
 
 /// Slab of in-flight packets with generation-checked handles.
@@ -64,6 +74,8 @@ pub struct PacketArena {
     slots: Vec<Slot>,
     /// Indices of vacant slots, reused LIFO (keeps the hot set compact).
     free: Vec<u32>,
+    /// Lifetime [`Packet::order_tie`] evaluations made to fill a memo.
+    tie_hashes: u64,
 }
 
 impl PacketArena {
@@ -77,16 +89,29 @@ impl PacketArena {
         PacketArena {
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
+            tie_hashes: 0,
         }
     }
 
     /// Intern `pkt`, returning its handle.
     pub fn alloc(&mut self, pkt: Packet) -> PacketRef {
+        self.alloc_with_tie(pkt, 0)
+    }
+
+    /// Intern `pkt` with its tiebreak already known: `tie` is
+    /// `pkt.order_tie()` (carried over from the arena the packet left, see
+    /// [`crate::shard::WirePacket::tie`]), or 0 for "not computed".
+    pub fn alloc_with_tie(&mut self, pkt: Packet, tie: u64) -> PacketRef {
+        debug_assert!(
+            tie == 0 || tie == pkt.order_tie(),
+            "pre-seeded tie is stale"
+        );
         match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
                 debug_assert!(slot.pkt.is_none(), "free list pointed at a live slot");
                 slot.pkt = Some(pkt);
+                slot.tie = tie;
                 PacketRef { idx, gen: slot.gen }
             }
             None => {
@@ -94,10 +119,40 @@ impl PacketArena {
                 self.slots.push(Slot {
                     gen: 0,
                     pkt: Some(pkt),
+                    tie,
                 });
                 PacketRef { idx, gen: 0 }
             }
         }
+    }
+
+    /// The calendar tiebreak of the packet behind `r`
+    /// ([`Packet::order_tie`], which stays the one definition of the
+    /// value): hashed on first use, then answered from the slot until the
+    /// packet is next borrowed mutably.
+    ///
+    /// # Panics
+    /// Panics on a stale ref, like indexing.
+    #[inline]
+    pub fn order_tie(&mut self, r: PacketRef) -> u64 {
+        let slot = &mut self.slots[r.idx as usize];
+        let pkt = match &slot.pkt {
+            Some(pkt) if slot.gen == r.gen => pkt,
+            _ => panic!("stale PacketRef"),
+        };
+        if slot.tie == 0 {
+            slot.tie = pkt.order_tie();
+            self.tie_hashes += 1;
+        }
+        debug_assert_eq!(slot.tie, pkt.order_tie(), "tie memo outlived an edit");
+        slot.tie
+    }
+
+    /// Lifetime count of [`Packet::order_tie`] evaluations made by
+    /// [`PacketArena::order_tie`]: one per packet, plus one per edit of a
+    /// packet whose tie had already been asked for.
+    pub fn tie_hashes(&self) -> u64 {
+        self.tie_hashes
     }
 
     /// Borrow the packet behind `r`.
@@ -123,7 +178,8 @@ impl PacketArena {
     }
 
     /// Mutably borrow the packet behind `r` (same staleness contract as
-    /// [`PacketArena::get`]).
+    /// [`PacketArena::get`]). The borrower may change the content, so the
+    /// memoised tiebreak is dropped.
     #[inline]
     pub fn get_mut(&mut self, r: PacketRef) -> Option<&mut Packet> {
         let slot = self.slots.get_mut(r.idx as usize)?;
@@ -135,6 +191,7 @@ impl PacketArena {
             slot.gen
         );
         if slot.gen == r.gen {
+            slot.tie = 0;
             slot.pkt.as_mut()
         } else {
             None
@@ -261,5 +318,44 @@ mod tests {
         let r = a.alloc(pkt(3));
         a[r].ecn = Ecn::CongestionExperienced;
         assert!(a[r].ecn.is_marked());
+    }
+
+    /// The memo always answers what a fresh hash of the current content
+    /// would, and hashes once per content version.
+    #[test]
+    fn tie_memo_follows_the_content() {
+        let mut a = PacketArena::new();
+        let mut p = pkt(5);
+        p.ecn = Ecn::Capable;
+        let r = a.alloc(p);
+        assert_eq!(a.tie_hashes(), 0, "alloc does not hash");
+        assert_eq!(a.order_tie(r), p.order_tie());
+        assert_eq!(a.order_tie(r), p.order_tie());
+        assert_eq!(a.tie_hashes(), 1, "second ask is a hit");
+        // Reads keep the memo.
+        assert!(a[r].ecn.is_capable() && a.get(r).is_some());
+        assert_eq!((a.order_tie(r), a.tie_hashes()), (p.order_tie(), 1));
+
+        // A CE mark through IndexMut, as the AQMs do it: the value changes
+        // and the memo follows.
+        a[r].ecn = Ecn::CongestionExperienced;
+        p.ecn = Ecn::CongestionExperienced;
+        assert_ne!(p.order_tie(), pkt(5).order_tie());
+        assert_eq!((a.order_tie(r), a.tie_hashes()), (p.order_tie(), 2));
+
+        // take + slot reuse: the next occupant starts without a memo.
+        a.take(r).unwrap();
+        let q = pkt(6);
+        let r2 = a.alloc(q);
+        assert_eq!(r2.index(), r.index());
+        assert_eq!((a.order_tie(r2), a.tie_hashes()), (q.order_tie(), 3));
+
+        // Pre-seeded (the shard injection path): no hash at all, until an
+        // edit invalidates the seed like any other memo.
+        let s = a.alloc_with_tie(p, p.order_tie());
+        assert_eq!((a.order_tie(s), a.tie_hashes()), (p.order_tie(), 3));
+        a.get_mut(s).unwrap().size_bytes = 40;
+        p.size_bytes = 40;
+        assert_eq!((a.order_tie(s), a.tie_hashes()), (p.order_tie(), 4));
     }
 }

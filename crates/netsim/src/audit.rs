@@ -922,6 +922,11 @@ mod tests {
     /// 800 µs, exactly as with an always-scheduled departure.
     #[test]
     fn tie_at_free_at_follows_the_reserved_key() {
+        if !enabled() {
+            // Release test build: the flag defaults to `cfg!(debug_assertions)`
+            // and no test may flip a process global.
+            return;
+        }
         let arrivals = vec![TX_US + 1000, 2 * TX_US + 1000];
         assert_eq!(tie_run(SEND_THEN_ARM, 1, 8), (arrivals.clone(), 0, 2, 0));
         assert_eq!(tie_run(ARM_THEN_SEND, 1, 8), (arrivals, 1, 1, 0));
@@ -934,6 +939,9 @@ mod tests {
     /// apart.
     #[test]
     fn same_instant_pair_sees_the_backlog_the_pop_order_implies() {
+        if !enabled() {
+            return; // as above: needs the ledger, which needs the flag
+        }
         let (arrivals, fired, elided, drops) = tie_run(ARM_THEN_SEND, 2, 1);
         assert_eq!(arrivals, [TX_US + 1000, 2 * TX_US + 1000]);
         assert_eq!((fired, elided, drops), (1, 1, 1));

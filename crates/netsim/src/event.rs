@@ -16,9 +16,10 @@
 //! * The **content tie** disambiguates arrivals emitted at the *same*
 //!   nanosecond on *different* shards, where no emission-time order
 //!   exists: every arrival event carries a content hash of its packet
-//!   ([`crate::packet::Packet::order_tie`], non-zero), every other event
+//!   ([`crate::packet::Packet::order_tie`], non-zero, memoised by
+//!   [`crate::arena::PacketArena::order_tie`]), every other event
 //!   carries 0, and both the monolithic scheduler and the shard injector
-//!   use the same rule — so same-`(time, sched)` ties resolve
+//!   use the same value — so same-`(time, sched)` ties resolve
 //!   identically at any shard count:
 //!
 //! * [`CalendarKind::Wheel`] (the default): a hierarchical timing wheel —
@@ -26,7 +27,8 @@
 //!   coarser — giving O(1) amortized schedule/pop independent of the
 //!   number of pending events. Far-future events (idle sentinels at
 //!   [`SimTime::MAX`]) park in a top-level slot and cost nothing until
-//!   cancelled or reached.
+//!   cancelled or reached. An event alone in its slot — the rule on
+//!   sparse calendars — is popped where it lies instead of cascading.
 //! * [`CalendarKind::Heap`]: the original binary-heap priority queue,
 //!   kept as an escape hatch (`experiments --calendar heap`) and as the
 //!   reference implementation the wheel is differentially tested against.
@@ -313,6 +315,11 @@ struct Wheel {
     /// A lower bound on their times (for the front-slot fast path): exact
     /// after a pop returns an event, `u64::MAX` once that empties the wheel.
     min_bound: u64,
+    /// What [`Wheel::next_candidate`] would return, when known: the scan
+    /// that re-establishes `min_bound` after a pop is the scan the next
+    /// pop would start with, so it is kept and inserts keep it current.
+    /// `None` (rescan) while events are stored only inside a pop.
+    cand: Option<(usize, usize, u64)>,
 }
 
 impl Wheel {
@@ -327,6 +334,7 @@ impl Wheel {
             elapsed,
             stored: 0,
             min_bound: u64::MAX,
+            cand: None,
         }
     }
 
@@ -349,7 +357,8 @@ impl Wheel {
     /// order. Same-instant events mostly arrive in that order, so the walk
     /// is rare and short: same-nanosecond arrivals, shard injections,
     /// demoted front events, cascades landing behind direct inserts.
-    fn link(&mut self, idx: u32) {
+    /// Returns the `(level, slot)` it chose.
+    fn link(&mut self, idx: u32) -> (usize, usize) {
         let at = self.nodes[idx as usize].ev.at.as_nanos();
         debug_assert!(
             at >= self.elapsed,
@@ -380,11 +389,12 @@ impl Wheel {
                 _ => self.nodes[prev as usize].next = idx,
             }
         }
+        (level, slot)
     }
 
     fn insert(&mut self, ev: Event) {
-        self.min_bound = self.min_bound.min(ev.at.as_nanos());
-        self.stored += 1;
+        let at = ev.at.as_nanos();
+        self.min_bound = self.min_bound.min(at);
         if self.free == NIL {
             assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
             self.free = self.nodes.len() as u32;
@@ -394,7 +404,20 @@ impl Wheel {
         let node = &mut self.nodes[idx as usize];
         self.free = std::mem::replace(&mut node.next, NIL);
         node.ev = ev;
-        self.link(idx);
+        let (level, slot) = self.link(idx);
+        // The slot's deadline as `next_candidate` computes it: its start
+        // (strictly ahead of the horizon above level 0), or the exact time
+        // at level 0. An equal deadline goes to the higher level there too.
+        let shift = SLOT_BITS * level as u32;
+        let deadline = (at >> shift) << shift;
+        if self.stored == 0 {
+            self.cand = Some((level, slot, deadline));
+        } else if let Some((l, _, d)) = self.cand {
+            if deadline < d || (deadline == d && level > l) {
+                self.cand = Some((level, slot, deadline));
+            }
+        }
+        self.stored += 1;
     }
 
     /// The earliest candidate: `(level, slot, deadline)`. For level 0 the
@@ -444,47 +467,83 @@ impl Wheel {
             if self.stored == 0 {
                 return None;
             }
-            let (level, slot, deadline) =
-                self.next_candidate().expect("stored > 0 but no candidate");
+            if self.cand.is_none() {
+                self.cand = self.next_candidate();
+            }
+            debug_assert_eq!(self.cand, self.next_candidate());
+            let (level, slot, deadline) = self.cand.expect("stored > 0 but no candidate");
             if deadline > until {
                 return None;
             }
-            self.elapsed = deadline;
-            let mut cur = self.head[level][slot];
-            if level == 0 {
+            let head = self.head[level][slot];
+            let lone = head == self.tail[level][slot];
+            let at = self.nodes[head as usize].ev.at.as_nanos();
+            let ev = if level == 0 {
                 // Level-0 slots are 1 ns wide and kept in pop order: the
-                // head fires at `deadline`, next; its node is freed.
-                let node = &mut self.nodes[cur as usize];
-                let (ev, next) = (node.ev, std::mem::replace(&mut node.next, self.free));
-                self.free = cur;
-                self.stored -= 1;
-                match next {
-                    NIL => self.vacate(0, slot),
-                    _ => self.head[0][slot] = next,
+                // head fires at `deadline`, next.
+                self.elapsed = deadline;
+                self.free_head(0, slot)
+            } else if lone && deadline > self.elapsed && at <= until {
+                // A node alone in a slot that starts strictly ahead of the
+                // horizon is the minimum of the whole wheel: every lower
+                // level is empty (its slots end before this one starts, so
+                // one of them would have been the candidate), and a slot of
+                // a higher level inside this one's span could only start
+                // where this one does — and equal deadlines go to the higher
+                // level. Cascading it down level by level would end with
+                // exactly this pop and this horizon, so take it where it
+                // lies. Both side conditions carry the argument: a node
+                // beyond `until` cascades instead, so the horizon stops at
+                // the slot's start, not past `until`; and were the horizon
+                // ever left standing at an occupied slot's start, inserts
+                // since then would sit on lower levels and may precede the
+                // node, so only a slot still strictly ahead qualifies.
+                self.elapsed = at;
+                self.free_head(level, slot)
+            } else {
+                // Cascade the whole slot one or more levels down, relative
+                // to the advanced horizon, in list order (tombstones too:
+                // they are dropped where they are popped). The nodes land
+                // strictly below `level` (the horizon now starts this
+                // slot), never back in this slot.
+                self.elapsed = deadline;
+                self.vacate(level, slot);
+                self.cand = None;
+                let mut cur = head;
+                while cur != NIL {
+                    let next = std::mem::replace(&mut self.nodes[cur as usize].next, NIL);
+                    self.link(cur);
+                    cur = next;
                 }
-                if !cancelled.is_empty() && cancelled.remove(&ev.seq) {
-                    continue;
-                }
-                // Keeping the bound exact (one extra scan when the slot
-                // empties) is what lets newly scheduled near-term events
-                // take the front slot instead of entering the wheel.
-                self.min_bound = match next {
-                    NIL => self.next_candidate().map_or(u64::MAX, |c| c.2),
-                    _ => deadline,
-                };
-                return Some(ev);
+                continue;
+            };
+            // Still this slot if the pop left it occupied (level 0 only),
+            // else one scan — the one the next pop starts from.
+            if lone {
+                self.cand = self.next_candidate();
             }
-            // Cascade the whole slot one or more levels down, relative to
-            // the advanced horizon, in list order (tombstones too: level 0
-            // drops them). The nodes land strictly below `level` (the
-            // horizon now starts this slot), never back in this slot.
-            self.vacate(level, slot);
-            while cur != NIL {
-                let next = std::mem::replace(&mut self.nodes[cur as usize].next, NIL);
-                self.link(cur);
-                cur = next;
+            if !cancelled.is_empty() && cancelled.remove(&ev.seq) {
+                continue;
             }
+            // Keeping the bound exact is what lets newly scheduled near-term
+            // events take the front slot instead of entering the wheel.
+            self.min_bound = self.cand.map_or(u64::MAX, |c| c.2);
+            return Some(ev);
         }
+    }
+
+    /// Unlink and free the head of an occupied slot, returning its event.
+    fn free_head(&mut self, level: usize, slot: usize) -> Event {
+        let idx = self.head[level][slot];
+        let node = &mut self.nodes[idx as usize];
+        let (ev, next) = (node.ev, std::mem::replace(&mut node.next, self.free));
+        self.free = idx;
+        self.stored -= 1;
+        match next {
+            NIL => self.vacate(level, slot),
+            _ => self.head[level][slot] = next,
+        }
+        ev
     }
 }
 
@@ -917,9 +976,11 @@ impl EventQueue {
     /// The firing time of the next event, if any.
     ///
     /// Finding it may pull the next event into the front slot (and, on
-    /// the wheel, cascade up to it), which raises the causality watermark
-    /// to the returned time: a subsequent schedule below a peeked time is
-    /// rejected.
+    /// the wheel, cascade up to it), so the causality watermark is raised
+    /// to the returned time — whether or not this call had to pull, which
+    /// depends on the backend: a subsequent schedule below a peeked time
+    /// is rejected, and one at or after it is stamped the same schedule
+    /// time on the wheel and on the heap.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
@@ -929,11 +990,10 @@ impl EventQueue {
             // at the logical pop, and prefetching into the front slot is
             // not one.
             self.front = self.backend_pop_before(SimTime::MAX);
-            if let Some(f) = &self.front {
-                self.watermark = self.watermark.max(f.at).max(self.backend_horizon());
-            }
         }
-        self.front.as_ref().map(|e| e.at)
+        let at = self.front.as_ref()?.at;
+        self.watermark = self.watermark.max(at).max(self.backend_horizon());
+        Some(at)
     }
 
     /// Remove **every** pending event in `(time, sched, tie, seq)` order,

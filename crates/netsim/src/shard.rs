@@ -33,8 +33,10 @@
 //! * Two arrivals emitted at the *same nanosecond* on *different*
 //!   shards have no emission-time order, so arrivals carry a third key:
 //!   a **content tie** ([`crate::packet::Packet::order_tie`], a hash of
-//!   the packet itself) that both the monolithic scheduler and the
-//!   shard injector compute by the same rule. Symmetric topologies hit
+//!   the packet itself), memoised in the arena the packet lives in and
+//!   carried across a cut as [`WirePacket::tie`], so the monolithic
+//!   scheduler, the barrier sort and the shard injector all use one
+//!   value hashed once. Symmetric topologies hit
 //!   this constantly (mirror-image ACKs clocked by the same bottleneck
 //!   tick); content is the only key the two modes can agree on without
 //!   a global sequence. Arrivals that tie on content too are identical
@@ -122,6 +124,10 @@ pub struct WirePacket {
     pub sched: SimTime,
     /// The node the packet arrives at (owned by the destination shard).
     pub node: NodeId,
+    /// `pkt.order_tie()`, taken from the source arena's memo: the barrier
+    /// sort and the destination's calendar key use it as is, and it seeds
+    /// the destination arena's memo, so crossing a cut hashes nothing.
+    pub tie: u64,
     /// The packet body, moved out of the source shard's arena.
     pub pkt: Packet,
 }
@@ -726,11 +732,11 @@ fn run_worker(
         for src_boxes in mail[me].iter().take(n) {
             incoming.append(&mut src_boxes[slot].lock().unwrap());
         }
-        incoming.sort_by_key(|w| (w.at, w.sched, w.pkt.order_tie()));
+        incoming.sort_by_key(|w| (w.at, w.sched, w.tie));
         #[cfg(feature = "telemetry")]
         let in_pkts = incoming.len();
         for wp in incoming {
-            shard.inject_arrival(wp.at, wp.sched, wp.node, wp.pkt);
+            shard.inject_arrival(wp);
         }
         #[cfg(feature = "telemetry")]
         if tel {

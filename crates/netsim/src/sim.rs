@@ -458,6 +458,13 @@ impl Simulator {
         (self.events.len(), self.events.footprint_bytes())
     }
 
+    /// Lifetime [`Packet::order_tie`] evaluations (see
+    /// [`PacketArena::tie_hashes`]): one per packet that crosses a link,
+    /// plus one per CE mark applied after its first hop.
+    pub fn tie_hashes(&self) -> u64 {
+        self.arena.tie_hashes()
+    }
+
     /// The current measurement window's event counters (restarted by
     /// [`Simulator::reset_measurements`]).
     pub fn counters(&self) -> SimCounters {
@@ -964,6 +971,12 @@ impl Simulator {
             let dst = io.shard_of_node[to.index()];
             (dst != io.me).then_some(dst)
         });
+        // Arrivals carry the packet's content hash as their ordering tie
+        // so that two arrivals landing at the same instant with the same
+        // emission time sort identically whether scheduled here or
+        // injected across a shard boundary (see `Packet::order_tie`). The
+        // arena hashes a packet once per content version, not per hop.
+        let tie = self.arena.order_tie(pkt);
         match remote_shard {
             Some(dst) => {
                 let pkt = self
@@ -976,17 +989,12 @@ impl Simulator {
                         at: arrive_at,
                         sched: now,
                         node: to,
+                        tie,
                         pkt,
                     },
                 ));
             }
             None => {
-                // Arrivals carry the packet's content hash as their
-                // ordering tie so that two arrivals landing at the same
-                // instant with the same emission time sort identically
-                // whether scheduled here or injected across a shard
-                // boundary (see `Packet::order_tie`).
-                let tie = self.arena[pkt].order_tie();
                 self.events.schedule_keyed(
                     arrive_at,
                     now,
@@ -1679,21 +1687,38 @@ impl Simulator {
     /// is the packet's true emission time on its source shard — below
     /// this queue's watermark by now — so the arrival wins or loses
     /// same-instant ties against local events exactly as the monolithic
-    /// run's insertion order would have decided; the content tie
-    /// (recomputed here, so it cannot drift from the wire copy) settles
+    /// run's insertion order would have decided; the content tie settles
     /// ties against arrivals emitted the same nanosecond elsewhere, by
-    /// the same rule the monolithic scheduler applies.
-    pub(crate) fn inject_arrival(
-        &mut self,
-        at: SimTime,
-        sched: SimTime,
-        node: NodeId,
-        pkt: Packet,
-    ) {
-        let tie = pkt.order_tie();
-        let packet = self.arena.alloc(pkt);
-        self.events
-            .schedule_keyed(at, sched, tie, EventKind::Arrival { node, packet });
+    /// the same rule the monolithic scheduler applies. It travels with
+    /// the packet (hashed once, on the source shard) and seeds this
+    /// arena's memo; that it still is the wire copy's hash is checked in
+    /// debug builds and, under the audit flag, as a calendar violation.
+    pub(crate) fn inject_arrival(&mut self, w: crate::shard::WirePacket) {
+        #[cfg(feature = "audit")]
+        if !self.audit_hooks.is_empty() && w.tie != w.pkt.order_tie() {
+            crate::audit::violation(
+                "calendar",
+                format_args!(
+                    "wire tie {} is not the hash {} of the packet it travelled with \
+                     (arrival t={:?} at node {})",
+                    w.tie,
+                    w.pkt.order_tie(),
+                    w.at,
+                    w.node
+                ),
+            );
+        }
+        debug_assert_eq!(w.tie, w.pkt.order_tie(), "wire tie drifted from its packet");
+        let packet = self.arena.alloc_with_tie(w.pkt, w.tie);
+        self.events.schedule_keyed(
+            w.at,
+            w.sched,
+            w.tie,
+            EventKind::Arrival {
+                node: w.node,
+                packet,
+            },
+        );
     }
 
     /// Drain the packets bound for other shards accumulated since the

@@ -223,6 +223,11 @@ impl SimDuration {
 #[inline]
 pub fn transmission_delay(bits: u64, capacity_bps: u64) -> SimDuration {
     assert!(capacity_bps > 0, "link capacity must be positive");
+    // `bits * 1e9` fits a u64 up to 18.4 Gbit — every packet — which keeps
+    // the per-transmission division a machine instruction, not `__udivti3`.
+    if let Some(scaled) = bits.checked_mul(NANOS_PER_SEC) {
+        return SimDuration(scaled.div_ceil(capacity_bps));
+    }
     let ns = (bits as u128 * NANOS_PER_SEC as u128).div_ceil(capacity_bps as u128);
     SimDuration(u64::try_from(ns).expect("transmission delay overflow"))
 }
@@ -370,6 +375,21 @@ mod tests {
         // 1500-byte packet on 1 Tbps.
         let d = transmission_delay(12_000, 1_000_000_000_000);
         assert_eq!(d.as_nanos(), 12);
+    }
+
+    #[test]
+    fn transmission_delay_hands_over_to_u128_at_the_overflow_boundary() {
+        let last_u64 = u64::MAX / NANOS_PER_SEC;
+        for bits in [last_u64 - 1, last_u64, last_u64 + 1, last_u64 * 3] {
+            for cap in [7, NANOS_PER_SEC, NANOS_PER_SEC + 1, u64::MAX] {
+                let wide = (bits as u128 * NANOS_PER_SEC as u128).div_ceil(cap as u128);
+                assert_eq!(
+                    u128::from(transmission_delay(bits, cap).as_nanos()),
+                    wide,
+                    "{bits} bits at {cap} bps"
+                );
+            }
+        }
     }
 
     #[test]

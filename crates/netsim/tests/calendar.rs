@@ -3,11 +3,13 @@
 //! streams for any legal schedule, including simultaneous events,
 //! `SimTime::MAX` idle sentinels, cancellations, events scheduled while a
 //! pop loop is in flight, keys reserved early and scheduled late (or
-//! never), and every way the wheel's pooled nodes are freed and reused.
+//! never), every way the wheel's pooled nodes are freed and reused, and
+//! the sparse calendars of small simulations, where an event sits alone in
+//! its slot and the wheel pops it in place instead of cascading it down.
 
 use std::collections::BTreeMap;
 
-use netsim::event::{CalendarKind, EventKind, EventQueue};
+use netsim::event::{CalendarKind, Event, EventKind, EventQueue};
 use netsim::ids::AgentId;
 use netsim::time::SimTime;
 use netsim::TimerToken;
@@ -40,6 +42,17 @@ fn after(base: SimTime, off: u64) -> SimTime {
     SimTime::from_nanos(base.as_nanos().saturating_add(off))
 }
 
+/// A log-uniform offset between 1 µs and 200 ms: a uniform octave, then a
+/// uniform position inside it — the spread of timer and propagation delays
+/// on a 5–50 Mbps dumbbell, which lands events on wheel levels 1 to 4.
+fn sparse_offset(x: u64) -> u64 {
+    let lo = 1_000u64 << (x % 18);
+    (lo + (x >> 8) % lo).min(200_000_000)
+}
+
+/// At most this many events pending in the sparse regime.
+const SPARSE_PENDING: usize = 8;
+
 /// Drive a wheel-backed and a heap-backed queue through the same operation
 /// stream and require identical observable behaviour at every step.
 ///
@@ -71,8 +84,8 @@ fn drive(ops: &[(u8, u64, u64)]) {
         *scheduled += 1;
     };
 
-    let compare_pop = |a: Option<netsim::event::Event>,
-                       b: Option<netsim::event::Event>,
+    let compare_pop = |a: Option<Event>,
+                       b: Option<Event>,
                        pending: &mut BTreeMap<u64, _>,
                        now: &mut SimTime|
      -> Option<SimTime> {
@@ -93,7 +106,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     };
 
     for &(sel, a, b) in ops {
-        match sel % 12 {
+        match sel % 14 {
             // Spread-out schedule: anywhere in the next millisecond.
             0 | 1 => {
                 let at = after(now, a % 1_000_000);
@@ -189,6 +202,44 @@ fn drive(ops: &[(u8, u64, u64)]) {
                     heap.schedule_reserved(at, h, kind_for(b, h.tie_key().2));
                 }
             }
+            // Sparse schedule: far apart and few, so most events are alone
+            // in a wheel slot above level 0 (a pop when enough are pending).
+            12 => {
+                if pending.len() < SPARSE_PENDING {
+                    let at = after(now, sparse_offset(a));
+                    schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                } else {
+                    let (x, y) = (wheel.pop(), heap.pop());
+                    compare_pop(x, y, &mut pending, &mut now);
+                }
+            }
+            // Sparse bounded drain: the horizon stops wherever `until`
+            // falls — short of a lone node's slot, at its start, inside it
+            // below or above the node — and later schedules land around it.
+            13 => {
+                let until = after(now, sparse_offset(a));
+                let mut budget = 4u32;
+                loop {
+                    let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
+                    let Some(at) = compare_pop(x, y, &mut pending, &mut now) else {
+                        break;
+                    };
+                    if b % 3 == 0 && budget > 0 && pending.len() < SPARSE_PENDING {
+                        budget -= 1;
+                        let again = after(at, sparse_offset(b >> 2));
+                        schedule(
+                            &mut wheel,
+                            &mut heap,
+                            &mut pending,
+                            &mut scheduled,
+                            again,
+                            b,
+                        );
+                    }
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                now = now.max(until);
+            }
             // Peek must agree and may advance the causality watermark.
             _ => {
                 let (tw, th) = (wheel.peek_time(), heap.peek_time());
@@ -222,6 +273,29 @@ proptest! {
         ops in proptest::collection::vec(
             (0u8..12, 0u64..u64::MAX, 0u64..u64::MAX),
             1..120,
+        ),
+    ) {
+        drive(&ops);
+    }
+
+    /// The sparse regime of the small-dumbbell sweeps: at most eight events
+    /// pending, 1 µs – 200 ms apart, popped one by one or up to horizons
+    /// that stop anywhere, with cancels, reserved keys, same-instant
+    /// reschedules and peeks mixed in. Nearly every pop here is a node
+    /// alone in a slot above level 0.
+    #[test]
+    fn sparse_calendars_pop_identical_streams(
+        ops in proptest::collection::vec(
+            (
+                prop_oneof![
+                    6 => Just(12u8), 4 => Just(13u8), 2 => Just(5u8),
+                    1 => Just(2u8), 1 => Just(4u8), 1 => Just(9u8),
+                    1 => Just(10u8), 1 => Just(11u8),
+                ],
+                0u64..u64::MAX,
+                0u64..u64::MAX,
+            ),
+            1..160,
         ),
     ) {
         drive(&ops);
@@ -277,6 +351,115 @@ fn reserved_key_at_the_current_instant_precedes_later_keys() {
             assert_eq!(order, want, "{kind:?}, peeked: {peek_first}");
         }
     }
+}
+
+/// Run `script` on a wheel and on a heap queue; both must pop the same
+/// `(at, sched, tie, seq)` stream, which is returned.
+fn on_both(script: impl Fn(&mut EventQueue) -> Vec<Event>) -> Vec<(u64, u64)> {
+    let key = |e: &Event| (e.at, e.sched, e.tie, e.seq());
+    let [wheel, heap] = [CalendarKind::Wheel, CalendarKind::Heap]
+        .map(|kind| script(&mut EventQueue::with_calendar(kind)));
+    assert_eq!(
+        wheel.iter().map(key).collect::<Vec<_>>(),
+        heap.iter().map(key).collect::<Vec<_>>(),
+        "wheel and heap streams differ"
+    );
+    wheel.iter().map(|e| (e.at.as_nanos(), e.seq())).collect()
+}
+
+/// Level-3 slots are 64³ ns wide; slot 5 of the first window.
+const L3_SLOT: u64 = 64 * 64 * 64;
+const L3_START: u64 = 5 * L3_SLOT;
+
+/// The horizon may stop anywhere relative to a node that is alone in a
+/// level-3 slot: before the slot, exactly at its start, or strictly inside
+/// it below the node (the node then cascades so the horizon never passes
+/// `until`). Events inserted afterwards *below* the node — into lower
+/// levels, since the horizon now stands inside the slot — must still pop
+/// before it; popping the lone node in place would overtake them.
+#[test]
+fn horizon_inside_a_lone_slot_then_inserts_below_the_lone_node() {
+    let at = SimTime::from_nanos;
+    let lone = L3_START + 200_000;
+    for until in [L3_START - 7, L3_START, L3_START + 1, L3_START + 100_000] {
+        let stream = on_both(|q| {
+            // An earlier event takes the front slot, so `lone` enters the
+            // wheel; popping it again leaves the wheel horizon at 0 and
+            // `lone` alone in a level-3 slot.
+            q.schedule(at(1), kind_for(1, 0));
+            q.schedule(at(lone), kind_for(1, 1));
+            let mut out = vec![q.pop().expect("the front event")];
+            assert!(q.pop_before(at(until)).is_none(), "nothing due by {until}");
+            // Below the node: at the horizon, just past it, just under the
+            // node; and one above it.
+            q.schedule(at(until), kind_for(1, 2));
+            q.schedule(at(until + 10), kind_for(1, 3));
+            q.schedule(at(lone - 1), kind_for(1, 4));
+            q.schedule(at(lone + 1), kind_for(1, 5));
+            out.extend(std::iter::from_fn(|| q.pop()));
+            out
+        });
+        let want = [
+            (1, 0),
+            (until, 2),
+            (until + 10, 3),
+            (lone - 1, 4),
+            (lone, 1),
+            (lone + 1, 5),
+        ];
+        assert_eq!(stream, want, "until = {until}");
+    }
+}
+
+/// A cancelled node alone in its slot is dropped where it lies, never
+/// returned, and the horizon it moved is still one a schedule may use.
+#[test]
+fn cancelled_lone_node_is_dropped_in_place() {
+    let at = SimTime::from_nanos;
+    let lone = L3_START + 200_000;
+    let stream = on_both(|q| {
+        q.schedule(at(1), kind_for(1, 0));
+        let victim = q.schedule(at(lone), kind_for(1, 1));
+        q.schedule(at(40 * L3_SLOT), kind_for(1, 2));
+        let mut out = vec![q.pop().expect("the front event")];
+        assert!(q.cancel(victim));
+        assert_eq!(q.len(), 1);
+        // Reaches the tombstone, drops it, finds nothing else due.
+        assert!(q.pop_before(at(lone + 5)).is_none());
+        q.schedule(at(lone + 5), kind_for(1, 3));
+        out.extend(std::iter::from_fn(|| q.pop()));
+        out
+    });
+    assert_eq!(stream, [(1, 0), (lone + 5, 3), (40 * L3_SLOT, 2)]);
+}
+
+/// The handler of a lone node popped in place arms a reserved departure
+/// key at that very instant: the horizon stands at the instant (not at the
+/// slot start, not past it), so the insert is legal, lands on level 0, and
+/// `pop_next_in_run` finds it before the later-keyed event there.
+#[test]
+fn reserved_key_at_the_instant_a_lone_node_was_popped() {
+    let at = SimTime::from_nanos;
+    let lone = L3_START + 200_000;
+    let stream = on_both(|q| {
+        q.schedule(at(1), kind_for(1, 0));
+        let key = q.reserve(); // seq 1
+        q.schedule(at(lone), kind_for(1, 2));
+        q.schedule(at(lone + L3_SLOT), kind_for(1, 3));
+        let mut out = vec![q.pop().expect("the front event")];
+        let popped = q.pop().expect("the lone node");
+        out.push(popped);
+        q.schedule(at(lone), kind_for(1, 4));
+        q.schedule_reserved(at(lone), key, kind_for(1, 1));
+        while let Some(ev) = q.pop_next_in_run(popped.at, popped.kind.class()) {
+            out.push(ev);
+        }
+        assert_eq!(q.len(), 1, "the run ends at the instant");
+        out.extend(std::iter::from_fn(|| q.pop()));
+        out
+    });
+    let want = [(1, 0), (lone, 2), (lone, 1), (lone, 4), (lone + L3_SLOT, 3)];
+    assert_eq!(stream, want);
 }
 
 /// Cancelling an id that is not pending — never issued, or already

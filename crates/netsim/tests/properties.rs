@@ -112,6 +112,25 @@ proptest! {
         }
     }
 
+    /// The `u64` fast path of `transmission_delay` is the `u128` formula,
+    /// bit for bit: packet-sized inputs, arbitrary ones, and both sides
+    /// of the `bits * 1e9 > u64::MAX` boundary where it hands over.
+    #[test]
+    fn transmission_delay_equals_the_u128_form(
+        bits in prop_oneof![
+            0u64..200_000,
+            u64::MAX / 1_000_000_000 - 1_000..u64::MAX / 1_000_000_000 + 1_000,
+            any::<u64>(),
+        ],
+        cap in prop_oneof![1u64..100_000_000_000, 1u64..u64::MAX],
+    ) {
+        let wide = (u128::from(bits) * 1_000_000_000).div_ceil(u128::from(cap));
+        // Beyond u64 nanoseconds both forms refuse; nothing to compare.
+        if let Ok(ns) = u64::try_from(wide) {
+            prop_assert_eq!(transmission_delay(bits, cap).as_nanos(), ns);
+        }
+    }
+
     /// DropTail conserves packets: enqueued = dequeued + resident, and
     /// never exceeds capacity.
     #[test]

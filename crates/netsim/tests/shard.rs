@@ -280,6 +280,47 @@ fn event_ids_survive_the_split() {
     assert!(merged.agent::<Pinger>(pingers[0]).acked > 0);
 }
 
+/// The middle shard of a three-router chain is fed over two cut links of
+/// different delay (5 ms from the left, 2 ms from the right), so what it
+/// collects at a barrier — source 0's batch, then source 2's — is not in
+/// arrival order and the barrier sort has real work to do. It sorts on the
+/// tie each packet carries from its source arena (`WirePacket::tie`); the
+/// run must still be the monolithic one, transit packets (left → right,
+/// re-sent across the second cut from a pre-seeded memo) included.
+#[test]
+fn shard_fed_by_two_cut_links_of_different_delay_matches_monolithic() {
+    let topo = Topo {
+        segment_delays_ms: vec![5, 2],
+        // Pairs: left → middle, right → middle, left → right (transit),
+        // middle → left; zero access delays glue hosts to their routers.
+        hosts: vec![
+            (0, 0, 0),
+            (1, 0, 0),
+            (2, 0, 130),
+            (1, 0, 0),
+            (0, 0, 410),
+            (2, 0, 0),
+            (1, 0, 977),
+            (0, 0, 0),
+        ],
+    };
+    let until = SimTime::from_millis(400);
+
+    let (mut mono, pingers) = build(&topo);
+    mono.run_until(until);
+    let want = fingerprint(&mono, mono.events_processed(), &pingers);
+    assert!(want.1.iter().all(|&(_, acked)| acked > 10), "{want:?}");
+
+    let (sim, pingers2) = build(&topo);
+    let mut sharded = ShardedSim::split(sim, 3).unwrap_or_else(|(_, why)| panic!("{why}"));
+    assert_eq!(sharded.num_shards(), 3);
+    assert_eq!(sharded.lookahead(), SimDuration::from_millis(2));
+    sharded.run_until(until);
+    let events = sharded.events_processed();
+    let got = fingerprint(&sharded.merge(), events, &pingers2);
+    assert_eq!(want, got);
+}
+
 proptest! {
     /// Splitting at a random instant into a random shard count, running
     /// to the end, and merging is observably identical to never
