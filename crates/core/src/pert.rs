@@ -132,9 +132,11 @@ pub struct PertController {
     regime: u8,
     /// Activity counters.
     pub stats: PertStats,
-    /// Differential oracle: straight-line §3 srtt/prop transcription.
+    /// Differential oracle: straight-line §3 srtt/prop transcription,
+    /// boxed so a controller built with the audit flag down carries one
+    /// pointer for it.
     #[cfg(feature = "audit")]
-    shadow: Option<PertReference>,
+    shadow: Option<Box<PertReference>>,
     /// Telemetry key (the construction seed) when a tap attached; the
     /// controller publishes `pert/srtt`, `pert/qdelay` and `pert/prob`
     /// on every decision. `None` ⇒ zero-cost.
@@ -157,7 +159,7 @@ impl PertController {
             regime: REGIME_CONG_AVOID,
             stats: PertStats::default(),
             #[cfg(feature = "audit")]
-            shadow: audit::enabled().then(|| PertReference::new(params.srtt_weight)),
+            shadow: audit::enabled().then(|| Box::new(PertReference::new(params.srtt_weight))),
             #[cfg(feature = "telemetry")]
             tap_key: telemetry::enabled().then_some(seed),
         }

@@ -429,6 +429,8 @@ struct FlowAudit {
 #[derive(Default)]
 pub struct ConservationAuditor {
     ledgers: BTreeMap<usize, (QueueLedger, ServiceLedger)>,
+    /// Keyed by (flow, delivery node): one entry per direction of a
+    /// connection, even when one shared agent hosts both of its ends.
     flows: BTreeMap<(u64, usize), FlowAudit>,
     last_event: SimTime,
     // Locally batched check counts, flushed to the global registry on drop.
@@ -497,7 +499,7 @@ impl AuditHook for ConservationAuditor {
                 ),
             );
         }
-        let key = (pkt.flow.0 as u64, pkt.dst_agent.index());
+        let key = (pkt.flow.0 as u64, pkt.dst_node.index());
         let audit = self.flows.entry(key).or_default();
         match &pkt.payload {
             Payload::Ack { cum_ack, sack, .. } => {
@@ -506,13 +508,13 @@ impl AuditHook for ConservationAuditor {
                         "tcp-seq",
                         format_args!(
                             "cumulative ACK went backwards at event #{} (seed {}): \
-                             {} after {} (flow {}, agent {})",
+                             {} after {} (flow {}, node {})",
                             ctx.event_index,
                             ctx.seed,
                             cum_ack,
                             audit.highest_cum_ack,
                             pkt.flow,
-                            pkt.dst_agent
+                            pkt.dst_node
                         ),
                     );
                 }
@@ -540,13 +542,13 @@ impl AuditHook for ConservationAuditor {
                                 "tcp-seq",
                                 format_args!(
                                     "new data sequence regressed at event #{} (seed {}): \
-                                     seq {} after {} (flow {}, agent {})",
+                                     seq {} after {} (flow {}, node {})",
                                     ctx.event_index,
                                     ctx.seed,
                                     seq,
                                     next - 1,
                                     pkt.flow,
-                                    pkt.dst_agent
+                                    pkt.dst_node
                                 ),
                             );
                         }

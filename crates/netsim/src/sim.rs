@@ -748,6 +748,11 @@ impl Simulator {
         self.nodes.len()
     }
 
+    /// Number of agent slots allocated (installed or not).
+    pub fn num_agents(&self) -> usize {
+        self.agents.len()
+    }
+
     /// Restart every link's measurement window (delivery counters, queue
     /// occupancy integrals) and clear the drop/mark trace. Call at the end
     /// of the warm-up transient; the paper measures t ∈ [100 s, 300 s].
@@ -1442,9 +1447,15 @@ impl Simulator {
         }
 
         // ---- Point of no return: distribute state. ----
-        let mut shard_events: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
+        // Migrated events enter fresh calendars under their own
+        // `(time, sched, tie, seq)` keys, and each goes on numbering where
+        // this one stopped: same-time tie order survives, the departure
+        // keys links reserved stay free, and pre-split `EventId`s still
+        // name their events. A fork's watermark starts at zero, below every
+        // migrated timestamp.
+        let mut calendars: Vec<EventQueue> = (0..n).map(|_| self.events.fork()).collect();
         for (ev, t) in drained.into_iter().zip(routed) {
-            shard_events[t].push(ev);
+            calendars[t].adopt(ev);
         }
 
         // Agents: shared ones split, single-node ones move to their owner.
@@ -1517,26 +1528,16 @@ impl Simulator {
             }
         }
 
-        let mut shard_events = shard_events.into_iter();
+        let mut calendars = calendars.into_iter();
         let mut shard_agents = shard_agents.into_iter();
         let mut shard_links = shard_links.into_iter();
         #[cfg(feature = "audit")]
         let mut shard_hooks = shard_hooks.into_iter();
         let mut shards = Vec::with_capacity(n);
         for me in 0..n {
-            // Migrated events enter a fresh calendar under their own
-            // `(time, sched, tie, seq)` keys, and it goes on numbering
-            // where this one stopped: same-time tie order survives, the
-            // departure keys links reserved stay free, and pre-split
-            // `EventId`s still name their events. The new queue's watermark
-            // starts at zero, below every migrated timestamp.
-            let mut events = self.events.fork();
-            for ev in shard_events.next().expect("one list per shard") {
-                events.adopt(ev);
-            }
             shards.push(Simulator {
                 now: self.now,
-                events,
+                events: calendars.next().expect("one calendar per shard"),
                 cur_key: TIE_KEY_MAX,
                 arena: self.arena.clone(),
                 nodes: self.nodes.clone(),

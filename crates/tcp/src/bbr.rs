@@ -96,6 +96,7 @@ enum State {
 
 impl State {
     /// Stable index for the `bbr/state` telemetry series.
+    #[cfg(feature = "telemetry")]
     fn index(self) -> f64 {
         match self {
             State::Startup => 0.0,

@@ -16,10 +16,11 @@
 //! timestamps. See [`TcpSender`] and [`TcpSink`].
 //!
 //! Use [`connect`] to wire a sender/sink pair into a simulator. By
-//! default every sender of a simulation is hosted by one shared
-//! struct-of-arrays [`FlowSlab`] agent (see [`set_legacy_agents`] for the
-//! per-flow-agent escape hatch); read per-flow results back through the
-//! `sender_*` accessors, which work in both modes:
+//! default every connection of a simulation, sender and receiver half, is
+//! one row of a shared struct-of-arrays [`FlowSlab`] agent (see
+//! [`set_legacy_agents`] for the per-flow-agent escape hatch); read
+//! per-flow results back through the `sender_*` accessors and
+//! [`sink_stats`], which work in both modes:
 //!
 //! ```
 //! use netsim::prelude::*;
@@ -217,7 +218,10 @@ pub struct Connection {
     /// [`TcpSender`] (legacy mode). Use with the timer tokens below and
     /// the `sender_*` accessors; do not downcast directly.
     pub sender: AgentId,
-    /// Sink agent (a [`TcpSink`]).
+    /// Receiver agent: the same shared [`FlowSlab`] as `sender` (it hosts
+    /// both halves of every connection in one row), or a per-flow
+    /// [`TcpSink`] in legacy mode. Read it back with [`sink_stats`]; do
+    /// not downcast directly.
     pub sink: AgentId,
     /// Token that starts this flow (schedule on `sender` with
     /// [`netsim::Simulator::schedule_agent_timer`]).
@@ -245,16 +249,27 @@ pub fn legacy_agents() -> bool {
 
 /// Install a sender/sink pair for `spec`, using `source` as the
 /// application (defaults to [`Greedy`] via [`connect`]).
+///
+/// # Panics
+/// If `spec.src == spec.dst`: a segment sent to its own node is delivered
+/// synchronously, and its ACK would re-enter the sender while it is still
+/// sending.
 pub fn connect_with_source(
     sim: &mut Simulator,
     spec: ConnectionSpec,
     source: Box<dyn Source>,
 ) -> Connection {
+    assert!(
+        spec.src != spec.dst,
+        "flow {} connects node {} to itself; a connection needs two nodes",
+        spec.flow,
+        spec.src
+    );
     if legacy_agents() {
         return connect_legacy(sim, spec, source);
     }
 
-    // One slab per simulator hosts every sender; create it lazily.
+    // One slab per simulator hosts every connection; create it lazily.
     let slab_id = match sim.find_agent_by::<FlowSlab>() {
         Some((id, _)) => id,
         None => {
@@ -263,33 +278,37 @@ pub fn connect_with_source(
             id
         }
     };
-    let sink_id = sim.alloc_agent();
-
-    let mut cfg = TcpConfig::new(spec.flow, spec.dst, sink_id);
-    cfg.ecn = spec.ecn;
-    cfg.seed = spec.seed;
-    cfg.record_samples = spec.record_samples;
-    cfg.seg_size = spec.seg_size;
     let cc = spec.cc.build(spec.seed);
     let slab: &mut FlowSlab = sim.agent_mut(slab_id);
-    let slot = slab.add_flow(cfg, cc, source, spec.src);
-
-    let mut sink = TcpSink::new(spec.flow, spec.src, slab_id, 40);
-    if let Some(timeout) = spec.delack {
-        sink = sink.with_delayed_acks(timeout);
-    }
-    sim.install_agent(sink_id, spec.dst, Box::new(sink));
+    let slot = slab.add_flow(
+        sender_config(&spec, slab_id),
+        cc,
+        source,
+        spec.src,
+        spec.delack,
+    );
 
     Connection {
         flow: spec.flow,
         sender: slab_id,
-        sink: sink_id,
+        sink: slab_id,
         start_token: FlowSlab::start_token(slot),
         stop_token: FlowSlab::stop_token(slot),
     }
 }
 
-/// The pre-slab wiring: one [`TcpSender`] agent per flow.
+/// The sender configuration `spec` asks for, acknowledged by `sink`.
+fn sender_config(spec: &ConnectionSpec, sink: AgentId) -> TcpConfig {
+    let mut cfg = TcpConfig::new(spec.flow, spec.dst, sink);
+    cfg.ecn = spec.ecn;
+    cfg.seed = spec.seed;
+    cfg.record_samples = spec.record_samples;
+    cfg.seg_size = spec.seg_size;
+    cfg
+}
+
+/// The pre-slab wiring: one [`TcpSender`] and one [`TcpSink`] agent per
+/// flow.
 fn connect_legacy(
     sim: &mut Simulator,
     spec: ConnectionSpec,
@@ -298,16 +317,11 @@ fn connect_legacy(
     let sender_id = sim.alloc_agent();
     let sink_id = sim.alloc_agent();
 
-    let mut cfg = TcpConfig::new(spec.flow, spec.dst, sink_id);
-    cfg.ecn = spec.ecn;
-    cfg.seed = spec.seed;
-    cfg.record_samples = spec.record_samples;
-    cfg.seg_size = spec.seg_size;
     let cc = spec.cc.build(spec.seed);
-    let sender = TcpSender::new(cfg, cc, source);
+    let sender = TcpSender::new(sender_config(&spec, sink_id), cc, source);
     sim.install_agent(sender_id, spec.src, Box::new(sender));
 
-    let mut sink = TcpSink::new(spec.flow, spec.src, sender_id, 40);
+    let mut sink = TcpSink::new(spec.flow, spec.src, sender_id, sink::ACK_SIZE);
     if let Some(timeout) = spec.delack {
         sink = sink.with_delayed_acks(timeout);
     }
@@ -369,6 +383,14 @@ pub fn sender_srtt(sim: &Simulator, conn: &Connection) -> Option<f64> {
         return s.srtt();
     }
     sim.agent::<FlowSlab>(conn.sender).srtt_of(conn.flow)
+}
+
+/// Receiver statistics of `conn`.
+pub fn sink_stats(sim: &Simulator, conn: &Connection) -> SinkStats {
+    if let Some(s) = sim.try_agent::<TcpSink>(conn.sink) {
+        return *s.stats();
+    }
+    *sim.agent::<FlowSlab>(conn.sink).sink_stats_of(conn.flow)
 }
 
 /// True once `conn`'s flow has permanently finished.

@@ -16,7 +16,9 @@
 //!   every ACK; the slab stores them in parallel vectors so a scan over
 //!   many flows stays in cache.
 //! * [`FlowCold`] — everything else (config, boxed CC algorithm and
-//!   source, scoreboard, RNG, stats, samples, telemetry), boxed per flow.
+//!   source, scoreboard, RNG, stats), boxed per flow. Samples and
+//!   telemetry hang off it in one more box ([`FlowRecorders`]) that only
+//!   exists while something reads them.
 //!
 //! All protocol logic lives on [`FlowView`] (a bundle of `&mut` borrows of
 //! the four parts) and performs I/O through [`FlowIo`], which maps
@@ -204,18 +206,76 @@ pub(crate) struct FlowCold {
     pub pending_transfer: Option<u64>,
     /// Cumulative statistics.
     pub stats: SenderStats,
-    /// Optional per-ACK samples (`record_samples`).
-    pub samples: Vec<AckSample>,
+    /// Telemetry and sample recorders; `None` (one pointer, one branch
+    /// per ACK) unless telemetry was on at construction or the flow
+    /// records samples.
+    pub rec: Option<Box<FlowRecorders>>,
+}
 
-    // --- telemetry (attached at construction when the runtime flag is up;
-    // --- `None` costs one branch per ACK) -------------------------------
+impl FlowCold {
+    /// Per-ACK samples (empty unless `record_samples`).
+    pub(crate) fn samples(&self) -> &[AckSample] {
+        self.rec.as_ref().map_or(&[], |r| &r.samples)
+    }
+}
+
+/// What a flow records about itself for readers outside the simulation:
+/// the telemetry tap and RTT histogram (attached at construction when the
+/// runtime flag is up) and the per-ACK sample log (`record_samples`).
+pub(crate) struct FlowRecorders {
     /// Publishes `tcp/cwnd` (key = flow id) on every ACK.
     #[cfg(feature = "telemetry")]
-    pub tap: Option<telemetry::Tap>,
+    tap: Option<telemetry::Tap>,
     /// Per-flow RTT histogram, merged into the global `tcp/rtt_ns` metric
     /// when the flow drops.
     #[cfg(feature = "telemetry")]
-    pub rtt_hist: Option<BucketHistogram>,
+    rtt_hist: Option<BucketHistogram>,
+    /// Per-ACK samples (`record_samples`).
+    samples: Vec<AckSample>,
+}
+
+impl FlowRecorders {
+    /// The recorders `cfg` asks for, or `None` when nothing would read
+    /// them.
+    fn attach(cfg: &TcpConfig) -> Option<Box<FlowRecorders>> {
+        #[cfg(feature = "telemetry")]
+        let tel = telemetry::enabled();
+        #[cfg(not(feature = "telemetry"))]
+        let tel = false;
+        (tel || cfg.record_samples).then(|| {
+            Box::new(FlowRecorders {
+                #[cfg(feature = "telemetry")]
+                tap: telemetry::Tap::attach("tcp/cwnd", cfg.flow.0 as u64),
+                #[cfg(feature = "telemetry")]
+                rtt_hist: tel.then(|| BucketHistogram::new(&telemetry::RTT_EDGES_NS)),
+                samples: Vec::new(),
+            })
+        })
+    }
+
+    /// Record one ACK's outcome (`rtt` = 0 when the ACK carried no
+    /// sample).
+    fn on_ack(&mut self, now: f64, rtt: f64, owd: f64, cwnd: f64, record_samples: bool) {
+        #[cfg(feature = "telemetry")]
+        {
+            if let Some(tap) = &self.tap {
+                tap.record(now, cwnd);
+            }
+            if rtt > 0.0 {
+                if let Some(h) = &mut self.rtt_hist {
+                    h.observe((rtt * 1e9) as u64);
+                }
+            }
+        }
+        if record_samples && rtt > 0.0 {
+            self.samples.push(AckSample {
+                at: now,
+                rtt,
+                owd,
+                cwnd,
+            });
+        }
+    }
 }
 
 /// Build the four state parts for a fresh flow. Shared by
@@ -229,10 +289,7 @@ pub(crate) fn new_flow(
     assert!(cfg.seg_size > 0 && cfg.ack_size > 0);
     assert!(!cfg.min_rto.is_zero() && cfg.max_rto >= cfg.min_rto);
     let seed = cfg.seed;
-    #[cfg(feature = "telemetry")]
-    let tap = telemetry::Tap::attach("tcp/cwnd", cfg.flow.0 as u64);
-    #[cfg(feature = "telemetry")]
-    let rtt_hist = telemetry::enabled().then(|| BucketHistogram::new(&telemetry::RTT_EDGES_NS));
+    let rec = FlowRecorders::attach(&cfg);
     let wnd = Wnd {
         cwnd: cfg.initial_cwnd,
         ssthresh: cfg.initial_ssthresh,
@@ -265,11 +322,7 @@ pub(crate) fn new_flow(
         scoreboard: Scoreboard::new(),
         pending_transfer: None,
         stats: SenderStats::default(),
-        samples: Vec::new(),
-        #[cfg(feature = "telemetry")]
-        tap,
-        #[cfg(feature = "telemetry")]
-        rtt_hist,
+        rec,
     };
     (wnd, rtt, app, cold)
 }
@@ -639,25 +692,8 @@ impl FlowView<'_> {
         }
         self.wnd.cwnd = self.wnd.cwnd.min(self.cold.cfg.max_cwnd).max(1.0);
 
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(tap) = &self.cold.tap {
-                tap.record(now, self.wnd.cwnd);
-            }
-            if rtt > 0.0 {
-                if let Some(h) = &mut self.cold.rtt_hist {
-                    h.observe((rtt * 1e9) as u64);
-                }
-            }
-        }
-
-        if self.cold.cfg.record_samples && rtt > 0.0 {
-            self.cold.samples.push(AckSample {
-                at: now,
-                rtt,
-                owd,
-                cwnd: self.wnd.cwnd,
-            });
+        if let Some(rec) = &mut self.cold.rec {
+            rec.on_ack(now, rtt, owd, self.wnd.cwnd, self.cold.cfg.record_samples);
         }
 
         // 6. Transfer completion → ask the source for the next one.
@@ -750,7 +786,8 @@ impl FlowView<'_> {
 #[cfg(feature = "telemetry")]
 impl Drop for FlowCold {
     fn drop(&mut self) {
-        if self.tap.is_none() && self.rtt_hist.is_none() {
+        let Some(rec) = &self.rec else { return };
+        if rec.tap.is_none() && rec.rtt_hist.is_none() {
             return;
         }
         telemetry::counter_add("tcp/acked_segments", self.stats.acked_segments);
@@ -760,7 +797,7 @@ impl Drop for FlowCold {
         telemetry::counter_add("tcp/timeouts", self.stats.timeouts);
         telemetry::counter_add("tcp/ecn_reductions", self.stats.ecn_reductions);
         telemetry::counter_add("tcp/early_reductions", self.stats.early_reductions);
-        if let Some(h) = &self.rtt_hist {
+        if let Some(h) = &rec.rtt_hist {
             telemetry::histogram_merge("tcp/rtt_ns", h);
         }
         // One record per flow with its final delivered-segment count —
@@ -848,7 +885,7 @@ impl TcpSender {
 
     /// Per-ACK samples (empty unless `record_samples`).
     pub fn samples(&self) -> &[AckSample] {
-        &self.cold.samples
+        self.cold.samples()
     }
 }
 

@@ -1,4 +1,4 @@
-//! The TCP sink (receiver) agent.
+//! The TCP receiver half: per-connection state plus the agent wrapper.
 //!
 //! Acknowledges every data segment immediately (per-packet ACKs — the
 //! paper's per-ACK RTT sampling assumes this, as Linux does for RTO
@@ -12,6 +12,13 @@
 //! segment that triggered this ACK (RFC 2018's "most recent" rule), the
 //! highest block (which drives the sender's FACK loss declaration), and
 //! the lowest block.
+//!
+//! The receiver is split the way the sender is: [`SinkState`] holds one
+//! connection's state and all of its logic, and reaches the simulator
+//! through [`SinkIo`]. The [`FlowSlab`](crate::FlowSlab) keeps one
+//! `SinkState` per connection in a column next to the sender half; the
+//! standalone [`TcpSink`] agent wraps a single one (the `--legacy-agents`
+//! hosting and unit tests). Both run the same statements.
 
 use std::any::Any;
 
@@ -22,11 +29,23 @@ use netsim::{
 
 use crate::intervals::IntervalSet;
 
-/// Timer token for the delayed-ACK timeout (low bits; epoch above).
-const TOKEN_DELACK: u64 = 0xDA;
+/// Timer-token kind byte of the delayed-ACK timeout. The token carries
+/// the receiver's slot in bits 8–39 and its delayed-ACK epoch in bits
+/// 40–63 (see [`SinkState::token`]).
+pub(crate) const TOKEN_DELACK: u64 = 0xDA;
+
+/// ACK wire size in bytes, in both hostings.
+pub(crate) const ACK_SIZE: u32 = 40;
+
+/// Width of the delayed-ACK epoch carried in a timer token. The epoch
+/// advances once per ACK sent, so a stale timer could only be mistaken
+/// for the armed one if exactly 2^24 ACKs left the receiver within one
+/// delayed-ACK timeout (16.7 M ACKs in, by default, 100 ms).
+const EPOCH_BITS: u32 = 24;
+const EPOCH_MASK: u32 = (1 << EPOCH_BITS) - 1;
 
 /// Receiver statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SinkStats {
     /// Data segments received (including duplicates).
     pub segments_received: u64,
@@ -38,73 +57,92 @@ pub struct SinkStats {
     pub rcv_next: u64,
 }
 
-/// The sink agent: pair one with each [`crate::TcpSender`].
-pub struct TcpSink {
+/// How receiver logic reaches the simulator: ACKs leave from `node` and
+/// go to (`peer_node`, `peer_agent`); the delayed-ACK timer addresses
+/// `slot` (0 for a standalone sink).
+pub(crate) struct SinkIo<'a, 'b> {
+    pub ctx: &'a mut Ctx<'b>,
+    pub node: NodeId,
+    pub peer_node: NodeId,
+    pub peer_agent: AgentId,
+    pub ack_size: u32,
+    pub slot: usize,
+}
+
+/// One connection's receiver state. `stats.rcv_next` is the cumulative
+/// point itself, not a copy of it.
+#[derive(Clone, Debug)]
+pub(crate) struct SinkState {
     flow: FlowId,
-    peer_node: NodeId,
-    peer_agent: AgentId,
-    ack_size: u32,
-    rcv_next: u64,
     /// Out-of-order segments above `rcv_next`, as merged intervals.
     ooo: IntervalSet,
     /// Delayed-ACK timeout; `None` = acknowledge every segment (the
     /// paper's per-packet-ACK assumption).
     delack: Option<SimDuration>,
-    /// In-order segments received since the last ACK was sent.
-    pending: u32,
     /// Timestamp/OWD/ECE of the oldest unacknowledged trigger segment.
     pending_echo: Option<(SimTime, SimDuration, bool)>,
-    /// Epoch invalidating stale delayed-ACK timers.
-    delack_epoch: u64,
-    /// Receiver statistics.
+    /// In-order segments received since the last ACK was sent.
+    pending: u32,
+    /// Epoch invalidating stale delayed-ACK timers (24 bits, wrapping).
+    epoch: u32,
     pub stats: SinkStats,
 }
 
-impl TcpSink {
-    /// Create a sink acknowledging back to (`peer_node`, `peer_agent`),
-    /// acknowledging every data segment (no delayed ACKs).
-    pub fn new(flow: FlowId, peer_node: NodeId, peer_agent: AgentId, ack_size: u32) -> Self {
-        assert!(ack_size > 0);
-        TcpSink {
+impl SinkState {
+    /// A fresh receiver for `flow`; `delack` enables RFC-1122 delayed
+    /// ACKs (see [`TcpSink::with_delayed_acks`]).
+    pub(crate) fn new(flow: FlowId, delack: Option<SimDuration>) -> Self {
+        assert!(
+            delack.is_none_or(|t| !t.is_zero()),
+            "delayed-ACK timeout must be positive"
+        );
+        SinkState {
             flow,
-            peer_node,
-            peer_agent,
-            ack_size,
-            rcv_next: 0,
             ooo: IntervalSet::new(),
-            delack: None,
-            pending: 0,
+            delack,
             pending_echo: None,
-            delack_epoch: 0,
+            pending: 0,
+            epoch: 0,
             stats: SinkStats::default(),
         }
     }
 
-    /// Enable RFC-1122 delayed ACKs: acknowledge every second in-order
-    /// segment or after `timeout`, whichever first; out-of-order arrivals
-    /// and CE marks are acknowledged immediately (RFC 5681 duplicate-ACK
-    /// and ECN behaviour). Halves the sender's RTT sampling rate — the
-    /// `delack` ablation measures what that does to PERT's predictor.
-    pub fn with_delayed_acks(mut self, timeout: SimDuration) -> Self {
-        assert!(!timeout.is_zero());
-        self.delack = Some(timeout);
-        self
+    /// The delayed-ACK timer token of the receiver in `slot` at `epoch`:
+    /// kind byte [`TOKEN_DELACK`], slot in bits 8–39, epoch in bits 40–63.
+    pub(crate) fn token(slot: usize, epoch: u32) -> TimerToken {
+        debug_assert!(slot >> 32 == 0 && epoch <= EPOCH_MASK);
+        TimerToken(TOKEN_DELACK | (slot as u64) << 8 | u64::from(epoch) << 40)
+    }
+
+    /// The slot a delayed-ACK token addresses.
+    pub(crate) fn token_slot(token: TimerToken) -> usize {
+        ((token.0 >> 8) & 0xffff_ffff) as usize
+    }
+
+    fn token_epoch(token: TimerToken) -> u32 {
+        (token.0 >> 40) as u32
+    }
+
+    /// Invalidate any armed delayed-ACK timer (called once per ACK sent).
+    fn next_epoch(&mut self) {
+        self.epoch = (self.epoch + 1) & EPOCH_MASK;
     }
 
     /// Accept `seq`; returns the interval it joined if it was out of
     /// order.
     fn accept(&mut self, seq: u64) -> Option<(u64, u64)> {
-        if seq == self.rcv_next {
-            self.rcv_next += 1;
+        let rcv_next = &mut self.stats.rcv_next;
+        if seq == *rcv_next {
+            *rcv_next += 1;
             // Consume a now-contiguous leading interval, if any.
             if let Some((s, e)) = self.ooo.first() {
-                if s == self.rcv_next {
-                    self.rcv_next = e;
+                if s == *rcv_next {
+                    *rcv_next = e;
                     self.ooo.remove_below(e);
                 }
             }
             None
-        } else if seq > self.rcv_next {
+        } else if seq > *rcv_next {
             let (interval, fresh) = self.ooo.insert(seq);
             if !fresh {
                 self.stats.duplicates += 1;
@@ -139,7 +177,7 @@ impl TcpSink {
     /// Emit an ACK now, echoing `(ts, owd, ece)`.
     fn send_ack(
         &mut self,
-        ctx: &mut Ctx<'_>,
+        io: &mut SinkIo<'_, '_>,
         triggered: Option<(u64, u64)>,
         ts_echo: SimTime,
         owd_echo: SimDuration,
@@ -147,27 +185,30 @@ impl TcpSink {
     ) {
         self.pending = 0;
         self.pending_echo = None;
-        self.delack_epoch += 1; // invalidate any armed delayed-ACK timer
-        ctx.send(Packet {
-            flow: self.flow,
-            dst_node: self.peer_node,
-            dst_agent: self.peer_agent,
-            size_bytes: self.ack_size,
-            ecn: Ecn::NotCapable, // ACKs are not ECN-capable (RFC 3168)
-            sent_at: ctx.now(),
-            payload: Payload::Ack {
-                cum_ack: self.rcv_next,
-                sack: self.sack_blocks(triggered),
-                ts_echo,
-                owd_echo,
-                ece,
+        self.next_epoch();
+        let now = io.ctx.now();
+        io.ctx.send_from(
+            io.node,
+            Packet {
+                flow: self.flow,
+                dst_node: io.peer_node,
+                dst_agent: io.peer_agent,
+                size_bytes: io.ack_size,
+                ecn: Ecn::NotCapable, // ACKs are not ECN-capable (RFC 3168)
+                sent_at: now,
+                payload: Payload::Ack {
+                    cum_ack: self.stats.rcv_next,
+                    sack: self.sack_blocks(triggered),
+                    ts_echo,
+                    owd_echo,
+                    ece,
+                },
             },
-        });
+        );
     }
-}
 
-impl Agent for TcpSink {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+    /// A data segment arrived.
+    pub(crate) fn on_data(&mut self, pkt: Packet, io: &mut SinkIo<'_, '_>) {
         let Payload::Data { seq, .. } = pkt.payload else {
             debug_assert!(false, "sink received a non-data packet");
             return;
@@ -179,12 +220,11 @@ impl Agent for TcpSink {
         }
 
         let triggered = self.accept(seq);
-        self.stats.rcv_next = self.rcv_next;
         let ts = pkt.sent_at;
-        let owd = ctx.now().duration_since(pkt.sent_at);
+        let owd = io.ctx.now().duration_since(pkt.sent_at);
 
         match self.delack {
-            None => self.send_ack(ctx, triggered, ts, owd, ece),
+            None => self.send_ack(io, triggered, ts, owd, ece),
             Some(timeout) => {
                 // Immediate ACK on out-of-order data, CE marks, or every
                 // second in-order segment; otherwise arm the timer.
@@ -198,21 +238,86 @@ impl Agent for TcpSink {
                     // its RTT is not inflated by the hold time, keeping the
                     // sender's delay signal accurate (the held segment's
                     // ECE, if any, is still propagated).
-                    self.send_ack(ctx, triggered, ts, owd, ece || held_ece);
+                    self.send_ack(io, triggered, ts, owd, ece || held_ece);
                 } else if self.pending == 1 {
-                    let token = TimerToken(TOKEN_DELACK | (self.delack_epoch << 16));
-                    ctx.schedule(timeout, token);
+                    io.ctx.schedule(timeout, Self::token(io.slot, self.epoch));
                 }
             }
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
-        let expected = TimerToken(TOKEN_DELACK | (self.delack_epoch << 16));
-        if token == expected && self.pending > 0 {
+    /// The delayed-ACK timer `token` fired; acts only if it is the one
+    /// armed since the last ACK.
+    pub(crate) fn on_delack_timer(&mut self, token: TimerToken, io: &mut SinkIo<'_, '_>) {
+        if Self::token_epoch(token) == self.epoch && self.pending > 0 {
             if let Some((ts, owd, ece)) = self.pending_echo.take() {
-                self.send_ack(ctx, None, ts, owd, ece);
+                self.send_ack(io, None, ts, owd, ece);
             }
+        }
+    }
+}
+
+/// The standalone sink agent: one receiver per agent, paired with a
+/// [`crate::TcpSender`]. The default hosting instead keeps the receiver
+/// in the [`FlowSlab`](crate::FlowSlab) row of its connection; this agent
+/// remains as the `--legacy-agents` path and for direct unit tests.
+pub struct TcpSink {
+    peer_node: NodeId,
+    peer_agent: AgentId,
+    ack_size: u32,
+    state: SinkState,
+}
+
+impl TcpSink {
+    /// Create a sink acknowledging back to (`peer_node`, `peer_agent`),
+    /// acknowledging every data segment (no delayed ACKs).
+    pub fn new(flow: FlowId, peer_node: NodeId, peer_agent: AgentId, ack_size: u32) -> Self {
+        assert!(ack_size > 0);
+        TcpSink {
+            peer_node,
+            peer_agent,
+            ack_size,
+            state: SinkState::new(flow, None),
+        }
+    }
+
+    /// Enable RFC-1122 delayed ACKs: acknowledge every second in-order
+    /// segment or after `timeout`, whichever first; out-of-order arrivals
+    /// and CE marks are acknowledged immediately (RFC 5681 duplicate-ACK
+    /// and ECN behaviour). Halves the sender's RTT sampling rate — the
+    /// `delack` ablation measures what that does to PERT's predictor.
+    pub fn with_delayed_acks(mut self, timeout: SimDuration) -> Self {
+        self.state = SinkState::new(self.state.flow, Some(timeout));
+        self
+    }
+
+    /// Receiver statistics.
+    pub fn stats(&self) -> &SinkStats {
+        &self.state.stats
+    }
+
+    fn io<'a, 'b>(&self, ctx: &'a mut Ctx<'b>) -> SinkIo<'a, 'b> {
+        SinkIo {
+            node: ctx.node,
+            peer_node: self.peer_node,
+            peer_agent: self.peer_agent,
+            ack_size: self.ack_size,
+            slot: 0,
+            ctx,
+        }
+    }
+}
+
+impl Agent for TcpSink {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        let mut io = self.io(ctx);
+        self.state.on_data(pkt, &mut io);
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
+        if token.0 & 0xff == TOKEN_DELACK {
+            let mut io = self.io(ctx);
+            self.state.on_delack_timer(token, &mut io);
         }
     }
 
@@ -229,8 +334,8 @@ impl Agent for TcpSink {
 mod tests {
     use super::*;
 
-    fn sink() -> TcpSink {
-        TcpSink::new(FlowId(0), NodeId(0), AgentId(0), 40)
+    fn sink() -> SinkState {
+        SinkState::new(FlowId(0), None)
     }
 
     #[test]
@@ -239,7 +344,7 @@ mod tests {
         for seq in 0..5 {
             assert_eq!(s.accept(seq), None);
         }
-        assert_eq!(s.rcv_next, 5);
+        assert_eq!(s.stats.rcv_next, 5);
         assert!(s.ooo.is_empty());
     }
 
@@ -249,12 +354,12 @@ mod tests {
         s.accept(0);
         assert_eq!(s.accept(2), Some((2, 3)));
         assert_eq!(s.accept(3), Some((2, 4)));
-        assert_eq!(s.rcv_next, 1);
+        assert_eq!(s.stats.rcv_next, 1);
         let blocks = s.sack_blocks(Some((2, 4)));
         assert_eq!(blocks[0], Some(SackBlock { start: 2, end: 4 }));
         // Filling the hole consumes the interval.
         s.accept(1);
-        assert_eq!(s.rcv_next, 4);
+        assert_eq!(s.stats.rcv_next, 4);
         assert!(s.ooo.is_empty());
     }
 
@@ -312,7 +417,32 @@ mod tests {
         }
         assert_eq!(s.ooo.interval_count(), 1);
         s.accept(1);
-        assert_eq!(s.rcv_next, 1000);
+        assert_eq!(s.stats.rcv_next, 1000);
         assert!(s.ooo.is_empty());
+    }
+
+    /// The delayed-ACK token round-trips slot and epoch at the edges of
+    /// both fields, and the epoch wraps inside its 24 bits without ever
+    /// spilling into the slot or the kind byte.
+    #[test]
+    fn delack_token_round_trips_slot_and_epoch() {
+        for slot in [0usize, 1, 0xDA, 100_000, (1 << 32) - 1] {
+            for epoch in [0u32, 1, 0xff, EPOCH_MASK - 1, EPOCH_MASK] {
+                let t = SinkState::token(slot, epoch);
+                assert_eq!(t.0 & 0xff, TOKEN_DELACK);
+                assert_eq!(SinkState::token_slot(t), slot);
+                assert_eq!(SinkState::token_epoch(t), epoch);
+            }
+        }
+        let mut s = sink();
+        for _ in 0..EPOCH_MASK {
+            s.next_epoch();
+        }
+        assert_eq!(s.epoch, EPOCH_MASK);
+        s.next_epoch();
+        assert_eq!(s.epoch, 0, "the epoch wraps to zero after 2^24 ACKs");
+        let wrapped = SinkState::token(7, s.epoch);
+        assert_eq!(wrapped, SinkState::token(7, 0));
+        assert_eq!(SinkState::token_slot(wrapped), 7);
     }
 }

@@ -1,29 +1,37 @@
-//! The struct-of-arrays flow slab: one shared agent hosting many TCP
-//! senders.
+//! The struct-of-arrays flow slab: one shared agent hosting every TCP
+//! connection of a simulation, both halves.
 //!
-//! Per-flow agents carry two costs at scale: every flow is a separate
+//! Per-flow agents carry two costs at scale: every endpoint is a separate
 //! `Box<dyn Agent>` (pointer chase + heap spread per event), and the hot
 //! per-ACK fields sit interleaved with cold configuration in one large
-//! struct. The slab flips the layout: the hot parts ([`Wnd`],
-//! [`RttState`], [`AppState`] — all `Copy`) live in parallel vectors
-//! indexed by a dense slot, so dispatching a burst of ACKs walks compact
-//! arrays, while the cold remainder ([`FlowCold`]) stays boxed per flow.
+//! struct. The slab flips the layout: a connection is one *row* across
+//! parallel vectors indexed by a dense slot — the sender's hot parts
+//! ([`Wnd`], [`RttState`], [`AppState`], all `Copy`), its receiver half
+//! ([`SinkState`]), and the two endpoint nodes — so dispatching a burst of
+//! ACKs walks compact arrays, while the sender's cold remainder
+//! ([`FlowCold`]) stays boxed per flow.
 //!
 //! The slab is installed once per simulator as a *shared* agent (it has no
-//! home node; every flow records its own source node and transmits via
-//! [`netsim::Ctx::send_from`]). Demultiplexing:
+//! home node; every row records its source and sink nodes and transmits
+//! via [`netsim::Ctx::send_from`]). Demultiplexing:
 //!
-//! * packets — ACKs carry the flow id; `flow → slot` is a dense lookup.
+//! * packets — both directions carry the flow id, and `flow → slot` is a
+//!   dense lookup; data segments go to the receiver half, ACKs to the
+//!   sender half.
 //! * timers — tokens carry `slot << 8 | kind`, so bits 8.. address the
-//!   flow and the low byte selects the action (start/stop/transfer/RTO).
+//!   row and the low byte selects the action (start/stop/transfer/RTO/
+//!   pacing). The receiver's delayed-ACK timer is kind `0xDA` with the
+//!   slot in bits 8–39 and its epoch in bits 40–63
+//!   ([`SinkState::token`]), so slots are limited to 32 bits.
 //!
-//! The protocol logic is [`FlowView`]/[`FlowIo`] — the same code the
-//! standalone [`TcpSender`](crate::TcpSender) runs — so slab and legacy
-//! modes produce byte-identical schedules.
+//! The protocol logic is [`FlowView`]/[`FlowIo`] and [`SinkState`]/
+//! [`SinkIo`] — the same code the standalone [`TcpSender`](crate::TcpSender)
+//! and [`TcpSink`](crate::TcpSink) agents run — so slab and legacy modes
+//! produce byte-identical schedules.
 
 use std::any::Any;
 
-use netsim::{Agent, Ctx, FlowId, NodeId, Packet, TimerToken};
+use netsim::{Agent, Ctx, FlowId, NodeId, Packet, SimDuration, TimerToken};
 use pert_core::predictors::AckSample;
 
 use crate::cc::CcAlgorithm;
@@ -31,31 +39,42 @@ use crate::sender::{
     new_flow, AppState, FlowCold, FlowIo, FlowView, RttState, SenderStats, TcpConfig, Wnd,
     TOKEN_START, TOKEN_STOP,
 };
+use crate::sink::{SinkIo, SinkState, SinkStats, ACK_SIZE, TOKEN_DELACK};
 use crate::source::Source;
 
-/// Shared agent hosting every TCP sender of a simulation in
+/// Shared agent hosting every TCP connection of a simulation in
 /// struct-of-arrays form. Build implicitly through
 /// [`connect`](crate::connect) /
 /// [`connect_with_source`](crate::connect_with_source); read results back
-/// with the `sender_*` accessors in the crate root.
+/// with the `sender_*` and [`sink_stats`](crate::sink_stats) accessors in
+/// the crate root.
 #[derive(Default)]
 pub struct FlowSlab {
-    // Hot state, parallel vectors keyed by slot.
+    // Hot sender state, parallel vectors keyed by slot.
     wnd: Vec<Wnd>,
     rtt: Vec<RttState>,
     app: Vec<AppState>,
-    // Cold state and the flow's source node, same keying. The box is
-    // deliberate: `FlowCold` is two orders of magnitude larger than the
-    // hot rows, so boxing keeps slab growth cheap and keeps the cold
-    // bytes entirely out of this vector's cache footprint. The option is
-    // the shard-split seam: a slot is `None` while its flow lives on a
-    // (different) shard's copy of the slab — touching it there is a bug
-    // and panics rather than silently diverging.
+    /// Receiver half of every connection, same keying.
+    sinks: Vec<SinkState>,
+    // Cold sender state, same keying. The box is deliberate: `FlowCold`
+    // is an order of magnitude larger than the hot rows, so boxing keeps
+    // slab growth cheap and keeps the cold bytes entirely out of this
+    // vector's cache footprint. The option is the shard-split seam: a slot
+    // is `None` while its sender lives on a (different) shard's copy of
+    // the slab — touching it there is a bug and panics rather than
+    // silently diverging.
     cold: Vec<Option<Box<FlowCold>>>,
+    /// Source (sender-half) node of every slot.
     nodes: Vec<NodeId>,
+    /// Sink (receiver-half) node of every slot.
+    sink_nodes: Vec<NodeId>,
     /// Dense `flow id → slot` map (flow ids are small consecutive
     /// integers in every topology builder).
     by_flow: Vec<Option<u32>>,
+    /// Set only on the husk a shard split leaves behind: the node → shard
+    /// map the parts were cut along, which names each row's owners at
+    /// merge time.
+    shard_of_node: Vec<usize>,
 }
 
 impl FlowSlab {
@@ -64,36 +83,43 @@ impl FlowSlab {
         FlowSlab::default()
     }
 
-    /// Number of flows hosted.
+    /// Number of connections hosted.
     pub fn len(&self) -> usize {
         self.cold.len()
     }
 
-    /// True when the slab hosts no flows.
+    /// True when the slab hosts no connections.
     pub fn is_empty(&self) -> bool {
         self.cold.is_empty()
     }
 
-    /// Register a flow sending from `node`; returns its slot.
+    /// Register a connection sending from `node` to `cfg.peer_node`, whose
+    /// receiver half this slab hosts as well (`cfg.peer_agent` must be the
+    /// slab's own id); `delack` enables delayed ACKs on the receiver.
+    /// Returns the connection's slot.
     pub fn add_flow(
         &mut self,
         cfg: TcpConfig,
         cc: Box<dyn CcAlgorithm>,
         source: Box<dyn Source>,
         node: NodeId,
+        delack: Option<SimDuration>,
     ) -> usize {
         let slot = self.cold.len();
         assert!(
-            slot < (1usize << 56),
-            "flow slot must fit above the token kind byte"
+            slot >> 32 == 0,
+            "flow slot must fit the 32-bit slot field of a timer token"
         );
         let flow = cfg.flow;
+        let sink_node = cfg.peer_node;
         let (wnd, rtt, app, cold) = new_flow(cfg, cc, source);
         self.wnd.push(wnd);
         self.rtt.push(rtt);
         self.app.push(app);
+        self.sinks.push(SinkState::new(flow, delack));
         self.cold.push(Some(Box::new(cold)));
         self.nodes.push(node);
+        self.sink_nodes.push(sink_node);
         if self.by_flow.len() <= flow.index() {
             self.by_flow.resize(flow.index() + 1, None);
         }
@@ -141,6 +167,23 @@ impl FlowSlab {
         }
     }
 
+    /// Run the receiver half of `slot`.
+    fn receiver<'a, 'b>(
+        &mut self,
+        slot: usize,
+        ctx: &'a mut Ctx<'b>,
+    ) -> (&mut SinkState, SinkIo<'a, 'b>) {
+        let io = SinkIo {
+            node: self.sink_nodes[slot],
+            peer_node: self.nodes[slot],
+            peer_agent: ctx.agent,
+            ack_size: ACK_SIZE,
+            slot,
+            ctx,
+        };
+        (&mut self.sinks[slot], io)
+    }
+
     // --- per-flow read-back (mirrors the `TcpSender` accessors) ---------
 
     fn cold_of(&self, flow: FlowId) -> &FlowCold {
@@ -156,7 +199,7 @@ impl FlowSlab {
 
     /// Per-ACK samples of `flow` (empty unless `record_samples`).
     pub fn samples_of(&self, flow: FlowId) -> &[AckSample] {
-        &self.cold_of(flow).samples
+        self.cold_of(flow).samples()
     }
 
     /// Congestion-control algorithm of `flow` (for downcasting).
@@ -183,20 +226,36 @@ impl FlowSlab {
     pub fn in_recovery_of(&self, flow: FlowId) -> bool {
         self.wnd[self.expect_slot(flow)].recovery_point.is_some()
     }
+
+    /// Receiver statistics of `flow`.
+    pub fn sink_stats_of(&self, flow: FlowId) -> &SinkStats {
+        &self.sinks[self.expect_slot(flow)].stats
+    }
 }
 
 impl Agent for FlowSlab {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let slot = self.expect_slot(pkt.flow);
-        let mut io = FlowIo {
-            node: self.nodes[slot],
-            token_bits: (slot as u64) << 8,
-            ctx,
-        };
-        self.view(slot).handle_packet(pkt, &mut io);
+        if pkt.is_ack() {
+            let mut io = FlowIo {
+                node: self.nodes[slot],
+                token_bits: (slot as u64) << 8,
+                ctx,
+            };
+            self.view(slot).handle_packet(pkt, &mut io);
+        } else {
+            debug_assert_eq!(ctx.node, self.sink_nodes[slot], "data off its sink node");
+            let (sink, mut io) = self.receiver(slot, ctx);
+            sink.on_data(pkt, &mut io);
+        }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
+        if token.0 & 0xff == TOKEN_DELACK {
+            let (sink, mut io) = self.receiver(SinkState::token_slot(token), ctx);
+            sink.on_delack_timer(token, &mut io);
+            return;
+        }
         let slot = (token.0 >> 8) as usize;
         let mut io = FlowIo {
             node: self.nodes[slot],
@@ -219,53 +278,78 @@ impl Agent for FlowSlab {
     }
 
     fn shard_route_timer(&self, token: TimerToken) -> Option<NodeId> {
-        self.nodes.get((token.0 >> 8) as usize).copied()
+        if token.0 & 0xff == TOKEN_DELACK {
+            self.sink_nodes.get(SinkState::token_slot(token)).copied()
+        } else {
+            self.nodes.get((token.0 >> 8) as usize).copied()
+        }
     }
 
     fn shard_split(&mut self, n: usize, shard_of_node: &[usize]) -> Vec<Box<dyn Agent>> {
-        // Every part gets full hot vectors and the full flow/node maps —
-        // slot numbering and token routing stay identical everywhere —
-        // but a flow's cold box (and thus the right to run it) moves to
-        // the shard owning its source node. The husk keeps only `None`s.
-        let mut parts: Vec<FlowSlab> = (0..n)
+        // Part 0 takes the whole slab; parts 1.. get clones of its row
+        // columns and flow/node maps — slot numbering and token routing
+        // stay identical everywhere — so n shards hold n copies, not n + 1.
+        // A sender's cold box (and thus the right to run it) moves to the
+        // shard owning its source node; a receiver row is authoritative on
+        // the shard owning its sink node. The husk keeps only the
+        // partition.
+        let mut first = std::mem::take(self);
+        self.shard_of_node = shard_of_node.to_vec();
+        let mut rest: Vec<FlowSlab> = (1..n)
             .map(|_| FlowSlab {
-                wnd: self.wnd.clone(),
-                rtt: self.rtt.clone(),
-                app: self.app.clone(),
-                cold: (0..self.cold.len()).map(|_| None).collect(),
-                nodes: self.nodes.clone(),
-                by_flow: self.by_flow.clone(),
+                wnd: first.wnd.clone(),
+                rtt: first.rtt.clone(),
+                app: first.app.clone(),
+                sinks: first.sinks.clone(),
+                cold: (0..first.len()).map(|_| None).collect(),
+                nodes: first.nodes.clone(),
+                sink_nodes: first.sink_nodes.clone(),
+                by_flow: first.by_flow.clone(),
+                shard_of_node: Vec::new(),
             })
             .collect();
-        for slot in 0..self.cold.len() {
-            let owner = shard_of_node[self.nodes[slot].index()];
-            parts[owner].cold[slot] = self.cold[slot].take();
+        for slot in 0..first.len() {
+            let owner = shard_of_node[first.nodes[slot].index()];
+            if owner != 0 {
+                rest[owner - 1].cold[slot] = first.cold[slot].take();
+            }
         }
-        parts
-            .into_iter()
+        std::iter::once(first)
+            .chain(rest)
             .map(|p| Box::new(p) as Box<dyn Agent>)
             .collect()
     }
 
     fn shard_merge(&mut self, parts: Vec<Box<dyn Agent>>) {
-        // A part owns exactly the slots whose cold box it holds; take the
-        // box home and copy that slot's (authoritative) hot rows with it.
-        for mut part in parts {
-            let slab = part
-                .as_any_mut()
-                .downcast_mut::<FlowSlab>()
-                .expect("shard part of a FlowSlab must be a FlowSlab");
-            for slot in 0..self.cold.len() {
-                if let Some(cold) = slab.cold[slot].take() {
-                    debug_assert!(
-                        self.cold[slot].is_none(),
-                        "slot {slot} merged from two shards"
-                    );
-                    self.cold[slot] = Some(cold);
-                    self.wnd[slot] = slab.wnd[slot];
-                    self.rtt[slot] = slab.rtt[slot];
-                    self.app[slot] = slab.app[slot];
-                }
+        // Part 0's columns come home whole; every other part returns the
+        // rows it owned: a sender row with its cold box, a receiver row by
+        // its sink node.
+        let shard_of_node = std::mem::take(&mut self.shard_of_node);
+        let mut parts: Vec<FlowSlab> = parts
+            .into_iter()
+            .map(|mut p| {
+                std::mem::take(
+                    p.as_any_mut()
+                        .downcast_mut::<FlowSlab>()
+                        .expect("shard part of a FlowSlab must be a FlowSlab"),
+                )
+            })
+            .collect();
+        let mut rest = parts.split_off(1);
+        *self = parts.pop().expect("one part per shard");
+        for slot in 0..self.len() {
+            let owner = shard_of_node[self.nodes[slot].index()];
+            if owner != 0 {
+                let part = &mut rest[owner - 1];
+                self.cold[slot] = part.cold[slot].take();
+                self.wnd[slot] = part.wnd[slot];
+                self.rtt[slot] = part.rtt[slot];
+                self.app[slot] = part.app[slot];
+            }
+            debug_assert!(self.cold[slot].is_some(), "slot {slot} lost its sender");
+            let receiver = shard_of_node[self.sink_nodes[slot].index()];
+            if receiver != 0 {
+                std::mem::swap(&mut self.sinks[slot], &mut rest[receiver - 1].sinks[slot]);
             }
         }
     }
@@ -274,19 +358,24 @@ impl Agent for FlowSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::Reno;
+    use crate::cc::{PertCc, Reno};
     use crate::source::Greedy;
     use netsim::AgentId;
 
-    fn cfg(flow: usize) -> TcpConfig {
-        TcpConfig::new(FlowId(flow), NodeId(1), AgentId(1))
+    fn cfg(flow: usize, sink: usize) -> TcpConfig {
+        TcpConfig::new(FlowId(flow), NodeId(sink), AgentId(0))
+    }
+
+    fn add(slab: &mut FlowSlab, flow: usize, src: usize, dst: usize) -> usize {
+        let (cc, source) = (Box::new(Reno::new()), Box::new(Greedy));
+        slab.add_flow(cfg(flow, dst), cc, source, NodeId(src), None)
     }
 
     #[test]
     fn slots_are_dense_and_flow_keyed() {
         let mut slab = FlowSlab::new();
-        let s0 = slab.add_flow(cfg(7), Box::new(Reno::new()), Box::new(Greedy), NodeId(0));
-        let s1 = slab.add_flow(cfg(3), Box::new(Reno::new()), Box::new(Greedy), NodeId(2));
+        let s0 = add(&mut slab, 7, 0, 1);
+        let s1 = add(&mut slab, 3, 2, 1);
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(slab.len(), 2);
         assert_eq!(slab.slot_of(FlowId(7)), Some(0));
@@ -294,6 +383,7 @@ mod tests {
         assert_eq!(slab.slot_of(FlowId(0)), None);
         assert_eq!(slab.cwnd_of(FlowId(7)), 2.0);
         assert!(!slab.stopped_of(FlowId(3)));
+        assert_eq!(*slab.sink_stats_of(FlowId(3)), SinkStats::default());
     }
 
     #[test]
@@ -308,40 +398,69 @@ mod tests {
 
     #[test]
     fn shard_split_moves_cold_state_to_owner_and_merges_back() {
+        // Flow 0 sends n0 → n1, flow 1 sends n1 → n0: on two shards each
+        // connection's halves live apart.
         let mut slab = FlowSlab::new();
-        slab.add_flow(cfg(0), Box::new(Reno::new()), Box::new(Greedy), NodeId(0));
-        slab.add_flow(cfg(1), Box::new(Reno::new()), Box::new(Greedy), NodeId(1));
-        assert_eq!(
-            slab.shard_route_timer(FlowSlab::start_token(1)),
-            Some(NodeId(1))
-        );
+        add(&mut slab, 0, 0, 1);
+        add(&mut slab, 1, 1, 0);
+        let route = |s: &FlowSlab, t| s.shard_route_timer(t);
+        assert_eq!(route(&slab, FlowSlab::start_token(1)), Some(NodeId(1)));
+        assert_eq!(route(&slab, SinkState::token(1, 9)), Some(NodeId(0)));
+        assert_eq!(route(&slab, SinkState::token(0, 9)), Some(NodeId(1)));
 
         let mut parts = slab.shard_split(2, &[0, 1]);
-        {
-            let p0 = parts[0].as_any().downcast_ref::<FlowSlab>().unwrap();
-            assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
-            let p1 = parts[1].as_any().downcast_ref::<FlowSlab>().unwrap();
-            assert!(p1.cold[0].is_none() && p1.cold[1].is_some());
+        assert!(slab.is_empty(), "the husk keeps no rows");
+        fn part(parts: &mut [Box<dyn Agent>], i: usize) -> &mut FlowSlab {
+            parts[i].as_any_mut().downcast_mut::<FlowSlab>().unwrap()
         }
-        assert!(slab.cold.iter().all(Option::is_none));
-
-        // Hot rows mutated on the owner must win at merge time.
-        parts[1]
-            .as_any_mut()
-            .downcast_mut::<FlowSlab>()
-            .unwrap()
-            .wnd[1]
-            .cwnd = 42.0;
+        // Every part carries every row; only the owners' copies may move
+        // and only they come home. Shard 0 owns flow 0's sender and flow
+        // 1's receiver, shard 1 the other two halves.
+        let p0 = part(&mut parts, 0);
+        assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
+        p0.sinks[1].stats.rcv_next = 9;
+        p0.sinks[0].stats.rcv_next = 1_000;
+        p0.wnd[1].cwnd = 1_000.0;
+        let p1 = part(&mut parts, 1);
+        assert!(p1.cold[0].is_none() && p1.cold[1].is_some());
+        p1.sinks[0].stats.rcv_next = 7;
+        p1.sinks[1].stats.rcv_next = 1_000;
+        p1.wnd[1].cwnd = 42.0;
         slab.shard_merge(parts);
         assert_eq!(slab.cwnd_of(FlowId(1)), 42.0);
+        assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 7);
+        assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 9);
         assert!(slab.cold.iter().all(Option::is_some));
+        assert!(slab.shard_of_node.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_flow_registration_panics() {
         let mut slab = FlowSlab::new();
-        slab.add_flow(cfg(1), Box::new(Reno::new()), Box::new(Greedy), NodeId(0));
-        slab.add_flow(cfg(1), Box::new(Reno::new()), Box::new(Greedy), NodeId(0));
+        add(&mut slab, 1, 0, 1);
+        add(&mut slab, 1, 0, 1);
+    }
+
+    /// The per-connection parts a detached run builds, at their budgets:
+    /// recorders and the audit oracle live behind one pointer each.
+    #[test]
+    fn row_parts_stay_within_their_budgets() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<FlowCold>() <= 360,
+            "FlowCold is {} B",
+            size_of::<FlowCold>()
+        );
+        assert!(
+            size_of::<PertCc>() <= 200,
+            "PertCc is {} B",
+            size_of::<PertCc>()
+        );
+        assert!(
+            size_of::<SinkState>() <= 136,
+            "SinkState is {} B",
+            size_of::<SinkState>()
+        );
     }
 }

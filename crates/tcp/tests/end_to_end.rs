@@ -8,8 +8,8 @@
 use netsim::prelude::*;
 use netsim::queue::QueueDiscipline;
 use pert_tcp::{
-    connect, connect_with_source, sender_samples, sender_stats, sender_stopped, ConnectionSpec,
-    Finite,
+    connect, connect_with_source, sender_samples, sender_stats, sender_stopped, sink_stats,
+    Connection, ConnectionSpec, Finite, SinkStats,
 };
 
 /// Dumbbell: n0 — bottleneck — n1; returns (sim, n0, n1, forward link id).
@@ -95,8 +95,7 @@ fn delivery_is_reliable_and_in_order() {
     sim.run_until(SimTime::from_secs_f64(60.0));
     assert_eq!(sender_stats(&sim, &conn).acked_segments, 5000);
     assert!(sender_stopped(&sim, &conn), "finite flow should finish");
-    let sink: &pert_tcp::TcpSink = sim.agent(conn.sink);
-    assert_eq!(sink.stats.rcv_next, 5000);
+    assert_eq!(sink_stats(&sim, &conn).rcv_next, 5000);
 }
 
 #[test]
@@ -265,8 +264,7 @@ fn delayed_acks_halve_ack_traffic_without_breaking_reliability() {
         3000,
         "reliability broken"
     );
-    let sink: &pert_tcp::TcpSink = sim.agent(conn.sink);
-    assert_eq!(sink.stats.rcv_next, 3000);
+    assert_eq!(sink_stats(&sim, &conn).rcv_next, 3000);
     // ACK traffic on the reverse link should be roughly halved: ~1 ACK per
     // 2 data segments (allow slack for timer ACKs and recovery).
     let acks = sim.link(LinkId(1)).delivered_pkts;
@@ -415,23 +413,69 @@ fn cubic_and_bbr_agree_in_both_hostings() {
     );
 }
 
+/// Per-flow observables of both halves of a connection: sender
+/// `(acked, retransmits, loss events)` and the receiver's statistics.
+fn per_flow(sim: &Simulator, conns: &[Connection]) -> Vec<((u64, u64, u64), SinkStats)> {
+    conns
+        .iter()
+        .map(|c| {
+            let s = sender_stats(sim, c);
+            (
+                (s.acked_segments, s.retransmits, s.loss_events),
+                sink_stats(sim, c),
+            )
+        })
+        .collect()
+}
+
+/// A RED-ECN bottleneck with a buffer small enough to drop, shared by
+/// ECN-capable SACK flows and non-ECN PERT flows (whose early signals
+/// are drops), every receiver delaying its ACKs: out-of-order intervals,
+/// SACK blocks and delayed-ACK epoch tokens all stay busy.
+fn lossy_red_ecn_spec(i: usize, src: NodeId, dst: NodeId) -> ConnectionSpec {
+    let mut spec = if i.is_multiple_of(2) {
+        ConnectionSpec::sack_ecn(FlowId(i), src, dst, i as u64)
+    } else {
+        ConnectionSpec::pert(FlowId(i), src, dst, i as u64)
+    };
+    spec.delack = Some(SimDuration::from_millis(40));
+    spec
+}
+
+fn lossy_red_ecn_queue(capacity_bps: u64) -> Box<dyn QueueDiscipline> {
+    let pps = capacity_bps as f64 / 8000.0;
+    Box::new(RedQueue::new(RedParams::recommended(24, pps, true, 5)))
+}
+
 /// The slab and legacy hostings must be observationally identical: same
 /// event count, same drop trace, same delivered bits, same per-flow
-/// statistics — for the same seeds.
+/// statistics at both ends — for the same seeds, on a clean DropTail
+/// PERT dumbbell and on a lossy RED-ECN one with delayed ACKs.
 #[test]
 fn slab_and_legacy_modes_agree() {
     let _guard = HOSTING_LOCK.lock().unwrap();
-    let run = |legacy: bool| {
+    let run = |legacy: bool, lossy: bool| {
         pert_tcp::set_legacy_agents(legacy);
         let (mut sim, a, b, _f) = dumbbell(
             5_000_000,
             SimDuration::from_millis(20),
-            |_| Box::new(DropTail::new(30)),
+            |_| {
+                if lossy {
+                    lossy_red_ecn_queue(5_000_000)
+                } else {
+                    Box::new(DropTail::new(30))
+                }
+            },
             11,
         );
         let mut conns = Vec::new();
-        for i in 0..3u64 {
-            let c = connect(&mut sim, ConnectionSpec::pert(FlowId(i as usize), a, b, i));
+        for i in 0..if lossy { 6 } else { 3 } {
+            let spec = if lossy {
+                lossy_red_ecn_spec(i, a, b)
+            } else {
+                ConnectionSpec::pert(FlowId(i), a, b, i as u64)
+            };
+            let c = connect(&mut sim, spec);
             sim.schedule_agent_timer(
                 SimTime::from_secs_f64(i as f64 * 0.1),
                 c.sender,
@@ -441,19 +485,117 @@ fn slab_and_legacy_modes_agree() {
         }
         sim.run_until(SimTime::from_secs_f64(15.0));
         pert_tcp::set_legacy_agents(false);
-        let per_flow: Vec<(u64, u64, u64)> = conns
-            .iter()
-            .map(|c| {
-                let s = sender_stats(&sim, c);
-                (s.acked_segments, s.retransmits, s.loss_events)
-            })
-            .collect();
         (
             sim.events_processed(),
             sim.trace.drops.len(),
             sim.link(LinkId(0)).delivered_bits,
-            per_flow,
+            per_flow(&sim, &conns),
         )
     };
-    assert_eq!(run(false), run(true));
+    assert_eq!(run(false, false), run(true, false));
+    let lossy = run(false, true);
+    assert_eq!(lossy, run(true, true));
+    // The lossy run exercises what it is meant to.
+    assert!(lossy.1 > 0, "no drops");
+    let flows = &lossy.3;
+    assert!(
+        flows.iter().any(|((_, rtx, _), _)| *rtx > 0),
+        "no retransmits"
+    );
+    assert!(flows.iter().any(|(_, sink)| sink.marked > 0), "no CE marks");
+}
+
+/// A same-node connection would deliver its data and ACKs synchronously
+/// into the agent that is still sending; it is refused at construction.
+#[test]
+#[should_panic(expected = "flow f3 connects node n0 to itself")]
+fn same_node_connection_is_refused() {
+    let (mut sim, a, _b, _f) = dumbbell(
+        10_000_000,
+        SimDuration::from_millis(10),
+        |_| Box::new(DropTail::new(50)),
+        1,
+    );
+    connect(&mut sim, ConnectionSpec::sack(FlowId(3), a, a, 1));
+}
+
+/// The slab's two halves of one connection on two shards: on a
+/// two-router dumbbell cut at the bottleneck, every sender runs on one
+/// shard and its receiver (with its delayed-ACK timers, routed by token)
+/// on the other. Split after a warm-up so pending delayed-ACK timers and
+/// out-of-order intervals migrate; the run must match the monolithic one
+/// event for event, elided departure for elided departure, and in every
+/// per-flow statistic at both ends.
+#[test]
+fn sharded_halves_match_monolithic() {
+    let _guard = HOSTING_LOCK.lock().unwrap();
+    let build = || {
+        let mut sim = Simulator::new(31);
+        let (ra, rb) = (sim.add_node(), sim.add_node());
+        let left: Vec<_> = (0..3).map(|_| sim.add_node()).collect();
+        let right: Vec<_> = (0..3).map(|_| sim.add_node()).collect();
+        sim.add_duplex_link(ra, rb, 5_000_000, SimDuration::from_millis(10), |_| {
+            lossy_red_ecn_queue(5_000_000)
+        });
+        for &h in &left {
+            sim.add_duplex_link(h, ra, 100_000_000, SimDuration::from_millis(1), |_| {
+                Box::new(DropTail::new(100))
+            });
+        }
+        for &h in &right {
+            sim.add_duplex_link(h, rb, 100_000_000, SimDuration::from_millis(1), |_| {
+                Box::new(DropTail::new(100))
+            });
+        }
+        sim.compute_routes();
+        let mut conns = Vec::new();
+        for i in 0..6 {
+            // Four flows left → right, two right → left.
+            let (src, dst) = if i < 4 {
+                (left[i % 3], right[(i + 1) % 3])
+            } else {
+                (right[i % 3], left[i % 3])
+            };
+            let c = connect(&mut sim, lossy_red_ecn_spec(i, src, dst));
+            sim.schedule_agent_timer(SimTime::from_millis(50 * i as u64), c.sender, c.start_token);
+            conns.push((c, src, dst));
+        }
+        (sim, conns)
+    };
+    let fingerprint = |sim: &Simulator, conns: &[(Connection, NodeId, NodeId)]| {
+        let conns: Vec<Connection> = conns.iter().map(|c| c.0).collect();
+        (
+            sim.events_processed(),
+            sim.counters().departures_elided,
+            sim.trace.drops.len(),
+            per_flow(sim, &conns),
+        )
+    };
+    let (warm, until) = (SimTime::from_secs(1), SimTime::from_secs(8));
+
+    let (mut mono, conns) = build();
+    mono.run_until(until);
+    let want = fingerprint(&mono, &conns);
+
+    let (mut sim, conns) = build();
+    sim.run_until(warm);
+    let part = netsim::shard::partition(&sim, 2).expect("the dumbbell cuts in two");
+    for (c, src, dst) in &conns {
+        assert_ne!(
+            part.shard_of_node[src.index()],
+            part.shard_of_node[dst.index()],
+            "{}: both halves on one shard",
+            c.flow
+        );
+    }
+    let mut sharded = netsim::ShardedSim::split(sim, 2).unwrap_or_else(|(_, e)| panic!("{e}"));
+    assert_eq!(sharded.num_shards(), 2);
+    sharded.run_until(until);
+    let got = fingerprint(&sharded.merge(), &conns);
+    assert_eq!(got, want);
+    assert!(want.2 > 0, "no drops");
+    assert!(want
+        .3
+        .iter()
+        .any(|(_, sink)| sink.duplicates > 0 || sink.marked > 0));
 }
