@@ -4,9 +4,9 @@
 //! but spread over 8 source and 8 sink hosts around a two-router
 //! bottleneck so the partitioner has positive-delay links to cut, then
 //! runs it through `netsim::ShardedSim` at `--shards N` and prints wall
-//! time / events / throughput. This is the scenario behind
-//! `BENCH_shard.json` and `BENCH_shard_weights.json`; `--shards 1` is
-//! the monolithic baseline. The `SECS` env var overrides the 1.5 s
+//! time / events / throughput. This is the topology `pert-bench`'s
+//! `dumbbell100k` and `dumbbell100k_shards2` workloads time; `--shards 1`
+//! is the monolithic baseline. The `SECS` env var overrides the 1.5 s
 //! horizon; `--attached` turns telemetry on (per-shard `shard/N` spans
 //! and event counters then show up in the cost-attribution table).
 //!

@@ -1,12 +1,12 @@
 //! Cost-attribution probe for the 100k-flow slab scenario.
 //!
-//! Runs the same bounded-active-set population as the
-//! `dispatch_100k` benchmark cases (`crates/bench/benches/eventloop.rs` —
-//! keep the two scenarios in sync) once, prints wall time / events /
-//! throughput, and — with `--attached` — the per-class cost-attribution
-//! table, so slab hot-path changes can be profiled in seconds instead of
-//! a full criterion run. `--legacy` selects per-flow agent hosting; the
-//! `SECS` env var overrides the 1.5 s horizon.
+//! Runs a bounded-active-set population of 100 000 PERT slab flows
+//! (cohorts of 100 per ms, 8-segment transfers, 1 s think) over one fat
+//! link once, prints wall time / events / throughput, and — with
+//! `--attached` — the per-class cost-attribution table, so slab hot-path
+//! changes can be profiled in seconds. `pert-bench`'s `dumbbell100k`
+//! workload times the same population on the `shard_profile` topology.
+//! The `SECS` env var overrides the 1.5 s horizon.
 use netsim::ids::FlowId;
 use netsim::queue::DropTail;
 use netsim::time::{SimDuration, SimTime};
@@ -15,9 +15,7 @@ use pert_tcp::{connect_with_source, ConnectionSpec, FnSource, Transfer};
 
 fn main() {
     let attached = std::env::args().any(|a| a == "--attached");
-    let legacy = std::env::args().any(|a| a == "--legacy");
     telemetry::set_enabled(attached);
-    pert_tcp::set_legacy_agents(legacy);
     let t_build = std::time::Instant::now();
     let mut sim = netsim::Simulator::new(1);
     let a = sim.add_node();

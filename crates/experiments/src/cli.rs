@@ -8,13 +8,12 @@ use crate::common::Scale;
 use crate::mix::CcAxis;
 use crate::runner::default_workers;
 use crate::scenario::{is_target, ALL_TARGETS};
-use netsim::CalendarKind;
 
 /// The usage text printed on a parse error.
 pub const USAGE: &str = "usage: experiments <target>... [--quick|--standard|--full] [--jobs N] \
 [--shards N] [--seed S] [--json PATH] [--csv PATH] [--audit] [--telemetry] [--trace-out PATH] \
-[--flight-window N] [--progress] [--calendar wheel|heap] [--legacy-agents] \
-[--shard-profile-out PATH] [--partition-weights PATH] [--cc cubic|bbr|both]\n\
+[--flight-window N] [--progress] [--shard-profile-out PATH] \
+[--partition-weights PATH] [--cc cubic|bbr|both]\n\
 \x20      experiments trace summarize|diff|shards|fidelity ... (see `experiments trace`)\n\
 targets: fig2 fig3 fig4 fig234 fig5 fig6 fig7 fig8 fig9 table1\n\
 \t fig11 fig12 fig13a fig13bcd fig14 mix6 mix12 reverse rem robustness ablations all\n\
@@ -28,12 +27,6 @@ profile and a flight-recorder dump alongside it.\n\
 --flight-window N sets the flight-recorder ring size in records (default\n\
 65536); --progress forces the ~1 Hz stderr progress line on even when\n\
 stderr is not a terminal.\n\
---calendar selects the event-calendar backend: the hierarchical timing\n\
-wheel (default) or the reference binary heap. Reports are byte-identical\n\
-either way; the heap is the escape hatch and differential baseline.\n\
---legacy-agents hosts each TCP sender in its own agent instead of the\n\
-shared struct-of-arrays flow slab. Reports are byte-identical either way;\n\
-the per-flow path is the escape hatch and equivalence baseline.\n\
 --shards N splits each simulation's measured phase into N space-parallel\n\
 shards (cut at positive-delay links) run in deterministic barrier epochs.\n\
 Reports are byte-identical at any N; scenarios that cannot be split fall\n\
@@ -75,11 +68,6 @@ pub struct Cli {
     /// Force the stderr progress line on (otherwise it is shown only
     /// when stderr is a terminal).
     pub progress: bool,
-    /// Event-calendar backend for every simulator built by the run.
-    pub calendar: CalendarKind,
-    /// Host each TCP sender in its own agent (pre-slab wiring) instead of
-    /// the shared flow slab.
-    pub legacy_agents: bool,
     /// Write the per-node event profile as a partition-weight file here.
     pub shard_profile_out: Option<String>,
     /// Load partition weights from this file before any simulator runs.
@@ -108,8 +96,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut trace_out = None;
     let mut flight_window = None;
     let mut progress = false;
-    let mut calendar = CalendarKind::Wheel;
-    let mut legacy_agents = false;
     let mut shard_profile_out = None;
     let mut partition_weights = None;
     let mut cc = CcAxis::Both;
@@ -166,7 +152,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 );
             }
             "--progress" => progress = true,
-            "--legacy-agents" => legacy_agents = true,
             "--shard-profile-out" => {
                 shard_profile_out = Some(flag_value(a, args, &mut i)?.to_string())
             }
@@ -179,13 +164,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                     "bbr" => CcAxis::Bbr,
                     "both" => CcAxis::Both,
                     v => return Err(format!("--cc wants 'cubic', 'bbr', or 'both', got '{v}'")),
-                };
-            }
-            "--calendar" => {
-                calendar = match flag_value(a, args, &mut i)? {
-                    "wheel" => CalendarKind::Wheel,
-                    "heap" => CalendarKind::Heap,
-                    v => return Err(format!("--calendar wants 'wheel' or 'heap', got '{v}'")),
                 };
             }
             f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
@@ -226,8 +204,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         trace_out,
         flight_window,
         progress,
-        calendar,
-        legacy_agents,
         shard_profile_out,
         partition_weights,
         cc,
@@ -368,12 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_agents_flag() {
-        assert!(!p(&["fig5"]).unwrap().legacy_agents);
-        assert!(p(&["fig5", "--legacy-agents"]).unwrap().legacy_agents);
-    }
-
-    #[test]
     fn shard_profile_and_weight_flags() {
         let off = p(&["fig6"]).unwrap();
         assert_eq!(off.shard_profile_out, None);
@@ -409,22 +379,19 @@ mod tests {
         assert!(p(&["all"]).unwrap().targets.contains(&"mix6".to_string()));
     }
 
+    /// The flow hosting is not a mode: every run uses the flow slab.
+    #[test]
+    fn legacy_agents_flag() {
+        assert!(p(&["fig5", "--legacy-agents"])
+            .unwrap_err()
+            .contains("unknown flag '--legacy-agents'"));
+    }
+
+    /// The event calendar is not a mode: every run uses the timing wheel.
     #[test]
     fn calendar_flag() {
-        assert_eq!(p(&["fig5"]).unwrap().calendar, CalendarKind::Wheel);
-        assert_eq!(
-            p(&["fig5", "--calendar", "wheel"]).unwrap().calendar,
-            CalendarKind::Wheel
-        );
-        assert_eq!(
-            p(&["fig5", "--calendar", "heap"]).unwrap().calendar,
-            CalendarKind::Heap
-        );
-        assert!(p(&["fig5", "--calendar", "btree"])
+        assert!(p(&["fig5", "--calendar", "heap"])
             .unwrap_err()
-            .contains("--calendar"));
-        assert!(p(&["fig5", "--calendar"])
-            .unwrap_err()
-            .contains("needs a value"));
+            .contains("unknown flag '--calendar'"));
     }
 }

@@ -9,11 +9,11 @@
 //! visible. This module joins the streams into one ranked table per
 //! target.
 //!
-//! Wall-clock is machine-dependent, so the table goes to **stderr**
-//! (and to `BENCH_observatory.json` via the bench harness) — never into
-//! the deterministic stdout/JSON/CSV surfaces. The event *counts* in
-//! the table are the same deterministic counters that already appear in
-//! the report's metrics block.
+//! Wall-clock is machine-dependent, so the table goes to **stderr** —
+//! never into the deterministic stdout/JSON/CSV surfaces (`pert-bench
+//! trace` prices the same layers from outside the simulator). The event
+//! *counts* in the table are the same deterministic counters that already
+//! appear in the report's metrics block.
 
 use pert_core::telemetry::Span;
 use sim_stats::{MetricValue, MetricsSet};

@@ -4,9 +4,8 @@
 //! experiments <target>... [--quick|--standard|--full] [--jobs N]
 //!             [--shards N] [--seed S] [--json PATH] [--csv PATH] [--audit]
 //!             [--telemetry] [--trace-out PATH] [--flight-window N]
-//!             [--progress] [--calendar wheel|heap] [--legacy-agents]
-//!             [--shard-profile-out PATH] [--partition-weights PATH]
-//!             [--cc cubic|bbr|both]
+//!             [--progress] [--shard-profile-out PATH]
+//!             [--partition-weights PATH] [--cc cubic|bbr|both]
 //! experiments trace summarize FILE [filters] | trace diff A B [--tol X]
 //!                 | trace shards FILE [--top N]
 //!                 | trace fidelity FILE [--flow F] [--csv PATH]
@@ -54,9 +53,8 @@ fn main() {
         }
     };
 
-    // Must happen before any simulator is built: the calendar backend,
-    // audit shadows, and telemetry taps all attach at construction time.
-    netsim::set_default_calendar(cli.calendar);
+    // Must happen before any simulator is built: audit shadows and
+    // telemetry taps attach at construction time.
     netsim::set_default_shards(cli.shards);
     if let Some(path) = &cli.partition_weights {
         match weights::load(path) {
@@ -77,7 +75,6 @@ fn main() {
     experiments::mix::set_cc_axis(cli.cc);
     netsim::profile::set_enabled(cli.shard_profile_out.is_some());
     netsim::audit::set_enabled(cli.audit);
-    pert_tcp::set_legacy_agents(cli.legacy_agents);
     telemetry::set_enabled(cli.telemetry);
     let flight = flight_path(cli.trace_out.as_deref());
     if let Some(n) = cli.flight_window {

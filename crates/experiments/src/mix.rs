@@ -44,7 +44,7 @@ static CC_AXIS: AtomicU8 = AtomicU8::new(2);
 
 /// Select the competitor axes for subsequent `mix6`/`mix12` runs. Must
 /// be called before [`Scenario::points`]; the CLI applies it once at
-/// startup, like the calendar and hosting globals.
+/// startup, like the shard and audit globals.
 pub fn set_cc_axis(axis: CcAxis) {
     let v = match axis {
         CcAxis::Cubic => 0,

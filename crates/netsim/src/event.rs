@@ -22,7 +22,8 @@
 //!   use the same value — so same-`(time, sched)` ties resolve
 //!   identically at any shard count:
 //!
-//! * [`CalendarKind::Wheel`] (the default): a hierarchical timing wheel —
+//! * [`CalendarKind::Wheel`] (what [`EventQueue::new`] builds, and so what
+//!   every simulator runs on): a hierarchical timing wheel —
 //!   11 levels of 64 slots, 1 ns granularity at level 0, each level 64×
 //!   coarser — giving O(1) amortized schedule/pop independent of the
 //!   number of pending events. Far-future events (idle sentinels at
@@ -30,8 +31,10 @@
 //!   cancelled or reached. An event alone in its slot — the rule on
 //!   sparse calendars — is popped where it lies instead of cascading.
 //! * [`CalendarKind::Heap`]: the original binary-heap priority queue,
-//!   kept as an escape hatch (`experiments --calendar heap`) and as the
-//!   reference implementation the wheel is differentially tested against.
+//!   kept only as the reference the wheel is differentially tested
+//!   against ([`EventQueue::with_calendar`]); the audit shadow below
+//!   re-derives the same order with a heap of its own. No simulator runs
+//!   on it.
 //!
 //! On top of either backend sits a one-event **front slot**: when a new
 //! event precedes everything pending (the common case for a link
@@ -59,7 +62,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::arena::PacketRef;
 use crate::ids::{AgentId, LinkId, NodeId};
@@ -83,29 +85,9 @@ pub enum CalendarKind {
     /// Hierarchical timing wheel: O(1) amortized schedule/pop.
     #[default]
     Wheel,
-    /// Binary heap: O(log n) schedule/pop. Reference implementation and
-    /// CLI escape hatch.
+    /// Binary heap: O(log n) schedule/pop. The reference implementation
+    /// the wheel is tested against.
     Heap,
-}
-
-/// Process-wide default backend for newly built queues (0 = wheel,
-/// 1 = heap). Like the audit/telemetry runtime flags, this must be set
-/// before simulators are constructed.
-static DEFAULT_CALENDAR: AtomicU8 = AtomicU8::new(0);
-
-/// Set the calendar backend used by every [`EventQueue::new`] (and hence
-/// every [`crate::Simulator`]) built afterwards. The experiments binary
-/// exposes this as `--calendar wheel|heap`.
-pub fn set_default_calendar(kind: CalendarKind) {
-    DEFAULT_CALENDAR.store(kind as u8, AtomicOrdering::Relaxed);
-}
-
-/// The backend newly built queues will use.
-pub fn default_calendar() -> CalendarKind {
-    match DEFAULT_CALENDAR.load(AtomicOrdering::Relaxed) {
-        1 => CalendarKind::Heap,
-        _ => CalendarKind::Wheel,
-    }
 }
 
 /// What an event does when it fires.
@@ -645,14 +627,14 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Create an empty calendar on the process-default backend (see
-    /// [`set_default_calendar`]). When the audit runtime flag is up,
-    /// wheel-backed queues attach the heap shadow oracle.
+    /// Create an empty timing-wheel calendar. When the audit runtime flag
+    /// is up, it attaches the heap shadow oracle.
     pub fn new() -> Self {
-        Self::with_calendar(default_calendar())
+        Self::with_calendar(CalendarKind::Wheel)
     }
 
-    /// Create an empty calendar on an explicit backend.
+    /// Create an empty calendar on an explicit backend (tests compare the
+    /// wheel against [`CalendarKind::Heap`]).
     pub fn with_calendar(kind: CalendarKind) -> Self {
         let backend = match kind {
             CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
@@ -770,12 +752,12 @@ impl EventQueue {
         self.insert(ev);
     }
 
-    /// An empty queue on the process-default backend that continues this
-    /// queue's sequence numbers: events adopted from this queue, the
-    /// [`EventId`]s and [`Reservation`]s issued by it, and everything the
-    /// fork schedules later all stay distinct.
+    /// An empty queue on this queue's backend that continues its sequence
+    /// numbers: events adopted from this queue, the [`EventId`]s and
+    /// [`Reservation`]s issued by it, and everything the fork schedules
+    /// later all stay distinct.
     pub(crate) fn fork(&self) -> EventQueue {
-        let mut q = EventQueue::new();
+        let mut q = Self::with_calendar(self.calendar());
         q.next_seq = self.next_seq;
         q
     }
@@ -1288,12 +1270,25 @@ mod tests {
     }
 
     #[test]
-    fn default_calendar_is_wheel_and_settable() {
-        assert_eq!(EventQueue::new().calendar(), default_calendar());
-        set_default_calendar(CalendarKind::Heap);
-        assert_eq!(EventQueue::new().calendar(), CalendarKind::Heap);
-        set_default_calendar(CalendarKind::Wheel);
+    fn new_queues_are_wheels() {
         assert_eq!(EventQueue::new().calendar(), CalendarKind::Wheel);
+        assert_eq!(EventQueue::default().calendar(), CalendarKind::Wheel);
+    }
+
+    /// A fork keeps its parent's backend and continues its sequence
+    /// numbers, so adopted and newly scheduled events never share a key.
+    #[test]
+    fn fork_keeps_the_backend_and_continues_the_sequence() {
+        for mut q in both() {
+            q.schedule(SimTime::from_nanos(10), ctrl(0));
+            q.schedule(SimTime::from_nanos(20), ctrl(1));
+            let mut f = q.fork();
+            assert_eq!(f.calendar(), q.calendar());
+            assert!(f.is_empty());
+            let id = f.schedule(SimTime::from_nanos(5), ctrl(2));
+            assert_eq!(id, EventId(2));
+            assert_eq!(f.pop().map(|e| e.seq()), Some(2));
+        }
     }
 
     /// One dispatch run as the simulator's loop takes it: the next event

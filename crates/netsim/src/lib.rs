@@ -59,7 +59,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PacketArena, PacketRef};
-pub use event::{default_calendar, set_default_calendar, CalendarKind, EventId, TimerToken};
+pub use event::{CalendarKind, EventId, TimerToken};
 pub use ids::{AgentId, FlowId, LinkId, NodeId};
 pub use link::Link;
 pub use packet::{Ecn, Packet, Payload, SackBlock, MAX_SACK_BLOCKS};

@@ -143,12 +143,11 @@ impl Packet {
     /// Packets with identical content hash equally, and processing
     /// identical packets in either order is indistinguishable.
     ///
-    /// `dst_agent` is deliberately **excluded**: agent ids depend on the
-    /// flow hosting (one shared slab agent vs one agent per flow behind
-    /// `--legacy-agents`), and hashing them made same-instant ties — and
-    /// therefore whole trajectories — differ between hostings. Every
-    /// hashed field below is transport-level content that both hostings
-    /// produce identically.
+    /// `dst_agent` is deliberately **excluded**: an agent id is a wiring
+    /// detail numbered in allocation order, not wire content, so hashing
+    /// it would let an unrelated change in how agents are installed move
+    /// same-instant ties — and with them whole trajectories. Every hashed
+    /// field below is transport-level content.
     pub fn order_tie(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -248,10 +247,8 @@ mod tests {
         assert_eq!(p.size_bits(), 8000);
     }
 
-    /// The calendar tiebreak must not see the hosting: the same wire
-    /// packet delivered to a slab agent or a standalone per-flow agent
-    /// (different `dst_agent`) has to sort identically, or slab and
-    /// legacy runs diverge on same-instant arrival ties.
+    /// The calendar tiebreak must not see the wiring: the same wire
+    /// packet addressed to a different agent id has to sort identically.
     #[test]
     fn order_tie_ignores_the_destination_agent() {
         let a = mk(Payload::Data {

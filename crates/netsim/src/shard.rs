@@ -70,9 +70,8 @@ use crate::packet::Packet;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 
-/// Process-default shard count used by drivers that honour `--shards`
-/// (mirrors [`crate::event::set_default_calendar`]). `1` means run
-/// monolithically.
+/// Process-default shard count used by drivers that honour `--shards`.
+/// `1` means run monolithically.
 static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the process-default shard count (clamped to at least 1). Set it

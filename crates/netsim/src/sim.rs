@@ -672,16 +672,6 @@ impl Simulator {
             .unwrap_or_else(|| panic!("agent {id} has unexpected type"))
     }
 
-    /// Borrow an installed agent immutably if (and only if) its concrete
-    /// type is `T`. Returns `None` for missing slots and type mismatches,
-    /// letting callers probe which implementation backs an [`AgentId`].
-    pub fn try_agent<T: 'static>(&self, id: AgentId) -> Option<&T> {
-        self.agents[id.index()]
-            .as_deref()?
-            .as_any()
-            .downcast_ref::<T>()
-    }
-
     /// Find the first installed agent of concrete type `T` (shared agents
     /// such as flow slabs are singletons, so "first" is unambiguous).
     pub fn find_agent_by<T: 'static>(&self) -> Option<(AgentId, &T)> {

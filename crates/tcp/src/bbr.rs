@@ -17,7 +17,7 @@
 //!
 //! Pacing is expressed as send-quantum scheduling on the integer-time
 //! calendar (see `sender.rs` `send_paced`), so paced schedules stay
-//! byte-identical across hostings and shard counts. The windowed-max
+//! byte-identical across worker and shard counts. The windowed-max
 //! bandwidth filter (monotonic deque) is cross-checked each round against
 //! the straight-line rescan in [`BbrReference`] under `--audit`.
 

@@ -1,4 +1,5 @@
-//! Congestion-control algorithms pluggable into [`crate::TcpSender`].
+//! Congestion-control algorithms pluggable into the TCP sender
+//! ([`crate::sender`]).
 //!
 //! The sender owns the mechanical parts of TCP (SACK scoreboard, loss
 //! recovery, RTO); a [`CcAlgorithm`] decides how the window grows on ACKs

@@ -13,14 +13,12 @@
 //! The sender implements slow start, congestion avoidance, FACK-style loss
 //! detection over a SACK scoreboard, fast retransmit/recovery, RTO with
 //! exponential backoff, ECN, and per-ACK RTT sampling via exact packet
-//! timestamps. See [`TcpSender`] and [`TcpSink`].
+//! timestamps (see [`sender`] and [`sink`]).
 //!
-//! Use [`connect`] to wire a sender/sink pair into a simulator. By
-//! default every connection of a simulation, sender and receiver half, is
-//! one row of a shared struct-of-arrays [`FlowSlab`] agent (see
-//! [`set_legacy_agents`] for the per-flow-agent escape hatch); read
-//! per-flow results back through the `sender_*` accessors and
-//! [`sink_stats`], which work in both modes:
+//! Use [`connect`] to wire a sender/sink pair into a simulator. Every
+//! connection of a simulation, sender and receiver half, is one row of a
+//! shared struct-of-arrays [`FlowSlab`] agent; read per-flow results back
+//! through the `sender_*` accessors and [`sink_stats`]:
 //!
 //! ```
 //! use netsim::prelude::*;
@@ -58,12 +56,10 @@ pub use cc::{
 pub use cubic::Cubic;
 pub use intervals::IntervalSet;
 pub use scoreboard::{Scoreboard, SegState};
-pub use sender::{SenderStats, TcpConfig, TcpSender, START_TOKEN, STOP_TOKEN};
-pub use sink::{SinkStats, TcpSink};
+pub use sender::{SenderStats, TcpConfig};
+pub use sink::SinkStats;
 pub use slab::FlowSlab;
 pub use source::{Finite, FnSource, Greedy, Source, Transfer};
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use netsim::{AgentId, FlowId, NodeId, Simulator, TimerToken};
 use pert_core::pert::PertParams;
@@ -214,37 +210,18 @@ impl ConnectionSpec {
 pub struct Connection {
     /// The flow id.
     pub flow: FlowId,
-    /// Sender agent: the shared [`FlowSlab`] (default) or a per-flow
-    /// [`TcpSender`] (legacy mode). Use with the timer tokens below and
-    /// the `sender_*` accessors; do not downcast directly.
+    /// Sender agent: the simulator's shared [`FlowSlab`]. Use with the
+    /// timer tokens below and the `sender_*` accessors.
     pub sender: AgentId,
-    /// Receiver agent: the same shared [`FlowSlab`] as `sender` (it hosts
-    /// both halves of every connection in one row), or a per-flow
-    /// [`TcpSink`] in legacy mode. Read it back with [`sink_stats`]; do
-    /// not downcast directly.
+    /// Receiver agent: the same [`FlowSlab`] as `sender` (it hosts both
+    /// halves of every connection in one row). Read it back with
+    /// [`sink_stats`].
     pub sink: AgentId,
     /// Token that starts this flow (schedule on `sender` with
     /// [`netsim::Simulator::schedule_agent_timer`]).
     pub start_token: TimerToken,
     /// Token that stops this flow.
     pub stop_token: TimerToken,
-}
-
-/// When set, [`connect_with_source`] installs one [`TcpSender`] agent per
-/// flow instead of hosting flows in the shared [`FlowSlab`]. Process-wide;
-/// set before building any simulator (both modes produce byte-identical
-/// schedules, so this is an equivalence-checking and debugging aid).
-static LEGACY_AGENTS: AtomicBool = AtomicBool::new(false);
-
-/// Select per-flow sender agents (`true`) or the shared flow slab
-/// (`false`, the default) for subsequently built connections.
-pub fn set_legacy_agents(on: bool) {
-    LEGACY_AGENTS.store(on, Ordering::Relaxed);
-}
-
-/// True when per-flow sender agents are selected.
-pub fn legacy_agents() -> bool {
-    LEGACY_AGENTS.load(Ordering::Relaxed)
 }
 
 /// Install a sender/sink pair for `spec`, using `source` as the
@@ -265,10 +242,6 @@ pub fn connect_with_source(
         spec.flow,
         spec.src
     );
-    if legacy_agents() {
-        return connect_legacy(sim, spec, source);
-    }
-
     // One slab per simulator hosts every connection; create it lazily.
     let slab_id = match sim.find_agent_by::<FlowSlab>() {
         Some((id, _)) => id,
@@ -307,96 +280,46 @@ fn sender_config(spec: &ConnectionSpec, sink: AgentId) -> TcpConfig {
     cfg
 }
 
-/// The pre-slab wiring: one [`TcpSender`] and one [`TcpSink`] agent per
-/// flow.
-fn connect_legacy(
-    sim: &mut Simulator,
-    spec: ConnectionSpec,
-    source: Box<dyn Source>,
-) -> Connection {
-    let sender_id = sim.alloc_agent();
-    let sink_id = sim.alloc_agent();
-
-    let cc = spec.cc.build(spec.seed);
-    let sender = TcpSender::new(sender_config(&spec, sink_id), cc, source);
-    sim.install_agent(sender_id, spec.src, Box::new(sender));
-
-    let mut sink = TcpSink::new(spec.flow, spec.src, sender_id, sink::ACK_SIZE);
-    if let Some(timeout) = spec.delack {
-        sink = sink.with_delayed_acks(timeout);
-    }
-    sim.install_agent(sink_id, spec.dst, Box::new(sink));
-
-    Connection {
-        flow: spec.flow,
-        sender: sender_id,
-        sink: sink_id,
-        start_token: START_TOKEN,
-        stop_token: STOP_TOKEN,
-    }
-}
-
 /// Install a greedy (long-lived FTP) connection for `spec`.
 pub fn connect(sim: &mut Simulator, spec: ConnectionSpec) -> Connection {
     connect_with_source(sim, spec, Box::new(Greedy))
 }
 
 // ---------------------------------------------------------------------
-// Per-flow read-back that works in both hosting modes.
+// Per-flow read-back from the slab.
 // ---------------------------------------------------------------------
 
 /// Cumulative sender statistics of `conn`.
 pub fn sender_stats(sim: &Simulator, conn: &Connection) -> SenderStats {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return *s.stats();
-    }
     *sim.agent::<FlowSlab>(conn.sender).stats_of(conn.flow)
 }
 
 /// Per-ACK samples of `conn` (empty unless `record_samples`).
 pub fn sender_samples<'a>(sim: &'a Simulator, conn: &Connection) -> &'a [AckSample] {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return s.samples();
-    }
     sim.agent::<FlowSlab>(conn.sender).samples_of(conn.flow)
 }
 
 /// The congestion-control algorithm of `conn` (for downcasting).
 pub fn sender_cc<'a>(sim: &'a Simulator, conn: &Connection) -> &'a dyn CcAlgorithm {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return s.cc();
-    }
     sim.agent::<FlowSlab>(conn.sender).cc_of(conn.flow)
 }
 
 /// Current congestion window of `conn`, segments.
 pub fn sender_cwnd(sim: &Simulator, conn: &Connection) -> f64 {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return s.cwnd();
-    }
     sim.agent::<FlowSlab>(conn.sender).cwnd_of(conn.flow)
 }
 
 /// Current smoothed RTT estimate of `conn`, seconds.
 pub fn sender_srtt(sim: &Simulator, conn: &Connection) -> Option<f64> {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return s.srtt();
-    }
     sim.agent::<FlowSlab>(conn.sender).srtt_of(conn.flow)
 }
 
 /// Receiver statistics of `conn`.
 pub fn sink_stats(sim: &Simulator, conn: &Connection) -> SinkStats {
-    if let Some(s) = sim.try_agent::<TcpSink>(conn.sink) {
-        return *s.stats();
-    }
     *sim.agent::<FlowSlab>(conn.sink).sink_stats_of(conn.flow)
 }
 
 /// True once `conn`'s flow has permanently finished.
 pub fn sender_stopped(sim: &Simulator, conn: &Connection) -> bool {
-    if let Some(s) = sim.try_agent::<TcpSender>(conn.sender) {
-        return s.is_stopped();
-    }
     sim.agent::<FlowSlab>(conn.sender).stopped_of(conn.flow)
 }

@@ -1,4 +1,4 @@
-//! The TCP sender: hot/cold split flow state plus the agent wrapper.
+//! The TCP sender: hot/cold split flow state.
 //!
 //! A SACK-capable sender in the spirit of ns-2's `TCP/Sack1`, hosting any
 //! [`CcAlgorithm`]: slow start / congestion avoidance, FACK-style loss
@@ -8,9 +8,8 @@
 //! application [`Source`] that supplies successive transfers (greedy FTP
 //! flows or think-time-separated web objects).
 //!
-//! Flow state is split by access pattern so the same logic can run either
-//! as a standalone per-flow agent ([`TcpSender`]) or inside the
-//! struct-of-arrays [`FlowSlab`](crate::FlowSlab):
+//! Flow state is split by access pattern so the struct-of-arrays
+//! [`FlowSlab`](crate::FlowSlab) can keep the hot part in columns:
 //!
 //! * [`Wnd`], [`RttState`], [`AppState`] — small `Copy` structs touched on
 //!   every ACK; the slab stores them in parallel vectors so a scan over
@@ -22,14 +21,10 @@
 //!
 //! All protocol logic lives on [`FlowView`] (a bundle of `&mut` borrows of
 //! the four parts) and performs I/O through [`FlowIo`], which maps
-//! `send`/`schedule` onto the hosting agent's identity. The float
-//! arithmetic is therefore textually single-sourced: both paths produce
-//! bit-identical traces.
-
-use std::any::Any;
+//! `send`/`schedule` onto the slab's identity and the flow's slot.
 
 use netsim::{
-    Agent, AgentId, Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken,
+    AgentId, Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken,
 };
 use pert_core::predictors::AckSample;
 #[cfg(feature = "telemetry")]
@@ -41,9 +36,8 @@ use crate::cc::{CcAction, CcAlgorithm, CcContext};
 use crate::scoreboard::Scoreboard;
 use crate::source::Source;
 
-/// Timer token kinds (low 8 bits of the token; bits 8.. address the flow
-/// slot when the flow lives in a [`FlowSlab`](crate::FlowSlab), and are 0
-/// for a standalone [`TcpSender`]).
+/// Timer token kinds (low 8 bits of the token; bits 8.. address the flow's
+/// slot in its [`FlowSlab`](crate::FlowSlab)).
 pub(crate) const TOKEN_START: u64 = 0;
 pub(crate) const TOKEN_STOP: u64 = 1;
 pub(crate) const TOKEN_NEW_TRANSFER: u64 = 2;
@@ -55,16 +49,6 @@ pub(crate) const TOKEN_PACE: u64 = 4;
 /// `srtt + 4·rttvar` toward zero and trip spurious timeouts from the
 /// slightest jitter.
 pub(crate) const RTO_GRANULARITY_SECS: f64 = 0.001;
-
-/// The token used to start a standalone sender (schedule with
-/// [`netsim::Simulator::schedule_agent_timer`]). Slab-hosted flows embed
-/// their slot in the token; use [`Connection::start_token`]
-/// (crate::Connection) which is correct in both modes.
-pub const START_TOKEN: TimerToken = TimerToken(TOKEN_START);
-/// The token used to stop a standalone sender (it ceases transmitting new
-/// data). Slab-mode callers use [`Connection::stop_token`]
-/// (crate::Connection).
-pub const STOP_TOKEN: TimerToken = TimerToken(TOKEN_STOP);
 
 /// Static sender configuration.
 #[derive(Clone, Debug)]
@@ -278,8 +262,8 @@ impl FlowRecorders {
     }
 }
 
-/// Build the four state parts for a fresh flow. Shared by
-/// [`TcpSender::new`] and `FlowSlab::add_flow`.
+/// Build the four state parts for a fresh flow (a `FlowSlab::add_flow`
+/// row).
 pub(crate) fn new_flow(
     cfg: TcpConfig,
     cc: Box<dyn CcAlgorithm>,
@@ -355,7 +339,7 @@ impl FlowIo<'_, '_> {
 }
 
 /// Mutable borrows of one flow's four state parts; all protocol logic
-/// lives here so the standalone and slab paths execute the same code.
+/// lives here.
 pub(crate) struct FlowView<'a> {
     pub wnd: &'a mut Wnd,
     pub rtt: &'a mut RttState,
@@ -451,7 +435,7 @@ impl FlowView<'_> {
     /// `rate` segments/s, clamped to [1, 64] segments) if the pacing clock
     /// allows, then book the next release on the calendar. All arithmetic
     /// is on exact integer time, so paced schedules stay byte-identical
-    /// across hostings and shard counts.
+    /// across worker and shard counts.
     fn send_paced(&mut self, io: &mut FlowIo<'_, '_>, rate: f64) {
         let now = io.now();
         if now < self.app.pace_next {
@@ -781,8 +765,9 @@ impl FlowView<'_> {
 }
 
 /// Flush cumulative per-flow statistics into the global telemetry metrics
-/// registry. Lives on the cold part so both the standalone sender and the
-/// slab flush every flow exactly once, whenever its state drops.
+/// registry. Lives on the cold part so the slab flushes every flow exactly
+/// once, whenever its state drops (a shard split moves the box, never
+/// copies it).
 #[cfg(feature = "telemetry")]
 impl Drop for FlowCold {
     fn drop(&mut self) {
@@ -812,123 +797,43 @@ impl Drop for FlowCold {
     }
 }
 
-/// The standalone TCP sender agent: one flow per agent, installed on the
-/// source node. Construct with [`TcpSender::new`], install, and kick off
-/// with a [`START_TOKEN`] timer. The default topology builders instead
-/// host flows in a shared [`FlowSlab`](crate::FlowSlab); this per-flow
-/// agent remains as the `--legacy-agents` path and for direct unit tests.
-pub struct TcpSender {
-    pub(crate) wnd: Wnd,
-    pub(crate) rtt: RttState,
-    pub(crate) app: AppState,
-    pub(crate) cold: FlowCold,
-}
-
-impl TcpSender {
-    /// Create a sender using congestion control `cc` and application
-    /// source `source`.
-    pub fn new(cfg: TcpConfig, cc: Box<dyn CcAlgorithm>, source: Box<dyn Source>) -> Self {
-        let (wnd, rtt, app, cold) = new_flow(cfg, cc, source);
-        TcpSender {
-            wnd,
-            rtt,
-            app,
-            cold,
-        }
-    }
-
-    pub(crate) fn view(&mut self) -> FlowView<'_> {
-        FlowView {
-            wnd: &mut self.wnd,
-            rtt: &mut self.rtt,
-            app: &mut self.app,
-            cold: &mut self.cold,
-        }
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cold.cc.name()
-    }
-
-    /// Current congestion window, segments.
-    pub fn cwnd(&self) -> f64 {
-        self.wnd.cwnd
-    }
-
-    /// Current smoothed RTT estimate, seconds.
-    pub fn srtt(&self) -> Option<f64> {
-        self.rtt.srtt
-    }
-
-    /// True once the flow has permanently finished (source exhausted or
-    /// stopped).
-    pub fn is_stopped(&self) -> bool {
-        self.app.stopped
-    }
-
-    /// True while the sender is in loss recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.wnd.recovery_point.is_some()
-    }
-
-    /// Access the congestion-control algorithm (for downcasting in
-    /// experiments).
-    pub fn cc(&self) -> &dyn CcAlgorithm {
-        self.cold.cc.as_ref()
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &SenderStats {
-        &self.cold.stats
-    }
-
-    /// Per-ACK samples (empty unless `record_samples`).
-    pub fn samples(&self) -> &[AckSample] {
-        self.cold.samples()
-    }
-}
-
-impl Agent for TcpSender {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        let mut io = FlowIo {
-            node: ctx.node,
-            token_bits: 0,
-            ctx,
-        };
-        self.view().handle_packet(pkt, &mut io);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
-        let mut io = FlowIo {
-            node: ctx.node,
-            token_bits: 0,
-            ctx,
-        };
-        self.view().handle_timer(token.0 & 0xff, &mut io);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cc::Reno;
     use crate::source::Greedy;
 
-    fn sender() -> TcpSender {
-        TcpSender::new(
+    /// One flow's four parts, held together as a slab row holds them.
+    struct Flow {
+        wnd: Wnd,
+        rtt: RttState,
+        app: AppState,
+        cold: FlowCold,
+    }
+
+    impl Flow {
+        fn view(&mut self) -> FlowView<'_> {
+            FlowView {
+                wnd: &mut self.wnd,
+                rtt: &mut self.rtt,
+                app: &mut self.app,
+                cold: &mut self.cold,
+            }
+        }
+    }
+
+    fn sender() -> Flow {
+        let (wnd, rtt, app, cold) = new_flow(
             TcpConfig::new(FlowId(0), NodeId(1), AgentId(1)),
             Box::new(Reno::new()),
             Box::new(Greedy),
-        )
+        );
+        Flow {
+            wnd,
+            rtt,
+            app,
+            cold,
+        }
     }
 
     /// The RTO ladder exactly as the sender computed it before the

@@ -1,4 +1,4 @@
-//! The TCP receiver half: per-connection state plus the agent wrapper.
+//! The TCP receiver half of a connection.
 //!
 //! Acknowledges every data segment immediately (per-packet ACKs — the
 //! paper's per-ACK RTT sampling assumes this, as Linux does for RTO
@@ -16,15 +16,11 @@
 //! The receiver is split the way the sender is: [`SinkState`] holds one
 //! connection's state and all of its logic, and reaches the simulator
 //! through [`SinkIo`]. The [`FlowSlab`](crate::FlowSlab) keeps one
-//! `SinkState` per connection in a column next to the sender half; the
-//! standalone [`TcpSink`] agent wraps a single one (the `--legacy-agents`
-//! hosting and unit tests). Both run the same statements.
-
-use std::any::Any;
+//! `SinkState` per connection in a column next to the sender half.
 
 use netsim::{
-    Agent, AgentId, Ctx, Ecn, FlowId, NodeId, Packet, Payload, SackBlock, SimDuration, SimTime,
-    TimerToken, MAX_SACK_BLOCKS,
+    Ctx, Ecn, FlowId, NodeId, Packet, Payload, SackBlock, SimDuration, SimTime, TimerToken,
+    MAX_SACK_BLOCKS,
 };
 
 use crate::intervals::IntervalSet;
@@ -34,8 +30,8 @@ use crate::intervals::IntervalSet;
 /// 40–63 (see [`SinkState::token`]).
 pub(crate) const TOKEN_DELACK: u64 = 0xDA;
 
-/// ACK wire size in bytes, in both hostings.
-pub(crate) const ACK_SIZE: u32 = 40;
+/// ACK wire size in bytes.
+const ACK_SIZE: u32 = 40;
 
 /// Width of the delayed-ACK epoch carried in a timer token. The epoch
 /// advances once per ACK sent, so a stale timer could only be mistaken
@@ -58,14 +54,12 @@ pub struct SinkStats {
 }
 
 /// How receiver logic reaches the simulator: ACKs leave from `node` and
-/// go to (`peer_node`, `peer_agent`); the delayed-ACK timer addresses
-/// `slot` (0 for a standalone sink).
+/// go to `peer_node`, addressed to the agent running the receiver (the
+/// slab hosts both halves); the delayed-ACK timer addresses `slot`.
 pub(crate) struct SinkIo<'a, 'b> {
     pub ctx: &'a mut Ctx<'b>,
     pub node: NodeId,
     pub peer_node: NodeId,
-    pub peer_agent: AgentId,
-    pub ack_size: u32,
     pub slot: usize,
 }
 
@@ -90,7 +84,11 @@ pub(crate) struct SinkState {
 
 impl SinkState {
     /// A fresh receiver for `flow`; `delack` enables RFC-1122 delayed
-    /// ACKs (see [`TcpSink::with_delayed_acks`]).
+    /// ACKs: acknowledge every second in-order segment or after the
+    /// timeout, whichever first; out-of-order arrivals and CE marks are
+    /// acknowledged immediately (RFC 5681 duplicate-ACK and ECN
+    /// behaviour). Halves the sender's RTT sampling rate — the `delack`
+    /// ablation measures what that does to PERT's predictor.
     pub(crate) fn new(flow: FlowId, delack: Option<SimDuration>) -> Self {
         assert!(
             delack.is_none_or(|t| !t.is_zero()),
@@ -192,8 +190,8 @@ impl SinkState {
             Packet {
                 flow: self.flow,
                 dst_node: io.peer_node,
-                dst_agent: io.peer_agent,
-                size_bytes: io.ack_size,
+                dst_agent: io.ctx.agent,
+                size_bytes: ACK_SIZE,
                 ecn: Ecn::NotCapable, // ACKs are not ECN-capable (RFC 3168)
                 sent_at: now,
                 payload: Payload::Ack {
@@ -254,79 +252,6 @@ impl SinkState {
                 self.send_ack(io, None, ts, owd, ece);
             }
         }
-    }
-}
-
-/// The standalone sink agent: one receiver per agent, paired with a
-/// [`crate::TcpSender`]. The default hosting instead keeps the receiver
-/// in the [`FlowSlab`](crate::FlowSlab) row of its connection; this agent
-/// remains as the `--legacy-agents` path and for direct unit tests.
-pub struct TcpSink {
-    peer_node: NodeId,
-    peer_agent: AgentId,
-    ack_size: u32,
-    state: SinkState,
-}
-
-impl TcpSink {
-    /// Create a sink acknowledging back to (`peer_node`, `peer_agent`),
-    /// acknowledging every data segment (no delayed ACKs).
-    pub fn new(flow: FlowId, peer_node: NodeId, peer_agent: AgentId, ack_size: u32) -> Self {
-        assert!(ack_size > 0);
-        TcpSink {
-            peer_node,
-            peer_agent,
-            ack_size,
-            state: SinkState::new(flow, None),
-        }
-    }
-
-    /// Enable RFC-1122 delayed ACKs: acknowledge every second in-order
-    /// segment or after `timeout`, whichever first; out-of-order arrivals
-    /// and CE marks are acknowledged immediately (RFC 5681 duplicate-ACK
-    /// and ECN behaviour). Halves the sender's RTT sampling rate — the
-    /// `delack` ablation measures what that does to PERT's predictor.
-    pub fn with_delayed_acks(mut self, timeout: SimDuration) -> Self {
-        self.state = SinkState::new(self.state.flow, Some(timeout));
-        self
-    }
-
-    /// Receiver statistics.
-    pub fn stats(&self) -> &SinkStats {
-        &self.state.stats
-    }
-
-    fn io<'a, 'b>(&self, ctx: &'a mut Ctx<'b>) -> SinkIo<'a, 'b> {
-        SinkIo {
-            node: ctx.node,
-            peer_node: self.peer_node,
-            peer_agent: self.peer_agent,
-            ack_size: self.ack_size,
-            slot: 0,
-            ctx,
-        }
-    }
-}
-
-impl Agent for TcpSink {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        let mut io = self.io(ctx);
-        self.state.on_data(pkt, &mut io);
-    }
-
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
-        if token.0 & 0xff == TOKEN_DELACK {
-            let mut io = self.io(ctx);
-            self.state.on_delack_timer(token, &mut io);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

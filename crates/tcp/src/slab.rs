@@ -25,9 +25,7 @@
 //!   ([`SinkState::token`]), so slots are limited to 32 bits.
 //!
 //! The protocol logic is [`FlowView`]/[`FlowIo`] and [`SinkState`]/
-//! [`SinkIo`] — the same code the standalone [`TcpSender`](crate::TcpSender)
-//! and [`TcpSink`](crate::TcpSink) agents run — so slab and legacy modes
-//! produce byte-identical schedules.
+//! [`SinkIo`]; the slab only demultiplexes and owns the columns.
 
 use std::any::Any;
 
@@ -39,7 +37,7 @@ use crate::sender::{
     new_flow, AppState, FlowCold, FlowIo, FlowView, RttState, SenderStats, TcpConfig, Wnd,
     TOKEN_START, TOKEN_STOP,
 };
-use crate::sink::{SinkIo, SinkState, SinkStats, ACK_SIZE, TOKEN_DELACK};
+use crate::sink::{SinkIo, SinkState, SinkStats, TOKEN_DELACK};
 use crate::source::Source;
 
 /// Shared agent hosting every TCP connection of a simulation in
@@ -145,13 +143,12 @@ impl FlowSlab {
             .unwrap_or_else(|| panic!("flow {flow} is not hosted by this slab"))
     }
 
-    /// Timer token that starts `flow`'s slot (see
-    /// [`START_TOKEN`](crate::START_TOKEN) for the standalone equivalent).
+    /// Timer token that starts the flow in `slot`.
     pub fn start_token(slot: usize) -> TimerToken {
         TimerToken(TOKEN_START | ((slot as u64) << 8))
     }
 
-    /// Timer token that stops `flow`'s slot.
+    /// Timer token that stops the flow in `slot`.
     pub fn stop_token(slot: usize) -> TimerToken {
         TimerToken(TOKEN_STOP | ((slot as u64) << 8))
     }
@@ -176,15 +173,13 @@ impl FlowSlab {
         let io = SinkIo {
             node: self.sink_nodes[slot],
             peer_node: self.nodes[slot],
-            peer_agent: ctx.agent,
-            ack_size: ACK_SIZE,
             slot,
             ctx,
         };
         (&mut self.sinks[slot], io)
     }
 
-    // --- per-flow read-back (mirrors the `TcpSender` accessors) ---------
+    // --- per-flow read-back ---------------------------------------------
 
     fn cold_of(&self, flow: FlowId) -> &FlowCold {
         self.cold[self.expect_slot(flow)]

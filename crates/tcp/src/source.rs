@@ -1,9 +1,9 @@
 //! Traffic sources: what a sender transmits and when.
 //!
-//! A [`Source`] feeds a [`crate::TcpSender`] a sequence of transfers
-//! separated by think times. [`Greedy`] models the paper's "long-term"
-//! (FTP) flows; finite and on/off sources underpin the web-session
-//! workload built in the `workload` crate.
+//! A [`Source`] feeds a TCP sender ([`crate::sender`]) a sequence of
+//! transfers separated by think times. [`Greedy`] models the paper's
+//! "long-term" (FTP) flows; finite and on/off sources underpin the
+//! web-session workload built in the `workload` crate.
 
 use rand::rngs::SmallRng;
 

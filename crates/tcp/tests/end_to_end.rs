@@ -1,9 +1,9 @@
 //! End-to-end transport tests: full TCP dynamics over the simulator.
 //!
-//! Connections are built through the default flow-slab hosting; the
-//! `sender_*` accessors read per-flow state back regardless of mode, and
-//! `slab_and_legacy_modes_agree` pins the two hostings to identical
-//! dynamics.
+//! Connections are built through the flow slab and read back with the
+//! `sender_*` and `sink_stats` accessors. Three tests pin whole runs to
+//! the fingerprints both flow hostings produced before the per-flow-agent
+//! hosting was deleted.
 
 use netsim::prelude::*;
 use netsim::queue::QueueDiscipline;
@@ -349,69 +349,10 @@ fn bbr_fills_the_link_without_standing_queue() {
     assert!(mean_q < 75.0, "BBR standing queue {mean_q} pkts");
 }
 
-/// Tests that toggle the process-wide hosting flag take this lock so the
-/// parallel test runner can't interleave their toggles.
-static HOSTING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Run one flow of `spec` for 15 s in the given hosting and return its
-/// observable trajectory.
-fn one_flow_trajectory(
-    legacy: bool,
-    spec: impl Fn(FlowId, NodeId, NodeId, u64) -> ConnectionSpec,
-) -> (u64, usize, u64, u64, u64) {
-    pert_tcp::set_legacy_agents(legacy);
-    let (mut sim, a, b, _f) = dumbbell(
-        10_000_000,
-        SimDuration::from_millis(10),
-        |_| Box::new(DropTail::new(40)),
-        23,
-    );
-    let mut c = spec(FlowId(0), a, b, 23);
-    // Delayed ACKs make every ACK a stretch ACK, so the slow-start to
-    // congestion-avoidance crossover credit split is on the hot path.
-    c.delack = Some(SimDuration::from_millis(100));
-    let conn = connect(&mut sim, c);
-    sim.schedule_agent_timer(SimTime::ZERO, conn.sender, conn.start_token);
-    sim.run_until(SimTime::from_secs_f64(15.0));
-    let stats = sender_stats(&sim, &conn);
-    pert_tcp::set_legacy_agents(false);
-    (
-        sim.events_processed(),
-        sim.trace.drops.len(),
-        stats.acked_segments,
-        stats.retransmits,
-        stats.loss_events,
-    )
-}
-
-/// Regression for the RFC 5681 §3.1 stretch-ACK crossover fix: under
-/// delayed ACKs the Reno window must grow identically in the slab and
-/// legacy hostings, and the flow must still fill the link (pre-fix, the
-/// whole stretch ACK was credited as slow start, over-inflating cwnd).
-#[test]
-fn stretch_ack_crossover_agrees_in_both_hostings() {
-    let _guard = HOSTING_LOCK.lock().unwrap();
-    let slab = one_flow_trajectory(false, ConnectionSpec::sack);
-    let legacy = one_flow_trajectory(true, ConnectionSpec::sack);
-    assert_eq!(slab, legacy);
-    // 10 Mbps for ~15 s is ≥ 18 750 segments at full rate; require most.
-    assert!(slab.2 > 15_000, "acked only {} segments", slab.2);
-}
-
-/// The new schemes ride the same dual-hosting machinery: CUBIC and BBR
-/// trajectories must be identical in slab and legacy modes.
-#[test]
-fn cubic_and_bbr_agree_in_both_hostings() {
-    let _guard = HOSTING_LOCK.lock().unwrap();
-    assert_eq!(
-        one_flow_trajectory(false, ConnectionSpec::cubic),
-        one_flow_trajectory(true, ConnectionSpec::cubic)
-    );
-    assert_eq!(
-        one_flow_trajectory(false, ConnectionSpec::bbr),
-        one_flow_trajectory(true, ConnectionSpec::bbr)
-    );
-}
+/// What a run is pinned by: events processed, drops, bits delivered on
+/// the forward bottleneck, and per flow the sender's `(acked,
+/// retransmits, loss events)` with the receiver's statistics.
+type Fingerprint = (u64, usize, u64, Vec<((u64, u64, u64), SinkStats)>);
 
 /// Per-flow observables of both halves of a connection: sender
 /// `(acked, retransmits, loss events)` and the receiver's statistics.
@@ -426,6 +367,91 @@ fn per_flow(sim: &Simulator, conns: &[Connection]) -> Vec<((u64, u64, u64), Sink
             )
         })
         .collect()
+}
+
+fn fingerprint(sim: &Simulator, conns: &[Connection]) -> Fingerprint {
+    (
+        sim.events_processed(),
+        sim.trace.drops.len(),
+        sim.link(LinkId(0)).delivered_bits,
+        per_flow(sim, conns),
+    )
+}
+
+/// Receiver statistics `(segments received, duplicates, CE marked,
+/// rcv_next)`.
+fn rx(segments_received: u64, duplicates: u64, marked: u64, rcv_next: u64) -> SinkStats {
+    SinkStats {
+        segments_received,
+        duplicates,
+        marked,
+        rcv_next,
+    }
+}
+
+/// Run one flow of `spec` for 15 s with delayed ACKs and fingerprint it.
+fn one_flow_trajectory(
+    spec: impl Fn(FlowId, NodeId, NodeId, u64) -> ConnectionSpec,
+) -> Fingerprint {
+    let (mut sim, a, b, _f) = dumbbell(
+        10_000_000,
+        SimDuration::from_millis(10),
+        |_| Box::new(DropTail::new(40)),
+        23,
+    );
+    let mut c = spec(FlowId(0), a, b, 23);
+    // Delayed ACKs make every ACK a stretch ACK, so the slow-start to
+    // congestion-avoidance crossover credit split is on the hot path.
+    c.delack = Some(SimDuration::from_millis(100));
+    let conn = connect(&mut sim, c);
+    sim.schedule_agent_timer(SimTime::ZERO, conn.sender, conn.start_token);
+    sim.run_until(SimTime::from_secs_f64(15.0));
+    fingerprint(&sim, &[conn])
+}
+
+// The fingerprints below are the values the per-flow-agent hosting and
+// the flow slab both produced, event for event, when the per-flow
+// hosting was deleted: they keep that equivalence oracle as data.
+
+/// Regression for the RFC 5681 §3.1 stretch-ACK crossover fix: under
+/// delayed ACKs the Reno window grows exactly as pinned, and the flow
+/// still fills the link (pre-fix, the whole stretch ACK was credited as
+/// slow start, over-inflating cwnd).
+#[test]
+fn stretch_ack_crossover_agrees_in_both_hostings() {
+    // 18 646 segments acked of the ≈ 18 750 that 10 Mbps carries in 15 s.
+    assert_eq!(
+        one_flow_trajectory(ConnectionSpec::sack),
+        (
+            55_989,
+            84,
+            149_376_000,
+            vec![((18_646, 84, 12), rx(18_659, 0, 0, 18_659))]
+        )
+    );
+}
+
+/// The CUBIC and BBR trajectories are pinned the same way.
+#[test]
+fn cubic_and_bbr_agree_in_both_hostings() {
+    assert_eq!(
+        one_flow_trajectory(ConnectionSpec::cubic),
+        (
+            55_990,
+            7,
+            149_376_000,
+            vec![((18_646, 7, 7), rx(18_659, 0, 0, 18_659))]
+        )
+    );
+    assert_eq!(
+        one_flow_trajectory(ConnectionSpec::bbr),
+        (
+            61_856,
+            9,
+            140_928_000,
+            vec![((17_589, 9, 1), rx(17_603, 0, 0, 17_603))]
+        )
+    );
 }
 
 /// A RED-ECN bottleneck with a buffer small enough to drop, shared by
@@ -447,15 +473,12 @@ fn lossy_red_ecn_queue(capacity_bps: u64) -> Box<dyn QueueDiscipline> {
     Box::new(RedQueue::new(RedParams::recommended(24, pps, true, 5)))
 }
 
-/// The slab and legacy hostings must be observationally identical: same
-/// event count, same drop trace, same delivered bits, same per-flow
-/// statistics at both ends — for the same seeds, on a clean DropTail
-/// PERT dumbbell and on a lossy RED-ECN one with delayed ACKs.
+/// Same event count, same drop trace, same delivered bits, same per-flow
+/// statistics at both ends as pinned — for the same seeds, on a clean
+/// DropTail PERT dumbbell and on a lossy RED-ECN one with delayed ACKs.
 #[test]
 fn slab_and_legacy_modes_agree() {
-    let _guard = HOSTING_LOCK.lock().unwrap();
-    let run = |legacy: bool, lossy: bool| {
-        pert_tcp::set_legacy_agents(legacy);
+    let run = |lossy: bool| {
         let (mut sim, a, b, _f) = dumbbell(
             5_000_000,
             SimDuration::from_millis(20),
@@ -484,17 +507,38 @@ fn slab_and_legacy_modes_agree() {
             conns.push(c);
         }
         sim.run_until(SimTime::from_secs_f64(15.0));
-        pert_tcp::set_legacy_agents(false);
-        (
-            sim.events_processed(),
-            sim.trace.drops.len(),
-            sim.link(LinkId(0)).delivered_bits,
-            per_flow(&sim, &conns),
-        )
+        fingerprint(&sim, &conns)
     };
-    assert_eq!(run(false, false), run(true, false));
-    let lossy = run(false, true);
-    assert_eq!(lossy, run(true, true));
+    assert_eq!(
+        run(false),
+        (
+            26_815,
+            53,
+            71_608_000,
+            vec![
+                ((3_230, 43, 1), rx(3_235, 0, 0, 3_235)),
+                ((3_083, 8, 1), rx(3_083, 0, 0, 3_083)),
+                ((2_612, 2, 1), rx(2_619, 0, 0, 2_619)),
+            ]
+        )
+    );
+    let lossy = run(true);
+    assert_eq!(
+        lossy,
+        (
+            27_865,
+            157,
+            71_840_000,
+            vec![
+                ((2_801, 49, 3), rx(2_806, 0, 54, 2_806)),
+                ((562, 81, 3), rx(562, 0, 0, 562)),
+                ((2_388, 7, 4), rx(2_391, 0, 56, 2_391)),
+                ((201, 7, 0), rx(202, 0, 0, 202)),
+                ((2_605, 3, 1), rx(2_609, 0, 42, 2_609)),
+                ((395, 10, 6), rx(396, 0, 0, 396)),
+            ]
+        )
+    );
     // The lossy run exercises what it is meant to.
     assert!(lossy.1 > 0, "no drops");
     let flows = &lossy.3;
@@ -528,7 +572,6 @@ fn same_node_connection_is_refused() {
 /// per-flow statistic at both ends.
 #[test]
 fn sharded_halves_match_monolithic() {
-    let _guard = HOSTING_LOCK.lock().unwrap();
     let build = || {
         let mut sim = Simulator::new(31);
         let (ra, rb) = (sim.add_node(), sim.add_node());

@@ -10,7 +10,7 @@
 
 use pert::netsim::SimDuration;
 use pert::stats::jain_index;
-use pert::tcp::TcpSender;
+use pert::tcp::sender_cc;
 use pert::workload::{
     build_dumbbell, link_metrics, run_measured, snapshot_goodput, DumbbellConfig, Scheme,
 };
@@ -51,7 +51,7 @@ fn main() {
         let early: u64 = d
             .forward
             .iter()
-            .map(|c| sim.agent::<TcpSender>(c.sender).cc().early_reductions())
+            .map(|c| sender_cc(&sim, c).early_reductions())
             .sum();
 
         println!(
