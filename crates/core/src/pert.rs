@@ -18,7 +18,6 @@ use rand::{Rng, SeedableRng};
 
 #[cfg(feature = "audit")]
 use crate::audit;
-use crate::estimators::Ewma;
 #[cfg(feature = "audit")]
 use crate::reference::PertReference;
 use crate::response::ResponseCurve;
@@ -112,19 +111,26 @@ pub struct PertStats {
 }
 
 /// The per-flow PERT state machine.
+///
+/// One is carried by every PERT connection, so the "no value yet" states
+/// are sentinels rather than `Option`s: RTT samples are positive and
+/// finite, which leaves 0, +∞ and −∞ free.
 #[derive(Clone, Debug)]
 pub struct PertController {
     params: PertParams,
-    srtt: Ewma,
-    min_rtt: Option<f64>,
+    /// `srtt_0.99` (history weight `params.srtt_weight`), seconds; 0
+    /// before the first sample.
+    srtt: f64,
+    /// Lifetime minimum RTT, seconds; +∞ before the first sample.
+    min_rtt: f64,
     /// Time before which early responses are suppressed (one RTT after the
     /// previous response — the paper limits early response to once per RTT
     /// because its effect is not visible sooner).
     hold_until: f64,
-    /// A loss response that arrived before the first RTT sample: its hold
-    /// window cannot be sized yet, so it is deferred until the first
-    /// sample defines what "one RTT" means.
-    pending_loss: Option<f64>,
+    /// Time of a loss response that arrived before the first RTT sample:
+    /// its hold window cannot be sized yet, so it is deferred until the
+    /// first sample defines what "one RTT" means. −∞ when none is pending.
+    pending_loss: f64,
     rng: SmallRng,
     /// Regime code the hosting sender last reported (`REGIME_*`); tags
     /// `pert/response` records so traces can attribute each early response
@@ -137,11 +143,14 @@ pub struct PertController {
     /// pointer for it.
     #[cfg(feature = "audit")]
     shadow: Option<Box<PertReference>>,
-    /// Telemetry key (the construction seed) when a tap attached; the
-    /// controller publishes `pert/srtt`, `pert/qdelay` and `pert/prob`
-    /// on every decision. `None` ⇒ zero-cost.
+    /// Telemetry key: the construction seed.
     #[cfg(feature = "telemetry")]
-    tap_key: Option<u64>,
+    tap_key: u64,
+    /// Telemetry was on at construction: the controller publishes
+    /// `pert/srtt`, `pert/qdelay` and `pert/prob` on every decision.
+    /// `false` ⇒ zero-cost.
+    #[cfg(feature = "telemetry")]
+    tapped: bool,
 }
 
 impl PertController {
@@ -151,17 +160,19 @@ impl PertController {
         params.validate();
         PertController {
             params,
-            srtt: Ewma::new(params.srtt_weight),
-            min_rtt: None,
+            srtt: 0.0,
+            min_rtt: f64::INFINITY,
             hold_until: 0.0,
-            pending_loss: None,
+            pending_loss: f64::NEG_INFINITY,
             rng: SmallRng::seed_from_u64(seed ^ 0x0007_0e57_ca75),
             regime: REGIME_CONG_AVOID,
             stats: PertStats::default(),
             #[cfg(feature = "audit")]
             shadow: audit::enabled().then(|| Box::new(PertReference::new(params.srtt_weight))),
             #[cfg(feature = "telemetry")]
-            tap_key: telemetry::enabled().then_some(seed),
+            tap_key: seed,
+            #[cfg(feature = "telemetry")]
+            tapped: telemetry::enabled(),
         }
     }
 
@@ -172,18 +183,25 @@ impl PertController {
     pub fn observe(&mut self, rtt: f64) {
         assert!(rtt > 0.0 && rtt.is_finite(), "invalid RTT sample {rtt}");
         self.stats.acks += 1;
-        let srtt = self.srtt.update(rtt);
-        self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
-        if let Some(at) = self.pending_loss.take() {
+        let w = self.params.srtt_weight;
+        let srtt = match self.srtt() {
+            None => rtt,
+            Some(s) => w * s + (1.0 - w) * rtt,
+        };
+        self.srtt = srtt;
+        self.min_rtt = self.min_rtt.min(rtt);
+        if self.pending_loss > f64::NEG_INFINITY {
             // First sample after an unsampled loss: size its hold window now.
-            self.hold_until = self.hold_until.max(at + srtt);
+            self.hold_until = self.hold_until.max(self.pending_loss + srtt);
+            self.pending_loss = f64::NEG_INFINITY;
         }
         #[cfg(feature = "audit")]
         if let Some(shadow) = &mut self.shadow {
             shadow.on_sample(rtt);
             audit::count_oracle_checks(1);
-            if !audit::close_opt(shadow.srtt(), self.srtt.value())
-                || !audit::close_opt(shadow.min_rtt(), self.min_rtt)
+            let (srtt, min_rtt) = (Some(srtt), Some(self.min_rtt));
+            if !audit::close_opt(shadow.srtt(), srtt)
+                || !audit::close_opt(shadow.min_rtt(), min_rtt)
             {
                 audit::violation(
                     "pert-srtt",
@@ -191,9 +209,9 @@ impl PertController {
                         "srtt diverged from §3 reference after ack #{}: \
                          srtt={:?} ref={:?}, min_rtt={:?} ref={:?}, sample={rtt}",
                         self.stats.acks,
-                        self.srtt.value(),
+                        srtt,
                         shadow.srtt(),
-                        self.min_rtt,
+                        min_rtt,
                         shadow.min_rtt(),
                     ),
                 );
@@ -205,8 +223,7 @@ impl PertController {
     /// Returns a decrease decision, at most once per RTT.
     pub fn on_ack(&mut self, now: f64, rtt: f64) -> Option<EarlyResponse> {
         self.observe(rtt);
-        let hold = self.srtt.value().expect("observe() set it");
-        self.decide(now, hold)
+        self.decide(now, self.srtt)
     }
 
     /// Like [`PertController::on_ack`] but with an explicit hold window:
@@ -224,14 +241,15 @@ impl PertController {
         self.decide(now, hold)
     }
 
+    /// The response decision; `observe` has just run, so `srtt` and
+    /// `min_rtt` hold samples.
     fn decide(&mut self, now: f64, hold: f64) -> Option<EarlyResponse> {
-        let srtt = self.srtt.value().expect("observe() ran");
-        let prop = self.min_rtt.expect("observe() ran");
-
-        let qd = (srtt - prop).max(0.0);
+        let srtt = self.srtt;
+        let qd = (srtt - self.min_rtt).max(0.0);
         let p = self.params.curve.probability(qd);
         #[cfg(feature = "telemetry")]
-        if let Some(key) = self.tap_key {
+        if self.tapped {
+            let key = self.tap_key;
             telemetry::record_id(SeriesId::PERT_SRTT, key, now, srtt);
             telemetry::record_id(SeriesId::PERT_QDELAY, key, now, qd);
             telemetry::record_id(SeriesId::PERT_PROB, key, now, p);
@@ -249,10 +267,10 @@ impl PertController {
         self.hold_until = now + hold;
         self.stats.early_responses += 1;
         #[cfg(feature = "telemetry")]
-        if let Some(key) = self.tap_key {
+        if self.tapped {
             telemetry::record_id(
                 SeriesId::PERT_RESPONSE,
-                key,
+                self.tap_key,
                 now,
                 encode_response(self.regime, p),
             );
@@ -278,25 +296,25 @@ impl PertController {
     /// once-per-RTT rule holds from the very first loss instead of
     /// collapsing to a zero-length window.
     pub fn on_loss_response(&mut self, now: f64) {
-        match self.srtt.value() {
+        match self.srtt() {
             Some(rtt) => self.hold_until = self.hold_until.max(now + rtt),
-            None => self.pending_loss = Some(self.pending_loss.map_or(now, |p| p.max(now))),
+            None => self.pending_loss = self.pending_loss.max(now),
         }
     }
 
     /// Current smoothed RTT (`srtt_0.99`), seconds.
     pub fn srtt(&self) -> Option<f64> {
-        self.srtt.value()
+        (self.srtt > 0.0).then_some(self.srtt)
     }
 
     /// Current propagation-delay estimate (minimum RTT), seconds.
     pub fn min_rtt(&self) -> Option<f64> {
-        self.min_rtt
+        self.min_rtt.is_finite().then_some(self.min_rtt)
     }
 
     /// Current queuing-delay estimate `srtt − min_rtt`, seconds.
     pub fn queuing_delay(&self) -> Option<f64> {
-        Some((self.srtt.value()? - self.min_rtt?).max(0.0))
+        Some((self.srtt()? - self.min_rtt()?).max(0.0))
     }
 
     /// The configured parameters.
@@ -513,5 +531,69 @@ mod tests {
         // Out-of-range probabilities clamp instead of bleeding into the
         // regime field.
         assert_eq!(decode_response(encode_response(1, 7.5)), (1, 10_000));
+    }
+
+    /// FNV-1a over the little-endian bytes of one word.
+    fn fnv(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The controller's observable behaviour over a fixed stream, pinned
+    /// as a literal so that no change to how its state is stored can move
+    /// a result: two losses before the first sample (the deferred hold
+    /// keeps the later), a base-RTT phase, a sustained mid-ramp queue, a
+    /// saturated queue, a drain, periodic loss holds and recovery-time
+    /// `observe` calls, for an RTT-driven controller and for a one-way-
+    /// delay one driven through `on_ack_with_hold`. Every response's ACK
+    /// index and factor, `srtt()` and `min_rtt()` after every ACK, and the
+    /// final `stats` enter the hash.
+    #[test]
+    fn behaviour_fingerprint_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let opt = |v: Option<f64>| v.map_or(u64::MAX, f64::to_bits);
+        for owd in [false, true] {
+            let mut c = PertController::new(PertParams::default(), 2024);
+            c.on_loss_response(0.0005);
+            c.on_loss_response(0.0002);
+            let mut now = 0.0;
+            for i in 0..50_000u64 {
+                now += 0.0005;
+                let rtt = match i {
+                    0..2_000 => 0.060 + 0.002 * ((i % 10) as f64 / 10.0),
+                    2_000..30_000 => 0.072 + 0.004 * ((i % 13) as f64 / 13.0),
+                    30_000..40_000 => 0.200,
+                    _ => 0.065,
+                };
+                let resp = if owd {
+                    c.on_ack_with_hold(now, rtt / 2.0, rtt)
+                } else {
+                    c.on_ack(now, rtt)
+                };
+                if let Some(r) = resp {
+                    fnv(&mut h, i);
+                    fnv(&mut h, r.factor.to_bits());
+                }
+                if i % 3_000 == 2_999 {
+                    c.on_loss_response(now);
+                }
+                if i % 17 == 0 {
+                    c.observe(if owd { rtt / 2.0 } else { rtt });
+                }
+                fnv(&mut h, opt(c.srtt()));
+                fnv(&mut h, opt(c.min_rtt()));
+            }
+            // 212 responses and 21 437 suppressed on RTT, 164 and 10 486
+            // on one-way delay.
+            fnv(&mut h, c.stats.acks);
+            fnv(&mut h, c.stats.early_responses);
+            fnv(&mut h, c.stats.suppressed);
+        }
+        assert_eq!(
+            h, 0x5334_ea1e_af0d_8c09,
+            "PERT controller behaviour changed"
+        );
     }
 }

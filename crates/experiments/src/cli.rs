@@ -25,8 +25,9 @@ sections to each report; --trace-out PATH (implies --telemetry) additionally\n\
 writes the full per-series trace as JSONL to PATH plus a Chrome-trace\n\
 profile and a flight-recorder dump alongside it.\n\
 --flight-window N sets the flight-recorder ring size in records (default\n\
-65536); --progress forces the ~1 Hz stderr progress line on even when\n\
-stderr is not a terminal.\n\
+65536); without --trace-out the dump is pert-flight.jsonl in the system\n\
+temporary directory. --progress forces the ~1 Hz stderr progress line on\n\
+even when stderr is not a terminal.\n\
 --shards N splits each simulation's measured phase into N space-parallel\n\
 shards (cut at positive-delay links) run in deterministic barrier epochs.\n\
 Reports are byte-identical at any N; scenarios that cannot be split fall\n\

@@ -30,11 +30,16 @@ use experiments::{cost, progress, trace_cli, weights};
 use pert_core::telemetry;
 
 /// Where the flight-recorder dump lands: next to the trace file when
-/// `--trace-out` is given, else a fixed name in the working directory.
+/// `--trace-out` is given, else a fixed name in the system temporary
+/// directory (`$TMPDIR`, or `/tmp`), so a run leaves nothing behind in
+/// the working tree.
 fn flight_path(trace_out: Option<&str>) -> String {
     match trace_out {
         Some(p) => format!("{}.flight.jsonl", p.strip_suffix(".jsonl").unwrap_or(p)),
-        None => "pert-flight.jsonl".to_string(),
+        None => std::env::temp_dir()
+            .join("pert-flight.jsonl")
+            .display()
+            .to_string(),
     }
 }
 

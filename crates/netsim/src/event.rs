@@ -275,7 +275,13 @@ struct Node {
 /// Slots are singly linked lists through one node pool (Varghese–Lauck):
 /// a cascade relinks nodes, a pop frees one, so the footprint is the
 /// high-water number of stored events × the node size, not per slot.
+///
+/// Aligned to 128 bytes (two cache lines, the adjacent-line prefetch
+/// unit): shard calendars are forked back to back, and a wheel's hot
+/// scalars must not share a line with its neighbour's once each runs on
+/// its own worker thread.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Wheel {
     nodes: Vec<Node>,
     /// Head of the free list through `nodes`.

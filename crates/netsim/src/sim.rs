@@ -173,7 +173,9 @@ const CTRL_PROBE: u64 = 2 << 32;
 /// space-parallel driver (see [`crate::shard`]). When present,
 /// transmissions whose arrival node lives on another shard divert into
 /// `outbox` instead of the local calendar; the driver exchanges outboxes
-/// at each epoch barrier.
+/// at each epoch barrier. Aligned like [`Simulator`]: each shard's box is
+/// allocated next to the others' and written on every cross-shard send.
+#[repr(align(128))]
 pub(crate) struct ShardIo {
     /// This shard's index.
     me: usize,
@@ -281,6 +283,12 @@ pub struct SimCounters {
 }
 
 /// The discrete-event network simulator.
+///
+/// Aligned to 128 bytes (two cache lines, the adjacent-line prefetch
+/// unit): a sharded run keeps its shards side by side in one vector, and
+/// the clock, counters and calendar front each worker writes on every
+/// event must not share a line with the next shard's.
+#[repr(align(128))]
 pub struct Simulator {
     now: SimTime,
     events: EventQueue,

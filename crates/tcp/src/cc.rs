@@ -15,10 +15,18 @@
 //! * [`PertRemCc`] — PERT/REM: Reno growth plus the REM-emulating
 //!   controller of [`pert_core::PertRemController`] (the paper's §8
 //!   "other AQM schemes" generalization).
+//!
+//! A connection holds its algorithm in the closed enum `Cc`, inline in the
+//! flow's cold state; [`crate::Cubic`] and [`crate::Bbr`] complete the zoo.
+
+use std::ops::{Deref, DerefMut};
 
 use pert_core::pert::{PertController, PertParams};
 use pert_core::pi::{PertPiController, PertPiParams};
 use pert_core::rem::{PertRemController, PertRemParams};
+
+use crate::bbr::Bbr;
+use crate::cubic::Cubic;
 
 /// Per-ACK information handed to the congestion-control algorithm.
 #[derive(Debug)]
@@ -448,6 +456,51 @@ impl CcAlgorithm for PertRemCc {
 
     fn early_reductions(&self) -> u64 {
         self.ctl.early_responses
+    }
+}
+
+/// A connection's congestion control, one variant per scheme of the zoo.
+/// Every connection carries one inline, so a variant is never larger than
+/// the PERT controllers it sits beside: CUBIC and BBR are larger still and
+/// stay boxed, and a PERT row does not pay for them. The sender reaches
+/// the algorithm through [`CcAlgorithm`] by dereference.
+pub(crate) enum Cc {
+    Reno(Reno),
+    Vegas(Vegas),
+    Pert(PertCc),
+    PertPi(PertPiCc),
+    PertRem(PertRemCc),
+    Cubic(Box<Cubic>),
+    Bbr(Box<Bbr>),
+}
+
+impl Deref for Cc {
+    type Target = dyn CcAlgorithm;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Cc::Reno(a) => a,
+            Cc::Vegas(a) => a,
+            Cc::Pert(a) => a,
+            Cc::PertPi(a) => a,
+            Cc::PertRem(a) => a,
+            Cc::Cubic(a) => a.as_ref(),
+            Cc::Bbr(a) => a.as_ref(),
+        }
+    }
+}
+
+impl DerefMut for Cc {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Cc::Reno(a) => a,
+            Cc::Vegas(a) => a,
+            Cc::Pert(a) => a,
+            Cc::PertPi(a) => a,
+            Cc::PertRem(a) => a,
+            Cc::Cubic(a) => a.as_mut(),
+            Cc::Bbr(a) => a.as_mut(),
+        }
     }
 }
 

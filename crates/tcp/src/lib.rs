@@ -56,11 +56,12 @@ pub use cc::{
 pub use cubic::Cubic;
 pub use intervals::IntervalSet;
 pub use scoreboard::{Scoreboard, SegState};
-pub use sender::{SenderStats, TcpConfig};
+pub use sender::SenderStats;
 pub use sink::SinkStats;
 pub use slab::FlowSlab;
 pub use source::{Finite, FnSource, Greedy, Source, Transfer};
 
+use cc::Cc;
 use netsim::{AgentId, FlowId, NodeId, Simulator, TimerToken};
 use pert_core::pert::PertParams;
 use pert_core::pi::PertPiParams;
@@ -91,18 +92,16 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    fn build(&self, seed: u64) -> Box<dyn CcAlgorithm> {
+    fn build(&self, seed: u64) -> Cc {
         match self {
-            CcKind::Sack => Box::new(Reno::new()),
-            CcKind::Vegas => Box::new(Vegas::new()),
-            CcKind::Pert(p) => Box::new(PertCc::with_params(*p, seed)),
-            CcKind::PertOwd(p) => {
-                Box::new(PertCc::with_signal(*p, cc::DelaySignal::OneWayDelay, seed))
-            }
-            CcKind::PertPi(p) => Box::new(PertPiCc::new(*p, seed)),
-            CcKind::PertRem(p) => Box::new(PertRemCc::new(*p, seed)),
-            CcKind::Cubic => Box::new(Cubic::new(seed)),
-            CcKind::Bbr => Box::new(Bbr::new(seed)),
+            CcKind::Sack => Cc::Reno(Reno::new()),
+            CcKind::Vegas => Cc::Vegas(Vegas::new()),
+            CcKind::Pert(p) => Cc::Pert(PertCc::with_params(*p, seed)),
+            CcKind::PertOwd(p) => Cc::Pert(PertCc::with_signal(*p, DelaySignal::OneWayDelay, seed)),
+            CcKind::PertPi(p) => Cc::PertPi(PertPiCc::new(*p, seed)),
+            CcKind::PertRem(p) => Cc::PertRem(PertRemCc::new(*p, seed)),
+            CcKind::Cubic => Cc::Cubic(Box::new(Cubic::new(seed))),
+            CcKind::Bbr => Cc::Bbr(Box::new(Bbr::new(seed))),
         }
     }
 
@@ -251,15 +250,7 @@ pub fn connect_with_source(
             id
         }
     };
-    let cc = spec.cc.build(spec.seed);
-    let slab: &mut FlowSlab = sim.agent_mut(slab_id);
-    let slot = slab.add_flow(
-        sender_config(&spec, slab_id),
-        cc,
-        source,
-        spec.src,
-        spec.delack,
-    );
+    let slot = sim.agent_mut::<FlowSlab>(slab_id).add_flow(&spec, source);
 
     Connection {
         flow: spec.flow,
@@ -268,16 +259,6 @@ pub fn connect_with_source(
         start_token: FlowSlab::start_token(slot),
         stop_token: FlowSlab::stop_token(slot),
     }
-}
-
-/// The sender configuration `spec` asks for, acknowledged by `sink`.
-fn sender_config(spec: &ConnectionSpec, sink: AgentId) -> TcpConfig {
-    let mut cfg = TcpConfig::new(spec.flow, spec.dst, sink);
-    cfg.ecn = spec.ecn;
-    cfg.seed = spec.seed;
-    cfg.record_samples = spec.record_samples;
-    cfg.seg_size = spec.seg_size;
-    cfg
 }
 
 /// Install a greedy (long-lived FTP) connection for `spec`.
@@ -299,7 +280,8 @@ pub fn sender_samples<'a>(sim: &'a Simulator, conn: &Connection) -> &'a [AckSamp
     sim.agent::<FlowSlab>(conn.sender).samples_of(conn.flow)
 }
 
-/// The congestion-control algorithm of `conn` (for downcasting).
+/// The congestion-control algorithm of `conn`, for reading its counters
+/// back after a run (`early_reductions`, `name`).
 pub fn sender_cc<'a>(sim: &'a Simulator, conn: &Connection) -> &'a dyn CcAlgorithm {
     sim.agent::<FlowSlab>(conn.sender).cc_of(conn.flow)
 }

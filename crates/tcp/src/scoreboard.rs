@@ -44,23 +44,29 @@ pub enum SegState {
 
 /// The send-window scoreboard: a ring of states for `[base, base + len)`
 /// plus the counters and cursors that summarize it.
+///
+/// Every connection carries one, so the counters are `u32` (a window of
+/// 2^32 segments is far past any receiver window) and "no SACK yet" is a
+/// sentinel rather than an `Option`.
 #[derive(Debug, Default)]
 pub struct Scoreboard {
     /// The ring until a window first outgrows it.
     inline: [SegState; INLINE],
     /// The ring from then on (power-of-two length); empty before.
     spill: Vec<SegState>,
-    /// Ring index of `base`'s state, unreduced (`seg` masks it).
-    head: usize,
+    /// Ring index of `base`'s state, unreduced and wrapping (`seg` masks
+    /// it; the ring length is a power of two no larger than 2^32).
+    head: u32,
     /// Lowest outstanding sequence number (meaningful while `len > 0`).
     base: u64,
-    len: usize,
-    in_flight: usize,
-    sacked: usize,
-    lost: usize,
+    len: u32,
+    in_flight: u32,
+    sacked: u32,
+    lost: u32,
     /// Lowest `Lost` sequence number (meaningful while `lost > 0`).
     first_lost: u64,
-    highest_sacked: Option<u64>,
+    /// One past the highest SACKed sequence number; 0 before any SACK.
+    sack_end: u64,
     /// FACK sweep watermark: holes below this were already examined.
     fack_mark: u64,
     /// Mutation counter driving the periodic full audit rescan.
@@ -76,22 +82,22 @@ impl Scoreboard {
 
     /// Segments consuming network capacity (`InFlight` + `Retx`).
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.in_flight as usize
     }
 
     /// Segments declared lost and not yet retransmitted.
     pub fn lost_count(&self) -> usize {
-        self.lost
+        self.lost as usize
     }
 
     /// Segments currently SACKed.
     pub fn sacked_count(&self) -> usize {
-        self.sacked
+        self.sacked as usize
     }
 
     /// Total tracked (sent, unacknowledged) segments.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True if nothing is outstanding.
@@ -101,7 +107,7 @@ impl Scoreboard {
 
     /// One past the highest outstanding sequence number.
     fn end(&self) -> u64 {
-        self.base + self.len as u64
+        self.base + u64::from(self.len)
     }
 
     fn ring(&mut self) -> &mut [SegState] {
@@ -118,7 +124,7 @@ impl Scoreboard {
             self.base <= seq && seq < self.end(),
             "{seq} not outstanding"
         );
-        let i = self.head + (seq - self.base) as usize;
+        let i = self.head.wrapping_add((seq - self.base) as u32) as usize;
         let ring = self.ring();
         &mut ring[i & (ring.len() - 1)]
     }
@@ -130,15 +136,16 @@ impl Scoreboard {
             self.base = seq;
         }
         assert_eq!(seq, self.end(), "new segment must extend the window");
-        if self.len == self.ring().len() {
+        let len = self.len as usize;
+        if len == self.ring().len() {
             // Full: unroll the ring to start at `base` and double it.
-            let head = self.head & (self.len - 1);
+            let head = self.head as usize & (len - 1);
             self.head = 0;
             self.ring().rotate_left(head);
             if self.spill.is_empty() {
                 self.spill.extend_from_slice(&self.inline);
             }
-            self.spill.resize(2 * self.len, SegState::InFlight);
+            self.spill.resize(2 * len, SegState::InFlight);
         }
         self.len += 1;
         *self.seg(seq) = SegState::InFlight;
@@ -164,7 +171,7 @@ impl Scoreboard {
     /// Cumulative ACK up to (exclusive) `cum`: forget all covered segments.
     /// Returns the number of segments newly removed.
     pub fn ack_to(&mut self, cum: u64) -> u64 {
-        let removed = cum.saturating_sub(self.base).min(self.len as u64);
+        let removed = cum.saturating_sub(self.base).min(u64::from(self.len));
         for seq in self.base..self.base + removed {
             match *self.seg(seq) {
                 SegState::InFlight | SegState::Retx => self.in_flight -= 1,
@@ -172,9 +179,9 @@ impl Scoreboard {
                 SegState::Lost => self.lost -= 1,
             }
         }
-        self.head += removed as usize;
+        self.head = self.head.wrapping_add(removed as u32);
         self.base += removed;
-        self.len -= removed as usize;
+        self.len -= removed as u32;
         self.fack_mark = self.fack_mark.max(cum);
         self.settle_first_lost();
         self.audit();
@@ -196,7 +203,7 @@ impl Scoreboard {
             *self.seg(seq) = SegState::Sacked;
             self.sacked += 1;
         }
-        self.highest_sacked = self.highest_sacked.max(Some(block.end - 1));
+        self.sack_end = self.sack_end.max(block.end);
         self.settle_first_lost();
         self.audit();
     }
@@ -205,9 +212,7 @@ impl Scoreboard {
     /// [`DUP_THRESH`] or more below the highest SACKed sequence. Returns
     /// the number of segments newly declared lost.
     pub fn declare_losses(&mut self) -> usize {
-        let limit = self
-            .highest_sacked
-            .and_then(|hs| (hs + 1).checked_sub(DUP_THRESH));
+        let limit = self.sack_end.checked_sub(DUP_THRESH);
         let Some(limit) = limit.filter(|&l| self.fack_mark < l) else {
             return 0;
         };
@@ -238,7 +243,7 @@ impl Scoreboard {
             }
         }
         self.audit();
-        self.lost - before
+        (self.lost - before) as usize
     }
 
     /// Re-establish the `first_lost` cursor after segments left the `Lost`
@@ -276,7 +281,7 @@ impl Scoreboard {
         if !self.ops.is_multiple_of(64) {
             return;
         }
-        let (mut in_flight, mut sacked, mut lost, mut first_lost) = (0usize, 0usize, 0usize, None);
+        let (mut in_flight, mut sacked, mut lost, mut first_lost) = (0u32, 0u32, 0u32, None);
         for seq in self.base..self.end() {
             match *self.seg(seq) {
                 SegState::InFlight | SegState::Retx => in_flight += 1,
@@ -312,7 +317,7 @@ impl Scoreboard {
 
     /// Highest SACKed sequence, if any.
     pub fn highest_sacked(&self) -> Option<u64> {
-        self.highest_sacked
+        self.sack_end.checked_sub(1)
     }
 }
 

@@ -14,25 +14,23 @@
 //! * [`Wnd`], [`RttState`], [`AppState`] — small `Copy` structs touched on
 //!   every ACK; the slab stores them in parallel vectors so a scan over
 //!   many flows stays in cache.
-//! * [`FlowCold`] — everything else (config, boxed CC algorithm and
-//!   source, scoreboard, RNG, stats), boxed per flow. Samples and
-//!   telemetry hang off it in one more box ([`FlowRecorders`]) that only
-//!   exists while something reads them.
+//! * [`FlowCold`] — everything else (config, the congestion control held
+//!   inline as a [`Cc`] variant, boxed source, scoreboard, RNG, stats),
+//!   boxed per flow. Samples and telemetry hang off it in one more box
+//!   ([`FlowRecorders`]) that only exists while something reads them.
 //!
 //! All protocol logic lives on [`FlowView`] (a bundle of `&mut` borrows of
 //! the four parts) and performs I/O through [`FlowIo`], which maps
 //! `send`/`schedule` onto the slab's identity and the flow's slot.
 
-use netsim::{
-    AgentId, Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken,
-};
+use netsim::{Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken};
 use pert_core::predictors::AckSample;
 #[cfg(feature = "telemetry")]
 use pert_core::telemetry::{self, BucketHistogram};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::cc::{CcAction, CcAlgorithm, CcContext};
+use crate::cc::{Cc, CcAction, CcContext};
 use crate::scoreboard::Scoreboard;
 use crate::source::Source;
 
@@ -50,58 +48,31 @@ pub(crate) const TOKEN_PACE: u64 = 4;
 /// slightest jitter.
 pub(crate) const RTO_GRANULARITY_SECS: f64 = 0.001;
 
-/// Static sender configuration.
+/// Congestion window of a new flow, and of each new transfer, segments.
+const INITIAL_CWND: f64 = 2.0;
+/// Slow-start threshold of a new flow: none until the first reduction.
+const INITIAL_SSTHRESH: f64 = f64::MAX;
+/// Receiver-window clamp on the congestion window: none.
+const MAX_CWND: f64 = f64::MAX;
+/// Minimum retransmission timeout.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Maximum retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
+/// What a connection chooses about its sender. Every other sender
+/// parameter is one of the constants above, the peer is the slab row's
+/// sink node, and the RNG seed is spent at construction.
 #[derive(Clone, Debug)]
-pub struct TcpConfig {
+pub(crate) struct TcpConfig {
     /// Flow id for tracing and accounting.
     pub flow: FlowId,
-    /// Node hosting the sink.
-    pub peer_node: NodeId,
-    /// The sink agent.
-    pub peer_agent: AgentId,
-    /// Data segment wire size in bytes (default 1000, as in ns-2).
+    /// Data segment wire size in bytes.
     pub seg_size: u32,
-    /// ACK wire size in bytes (default 40).
-    pub ack_size: u32,
     /// Send ECN-capable (ECT) segments.
     pub ecn: bool,
-    /// Initial congestion window, segments.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, segments.
-    pub initial_ssthresh: f64,
-    /// Receiver-window clamp on the congestion window, segments.
-    pub max_cwnd: f64,
-    /// Minimum retransmission timeout (default 200 ms).
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout (default 60 s).
-    pub max_rto: SimDuration,
     /// Record one [`AckSample`] per ACK (time, RTT, cwnd) — used by the
     /// paper's predictor studies; off by default to bound memory.
     pub record_samples: bool,
-    /// Seed for the sender-local RNG (think-time draws etc.).
-    pub seed: u64,
-}
-
-impl TcpConfig {
-    /// Reasonable defaults for a flow from this sender to
-    /// (`peer_node`, `peer_agent`).
-    pub fn new(flow: FlowId, peer_node: NodeId, peer_agent: AgentId) -> Self {
-        TcpConfig {
-            flow,
-            peer_node,
-            peer_agent,
-            seg_size: 1000,
-            ack_size: 40,
-            ecn: false,
-            initial_cwnd: 2.0,
-            initial_ssthresh: f64::MAX,
-            max_cwnd: f64::MAX,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
-            record_samples: false,
-            seed: 0,
-        }
-    }
 }
 
 /// Aggregate sender statistics (cumulative since flow start).
@@ -180,14 +151,14 @@ pub(crate) struct AppState {
 /// pointer anyway. The slab boxes one per flow.
 pub(crate) struct FlowCold {
     pub cfg: TcpConfig,
-    pub cc: Box<dyn CcAlgorithm>,
+    pub cc: Cc,
     pub source: Box<dyn Source>,
     pub rng: SmallRng,
     pub scoreboard: Scoreboard,
     /// Segment count of the transfer announced by the pending
     /// `TOKEN_NEW_TRANSFER` timer (the token itself carries only the flow
-    /// slot, so the size rides here).
-    pub pending_transfer: Option<u64>,
+    /// slot, so the size rides here); 0 when none is pending.
+    pub pending_transfer: u64,
     /// Cumulative statistics.
     pub stats: SenderStats,
     /// Telemetry and sample recorders; `None` (one pointer, one branch
@@ -263,20 +234,18 @@ impl FlowRecorders {
 }
 
 /// Build the four state parts for a fresh flow (a `FlowSlab::add_flow`
-/// row).
+/// row); `seed` seeds the sender-local RNG (think-time draws etc.).
 pub(crate) fn new_flow(
     cfg: TcpConfig,
-    cc: Box<dyn CcAlgorithm>,
+    seed: u64,
+    cc: Cc,
     source: Box<dyn Source>,
 ) -> (Wnd, RttState, AppState, FlowCold) {
-    assert!(cfg.initial_cwnd >= 1.0, "initial cwnd must be ≥ 1");
-    assert!(cfg.seg_size > 0 && cfg.ack_size > 0);
-    assert!(!cfg.min_rto.is_zero() && cfg.max_rto >= cfg.min_rto);
-    let seed = cfg.seed;
+    assert!(cfg.seg_size > 0, "segments must carry data");
     let rec = FlowRecorders::attach(&cfg);
     let wnd = Wnd {
-        cwnd: cfg.initial_cwnd,
-        ssthresh: cfg.initial_ssthresh,
+        cwnd: INITIAL_CWND,
+        ssthresh: INITIAL_SSTHRESH,
         high_ack: 0,
         next_seq: 0,
         limit_seq: 0,
@@ -304,7 +273,7 @@ pub(crate) fn new_flow(
         source,
         rng: SmallRng::seed_from_u64(seed ^ 0x7c95_e4d3),
         scoreboard: Scoreboard::new(),
-        pending_transfer: None,
+        pending_transfer: 0,
         stats: SenderStats::default(),
         rec,
     };
@@ -313,11 +282,13 @@ pub(crate) fn new_flow(
 
 /// How flow logic reaches the simulator: packets leave from `node` (a
 /// slab hosts endpoints on many nodes, so the agent's own node is not
-/// enough), and timer tokens carry `token_bits` (the flow slot shifted
-/// past the kind byte) so the hosting agent can demultiplex.
+/// enough) for the receiver half on `peer_node`, which the same agent
+/// hosts; timer tokens carry `token_bits` (the flow slot shifted past the
+/// kind byte) so the hosting agent can demultiplex.
 pub(crate) struct FlowIo<'a, 'b> {
     pub ctx: &'a mut Ctx<'b>,
     pub node: NodeId,
+    pub peer_node: NodeId,
     pub token_bits: u64,
 }
 
@@ -349,14 +320,14 @@ pub(crate) struct FlowView<'a> {
 
 impl FlowView<'_> {
     fn effective_window(&self) -> u64 {
-        self.wnd.cwnd.min(self.cold.cfg.max_cwnd).max(1.0).floor() as u64
+        self.wnd.cwnd.clamp(1.0, MAX_CWND).floor() as u64
     }
 
     fn send_segment(&mut self, io: &mut FlowIo<'_, '_>, seq: u64, retransmit: bool) {
         io.send(Packet {
             flow: self.cold.cfg.flow,
-            dst_node: self.cold.cfg.peer_node,
-            dst_agent: self.cold.cfg.peer_agent,
+            dst_node: io.peer_node,
+            dst_agent: io.ctx.agent,
             size_bytes: self.cold.cfg.seg_size,
             ecn: if self.cold.cfg.ecn {
                 Ecn::Capable
@@ -461,13 +432,8 @@ impl FlowView<'_> {
 
     // --- RTO management -------------------------------------------------
 
-    /// The armed RTO: base estimate doubled per backoff step (capped at
-    /// 2^16), clamped to the configured bounds — all in exact integer
-    /// nanoseconds, so a deep backoff ladder lands on a deterministic
-    /// nanosecond instead of accumulating float rounding.
     fn current_rto(&self) -> SimDuration {
-        (self.rtt.rto * (1u64 << self.rtt.backoff.min(16)))
-            .clamp(self.cold.cfg.min_rto, self.cold.cfg.max_rto)
+        clamp_rto(self.rtt.rto, self.rtt.backoff, MIN_RTO, MAX_RTO)
     }
 
     fn restart_rto(&mut self, now: SimTime) {
@@ -542,15 +508,7 @@ impl FlowView<'_> {
             }
         }
         let srtt = self.rtt.srtt.expect("just set");
-        // One float→integer conversion per RTT sample; from here on all
-        // RTO arithmetic (backoff, deadline) is exact. RFC 6298 §2.3/§2.4:
-        // the variance term is floored at the clock granularity `G` so a
-        // microsecond-RTT path (srtt and rttvar both ~µs) still yields an
-        // RTO safely above the measurement noise; `min_rto` then applies
-        // as the overall floor.
-        self.rtt.rto =
-            SimDuration::from_secs_f64(srtt + (4.0 * self.rtt.rttvar).max(RTO_GRANULARITY_SECS))
-                .clamp(self.cold.cfg.min_rto, self.cold.cfg.max_rto);
+        self.rtt.rto = clamp_rto(rto_estimate(srtt, self.rtt.rttvar), 0, MIN_RTO, MAX_RTO);
     }
 
     /// A loss/ECN-triggered multiplicative decrease (at most one per
@@ -674,7 +632,7 @@ impl FlowView<'_> {
                 self.cold.cc.on_rtt_sample(now, rtt, owd);
             }
         }
-        self.wnd.cwnd = self.wnd.cwnd.min(self.cold.cfg.max_cwnd).max(1.0);
+        self.wnd.cwnd = self.wnd.cwnd.clamp(1.0, MAX_CWND);
 
         if let Some(rec) = &mut self.cold.rec {
             rec.on_ack(now, rtt, owd, self.wnd.cwnd, self.cold.cfg.record_samples);
@@ -704,14 +662,14 @@ impl FlowView<'_> {
                 self.app.awaiting_transfer = true;
                 // Stash the size here; think time via timer. (The token's
                 // high bits address the flow, so they can't carry it.)
-                self.cold.pending_transfer = Some(t.segments);
+                self.cold.pending_transfer = t.segments;
                 io.schedule(SimDuration::from_secs_f64(t.think_secs), TOKEN_NEW_TRANSFER);
             }
         }
     }
 
     fn on_new_transfer(&mut self, io: &mut FlowIo<'_, '_>) {
-        let segments = self.cold.pending_transfer.take().unwrap_or(0);
+        let segments = std::mem::take(&mut self.cold.pending_transfer);
         self.app.awaiting_transfer = false;
         if self.app.stopped {
             return;
@@ -719,7 +677,7 @@ impl FlowView<'_> {
         self.wnd.limit_seq = self.wnd.limit_seq.saturating_add(segments);
         // Each transfer restarts from a fresh (small) window, modelling a
         // new connection of the same session over the same path.
-        self.wnd.cwnd = self.cold.cfg.initial_cwnd;
+        self.wnd.cwnd = INITIAL_CWND;
         self.send_available(io);
     }
 
@@ -762,6 +720,24 @@ impl FlowView<'_> {
             other => unreachable!("unknown sender timer token {other}"),
         }
     }
+}
+
+/// The RTO estimate of RFC 6298 §2.3/§2.4 before its bounds apply:
+/// `srtt + max(4·rttvar, G)`. The variance term is floored at the clock
+/// granularity `G` so a microsecond-RTT path (srtt and rttvar both ~µs)
+/// still yields an RTO safely above the measurement noise. This is the one
+/// float→integer conversion per RTT sample; from here on all RTO
+/// arithmetic (backoff, deadline) is exact.
+fn rto_estimate(srtt: f64, rttvar: f64) -> SimDuration {
+    SimDuration::from_secs_f64(srtt + (4.0 * rttvar).max(RTO_GRANULARITY_SECS))
+}
+
+/// The armed RTO: `rto` doubled per backoff step (capped at 2^16),
+/// clamped to `[min, max]` — all in exact integer nanoseconds, so a deep
+/// backoff ladder lands on a deterministic nanosecond instead of
+/// accumulating float rounding.
+fn clamp_rto(rto: SimDuration, backoff: u32, min: SimDuration, max: SimDuration) -> SimDuration {
+    (rto * (1u64 << backoff.min(16))).clamp(min, max)
 }
 
 /// Flush cumulative per-flow statistics into the global telemetry metrics
@@ -823,11 +799,13 @@ mod tests {
     }
 
     fn sender() -> Flow {
-        let (wnd, rtt, app, cold) = new_flow(
-            TcpConfig::new(FlowId(0), NodeId(1), AgentId(1)),
-            Box::new(Reno::new()),
-            Box::new(Greedy),
-        );
+        let cfg = TcpConfig {
+            flow: FlowId(0),
+            seg_size: 1000,
+            ecn: false,
+            record_samples: false,
+        };
+        let (wnd, rtt, app, cold) = new_flow(cfg, 0, Cc::Reno(Reno::new()), Box::new(Greedy));
         Flow {
             wnd,
             rtt,
@@ -928,7 +906,7 @@ mod tests {
     }
 
     /// RFC 6298 granularity clamp: on a microsecond-RTT link with an
-    /// aggressive `min_rto`, repeated near-identical samples drive
+    /// aggressive minimum RTO, repeated near-identical samples drive
     /// `4·rttvar` toward zero — the RTO must still hold at least the
     /// clock granularity above `srtt`, not collapse to the raw
     /// `srtt + 4·rttvar` (which here would be ~50 µs and fire on any
@@ -936,8 +914,6 @@ mod tests {
     #[test]
     fn sub_millisecond_rtt_keeps_granularity_floor() {
         let mut s = sender();
-        s.cold.cfg.min_rto = SimDuration::from_micros(1);
-        s.cold.cfg.max_rto = SimDuration::from_secs(60);
         // 50 µs RTT samples, essentially noiseless.
         for _ in 0..200 {
             s.view().update_rtt(50e-6);
@@ -948,7 +924,14 @@ mod tests {
             4.0 * s.rtt.rttvar < RTO_GRANULARITY_SECS,
             "test premise: variance term must have decayed below G"
         );
-        let rto = s.rtt.rto;
+        // The sender's own floor is MIN_RTO; clamp at 1 µs instead.
+        assert_eq!(s.rtt.rto, MIN_RTO);
+        let rto = clamp_rto(
+            rto_estimate(srtt, s.rtt.rttvar),
+            0,
+            SimDuration::from_micros(1),
+            MAX_RTO,
+        );
         assert!(
             rto >= SimDuration::from_secs_f64(RTO_GRANULARITY_SECS),
             "RTO {rto:?} fell below the granularity floor"
@@ -964,16 +947,12 @@ mod tests {
     /// further (and must not overflow the integer multiply).
     #[test]
     fn backoff_caps_at_sixteen_doublings() {
-        let mut s = sender();
-        s.rtt.rto = SimDuration::from_micros(300); // below min_rto × 2^-16
-        s.cold.cfg.min_rto = SimDuration::from_nanos(1);
-        s.cold.cfg.max_rto = SimDuration::MAX;
-        s.rtt.backoff = 16;
-        let at_cap = s.view().current_rto();
-        assert_eq!(at_cap, SimDuration::from_micros(300) * 65_536);
-        s.rtt.backoff = 17;
-        assert_eq!(s.view().current_rto(), at_cap);
-        s.rtt.backoff = u32::MAX;
-        assert_eq!(s.view().current_rto(), at_cap);
+        let rto = SimDuration::from_micros(300); // below MIN_RTO × 2^-16
+        let ladder =
+            |backoff| clamp_rto(rto, backoff, SimDuration::from_nanos(1), SimDuration::MAX);
+        let at_cap = ladder(16);
+        assert_eq!(at_cap, rto * 65_536);
+        assert_eq!(ladder(17), at_cap);
+        assert_eq!(ladder(u32::MAX), at_cap);
     }
 }

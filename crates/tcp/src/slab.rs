@@ -9,7 +9,7 @@
 //! ([`Wnd`], [`RttState`], [`AppState`], all `Copy`), its receiver half
 //! ([`SinkState`]), and the two endpoint nodes — so dispatching a burst of
 //! ACKs walks compact arrays, while the sender's cold remainder
-//! ([`FlowCold`]) stays boxed per flow.
+//! ([`FlowCold`], congestion control inline) stays boxed per flow.
 //!
 //! The slab is installed once per simulator as a *shared* agent (it has no
 //! home node; every row records its source and sink nodes and transmits
@@ -29,7 +29,7 @@
 
 use std::any::Any;
 
-use netsim::{Agent, Ctx, FlowId, NodeId, Packet, SimDuration, TimerToken};
+use netsim::{Agent, Ctx, FlowId, NodeId, Packet, TimerToken};
 use pert_core::predictors::AckSample;
 
 use crate::cc::CcAlgorithm;
@@ -39,6 +39,7 @@ use crate::sender::{
 };
 use crate::sink::{SinkIo, SinkState, SinkStats, TOKEN_DELACK};
 use crate::source::Source;
+use crate::ConnectionSpec;
 
 /// Shared agent hosting every TCP connection of a simulation in
 /// struct-of-arrays form. Build implicitly through
@@ -91,33 +92,30 @@ impl FlowSlab {
         self.cold.is_empty()
     }
 
-    /// Register a connection sending from `node` to `cfg.peer_node`, whose
-    /// receiver half this slab hosts as well (`cfg.peer_agent` must be the
-    /// slab's own id); `delack` enables delayed ACKs on the receiver.
-    /// Returns the connection's slot.
-    pub fn add_flow(
-        &mut self,
-        cfg: TcpConfig,
-        cc: Box<dyn CcAlgorithm>,
-        source: Box<dyn Source>,
-        node: NodeId,
-        delack: Option<SimDuration>,
-    ) -> usize {
+    /// Register the connection `spec` describes, both halves: its sender
+    /// on `spec.src` fed by `source`, its receiver on `spec.dst`. Returns
+    /// the connection's slot.
+    pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
         let slot = self.cold.len();
         assert!(
             slot >> 32 == 0,
             "flow slot must fit the 32-bit slot field of a timer token"
         );
-        let flow = cfg.flow;
-        let sink_node = cfg.peer_node;
-        let (wnd, rtt, app, cold) = new_flow(cfg, cc, source);
+        let flow = spec.flow;
+        let cfg = TcpConfig {
+            flow,
+            seg_size: spec.seg_size,
+            ecn: spec.ecn,
+            record_samples: spec.record_samples,
+        };
+        let (wnd, rtt, app, cold) = new_flow(cfg, spec.seed, spec.cc.build(spec.seed), source);
         self.wnd.push(wnd);
         self.rtt.push(rtt);
         self.app.push(app);
-        self.sinks.push(SinkState::new(flow, delack));
+        self.sinks.push(SinkState::new(flow, spec.delack));
         self.cold.push(Some(Box::new(cold)));
-        self.nodes.push(node);
-        self.sink_nodes.push(sink_node);
+        self.nodes.push(spec.src);
+        self.sink_nodes.push(spec.dst);
         if self.by_flow.len() <= flow.index() {
             self.by_flow.resize(flow.index() + 1, None);
         }
@@ -164,6 +162,16 @@ impl FlowSlab {
         }
     }
 
+    /// How the sender half of `slot` reaches the simulator.
+    fn sender_io<'a, 'b>(&self, slot: usize, ctx: &'a mut Ctx<'b>) -> FlowIo<'a, 'b> {
+        FlowIo {
+            node: self.nodes[slot],
+            peer_node: self.sink_nodes[slot],
+            token_bits: (slot as u64) << 8,
+            ctx,
+        }
+    }
+
     /// Run the receiver half of `slot`.
     fn receiver<'a, 'b>(
         &mut self,
@@ -197,9 +205,10 @@ impl FlowSlab {
         self.cold_of(flow).samples()
     }
 
-    /// Congestion-control algorithm of `flow` (for downcasting).
+    /// Congestion-control algorithm of `flow`, for reading its counters
+    /// back after a run (`early_reductions`, `name`).
     pub fn cc_of(&self, flow: FlowId) -> &dyn CcAlgorithm {
-        self.cold_of(flow).cc.as_ref()
+        &*self.cold_of(flow).cc
     }
 
     /// Current congestion window of `flow`, segments.
@@ -232,11 +241,7 @@ impl Agent for FlowSlab {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let slot = self.expect_slot(pkt.flow);
         if pkt.is_ack() {
-            let mut io = FlowIo {
-                node: self.nodes[slot],
-                token_bits: (slot as u64) << 8,
-                ctx,
-            };
+            let mut io = self.sender_io(slot, ctx);
             self.view(slot).handle_packet(pkt, &mut io);
         } else {
             debug_assert_eq!(ctx.node, self.sink_nodes[slot], "data off its sink node");
@@ -252,11 +257,7 @@ impl Agent for FlowSlab {
             return;
         }
         let slot = (token.0 >> 8) as usize;
-        let mut io = FlowIo {
-            node: self.nodes[slot],
-            token_bits: (slot as u64) << 8,
-            ctx,
-        };
+        let mut io = self.sender_io(slot, ctx);
         self.view(slot).handle_timer(token.0 & 0xff, &mut io);
     }
 
@@ -353,17 +354,11 @@ impl Agent for FlowSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{PertCc, Reno};
     use crate::source::Greedy;
-    use netsim::AgentId;
-
-    fn cfg(flow: usize, sink: usize) -> TcpConfig {
-        TcpConfig::new(FlowId(flow), NodeId(sink), AgentId(0))
-    }
 
     fn add(slab: &mut FlowSlab, flow: usize, src: usize, dst: usize) -> usize {
-        let (cc, source) = (Box::new(Reno::new()), Box::new(Greedy));
-        slab.add_flow(cfg(flow, dst), cc, source, NodeId(src), None)
+        let spec = ConnectionSpec::sack(FlowId(flow), NodeId(src), NodeId(dst), 0);
+        slab.add_flow(&spec, Box::new(Greedy))
     }
 
     #[test]
@@ -438,24 +433,23 @@ mod tests {
     }
 
     /// The per-connection parts a detached run builds, at their budgets:
-    /// recorders and the audit oracle live behind one pointer each.
+    /// the congestion control sits inline in `FlowCold`, recorders and the
+    /// audit oracle live behind one pointer each.
     #[test]
     fn row_parts_stay_within_their_budgets() {
+        use crate::cc::Cc;
+        use crate::scoreboard::Scoreboard;
+        use pert_core::pert::PertController;
         use std::mem::size_of;
-        assert!(
-            size_of::<FlowCold>() <= 360,
-            "FlowCold is {} B",
-            size_of::<FlowCold>()
-        );
-        assert!(
-            size_of::<PertCc>() <= 200,
-            "PertCc is {} B",
-            size_of::<PertCc>()
-        );
-        assert!(
-            size_of::<SinkState>() <= 136,
-            "SinkState is {} B",
-            size_of::<SinkState>()
-        );
+        let parts = [
+            ("FlowCold", size_of::<FlowCold>(), 400),
+            ("Cc", size_of::<Cc>(), 160),
+            ("PertController", size_of::<PertController>(), 152),
+            ("Scoreboard", size_of::<Scoreboard>(), 104),
+            ("SinkState", size_of::<SinkState>(), 128),
+        ];
+        for (part, size, budget) in parts {
+            assert!(size <= budget, "{part} is {size} B, budget {budget} B");
+        }
     }
 }

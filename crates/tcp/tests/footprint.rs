@@ -1,21 +1,23 @@
 //! Pins what building a connection costs in the default (slab) hosting:
-//! one row, three heap blocks, no agent.
+//! one row, two heap blocks, no agent.
 //!
 //! A counting `#[global_allocator]` (the same shape as
 //! `crates/netsim/tests/alloc_count.rs`) counts the calling thread's
-//! allocations while 10 000 PERT connections are built. Each may cost the
-//! sender's cold box, its congestion-control box and the caller's source
-//! box; the slab's columns grow by doubling, which is logarithmic in the
-//! connection count. A receiver agent, a telemetry recorder or an audit
-//! oracle per connection would each add one more allocation per
-//! connection and break the budget. This file is its own test binary so
-//! no other test's allocations land in the window.
+//! allocations while 10 000 connections are built. A PERT connection may
+//! cost the sender's cold box, which holds its congestion control inline,
+//! and the caller's source box; the slab's columns grow by doubling, which
+//! is logarithmic in the connection count. A boxed congestion control, a
+//! receiver agent, a telemetry recorder or an audit oracle per connection
+//! would each add one more allocation per connection and break the budget.
+//! CUBIC (and BBR) keep their larger state boxed inside the variant, so
+//! they cost one more. This file is its own test binary so no other test's
+//! allocations land in the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netsim::prelude::*;
-use pert_tcp::{connect_with_source, ConnectionSpec, Finite};
+use pert_tcp::{connect_with_source, CcKind, ConnectionSpec, Finite};
 
 struct CountingAlloc;
 
@@ -43,17 +45,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations made while connecting flows `first..first + n` from `a` to
-/// `b` (with per-ACK sample recording when `samples`).
+/// `b` under `cc` (with per-ACK sample recording when `samples`).
 fn connect_many(
     sim: &mut Simulator,
     (a, b): (NodeId, NodeId),
     first: usize,
     n: usize,
+    cc: &CcKind,
     samples: bool,
 ) -> u64 {
     let before = allocs();
     for i in first..first + n {
-        let mut spec = ConnectionSpec::pert(FlowId(i), a, b, i as u64);
+        let mut spec = ConnectionSpec::new(FlowId(i), a, b, cc.clone(), i as u64);
         spec.record_samples = samples;
         connect_with_source(sim, spec, Box::new(Finite::new(8)));
     }
@@ -61,10 +64,11 @@ fn connect_many(
 }
 
 #[test]
-fn slab_connections_cost_three_allocations_and_no_agent() {
+fn slab_connections_cost_two_allocations_and_no_agent() {
     const N: usize = 10_000;
     /// Doubling growth of the slab's eight columns, with room to spare.
     const GROWTH: u64 = 256;
+    let pert = CcKind::Pert(Default::default());
 
     // A detached release build: debug builds default the audit flag on.
     pert_core::audit::set_enabled(false);
@@ -80,13 +84,13 @@ fn slab_connections_cost_three_allocations_and_no_agent() {
     );
     sim.compute_routes();
     // The first connection creates the slab itself.
-    connect_many(&mut sim, ends, 0, 1, false);
+    connect_many(&mut sim, ends, 0, 1, &pert, false);
     let agents = sim.num_agents();
 
-    let detached = connect_many(&mut sim, ends, 1, N, false);
+    let detached = connect_many(&mut sim, ends, 1, N, &pert, false);
     assert!(
-        detached <= 3 * N as u64 + GROWTH,
-        "{detached} allocations for {N} connections (budget 3 each + {GROWTH})"
+        detached <= 2 * N as u64 + GROWTH,
+        "{detached} allocations for {N} PERT connections (budget 2 each + {GROWTH})"
     );
     assert_eq!(
         sim.num_agents(),
@@ -94,11 +98,17 @@ fn slab_connections_cost_three_allocations_and_no_agent() {
         "connections must not allocate agent slots"
     );
 
-    // The counter sees a recorder when one is asked for: recording
-    // samples puts a fourth box on every connection.
-    let recording = connect_many(&mut sim, ends, 1 + N, N, true);
+    let cubic = connect_many(&mut sim, ends, 1 + N, N, &CcKind::Cubic, false);
     assert!(
-        recording >= 4 * N as u64,
+        cubic <= 3 * N as u64 + GROWTH,
+        "{cubic} allocations for {N} CUBIC connections (budget 3 each + {GROWTH})"
+    );
+
+    // The counter sees a recorder when one is asked for: recording
+    // samples puts a third box on every PERT connection.
+    let recording = connect_many(&mut sim, ends, 1 + 2 * N, N, &pert, true);
+    assert!(
+        recording >= 3 * N as u64,
         "{recording} allocations for {N} recording connections"
     );
 }
