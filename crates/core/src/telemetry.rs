@@ -1,4 +1,4 @@
-//! Telemetry: signal taps, the metrics registry, profiler spans, and
+//! Telemetry: signal taps, the metrics registry, derived metrics and
 //! the flight recorder.
 //!
 //! This mirrors the two-gate design of [`crate::audit`]:
@@ -13,7 +13,8 @@
 //!   feature. The `experiments` binary raises it with `--telemetry` or
 //!   `--trace-out`.
 //!
-//! Four kinds of data flow through here:
+//! Three kinds of data flow through here, none of them read from a
+//! wall clock, so attached output is as deterministic as the report:
 //!
 //! * **Records** — `(scope, series, key, t, value)` samples published
 //!   by attached taps (PERT `srtt`, queue lengths, controller state).
@@ -26,9 +27,6 @@
 //!   [`MetricsSet`]. All operations are commutative, so per-job flushes
 //!   arriving in any thread order yield identical snapshots — the
 //!   `--jobs 1` vs `--jobs N` determinism contract.
-//! * **Spans** — coarse wall-clock phase timers ([`span`]) emitted as a
-//!   Chrome-trace file. Wall-clock data never enters reports, so it is
-//!   exempt from the determinism contract.
 //! * **Flight dumps** — [`install_flight_dump_on_panic`] hooks the
 //!   panic handler so an audit violation (which panics) or any scenario
 //!   panic dumps the telemetry window preceding the failure as JSONL.
@@ -63,7 +61,6 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
-use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static FULL_TRACE: AtomicBool = AtomicBool::new(false);
@@ -614,95 +611,6 @@ pub fn progress_snapshot() -> (u64, u64, u64, u64) {
 }
 
 // ---------------------------------------------------------------------
-// Profiler spans
-// ---------------------------------------------------------------------
-
-/// One closed wall-clock phase, microseconds relative to process start.
-#[derive(Clone, Debug)]
-pub struct Span {
-    /// Phase name (e.g. `sim/run_until`, `job/fig6 b=10`).
-    pub name: String,
-    /// Scope active when the span opened.
-    pub scope: String,
-    /// Small per-thread id for trace lanes.
-    pub tid: u64,
-    /// Start, µs since process epoch.
-    pub start_us: u64,
-    /// Duration, µs.
-    pub dur_us: u64,
-}
-
-static SPANS: Mutex<Vec<Span>> = Mutex::new(Vec::new());
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn thread_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TID.with(|t| *t)
-}
-
-/// Open a wall-clock span, closed when the guard drops. `None` when
-/// telemetry is off, so the idiom is `let _span = telemetry::span(..);`.
-pub fn span(name: impl Into<String>) -> Option<SpanGuard> {
-    if !enabled() {
-        return None;
-    }
-    Some(SpanGuard {
-        name: name.into(),
-        started: Instant::now(),
-    })
-}
-
-/// Closes its [`span`] on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    name: String,
-    started: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let start_us = self.started.saturating_duration_since(epoch()).as_micros() as u64;
-        let dur_us = self.started.elapsed().as_micros() as u64;
-        lock(&SPANS).push(Span {
-            name: std::mem::take(&mut self.name),
-            scope: current_scope().to_string(),
-            tid: thread_id(),
-            start_us,
-            dur_us,
-        });
-    }
-}
-
-/// Record a pre-measured wall-clock phase (ending now) as a closed span
-/// — for durations accumulated across many short operations, like
-/// per-packet queue calls, where a guard per call would drown the trace.
-pub fn span_closed(name: impl Into<String>, dur_us: u64) {
-    if !enabled() {
-        return;
-    }
-    let end_us = epoch().elapsed().as_micros() as u64;
-    lock(&SPANS).push(Span {
-        name: name.into(),
-        scope: current_scope().to_string(),
-        tid: thread_id(),
-        start_us: end_us.saturating_sub(dur_us),
-        dur_us,
-    });
-}
-
-/// All closed spans so far.
-pub fn spans_snapshot() -> Vec<Span> {
-    lock(&SPANS).clone()
-}
-
-// ---------------------------------------------------------------------
 // Writers
 // ---------------------------------------------------------------------
 
@@ -764,32 +672,6 @@ pub fn write_flight_jsonl(path: &Path) -> io::Result<usize> {
 /// the record count.
 pub fn write_trace_jsonl(path: &Path) -> io::Result<usize> {
     write_records_jsonl(path, &trace_snapshot_sorted())
-}
-
-/// Write all closed spans as a Chrome-trace-format file (load in
-/// `chrome://tracing` or Perfetto). Returns the span count.
-pub fn write_chrome_trace(path: &Path) -> io::Result<usize> {
-    let spans = spans_snapshot();
-    let mut w = BufWriter::new(File::create(path)?);
-    write!(w, "{{\"traceEvents\":[")?;
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "{{\"name\":\"{}\",\"cat\":\"pert\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"scope\":\"{}\"}}}}",
-            json_escape(&s.name),
-            s.start_us,
-            s.dur_us,
-            s.tid,
-            json_escape(&s.scope),
-        )?;
-    }
-    write!(w, "]}}")?;
-    w.flush()?;
-    Ok(spans.len())
 }
 
 /// Chain a panic hook that dumps the flight recorder to `path` before
@@ -892,26 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_close_on_drop() {
-        set_enabled(true);
-        {
-            let _g = span("test/span_close");
-        }
-        assert!(spans_snapshot().iter().any(|s| s.name == "test/span_close"));
-    }
-
-    #[test]
-    fn span_closed_records_premeasured_duration() {
-        set_enabled(true);
-        span_closed("test/span_closed", 1234);
-        let s = spans_snapshot()
-            .into_iter()
-            .find(|s| s.name == "test/span_closed")
-            .expect("span recorded");
-        assert_eq!(s.dur_us, 1234);
-    }
-
-    #[test]
     fn writers_emit_valid_lines() {
         set_enabled(true);
         set_full_trace(true);
@@ -919,13 +781,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let flight = dir.join("pert_test_flight.jsonl");
         let trace = dir.join("pert_test_trace.jsonl");
-        let chrome = dir.join("pert_test_chrome.json");
         assert!(write_flight_jsonl(&flight).unwrap() >= 1);
         assert!(write_trace_jsonl(&trace).unwrap() >= 1);
-        {
-            let _g = span("test/writer_span");
-        }
-        assert!(write_chrome_trace(&chrome).unwrap() >= 1);
         let line = std::fs::read_to_string(&trace)
             .unwrap()
             .lines()
@@ -935,10 +792,7 @@ mod tests {
         assert!(line.contains("\"key\":3"));
         assert!(line.contains("\"t\":1.5"));
         assert!(line.contains("\"v\":0.25"));
-        let chrome_text = std::fs::read_to_string(&chrome).unwrap();
-        assert!(chrome_text.starts_with("{\"traceEvents\":["));
-        assert!(chrome_text.ends_with("]}"));
-        for p in [flight, trace, chrome] {
+        for p in [flight, trace] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -7,8 +7,7 @@
 //! time / events / throughput. This is the topology `pert-bench`'s
 //! `dumbbell100k` and `dumbbell100k_shards2` workloads time; `--shards 1`
 //! is the monolithic baseline. The `SECS` env var overrides the 1.5 s
-//! horizon; `--attached` turns telemetry on (per-shard `shard/N` spans
-//! and event counters then show up in the cost-attribution table).
+//! horizon.
 //!
 //! The profile → weights → re-partition loop: `--profile-out PATH`
 //! writes the per-node event profile as a pert-shard-weights/v1 file,
@@ -22,14 +21,12 @@
 use netsim::ids::FlowId;
 use netsim::queue::DropTail;
 use netsim::time::{SimDuration, SimTime};
-use pert_core::telemetry;
 use pert_tcp::{connect_with_source, ConnectionSpec, FnSource, Transfer};
 
 const HOSTS_PER_SIDE: usize = 8;
 const FLOWS: usize = 100_000;
 
 fn main() {
-    let attached = std::env::args().any(|a| a == "--attached");
     let shards: usize = std::env::args()
         .skip_while(|a| a != "--shards")
         .nth(1)
@@ -37,7 +34,6 @@ fn main() {
         .unwrap_or(1);
     let profile_out: Option<String> = std::env::args().skip_while(|a| a != "--profile-out").nth(1);
     let weights_in: Option<String> = std::env::args().skip_while(|a| a != "--weights").nth(1);
-    telemetry::set_enabled(attached);
     netsim::profile::set_enabled(profile_out.is_some());
     if let Some(path) = &weights_in {
         let w = experiments::weights::load(path).expect("--weights file");
@@ -97,7 +93,6 @@ fn main() {
             .map(|v| v.parse().unwrap())
             .unwrap_or(1.5),
     );
-    let before = attached.then(telemetry::metrics_snapshot);
     let t0 = std::time::Instant::now();
     let (events, drops) = if shards > 1 {
         match netsim::ShardedSim::split(sim, shards) {
@@ -163,11 +158,6 @@ fn main() {
         events as f64 / wall.as_secs_f64() / 1e6,
         drops
     );
-    if let Some(b) = before {
-        let m = telemetry::metrics_snapshot().since(&b);
-        let rows = experiments::cost::attribute(&m, &telemetry::spans_snapshot());
-        eprint!("{}", experiments::cost::render("shard100k", &rows));
-    }
     if let Some(path) = &profile_out {
         // The simulator flushed its node profile into the registry when
         // it dropped above (merged and monolithic paths both end there).

@@ -1,21 +1,18 @@
-//! Cost-attribution probe for the 100k-flow slab scenario.
+//! Quick timing probe for the 100k-flow slab scenario.
 //!
 //! Runs a bounded-active-set population of 100 000 PERT slab flows
 //! (cohorts of 100 per ms, 8-segment transfers, 1 s think) over one fat
-//! link once, prints wall time / events / throughput, and — with
-//! `--attached` — the per-class cost-attribution table, so slab hot-path
-//! changes can be profiled in seconds. `pert-bench`'s `dumbbell100k`
+//! link once and prints wall time / events / throughput, so slab
+//! hot-path changes can be timed in seconds (run it under a sampling
+//! profiler to see where the time goes). `pert-bench`'s `dumbbell100k`
 //! workload times the same population on the `shard_profile` topology.
 //! The `SECS` env var overrides the 1.5 s horizon.
 use netsim::ids::FlowId;
 use netsim::queue::DropTail;
 use netsim::time::{SimDuration, SimTime};
-use pert_core::telemetry;
 use pert_tcp::{connect_with_source, ConnectionSpec, FnSource, Transfer};
 
 fn main() {
-    let attached = std::env::args().any(|a| a == "--attached");
-    telemetry::set_enabled(attached);
     let t_build = std::time::Instant::now();
     let mut sim = netsim::Simulator::new(1);
     let a = sim.add_node();
@@ -43,7 +40,6 @@ fn main() {
         sim.schedule_agent_timer(start, conn.sender, conn.start_token);
     }
     eprintln!("build: {:?}", t_build.elapsed());
-    let before = attached.then(telemetry::metrics_snapshot);
     let t0 = std::time::Instant::now();
     sim.run_until(SimTime::from_secs_f64(
         std::env::var("SECS")
@@ -59,10 +55,4 @@ fn main() {
         ev as f64 / wall.as_secs_f64() / 1e6,
         sim.trace.drops.len()
     );
-    drop(sim);
-    if let Some(b) = before {
-        let m = telemetry::metrics_snapshot().since(&b);
-        let rows = experiments::cost::attribute(&m, &telemetry::spans_snapshot());
-        eprint!("{}", experiments::cost::render("soa100k", &rows));
-    }
 }

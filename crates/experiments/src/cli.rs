@@ -20,10 +20,12 @@ targets: fig2 fig3 fig4 fig234 fig5 fig6 fig7 fig8 fig9 table1\n\
 --audit runs every simulation with the invariant-audit layer on (packet\n\
 conservation, accounting ledgers, differential oracles) and reports the\n\
 check/violation counts per target.\n\
+--json, --csv, --trace-out and --shard-profile-out files are opened before\n\
+the first simulation: a path that cannot be written exits 2 at once.\n\
 --telemetry attaches signal taps and appends per-target metrics + derived\n\
 sections to each report; --trace-out PATH (implies --telemetry) additionally\n\
 writes the full per-series trace as JSONL to PATH plus a Chrome-trace\n\
-profile and a flight-recorder dump alongside it.\n\
+profile of the harness phases and a flight-recorder dump alongside it.\n\
 --flight-window N sets the flight-recorder ring size in records (default\n\
 65536); without --trace-out the dump is pert-flight.jsonl in the system\n\
 temporary directory. --progress forces the ~1 Hz stderr progress line on\n\

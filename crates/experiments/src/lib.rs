@@ -38,7 +38,6 @@ pub mod ablations;
 pub mod cases;
 pub mod cli;
 pub mod common;
-pub mod cost;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
@@ -59,6 +58,7 @@ pub mod reverse;
 pub mod robustness;
 pub mod runner;
 pub mod scenario;
+pub mod spans;
 pub mod sweep;
 pub mod table1;
 pub mod trace_cli;

@@ -7,7 +7,7 @@
 //!             [--progress] [--shard-profile-out PATH]
 //!             [--partition-weights PATH] [--cc cubic|bbr|both]
 //! experiments trace summarize FILE [filters] | trace diff A B [--tol X]
-//!                 | trace shards FILE [--top N]
+//!                 | trace shards FILE
 //!                 | trace fidelity FILE [--flow F] [--csv PATH]
 //!
 //! targets: fig2 fig3 fig4 fig234 fig5 fig6 fig7 fig8 fig9 table1
@@ -20,13 +20,14 @@
 //! are reassembled in declared order, so the rendered output is
 //! byte-identical whatever the worker count. Tables go to stdout;
 //! progress and per-point timings go to stderr; `--json`/`--csv` write
-//! the structured reports to files.
+//! the structured reports to files. Every output file is opened before
+//! the first simulation, so a bad path exits 2 at once.
 
 use experiments::cli;
 use experiments::report::{reports_to_csv, reports_to_json, AuditCounts};
 use experiments::runner::run_jobs;
 use experiments::scenario::lookup;
-use experiments::{cost, progress, trace_cli, weights};
+use experiments::{progress, spans, trace_cli, weights};
 use pert_core::telemetry;
 
 /// Where the flight-recorder dump lands: next to the trace file when
@@ -35,12 +36,40 @@ use pert_core::telemetry;
 /// the working tree.
 fn flight_path(trace_out: Option<&str>) -> String {
     match trace_out {
-        Some(p) => format!("{}.flight.jsonl", p.strip_suffix(".jsonl").unwrap_or(p)),
+        Some(p) => beside(p, "flight.jsonl"),
         None => std::env::temp_dir()
             .join("pert-flight.jsonl")
             .display()
             .to_string(),
     }
+}
+
+/// `<stem>.<ext>` for a `--trace-out` path `<stem>[.jsonl]`.
+fn beside(trace_out: &str, ext: &str) -> String {
+    let stem = trace_out.strip_suffix(".jsonl").unwrap_or(trace_out);
+    format!("{stem}.{ext}")
+}
+
+/// Open every output file before any simulator is built, so a bad path
+/// fails at once instead of after the whole run. Opening appends and
+/// truncates nothing; the files are written when the run is done.
+fn check_outputs(cli: &cli::Cli) -> Result<(), String> {
+    let chrome = cli.trace_out.as_deref().map(|p| beside(p, "chrome.json"));
+    let paths = [
+        cli.json.as_deref(),
+        cli.csv.as_deref(),
+        cli.trace_out.as_deref(),
+        chrome.as_deref(),
+        cli.shard_profile_out.as_deref(),
+    ];
+    for path in paths.into_iter().flatten() {
+        std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    Ok(())
 }
 
 fn main() {
@@ -57,6 +86,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if let Err(e) = check_outputs(&cli) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     // Must happen before any simulator is built: audit shadows and
     // telemetry taps attach at construction time.
@@ -106,14 +139,13 @@ fn main() {
         let t0 = std::time::Instant::now();
         let before = cli.audit.then(netsim::audit::snapshot);
         let metrics_before = cli.telemetry.then(telemetry::metrics_snapshot);
-        let spans_before = cli.telemetry.then(|| telemetry::spans_snapshot().len());
         if cli.telemetry {
             // Fresh derive state per target: each report summarizes only
             // its own records.
             telemetry::derive_reset();
         }
         let jobs = {
-            let _span = telemetry::span(format!("{t}/points"));
+            let _span = spans::span(format!("{t}/points"));
             scenario.points(cli.scale, seed)
         };
         let ticker = progress_on.then(|| {
@@ -125,7 +157,7 @@ fn main() {
             ticker.finish();
         }
         let mut report = {
-            let _span = telemetry::span(format!("{t}/assemble"));
+            let _span = spans::span(format!("{t}/assemble"));
             scenario.assemble(cli.scale, seed, results)
         };
         report.timings = timings;
@@ -149,13 +181,6 @@ fn main() {
         print!("{}", report.render_text());
         for tm in &report.timings {
             eprintln!("  [{} {:.2}s]", tm.label, tm.secs);
-        }
-        // The "where the time goes" table: wall-clock is host-dependent,
-        // so it lives on stderr with the timings, never in the report.
-        if let (Some(m), Some(b)) = (&report.metrics, spans_before) {
-            let spans = telemetry::spans_snapshot();
-            let rows = cost::attribute(m, &spans[b.min(spans.len())..]);
-            eprint!("{}", cost::render(t, &rows));
         }
         eprintln!("[{t} done in {:.1}s]", t0.elapsed().as_secs_f64());
         reports.push(report);
@@ -193,8 +218,7 @@ fn main() {
     }
 
     if let Some(path) = &cli.trace_out {
-        let stem = path.strip_suffix(".jsonl").unwrap_or(path);
-        let chrome = format!("{stem}.chrome.json");
+        let chrome = beside(path, "chrome.json");
         match telemetry::write_trace_jsonl(std::path::Path::new(path)) {
             Ok(n) => eprintln!("[wrote {path}: {n} records]"),
             Err(e) => {
@@ -202,7 +226,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        match telemetry::write_chrome_trace(std::path::Path::new(&chrome)) {
+        match spans::write_chrome_trace(std::path::Path::new(&chrome)) {
             Ok(n) => eprintln!("[wrote {chrome}: {n} spans]"),
             Err(e) => {
                 eprintln!("error: writing {chrome}: {e}");

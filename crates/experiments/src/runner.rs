@@ -156,7 +156,7 @@ pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> (Vec<PointResult>, Vec<PointT
 fn run_scoped(label: &str, f: impl FnOnce() -> PointResult) -> PointResult {
     let _scope = pert_core::telemetry::scoped(label);
     let _span = pert_core::telemetry::enabled()
-        .then(|| pert_core::telemetry::span(format!("job/{label}")))
+        .then(|| crate::spans::span(format!("job/{label}")))
         .flatten();
     let result = f();
     // Feed the stderr progress line (one relaxed atomic add; the

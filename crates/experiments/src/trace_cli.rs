@@ -10,7 +10,7 @@
 //!                                  [--since T] [--until T]
 //!                                  [--csv PATH] [--json PATH]
 //! experiments trace diff A B [--tol X]
-//! experiments trace shards FILE [--top N]
+//! experiments trace shards FILE
 //! experiments trace fidelity FILE [--flow F] [--csv PATH]
 //! ```
 //!
@@ -25,9 +25,8 @@
 //! The exit code is nonzero when any series differs beyond `--tol`
 //! (default 0, since traces are deterministic). `shards` reads the
 //! `shard/*` series a sharded run emits and prints the load-balance
-//! view: per-shard totals, the worst sampled epochs by barrier wait,
-//! and a stall-duration histogram. `fidelity` pairs each flow's
-//! `pert/qdelay` estimates against the scope's bottleneck
+//! view: exact per-shard event and mailbox totals. `fidelity` pairs
+//! each flow's `pert/qdelay` estimates against the scope's bottleneck
 //! `truth/qdelay` window by window, annotates every window with the
 //! controller regime reconstructed from `pert/response` tags, and
 //! prints per-flow bias / worst divergence windows (full timeline via
@@ -424,35 +423,17 @@ pub fn diff(a: &[TraceRecord], b: &[TraceRecord]) -> Vec<DiffRow> {
     rows.into_values().collect()
 }
 
-/// Stall-histogram bucket upper edges, microseconds (the last bucket is
-/// open-ended).
-const STALL_EDGES_US: [u64; 6] = [10, 100, 1_000, 10_000, 100_000, 1_000_000];
-
-/// Build the `trace shards` report from a parsed trace: per-shard
-/// totals over the `shard/*` series, the `top` worst sampled epochs by
-/// barrier wait, and a stall-duration histogram. Returns `None` when
-/// the trace has no shard records (monolithic run).
-pub fn render_shards_report(records: &[TraceRecord], top: usize) -> Option<String> {
+/// Build the `trace shards` report from a parsed trace: exact per-shard
+/// totals over the `shard/*` series. Returns `None` when the trace has
+/// no shard records (monolithic run).
+pub fn render_shards_report(records: &[TraceRecord]) -> Option<String> {
     #[derive(Clone, Copy, Default)]
     struct ShardAcc {
         events: u64,
         in_pkts: u64,
         out_pkts: u64,
-        compute_ns: u64,
-        wait_ns: u64,
-        sampled: u64,
-    }
-    // Per sampled epoch (keyed by the epoch boundary time's bit
-    // pattern — monotone for the non-negative times the runner emits).
-    #[derive(Clone, Copy, Default)]
-    struct EpochAcc {
-        max_compute: (u64, u64), // (ns, shard)
-        max_wait: (u64, u64),
     }
     let mut shards: BTreeMap<u64, ShardAcc> = BTreeMap::new();
-    let mut epochs: BTreeMap<u64, EpochAcc> = BTreeMap::new();
-    let mut stall_counts = [0u64; STALL_EDGES_US.len() + 1];
-
     for r in records {
         if !r.series.starts_with("shard/") {
             continue;
@@ -467,27 +448,6 @@ pub fn render_shards_report(records: &[TraceRecord], top: usize) -> Option<Strin
             "shard/events" => a.events += v,
             "shard/mailbox_in_pkts" => a.in_pkts += v,
             "shard/mailbox_out_pkts" => a.out_pkts += v,
-            "shard/epoch_compute_ns" => {
-                a.compute_ns += v;
-                a.sampled += 1;
-                let e = epochs.entry(r.t.to_bits()).or_default();
-                if v >= e.max_compute.0 {
-                    e.max_compute = (v, r.key);
-                }
-            }
-            "shard/barrier_wait_ns" => {
-                a.wait_ns += v;
-                let e = epochs.entry(r.t.to_bits()).or_default();
-                if v >= e.max_wait.0 {
-                    e.max_wait = (v, r.key);
-                }
-                let us = v / 1_000;
-                let b = STALL_EDGES_US
-                    .iter()
-                    .position(|&edge| us < edge)
-                    .unwrap_or(STALL_EDGES_US.len());
-                stall_counts[b] += 1;
-            }
             _ => {}
         }
     }
@@ -496,26 +456,12 @@ pub fn render_shards_report(records: &[TraceRecord], top: usize) -> Option<Strin
     }
 
     let total_events: u128 = shards.values().map(|a| u128::from(a.events)).sum();
-    let mut out = String::new();
-    let header = [
-        "shard",
-        "events",
-        "share_bp",
-        "in_pkts",
-        "out_pkts",
-        "compute_ms",
-        "wait_ms",
-        "stall_bp",
-    ];
+    let header = ["shard", "events", "share_bp", "in_pkts", "out_pkts"];
     let rows: Vec<Vec<String>> = shards
         .iter()
         .map(|(id, a)| {
             let share_bp = (u128::from(a.events) * 10_000)
                 .checked_div(total_events)
-                .unwrap_or(0) as u64;
-            let busy = u128::from(a.compute_ns) + u128::from(a.wait_ns);
-            let stall_bp = (u128::from(a.wait_ns) * 10_000)
-                .checked_div(busy)
                 .unwrap_or(0) as u64;
             vec![
                 id.to_string(),
@@ -523,62 +469,13 @@ pub fn render_shards_report(records: &[TraceRecord], top: usize) -> Option<Strin
                 share_bp.to_string(),
                 a.in_pkts.to_string(),
                 a.out_pkts.to_string(),
-                fmt_g(a.compute_ns as f64 / 1e6),
-                fmt_g(a.wait_ns as f64 / 1e6),
-                stall_bp.to_string(),
             ]
         })
         .collect();
-    out.push_str("per-shard totals (wall sums over sampled epochs):\n");
-    out.push_str(&render_aligned(&header, &rows));
-
-    let sampled: u64 = shards.values().map(|a| a.sampled).sum();
-    if sampled > 0 {
-        let mut worst: Vec<(u64, EpochAcc)> = epochs.into_iter().collect();
-        worst.sort_by(|a, b| b.1.max_wait.0.cmp(&a.1.max_wait.0).then(a.0.cmp(&b.0)));
-        worst.truncate(top);
-        let header = [
-            "t",
-            "max_compute_us",
-            "slow_shard",
-            "max_wait_us",
-            "stalled_shard",
-        ];
-        let rows: Vec<Vec<String>> = worst
-            .iter()
-            .map(|(bits, e)| {
-                vec![
-                    fmt_g(f64::from_bits(*bits)),
-                    (e.max_compute.0 / 1_000).to_string(),
-                    e.max_compute.1.to_string(),
-                    (e.max_wait.0 / 1_000).to_string(),
-                    e.max_wait.1.to_string(),
-                ]
-            })
-            .collect();
-        out.push_str(&format!(
-            "\nworst sampled epochs by barrier wait (top {}):\n",
-            rows.len()
-        ));
-        out.push_str(&render_aligned(&header, &rows));
-
-        out.push_str("\nbarrier-stall histogram (per sampled shard-epoch):\n");
-        let mut lo = 0u64;
-        for (i, &count) in stall_counts.iter().enumerate() {
-            let label = if i < STALL_EDGES_US.len() {
-                format!("[{lo}us, {}us)", STALL_EDGES_US[i])
-            } else {
-                format!("[{lo}us, inf)")
-            };
-            out.push_str(&format!("  {label:<20} {count}\n"));
-            if i < STALL_EDGES_US.len() {
-                lo = STALL_EDGES_US[i];
-            }
-        }
-    } else {
-        out.push_str("\n(no sampled wall records — run with --telemetry attached)\n");
-    }
-    Some(out)
+    Some(format!(
+        "per-shard totals:\n{}",
+        render_aligned(&header, &rows)
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -957,15 +854,15 @@ fn render_aligned(header: &[&str], rows: &[Vec<String>]) -> String {
 const TRACE_USAGE: &str = "usage: experiments trace summarize FILE [--series S] [--scope S] \
 [--since T] [--until T] [--csv PATH] [--json PATH]\n\
 \x20      experiments trace diff A B [--tol X]\n\
-\x20      experiments trace shards FILE [--top N]\n\
+\x20      experiments trace shards FILE\n\
 \x20      experiments trace fidelity FILE [--flow F] [--csv PATH]\n\
 Operates on --trace-out JSONL traces and flight-recorder dumps.\n\
 summarize prints per-series record counts, time ranges and value stats\n\
 (--since/--until keep the half-open interval [since, until));\n\
 diff aligns two traces per (scope, series, key) and reports each series'\n\
 max |v_a - v_b| (exit 1 when any series differs beyond --tol);\n\
-shards prints per-shard load totals, the worst sampled epochs by\n\
-barrier wait, and a stall histogram from a sharded run's shard/* series;\n\
+shards prints exact per-shard event and mailbox totals from a sharded\n\
+run's shard/* series;\n\
 fidelity reconstructs per-flow estimator-vs-truth error timelines with\n\
 regime annotation and worst divergence windows from truth/* + pert/*.";
 
@@ -1084,27 +981,14 @@ fn run_inner(args: &[String]) -> Result<i32, String> {
             }
         }
         "shards" => {
-            let mut file = None;
-            let mut top = 10usize;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--top" => {
-                        let n = num_value(args, &mut i)?;
-                        if n < 1.0 || n.fract() != 0.0 {
-                            return Err(format!("--top wants a positive integer, got {n}"));
-                        }
-                        top = n as usize;
-                    }
-                    f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
-                    p if file.is_none() => file = Some(p.to_string()),
-                    p => return Err(format!("unexpected argument '{p}'")),
-                }
-                i += 1;
-            }
-            let file = file.ok_or("shards needs a trace file")?;
-            let records = read_trace(&file)?;
-            match render_shards_report(&records, top) {
+            let file = match &args[1..] {
+                [f] if !f.starts_with('-') => f,
+                [] => return Err("shards needs a trace file".into()),
+                [f] => return Err(format!("unknown flag '{f}'")),
+                [_, p, ..] => return Err(format!("unexpected argument '{p}'")),
+            };
+            let records = read_trace(file)?;
+            match render_shards_report(&records) {
                 Some(report) => {
                     emit(&report);
                     Ok(0)
@@ -1453,9 +1337,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_report_totals_and_worst_epochs() {
+    fn shards_report_exact_totals() {
         let mut records = Vec::new();
-        // Two shards over two epochs; only epoch t=2.0 is sampled.
+        // Two shards over two epochs.
         for (shard, t, ev) in [
             (0u64, 1.0, 30.0),
             (1, 1.0, 10.0),
@@ -1465,23 +1349,22 @@ mod tests {
             records.push(rec("fig6", "shard/events", shard, t, ev));
         }
         records.push(rec("fig6", "shard/mailbox_out_pkts", 0, 2.0, 7.0));
-        records.push(rec("fig6", "shard/epoch_compute_ns", 0, 2.0, 900_000.0));
-        records.push(rec("fig6", "shard/epoch_compute_ns", 1, 2.0, 100_000.0));
-        records.push(rec("fig6", "shard/barrier_wait_ns", 0, 2.0, 5_000.0));
-        records.push(rec("fig6", "shard/barrier_wait_ns", 1, 2.0, 800_000.0));
-        let report = render_shards_report(&records, 10).unwrap();
+        records.push(rec("fig6", "shard/mailbox_in_pkts", 1, 2.0, 7.0));
+        let report = render_shards_report(&records).unwrap();
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .skip(3)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
         // Shard 0: 75 of 100 events = 7500 bp.
-        assert!(report.contains("7500"), "{report}");
-        // Worst epoch is t=2 with shard 1 stalled 800 us.
-        assert!(report.contains("worst sampled epochs"), "{report}");
-        assert!(report.contains("800"), "{report}");
-        // Stall histogram: 5 us and 800 us land in [0,10) and [100,1000).
-        assert!(report.contains("[0us, 10us)"), "{report}");
-        // Deterministic rendering.
-        assert_eq!(report, render_shards_report(&records, 10).unwrap());
+        assert_eq!(
+            rows,
+            [["0", "75", "7500", "0", "7"], ["1", "25", "2500", "7", "0"]],
+            "{report}"
+        );
 
         // A shard-free trace has no report.
-        assert!(render_shards_report(&[rec("a", "pert/srtt", 0, 1.0, 0.1)], 10).is_none());
+        assert!(render_shards_report(&[rec("a", "pert/srtt", 0, 1.0, 0.1)]).is_none());
     }
 
     #[test]

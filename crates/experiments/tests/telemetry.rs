@@ -294,14 +294,7 @@ fn full_trace_is_equal_across_workers_and_shards() {
     telemetry::set_full_trace(false);
 
     let sorted = telemetry::trace_snapshot_sorted();
-    let of_run = |run: &str| -> Vec<Traced> {
-        let mine = |r: &&telemetry::Record| r.scope.starts_with(run);
-        let traced = |r: &telemetry::Record| {
-            let scope = r.scope[run.len() + 1..].to_owned();
-            (scope, r.series, r.key, r.t, r.value, r.shard)
-        };
-        sorted.iter().filter(mine).map(traced).collect()
-    };
+    let of_run = |run: &str| of_run(&sorted, run);
     let w1 = of_run("w1");
     assert!(w1.len() > 50_000, "only {} records traced", w1.len());
     assert_same_trace("workers 1 vs 4", &w1, &of_run("w4"));
@@ -314,6 +307,50 @@ fn full_trace_is_equal_across_workers_and_shards() {
     s2.retain(|r| !r.1.starts_with("shard/"));
     s2.iter_mut().for_each(|r| r.5 = None);
     assert_same_trace("shards 1 vs 2", &w1, &s2);
+}
+
+/// The records of the full trace `sorted` whose job label starts with
+/// `run`, with that prefix cut off.
+fn of_run(sorted: &[telemetry::Record], run: &str) -> Vec<Traced> {
+    let mine = |r: &&telemetry::Record| r.scope.starts_with(run);
+    let traced = |r: &telemetry::Record| {
+        let scope = r.scope[run.len() + 1..].to_owned();
+        (scope, r.series, r.key, r.t, r.value, r.shard)
+    };
+    sorted.iter().filter(mine).map(traced).collect()
+}
+
+/// Nothing a shard worker publishes reads a clock, so an attached
+/// sharded run is as deterministic as its report: the whole trace —
+/// `shard/*` series and shard tags included — and the derived summary
+/// are the same at any worker count.
+#[test]
+fn attached_sharded_output_is_equal_across_workers() {
+    let _g = LOCK.lock().unwrap();
+    telemetry::set_enabled(true);
+    telemetry::set_full_trace(true);
+    let derived = |run: &str, workers: usize| {
+        telemetry::derive_reset();
+        run_fig6_5mbps(run, workers, 2);
+        let summary = telemetry::derive_summary().expect("derivation was running");
+        telemetry::derive_clear();
+        let mut text = String::new();
+        summary.render_text_into(&mut text);
+        (text, summary.render_json())
+    };
+    let d1 = derived("a1", 1);
+    let d2 = derived("a2", 2);
+    telemetry::set_full_trace(false);
+
+    assert!(d1.0.contains("  shards: n=2 "), "{}", d1.0);
+    assert_eq!(d1, d2, "derived summary differs between workers 1 and 2");
+    let sorted = telemetry::trace_snapshot_sorted();
+    let a1 = of_run(&sorted, "a1");
+    assert!(
+        a1.iter().any(|r| r.1.starts_with("shard/")),
+        "no shard series"
+    );
+    assert_same_trace("sharded, workers 1 vs 2", &a1, &of_run(&sorted, "a2"));
 }
 
 #[test]

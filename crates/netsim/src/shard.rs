@@ -49,9 +49,11 @@
 //!   its barrier instant, so an arrival landing exactly on a barrier is
 //!   injected before any local event at that instant fires. The final
 //!   epoch closes at `until`, matching the monolithic inclusive run.
-//! * Simulation state never touches wall-clock or thread identity;
-//!   telemetry spans are the only thread-dependent output and live in
-//!   the profiling domain, which is exempt from the contract.
+//! * Simulation state and telemetry never touch wall-clock or thread
+//!   identity: every per-shard record is an exact count keyed by shard
+//!   id and stamped with a barrier instant, so attached runs are
+//!   byte-identical too. Only [`ShardedSim::per_shard_cpu_ns`] reads
+//!   the host, and nothing it returns reaches a report or a trace.
 //!
 //! # What can be sharded
 //!
@@ -551,10 +553,6 @@ impl ShardedSim {
                     #[cfg(feature = "telemetry")]
                     let _shard_tag = crate::telemetry::shard_scoped(me as u32);
                     #[cfg(feature = "telemetry")]
-                    let _span = crate::telemetry::enabled()
-                        .then(|| crate::telemetry::span(format!("shard/{me}")))
-                        .flatten();
-                    #[cfg(feature = "telemetry")]
                     let ev_before = shard.events_processed();
                     let cpu_before = thread_cpu_ns();
                     let r = catch_unwind(AssertUnwindSafe(|| {
@@ -570,10 +568,8 @@ impl ShardedSim {
                         barrier.abort();
                         resume_unwind(payload);
                     }
-                    // Per-shard event counter: joined with the shard/N
-                    // span by cost attribution, so load imbalance across
-                    // shards is visible in the "where the time goes"
-                    // table.
+                    // Per-shard event counter: load imbalance across
+                    // shards, in events.
                     #[cfg(feature = "telemetry")]
                     if crate::telemetry::enabled() {
                         crate::telemetry::counter_add(
@@ -631,26 +627,14 @@ fn thread_cpu_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// Every this-many epochs a worker reads the wall clock around its
-/// compute and barrier phases (mirrors the dispatch loop's
-/// `TEL_SAMPLE`): the sampled epoch *is* the record, no scaling — the
-/// observatory wants representative per-epoch durations, not totals.
-/// Counts (`shard/events`, `shard/mailbox_{in,out}_pkts`) stay exact on
-/// every epoch; they are deterministic and cheap.
-#[cfg(feature = "telemetry")]
-const EPOCH_SAMPLE: usize = 16;
-
 /// One shard's epoch loop. All shards compute identical barrier
 /// instants, so they make identical numbers of `barrier.wait` calls.
 ///
 /// When telemetry is attached, each epoch publishes per-shard records
 /// keyed by shard id and stamped with the barrier instant: exact event
-/// and mailbox counts every epoch, and 1-in-[`EPOCH_SAMPLE`] wall-clock
-/// samples of the compute and barrier-wait phases (also emitted as
-/// `shard/{me}/epoch` and `shard/{me}/stall` Chrome-trace spans on the
-/// worker's own lane, so a 4-shard run renders as four parallel epoch
-/// timelines). Detached runs skip all of it — the `tel` flag is read
-/// once — so they stay byte-identical to a telemetry-free build.
+/// and mailbox counts (`shard/events`, `shard/mailbox_{in,out}_pkts`).
+/// Detached runs skip all of it — the `tel` flag is read once — so they
+/// stay byte-identical to a telemetry-free build.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     me: usize,
@@ -686,20 +670,7 @@ fn run_worker(
         } else {
             until
         };
-        #[cfg(feature = "telemetry")]
-        let sampled = tel && k.is_multiple_of(EPOCH_SAMPLE);
-        #[cfg(feature = "telemetry")]
-        let t_compute = sampled.then(std::time::Instant::now);
         shard.run_until(run_to);
-        #[cfg(feature = "telemetry")]
-        let compute_ns = t_compute.map(|t0| t0.elapsed().as_nanos() as u64);
-        // The compute span is emitted here, while "now" is still the
-        // phase's end, so it lands at its true wall-clock position on
-        // this worker's trace lane.
-        #[cfg(feature = "telemetry")]
-        if let Some(c) = compute_ns {
-            crate::telemetry::span_closed(format!("shard/{me}/epoch"), c / 1_000);
-        }
         let slot = k & 1;
         let mut by_dst: Vec<Vec<WirePacket>> = (0..n).map(|_| Vec::new()).collect();
         for (dst, wp) in shard.take_outbox() {
@@ -712,13 +683,9 @@ fn run_worker(
                 mail[dst][me][slot].lock().unwrap().extend(pkts);
             }
         }
-        #[cfg(feature = "telemetry")]
-        let t_wait = sampled.then(std::time::Instant::now);
         if !barrier.wait() {
             return;
         }
-        #[cfg(feature = "telemetry")]
-        let wait_ns = t_wait.map(|t0| t0.elapsed().as_nanos() as u64);
         // Canonical injection order: drain sources in shard-index order,
         // then a stable sort by (arrival time, emission time, content
         // tie) — so injected arrivals enter each calendar in exactly the
@@ -747,11 +714,6 @@ fn run_worker(
             ev_last = ev_now;
             publish(SeriesId::SHARD_MAILBOX_OUT_PKTS, out_pkts as f64);
             publish(SeriesId::SHARD_MAILBOX_IN_PKTS, in_pkts as f64);
-            if let (Some(c), Some(w)) = (compute_ns, wait_ns) {
-                publish(SeriesId::SHARD_EPOCH_COMPUTE_NS, c as f64);
-                publish(SeriesId::SHARD_BARRIER_WAIT_NS, w as f64);
-                tele::span_closed(format!("shard/{me}/stall"), w / 1_000);
-            }
         }
         t = b;
         k += 1;

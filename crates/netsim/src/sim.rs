@@ -217,45 +217,6 @@ struct UtilWindow {
     idle_pending: u64,
 }
 
-/// Wall-clock cost of one link's queue discipline (telemetry only).
-///
-/// Op counts are exact; wall-clock is *sampled* — every
-/// [`TEL_SAMPLE`]-th call is timed and the total is estimated at flush as
-/// `ns * ops / timed`. Two clock reads per op would otherwise dominate
-/// the attached-telemetry overhead at millions of events per second.
-#[cfg(feature = "telemetry")]
-#[derive(Clone, Copy, Debug, Default)]
-struct QueueOpCost {
-    /// Enqueue + dequeue calls made (exact).
-    ops: u64,
-    /// Calls that were wall-clock timed (every `TEL_SAMPLE`-th).
-    timed: u64,
-    /// Wall-clock nanoseconds spent inside the timed calls.
-    ns: u64,
-}
-
-#[cfg(feature = "telemetry")]
-impl QueueOpCost {
-    /// Estimated total nanoseconds across all ops, scaled up from the
-    /// timed sample (sampling is 1-in-`TEL_SAMPLE`, so the first op is
-    /// always timed: `timed == 0` implies `ops == 0`).
-    fn estimated_ns(&self) -> u64 {
-        if self.timed == 0 {
-            0
-        } else {
-            (self.ns as u128 * self.ops as u128 / self.timed as u128) as u64
-        }
-    }
-}
-
-/// Cost-attribution timing sample rate: 1 in this many queue ops /
-/// dispatch runs gets the two `Instant::now` reads (power of two, so
-/// the selector is a mask). Counts stay exact either way; only the
-/// wall-clock spans are estimates, and they are profiling output exempt
-/// from the determinism contract.
-#[cfg(feature = "telemetry")]
-const TEL_SAMPLE: u64 = 16;
-
 /// Cheap always-on per-simulation counters (plain integer increments on
 /// paths that already mutate state — they never affect event order or
 /// randomness). The window restarts at [`Simulator::reset_measurements`];
@@ -329,25 +290,10 @@ pub struct Simulator {
     /// attach at construction; see `crate::telemetry`).
     #[cfg(feature = "telemetry")]
     tel_on: bool,
-    /// Wall-clock nanoseconds spent handling events, by class
-    /// (accumulated only when `tel_on`; profiling, exempt from the
-    /// determinism contract). Sampled: every [`TEL_SAMPLE`]-th dispatch
-    /// run of a class is timed, and the flush scales by the fraction of
-    /// the class's events that fell in timed runs.
+    /// Per-link queue enqueue + dequeue calls (`tel_on` only), summed by
+    /// discipline name at drop.
     #[cfg(feature = "telemetry")]
-    ev_ns: [u64; EventKind::CLASSES],
-    /// Dispatch runs seen per class (the sampling selector).
-    #[cfg(feature = "telemetry")]
-    ev_batches: [u64; EventKind::CLASSES],
-    /// Events dispatched inside *timed* runs, per class (the scaling
-    /// denominator — event-weighted so variable run lengths don't skew
-    /// the estimate).
-    #[cfg(feature = "telemetry")]
-    ev_timed: [u64; EventKind::CLASSES],
-    /// Per-link wall-clock cost of queue enqueue/dequeue calls
-    /// (`tel_on` only), aggregated by discipline name at drop.
-    #[cfg(feature = "telemetry")]
-    queue_op: Vec<QueueOpCost>,
+    queue_ops: Vec<u64>,
     /// Per-link utilization-window state (`tel_on` only).
     #[cfg(feature = "telemetry")]
     util: Vec<UtilWindow>,
@@ -392,13 +338,7 @@ impl Simulator {
             #[cfg(feature = "telemetry")]
             tel_on: crate::telemetry::enabled(),
             #[cfg(feature = "telemetry")]
-            ev_ns: [0; EventKind::CLASSES],
-            #[cfg(feature = "telemetry")]
-            ev_batches: [0; EventKind::CLASSES],
-            #[cfg(feature = "telemetry")]
-            ev_timed: [0; EventKind::CLASSES],
-            #[cfg(feature = "telemetry")]
-            queue_op: Vec::new(),
+            queue_ops: Vec::new(),
             #[cfg(feature = "telemetry")]
             util: Vec::new(),
             shard_io: None,
@@ -480,7 +420,7 @@ impl Simulator {
     }
 
     /// Lifetime events processed by class, indexed like
-    /// [`EventKind::CLASS_NAMES`] (engine cost attribution; not reset by
+    /// [`EventKind::CLASS_NAMES`] (not reset by
     /// [`Simulator::reset_measurements`]).
     pub fn event_class_counts(&self) -> [u64; EventKind::CLASSES] {
         self.ev_counts
@@ -541,7 +481,7 @@ impl Simulator {
                     .queue
                     .attach_tap(id.0 as u64, capacity_bps);
             }
-            self.queue_op.push(QueueOpCost::default());
+            self.queue_ops.push(0);
             self.util.push(UtilWindow {
                 start_ns: self.now.as_nanos(),
                 ..UtilWindow::default()
@@ -844,23 +784,12 @@ impl Simulator {
         let flow = self.arena[pkt].flow;
         #[cfg(feature = "audit")]
         let size_bytes = self.arena[pkt].size_bytes;
-        #[cfg(feature = "telemetry")]
-        let t0 = (self.tel_on
-            && self.queue_op[link_id.index()]
-                .ops
-                .is_multiple_of(TEL_SAMPLE))
-        .then(std::time::Instant::now);
         let outcome = self.links[link_id.index()]
             .queue
             .enqueue(pkt, &mut self.arena, now);
         #[cfg(feature = "telemetry")]
         if self.tel_on {
-            let cost = &mut self.queue_op[link_id.index()];
-            cost.ops += 1;
-            if let Some(t0) = t0 {
-                cost.timed += 1;
-                cost.ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.queue_ops[link_id.index()] += 1;
         }
         #[cfg(feature = "audit")]
         {
@@ -924,12 +853,6 @@ impl Simulator {
     /// packet is left waiting.
     fn start_transmission(&mut self, link_id: LinkId) {
         let now = self.now;
-        #[cfg(feature = "telemetry")]
-        let t0 = (self.tel_on
-            && self.queue_op[link_id.index()]
-                .ops
-                .is_multiple_of(TEL_SAMPLE))
-        .then(std::time::Instant::now);
         // The departing packet stays logically "on the wire": we dequeue
         // now (disciplines may reorder in principle, so its size must come
         // from the actual pop) and the Arrival event carries only the
@@ -939,12 +862,7 @@ impl Simulator {
             .dequeue(&mut self.arena, now);
         #[cfg(feature = "telemetry")]
         if self.tel_on {
-            let cost = &mut self.queue_op[link_id.index()];
-            cost.ops += 1;
-            if let Some(t0) = t0 {
-                cost.timed += 1;
-                cost.ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.queue_ops[link_id.index()] += 1;
         }
         let Some(pkt) = popped else {
             #[cfg(feature = "audit")]
@@ -1126,11 +1044,6 @@ impl Simulator {
     /// agent bug (e.g. two agents answering each other with zero-latency
     /// messages). The panic message names the stuck timestamp.
     pub fn run_until(&mut self, until: SimTime) {
-        #[cfg(feature = "telemetry")]
-        let _span = self
-            .tel_on
-            .then(|| crate::telemetry::span("sim/run_until"))
-            .flatten();
         let mut stuck_at = self.now;
         let mut stuck_count: u64 = 0;
         // Progress counters batch locally and flush to the process-wide
@@ -1153,16 +1066,6 @@ impl Simulator {
                 stuck_count = 0;
             }
             self.now = at;
-            let class = first.kind.class();
-            // Wall-clock attribution is sampled 1-in-TEL_SAMPLE runs;
-            // `dispatch_run` keeps the per-event counts exact.
-            #[cfg(feature = "telemetry")]
-            let t0 = (self.tel_on && self.ev_batches[class].is_multiple_of(TEL_SAMPLE))
-                .then(std::time::Instant::now);
-            #[cfg(feature = "telemetry")]
-            if self.tel_on {
-                self.ev_batches[class] += 1;
-            }
             #[cfg(feature = "telemetry")]
             let before = stuck_count;
             match first.kind {
@@ -1225,17 +1128,10 @@ impl Simulator {
                     })
                 }
             }
-            // Events actually dispatched in this run.
-            #[cfg(feature = "telemetry")]
-            let n = stuck_count - before;
-            #[cfg(feature = "telemetry")]
-            if let Some(t0) = t0 {
-                self.ev_ns[class] += t0.elapsed().as_nanos() as u64;
-                self.ev_timed[class] += n;
-            }
             #[cfg(feature = "telemetry")]
             if progress_on {
-                prog_events += n;
+                // Events actually dispatched in this run.
+                prog_events += stuck_count - before;
                 if prog_events >= PROGRESS_BATCH {
                     let adv = self.now.duration_since(prog_since).as_nanos();
                     crate::telemetry::progress_add(prog_events, adv);
@@ -1562,17 +1458,11 @@ impl Simulator {
                 audit_hooks: shard_hooks.next().expect("one list per shard"),
                 #[cfg(feature = "telemetry")]
                 tel_on: self.tel_on,
-                #[cfg(feature = "telemetry")]
-                ev_ns: [0; EventKind::CLASSES],
-                #[cfg(feature = "telemetry")]
-                ev_batches: [0; EventKind::CLASSES],
-                #[cfg(feature = "telemetry")]
-                ev_timed: [0; EventKind::CLASSES],
                 // Full copies: the owner's entries evolve from the
                 // warm-up state exactly as the monolithic run's would;
                 // non-owned copies idle and are discarded at merge.
                 #[cfg(feature = "telemetry")]
-                queue_op: self.queue_op.clone(),
+                queue_ops: self.queue_ops.clone(),
                 #[cfg(feature = "telemetry")]
                 util: self.util.clone(),
                 shard_io: Some(Box::new(ShardIo {
@@ -1631,19 +1521,13 @@ impl Simulator {
             self.counters.dropped_overflow += shard.counters.dropped_overflow;
             self.counters.dropped_early += shard.counters.dropped_early;
             self.counters.departures_elided += shard.counters.departures_elided;
-            #[cfg(feature = "telemetry")]
-            for c in 0..EventKind::CLASSES {
-                self.ev_ns[c] += shard.ev_ns[c];
-                self.ev_batches[c] += shard.ev_batches[c];
-                self.ev_timed[c] += shard.ev_timed[c];
-            }
             for i in 0..self.links.len() {
                 let (from, _) = self.link_endpoints[i];
                 if io.shard_of_node[from.index()] == io.me {
                     std::mem::swap(&mut self.links[i], &mut shard.links[i]);
                     #[cfg(feature = "telemetry")]
                     {
-                        self.queue_op[i] = shard.queue_op[i];
+                        self.queue_ops[i] = shard.queue_ops[i];
                         self.util[i] = shard.util[i];
                     }
                 }
@@ -1777,42 +1661,18 @@ impl Simulator {
         tel::counter_add("queue/dropped_overflow", self.counters.dropped_overflow);
         tel::counter_add("queue/dropped_early", self.counters.dropped_early);
         tel::counter_add("trace/marks_dropped", self.trace.marks_dropped);
-        // Per-class event counts are deterministic (same event stream
-        // every run), so they may join the metrics registry; the
-        // per-class wall-clock goes to the span (profiling) domain,
-        // never the registry: report metrics must stay identical across
-        // runs and worker counts.
         for (i, name) in EventKind::CLASS_NAMES.iter().enumerate() {
             tel::counter_add(&format!("sim/ev_{name}"), self.ev_counts[i]);
-            // Scale the sampled wall-clock up to the full class: the timed
-            // runs covered `ev_timed[i]` of `ev_counts[i]` events.
-            let est_ns = if self.ev_timed[i] == 0 {
-                0
-            } else {
-                (self.ev_ns[i] as u128 * self.ev_counts[i] as u128 / self.ev_timed[i] as u128)
-                    as u64
-            };
-            tel::span_closed(format!("sim/ev/{name}"), est_ns / 1_000);
         }
-        // Queue-op cost, aggregated by discipline name — "where the
-        // time goes" per AQM. Counts are deterministic; nanoseconds are
-        // spans only.
-        let mut by_discipline: std::collections::BTreeMap<&'static str, QueueOpCost> =
+        // Queue ops summed by discipline name.
+        let mut by_discipline: std::collections::BTreeMap<&'static str, u64> =
             std::collections::BTreeMap::new();
-        for (link, cost) in self.links.iter().zip(&self.queue_op) {
-            let agg = by_discipline.entry(link.queue.name()).or_default();
-            agg.ops += cost.ops;
-            // Scale each link's sample before aggregating — links can have
-            // very different per-op costs (and sample ratios).
-            agg.ns += cost.estimated_ns();
+        for (link, ops) in self.links.iter().zip(&self.queue_ops) {
+            *by_discipline.entry(link.queue.name()).or_default() += ops;
         }
-        let mut total_ns = 0;
-        for (name, agg) in &by_discipline {
-            tel::counter_add(&format!("sim/queue_ops/{name}"), agg.ops);
-            tel::span_closed(format!("sim/queue_ops/{name}"), agg.ns / 1_000);
-            total_ns += agg.ns;
+        for (name, ops) in &by_discipline {
+            tel::counter_add(&format!("sim/queue_ops/{name}"), *ops);
         }
-        tel::span_closed("sim/queue_ops", total_ns / 1_000);
         // Final per-link queue totals for the derived drop/mark rates:
         // exactly one record per (scope, link), covering the measurement
         // window (counters restart at `reset_measurements`), so a

@@ -8,10 +8,16 @@
 //!   fidelity pair (`truth/qdelay`, `truth/prob`), and each AQM's
 //!   internal state (`red/avg`, `pi/p`, `rem/price`, `avq/vq`, …),
 //!   keyed by link index;
-//! * per-simulation counters (events, timers, enqueues, drops by
-//!   reason, marks) batched in [`crate::sim::SimCounters`] and flushed
-//!   into the metrics registry when the simulator drops;
-//! * wall-clock profiler spans around [`crate::sim::Simulator::run_until`].
+//! * per-simulation counters (events, events by class, timers,
+//!   enqueues, drops by reason, marks, queue ops by discipline) batched
+//!   in [`crate::sim::SimCounters`] and flushed into the metrics
+//!   registry when the simulator drops;
+//! * per-shard epoch counts (`shard/events`, `shard/mailbox_*`) from
+//!   [`crate::shard`].
+//!
+//! Every one of them is an exact count or a simulated-time quantity;
+//! nothing here reads a wall clock, so attached output is as
+//! deterministic as the report.
 //!
 //! Everything is double-gated like the audit layer: this module only
 //! exists under the `telemetry` cargo feature, and taps only attach

@@ -134,14 +134,6 @@ pub struct DeriveScope {
     /// Per-shard processed-event counts (`shard/events`, keyed by shard
     /// id). Exact: the shard runner emits them every epoch.
     shard_events: BTreeMap<u64, u64>,
-    /// Per-shard compute wall time, nanoseconds, summed over *sampled*
-    /// epochs only (`shard/epoch_compute_ns`; 1-in-16 sampling).
-    shard_compute_ns: BTreeMap<u64, u64>,
-    /// Per-shard barrier-wait wall time over the same sampled epochs
-    /// (`shard/barrier_wait_ns`).
-    shard_wait_ns: BTreeMap<u64, u64>,
-    /// Number of sampled-epoch wall records ingested (compute spans).
-    shard_samples: u64,
     /// CUBIC HyStart exits (`cubic/hystart_exit` records).
     cc_hystart_exits: u64,
     /// CUBIC congestion epochs (`cubic/w_max` records, one per loss).
@@ -174,9 +166,6 @@ impl Default for DeriveScope {
             responses: 0,
             active_us: None,
             shard_events: BTreeMap::new(),
-            shard_compute_ns: BTreeMap::new(),
-            shard_wait_ns: BTreeMap::new(),
-            shard_samples: 0,
             cc_hystart_exits: 0,
             cc_cubic_epochs: 0,
             cc_wmax_max_milli: 0,
@@ -225,13 +214,6 @@ impl DeriveScope {
             SeriesId::SHARD_EVENTS => {
                 *self.shard_events.entry(key).or_insert(0) += value as u64;
             }
-            SeriesId::SHARD_EPOCH_COMPUTE_NS => {
-                *self.shard_compute_ns.entry(key).or_insert(0) += value as u64;
-                self.shard_samples += 1;
-            }
-            SeriesId::SHARD_BARRIER_WAIT_NS => {
-                *self.shard_wait_ns.entry(key).or_insert(0) += value as u64;
-            }
             // Congestion-control zoo series. Counts and maxima/minima
             // only — all commutative, floats quantized at ingest.
             SeriesId::CUBIC_HYSTART_EXIT => self.cc_hystart_exits += 1,
@@ -269,16 +251,9 @@ impl DeriveScope {
         self.dropped += other.dropped;
         self.marked += other.marked;
         self.responses += other.responses;
-        for (mine, theirs) in [
-            (&mut self.shard_events, &other.shard_events),
-            (&mut self.shard_compute_ns, &other.shard_compute_ns),
-            (&mut self.shard_wait_ns, &other.shard_wait_ns),
-        ] {
-            for (shard, n) in theirs {
-                *mine.entry(*shard).or_insert(0) += n;
-            }
+        for (shard, n) in &other.shard_events {
+            *self.shard_events.entry(*shard).or_insert(0) += n;
         }
-        self.shard_samples += other.shard_samples;
         self.cc_hystart_exits += other.cc_hystart_exits;
         self.cc_cubic_epochs += other.cc_cubic_epochs;
         self.cc_wmax_max_milli = self.cc_wmax_max_milli.max(other.cc_wmax_max_milli);
@@ -315,9 +290,6 @@ impl DeriveScope {
             && self.responses == 0
             && self.active_us.is_none()
             && self.shard_events.is_empty()
-            && self.shard_compute_ns.is_empty()
-            && self.shard_wait_ns.is_empty()
-            && self.shard_samples == 0
             && !self.cc_active()
             && self.fid.is_empty()
     }
@@ -732,33 +704,13 @@ impl DeriveScope {
         } else {
             (total * total * 1_000 / (n * sum_sq)) as u64
         };
-        // Rounded basis-point ratio; zero denominator renders as 0.
-        let ratio_bp = |num: u128, den: u128| -> u64 {
-            (num * 10_000 + den / 2).checked_div(den).unwrap_or(0) as u64
-        };
-        let max_share_bp = ratio_bp(max, total);
-        // Wall-clock ratios come from the *sampled* epochs only; both
-        // numerator and denominator use the same sample set so the
-        // ratios are unbiased even though the sums are partial. These
-        // are profiling-domain numbers — nondeterministic run to run.
-        let compute: u128 = self.shard_compute_ns.values().map(|&x| u128::from(x)).sum();
-        let critpath: u128 = self
-            .shard_compute_ns
-            .values()
-            .map(|&x| u128::from(x))
-            .max()
-            .unwrap_or(0);
-        let wait: u128 = self.shard_wait_ns.values().map(|&x| u128::from(x)).sum();
-        let critpath_bp = ratio_bp(critpath, compute);
-        let stall_bp = ratio_bp(wait, compute + wait);
+        // Rounded basis-point share; all shards idle renders as 0.
+        let max_share_bp = (max * 10_000 + total / 2).checked_div(total).unwrap_or(0) as u64;
         Some(ShardSummary {
             shards: self.shard_events.len() as u64,
             events: total as u64,
             max_share_bp,
             jain_milli,
-            sampled_epochs: self.shard_samples,
-            critpath_bp,
-            stall_bp,
         })
     }
 }
@@ -927,13 +879,8 @@ pub struct PertSummary {
 }
 
 /// Shard-imbalance view of a space-parallel run: how evenly the
-/// partition spread the event load, and what the imbalance cost in
-/// wall time.
-///
-/// Event counts are exact (emitted every barrier epoch); the wall
-/// ratios are computed over 1-in-16 sampled epochs and belong to the
-/// profiling domain — they vary run to run even when the report body
-/// is byte-identical.
+/// partition spread the event load. Exact, from the per-epoch
+/// `shard/events` counts, so it is the same every run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSummary {
     /// Number of shards that reported events.
@@ -945,16 +892,6 @@ pub struct ShardSummary {
     /// Jain's fairness index over per-shard event counts, milli-units
     /// (1000 = perfectly balanced).
     pub jain_milli: u64,
-    /// Number of sampled-epoch wall records behind the ratios below
-    /// (0 when wall sampling never fired — the ratios are then 0 too).
-    pub sampled_epochs: u64,
-    /// Critical path vs aggregate compute: max per-shard compute wall
-    /// time over the sum across shards, basis points. 10 000/shards is
-    /// a perfect split; 10 000 means one shard did all the work.
-    pub critpath_bp: u64,
-    /// Barrier-stall fraction: wait / (compute + wait) across all
-    /// shards, basis points.
-    pub stall_bp: u64,
 }
 
 /// Congestion-control-zoo activity: CUBIC plateau/HyStart behaviour and
@@ -1147,12 +1084,6 @@ impl DerivedSummary {
                 "  shards: n={} events={} max_share={}bp jain_milli={}\n",
                 s.shards, s.events, s.max_share_bp, s.jain_milli
             ));
-            if s.sampled_epochs > 0 {
-                out.push_str(&format!(
-                    "  shard wall: sampled_epochs={} critpath={}bp stall={}bp\n",
-                    s.sampled_epochs, s.critpath_bp, s.stall_bp
-                ));
-            }
         }
         if let Some(c) = &self.cc {
             out.push_str(&format!(
@@ -1250,15 +1181,8 @@ impl DerivedSummary {
         if let Some(s) = &self.shards {
             parts.push(format!(
                 "\"shards\":{{\"shards\":{},\"events\":{},\"max_share_bp\":{},\
-                 \"jain_milli\":{},\"sampled_epochs\":{},\"critpath_bp\":{},\
-                 \"stall_bp\":{}}}",
-                s.shards,
-                s.events,
-                s.max_share_bp,
-                s.jain_milli,
-                s.sampled_epochs,
-                s.critpath_bp,
-                s.stall_bp
+                 \"jain_milli\":{}}}",
+                s.shards, s.events, s.max_share_bp, s.jain_milli
             ));
         }
         if let Some(c) = &self.cc {
@@ -1487,41 +1411,24 @@ mod tests {
         for (shard, n) in [(0u64, 50.0), (1, 20.0), (2, 20.0), (3, 10.0)] {
             d.ingest("shard", "shard/events", shard, 1.0, n);
         }
-        // One sampled epoch per shard: compute 8000/1000/500/500 ns,
-        // waits summing to 2500 ns against 10 000 ns of compute.
-        for (shard, c, w) in [
-            (0u64, 8_000.0, 0.0),
-            (1, 1_000.0, 1_500.0),
-            (2, 500.0, 500.0),
-            (3, 500.0, 500.0),
-        ] {
-            d.ingest("shard", "shard/epoch_compute_ns", shard, 1.0, c);
-            d.ingest("shard", "shard/barrier_wait_ns", shard, 1.0, w);
-        }
         let s = d.summary().shards.unwrap();
         assert_eq!(s.shards, 4);
         assert_eq!(s.events, 100);
         assert_eq!(s.max_share_bp, 5_000);
         // Jain: 100²·1000 / (4 · (2500 + 400 + 400 + 100)) = 735.
         assert_eq!(s.jain_milli, 735);
-        assert_eq!(s.sampled_epochs, 4);
-        // Critical path 8000 ns of 10 000 ns aggregate compute.
-        assert_eq!(s.critpath_bp, 8_000);
-        // Stall: 2500 / 12 500 = 2000 bp.
-        assert_eq!(s.stall_bp, 2_000);
 
-        // Events alone (detached wall clocks) still summarize; the
-        // wall line is gated on sampled_epochs.
         let mut e = DeriveSet::new();
         e.ingest("shard", "shard/events", 0, 1.0, 10.0);
         e.ingest("shard", "shard/events", 1, 1.0, 10.0);
         let s = e.summary().shards.unwrap();
         assert_eq!((s.max_share_bp, s.jain_milli), (5_000, 1_000));
-        assert_eq!((s.sampled_epochs, s.critpath_bp, s.stall_bp), (0, 0, 0));
         let mut text = String::new();
         e.summary().render_text_into(&mut text);
-        assert!(text.contains("shards: n=2"));
-        assert!(!text.contains("shard wall:"));
+        assert_eq!(
+            text.lines().find(|l| l.contains("shards:")),
+            Some("  shards: n=2 events=20 max_share=5000bp jain_milli=1000")
+        );
 
         // Merge matches a single stream.
         let mut a = DeriveSet::new();

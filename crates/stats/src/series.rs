@@ -59,8 +59,6 @@ builtin_series! {
         BBR_MIN_RTT "bbr/min_rtt"
         BBR_STATE "bbr/state"
         SHARD_EVENTS "shard/events"
-        SHARD_EPOCH_COMPUTE_NS "shard/epoch_compute_ns"
-        SHARD_BARRIER_WAIT_NS "shard/barrier_wait_ns"
     }
     trace_only {
         TCP_CWND "tcp/cwnd"
