@@ -53,11 +53,13 @@ pub use sim_stats::metrics::{BucketHistogram, MetricValue, MetricsSet};
 pub use sim_stats::series::SeriesId;
 
 use sim_stats::derive::DeriveScope;
+use sim_stats::json;
 use sim_stats::series::BUILTIN_SERIES;
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
@@ -614,48 +616,32 @@ pub fn progress_snapshot() -> (u64, u64, u64, u64) {
 // Writers
 // ---------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Append `r` as one JSONL trace line, newline included: the record
+/// shape `experiments trace` reads back.
+pub fn push_record_line(out: &mut String, r: &Record) {
+    out.push_str("{\"scope\":");
+    json::push_str(out, &r.scope);
+    out.push_str(",\"series\":");
+    json::push_str(out, r.series);
+    let _ = write!(out, ",\"key\":{},\"t\":", r.key);
+    json::push_num(out, r.t);
+    out.push_str(",\"v\":");
+    json::push_num(out, r.value);
+    // The shard tag is emitted only when present, so traces from
+    // monolithic runs stay byte-identical to pre-tagging output.
+    if let Some(sh) = r.shard {
+        let _ = write!(out, ",\"shard\":{sh}");
     }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+    out.push_str("}\n");
 }
 
 fn write_records_jsonl(path: &Path, records: &[Record]) -> io::Result<usize> {
     let mut w = BufWriter::new(File::create(path)?);
+    let mut line = String::new();
     for r in records {
-        // The shard tag is emitted only when present, so traces from
-        // monolithic runs stay byte-identical to pre-tagging output.
-        write!(
-            w,
-            "{{\"scope\":\"{}\",\"series\":\"{}\",\"key\":{},\"t\":{},\"v\":{}",
-            json_escape(&r.scope),
-            json_escape(r.series),
-            r.key,
-            json_num(r.t),
-            json_num(r.value),
-        )?;
-        if let Some(sh) = r.shard {
-            write!(w, ",\"shard\":{sh}")?;
-        }
-        writeln!(w, "}}")?;
+        line.clear();
+        push_record_line(&mut line, r);
+        w.write_all(line.as_bytes())?;
     }
     w.flush()?;
     Ok(records.len())
@@ -894,8 +880,19 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(0.5), "0.5");
+        let mut line = String::new();
+        let r = Record {
+            scope: Arc::from("a\"b\\c\nd"),
+            series: "s",
+            key: 3,
+            t: f64::NAN,
+            value: 0.5,
+            shard: None,
+        };
+        push_record_line(&mut line, &r);
+        assert_eq!(
+            line,
+            "{\"scope\":\"a\\\"b\\\\c\\nd\",\"series\":\"s\",\"key\":3,\"t\":null,\"v\":0.5}\n"
+        );
     }
 }

@@ -10,7 +10,8 @@
 //! same reason.
 
 use crate::common::{fmt, Scale};
-use sim_stats::{DerivedSummary, MetricValue, MetricsSet};
+use sim_stats::{json, DerivedSummary, MetricValue, MetricsSet};
+use std::fmt::Write as _;
 
 /// One typed table cell. The variant picks both the text rendering and
 /// the JSON/CSV serialization (numbers stay numbers).
@@ -40,25 +41,14 @@ impl Cell {
         }
     }
 
-    /// The JSON value (numbers unquoted; non-finite floats become null).
-    fn json(&self) -> String {
+    /// Append the JSON value (numbers unquoted; non-finite floats become
+    /// null).
+    fn push_json(&self, out: &mut String) {
         match self {
-            Cell::Str(s) => json_string(s),
-            Cell::Int(i) => format!("{i}"),
-            Cell::Num(x) | Cell::Plain(x) => {
-                if x.is_finite() {
-                    format!("{x}")
-                } else {
-                    "null".into()
-                }
-            }
-            Cell::Fixed(x, d) => {
-                if x.is_finite() {
-                    format!("{:.*}", *d, *x)
-                } else {
-                    "null".into()
-                }
-            }
+            Cell::Str(s) => json::push_str(out, s),
+            Cell::Num(x) | Cell::Plain(x) => json::push_num(out, *x),
+            Cell::Fixed(x, _) if !x.is_finite() => json::push_num(out, *x),
+            Cell::Int(_) | Cell::Fixed(..) => out.push_str(&self.render()),
         }
     }
 }
@@ -197,7 +187,12 @@ impl Report {
                 out.push('\n');
             }
             out.push('\n');
-            render_aligned(&mut out, t);
+            let rows: Vec<Vec<String>> = t
+                .rows
+                .iter()
+                .map(|r| r.iter().map(Cell::render).collect())
+                .collect();
+            render_aligned(&mut out, &t.columns, &rows, false);
             if let Some(f) = &t.footer {
                 out.push_str("  ");
                 out.push_str(f);
@@ -230,25 +225,21 @@ impl Report {
             }
         }
         if let Some(d) = &self.derived {
-            if !d.is_empty() {
-                d.render_text_into(&mut out);
-            }
+            d.render_text_into(&mut out);
         }
         out
     }
 
     /// Render one report as a JSON object (no timings — see module doc).
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str(&format!("\"target\":{},", json_string(&self.target)));
-        out.push_str(&format!(
-            "\"scale\":{},",
-            json_string(&format!("{:?}", self.scale))
-        ));
-        out.push_str(&format!("\"seed\":{},", self.seed));
+        let mut out = String::from("{\"target\":");
+        json::push_str(&mut out, &self.target);
+        out.push_str(",\"scale\":");
+        json::push_str(&mut out, &format!("{:?}", self.scale));
+        let _ = write!(out, ",\"seed\":{},", self.seed);
         if let Some(a) = &self.audit {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\"audit\":{{\"queue_checks\":{},\"oracle_checks\":{},\"tcp_checks\":{},\
                  \"event_checks\":{},\"calendar_checks\":{},\"violations\":{}}},",
                 a.queue_checks,
@@ -257,68 +248,50 @@ impl Report {
                 a.event_checks,
                 a.calendar_checks,
                 a.violations,
-            ));
+            );
         }
         if let Some(m) = &self.metrics {
             out.push_str("\"metrics\":{");
+            let join = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
             for (i, (name, v)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_string(name));
-                out.push(':');
-                match v {
-                    MetricValue::Counter(c) => out.push_str(&format!("{{\"counter\":{c}}}")),
-                    MetricValue::Gauge(g) => out.push_str(&format!("{{\"gauge\":{g}}}")),
-                    MetricValue::Histogram(h) => {
-                        let join =
-                            |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-                        out.push_str(&format!(
-                            "{{\"histogram\":{{\"edges\":[{}],\"counts\":[{}],\
-                             \"total\":{},\"sum\":{}}}}}",
-                            join(&h.edges),
-                            join(&h.counts),
-                            h.total,
-                            h.sum,
-                        ));
-                    }
-                }
+                out.push_str(if i > 0 { "," } else { "" });
+                json::push_str(&mut out, name);
+                let _ = match v {
+                    MetricValue::Counter(c) => write!(out, ":{{\"counter\":{c}}}"),
+                    MetricValue::Gauge(g) => write!(out, ":{{\"gauge\":{g}}}"),
+                    MetricValue::Histogram(h) => write!(
+                        out,
+                        ":{{\"histogram\":{{\"edges\":[{}],\"counts\":[{}],\"total\":{},\
+                         \"sum\":{}}}}}",
+                        join(&h.edges),
+                        join(&h.counts),
+                        h.total,
+                        h.sum,
+                    ),
+                };
             }
             out.push_str("},");
         }
-        if let Some(d) = &self.derived {
-            if !d.is_empty() {
-                out.push_str("\"derived\":");
-                out.push_str(&d.render_json());
-                out.push(',');
-            }
+        if let Some(d) = self.derived.as_ref().filter(|d| !d.is_empty()) {
+            let _ = write!(out, "\"derived\":{},", d.render_json());
         }
         out.push_str("\"tables\":[");
         for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"title\":{},", json_string(&t.title)));
-            out.push_str(&format!("\"note\":{},", json_string(&t.note)));
-            out.push_str("\"columns\":[");
+            out.push_str(if i > 0 { ",{\"title\":" } else { "{\"title\":" });
+            json::push_str(&mut out, &t.title);
+            out.push_str(",\"note\":");
+            json::push_str(&mut out, &t.note);
+            out.push_str(",\"columns\":[");
             for (j, c) in t.columns.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_string(c));
+                out.push_str(if j > 0 { "," } else { "" });
+                json::push_str(&mut out, c);
             }
             out.push_str("],\"rows\":[");
             for (j, row) in t.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
+                out.push_str(if j > 0 { ",[" } else { "[" });
                 for (k, cell) in row.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&cell.json());
+                    out.push_str(if k > 0 { "," } else { "" });
+                    cell.push_json(&mut out);
                 }
                 out.push(']');
             }
@@ -331,25 +304,20 @@ impl Report {
     /// Render one report as CSV sections: per table, a `# target/title`
     /// comment line, the header row, then data rows.
     pub fn render_csv(&self) -> String {
+        let line = |cells: &[String]| {
+            let fields: Vec<String> = cells.iter().map(|c| csv_field(c)).collect();
+            fields.join(",") + "\n"
+        };
         let mut out = String::new();
         for t in &self.tables {
-            out.push_str(&format!("# {} / {}\n", self.target, t.title));
-            out.push_str(
-                &t.columns
-                    .iter()
-                    .map(|c| csv_field(c))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            out.push('\n');
+            out.push_str(&format!(
+                "# {} / {}\n{}",
+                self.target,
+                t.title,
+                line(&t.columns)
+            ));
             for row in &t.rows {
-                out.push_str(
-                    &row.iter()
-                        .map(|c| csv_field(&c.render()))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                );
-                out.push('\n');
+                out.push_str(&line(&row.iter().map(Cell::render).collect::<Vec<_>>()));
             }
         }
         out
@@ -358,15 +326,8 @@ impl Report {
 
 /// Serialize several reports as one JSON array (the `--json` file).
 pub fn reports_to_json(reports: &[Report]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&r.render_json());
-    }
-    out.push_str("]\n");
-    out
+    let each: Vec<String> = reports.iter().map(Report::render_json).collect();
+    format!("[{}]\n", each.join(","))
 }
 
 /// Concatenate several reports' CSV sections (the `--csv` file).
@@ -374,55 +335,39 @@ pub fn reports_to_csv(reports: &[Report]) -> String {
     reports.iter().map(Report::render_csv).collect()
 }
 
-/// Right-aligned columns, two-space gutters, a dash rule under the
-/// header — the format `common::print_table` used to emit.
-fn render_aligned(out: &mut String, t: &Table) {
-    let rendered: Vec<Vec<String>> = t
-        .rows
-        .iter()
-        .map(|row| row.iter().map(Cell::render).collect())
-        .collect();
-    let mut widths: Vec<usize> = t.columns.iter().map(|h| h.len()).collect();
-    for row in &rendered {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+/// The aligned text table of every report and `trace` view: a header,
+/// a dash rule under it, two-space gutters, columns right-aligned. With
+/// `key_left` (the `trace` views) the first column is left-aligned and
+/// lines are not indented; otherwise lines are indented two spaces.
+pub(crate) fn render_aligned(
+    out: &mut String,
+    header: &[String],
+    rows: &[Vec<String>],
+    key_left: bool,
+) {
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    let mut line = |cells: &[String]| {
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    for cells in [header, &rule]
+        .into_iter()
+        .chain(rows.iter().map(Vec::as_slice))
+    {
         let joined: Vec<String> = cells
             .iter()
             .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
+            .map(|(i, c)| match widths.get(i).copied().unwrap_or(8) {
+                w if key_left && i == 0 => format!("{c:<w$}"),
+                w => format!("{c:>w$}"),
+            })
             .collect();
-        out.push_str("  ");
+        out.push_str(if key_left { "" } else { "  " });
         out.push_str(joined.join("  ").trim_end());
         out.push('\n');
-    };
-    line(&t.columns.to_vec());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in &rendered {
-        line(row);
     }
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn csv_field(s: &str) -> String {

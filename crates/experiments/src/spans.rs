@@ -9,16 +9,15 @@
 //! they are host-dependent, so they live only in this file. Recording
 //! follows the telemetry flag ([`pert_core::telemetry::enabled`]).
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use pert_core::telemetry;
-
-use crate::report::json_string;
+use sim_stats::json;
 
 /// One closed wall-clock phase, microseconds relative to process start.
 #[derive(Clone, Debug)]
@@ -97,25 +96,21 @@ fn spans_snapshot() -> Vec<Span> {
 /// span count.
 pub fn write_chrome_trace(path: &Path) -> io::Result<usize> {
     let spans = spans_snapshot();
-    let mut w = BufWriter::new(File::create(path)?);
-    write!(w, "{{\"traceEvents\":[")?;
+    let mut out = String::from("{\"traceEvents\":[");
     for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
-        }
-        write!(
-            w,
-            "{{\"name\":{},\"cat\":\"pert\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"scope\":{}}}}}",
-            json_string(&s.name),
-            s.start_us,
-            s.dur_us,
-            s.tid,
-            json_string(&s.scope),
-        )?;
+        out.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
+        json::push_str(&mut out, &s.name);
+        let (ts, dur, tid) = (s.start_us, s.dur_us, s.tid);
+        let _ = write!(
+            out,
+            ",\"cat\":\"pert\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\"tid\":{tid},\
+             \"args\":{{\"scope\":"
+        );
+        json::push_str(&mut out, &s.scope);
+        out.push_str("}}");
     }
-    write!(w, "]}}")?;
-    w.flush()?;
+    out.push_str("]}");
+    std::fs::write(path, out)?;
     Ok(spans.len())
 }
 

@@ -27,15 +27,19 @@
 //! `shard/*` series a sharded run emits and prints the load-balance
 //! view: exact per-shard event and mailbox totals. `fidelity` pairs
 //! each flow's `pert/qdelay` estimates against the scope's bottleneck
-//! `truth/qdelay` window by window, annotates every window with the
-//! controller regime reconstructed from `pert/response` tags, and
-//! prints per-flow bias / worst divergence windows (full timeline via
-//! `--csv`).
+//! `truth/qdelay` window by window — by the online reducers' own rule —
+//! annotates every window with the controller regime reconstructed from
+//! `pert/response` tags, and prints per-flow bias / worst divergence
+//! windows (full timeline via `--csv`).
 //!
-//! Parsing is lossy by design: a truncated tail or an interleaved log
-//! line is skipped and counted (warning on stderr) instead of sinking
-//! the whole trace; only a trace with zero valid records errors out.
+//! Lines are read with [`sim_stats::json`], keys and shard ids as exact
+//! integers. Parsing is lossy by design: a truncated tail or an
+//! interleaved log line is skipped and counted (warning on stderr)
+//! instead of sinking the whole trace; only a trace with zero valid
+//! records errors out.
 
+use crate::report::render_aligned;
+use sim_stats::{json, DeriveSet};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -61,54 +65,23 @@ pub struct TraceRecord {
 /// irrelevant; unknown fields are rejected (they would mean the file is
 /// not a telemetry trace). Returns `Err` with a human-readable reason.
 pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let mut chars = line.char_indices().peekable();
-    let mut scope = None;
-    let mut series = None;
-    let mut key = None;
-    let mut t = None;
-    let mut v = None;
-    let mut shard = None;
-
-    skip_ws(line, &mut chars);
-    expect(line, &mut chars, '{')?;
-    loop {
-        skip_ws(line, &mut chars);
-        if let Some(&(_, '}')) = chars.peek() {
-            chars.next();
-            break;
-        }
-        let field = parse_string(line, &mut chars)?;
-        skip_ws(line, &mut chars);
-        expect(line, &mut chars, ':')?;
-        skip_ws(line, &mut chars);
-        match field.as_str() {
-            "scope" => scope = Some(parse_string(line, &mut chars)?),
-            "series" => series = Some(parse_string(line, &mut chars)?),
-            "key" => {
-                let n = parse_number(line, &mut chars)?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("key {n} is not a u64"));
-                }
-                key = Some(n as u64);
-            }
-            "t" => t = Some(parse_number_or_null(line, &mut chars)?),
-            "v" => v = Some(parse_number_or_null(line, &mut chars)?),
-            "shard" => {
-                let n = parse_number(line, &mut chars)?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("shard {n} is not a u64"));
-                }
-                shard = Some(n as u64);
-            }
+    let (mut scope, mut series, mut key, mut t, mut v, mut shard) =
+        (None, None, None, None, None, None);
+    let mut p = json::Parser::new(line);
+    p.object(|p, field| {
+        match field {
+            "scope" => scope = Some(p.str()?.into_owned()),
+            "series" => series = Some(p.str()?.into_owned()),
+            "key" => key = Some(p.u64()?),
+            // `null` is how the writer spells a non-finite float.
+            "t" => t = Some(p.f64_or_null()?),
+            "v" => v = Some(p.f64_or_null()?),
+            "shard" => shard = Some(p.u64()?),
             other => return Err(format!("unexpected field {other:?}")),
         }
-        skip_ws(line, &mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
+        Ok(())
+    })?;
+    p.end()?;
     Ok(TraceRecord {
         scope: scope.ok_or("missing field \"scope\"")?,
         series: series.ok_or("missing field \"series\"")?,
@@ -117,81 +90,6 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
         v: v.ok_or("missing field \"v\"")?,
         shard,
     })
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(_line: &str, chars: &mut Chars<'_>) {
-    while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(_line: &str, chars: &mut Chars<'_>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some((_, c)) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn parse_string(_line: &str, chars: &mut Chars<'_>) -> Result<String, String> {
-    expect(_line, chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, c) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + c.to_digit(16).ok_or("bad \\u escape")?;
-                    }
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err("unterminated string".into()),
-        }
-    }
-}
-
-fn parse_number(line: &str, chars: &mut Chars<'_>) -> Result<f64, String> {
-    let start = match chars.peek() {
-        Some(&(i, c)) if c == '-' || c.is_ascii_digit() => i,
-        other => return Err(format!("expected number, got {other:?}")),
-    };
-    let mut end = start;
-    while let Some(&(i, c)) = chars.peek() {
-        if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-            end = i + c.len_utf8();
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    line[start..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number {:?}: {e}", &line[start..end]))
-}
-
-/// `t`/`v` may be `null` (the writer emits null for non-finite floats).
-fn parse_number_or_null(line: &str, chars: &mut Chars<'_>) -> Result<f64, String> {
-    if let Some(&(i, 'n')) = chars.peek() {
-        if line[i..].starts_with("null") {
-            for _ in 0..4 {
-                chars.next();
-            }
-            return Ok(f64::NAN);
-        }
-    }
-    parse_number(line, chars)
 }
 
 /// Parse a whole JSONL trace file body. Blank lines are skipped.
@@ -216,7 +114,7 @@ pub fn parse_jsonl(text: &str) -> (Vec<TraceRecord>, Vec<(usize, String)>) {
 
 /// Record filters shared by `summarize` (`diff` takes none: a diff must
 /// see both files whole).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Filters {
     /// Keep records whose series contains this substring.
     pub series: Option<String>,
@@ -232,28 +130,12 @@ pub struct Filters {
 
 impl Filters {
     fn keep(&self, r: &TraceRecord) -> bool {
-        if let Some(s) = &self.series {
-            if !r.series.contains(s.as_str()) {
-                return false;
-            }
-        }
-        if let Some(s) = &self.scope {
-            if !r.scope.contains(s.as_str()) {
-                return false;
-            }
-        }
+        let has = |part: &Option<String>, s: &str| part.as_ref().is_none_or(|p| s.contains(p));
         // NaN times (null in the file) fail any time-range filter.
-        if let Some(since) = self.since {
-            if r.t.is_nan() || r.t < since {
-                return false;
-            }
-        }
-        if let Some(until) = self.until {
-            if r.t.is_nan() || r.t >= until {
-                return false;
-            }
-        }
-        true
+        has(&self.series, &r.series)
+            && has(&self.scope, &r.scope)
+            && self.since.is_none_or(|since| r.t >= since)
+            && self.until.is_none_or(|until| r.t < until)
     }
 }
 
@@ -328,16 +210,14 @@ pub fn summarize(records: &[TraceRecord], filters: &Filters) -> Vec<SummaryRow> 
             t_min: zero_if_unset(a.t_min),
             t_max: zero_if_unset(a.t_max),
             v_min: zero_if_unset(a.v_min),
-            v_mean: if a.records == 0 {
-                0.0
-            } else {
-                a.v_sum / a.records as f64
-            },
+            // `records` is at least one: a row exists once a record did.
+            v_mean: a.v_sum / a.records as f64,
             v_max: zero_if_unset(a.v_max),
         })
         .collect()
 }
 
+/// A min/max that never saw a finite sample is still ±∞: report 0.
 fn zero_if_unset(x: f64) -> f64 {
     if x.is_finite() {
         x
@@ -427,55 +307,37 @@ pub fn diff(a: &[TraceRecord], b: &[TraceRecord]) -> Vec<DiffRow> {
 /// totals over the `shard/*` series. Returns `None` when the trace has
 /// no shard records (monolithic run).
 pub fn render_shards_report(records: &[TraceRecord]) -> Option<String> {
-    #[derive(Clone, Copy, Default)]
-    struct ShardAcc {
-        events: u64,
-        in_pkts: u64,
-        out_pkts: u64,
-    }
-    let mut shards: BTreeMap<u64, ShardAcc> = BTreeMap::new();
-    for r in records {
-        if !r.series.starts_with("shard/") {
-            continue;
-        }
+    // shard → [events, mailbox packets in, mailbox packets out]
+    let mut shards: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
+    for r in records.iter().filter(|r| r.series.starts_with("shard/")) {
         let a = shards.entry(r.key).or_default();
-        let v = if r.v.is_finite() && r.v > 0.0 {
-            r.v as u64
-        } else {
-            0
-        };
+        // Saturating casts: a negative count reads as 0.
+        let v = if r.v.is_finite() { r.v as u64 } else { 0 };
         match r.series.as_str() {
-            "shard/events" => a.events += v,
-            "shard/mailbox_in_pkts" => a.in_pkts += v,
-            "shard/mailbox_out_pkts" => a.out_pkts += v,
+            "shard/events" => a[0] += v,
+            "shard/mailbox_in_pkts" => a[1] += v,
+            "shard/mailbox_out_pkts" => a[2] += v,
             _ => {}
         }
     }
     if shards.is_empty() {
         return None;
     }
-
-    let total_events: u128 = shards.values().map(|a| u128::from(a.events)).sum();
-    let header = ["shard", "events", "share_bp", "in_pkts", "out_pkts"];
+    let total_events: u128 = shards.values().map(|a| u128::from(a[0])).sum();
     let rows: Vec<Vec<String>> = shards
         .iter()
-        .map(|(id, a)| {
-            let share_bp = (u128::from(a.events) * 10_000)
-                .checked_div(total_events)
-                .unwrap_or(0) as u64;
-            vec![
-                id.to_string(),
-                a.events.to_string(),
-                share_bp.to_string(),
-                a.in_pkts.to_string(),
-                a.out_pkts.to_string(),
-            ]
+        .map(|(&id, &[events, ins, outs])| {
+            let share_bp = (u128::from(events) * 10_000).checked_div(total_events);
+            let share_bp = share_bp.unwrap_or(0) as u64;
+            [id, events, share_bp, ins, outs]
+                .map(|x| x.to_string())
+                .to_vec()
         })
         .collect();
-    Some(format!(
-        "per-shard totals:\n{}",
-        render_aligned(&header, &rows)
-    ))
+    let header = ["shard", "events", "share_bp", "in_pkts", "out_pkts"].map(String::from);
+    let mut out = String::from("per-shard totals:\n");
+    render_aligned(&mut out, &header, &rows, true);
+    Some(out)
 }
 
 // ---------------------------------------------------------------------
@@ -515,58 +377,33 @@ impl Regime {
 }
 
 /// Reconstruct per-flow estimator-error timelines from an attached
-/// trace: pair `pert/qdelay` flows against the scope's bottleneck
-/// `truth/qdelay` link window by window (the same 10 ms bins and
-/// quantization as the online reducers), annotate each window's regime
-/// from the `pert/response` tags, and report per-flow bias / worst
-/// divergence windows. Returns `(text report, csv body)`, or `None`
-/// when no scope carries both sides of a pair.
+/// trace. The trace is replayed into a [`DeriveSet`], so each flow is
+/// paired against its scope's bottleneck by the online reducers' own
+/// rule ([`DeriveSet::fidelity_pairs`]); this adds only what needs the
+/// whole trace: each window's regime from the `pert/response` tags, the
+/// timeline CSV and per-flow worst divergence windows. Returns `(text
+/// report, csv body)`, or `None` when no scope carries both sides.
 pub fn fidelity_report(
     records: &[TraceRecord],
     flow_filter: Option<u64>,
 ) -> Option<(String, String)> {
-    use sim_stats::derive::{agreement_ok, prob_bp, quantize_us, FIDELITY_WINDOW_US};
+    use sim_stats::derive::{quantize_us, FIDELITY_WINDOW_US};
 
-    type WinMap = BTreeMap<u64, (u64, u64)>; // window → (Σ, n)
-    #[derive(Default)]
-    struct ScopeAcc {
-        truth_qd: BTreeMap<u64, WinMap>, // link → windows
-        truth_p: BTreeMap<u64, WinMap>,
-        est_qd: BTreeMap<u64, WinMap>, // flow → windows
-        est_p: BTreeMap<u64, WinMap>,
-        /// flow → window → (regime code, probability bp) of the last
-        /// response in that window.
-        responses: BTreeMap<u64, BTreeMap<u64, (u8, u32)>>,
-    }
-
-    let mut scopes: BTreeMap<String, ScopeAcc> = BTreeMap::new();
+    let mut set = DeriveSet::new();
+    // (scope, flow) → window → (regime code, probability bp) of the last
+    // response in that window.
+    type ByWindow = BTreeMap<u64, (u8, u32)>;
+    let mut responses: BTreeMap<(&str, u64), ByWindow> = BTreeMap::new();
     for r in records {
-        if r.t.is_nan() || r.v.is_nan() {
+        let other_flow = r.series.starts_with("pert/") && flow_filter.is_some_and(|f| f != r.key);
+        if r.t.is_nan() || r.v.is_nan() || other_flow {
             continue;
         }
-        let win = quantize_us(r.t) / FIDELITY_WINDOW_US;
-        let acc = scopes.entry(r.scope.clone()).or_default();
-        let add = |m: &mut BTreeMap<u64, WinMap>, key: u64, val: u64| {
-            let e = m.entry(key).or_default().entry(win).or_insert((0, 0));
-            e.0 += val;
-            e.1 += 1;
-        };
-        match r.series.as_str() {
-            "truth/qdelay" => add(&mut acc.truth_qd, r.key, quantize_us(r.v)),
-            "truth/prob" => add(&mut acc.truth_p, r.key, prob_bp(r.v)),
-            "pert/qdelay" if flow_filter.is_none_or(|f| f == r.key) => {
-                add(&mut acc.est_qd, r.key, quantize_us(r.v))
-            }
-            "pert/prob" if flow_filter.is_none_or(|f| f == r.key) => {
-                add(&mut acc.est_p, r.key, prob_bp(r.v))
-            }
-            "pert/response" if flow_filter.is_none_or(|f| f == r.key) => {
-                acc.responses
-                    .entry(r.key)
-                    .or_default()
-                    .insert(win, pert_core::pert::decode_response(r.v));
-            }
-            _ => {}
+        set.ingest(&r.scope, &r.series, r.key, r.t, r.v);
+        if r.series == "pert/response" {
+            let win = quantize_us(r.t) / FIDELITY_WINDOW_US;
+            let by_win = responses.entry((&r.scope, r.key)).or_default();
+            by_win.insert(win, pert_core::pert::decode_response(r.v));
         }
     }
 
@@ -574,57 +411,34 @@ pub fn fidelity_report(
     let mut csv = String::from("scope,flow,t_s,truth_us,est_us,err_us,regime\n");
     let mut any = false;
 
-    for (scope, acc) in &scopes {
-        // Bottleneck: the truth link with the most qdelay samples
-        // (ties to the lowest id) — same rule as the online reducer.
-        let Some((bkey, _)) = acc
-            .truth_qd
-            .iter()
-            .map(|(k, w)| (*k, w.values().map(|(_, n)| n).sum::<u64>()))
-            .max_by_key(|(k, n)| (*n, std::cmp::Reverse(*k)))
-        else {
-            continue;
-        };
-        if acc.est_qd.is_empty() {
-            continue;
-        }
+    for (scope, p) in set.fidelity_pairs().filter(|(_, p)| !p.est_us.is_empty()) {
         any = true;
-        let mean = |m: &WinMap, w: u64| m.get(&w).map(|(s, n)| s / n);
-        let truth = &acc.truth_qd[&bkey];
-        let empty_p = WinMap::new();
-        let truth_p = acc.truth_p.get(&bkey).unwrap_or(&empty_p);
-        let t_span = (
-            *truth.keys().next().unwrap(),
-            *truth.keys().next_back().unwrap(),
-        );
+        let truth = &p.truth_us;
+        let t_span = (truth.first()?.0, truth.last()?.0);
         // A window is exactly 10 ms; render times from the integer
         // window index so no float noise leaks into the report.
         let per_s = 1_000_000 / FIDELITY_WINDOW_US;
         let fmt_w = |w: u64| format!("{}.{:02}", w / per_s, (w % per_s) * 100 / per_s);
         let _ = writeln!(
             text,
-            "fidelity timeline: {scope}\n  bottleneck link {bkey}: truth windows={} span=[{}s, {}s]",
+            "fidelity timeline: {scope}\n  bottleneck link {}: truth windows={} span=[{}s, {}s]",
+            p.link,
             truth.len(),
             fmt_w(t_span.0),
             fmt_w(t_span.1 + 1),
         );
 
-        for (flow, est) in &acc.est_qd {
-            let (first_w, last_w) = (
-                *est.keys().next().unwrap(),
-                *est.keys().next_back().unwrap(),
-            );
-            let resp = acc.responses.get(flow);
+        for est in p.est_us.chunk_by(|a, b| a.0 == b.0) {
+            let (flow, first_w, last_w) = (est[0].0, est[0].1, est[est.len() - 1].1);
+            let resp = responses.get(&(scope, flow));
             let first_resp = resp.and_then(|m| m.keys().next().copied());
-            let mut paired = 0u64;
-            let mut err_sum: i128 = 0;
-            let mut errs: Vec<i64> = Vec::new();
             let mut worst: Vec<(u64, i64, u64, u64)> = Vec::new(); // (win, err, truth, est)
             let mut tallies = [0u64; 5];
-            for (w, _) in truth.range(first_w.max(t_span.0)..=last_w) {
-                let w = *w;
-                let t_us = mean(truth, w).unwrap();
-                let e_us = mean(est, w);
+            let span =
+                truth.partition_point(|t| t.0 < first_w)..truth.partition_point(|t| t.0 <= last_w);
+            for &(w, t_us) in &truth[span] {
+                let e_us = est.binary_search_by_key(&w, |e| e.1).ok().map(|i| est[i].2);
+                let err = e_us.map(|e| e as i64 - t_us as i64);
                 let regime = if let Some((code, _)) = resp.and_then(|m| m.get(&w)) {
                     match code {
                         1 => Regime::SlowStart,
@@ -644,52 +458,26 @@ pub fn fidelity_report(
                     Regime::Avoid
                 };
                 tallies[regime as usize] += 1;
-                if let Some(e_us) = e_us {
-                    let err = e_us as i64 - t_us as i64;
-                    paired += 1;
-                    err_sum += i128::from(err);
-                    errs.push(err.abs());
+                if let (Some(e_us), Some(err)) = (e_us, err) {
                     worst.push((w, err, t_us, e_us));
                 }
-                let _ = writeln!(
-                    csv,
-                    "{scope},{flow},{},{t_us},{},{},{}",
-                    fmt_w(w),
-                    e_us.map(|v| v.to_string()).unwrap_or_default(),
-                    e_us.map(|v| (v as i64 - t_us as i64).to_string())
-                        .unwrap_or_default(),
-                    regime.name()
-                );
+                let show = |v: Option<i64>| v.map(|v| v.to_string()).unwrap_or_default();
+                let (e, d) = (show(e_us.map(|e| e as i64)), show(err));
+                let (t_s, name) = (fmt_w(w), regime.name());
+                let _ = writeln!(csv, "{scope},{flow},{t_s},{t_us},{e},{d},{name}");
             }
-            // Agreement over the probability pair, same tolerance as
-            // the online reducer.
-            let (mut agree, mut agree_n) = (0u64, 0u64);
-            if let Some(ep) = acc.est_p.get(flow) {
-                for (w, (s, n)) in ep {
-                    if let Some(t_bp) = mean(truth_p, *w) {
-                        agree_n += 1;
-                        agree += u64::from(agreement_ok(s / n, t_bp));
-                    }
-                }
-            }
-            let bias = if paired == 0 {
-                0
-            } else {
-                (err_sum / i128::from(paired)) as i64
-            };
+            let (agree, agree_n) = p.agree.get(&flow).copied().unwrap_or_default();
+            let paired = worst.len() as u64;
+            let err_sum: i128 = worst.iter().map(|x| i128::from(x.1)).sum();
+            let bias = err_sum.checked_div(i128::from(paired)).unwrap_or(0) as i64;
+            let mut errs: Vec<i64> = worst.iter().map(|x| x.1.abs()).collect();
             errs.sort_unstable();
-            let p95 = if errs.is_empty() {
-                0
-            } else {
-                errs[(errs.len() * 95).div_ceil(100).saturating_sub(1)]
-            };
-            let (ss, ca) = resp.map_or((0, 0), |m| {
-                m.values()
-                    .fold((0u64, 0u64), |(ss, ca), (code, _)| match code {
-                        1 => (ss + 1, ca),
-                        _ => (ss, ca + 1),
-                    })
-            });
+            let p95 = (errs.len() * 95)
+                .div_ceil(100)
+                .checked_sub(1)
+                .map_or(0, |i| errs[i]);
+            let ss = resp.map_or(0, |m| m.values().filter(|(code, _)| *code == 1).count());
+            let ca = resp.map_or(0, BTreeMap::len) - ss;
             let _ = writeln!(
                 text,
                 "  flow {flow}: paired={paired} bias={bias}us abs_p95={p95}us \
@@ -719,135 +507,78 @@ pub fn fidelity_report(
 // Rendering and the subcommand driver
 // ---------------------------------------------------------------------
 
-fn fmt_g(x: f64) -> String {
-    // Shortest-roundtrip float rendering keeps the output diff-stable.
-    format!("{x}")
+/// The `summarize` columns, in output order.
+const SUMMARY_COLUMNS: [&str; 9] = [
+    "series", "records", "scopes", "keys", "t_min", "t_max", "v_min", "v_mean", "v_max",
+];
+
+impl SummaryRow {
+    /// The text/CSV cells, in [`SUMMARY_COLUMNS`] order. Floats render
+    /// in shortest round-trip form, which keeps the output diff-stable.
+    fn cells(&self) -> Vec<String> {
+        let counts = [self.records, self.scopes, self.keys].map(|n| n.to_string());
+        let floats = [self.t_min, self.t_max, self.v_min, self.v_mean, self.v_max];
+        let cells = [self.series.clone()].into_iter().chain(counts);
+        cells.chain(floats.map(|x| x.to_string())).collect()
+    }
 }
 
 /// Render summary rows as the aligned text table.
 pub fn render_summary_text(rows: &[SummaryRow]) -> String {
-    let header = [
-        "series", "records", "scopes", "keys", "t_min", "t_max", "v_min", "v_mean", "v_max",
-    ];
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.series.clone(),
-                r.records.to_string(),
-                r.scopes.to_string(),
-                r.keys.to_string(),
-                fmt_g(r.t_min),
-                fmt_g(r.t_max),
-                fmt_g(r.v_min),
-                fmt_g(r.v_mean),
-                fmt_g(r.v_max),
-            ]
-        })
-        .collect();
-    render_aligned(&header, &cells)
+    let cells: Vec<Vec<String>> = rows.iter().map(SummaryRow::cells).collect();
+    let mut out = String::new();
+    render_aligned(&mut out, &SUMMARY_COLUMNS.map(String::from), &cells, true);
+    out
 }
 
 /// Render summary rows as CSV.
 pub fn render_summary_csv(rows: &[SummaryRow]) -> String {
-    let mut out = String::from("series,records,scopes,keys,t_min,t_max,v_min,v_mean,v_max\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{}",
-            r.series,
-            r.records,
-            r.scopes,
-            r.keys,
-            fmt_g(r.t_min),
-            fmt_g(r.t_max),
-            fmt_g(r.v_min),
-            fmt_g(r.v_mean),
-            fmt_g(r.v_max)
-        );
-    }
-    out
+    let lines = rows.iter().map(|r| r.cells().join(",") + "\n");
+    lines.fold(SUMMARY_COLUMNS.join(",") + "\n", |out, line| out + &line)
 }
 
 /// Render summary rows as a JSON array.
 pub fn render_summary_json(rows: &[SummaryRow]) -> String {
     let mut out = String::from("[");
     for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+        out.push_str(if i > 0 {
+            ",{\"series\":"
+        } else {
+            "{\"series\":"
+        });
+        json::push_str(&mut out, &r.series);
+        let (records, scopes, keys) = (r.records, r.scopes, r.keys);
         let _ = write!(
             out,
-            "{{\"series\":\"{}\",\"records\":{},\"scopes\":{},\"keys\":{},\"t_min\":{},\
-             \"t_max\":{},\"v_min\":{},\"v_mean\":{},\"v_max\":{}}}",
-            r.series,
-            r.records,
-            r.scopes,
-            r.keys,
-            json_num(r.t_min),
-            json_num(r.t_max),
-            json_num(r.v_min),
-            json_num(r.v_mean),
-            json_num(r.v_max)
+            ",\"records\":{records},\"scopes\":{scopes},\"keys\":{keys}"
         );
+        let floats = [r.t_min, r.t_max, r.v_min, r.v_mean, r.v_max];
+        for (name, x) in SUMMARY_COLUMNS[4..].iter().zip(floats) {
+            let _ = write!(out, ",\"{name}\":");
+            json::push_num(&mut out, x);
+        }
+        out.push('}');
     }
     out.push_str("]\n");
     out
 }
 
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
-
 /// Render diff rows as the aligned text table.
 pub fn render_diff_text(rows: &[DiffRow]) -> String {
-    let header = ["series", "count_a", "count_b", "max_abs_delta"];
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                r.series.clone(),
-                r.count_a.to_string(),
-                r.count_b.to_string(),
-                fmt_g(r.max_abs_delta),
-            ]
+            let counts = [r.count_a, r.count_b].map(|n| n.to_string());
+            [r.series.clone()]
+                .into_iter()
+                .chain(counts)
+                .chain([r.max_abs_delta.to_string()])
+                .collect()
         })
         .collect();
-    render_aligned(&header, &cells)
-}
-
-fn render_aligned(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
+    let header = ["series", "count_a", "count_b", "max_abs_delta"].map(String::from);
     let mut out = String::new();
-    let mut line = |cells: &[String]| {
-        let joined: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if i == 0 {
-                    format!("{c:<w$}", w = widths[0])
-                } else {
-                    format!("{c:>w$}", w = widths[i])
-                }
-            })
-            .collect();
-        out.push_str(joined.join("  ").trim_end());
-        out.push('\n');
-    };
-    line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
+    render_aligned(&mut out, &header, &cells, true);
     out
 }
 
@@ -865,6 +596,118 @@ shards prints exact per-shard event and mailbox totals from a sharded\n\
 run's shard/* series;\n\
 fidelity reconstructs per-flow estimator-vs-truth error timelines with\n\
 regime annotation and worst divergence windows from truth/* + pert/*.";
+
+/// A parsed `experiments trace` command line.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TraceCmd {
+    /// `summarize FILE [filters] [--csv PATH] [--json PATH]`.
+    Summarize {
+        /// The trace.
+        file: String,
+        /// `--series`, `--scope`, `--since`, `--until`.
+        filters: Filters,
+        /// `--csv PATH`.
+        csv: Option<String>,
+        /// `--json PATH`.
+        json: Option<String>,
+    },
+    /// `diff A B [--tol X]`.
+    Diff {
+        /// The two traces.
+        files: [String; 2],
+        /// Largest per-series delta that still matches (default 0).
+        tol: f64,
+    },
+    /// `shards FILE`.
+    Shards {
+        /// The trace.
+        file: String,
+    },
+    /// `fidelity FILE [--flow F] [--csv PATH]`.
+    Fidelity {
+        /// The trace.
+        file: String,
+        /// Only this flow's estimates.
+        flow: Option<u64>,
+        /// `--csv PATH` for the full timeline.
+        csv: Option<String>,
+    },
+}
+
+/// Parse the arguments after `experiments trace`. Pure: reads no file.
+pub fn parse(args: &[String]) -> Result<TraceCmd, String> {
+    let (mode, rest) = args.split_first().ok_or("missing subcommand")?;
+    let (takes, want_files): (&[&str], usize) = match mode.as_str() {
+        "summarize" => (
+            &[
+                "--series", "--scope", "--since", "--until", "--csv", "--json",
+            ],
+            1,
+        ),
+        "diff" => (&["--tol"], 2),
+        "shards" => (&[], 1),
+        "fidelity" => (&["--flow", "--csv"], 1),
+        other => return Err(format!("unknown trace subcommand '{other}'")),
+    };
+    let (mut files, mut flags) = (Vec::new(), BTreeMap::new());
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            f if takes.contains(&f) => {
+                let v = rest.next().ok_or_else(|| format!("{f} needs a value"))?;
+                flags.insert(f, v.clone());
+            }
+            f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
+            p if files.len() == want_files => return Err(format!("unexpected argument '{p}'")),
+            p => files.push(p.to_owned()),
+        }
+    }
+    if files.len() < want_files {
+        return Err(match want_files {
+            1 => format!("{mode} needs a trace file"),
+            _ => format!("{mode} needs exactly two trace files"),
+        });
+    }
+    let num = |flag| parsed(&flags, flag, "a number");
+    let mut files = files.into_iter();
+    let file = files.next().unwrap_or_default();
+    Ok(match mode.as_str() {
+        "summarize" => TraceCmd::Summarize {
+            file,
+            filters: Filters {
+                series: flags.get("--series").cloned(),
+                scope: flags.get("--scope").cloned(),
+                since: num("--since")?,
+                until: num("--until")?,
+            },
+            csv: flags.get("--csv").cloned(),
+            json: flags.get("--json").cloned(),
+        },
+        "diff" => TraceCmd::Diff {
+            files: [file, files.next().unwrap_or_default()],
+            tol: num("--tol")?.unwrap_or(0.0),
+        },
+        "shards" => TraceCmd::Shards { file },
+        _ => TraceCmd::Fidelity {
+            file,
+            flow: parsed(&flags, "--flow", "a flow id")?,
+            csv: flags.get("--csv").cloned(),
+        },
+    })
+}
+
+/// The value of `flag`, if given, parsed as a `T`.
+fn parsed<T: std::str::FromStr>(
+    flags: &BTreeMap<&str, String>,
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    let parse = |v: &String| {
+        v.parse()
+            .map_err(|_| format!("{flag} wants {what}, got '{v}'"))
+    };
+    flags.get(flag).map(parse).transpose()
+}
 
 fn read_trace(path: &str) -> Result<Vec<TraceRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -891,9 +734,17 @@ fn emit(s: &str) {
     let _ = std::io::stdout().write_all(s.as_bytes());
 }
 
+/// Write `body` to an optional output file.
+fn write_out(path: Option<String>, body: impl FnOnce() -> String) -> Result<(), String> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(&path, body()).map_err(|e| format!("writing {path}: {e}"))?;
+    eprintln!("[wrote {path}]");
+    Ok(())
+}
+
 /// Run `experiments trace <args>`; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    match run_inner(args) {
+    match parse(args).and_then(execute) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}\n{TRACE_USAGE}");
@@ -902,136 +753,51 @@ pub fn run(args: &[String]) -> i32 {
     }
 }
 
-fn run_inner(args: &[String]) -> Result<i32, String> {
-    let mode = args
-        .first()
-        .map(String::as_str)
-        .ok_or("missing subcommand")?;
-    match mode {
-        "summarize" => {
-            let mut file = None;
-            let mut filters = Filters::default();
-            let mut csv = None;
-            let mut json = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--series" => filters.series = Some(value(args, &mut i)?),
-                    "--scope" => filters.scope = Some(value(args, &mut i)?),
-                    "--since" => filters.since = Some(num_value(args, &mut i)?),
-                    "--until" => filters.until = Some(num_value(args, &mut i)?),
-                    "--csv" => csv = Some(value(args, &mut i)?),
-                    "--json" => json = Some(value(args, &mut i)?),
-                    f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
-                    p if file.is_none() => file = Some(p.to_string()),
-                    p => return Err(format!("unexpected argument '{p}'")),
-                }
-                i += 1;
-            }
-            let file = file.ok_or("summarize needs a trace file")?;
+/// Carry out a parsed command; returns the process exit code.
+fn execute(cmd: TraceCmd) -> Result<i32, String> {
+    match cmd {
+        TraceCmd::Summarize {
+            file,
+            filters,
+            csv,
+            json,
+        } => {
             let records = read_trace(&file)?;
             let rows = summarize(&records, &filters);
             emit(&render_summary_text(&rows));
             emit(&format!("({} records in {file})\n", records.len()));
-            if let Some(path) = csv {
-                std::fs::write(&path, render_summary_csv(&rows))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("[wrote {path}]");
-            }
-            if let Some(path) = json {
-                std::fs::write(&path, render_summary_json(&rows))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("[wrote {path}]");
-            }
+            write_out(csv, || render_summary_csv(&rows))?;
+            write_out(json, || render_summary_json(&rows))?;
             Ok(0)
         }
-        "diff" => {
-            let mut files = Vec::new();
-            let mut tol = 0.0f64;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--tol" => tol = num_value(args, &mut i)?,
-                    f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
-                    p => files.push(p.to_string()),
-                }
-                i += 1;
-            }
-            let [a_path, b_path] = files.as_slice() else {
-                return Err("diff needs exactly two trace files".into());
-            };
-            let a = read_trace(a_path)?;
-            let b = read_trace(b_path)?;
-            let rows = diff(&a, &b);
+        TraceCmd::Diff { files: [a, b], tol } => {
+            let rows = diff(&read_trace(&a)?, &read_trace(&b)?);
             emit(&render_diff_text(&rows));
-            let bad: Vec<&DiffRow> = rows.iter().filter(|r| !r.matches(tol)).collect();
-            if bad.is_empty() {
-                emit(&format!(
-                    "traces match ({} series, tol {tol})\n",
-                    rows.len()
-                ));
+            let bad = rows.iter().filter(|r| !r.matches(tol)).count();
+            let n = rows.len();
+            match bad {
+                0 => emit(&format!("traces match ({n} series, tol {tol})\n")),
+                _ => emit(&format!("{bad} of {n} series differ (tol {tol})\n")),
+            }
+            Ok(i32::from(bad > 0))
+        }
+        TraceCmd::Shards { file } => match render_shards_report(&read_trace(&file)?) {
+            Some(report) => {
+                emit(&report);
                 Ok(0)
-            } else {
+            }
+            None => {
                 emit(&format!(
-                    "{} of {} series differ (tol {tol})\n",
-                    bad.len(),
-                    rows.len()
+                    "no shard/* records in {file} (monolithic run, or telemetry detached)\n"
                 ));
                 Ok(1)
             }
-        }
-        "shards" => {
-            let file = match &args[1..] {
-                [f] if !f.starts_with('-') => f,
-                [] => return Err("shards needs a trace file".into()),
-                [f] => return Err(format!("unknown flag '{f}'")),
-                [_, p, ..] => return Err(format!("unexpected argument '{p}'")),
-            };
-            let records = read_trace(file)?;
-            match render_shards_report(&records) {
-                Some(report) => {
-                    emit(&report);
-                    Ok(0)
-                }
-                None => {
-                    emit(&format!(
-                        "no shard/* records in {file} (monolithic run, or telemetry detached)\n"
-                    ));
-                    Ok(1)
-                }
-            }
-        }
-        "fidelity" => {
-            let mut file = None;
-            let mut flow = None;
-            let mut csv = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--flow" => {
-                        let n = num_value(args, &mut i)?;
-                        if n < 0.0 || n.fract() != 0.0 {
-                            return Err(format!("--flow wants a flow id, got {n}"));
-                        }
-                        flow = Some(n as u64);
-                    }
-                    "--csv" => csv = Some(value(args, &mut i)?),
-                    f if f.starts_with('-') => return Err(format!("unknown flag '{f}'")),
-                    p if file.is_none() => file = Some(p.to_string()),
-                    p => return Err(format!("unexpected argument '{p}'")),
-                }
-                i += 1;
-            }
-            let file = file.ok_or("fidelity needs a trace file")?;
-            let records = read_trace(&file)?;
-            match fidelity_report(&records, flow) {
+        },
+        TraceCmd::Fidelity { file, flow, csv } => {
+            match fidelity_report(&read_trace(&file)?, flow) {
                 Some((text, csv_body)) => {
                     emit(&text);
-                    if let Some(path) = csv {
-                        std::fs::write(&path, csv_body)
-                            .map_err(|e| format!("writing {path}: {e}"))?;
-                        eprintln!("[wrote {path}]");
-                    }
+                    write_out(csv, || csv_body)?;
                     Ok(0)
                 }
                 None => {
@@ -1045,23 +811,7 @@ fn run_inner(args: &[String]) -> Result<i32, String> {
                 }
             }
         }
-        other => Err(format!("unknown trace subcommand '{other}'")),
     }
-}
-
-fn value(args: &[String], i: &mut usize) -> Result<String, String> {
-    let flag = args[*i].clone();
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn num_value(args: &[String], i: &mut usize) -> Result<f64, String> {
-    let flag = args[*i].clone();
-    let v = value(args, i)?;
-    v.parse::<f64>()
-        .map_err(|_| format!("{flag} wants a number, got '{v}'"))
 }
 
 #[cfg(test)]
@@ -1379,5 +1129,90 @@ mod tests {
             json.starts_with("[{\"series\":\"s\",\"records\":1,"),
             "{json}"
         );
+    }
+
+    #[test]
+    fn summary_json_parses_back_with_any_series_name() {
+        let names = ["a\"b", "c\\d", "tab\there", "plain"];
+        let records: Vec<TraceRecord> = names.iter().map(|n| rec("s", n, 0, 1.0, 2.0)).collect();
+        let body = render_summary_json(&summarize(&records, &Filters::default()));
+        let mut p = json::Parser::new(&body);
+        let mut series = p
+            .array(|p| {
+                let mut name = String::new();
+                p.object(|p, field| match field {
+                    "series" => p.str().map(|s| name = s.into_owned()),
+                    _ => p.f64_or_null().map(drop),
+                })?;
+                Ok(name)
+            })
+            .unwrap();
+        p.end().unwrap();
+        series.sort();
+        let mut want = names.map(String::from);
+        want.sort();
+        assert_eq!(series, want);
+    }
+
+    #[test]
+    fn keys_and_shards_round_trip_exactly_above_2_pow_53() {
+        for key in [(1u64 << 53) + 1, u64::MAX - 1] {
+            let mut line = String::new();
+            let record = pert_core::telemetry::Record {
+                scope: "job".into(),
+                series: "pert/qdelay",
+                key,
+                t: 0.5,
+                value: 0.25,
+                shard: Some(u32::MAX),
+            };
+            pert_core::telemetry::push_record_line(&mut line, &record);
+            let r = parse_line(line.trim_end()).unwrap();
+            assert_eq!((r.key, r.shard), (key, Some(u64::from(u32::MAX))), "{line}");
+        }
+        // Neighbouring 64-bit seeds stay two flows, which an f64 detour
+        // would merge into one.
+        let line =
+            |k: u64| format!("{{\"scope\":\"s\",\"series\":\"x\",\"key\":{k},\"t\":0,\"v\":0}}\n");
+        let (records, _) = parse_jsonl(&(line(1 << 53) + &line((1 << 53) + 1)));
+        assert_eq!(summarize(&records, &Filters::default())[0].keys, 2);
+    }
+
+    #[test]
+    fn documented_flags_parse_and_bad_ones_do_not() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(
+            parse(&args(
+                "fidelity t.jsonl --flow 18446744073709551614 --csv f.csv"
+            )),
+            Ok(TraceCmd::Fidelity {
+                file: "t.jsonl".into(),
+                flow: Some(u64::MAX - 1),
+                csv: Some("f.csv".into()),
+            })
+        );
+        let diff = parse(&args("diff a b --tol 0.5")).unwrap();
+        assert_eq!(
+            diff,
+            TraceCmd::Diff {
+                files: ["a".into(), "b".into()],
+                tol: 0.5
+            }
+        );
+        for bad in [
+            "",
+            "bogus f",
+            "summarize",
+            "summarize a b",
+            "summarize a --since x",
+            "summarize a --flow 3",
+            "diff a",
+            "shards a --csv x",
+            "fidelity a --flow -1",
+            "fidelity a --flow 1.5",
+            "fidelity a --csv",
+        ] {
+            assert!(parse(&args(bad)).is_err(), "{bad:?} parsed");
+        }
     }
 }

@@ -15,14 +15,16 @@
 //! `i` across every profiled run (see `netsim::profile`). `nodes` and
 //! `total_events` are redundant with `weights` and exist so a truncated
 //! or hand-edited file fails validation loudly (`nodes` must equal the
-//! array length, `total_events` its saturating sum — the same checks
-//! `scripts/weights_check.sh` applies with jq). `targets` records which
-//! scenarios contributed, because node ids are only meaningful as
+//! array length, `total_events` its saturating sum). `targets` records
+//! which scenarios contributed, because node ids are only meaningful as
 //! weights when the consuming run builds the same topology.
 //!
-//! Parsing is hand-rolled like [`crate::trace_cli`]: the harness has no
-//! JSON dependency and the shape is fixed. Field order is free; unknown
-//! fields are rejected.
+//! Both directions go through [`sim_stats::json`], like the trace CLI's.
+//! Field order is free; unknown fields, negative or fractional counts,
+//! non-string targets and trailing data are rejected.
+
+use sim_stats::json;
+use std::fmt::Write as _;
 
 /// A parsed and validated weight file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,60 +42,38 @@ fn total(weights: &[u64]) -> u64 {
 
 /// Render a weight file body (trailing newline included).
 pub fn render(targets: &[String], weights: &[u64]) -> String {
-    let targets_json: Vec<String> = targets.iter().map(|t| format!("\"{t}\"")).collect();
-    let weights_json: Vec<String> = weights.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"schema\":\"pert-shard-weights/v1\",\"targets\":[{}],\"nodes\":{},\
-         \"total_events\":{},\"weights\":[{}]}}\n",
-        targets_json.join(","),
-        weights.len(),
-        total(weights),
-        weights_json.join(",")
-    )
+    let mut out = String::from("{\"schema\":\"pert-shard-weights/v1\",\"targets\":[");
+    for (i, t) in targets.iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        json::push_str(&mut out, t);
+    }
+    let (nodes, total) = (weights.len(), total(weights));
+    let weights: Vec<String> = weights.iter().map(u64::to_string).collect();
+    let weights = weights.join(",");
+    let _ = writeln!(
+        out,
+        "],\"nodes\":{nodes},\"total_events\":{total},\"weights\":[{weights}]}}"
+    );
+    out
 }
 
 /// Parse and validate a weight file body.
 pub fn parse(text: &str) -> Result<WeightFile, String> {
-    let mut p = Parser {
-        text,
-        chars: text.char_indices().peekable(),
-    };
-    let mut schema = None;
-    let mut targets = None;
-    let mut nodes = None;
-    let mut total_events = None;
-    let mut weights = None;
-
-    p.skip_ws();
-    p.expect('{')?;
-    loop {
-        p.skip_ws();
-        if p.eat('}') {
-            break;
-        }
-        let field = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        match field.as_str() {
-            "schema" => schema = Some(p.string()?),
-            "targets" => targets = Some(p.string_array()?),
+    let (mut schema, mut targets, mut nodes, mut total_events, mut weights) =
+        (None, None, None, None, None);
+    let mut p = json::Parser::new(text);
+    p.object(|p, field| {
+        match field {
+            "schema" => schema = Some(p.str()?.into_owned()),
+            "targets" => targets = Some(p.array(|p| Ok(p.str()?.into_owned()))?),
             "nodes" => nodes = Some(p.u64()?),
             "total_events" => total_events = Some(p.u64()?),
-            "weights" => weights = Some(p.u64_array()?),
+            "weights" => weights = Some(p.array(json::Parser::u64)?),
             other => return Err(format!("unexpected field {other:?}")),
         }
-        p.skip_ws();
-        if !p.eat(',') {
-            p.skip_ws();
-            p.expect('}')?;
-            break;
-        }
-    }
-    p.skip_ws();
-    if p.chars.peek().is_some() {
-        return Err("trailing data after weight object".into());
-    }
+        Ok(())
+    })?;
+    p.end()?;
 
     let schema = schema.ok_or("missing field \"schema\"")?;
     if schema != "pert-shard-weights/v1" {
@@ -127,100 +107,6 @@ pub fn load(path: &str) -> Result<WeightFile, String> {
 /// Write a weight file to disk.
 pub fn write(path: &str, targets: &[String], weights: &[u64]) -> Result<(), String> {
     std::fs::write(path, render(targets, weights)).map_err(|e| format!("writing {path}: {e}"))
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        if matches!(self.chars.peek(), Some(&(_, c)) if c == want) {
-            self.chars.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            other => Err(format!("expected {want:?}, got {other:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let start = match self.chars.peek() {
-            Some(&(i, c)) if c.is_ascii_digit() => i,
-            other => return Err(format!("expected unsigned integer, got {other:?}")),
-        };
-        let mut end = start;
-        while let Some(&(i, c)) = self.chars.peek() {
-            if c.is_ascii_digit() {
-                end = i + 1;
-                self.chars.next();
-            } else {
-                break;
-            }
-        }
-        self.text[start..end]
-            .parse::<u64>()
-            .map_err(|e| format!("bad integer {:?}: {e}", &self.text[start..end]))
-    }
-
-    fn string_array(&mut self) -> Result<Vec<String>, String> {
-        self.array(|p| p.string())
-    }
-
-    fn u64_array(&mut self) -> Result<Vec<u64>, String> {
-        self.array(|p| p.u64())
-    }
-
-    fn array<T>(
-        &mut self,
-        mut elem: impl FnMut(&mut Self) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(']') {
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(elem(self)?);
-            self.skip_ws();
-            if self.eat(']') {
-                return Ok(out);
-            }
-            self.expect(',')?;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ fn program_args(tokens: &[String]) -> &[String] {
 
 #[test]
 fn documented_commands_parse() {
-    let (mut targets, mut examples) = (0, 0);
+    let (mut targets, mut traces, mut examples) = (0, 0, 0);
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         for tokens in fenced_commands(doc) {
             if tokens.len() < 2 || tokens[..2] != ["cargo", "run"] {
@@ -74,11 +74,17 @@ fn documented_commands_parse() {
                 }
                 examples += 1;
             } else if package.map(String::as_str) == Some("experiments") {
-                let placeholder = args.iter().any(|a| a.contains('<'));
-                if args.first().map(String::as_str) == Some("trace") || placeholder {
+                if args.iter().any(|a| a.contains('<')) {
                     continue;
                 }
-                if let Err(e) = experiments::cli::parse(args) {
+                let parsed = match args.split_first() {
+                    Some((first, rest)) if first == "trace" => {
+                        traces += 1;
+                        experiments::trace_cli::parse(rest).map(drop)
+                    }
+                    _ => experiments::cli::parse(args).map(drop),
+                };
+                if let Err(e) = parsed {
                     panic!("{doc}: `{line}` does not parse: {e}");
                 }
                 targets += 1;
@@ -86,6 +92,7 @@ fn documented_commands_parse() {
         }
     }
     assert!(targets >= 10, "only {targets} documented runs found");
+    assert!(traces >= 4, "only {traces} documented trace queries found");
     assert!(examples >= 3, "only {examples} documented examples found");
 }
 

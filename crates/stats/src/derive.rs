@@ -20,10 +20,12 @@
 //!
 //! [`MetricsSet`]: crate::metrics::MetricsSet
 
+use crate::json;
 use crate::metrics::BucketHistogram;
 use crate::series::SeriesId;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 
 /// Queueing-delay bucket edges, microseconds: a 1–2–5 ladder from
 /// 100 µs to 5 s. A percentile read from the histogram is exact to
@@ -104,6 +106,125 @@ impl FidScope {
             && self.est_qd.is_empty()
             && self.est_p.is_empty()
     }
+
+    /// The pairing decision, made in this one place: the bottleneck is
+    /// the truth link with the most `truth/qdelay` samples (ties to the
+    /// lowest id) — the link PERT's estimator is actually tracking —
+    /// every side is reduced to per-window integer means, and a
+    /// probability pair agrees by [`agreement_ok`]. `None` without truth.
+    fn pairs(&self) -> Option<FidelityPairs> {
+        let mut per_link: BTreeMap<u64, u64> = BTreeMap::new();
+        for ((link, _), (_, n)) in &self.truth_qd {
+            *per_link.entry(*link).or_insert(0) += n;
+        }
+        let (&link, _) = per_link.iter().max_by_key(|(k, n)| (**n, Reverse(**k)))?;
+        // Sorted vectors, not maps: one allocation per series.
+        let on_link = |m: &FidMap| {
+            let mut v = Vec::with_capacity(m.len());
+            let m = m.iter().filter(|((k, _), _)| *k == link);
+            v.extend(m.map(|((_, w), (sum, n))| (*w, sum / n)));
+            v.sort_unstable();
+            v
+        };
+        let (truth_us, truth_bp) = (on_link(&self.truth_qd), on_link(&self.truth_p));
+        let est = self.est_qd.iter();
+        let mut est_us: Vec<_> = est.map(|((f, w), (sum, n))| (*f, *w, sum / n)).collect();
+        est_us.sort_unstable();
+        let pooled = self.est_qd.iter().map(|((_, w), (sum, n))| (*w, *sum, *n));
+        let mut pooled: Vec<_> = pooled.collect();
+        pooled.sort_unstable();
+        pooled.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                (kept.1, kept.2) = (kept.1 + next.1, kept.2 + next.2);
+            }
+            same
+        });
+        let mut agree: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for ((flow, w), (sum, n)) in &self.est_p {
+            if let Some(t) = window_mean(&truth_bp, *w) {
+                let e = agree.entry(*flow).or_insert((0, 0));
+                e.0 += u64::from(agreement_ok(sum / n, t));
+                e.1 += 1;
+            }
+        }
+        let pooled_us = pooled.iter().map(|(w, sum, n)| (*w, sum / n)).collect();
+        Some(FidelityPairs {
+            link,
+            truth_us,
+            est_us,
+            pooled_us,
+            agree,
+        })
+    }
+}
+
+/// One scope's truth↔estimate pairing (see [`DeriveSet::fidelity_pairs`]).
+/// Windows are [`FIDELITY_WINDOW_US`] wide; every mean is an integer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FidelityPairs {
+    /// The bottleneck truth link.
+    pub link: u64,
+    /// Router-truth queueing delay on `link`: `(window, mean µs)`,
+    /// ascending.
+    pub truth_us: Vec<(u64, u64)>,
+    /// PERT's estimate: `(flow, window, mean µs)`, ascending — every
+    /// window a flow published in, paired with truth or not.
+    pub est_us: Vec<(u64, u64, u64)>,
+    /// Every flow's estimate samples pooled: `(window, mean µs)`,
+    /// ascending.
+    pub pooled_us: Vec<(u64, u64)>,
+    /// Probability windows paired with `link`'s truth, flow → (windows
+    /// in agreement, paired windows); flows with no pair are absent.
+    pub agree: BTreeMap<u64, (u64, u64)>,
+}
+
+/// The mean at window `w` of a window-sorted `(window, mean)` series.
+fn window_mean(series: &[(u64, u64)], w: u64) -> Option<u64> {
+    let i = series.binary_search_by_key(&w, |e| e.0).ok()?;
+    Some(series[i].1)
+}
+
+/// Signed estimate−truth error over paired windows.
+struct ErrAcc {
+    windows: u64,
+    err_sum: i128,
+    abs: BucketHistogram,
+}
+
+impl Default for ErrAcc {
+    fn default() -> Self {
+        ErrAcc {
+            windows: 0,
+            err_sum: 0,
+            abs: qdelay_hist(),
+        }
+    }
+}
+
+impl ErrAcc {
+    fn add(&mut self, err: i128) {
+        self.windows += 1;
+        self.err_sum += err;
+        self.abs.observe(err.unsigned_abs() as u64);
+    }
+
+    fn bias(&self) -> i64 {
+        mean_i64(self.err_sum, self.windows)
+    }
+
+    fn p95(&self) -> u64 {
+        self.abs.percentile_upper(95).unwrap_or(0)
+    }
+}
+
+fn qdelay_hist() -> BucketHistogram {
+    BucketHistogram::new(&QDELAY_EDGES_US)
+}
+
+/// `sum / n`, zero when `n` is.
+fn mean_i64(sum: i128, n: u64) -> i64 {
+    sum.checked_div(i128::from(n)).unwrap_or(0) as i64
 }
 
 /// The streaming reducers of one scope (one job). A telemetry sink owns
@@ -157,7 +278,7 @@ pub struct DeriveScope {
 impl Default for DeriveScope {
     fn default() -> Self {
         DeriveScope {
-            qdelay_us: BucketHistogram::new(&QDELAY_EDGES_US),
+            qdelay_us: qdelay_hist(),
             util_bp: BucketHistogram::new(&UTIL_EDGES_BP),
             offered: 0,
             dropped: 0,
@@ -401,11 +522,9 @@ impl DeriveSet {
                 // Responses per second of active simulated time, in
                 // milli-hertz (u128 intermediate: no overflow below
                 // ~1.8e13 responses).
-                freq_mhz: if active_us == 0 {
-                    0
-                } else {
-                    (u128::from(all.responses) * 1_000_000_000 / u128::from(active_us)) as u64
-                },
+                freq_mhz: (u128::from(all.responses) * 1_000_000_000)
+                    .checked_div(u128::from(active_us))
+                    .unwrap_or(0) as u64,
             }
         });
 
@@ -436,137 +555,79 @@ impl DeriveSet {
         }
     }
 
-    /// Pair windowed estimates with windowed truth and reduce to the
-    /// fidelity block. All arithmetic is integer over `BTreeMap`s built
-    /// by commutative accumulation, so the result is order-independent.
+    /// Each scope's truth↔estimate pairing, in scope order; scopes with
+    /// no truth link are skipped. Both fidelity views are built on this:
+    /// the online `fidelity:` block ([`summary`](Self::summary)) and the
+    /// offline `trace fidelity` timelines, which replay a trace into a
+    /// fresh set.
+    pub fn fidelity_pairs(&self) -> impl Iterator<Item = (&str, FidelityPairs)> + '_ {
+        let scopes = self.scopes.iter();
+        scopes.filter_map(|(name, s)| Some((name.as_str(), s.fid.pairs()?)))
+    }
+
+    /// Reduce the scopes' pairings to the fidelity block. All arithmetic
+    /// is integer over maps built by commutative accumulation, so the
+    /// result is order-independent.
     fn fidelity_summary(&self) -> Option<FidelitySummary> {
-        struct FlowAcc {
-            windows: u64,
-            err_sum: i128,
-            abs: BucketHistogram,
-        }
+        #[derive(Default)]
         struct GroupAcc {
-            flows: std::collections::BTreeSet<u64>,
-            windows: u64,
-            err_sum: i128,
-            abs: BucketHistogram,
+            err: ErrAcc,
+            flows: BTreeSet<u64>,
             paired_prob: u64,
             agree: u64,
         }
 
-        let mut abs = BucketHistogram::new(&QDELAY_EDGES_US);
-        let mut pos = BucketHistogram::new(&QDELAY_EDGES_US);
-        let mut neg = BucketHistogram::new(&QDELAY_EDGES_US);
-        let mut err_sum: i128 = 0;
-        let mut windows: u64 = 0;
-        let mut paired_prob: u64 = 0;
-        let mut agree: u64 = 0;
-        let mut all_flows = std::collections::BTreeSet::new();
-        let mut flow_acc: BTreeMap<u64, FlowAcc> = BTreeMap::new();
+        let (mut all, mut pos, mut neg) = (ErrAcc::default(), qdelay_hist(), qdelay_hist());
+        let (mut paired_prob, mut agree) = (0u64, 0u64);
+        let mut all_flows = BTreeSet::new();
+        let mut flow_acc: BTreeMap<u64, ErrAcc> = BTreeMap::new();
         let mut group_acc: BTreeMap<&str, GroupAcc> = BTreeMap::new();
         let mut lag_acc: BTreeMap<u64, (i128, u64)> = BTreeMap::new();
         let mut scopes_used: u64 = 0;
 
-        for (scope, fs) in self.scopes.iter().map(|(name, s)| (name, &s.fid)) {
-            // The scope's bottleneck is the truth link with the most
-            // qdelay samples (ties break to the lowest link id) — the
-            // link PERT's estimator is actually tracking.
-            let mut per_key: BTreeMap<u64, u64> = BTreeMap::new();
-            for ((k, _), (_, n)) in &fs.truth_qd {
-                *per_key.entry(*k).or_insert(0) += n;
-            }
-            let Some(bkey) = per_key
-                .iter()
-                .max_by_key(|(k, n)| (**n, std::cmp::Reverse(**k)))
-                .map(|(k, _)| *k)
-            else {
-                continue;
-            };
-            // window → truth mean (µs / bp) on the bottleneck link.
-            let win_mean = |m: &FidMap| -> BTreeMap<u64, u64> {
-                m.iter()
-                    .filter(|((k, _), _)| *k == bkey)
-                    .map(|((_, w), (sum, n))| (*w, sum / n))
-                    .collect()
-            };
-            let tq = win_mean(&fs.truth_qd);
-            let tp = win_mean(&fs.truth_p);
-            let group = scope.rsplit('/').next().unwrap_or(scope.as_str());
+        for (scope, p) in self.fidelity_pairs() {
+            let ga = group_acc
+                .entry(scope.rsplit('/').next().unwrap_or(scope))
+                .or_default();
             let mut contributed = false;
 
             // Signed qdelay error, flow by flow, window by window.
-            let mut pooled: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-            for ((flow, win), (sum, n)) in &fs.est_qd {
-                let e = pooled.entry(*win).or_insert((0, 0));
-                e.0 += sum;
-                e.1 += n;
-                let Some(&t) = tq.get(win) else { continue };
-                let est = sum / n;
-                let err = est as i128 - i128::from(t);
-                let mag = err.unsigned_abs() as u64;
-                abs.observe(mag);
-                if err >= 0 {
-                    pos.observe(mag);
-                } else {
-                    neg.observe(mag);
-                }
-                err_sum += err;
-                windows += 1;
+            for &(flow, w, e) in &p.est_us {
+                let Some(t) = window_mean(&p.truth_us, w) else {
+                    continue;
+                };
+                let err = i128::from(e) - i128::from(t);
+                let side = if err >= 0 { &mut pos } else { &mut neg };
+                side.observe(err.unsigned_abs() as u64);
+                all.add(err);
+                flow_acc.entry(flow).or_default().add(err);
+                ga.err.add(err);
+                ga.flows.insert(flow);
+                all_flows.insert(flow);
                 contributed = true;
-                all_flows.insert(*flow);
-                let fa = flow_acc.entry(*flow).or_insert_with(|| FlowAcc {
-                    windows: 0,
-                    err_sum: 0,
-                    abs: BucketHistogram::new(&QDELAY_EDGES_US),
-                });
-                fa.windows += 1;
-                fa.err_sum += err;
-                fa.abs.observe(mag);
-                let ga = group_acc.entry(group).or_insert_with(|| GroupAcc {
-                    flows: std::collections::BTreeSet::new(),
-                    windows: 0,
-                    err_sum: 0,
-                    abs: BucketHistogram::new(&QDELAY_EDGES_US),
-                    paired_prob: 0,
-                    agree: 0,
-                });
-                ga.flows.insert(*flow);
-                ga.windows += 1;
-                ga.err_sum += err;
-                ga.abs.observe(mag);
             }
 
             // Emulation agreement on the probability pair.
-            for ((flow, win), (sum, n)) in &fs.est_p {
-                let Some(&t) = tp.get(win) else { continue };
-                let ok = agreement_ok(sum / n, t);
-                paired_prob += 1;
-                agree += u64::from(ok);
-                contributed = true;
-                all_flows.insert(*flow);
-                let ga = group_acc.entry(group).or_insert_with(|| GroupAcc {
-                    flows: std::collections::BTreeSet::new(),
-                    windows: 0,
-                    err_sum: 0,
-                    abs: BucketHistogram::new(&QDELAY_EDGES_US),
-                    paired_prob: 0,
-                    agree: 0,
-                });
+            for (flow, &(ok, n)) in &p.agree {
+                paired_prob += n;
+                agree += ok;
+                ga.paired_prob += n;
+                ga.agree += ok;
                 ga.flows.insert(*flow);
-                ga.paired_prob += 1;
-                ga.agree += u64::from(ok);
+                all_flows.insert(*flow);
+                contributed = true;
             }
 
             // Lag correlation: truth at window w against the pooled
             // estimate at w + offset (the estimator trails the router).
             for off in FIDELITY_LAG_WINDOWS {
-                let pairs: Vec<(i128, i128)> = tq
-                    .iter()
-                    .filter_map(|(w, t)| {
-                        let (sum, n) = pooled.get(&(w + off))?;
-                        Some((i128::from(*t), (sum / n) as i128))
-                    })
-                    .collect();
+                let mut pairs = Vec::with_capacity(p.truth_us.len());
+                pairs.extend(p.truth_us.iter().filter_map(|&(w, t)| {
+                    Some((
+                        i128::from(t),
+                        i128::from(window_mean(&p.pooled_us, w + off)?),
+                    ))
+                }));
                 if let Some(r) = pearson_milli(&pairs) {
                     let e = lag_acc
                         .entry(off * (FIDELITY_WINDOW_US / 1_000))
@@ -577,29 +638,24 @@ impl DeriveSet {
             }
             scopes_used += u64::from(contributed);
         }
+        // A group whose scopes paired nothing is not reported.
+        group_acc.retain(|_, ga| ga.err.windows > 0 || ga.paired_prob > 0);
 
-        if windows == 0 && paired_prob == 0 {
+        if all.windows == 0 && paired_prob == 0 {
             return None;
         }
 
-        let mean_err = |sum: i128, n: u64| -> i64 {
-            if n == 0 {
-                0
-            } else {
-                (sum / i128::from(n)) as i64
-            }
-        };
         let mut worst_flows: Vec<FlowFidelity> = flow_acc
             .iter()
             .map(|(flow, fa)| FlowFidelity {
                 key: *flow,
                 windows: fa.windows,
-                bias_us: mean_err(fa.err_sum, fa.windows),
-                abs_p95_us: fa.abs.percentile_upper(95).unwrap_or(0),
+                bias_us: fa.bias(),
+                abs_p95_us: fa.p95(),
             })
             .collect();
         // Worst first: largest |bias|, ties to the lower flow key.
-        worst_flows.sort_by_key(|f| (std::cmp::Reverse(f.bias_us.unsigned_abs()), f.key));
+        worst_flows.sort_by_key(|f| (Reverse(f.bias_us.unsigned_abs()), f.key));
         worst_flows.truncate(8);
 
         let groups = group_acc
@@ -607,9 +663,9 @@ impl DeriveSet {
             .map(|(name, ga)| GroupFidelity {
                 name: (*name).to_owned(),
                 flows: ga.flows.len() as u64,
-                windows: ga.windows,
-                bias_us: mean_err(ga.err_sum, ga.windows),
-                abs_p95_us: ga.abs.percentile_upper(95).unwrap_or(0),
+                windows: ga.err.windows,
+                bias_us: ga.err.bias(),
+                abs_p95_us: ga.err.p95(),
                 paired_prob: ga.paired_prob,
                 agree: ga.agree,
                 agree_bp: rate_bp(ga.agree, ga.paired_prob),
@@ -620,7 +676,7 @@ impl DeriveSet {
             .iter()
             .map(|(off_ms, (sum, n))| LagPoint {
                 offset_ms: *off_ms,
-                r_milli: mean_err(*sum, *n),
+                r_milli: mean_i64(*sum, *n),
                 scopes: *n,
             })
             .collect();
@@ -628,11 +684,11 @@ impl DeriveSet {
         Some(FidelitySummary {
             scopes: scopes_used,
             flows: all_flows.len() as u64,
-            windows,
-            bias_us: mean_err(err_sum, windows),
-            abs_p50_us: abs.percentile_upper(50).unwrap_or(0),
-            abs_p95_us: abs.percentile_upper(95).unwrap_or(0),
-            abs_p99_us: abs.percentile_upper(99).unwrap_or(0),
+            windows: all.windows,
+            bias_us: all.bias(),
+            abs_p50_us: all.abs.percentile_upper(50).unwrap_or(0),
+            abs_p95_us: all.p95(),
+            abs_p99_us: all.abs.percentile_upper(99).unwrap_or(0),
             over_n: pos.total,
             over_p95_us: pos.percentile_upper(95).unwrap_or(0),
             under_n: neg.total,
@@ -736,8 +792,7 @@ pub fn quantize_us(seconds: f64) -> u64 {
 }
 
 /// Probability in `[0, 1]` → whole basis points, round-to-nearest.
-/// Public for the trace CLI (same quantization as the online path).
-pub fn prob_bp(p: f64) -> u64 {
+fn prob_bp(p: f64) -> u64 {
     if p <= 0.0 {
         0
     } else {
@@ -795,9 +850,8 @@ fn pearson_milli(pairs: &[(i128, i128)]) -> Option<i64> {
 /// Emulation-agreement tolerance: the estimate agrees with the router
 /// truth when the probabilities are within `max(100 bp, truth/4)` of
 /// each other — an absolute floor of one percentage point, widening to
-/// ±25 % relative once the truth probability is substantial. Public so
-/// the trace CLI applies the identical rule offline.
-pub fn agreement_ok(est_bp: u64, truth_bp: u64) -> bool {
+/// ±25 % relative once the truth probability is substantial.
+fn agreement_ok(est_bp: u64, truth_bp: u64) -> bool {
     est_bp.abs_diff(truth_bp) <= (truth_bp / 4).max(100)
 }
 
@@ -810,110 +864,136 @@ fn rate_bp(part: u64, whole: u64) -> u64 {
     }
 }
 
-/// Queueing-delay distribution (bucket-quantized percentiles).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QdelaySummary {
-    /// Number of delay samples.
-    pub samples: u64,
-    /// Mean delay, microseconds (exact integer mean).
-    pub mean_us: u64,
-    /// Median upper bucket edge, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile upper bucket edge, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile upper bucket edge, microseconds.
-    pub p99_us: u64,
+/// A flat derived-section field: JSON key, text label (empty: JSON
+/// only), text unit, value.
+type Field = (&'static str, &'static str, &'static str, u64);
+
+/// A flat section of the derived block: its name and fields.
+trait FlatSection {
+    fn fields(&self) -> (&'static str, Vec<Field>);
 }
 
-/// Windowed link-utilization distribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UtilSummary {
-    /// Number of utilization windows observed.
-    pub windows: u64,
-    /// Mean utilization, basis points.
-    pub mean_bp: u64,
-    /// Median utilization upper bucket edge, basis points.
-    pub p50_bp: u64,
+/// Declare the flat sections of the derived block: per section a `Copy`
+/// struct of `u64` fields, each field given once — its name is the JSON
+/// key, then its text label and unit (an empty label keeps it out of the
+/// text line) — and a `fields` walk both renderers read.
+macro_rules! flat_sections {
+    ($($(#[$doc:meta])* $name:ident $key:literal {
+        $($(#[$fdoc:meta])* $field:ident $label:literal $unit:literal,)*
+    })*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fdoc])* pub $field: u64,)*
+        }
+
+        impl FlatSection for $name {
+            fn fields(&self) -> (&'static str, Vec<Field>) {
+                ($key, vec![$((stringify!($field), $label, $unit, self.$field)),*])
+            }
+        }
+    )*};
 }
 
-/// Drop and ECN-mark rates at the bottleneck queues.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LossSummary {
-    /// Packets offered to the queues.
-    pub offered: u64,
-    /// Packets dropped (overflow + early).
-    pub dropped: u64,
-    /// Packets ECN-marked.
-    pub marked: u64,
-    /// Drop rate, basis points of offered.
-    pub drop_bp: u64,
-    /// Mark rate, basis points of offered.
-    pub mark_bp: u64,
-}
+flat_sections! {
+    /// Queueing-delay distribution (bucket-quantized percentiles).
+    QdelaySummary "qdelay" {
+        /// Number of delay samples.
+        samples "n=" "",
+        /// Mean delay, microseconds (exact integer mean).
+        mean_us "mean=" "us",
+        /// Median upper bucket edge, microseconds.
+        p50_us "p50<=" "us",
+        /// 95th-percentile upper bucket edge, microseconds.
+        p95_us "p95<=" "us",
+        /// 99th-percentile upper bucket edge, microseconds.
+        p99_us "p99<=" "us",
+    }
 
-/// Jain's fairness index over per-flow delivered throughput, one index
-/// per scope (job), reduced to min/mean/max across scopes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FairnessSummary {
-    /// Number of scopes (jobs) that reported flow throughput.
-    pub scopes: u64,
-    /// Total flows across those scopes.
-    pub flows: u64,
-    /// Minimum per-scope Jain index, milli-units (1000 = perfectly fair).
-    pub jain_min_milli: u64,
-    /// Mean per-scope Jain index, milli-units.
-    pub jain_mean_milli: u64,
-    /// Maximum per-scope Jain index, milli-units.
-    pub jain_max_milli: u64,
-}
+    /// Windowed link-utilization distribution.
+    UtilSummary "util" {
+        /// Number of utilization windows observed.
+        windows "windows=" "",
+        /// Mean utilization, basis points.
+        mean_bp "mean=" "bp",
+        /// Median utilization upper bucket edge, basis points.
+        p50_bp "p50<=" "bp",
+    }
 
-/// PERT early-response frequency.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PertSummary {
-    /// Total early responses across all scopes.
-    pub responses: u64,
-    /// Total active simulated time (sum of per-scope maxima), µs.
-    pub active_us: u64,
-    /// Responses per active second, milli-hertz.
-    pub freq_mhz: u64,
-}
+    /// Drop and ECN-mark rates at the bottleneck queues.
+    LossSummary "loss" {
+        /// Packets offered to the queues.
+        offered "offered=" "",
+        /// Packets dropped (overflow + early).
+        dropped "dropped=" "",
+        /// Packets ECN-marked.
+        marked "marked=" "",
+        /// Drop rate, basis points of offered.
+        drop_bp "drop=" "bp",
+        /// Mark rate, basis points of offered.
+        mark_bp "mark=" "bp",
+    }
 
-/// Shard-imbalance view of a space-parallel run: how evenly the
-/// partition spread the event load. Exact, from the per-epoch
-/// `shard/events` counts, so it is the same every run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardSummary {
-    /// Number of shards that reported events.
-    pub shards: u64,
-    /// Total events processed across all shards.
-    pub events: u64,
-    /// Largest single shard's share of the events, basis points.
-    pub max_share_bp: u64,
-    /// Jain's fairness index over per-shard event counts, milli-units
-    /// (1000 = perfectly balanced).
-    pub jain_milli: u64,
-}
+    /// Jain's fairness index over per-flow delivered throughput, one index
+    /// per scope (job), reduced to min/mean/max across scopes.
+    FairnessSummary "fairness" {
+        /// Number of scopes (jobs) that reported flow throughput.
+        scopes "scopes=" "",
+        /// Total flows across those scopes.
+        flows "flows=" "",
+        /// Minimum per-scope Jain index, milli-units (1000 = perfectly fair).
+        jain_min_milli "jain_milli min=" "",
+        /// Mean per-scope Jain index, milli-units.
+        jain_mean_milli "mean=" "",
+        /// Maximum per-scope Jain index, milli-units.
+        jain_max_milli "max=" "",
+    }
 
-/// Congestion-control-zoo activity: CUBIC plateau/HyStart behaviour and
-/// BBR model-filter state, reduced to counts and extrema.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CcSummary {
-    /// HyStart slow-start exits across all CUBIC flows.
-    pub hystart_exits: u64,
-    /// CUBIC congestion epochs (one `cubic/w_max` record per loss event).
-    pub cubic_epochs: u64,
-    /// Largest CUBIC plateau (`w_max`) observed, milli-segments.
-    pub cubic_wmax_max_milli: u64,
-    /// BBR bandwidth-filter updates (one per delivery round).
-    pub bbr_rounds: u64,
-    /// Peak bottleneck-bandwidth estimate, milli-segments/second.
-    pub bbr_btlbw_max_milli: u64,
-    /// Lowest min-RTT estimate, microseconds (0 when no sample arrived).
-    pub bbr_min_rtt_us: u64,
-    /// BBR state-machine transitions.
-    pub bbr_transitions: u64,
-    /// Transitions into ProbeRTT.
-    pub bbr_probe_rtt_entries: u64,
+    /// PERT early-response frequency.
+    PertSummary "pert" {
+        /// Total early responses across all scopes.
+        responses "responses=" "",
+        /// Total active simulated time (sum of per-scope maxima), µs.
+        active_us "active=" "us",
+        /// Responses per active second, milli-hertz.
+        freq_mhz "freq=" "mHz",
+    }
+
+    /// Shard-imbalance view of a space-parallel run: how evenly the
+    /// partition spread the event load. Exact, from the per-epoch
+    /// `shard/events` counts, so it is the same every run.
+    ShardSummary "shards" {
+        /// Number of shards that reported events.
+        shards "n=" "",
+        /// Total events processed across all shards.
+        events "events=" "",
+        /// Largest single shard's share of the events, basis points.
+        max_share_bp "max_share=" "bp",
+        /// Jain's fairness index over per-shard event counts, milli-units
+        /// (1000 = perfectly balanced).
+        jain_milli "jain_milli=" "",
+    }
+
+    /// Congestion-control-zoo activity: CUBIC plateau/HyStart behaviour and
+    /// BBR model-filter state, reduced to counts and extrema.
+    CcSummary "cc" {
+        /// HyStart slow-start exits across all CUBIC flows.
+        hystart_exits "hystart_exits=" "",
+        /// CUBIC congestion epochs (one `cubic/w_max` record per loss event).
+        cubic_epochs "cubic_epochs=" "",
+        /// Largest CUBIC plateau (`w_max`) observed, milli-segments.
+        cubic_wmax_max_milli "wmax_max=" "milli",
+        /// BBR bandwidth-filter updates (one per delivery round).
+        bbr_rounds "bbr_rounds=" "",
+        /// Peak bottleneck-bandwidth estimate, milli-segments/second.
+        bbr_btlbw_max_milli "btlbw_max=" "milli",
+        /// Lowest min-RTT estimate, microseconds (0 when no sample arrived).
+        bbr_min_rtt_us "min_rtt=" "us",
+        /// BBR state-machine transitions.
+        bbr_transitions "" "",
+        /// Transitions into ProbeRTT.
+        bbr_probe_rtt_entries "probe_rtt=" "",
+    }
 }
 
 /// One flow's estimator-error fidelity (worst offenders are reported).
@@ -1033,14 +1113,20 @@ pub struct DerivedSummary {
 impl DerivedSummary {
     /// True when every section is absent.
     pub fn is_empty(&self) -> bool {
-        self.qdelay.is_none()
-            && self.util.is_none()
-            && self.loss.is_none()
-            && self.fairness.is_none()
-            && self.pert.is_none()
-            && self.shards.is_none()
-            && self.cc.is_none()
-            && self.fidelity.is_none()
+        self.flat_sections().iter().all(Option::is_none) && self.fidelity.is_none()
+    }
+
+    /// The seven flat sections, in report order; absent ones are `None`.
+    fn flat_sections(&self) -> [Option<&dyn FlatSection>; 7] {
+        [
+            self.qdelay.as_ref().map(|s| s as _),
+            self.util.as_ref().map(|s| s as _),
+            self.loss.as_ref().map(|s| s as _),
+            self.fairness.as_ref().map(|s| s as _),
+            self.pert.as_ref().map(|s| s as _),
+            self.shards.as_ref().map(|s| s as _),
+            self.cc.as_ref().map(|s| s as _),
+        ]
     }
 
     /// Append the text rendering (the `derived metrics:` report block).
@@ -1049,209 +1135,26 @@ impl DerivedSummary {
             return;
         }
         out.push_str("\nderived metrics:\n");
-        if let Some(q) = &self.qdelay {
-            out.push_str(&format!(
-                "  qdelay: n={} mean={}us p50<={}us p95<={}us p99<={}us\n",
-                q.samples, q.mean_us, q.p50_us, q.p95_us, q.p99_us
-            ));
-        }
-        if let Some(u) = &self.util {
-            out.push_str(&format!(
-                "  util: windows={} mean={}bp p50<={}bp\n",
-                u.windows, u.mean_bp, u.p50_bp
-            ));
-        }
-        if let Some(l) = &self.loss {
-            out.push_str(&format!(
-                "  loss: offered={} dropped={} marked={} drop={}bp mark={}bp\n",
-                l.offered, l.dropped, l.marked, l.drop_bp, l.mark_bp
-            ));
-        }
-        if let Some(f) = &self.fairness {
-            out.push_str(&format!(
-                "  fairness: scopes={} flows={} jain_milli min={} mean={} max={}\n",
-                f.scopes, f.flows, f.jain_min_milli, f.jain_mean_milli, f.jain_max_milli
-            ));
-        }
-        if let Some(p) = &self.pert {
-            out.push_str(&format!(
-                "  pert: responses={} active={}us freq={}mHz\n",
-                p.responses, p.active_us, p.freq_mhz
-            ));
-        }
-        if let Some(s) = &self.shards {
-            out.push_str(&format!(
-                "  shards: n={} events={} max_share={}bp jain_milli={}\n",
-                s.shards, s.events, s.max_share_bp, s.jain_milli
-            ));
-        }
-        if let Some(c) = &self.cc {
-            out.push_str(&format!(
-                "  cc: hystart_exits={} cubic_epochs={} wmax_max={}milli \
-                 bbr_rounds={} btlbw_max={}milli min_rtt={}us probe_rtt={}\n",
-                c.hystart_exits,
-                c.cubic_epochs,
-                c.cubic_wmax_max_milli,
-                c.bbr_rounds,
-                c.bbr_btlbw_max_milli,
-                c.bbr_min_rtt_us,
-                c.bbr_probe_rtt_entries
-            ));
-        }
-        if let Some(f) = &self.fidelity {
-            out.push_str("\nfidelity:\n");
-            out.push_str(&format!(
-                "  pairs: scopes={} flows={} windows={}\n",
-                f.scopes, f.flows, f.windows
-            ));
-            if f.windows > 0 {
-                out.push_str(&format!(
-                    "  err: bias={}us abs_p50<={}us abs_p95<={}us abs_p99<={}us\n",
-                    f.bias_us, f.abs_p50_us, f.abs_p95_us, f.abs_p99_us
-                ));
-                out.push_str(&format!(
-                    "  err split: over n={} p95<={}us | under n={} p95<={}us\n",
-                    f.over_n, f.over_p95_us, f.under_n, f.under_p95_us
-                ));
+        for section in self.flat_sections().into_iter().flatten() {
+            let (name, fields) = section.fields();
+            let _ = write!(out, "  {name}:");
+            for (_, label, unit, v) in fields.iter().filter(|f| !f.1.is_empty()) {
+                let _ = write!(out, " {label}{v}{unit}");
             }
-            if f.paired_prob > 0 {
-                out.push_str(&format!(
-                    "  agree: {}/{} ({}bp, tol max(100bp, truth/4))\n",
-                    f.agree, f.paired_prob, f.agree_bp
-                ));
-            }
-            if !f.lag.is_empty() {
-                out.push_str("  lag:");
-                for p in &f.lag {
-                    out.push_str(&format!(" r@{}ms={}", p.offset_ms, p.r_milli));
-                }
-                out.push_str(" milli\n");
-            }
-            for w in &f.worst_flows {
-                out.push_str(&format!(
-                    "  flow {}: windows={} bias={}us p95<={}us\n",
-                    w.key, w.windows, w.bias_us, w.abs_p95_us
-                ));
-            }
-            for g in &f.groups {
-                out.push_str(&format!(
-                    "  group {}: flows={} windows={} bias={}us p95<={}us agree={}bp\n",
-                    g.name, g.flows, g.windows, g.bias_us, g.abs_p95_us, g.agree_bp
-                ));
-            }
+            out.push('\n');
         }
-    }
-
-    /// The JSON object body for the report's `"derived"` key.
-    pub fn render_json(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(q) = &self.qdelay {
-            parts.push(format!(
-                "\"qdelay\":{{\"samples\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\
-                 \"p99_us\":{}}}",
-                q.samples, q.mean_us, q.p50_us, q.p95_us, q.p99_us
-            ));
-        }
-        if let Some(u) = &self.util {
-            parts.push(format!(
-                "\"util\":{{\"windows\":{},\"mean_bp\":{},\"p50_bp\":{}}}",
-                u.windows, u.mean_bp, u.p50_bp
-            ));
-        }
-        if let Some(l) = &self.loss {
-            parts.push(format!(
-                "\"loss\":{{\"offered\":{},\"dropped\":{},\"marked\":{},\"drop_bp\":{},\
-                 \"mark_bp\":{}}}",
-                l.offered, l.dropped, l.marked, l.drop_bp, l.mark_bp
-            ));
-        }
-        if let Some(f) = &self.fairness {
-            parts.push(format!(
-                "\"fairness\":{{\"scopes\":{},\"flows\":{},\"jain_min_milli\":{},\
-                 \"jain_mean_milli\":{},\"jain_max_milli\":{}}}",
-                f.scopes, f.flows, f.jain_min_milli, f.jain_mean_milli, f.jain_max_milli
-            ));
-        }
-        if let Some(p) = &self.pert {
-            parts.push(format!(
-                "\"pert\":{{\"responses\":{},\"active_us\":{},\"freq_mhz\":{}}}",
-                p.responses, p.active_us, p.freq_mhz
-            ));
-        }
-        if let Some(s) = &self.shards {
-            parts.push(format!(
-                "\"shards\":{{\"shards\":{},\"events\":{},\"max_share_bp\":{},\
-                 \"jain_milli\":{}}}",
-                s.shards, s.events, s.max_share_bp, s.jain_milli
-            ));
-        }
-        if let Some(c) = &self.cc {
-            parts.push(format!(
-                "\"cc\":{{\"hystart_exits\":{},\"cubic_epochs\":{},\
-                 \"cubic_wmax_max_milli\":{},\"bbr_rounds\":{},\
-                 \"bbr_btlbw_max_milli\":{},\"bbr_min_rtt_us\":{},\
-                 \"bbr_transitions\":{},\"bbr_probe_rtt_entries\":{}}}",
-                c.hystart_exits,
-                c.cubic_epochs,
-                c.cubic_wmax_max_milli,
-                c.bbr_rounds,
-                c.bbr_btlbw_max_milli,
-                c.bbr_min_rtt_us,
-                c.bbr_transitions,
-                c.bbr_probe_rtt_entries
-            ));
-        }
-        if let Some(f) = &self.fidelity {
-            let lag = f
-                .lag
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"offset_ms\":{},\"r_milli\":{},\"scopes\":{}}}",
-                        p.offset_ms, p.r_milli, p.scopes
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let worst = f
-                .worst_flows
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"key\":{},\"windows\":{},\"bias_us\":{},\"abs_p95_us\":{}}}",
-                        w.key, w.windows, w.bias_us, w.abs_p95_us
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let groups = f
-                .groups
-                .iter()
-                .map(|g| {
-                    format!(
-                        "{{\"name\":\"{}\",\"flows\":{},\"windows\":{},\"bias_us\":{},\
-                         \"abs_p95_us\":{},\"paired_prob\":{},\"agree\":{},\"agree_bp\":{}}}",
-                        json_escape(&g.name),
-                        g.flows,
-                        g.windows,
-                        g.bias_us,
-                        g.abs_p95_us,
-                        g.paired_prob,
-                        g.agree,
-                        g.agree_bp
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            parts.push(format!(
-                "\"fidelity\":{{\"scopes\":{},\"flows\":{},\"windows\":{},\"bias_us\":{},\
-                 \"abs_p50_us\":{},\"abs_p95_us\":{},\"abs_p99_us\":{},\"over_n\":{},\
-                 \"over_p95_us\":{},\"under_n\":{},\"under_p95_us\":{},\"paired_prob\":{},\
-                 \"agree\":{},\"agree_bp\":{},\"lag\":[{}],\"worst_flows\":[{}],\
-                 \"groups\":[{}]}}",
-                f.scopes,
-                f.flows,
-                f.windows,
+        let Some(f) = &self.fidelity else { return };
+        out.push_str("\nfidelity:\n");
+        let _ = writeln!(
+            out,
+            "  pairs: scopes={} flows={} windows={}",
+            f.scopes, f.flows, f.windows
+        );
+        if f.windows > 0 {
+            let _ = writeln!(
+                out,
+                "  err: bias={}us abs_p50<={}us abs_p95<={}us abs_p99<={}us\n  \
+                 err split: over n={} p95<={}us | under n={} p95<={}us",
                 f.bias_us,
                 f.abs_p50_us,
                 f.abs_p95_us,
@@ -1259,32 +1162,137 @@ impl DerivedSummary {
                 f.over_n,
                 f.over_p95_us,
                 f.under_n,
-                f.under_p95_us,
-                f.paired_prob,
-                f.agree,
-                f.agree_bp,
-                lag,
-                worst,
-                groups
-            ));
+                f.under_p95_us
+            );
         }
-        format!("{{{}}}", parts.join(","))
+        if f.paired_prob > 0 {
+            let (a, n, bp) = (f.agree, f.paired_prob, f.agree_bp);
+            let _ = writeln!(out, "  agree: {a}/{n} ({bp}bp, tol max(100bp, truth/4))");
+        }
+        if !f.lag.is_empty() {
+            out.push_str("  lag:");
+            for p in &f.lag {
+                let _ = write!(out, " r@{}ms={}", p.offset_ms, p.r_milli);
+            }
+            out.push_str(" milli\n");
+        }
+        for w in &f.worst_flows {
+            let _ = writeln!(
+                out,
+                "  flow {}: windows={} bias={}us p95<={}us",
+                w.key, w.windows, w.bias_us, w.abs_p95_us
+            );
+        }
+        for g in &f.groups {
+            let _ = writeln!(
+                out,
+                "  group {}: flows={} windows={} bias={}us p95<={}us agree={}bp",
+                g.name, g.flows, g.windows, g.bias_us, g.abs_p95_us, g.agree_bp
+            );
+        }
+    }
+
+    /// The JSON object body for the report's `"derived"` key.
+    pub fn render_json(&self) -> String {
+        let mut out = String::from("{");
+        for section in self.flat_sections().into_iter().flatten() {
+            let (name, fields) = section.fields();
+            let _ = write!(out, "\"{name}\":{{");
+            for (key, _, _, v) in fields {
+                let _ = write!(out, "\"{key}\":{v},");
+            }
+            close(&mut out, "},");
+        }
+        if let Some(f) = &self.fidelity {
+            out.push_str("\"fidelity\":{");
+            push_fields(
+                &mut out,
+                &[
+                    ("scopes", f.scopes.into()),
+                    ("flows", f.flows.into()),
+                    ("windows", f.windows.into()),
+                    ("bias_us", f.bias_us.into()),
+                    ("abs_p50_us", f.abs_p50_us.into()),
+                    ("abs_p95_us", f.abs_p95_us.into()),
+                    ("abs_p99_us", f.abs_p99_us.into()),
+                    ("over_n", f.over_n.into()),
+                    ("over_p95_us", f.over_p95_us.into()),
+                    ("under_n", f.under_n.into()),
+                    ("under_p95_us", f.under_p95_us.into()),
+                    ("paired_prob", f.paired_prob.into()),
+                    ("agree", f.agree.into()),
+                    ("agree_bp", f.agree_bp.into()),
+                ],
+            );
+            out.push_str("\"lag\":[");
+            for p in &f.lag {
+                out.push('{');
+                let (off, r) = (p.offset_ms.into(), p.r_milli.into());
+                push_fields(
+                    &mut out,
+                    &[
+                        ("offset_ms", off),
+                        ("r_milli", r),
+                        ("scopes", p.scopes.into()),
+                    ],
+                );
+                close(&mut out, "},");
+            }
+            close(&mut out, "],\"worst_flows\":[");
+            for w in &f.worst_flows {
+                out.push('{');
+                let (key, windows, bias) = (w.key.into(), w.windows.into(), w.bias_us.into());
+                let p95 = w.abs_p95_us.into();
+                push_fields(
+                    &mut out,
+                    &[
+                        ("key", key),
+                        ("windows", windows),
+                        ("bias_us", bias),
+                        ("abs_p95_us", p95),
+                    ],
+                );
+                close(&mut out, "},");
+            }
+            close(&mut out, "],\"groups\":[");
+            for g in &f.groups {
+                out.push_str("{\"name\":");
+                json::push_str(&mut out, &g.name);
+                out.push(',');
+                push_fields(
+                    &mut out,
+                    &[
+                        ("flows", g.flows.into()),
+                        ("windows", g.windows.into()),
+                        ("bias_us", g.bias_us.into()),
+                        ("abs_p95_us", g.abs_p95_us.into()),
+                        ("paired_prob", g.paired_prob.into()),
+                        ("agree", g.agree.into()),
+                        ("agree_bp", g.agree_bp.into()),
+                    ],
+                );
+                close(&mut out, "},");
+            }
+            close(&mut out, "]}");
+        }
+        close(&mut out, "}");
+        out
     }
 }
 
-/// Minimal JSON string escaping for scope-derived names (quotes,
-/// backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Append `"key":value,` per field.
+fn push_fields(out: &mut String, fields: &[(&str, i128)]) {
+    for (key, v) in fields {
+        let _ = write!(out, "\"{key}\":{v},");
     }
-    out
+}
+
+/// Drop the comma the last list element left, then append `tail`.
+fn close(out: &mut String, tail: &str) {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str(tail);
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //!   fairness, PERT response frequency) with the same commutative
 //!   integer contract;
 //! * [`series::SeriesId`] — the integer ids of the telemetry series the
-//!   reducers dispatch on.
+//!   reducers dispatch on;
+//! * [`json`] — the one JSON codec (string and number writers, a pull
+//!   parser) every crate writes and reads its JSON with.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,6 +29,7 @@
 pub mod derive;
 pub mod histogram;
 pub mod jain;
+pub mod json;
 pub mod metrics;
 pub mod series;
 pub mod summary;
