@@ -61,25 +61,15 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static FULL_TRACE: AtomicBool = AtomicBool::new(false);
 
-/// Default capacity of the flight-recorder ring: the newest records
-/// kept for a post-mortem dump. Override with [`set_flight_cap`]
-/// (`--flight-window N` on the experiments CLI).
+/// Capacity of the flight-recorder ring: the newest records kept for a
+/// post-mortem dump (32 bytes a record in the ring).
 pub const FLIGHT_CAP: usize = 65_536;
-
-/// Flight-window bounds accepted by [`set_flight_cap`]. The lower bound
-/// keeps a panic dump useful; the upper bound keeps the ring's memory
-/// footprint sane (a record in the ring is 32 bytes).
-pub const FLIGHT_CAP_MIN: usize = 64;
-/// See [`FLIGHT_CAP_MIN`].
-pub const FLIGHT_CAP_MAX: usize = 16_777_216;
-
-static FLIGHT_CAP_VAR: AtomicUsize = AtomicUsize::new(FLIGHT_CAP);
 
 /// Lock a registry that stays valid whatever a panicking holder was
 /// doing (commutative counters, append-only buffers): a job that panics
@@ -96,29 +86,6 @@ pub static HOT_LOCKS: AtomicU64 = AtomicU64::new(0);
 fn lock_counted<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     HOT_LOCKS.fetch_add(1, Ordering::Relaxed);
     lock(m)
-}
-
-/// The current flight-recorder ring capacity.
-#[inline]
-pub fn flight_cap() -> usize {
-    FLIGHT_CAP_VAR.load(Ordering::Relaxed)
-}
-
-/// Resize the flight-recorder ring. Returns `Err` (and changes nothing)
-/// outside [`FLIGHT_CAP_MIN`]`..=`[`FLIGHT_CAP_MAX`]. Shrinking trims
-/// the oldest records immediately.
-pub fn set_flight_cap(n: usize) -> Result<(), String> {
-    if !(FLIGHT_CAP_MIN..=FLIGHT_CAP_MAX).contains(&n) {
-        return Err(format!(
-            "flight window {n} out of range [{FLIGHT_CAP_MIN}, {FLIGHT_CAP_MAX}]"
-        ));
-    }
-    hand_over_thread();
-    FLIGHT_CAP_VAR.store(n, Ordering::Relaxed);
-    let mut buf = lock_counted(&BUFFERS);
-    let excess = buf.ring.len().saturating_sub(n);
-    buf.ring.drain(..excess);
-    Ok(())
 }
 
 /// True if telemetry is collecting. Defaults to **off**: unlike audits,
@@ -257,9 +224,8 @@ impl Sink {
             if FULL_TRACE.load(Ordering::Relaxed) {
                 buf.full.extend_from_slice(&self.batch);
             }
-            let cap = flight_cap();
-            let newest = &self.batch[self.batch.len().saturating_sub(cap)..];
-            let excess = (buf.ring.len() + newest.len()).saturating_sub(cap);
+            let newest = &self.batch[self.batch.len().saturating_sub(FLIGHT_CAP)..];
+            let excess = (buf.ring.len() + newest.len()).saturating_sub(FLIGHT_CAP);
             buf.ring.drain(..excess);
             buf.ring.extend(newest);
             drop(buf);
@@ -796,19 +762,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("dump written");
         assert!(body.contains("\"series\":\"test/panic_dump\""));
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn flight_cap_bounds_are_enforced() {
-        assert!(set_flight_cap(0).is_err());
-        assert!(set_flight_cap(FLIGHT_CAP_MIN - 1).is_err());
-        assert!(set_flight_cap(FLIGHT_CAP_MAX + 1).is_err());
-        // In-range values apply; restore the default afterwards so the
-        // ring keeps its documented size for other tests.
-        assert!(set_flight_cap(FLIGHT_CAP_MIN).is_ok());
-        assert_eq!(flight_cap(), FLIGHT_CAP_MIN);
-        assert!(set_flight_cap(FLIGHT_CAP).is_ok());
-        assert_eq!(flight_cap(), FLIGHT_CAP);
     }
 
     #[test]

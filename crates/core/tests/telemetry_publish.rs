@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 
-use pert_core::telemetry::{self, Tap, BATCH, HOT_LOCKS};
+use pert_core::telemetry::{self, Tap, BATCH, FLIGHT_CAP, HOT_LOCKS};
 
 struct CountingAlloc;
 
@@ -37,7 +37,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const RECORDS: usize = 100_000;
 
-/// Publish `3 * BATCH` warm-up records and then [`RECORDS`] more under
+/// Publish [`FLIGHT_CAP`] warm-up records and then [`RECORDS`] more under
 /// `scope`, meeting the caller at `gate` before and after the warm-up.
 /// Returns the allocations this thread made for the measured records.
 fn publish(scope: &str, gate: &Barrier) -> u64 {
@@ -46,9 +46,10 @@ fn publish(scope: &str, gate: &Barrier) -> u64 {
     // Fifty fidelity windows, revisited: once warm, the reducers' maps
     // have every entry the measured records touch.
     let sample = |i: usize| tap.record((i % 50) as f64 * 0.01 + 0.005, 0.002);
-    // Whole batches, so the measured records start on an empty sink
-    // with the batch buffer, the flight ring and the reducers grown.
-    (0..3 * BATCH).for_each(sample);
+    // Whole batches that fill the flight ring, so the measured records
+    // start on an empty sink with the batch buffer, the ring and the
+    // reducers at full size.
+    (0..FLIGHT_CAP).for_each(sample);
     gate.wait();
     gate.wait();
     let before = ALLOCS.with(Cell::get);
@@ -81,9 +82,6 @@ fn publish_at_once(scopes: &[&str]) -> (Vec<u64>, u64) {
 #[test]
 fn scoped_publishing_neither_allocates_nor_contends() {
     telemetry::set_enabled(true);
-    // A ring of one batch is full after the warm-up; the default one
-    // would still be growing under the measured records.
-    telemetry::set_flight_cap(BATCH).unwrap();
 
     // One publisher, then another: a lock per handed-over batch, plus
     // the reducers when the scope closes.
@@ -108,6 +106,6 @@ fn scoped_publishing_neither_allocates_nor_contends() {
         "concurrent publishers changed the summary"
     );
     let q = at_once.qdelay.expect("qdelay was published");
-    assert_eq!(q.samples, 2 * (3 * BATCH + RECORDS) as u64);
+    assert_eq!(q.samples, 2 * (FLIGHT_CAP + RECORDS) as u64);
     telemetry::derive_clear();
 }

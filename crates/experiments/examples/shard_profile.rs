@@ -9,15 +9,11 @@
 //! is the monolithic baseline. The `SECS` env var overrides the 1.5 s
 //! horizon.
 //!
-//! The profile → weights → re-partition loop: `--profile-out PATH`
-//! writes the per-node event profile as a pert-shard-weights/v1 file,
-//! and `--weights PATH` feeds one back into the partitioner, which then
-//! balances observed event load instead of node count:
-//!
-//! ```text
-//! shard_profile --shards 4 --profile-out w.json
-//! shard_profile --shards 4 --weights w.json   # lower max-shard share
-//! ```
+//! Like every experiment, the run warms up monolithically for
+//! [`WARMUP_MS`] before the timed region and the split, so the
+//! partitioner weighs each node by the events the warm-up attributed to
+//! it. Before any event runs every node weighs the same, and the two
+//! routers — every packet crosses both — would be sorted onto one shard.
 use netsim::ids::FlowId;
 use netsim::queue::DropTail;
 use netsim::time::{SimDuration, SimTime};
@@ -25,6 +21,8 @@ use pert_tcp::{connect_with_source, ConnectionSpec, FnSource, Transfer};
 
 const HOSTS_PER_SIDE: usize = 8;
 const FLOWS: usize = 100_000;
+/// Untimed monolithic warm-up whose event profile the split balances.
+const WARMUP_MS: u64 = 100;
 
 fn main() {
     let shards: usize = std::env::args()
@@ -32,21 +30,8 @@ fn main() {
         .nth(1)
         .map(|v| v.parse().expect("--shards N"))
         .unwrap_or(1);
-    let profile_out: Option<String> = std::env::args().skip_while(|a| a != "--profile-out").nth(1);
-    let weights_in: Option<String> = std::env::args().skip_while(|a| a != "--weights").nth(1);
-    netsim::profile::set_enabled(profile_out.is_some());
-    if let Some(path) = &weights_in {
-        let w = experiments::weights::load(path).expect("--weights file");
-        eprintln!("weights: {} nodes from {path}", w.weights.len());
-        netsim::set_partition_weights(Some(w.weights));
-    }
     let t_build = std::time::Instant::now();
     let mut sim = netsim::Simulator::new(1);
-    // Unweighted, the partitioner balances node *count* and sorts the
-    // two heavy routers — every packet crosses both — adjacently, so
-    // they land on one shard (72.1% of all events). A `--weights` file
-    // from a profiled run tells it to balance event load instead, which
-    // isolates each router on its own shard.
     let a = sim.add_node();
     let srcs: Vec<_> = (0..HOSTS_PER_SIDE).map(|_| sim.add_node()).collect();
     let z = sim.add_node();
@@ -93,6 +78,8 @@ fn main() {
             .map(|v| v.parse().unwrap())
             .unwrap_or(1.5),
     );
+    sim.run_until(SimTime::from_millis(WARMUP_MS));
+    let warm_events = sim.events_processed();
     let t0 = std::time::Instant::now();
     let (events, drops) = if shards > 1 {
         match netsim::ShardedSim::split(sim, shards) {
@@ -103,8 +90,8 @@ fn main() {
                     sharded.lookahead()
                 );
                 sharded.run_until(until);
-                let ev = sharded.events_processed();
                 let per_ev = sharded.per_shard_events();
+                let ev: u64 = per_ev.iter().sum();
                 let per_cpu = sharded.per_shard_cpu_ns();
                 for (i, (e, c)) in per_ev.iter().zip(per_cpu).enumerate() {
                     eprintln!(
@@ -138,7 +125,7 @@ fn main() {
             Err((mut sim, reason)) => {
                 eprintln!("split refused ({reason}); running monolithically");
                 sim.run_until(until);
-                (sim.events_processed(), sim.trace.drops.len())
+                (sim.events_processed() - warm_events, sim.trace.drops.len())
             }
         }
     } else {
@@ -148,7 +135,7 @@ fn main() {
             "calendar: {pending} pending events in {:.1} MiB",
             bytes as f64 / (1 << 20) as f64
         );
-        (sim.events_processed(), sim.trace.drops.len())
+        (sim.events_processed() - warm_events, sim.trace.drops.len())
     };
     let wall = t0.elapsed();
     eprintln!(
@@ -158,12 +145,4 @@ fn main() {
         events as f64 / wall.as_secs_f64() / 1e6,
         drops
     );
-    if let Some(path) = &profile_out {
-        // The simulator flushed its node profile into the registry when
-        // it dropped above (merged and monolithic paths both end there).
-        let counts = netsim::profile::snapshot();
-        experiments::weights::write(path, &["shard_profile".to_string()], &counts)
-            .expect("write profile");
-        eprintln!("profile: wrote {path} ({} nodes)", counts.len());
-    }
 }

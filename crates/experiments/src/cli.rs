@@ -12,36 +12,30 @@ use crate::scenario::{is_target, ALL_TARGETS};
 /// The usage text printed on a parse error.
 pub const USAGE: &str = "usage: experiments <target>... [--quick|--standard|--full] [--jobs N] \
 [--shards N] [--seed S] [--json PATH] [--csv PATH] [--audit] [--telemetry] [--trace-out PATH] \
-[--flight-window N] [--progress] [--shard-profile-out PATH] \
-[--partition-weights PATH] [--cc cubic|bbr|both]\n\
+[--progress] [--cc cubic|bbr|both]\n\
 \x20      experiments trace summarize|diff|shards|fidelity ... (see `experiments trace`)\n\
 targets: fig2 fig3 fig4 fig234 fig5 fig6 fig7 fig8 fig9 table1\n\
 \t fig11 fig12 fig13a fig13bcd fig14 mix6 mix12 reverse rem robustness ablations all\n\
 --audit runs every simulation with the invariant-audit layer on (packet\n\
 conservation, accounting ledgers, differential oracles) and reports the\n\
 check/violation counts per target.\n\
---json, --csv, --trace-out and --shard-profile-out files are opened before\n\
-the first simulation: a path that cannot be written exits 2 at once.\n\
+--json, --csv and --trace-out files are opened before the first\n\
+simulation: a path that cannot be written exits 2 at once.\n\
 --telemetry attaches signal taps and appends per-target metrics + derived\n\
 sections to each report; --trace-out PATH (implies --telemetry) additionally\n\
 writes the full per-series trace as JSONL to PATH plus a Chrome-trace\n\
 profile of the harness phases and a flight-recorder dump alongside it.\n\
---flight-window N sets the flight-recorder ring size in records (default\n\
-65536); without --trace-out the dump is pert-flight.jsonl in the system\n\
-temporary directory. --progress forces the ~1 Hz stderr progress line on\n\
-even when stderr is not a terminal.\n\
+Without --trace-out the dump is pert-flight.jsonl in the system temporary\n\
+directory. --progress forces the ~1 Hz stderr progress line on even when\n\
+stderr is not a terminal.\n\
 --shards N splits each simulation's measured phase into N space-parallel\n\
-shards (cut at positive-delay links) run in deterministic barrier epochs.\n\
-Reports are byte-identical at any N; scenarios that cannot be split fall\n\
-back to one shard. Composes with --jobs (N threads per in-flight job).\n\
+shards (cut at positive-delay links) run in deterministic barrier epochs;\n\
+the split balances the events each node saw in the warm-up. Reports are\n\
+byte-identical at any N; scenarios that cannot be split fall back to one\n\
+shard. Composes with --jobs (N threads per in-flight job).\n\
 --cc selects the modern-competitor axes for the mixed-competition targets\n\
 (mix6, mix12): CUBIC only, BBR only, or both (default). Other targets\n\
-ignore it.\n\
---shard-profile-out PATH collects the always-on per-node event counts\n\
-across the run and writes them as a pert-shard-weights/v1 file;\n\
---partition-weights PATH feeds such a file back so the shard partitioner\n\
-balances event load instead of node count. Weights change only which\n\
-shard hosts which node — reports stay byte-identical either way.";
+ignore it.";
 
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,15 +60,9 @@ pub struct Cli {
     pub telemetry: bool,
     /// Write the full telemetry trace (JSONL) here; implies `telemetry`.
     pub trace_out: Option<String>,
-    /// Flight-recorder ring size override, records (`None` = default).
-    pub flight_window: Option<usize>,
     /// Force the stderr progress line on (otherwise it is shown only
     /// when stderr is a terminal).
     pub progress: bool,
-    /// Write the per-node event profile as a partition-weight file here.
-    pub shard_profile_out: Option<String>,
-    /// Load partition weights from this file before any simulator runs.
-    pub partition_weights: Option<String>,
     /// Competitor axes for the mixed-competition targets.
     pub cc: CcAxis,
 }
@@ -97,10 +85,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut audit = false;
     let mut telemetry = false;
     let mut trace_out = None;
-    let mut flight_window = None;
     let mut progress = false;
-    let mut shard_profile_out = None;
-    let mut partition_weights = None;
     let mut cc = CcAxis::Both;
     let mut targets: Vec<String> = Vec::new();
 
@@ -139,28 +124,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--audit" => audit = true,
             "--telemetry" => telemetry = true,
             "--trace-out" => trace_out = Some(flag_value(a, args, &mut i)?.to_string()),
-            "--flight-window" => {
-                use pert_core::telemetry::{FLIGHT_CAP_MAX, FLIGHT_CAP_MIN};
-                let v = flag_value(a, args, &mut i)?;
-                flight_window = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|n| (FLIGHT_CAP_MIN..=FLIGHT_CAP_MAX).contains(n))
-                        .ok_or_else(|| {
-                            format!(
-                                "--flight-window wants an integer in \
-                                 [{FLIGHT_CAP_MIN}, {FLIGHT_CAP_MAX}], got '{v}'"
-                            )
-                        })?,
-                );
-            }
             "--progress" => progress = true,
-            "--shard-profile-out" => {
-                shard_profile_out = Some(flag_value(a, args, &mut i)?.to_string())
-            }
-            "--partition-weights" => {
-                partition_weights = Some(flag_value(a, args, &mut i)?.to_string())
-            }
             "--cc" => {
                 cc = match flag_value(a, args, &mut i)? {
                     "cubic" => CcAxis::Cubic,
@@ -205,10 +169,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         audit,
         telemetry,
         trace_out,
-        flight_window,
         progress,
-        shard_profile_out,
-        partition_weights,
         cc,
     })
 }
@@ -306,63 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn flight_window_flag_is_bounds_checked() {
-        use pert_core::telemetry::{FLIGHT_CAP_MAX, FLIGHT_CAP_MIN};
-        assert_eq!(p(&["fig5"]).unwrap().flight_window, None);
-        assert_eq!(
-            p(&["fig5", "--flight-window", "1024"])
-                .unwrap()
-                .flight_window,
-            Some(1024)
-        );
-        assert_eq!(
-            p(&["fig5", "--flight-window", &FLIGHT_CAP_MIN.to_string()])
-                .unwrap()
-                .flight_window,
-            Some(FLIGHT_CAP_MIN)
-        );
-        for bad in [
-            "0",
-            "-5",
-            "x",
-            &(FLIGHT_CAP_MIN - 1).to_string(),
-            &(FLIGHT_CAP_MAX + 1).to_string(),
-        ] {
-            assert!(
-                p(&["fig5", "--flight-window", bad])
-                    .unwrap_err()
-                    .contains("--flight-window"),
-                "accepted {bad}"
-            );
-        }
-        assert!(p(&["fig5", "--flight-window"])
-            .unwrap_err()
-            .contains("needs a value"));
-    }
-
-    #[test]
     fn progress_flag() {
         assert!(!p(&["fig5"]).unwrap().progress);
         assert!(p(&["fig5", "--progress"]).unwrap().progress);
-    }
-
-    #[test]
-    fn shard_profile_and_weight_flags() {
-        let off = p(&["fig6"]).unwrap();
-        assert_eq!(off.shard_profile_out, None);
-        assert_eq!(off.partition_weights, None);
-
-        let c = p(&["fig6", "--shard-profile-out", "w.json"]).unwrap();
-        assert_eq!(c.shard_profile_out.as_deref(), Some("w.json"));
-        let c = p(&["fig6", "--partition-weights", "w.json"]).unwrap();
-        assert_eq!(c.partition_weights.as_deref(), Some("w.json"));
-
-        assert!(p(&["fig6", "--shard-profile-out"])
-            .unwrap_err()
-            .contains("needs a value"));
-        assert!(p(&["fig6", "--partition-weights"])
-            .unwrap_err()
-            .contains("needs a value"));
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod spans;
 pub mod sweep;
 pub mod table1;
 pub mod trace_cli;
-pub mod weights;
 
 pub use common::Scale;
 pub use report::Report;

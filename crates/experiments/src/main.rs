@@ -3,9 +3,8 @@
 //! ```text
 //! experiments <target>... [--quick|--standard|--full] [--jobs N]
 //!             [--shards N] [--seed S] [--json PATH] [--csv PATH] [--audit]
-//!             [--telemetry] [--trace-out PATH] [--flight-window N]
-//!             [--progress] [--shard-profile-out PATH]
-//!             [--partition-weights PATH] [--cc cubic|bbr|both]
+//!             [--telemetry] [--trace-out PATH] [--progress]
+//!             [--cc cubic|bbr|both]
 //! experiments trace summarize FILE [filters] | trace diff A B [--tol X]
 //!                 | trace shards FILE
 //!                 | trace fidelity FILE [--flow F] [--csv PATH]
@@ -27,7 +26,7 @@ use experiments::cli;
 use experiments::report::{reports_to_csv, reports_to_json, AuditCounts};
 use experiments::runner::run_jobs;
 use experiments::scenario::lookup;
-use experiments::{progress, spans, trace_cli, weights};
+use experiments::{progress, spans, trace_cli};
 use pert_core::telemetry;
 
 /// Where the flight-recorder dump lands: next to the trace file when
@@ -60,7 +59,6 @@ fn check_outputs(cli: &cli::Cli) -> Result<(), String> {
         cli.csv.as_deref(),
         cli.trace_out.as_deref(),
         chrome.as_deref(),
-        cli.shard_profile_out.as_deref(),
     ];
     for path in paths.into_iter().flatten() {
         std::fs::OpenOptions::new()
@@ -94,34 +92,10 @@ fn main() {
     // Must happen before any simulator is built: audit shadows and
     // telemetry taps attach at construction time.
     netsim::set_default_shards(cli.shards);
-    if let Some(path) = &cli.partition_weights {
-        match weights::load(path) {
-            Ok(w) => {
-                eprintln!(
-                    "[loaded {path}: weights for {} nodes from {}]",
-                    w.weights.len(),
-                    w.targets.join(",")
-                );
-                netsim::set_partition_weights(Some(w.weights));
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
     experiments::mix::set_cc_axis(cli.cc);
-    netsim::profile::set_enabled(cli.shard_profile_out.is_some());
     netsim::audit::set_enabled(cli.audit);
     telemetry::set_enabled(cli.telemetry);
     let flight = flight_path(cli.trace_out.as_deref());
-    if let Some(n) = cli.flight_window {
-        // The parser bounds-checked, but the setter is authoritative.
-        if let Err(e) = telemetry::set_flight_cap(n) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
     if cli.telemetry {
         telemetry::set_full_trace(cli.trace_out.is_some());
         // An audit violation panics; leave the preceding telemetry
@@ -202,19 +176,6 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("[wrote {path}]");
-    }
-
-    if let Some(path) = &cli.shard_profile_out {
-        // Every simulator flushed its per-node counts into the profile
-        // registry as it dropped; the snapshot is the whole run.
-        let counts = netsim::profile::snapshot();
-        match weights::write(path, &cli.targets, &counts) {
-            Ok(()) => eprintln!("[wrote {path}: event profile for {} nodes]", counts.len()),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     if let Some(path) = &cli.trace_out {

@@ -101,7 +101,7 @@ fn unwritable_output_fails_before_any_simulation() {
     let dir = std::env::temp_dir().join(format!("pert-no-such-dir-{}", std::process::id()));
     let bad = dir.join("out.json");
     let bad = bad.to_str().expect("utf-8 temp path");
-    for flag in ["--json", "--csv", "--trace-out", "--shard-profile-out"] {
+    for flag in ["--json", "--csv", "--trace-out"] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(["fig6", "--quick", flag, bad])
             .output()

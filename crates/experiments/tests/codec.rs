@@ -1,8 +1,7 @@
-//! The one JSON codec, end to end: what the telemetry trace writer and
-//! the weight-file writer emit, their parsers read back unchanged.
+//! The one JSON codec, end to end: what the telemetry trace writer emits,
+//! the trace parser reads back unchanged.
 
 use experiments::trace_cli::parse_line;
-use experiments::weights;
 use pert_core::telemetry::{push_record_line, Record};
 use proptest::prelude::*;
 
@@ -57,14 +56,5 @@ proptest! {
         prop_assert_eq!(back.key, key);
         prop_assert_eq!(back.shard, shard.map(u64::from));
         prop_assert!(same(t, back.t) && same(value, back.v), "{line}");
-    }
-
-    #[test]
-    fn weight_file_round_trips(
-        targets in collection::vec(text(), 0..5),
-        weights in collection::vec(any::<u64>(), 0..6),
-    ) {
-        let parsed = weights::parse(&weights::render(&targets, &weights)).unwrap();
-        prop_assert_eq!(parsed, weights::WeightFile { targets, weights });
     }
 }

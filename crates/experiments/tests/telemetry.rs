@@ -228,29 +228,6 @@ fn fig6_derived_summary_is_identical_across_worker_counts() {
     assert!(text.contains("derived metrics:"), "{text}");
 }
 
-#[test]
-fn flight_window_flag_bounds_the_ring() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
-    let default_cap = telemetry::flight_cap();
-
-    let sc = lookup("fig6").expect("known target");
-    let seed = sc.default_seed();
-    // Smaller than one hand-over batch, and larger than one without
-    // being a multiple of it.
-    for window in [telemetry::FLIGHT_CAP_MIN, 2 * telemetry::BATCH + 77] {
-        telemetry::set_flight_cap(window).unwrap();
-        let mut jobs = sc.points(Scale::Quick, seed);
-        jobs.truncate(2);
-        let (results, _) = run_jobs(jobs, 1);
-        drop(results);
-        let flight = telemetry::flight_snapshot();
-        assert_eq!(flight.len(), window, "ring does not hold the window");
-    }
-
-    telemetry::set_flight_cap(default_cap).unwrap();
-}
-
 /// A trace record with its scope as the job labelled it.
 type Traced = (String, &'static str, u64, f64, f64, Option<u32>);
 

@@ -49,7 +49,6 @@ pub mod ids;
 pub mod link;
 pub mod node;
 pub mod packet;
-pub mod profile;
 pub mod queue;
 pub mod shard;
 pub mod sim;
@@ -63,9 +62,7 @@ pub use event::{CalendarKind, EventId, TimerToken};
 pub use ids::{AgentId, FlowId, LinkId, NodeId};
 pub use link::Link;
 pub use packet::{Ecn, Packet, Payload, SackBlock, MAX_SACK_BLOCKS};
-pub use shard::{
-    default_shards, partition_weights, set_default_shards, set_partition_weights, ShardedSim,
-};
+pub use shard::{default_shards, set_default_shards, ShardedSim};
 pub use sim::{Agent, Ctx, Simulator};
 pub use time::{transmission_delay, SimDuration, SimTime};
 

@@ -45,8 +45,7 @@ impl RandomLoss {
     /// another component's stream.
     ///
     /// # Panics
-    /// Panics unless `loss_prob` is finite and `0 ≤ loss_prob ≤ 1`
-    /// (mirroring the `--flight-window` CLI bounds checks).
+    /// Panics unless `loss_prob` is finite and `0 ≤ loss_prob ≤ 1`.
     pub fn new(inner: Box<dyn QueueDiscipline>, loss_prob: f64, seed: u64) -> Self {
         assert!(
             loss_prob.is_finite() && (0.0..=1.0).contains(&loss_prob),

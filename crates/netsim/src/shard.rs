@@ -13,8 +13,8 @@
 //!
 //! # Determinism contract
 //!
-//! Reports must be byte-identical at any `--shards N` (CI-enforced next
-//! to the SoA-equivalence matrix). The moving parts:
+//! Reports must be byte-identical at any `--shards N` (pinned by
+//! `crates/experiments/tests/shard_equivalence.rs`). The moving parts:
 //!
 //! * Events migrate to shards in drained `(time, sched, tie, seq)`
 //!   order with their original schedule times and content ties
@@ -87,28 +87,6 @@ pub fn default_shards() -> usize {
     DEFAULT_SHARDS.load(Ordering::Relaxed)
 }
 
-/// Process-default per-node partition weights, consumed by [`partition`]
-/// (mirrors [`set_default_shards`]): observed event counts per node id,
-/// typically loaded from a `--shard-profile-out` file via
-/// `--partition-weights`. `None` weights every node equally, which makes
-/// weighted slicing degenerate to the original balanced-node-count
-/// slicing.
-static PARTITION_WEIGHTS: Mutex<Option<Vec<u64>>> = Mutex::new(None);
-
-/// Install (or clear, with `None`) the process-default partition
-/// weights. Set before simulations are split, typically from CLI
-/// parsing. Indexed by node id; nodes beyond the vector's length weigh
-/// zero, so a profile recorded on a smaller topology degrades gracefully
-/// instead of erroring.
-pub fn set_partition_weights(weights: Option<Vec<u64>>) {
-    *PARTITION_WEIGHTS.lock().unwrap() = weights;
-}
-
-/// The process-default partition weights (see [`set_partition_weights`]).
-pub fn partition_weights() -> Option<Vec<u64>> {
-    PARTITION_WEIGHTS.lock().unwrap().clone()
-}
-
 /// A packet crossing a shard boundary: everything the destination shard
 /// needs to re-intern it and schedule its arrival. Compact and `Copy` —
 /// barrier exchanges move flat buffers of these, never boxed state.
@@ -147,12 +125,13 @@ pub struct Partition {
     pub lookahead: SimDuration,
 }
 
-/// Cut the topology into up to `want` node groups using the
-/// process-default weights (see [`set_partition_weights`]); see
-/// [`partition_with`] for the algorithm.
+/// Cut the topology into up to `want` node groups, weighing each node by
+/// the events the simulator has attributed to it so far
+/// ([`Simulator::node_event_profile`]); see [`partition_with`] for the
+/// algorithm. A simulator that has run no event is sliced by node count;
+/// one split after a warm-up is sliced by the load the warm-up saw.
 pub fn partition(sim: &Simulator, want: usize) -> Result<Partition, String> {
-    let weights = partition_weights();
-    partition_with(sim, want, weights.as_deref())
+    partition_with(sim, want, Some(sim.node_event_profile()))
 }
 
 /// Cut the topology into up to `want` node groups, cutting only links
@@ -431,22 +410,32 @@ impl ShardedSim {
     /// Partition `sim` into up to `want` shards. On any refusal —
     /// un-splittable state, an inseparable topology — the untouched
     /// simulator is handed back with the reason, so callers fall back
-    /// to the monolithic path at zero cost.
+    /// to the monolithic path at zero cost. Nodes are weighed by the
+    /// simulator's own event profile (see [`partition`]).
     #[allow(clippy::result_large_err)] // the Err deliberately carries the whole Simulator back
     pub fn split(sim: Simulator, want: usize) -> Result<ShardedSim, (Simulator, String)> {
-        let weights = partition_weights();
-        Self::split_with(sim, want, weights.as_deref())
+        let part = partition(&sim, want);
+        Self::split_along(sim, part)
     }
 
     /// [`split`](Self::split) with explicit partition weights instead of
-    /// the process default (`None` balances node count).
+    /// the simulator's profile (`None` balances node count).
     #[allow(clippy::result_large_err)]
     pub fn split_with(
         sim: Simulator,
         want: usize,
         weights: Option<&[u64]>,
     ) -> Result<ShardedSim, (Simulator, String)> {
-        let part = match partition_with(&sim, want, weights) {
+        let part = partition_with(&sim, want, weights);
+        Self::split_along(sim, part)
+    }
+
+    #[allow(clippy::result_large_err)]
+    fn split_along(
+        sim: Simulator,
+        part: Result<Partition, String>,
+    ) -> Result<ShardedSim, (Simulator, String)> {
+        let part = match part {
             Ok(p) => p,
             Err(e) => return Err((sim, e)),
         };
@@ -723,7 +712,12 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TimerToken;
+    use crate::ids::{AgentId, FlowId};
+    use crate::packet::{Ecn, Payload};
     use crate::queue::DropTail;
+    use crate::sim::{Agent, Ctx};
+    use std::any::Any;
 
     fn line_sim(delays_ms: &[u64]) -> Simulator {
         let mut sim = Simulator::new(7);
@@ -816,54 +810,120 @@ mod tests {
         assert!(p.shard_of_node.iter().all(|&s| s < p.shards));
     }
 
-    #[test]
-    fn partition_uses_process_default_weights() {
-        let sim = line_sim(&[5, 5, 5, 5, 5]);
-        let mut w = vec![0u64; 6];
-        w[2] = 1_000;
-        set_partition_weights(Some(w.clone()));
-        let via_global = partition(&sim, 2).expect("separable");
-        set_partition_weights(None);
-        assert_eq!(partition_weights(), None);
-        let direct = partition_with(&sim, 2, Some(&w)).expect("separable");
-        assert_eq!(via_global.shard_of_node, direct.shard_of_node);
+    /// Router `a` feeding two sources, router `z` feeding two sinks;
+    /// returns the nodes in physical order `[a, s1, s2, z, d1, d2]`.
+    fn mini_dumbbell(routers_first: bool) -> (Simulator, Vec<NodeId>) {
+        let mut sim = Simulator::new(7);
+        let (a, s1, s2, z, d1, d2);
+        if routers_first {
+            a = sim.add_node();
+            s1 = sim.add_node();
+            s2 = sim.add_node();
+            z = sim.add_node();
+            d1 = sim.add_node();
+            d2 = sim.add_node();
+        } else {
+            z = sim.add_node();
+            d1 = sim.add_node();
+            d2 = sim.add_node();
+            a = sim.add_node();
+            s1 = sim.add_node();
+            s2 = sim.add_node();
+        }
+        for (x, y, ms) in [(a, z, 10), (a, s1, 5), (a, s2, 5), (z, d1, 5), (z, d2, 5)] {
+            sim.add_duplex_link(x, y, 8_000_000, SimDuration::from_millis(ms), |_| {
+                Box::new(DropTail::new(64))
+            });
+        }
+        sim.compute_routes();
+        (sim, vec![a, s1, s2, z, d1, d2])
     }
 
-    /// The ROADMAP item 1 failure mode: on a mini-dumbbell (router `a`
-    /// feeding two sources, router `z` feeding two sinks), raw
+    /// Sends `n` packets to `to` when its timer fires.
+    struct Burst {
+        flow: FlowId,
+        to: (NodeId, AgentId),
+        n: u64,
+    }
+
+    impl Agent for Burst {
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _t: TimerToken, ctx: &mut Ctx<'_>) {
+            for seq in 0..self.n {
+                ctx.send(Packet {
+                    flow: self.flow,
+                    dst_node: self.to.0,
+                    dst_agent: self.to.1,
+                    size_bytes: 1000,
+                    ecn: Ecn::NotCapable,
+                    sent_at: ctx.now(),
+                    payload: Payload::Data {
+                        seq,
+                        retransmit: false,
+                    },
+                });
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Before any event runs, the profile is all zero and the partition is
+    /// the node-count one, which puts the mini-dumbbell's two routers on
+    /// one of three shards. Once a warm-up has pushed every packet through
+    /// both routers, the profile puts them on different shards.
+    #[test]
+    fn partition_weighs_nodes_by_the_event_profile() {
+        let (mut sim, ids) = mini_dumbbell(true);
+        let (a, z) = (ids[0].index(), ids[3].index());
+        for (i, (src, dst)) in [(ids[1], ids[4]), (ids[2], ids[5])].into_iter().enumerate() {
+            let flow = FlowId(i);
+            let sink = sim.add_agent(
+                dst,
+                Box::new(Burst {
+                    flow,
+                    to: (src, AgentId(0)),
+                    n: 0,
+                }),
+            );
+            let n = 20;
+            let burst = sim.add_agent(
+                src,
+                Box::new(Burst {
+                    flow,
+                    to: (dst, sink),
+                    n,
+                }),
+            );
+            sim.schedule_agent_timer(SimTime::ZERO, burst, TimerToken(0));
+        }
+
+        let cold = partition(&sim, 3).expect("separable");
+        let by_count = partition_with(&sim, 3, None).expect("separable");
+        assert_eq!(cold.shard_of_node, by_count.shard_of_node);
+        assert_eq!(
+            (cold.shards, cold.lookahead),
+            (by_count.shards, by_count.lookahead)
+        );
+        assert_eq!(cold.shard_of_node[a], cold.shard_of_node[z]);
+
+        sim.run_until(SimTime::from_millis(200));
+        let warm = partition(&sim, 3).expect("separable");
+        assert_ne!(warm.shard_of_node[a], warm.shard_of_node[z]);
+        assert_eq!((warm.shards, warm.lookahead), (cold.shards, cold.lookahead));
+    }
+
+    /// The ROADMAP item 1 failure mode: on a mini-dumbbell, raw
     /// insertion order decided which hosts shared a shard with which
     /// router, so permuting node creation order reshuffled the
     /// partition. Stable keys (weight, size, degree) order the slicing
     /// instead; creation order must not change the physical grouping.
     #[test]
     fn equal_weight_partition_survives_creation_order_permutation() {
-        // Physical identity order: [a, s1, s2, z, d1, d2].
-        fn mini_dumbbell(routers_first: bool) -> (Simulator, Vec<NodeId>) {
-            let mut sim = Simulator::new(7);
-            let (a, s1, s2, z, d1, d2);
-            if routers_first {
-                a = sim.add_node();
-                s1 = sim.add_node();
-                s2 = sim.add_node();
-                z = sim.add_node();
-                d1 = sim.add_node();
-                d2 = sim.add_node();
-            } else {
-                z = sim.add_node();
-                d1 = sim.add_node();
-                d2 = sim.add_node();
-                a = sim.add_node();
-                s1 = sim.add_node();
-                s2 = sim.add_node();
-            }
-            for (x, y, ms) in [(a, z, 10), (a, s1, 5), (a, s2, 5), (z, d1, 5), (z, d2, 5)] {
-                sim.add_duplex_link(x, y, 8_000_000, SimDuration::from_millis(ms), |_| {
-                    Box::new(DropTail::new(64))
-                });
-            }
-            sim.compute_routes();
-            (sim, vec![a, s1, s2, z, d1, d2])
-        }
         // Canonical form: groups as sorted sets of *physical* indices.
         fn canon(p: &Partition, ids: &[NodeId]) -> Vec<Vec<usize>> {
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); p.shards];

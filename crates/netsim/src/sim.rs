@@ -278,9 +278,8 @@ pub struct Simulator {
     /// Lifetime events attributed to each node (indexed by [`NodeId`]):
     /// arrivals to the node, departures and queue ticks to the link's
     /// from-node, timers to the agent's home node. Cheap plain
-    /// increments, always on; flushed into [`crate::profile`] on drop
-    /// when profiling is enabled, where `--shard-profile-out` turns it
-    /// into partition weights.
+    /// increments, always on; the shard partitioner weighs nodes by them
+    /// (see [`crate::shard::partition`]).
     node_events: Vec<u64>,
     counters: SimCounters,
     seed: u64,
@@ -439,8 +438,8 @@ impl Simulator {
     }
 
     /// Lifetime events attributed to each node so far (see the
-    /// `node_events` field for the attribution rule). The profile behind
-    /// `--shard-profile-out`.
+    /// `node_events` field for the attribution rule). The weights
+    /// [`crate::shard::partition`] slices by.
     pub fn node_event_profile(&self) -> &[u64] {
         &self.node_events
     }
@@ -1509,12 +1508,9 @@ impl Simulator {
             for c in 0..EventKind::CLASSES {
                 self.ev_counts[c] += shard.ev_counts[c];
             }
-            // Node profiles sum home; the shard's copy is cleared so its
-            // drop below cannot flush the same counts twice.
             for (home, n) in self.node_events.iter_mut().zip(&shard.node_events) {
                 *home += n;
             }
-            shard.node_events.clear();
             self.counters.timers_scheduled += shard.counters.timers_scheduled;
             self.counters.enqueued += shard.counters.enqueued;
             self.counters.marked += shard.counters.marked;
@@ -1615,22 +1611,11 @@ impl Simulator {
     }
 }
 
-/// Flush terminal state into the process-wide registries: the per-node
-/// event profile into [`crate::profile`] (feature-independent; gated
-/// only by the runtime profiling flag), and — when the `telemetry`
-/// feature is compiled in and the runtime flag was up at construction —
-/// the final measurement window into the global telemetry metrics
-/// registry.
+/// When the `telemetry` feature is compiled in and the runtime flag was
+/// up at construction, flush the final measurement window into the
+/// global telemetry metrics registry.
 impl Drop for Simulator {
     fn drop(&mut self) {
-        // The node profile is always maintained; export costs one
-        // registry merge per simulator and only happens when the driver
-        // asked for it (`--shard-profile-out`). Shards merged back by
-        // `merge_shards` arrive here with a cleared profile, so sharded
-        // runs flush each event exactly once, from the husk.
-        if crate::profile::enabled() && self.node_events.iter().any(|&n| n > 0) {
-            crate::profile::add(&self.node_events);
-        }
         #[cfg(feature = "telemetry")]
         self.flush_telemetry();
     }
