@@ -99,15 +99,18 @@ pub struct EarlyResponse {
 }
 
 /// Running statistics a PERT controller keeps about its own activity.
+///
+/// Every PERT connection carries one, so the two counts of responses are
+/// `u32`: no flow comes near 2^32 of them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PertStats {
     /// ACKs processed.
     pub acks: u64,
     /// Early responses taken.
-    pub early_responses: u64,
+    pub early_responses: u32,
     /// ACKs whose response coin-flip came up "respond" but were suppressed
     /// by the once-per-RTT rule.
-    pub suppressed: u64,
+    pub suppressed: u32,
 }
 
 /// The per-flow PERT state machine.
@@ -588,8 +591,8 @@ mod tests {
             // 212 responses and 21 437 suppressed on RTT, 164 and 10 486
             // on one-way delay.
             fnv(&mut h, c.stats.acks);
-            fnv(&mut h, c.stats.early_responses);
-            fnv(&mut h, c.stats.suppressed);
+            fnv(&mut h, c.stats.early_responses.into());
+            fnv(&mut h, c.stats.suppressed.into());
         }
         assert_eq!(
             h, 0x5334_ea1e_af0d_8c09,

@@ -49,6 +49,22 @@ impl PacketRef {
     pub fn generation(self) -> u32 {
         self.gen
     }
+
+    /// The ref as one word (generation high, index low), for storage that
+    /// packs it: [`PacketRef::from_bits`] inverts it exactly.
+    #[inline]
+    pub(crate) fn to_bits(self) -> u64 {
+        u64::from(self.gen) << 32 | u64::from(self.idx)
+    }
+
+    /// The ref [`PacketRef::to_bits`] packed into `bits`.
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        PacketRef {
+            idx: bits as u32,
+            gen: (bits >> 32) as u32,
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -254,12 +254,84 @@ const SLOT_BITS: u32 = 6;
 /// Null link: end of a slot list or of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One pooled wheel entry: an event and the next node of whichever list
-/// (a slot's, or the free list, where `ev` is stale) it is on.
+/// Width of the id field of a packed wheel node: node, link and agent
+/// ids must stay below 2^30 (the other two bits of its `u32` hold the
+/// event class).
+pub(crate) const ID_BITS: u32 = 30;
+
+/// Reject a node, link or agent id the packed calendar node cannot carry.
+///
+/// # Panics
+/// Panics if `id` ≥ 2^[`ID_BITS`].
+pub(crate) fn assert_id_fits(id: usize) {
+    assert!(
+        id >> ID_BITS == 0,
+        "id {id} does not fit the calendar node's {ID_BITS}-bit id field"
+    );
+}
+
+/// One pooled wheel entry, 48 bytes: an event packed on insert and
+/// unpacked on pop, and the next node of whichever list (a slot's, or the
+/// free list, where the rest is stale) it is on.
 #[derive(Debug)]
 struct Node {
-    ev: Event,
+    at: SimTime,
+    sched: SimTime,
+    tie: u64,
+    seq: u64,
+    /// The timer token, the control code or the packet ref's bits (0 for
+    /// a departure).
+    word: u64,
+    /// The event class in the top two bits, and below them the node, link
+    /// or agent id (0 for a control event).
+    tag: u32,
     next: u32,
+}
+
+impl Node {
+    /// `ev`, packed, at the end of a list.
+    fn pack(ev: &Event) -> Node {
+        let (word, id) = match ev.kind {
+            EventKind::Arrival { node, packet } => (packet.to_bits(), node.index()),
+            EventKind::Departure { link } => (0, link.index()),
+            EventKind::Timer { agent, token } => (token.0, agent.index()),
+            EventKind::Control { code } => (code, 0),
+        };
+        assert_id_fits(id);
+        Node {
+            at: ev.at,
+            sched: ev.sched,
+            tie: ev.tie,
+            seq: ev.seq,
+            word,
+            tag: (ev.kind.class() as u32) << ID_BITS | id as u32,
+            next: NIL,
+        }
+    }
+
+    /// The event [`Node::pack`] stored.
+    fn unpack(&self) -> Event {
+        let id = (self.tag & ((1 << ID_BITS) - 1)) as usize;
+        let kind = match self.tag >> ID_BITS {
+            0 => EventKind::Arrival {
+                node: NodeId(id),
+                packet: PacketRef::from_bits(self.word),
+            },
+            1 => EventKind::Departure { link: LinkId(id) },
+            2 => EventKind::Timer {
+                agent: AgentId(id),
+                token: TimerToken(self.word),
+            },
+            _ => EventKind::Control { code: self.word },
+        };
+        Event {
+            at: self.at,
+            sched: self.sched,
+            tie: self.tie,
+            seq: self.seq,
+            kind,
+        }
+    }
 }
 
 /// Hierarchical timing wheel over integer nanoseconds.
@@ -328,7 +400,8 @@ impl Wheel {
 
     /// Where node `idx` sorts within a level-0 slot.
     fn order(&self, idx: u32) -> TieKey {
-        self.nodes[idx as usize].ev.tie_key()
+        let n = &self.nodes[idx as usize];
+        (n.sched, n.tie, n.seq)
     }
 
     /// Mark a slot whose list was just taken or drained as empty.
@@ -347,7 +420,7 @@ impl Wheel {
     /// demoted front events, cascades landing behind direct inserts.
     /// Returns the `(level, slot)` it chose.
     fn link(&mut self, idx: u32) -> (usize, usize) {
-        let at = self.nodes[idx as usize].ev.at.as_nanos();
+        let at = self.nodes[idx as usize].at.as_nanos();
         debug_assert!(
             at >= self.elapsed,
             "wheel insert below horizon: {at} < {}",
@@ -383,15 +456,19 @@ impl Wheel {
     fn insert(&mut self, ev: Event) {
         let at = ev.at.as_nanos();
         self.min_bound = self.min_bound.min(at);
-        if self.free == NIL {
-            assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
-            self.free = self.nodes.len() as u32;
-            self.nodes.push(Node { ev, next: NIL });
-        }
-        let idx = self.free;
-        let node = &mut self.nodes[idx as usize];
-        self.free = std::mem::replace(&mut node.next, NIL);
-        node.ev = ev;
+        let node = Node::pack(&ev);
+        let idx = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        };
         let (level, slot) = self.link(idx);
         // The slot's deadline as `next_candidate` computes it: its start
         // (strictly ahead of the horizon above level 0), or the exact time
@@ -465,7 +542,7 @@ impl Wheel {
             }
             let head = self.head[level][slot];
             let lone = head == self.tail[level][slot];
-            let at = self.nodes[head as usize].ev.at.as_nanos();
+            let at = self.nodes[head as usize].at.as_nanos();
             let ev = if level == 0 {
                 // Level-0 slots are 1 ns wide and kept in pop order: the
                 // head fires at `deadline`, next.
@@ -524,7 +601,7 @@ impl Wheel {
     fn free_head(&mut self, level: usize, slot: usize) -> Event {
         let idx = self.head[level][slot];
         let node = &mut self.nodes[idx as usize];
-        let (ev, next) = (node.ev, std::mem::replace(&mut node.next, self.free));
+        let (ev, next) = (node.unpack(), std::mem::replace(&mut node.next, self.free));
         self.free = idx;
         self.stored -= 1;
         match next {
@@ -1022,7 +1099,7 @@ impl EventQueue {
     }
 
     /// Bytes of event storage the backend holds (capacity, not use): on
-    /// the wheel at most 2 × high-water stored events × the 64-byte node.
+    /// the wheel at most 2 × high-water stored events × the 48-byte node.
     pub fn footprint_bytes(&self) -> usize {
         match &self.backend {
             Backend::Heap(h) => h.capacity() * std::mem::size_of::<Event>(),
@@ -1273,6 +1350,62 @@ mod tests {
             q.schedule_keyed(t(100), t(40), 7, ctrl(3)); // equal tie: falls to seq
             assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
         }
+    }
+
+    /// The pooled wheel node stays packed at 48 bytes: what the calendar's
+    /// footprint (high-water × node) is quoted in.
+    #[test]
+    fn wheel_node_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 48);
+    }
+
+    /// Every event kind comes back from the packed node exactly, at both
+    /// ends of the id field and with full-width tokens and packet refs.
+    #[test]
+    fn packed_node_round_trips_every_event_kind() {
+        let packet = PacketRef::from_bits(u64::from(u32::MAX) << 32 | 7);
+        assert_eq!(packet.generation(), u32::MAX);
+        for id in [0, (1 << ID_BITS) - 1] {
+            let kinds = [
+                EventKind::Arrival {
+                    node: NodeId(id),
+                    packet,
+                },
+                EventKind::Departure { link: LinkId(id) },
+                EventKind::Timer {
+                    agent: AgentId(id),
+                    token: TimerToken(u64::MAX),
+                },
+                EventKind::Control { code: u64::MAX },
+            ];
+            for kind in kinds {
+                let ev = Event {
+                    at: SimTime::MAX,
+                    sched: SimTime::from_nanos(3),
+                    tie: u64::MAX,
+                    seq: u64::MAX - 1,
+                    kind,
+                };
+                let back = Node::pack(&ev).unpack();
+                assert_eq!(back.key(), ev.key());
+                assert_eq!(format!("{:?}", back.kind), format!("{kind:?}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the calendar node's 30-bit id field")]
+    fn packing_an_id_past_the_field_panics() {
+        Node::pack(&Event {
+            at: SimTime::ZERO,
+            sched: SimTime::ZERO,
+            tie: 0,
+            seq: 0,
+            kind: EventKind::Timer {
+                agent: AgentId(1 << ID_BITS),
+                token: TimerToken(0),
+            },
+        });
     }
 
     #[test]

@@ -24,7 +24,9 @@ use rand::SeedableRng;
 use crate::arena::{PacketArena, PacketRef};
 #[cfg(feature = "audit")]
 use crate::audit::{AuditCtx, AuditHook, ConservationAuditor, EnqueueKind, QueueOp};
-use crate::event::{Event, EventId, EventKind, EventQueue, TieKey, TimerToken, TIE_KEY_MAX};
+use crate::event::{
+    assert_id_fits, Event, EventId, EventKind, EventQueue, TieKey, TimerToken, TIE_KEY_MAX,
+};
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::{compute_routes, Node};
@@ -430,8 +432,13 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Add a node and return its id.
+    ///
+    /// # Panics
+    /// Panics past 2^30 nodes, the width of the calendar node's id field;
+    /// [`Simulator::add_link`] and [`Simulator::alloc_agent`] likewise.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len());
+        assert_id_fits(id.index());
         self.nodes.push(Node::default());
         self.node_events.push(0);
         id
@@ -460,6 +467,7 @@ impl Simulator {
     ) -> LinkId {
         assert!(from != to, "self-links are not allowed");
         let id = LinkId(self.links.len());
+        assert_id_fits(id.index());
         if let Some(iv) = queue.tick_interval() {
             self.events.schedule(
                 self.now + iv,
@@ -535,6 +543,7 @@ impl Simulator {
     /// before construction) to be filled by [`Simulator::install_agent`].
     pub fn alloc_agent(&mut self) -> AgentId {
         let id = AgentId(self.agents.len());
+        assert_id_fits(id.index());
         self.agents.push(None);
         self.agent_nodes.push(NodeId(usize::MAX));
         id

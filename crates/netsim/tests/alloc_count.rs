@@ -223,8 +223,8 @@ fn same_instant_cohorts_and_boundary_bursts_are_allocation_free() {
     const IN_FLIGHT: u64 = 10_000;
     const MS: u64 = 1_000_000;
     const TICK: u64 = u64::MAX;
-    /// Size of one pooled calendar node (an `Event` plus a link).
-    const NODE_BYTES: usize = 64;
+    /// Size of one pooled calendar node (an `Event` packed, plus a link).
+    const NODE_BYTES: usize = 48;
 
     let at = SimTime::from_nanos;
     let timer = |i| EventKind::Timer {

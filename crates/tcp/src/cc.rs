@@ -369,7 +369,7 @@ impl CcAlgorithm for PertCc {
     }
 
     fn early_reductions(&self) -> u64 {
-        self.ctl.stats.early_responses
+        self.ctl.stats.early_responses.into()
     }
 }
 

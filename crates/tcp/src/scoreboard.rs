@@ -52,8 +52,9 @@ pub enum SegState {
 pub struct Scoreboard {
     /// The ring until a window first outgrows it.
     inline: [SegState; INLINE],
-    /// The ring from then on (power-of-two length); empty before.
-    spill: Vec<SegState>,
+    /// The ring from then on (power-of-two length, its own capacity);
+    /// empty before.
+    spill: Box<[SegState]>,
     /// Ring index of `base`'s state, unreduced and wrapping (`seg` masks
     /// it; the ring length is a power of two no larger than 2^32).
     head: u32,
@@ -69,9 +70,10 @@ pub struct Scoreboard {
     sack_end: u64,
     /// FACK sweep watermark: holes below this were already examined.
     fack_mark: u64,
-    /// Mutation counter driving the periodic full audit rescan.
+    /// Mutation counter driving the periodic full audit rescan (wrapping:
+    /// 64 divides 2^32, so the period survives the wrap).
     #[cfg(feature = "audit")]
-    ops: u64,
+    ops: u32,
 }
 
 impl Scoreboard {
@@ -138,14 +140,16 @@ impl Scoreboard {
         assert_eq!(seq, self.end(), "new segment must extend the window");
         let len = self.len as usize;
         if len == self.ring().len() {
-            // Full: unroll the ring to start at `base` and double it.
+            // Full: unroll the ring into one twice its length, starting at
+            // `base`.
             let head = self.head as usize & (len - 1);
             self.head = 0;
-            self.ring().rotate_left(head);
-            if self.spill.is_empty() {
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.resize(2 * len, SegState::InFlight);
+            let mut grown = Vec::with_capacity(2 * len);
+            let ring = self.ring();
+            grown.extend_from_slice(&ring[head..]);
+            grown.extend_from_slice(&ring[..head]);
+            grown.resize(2 * len, SegState::InFlight);
+            self.spill = grown.into_boxed_slice();
         }
         self.len += 1;
         *self.seg(seq) = SegState::InFlight;
@@ -267,7 +271,7 @@ impl Scoreboard {
         if !audit::enabled() {
             return;
         }
-        self.ops += 1;
+        self.ops = self.ops.wrapping_add(1);
         audit::count_tcp_checks(1);
         if self.in_flight + self.sacked + self.lost != self.len {
             audit::violation(

@@ -64,8 +64,9 @@ const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 /// sink node, and the RNG seed is spent at construction.
 #[derive(Clone, Debug)]
 pub(crate) struct TcpConfig {
-    /// Flow id for tracing and accounting.
-    pub flow: FlowId,
+    /// Flow id for tracing and accounting (a [`FlowId`], narrowed like
+    /// the slab's slots).
+    pub flow: u32,
     /// Data segment wire size in bytes.
     pub seg_size: u32,
     /// Send ECN-capable (ECT) segments.
@@ -76,6 +77,9 @@ pub(crate) struct TcpConfig {
 }
 
 /// Aggregate sender statistics (cumulative since flow start).
+///
+/// Every connection carries one, so the event counts are `u32`: no flow
+/// comes near 2^32 retransmissions or window reductions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SenderStats {
     /// Segments cumulatively acknowledged (goodput measure).
@@ -83,15 +87,15 @@ pub struct SenderStats {
     /// Segments transmitted (including retransmissions).
     pub sent_segments: u64,
     /// Retransmitted segments.
-    pub retransmits: u64,
+    pub retransmits: u32,
     /// Fast-recovery episodes entered.
-    pub loss_events: u64,
+    pub loss_events: u32,
     /// Retransmission timeouts fired.
-    pub timeouts: u64,
+    pub timeouts: u32,
     /// ECE-triggered window reductions.
-    pub ecn_reductions: u64,
+    pub ecn_reductions: u32,
     /// Early (delay-triggered) window reductions.
-    pub early_reductions: u64,
+    pub early_reductions: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -110,9 +114,22 @@ pub(crate) struct Wnd {
     pub next_seq: u64,
     /// Transmit sequence numbers strictly below this (current transfer end).
     pub limit_seq: u64,
-    /// While `Some(p)`, the sender is in loss recovery until
-    /// `high_ack ≥ p`; window reductions are suppressed meanwhile.
-    pub recovery_point: Option<u64>,
+    /// While not [`NOT_IN_RECOVERY`], the sender is in loss recovery
+    /// until `high_ack` reaches it; window reductions are suppressed
+    /// meanwhile.
+    pub recovery_point: u64,
+}
+
+/// [`Wnd::recovery_point`] outside loss recovery. Recovery points are
+/// `next_seq` values, which stay below the transfer's end.
+pub(crate) const NOT_IN_RECOVERY: u64 = u64::MAX;
+
+impl Wnd {
+    /// True while the sender is in loss recovery.
+    #[inline]
+    pub fn in_recovery(&self) -> bool {
+        self.recovery_point != NOT_IN_RECOVERY
+    }
 }
 
 /// RTT estimation and RTO ladder (hot).
@@ -122,7 +139,9 @@ pub(crate) struct Wnd {
 /// ladder, and the deadline — is exact integer nanoseconds.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RttState {
-    pub srtt: Option<f64>,
+    /// Smoothed RTT, seconds; 0.0 until the first sample (samples are
+    /// positive). Read it through [`RttState::srtt`].
+    pub srtt: f64,
     pub rttvar: f64,
     pub rto: SimDuration,
     pub backoff: u32,
@@ -131,6 +150,14 @@ pub(crate) struct RttState {
     pub rto_deadline: SimTime,
     /// True while a timer event is pending in the calendar.
     pub rto_timer_pending: bool,
+}
+
+impl RttState {
+    /// The smoothed RTT, seconds, once a sample has been taken.
+    #[inline]
+    pub fn srtt(&self) -> Option<f64> {
+        (self.srtt > 0.0).then_some(self.srtt)
+    }
 }
 
 /// Application/ECN lifecycle flags (hot).
@@ -200,7 +227,7 @@ impl FlowRecorders {
         (tel || cfg.record_samples).then(|| {
             Box::new(FlowRecorders {
                 #[cfg(feature = "telemetry")]
-                tap: telemetry::Tap::attach("tcp/cwnd", cfg.flow.0 as u64),
+                tap: telemetry::Tap::attach("tcp/cwnd", cfg.flow.into()),
                 #[cfg(feature = "telemetry")]
                 rtt_hist: tel.then(|| BucketHistogram::new(&telemetry::RTT_EDGES_NS)),
                 samples: Vec::new(),
@@ -249,10 +276,10 @@ pub(crate) fn new_flow(
         high_ack: 0,
         next_seq: 0,
         limit_seq: 0,
-        recovery_point: None,
+        recovery_point: NOT_IN_RECOVERY,
     };
     let rtt = RttState {
-        srtt: None,
+        srtt: 0.0,
         rttvar: 0.0,
         rto: SimDuration::from_secs(1),
         backoff: 0,
@@ -325,7 +352,7 @@ impl FlowView<'_> {
 
     fn send_segment(&mut self, io: &mut FlowIo<'_, '_>, seq: u64, retransmit: bool) {
         io.send(Packet {
-            flow: self.cold.cfg.flow,
+            flow: FlowId(self.cold.cfg.flow as usize),
             dst_node: io.peer_node,
             dst_agent: io.ctx.agent,
             size_bytes: self.cold.cfg.seg_size,
@@ -484,7 +511,7 @@ impl FlowView<'_> {
         // so subsequent SACK losses don't re-cut the window immediately.
         // No `on_recovery_start`: post-RTO recovery is plain slow start
         // from cwnd = 1, not a PRR/inflight-governed episode.
-        self.wnd.recovery_point = Some(self.wnd.next_seq);
+        self.wnd.recovery_point = self.wnd.next_seq;
         self.cold.cc.on_congestion_event(
             now.as_secs_f64(),
             prior_cwnd,
@@ -497,17 +524,17 @@ impl FlowView<'_> {
     // --- ACK processing --------------------------------------------------
 
     fn update_rtt(&mut self, sample: f64) {
-        match self.rtt.srtt {
+        match self.rtt.srtt() {
             None => {
-                self.rtt.srtt = Some(sample);
+                self.rtt.srtt = sample;
                 self.rtt.rttvar = sample / 2.0;
             }
             Some(s) => {
                 self.rtt.rttvar = 0.75 * self.rtt.rttvar + 0.25 * (s - sample).abs();
-                self.rtt.srtt = Some(0.875 * s + 0.125 * sample);
+                self.rtt.srtt = 0.875 * s + 0.125 * sample;
             }
         }
-        let srtt = self.rtt.srtt.expect("just set");
+        let srtt = self.rtt.srtt;
         self.rtt.rto = clamp_rto(rto_estimate(srtt, self.rtt.rttvar), 0, MIN_RTO, MAX_RTO);
     }
 
@@ -556,20 +583,18 @@ impl FlowView<'_> {
         };
 
         // 2. Recovery exit.
-        if let Some(rp) = self.wnd.recovery_point {
-            if self.wnd.high_ack >= rp {
-                self.wnd.recovery_point = None;
-                let mut ctx_cc = CcContext {
-                    now,
-                    rtt,
-                    owd,
-                    newly_acked: newly,
-                    in_flight: self.cold.scoreboard.in_flight() as u64,
-                    cwnd: &mut self.wnd.cwnd,
-                    ssthresh: &mut self.wnd.ssthresh,
-                };
-                self.cold.cc.on_recovery_exit(&mut ctx_cc);
-            }
+        if self.wnd.in_recovery() && self.wnd.high_ack >= self.wnd.recovery_point {
+            self.wnd.recovery_point = NOT_IN_RECOVERY;
+            let mut ctx_cc = CcContext {
+                now,
+                rtt,
+                owd,
+                newly_acked: newly,
+                in_flight: self.cold.scoreboard.in_flight() as u64,
+                cwnd: &mut self.wnd.cwnd,
+                ssthresh: &mut self.wnd.ssthresh,
+            };
+            self.cold.cc.on_recovery_exit(&mut ctx_cc);
         }
 
         // 3. SACK bookkeeping and loss declaration.
@@ -577,9 +602,9 @@ impl FlowView<'_> {
             self.cold.scoreboard.sack(block);
         }
         let new_losses = self.cold.scoreboard.declare_losses();
-        if new_losses > 0 && self.wnd.recovery_point.is_none() {
+        if new_losses > 0 && !self.wnd.in_recovery() {
             // Enter fast recovery: one multiplicative decrease per episode.
-            self.wnd.recovery_point = Some(self.wnd.next_seq);
+            self.wnd.recovery_point = self.wnd.next_seq;
             self.cold.stats.loss_events += 1;
             self.congestion_reduce(now, true);
             self.cold
@@ -588,11 +613,14 @@ impl FlowView<'_> {
         }
 
         // 4. ECN response (once per RTT, not during loss recovery).
-        if ece && now >= self.app.ecn_hold_until && self.wnd.recovery_point.is_none() {
+        if ece && now >= self.app.ecn_hold_until && !self.wnd.in_recovery() {
             self.cold.stats.ecn_reductions += 1;
             self.congestion_reduce(now, false);
-            self.app.ecn_hold_until =
-                now + self.rtt.srtt.unwrap_or_else(|| self.rtt.rto.as_secs_f64());
+            let hold = self
+                .rtt
+                .srtt()
+                .unwrap_or_else(|| self.rtt.rto.as_secs_f64());
+            self.app.ecn_hold_until = now + hold;
         }
 
         // 5. Congestion-control growth / early response.
@@ -606,7 +634,7 @@ impl FlowView<'_> {
                 cwnd: &mut self.wnd.cwnd,
                 ssthresh: &mut self.wnd.ssthresh,
             };
-            if self.wnd.recovery_point.is_none() {
+            if self.wnd.recovery_point == NOT_IN_RECOVERY {
                 match self.cold.cc.on_ack(&mut ctx_cc) {
                     CcAction::None => {}
                     CcAction::EarlyReduce { factor } => {
@@ -753,11 +781,12 @@ impl Drop for FlowCold {
         }
         telemetry::counter_add("tcp/acked_segments", self.stats.acked_segments);
         telemetry::counter_add("tcp/sent_segments", self.stats.sent_segments);
-        telemetry::counter_add("tcp/retransmits", self.stats.retransmits);
-        telemetry::counter_add("tcp/loss_events", self.stats.loss_events);
-        telemetry::counter_add("tcp/timeouts", self.stats.timeouts);
-        telemetry::counter_add("tcp/ecn_reductions", self.stats.ecn_reductions);
-        telemetry::counter_add("tcp/early_reductions", self.stats.early_reductions);
+        let s = &self.stats;
+        telemetry::counter_add("tcp/retransmits", s.retransmits.into());
+        telemetry::counter_add("tcp/loss_events", s.loss_events.into());
+        telemetry::counter_add("tcp/timeouts", s.timeouts.into());
+        telemetry::counter_add("tcp/ecn_reductions", s.ecn_reductions.into());
+        telemetry::counter_add("tcp/early_reductions", s.early_reductions.into());
         if let Some(h) = &rec.rtt_hist {
             telemetry::histogram_merge("tcp/rtt_ns", h);
         }
@@ -766,7 +795,7 @@ impl Drop for FlowCold {
         // derived from (key = flow id, summed per (scope, key)).
         telemetry::record_id(
             telemetry::SeriesId::TCP_ACKED_FINAL,
-            self.cfg.flow.0 as u64,
+            self.cfg.flow.into(),
             0.0,
             self.stats.acked_segments as f64,
         );
@@ -800,7 +829,7 @@ mod tests {
 
     fn sender() -> Flow {
         let cfg = TcpConfig {
-            flow: FlowId(0),
+            flow: 0,
             seg_size: 1000,
             ecn: false,
             record_samples: false,
@@ -918,7 +947,7 @@ mod tests {
         for _ in 0..200 {
             s.view().update_rtt(50e-6);
         }
-        let srtt = s.rtt.srtt.unwrap();
+        let srtt = s.rtt.srtt().unwrap();
         assert!(srtt < 60e-6, "srtt should track the ~50 µs path");
         assert!(
             4.0 * s.rtt.rttvar < RTO_GRANULARITY_SECS,

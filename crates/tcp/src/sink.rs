@@ -67,18 +67,20 @@ pub(crate) struct SinkIo<'a, 'b> {
 /// point itself, not a copy of it.
 #[derive(Clone, Debug)]
 pub(crate) struct SinkState {
-    flow: FlowId,
-    /// Out-of-order segments above `rcv_next`, as merged intervals.
-    ooo: IntervalSet,
-    /// Delayed-ACK timeout; `None` = acknowledge every segment (the
-    /// paper's per-packet-ACK assumption).
-    delack: Option<SimDuration>,
-    /// Timestamp/OWD/ECE of the oldest unacknowledged trigger segment.
-    pending_echo: Option<(SimTime, SimDuration, bool)>,
-    /// In-order segments received since the last ACK was sent.
-    pending: u32,
+    /// The connection's [`FlowId`], narrowed like the slab's slots.
+    flow: u32,
     /// Epoch invalidating stale delayed-ACK timers (24 bits, wrapping).
     epoch: u32,
+    /// Delayed-ACK timeout; [`SimDuration::ZERO`] = acknowledge every
+    /// segment (the paper's per-packet-ACK assumption).
+    delack: SimDuration,
+    /// Timestamp of the one segment held for a delayed ACK;
+    /// [`SimTime::MAX`] while none is held.
+    echo_ts: SimTime,
+    /// One-way delay of the held segment (meaningful while one is held).
+    echo_owd: SimDuration,
+    /// Out-of-order segments above `rcv_next`, as merged intervals.
+    ooo: IntervalSet,
     pub stats: SinkStats,
 }
 
@@ -89,18 +91,18 @@ impl SinkState {
     /// acknowledged immediately (RFC 5681 duplicate-ACK and ECN
     /// behaviour). Halves the sender's RTT sampling rate — the `delack`
     /// ablation measures what that does to PERT's predictor.
-    pub(crate) fn new(flow: FlowId, delack: Option<SimDuration>) -> Self {
+    pub(crate) fn new(flow: u32, delack: Option<SimDuration>) -> Self {
         assert!(
             delack.is_none_or(|t| !t.is_zero()),
             "delayed-ACK timeout must be positive"
         );
         SinkState {
             flow,
-            ooo: IntervalSet::new(),
-            delack,
-            pending_echo: None,
-            pending: 0,
             epoch: 0,
+            delack: delack.unwrap_or(SimDuration::ZERO),
+            echo_ts: SimTime::MAX,
+            echo_owd: SimDuration::ZERO,
+            ooo: IntervalSet::new(),
             stats: SinkStats::default(),
         }
     }
@@ -181,14 +183,13 @@ impl SinkState {
         owd_echo: SimDuration,
         ece: bool,
     ) {
-        self.pending = 0;
-        self.pending_echo = None;
+        self.echo_ts = SimTime::MAX;
         self.next_epoch();
         let now = io.ctx.now();
         io.ctx.send_from(
             io.node,
             Packet {
-                flow: self.flow,
+                flow: FlowId(self.flow as usize),
                 dst_node: io.peer_node,
                 dst_agent: io.ctx.agent,
                 size_bytes: ACK_SIZE,
@@ -221,36 +222,30 @@ impl SinkState {
         let ts = pkt.sent_at;
         let owd = io.ctx.now().duration_since(pkt.sent_at);
 
-        match self.delack {
-            None => self.send_ack(io, triggered, ts, owd, ece),
-            Some(timeout) => {
-                // Immediate ACK on out-of-order data, CE marks, or every
-                // second in-order segment; otherwise arm the timer.
-                self.pending += 1;
-                let held_ece = self.pending_echo.map(|(_, _, e)| e).unwrap_or(false);
-                if self.pending_echo.is_none() {
-                    self.pending_echo = Some((ts, owd, ece));
-                }
-                if triggered.is_some() || ece || self.pending >= 2 {
-                    // Echo the *triggering* (most recent) segment's clock:
-                    // its RTT is not inflated by the hold time, keeping the
-                    // sender's delay signal accurate (the held segment's
-                    // ECE, if any, is still propagated).
-                    self.send_ack(io, triggered, ts, owd, ece || held_ece);
-                } else if self.pending == 1 {
-                    io.ctx.schedule(timeout, Self::token(io.slot, self.epoch));
-                }
-            }
+        if self.delack.is_zero() {
+            self.send_ack(io, triggered, ts, owd, ece);
+        } else if triggered.is_some() || ece || self.echo_ts != SimTime::MAX {
+            // Immediate ACK on out-of-order data, CE marks, or the second
+            // in-order segment. Echo the *triggering* (most recent)
+            // segment's clock: its RTT is not inflated by the hold time,
+            // keeping the sender's delay signal accurate. A held segment
+            // never carries CE (a marked one is acknowledged at once), so
+            // the trigger's mark is the whole ECE.
+            self.send_ack(io, triggered, ts, owd, ece);
+        } else {
+            // Hold this segment and arm the timer.
+            self.echo_ts = ts;
+            self.echo_owd = owd;
+            io.ctx
+                .schedule(self.delack, Self::token(io.slot, self.epoch));
         }
     }
 
     /// The delayed-ACK timer `token` fired; acts only if it is the one
     /// armed since the last ACK.
     pub(crate) fn on_delack_timer(&mut self, token: TimerToken, io: &mut SinkIo<'_, '_>) {
-        if Self::token_epoch(token) == self.epoch && self.pending > 0 {
-            if let Some((ts, owd, ece)) = self.pending_echo.take() {
-                self.send_ack(io, None, ts, owd, ece);
-            }
+        if Self::token_epoch(token) == self.epoch && self.echo_ts != SimTime::MAX {
+            self.send_ack(io, None, self.echo_ts, self.echo_owd, false);
         }
     }
 }
@@ -260,7 +255,7 @@ mod tests {
     use super::*;
 
     fn sink() -> SinkState {
-        SinkState::new(FlowId(0), None)
+        SinkState::new(0, None)
     }
 
     #[test]
@@ -369,5 +364,127 @@ mod tests {
         let wrapped = SinkState::token(7, s.epoch);
         assert_eq!(wrapped, SinkState::token(7, 0));
         assert_eq!(SinkState::token_slot(wrapped), 7);
+    }
+
+    /// A delayed-ACK receiver on n1 fed by scripted sends from n0: a timer
+    /// token `seq << 1 | ce` sends data segment `seq`, CE-marked when `ce`
+    /// is set, and every ACK that reaches n0 is logged.
+    struct DelackHarness {
+        sink: SinkState,
+        /// `(emitted at, cum_ack, ts_echo, owd_echo, ece)` per ACK.
+        acks: Vec<(SimTime, u64, SimTime, SimDuration, bool)>,
+    }
+
+    impl DelackHarness {
+        fn io<'a, 'b>(ctx: &'a mut Ctx<'b>) -> SinkIo<'a, 'b> {
+            SinkIo {
+                ctx,
+                node: NodeId(1),
+                peer_node: NodeId(0),
+                slot: 0,
+            }
+        }
+    }
+
+    impl netsim::Agent for DelackHarness {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+            match pkt.payload {
+                Payload::Data { .. } => self.sink.on_data(pkt, &mut Self::io(ctx)),
+                Payload::Ack {
+                    cum_ack,
+                    ts_echo,
+                    owd_echo,
+                    ece,
+                    ..
+                } => self
+                    .acks
+                    .push((pkt.sent_at, cum_ack, ts_echo, owd_echo, ece)),
+            }
+        }
+
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
+            if token.0 & 0xff == TOKEN_DELACK {
+                self.sink.on_delack_timer(token, &mut Self::io(ctx));
+                return;
+            }
+            let pkt = Packet {
+                flow: FlowId(0),
+                dst_node: NodeId(1),
+                dst_agent: ctx.agent,
+                size_bytes: 1000,
+                ecn: if token.0 & 1 == 1 {
+                    Ecn::CongestionExperienced
+                } else {
+                    Ecn::Capable
+                },
+                sent_at: ctx.now(),
+                payload: Payload::Data {
+                    seq: token.0 >> 1,
+                    retransmit: false,
+                },
+            };
+            ctx.send_from(NodeId(0), pkt);
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The delayed-ACK echo rules, over a 10 ms, 1 Gb/s path with a
+    /// 50 ms timeout:
+    /// * a CE-marked segment is never held: it is acknowledged at once,
+    ///   with ECE, on the ACK that also covers the held segment, and that
+    ///   ACK echoes the marked (triggering) segment's `(ts, owd)`;
+    /// * a timer-fired ACK echoes the held segment's `(ts, owd)`;
+    /// * a timer armed before an ACK went out is stale and sends nothing.
+    #[test]
+    fn delayed_acks_echo_the_right_segment() {
+        use netsim::queue::DropTail;
+        use netsim::Simulator;
+        let ms = SimTime::from_millis;
+        let mut sim = Simulator::new(1);
+        let (n0, n1) = (sim.add_node(), sim.add_node());
+        sim.add_duplex_link(n0, n1, 1_000_000_000, SimDuration::from_millis(10), |_| {
+            Box::new(DropTail::new(100))
+        });
+        sim.compute_routes();
+        let id = sim.alloc_agent();
+        let delack = Some(SimDuration::from_millis(50));
+        sim.install_shared_agent(
+            id,
+            Box::new(DelackHarness {
+                sink: SinkState::new(0, delack),
+                acks: Vec::new(),
+            }),
+        );
+        // (send time, seq, CE): 0 is held and 1 (marked) releases it; 2 is
+        // held until its timer; 3 is held and 4 releases it.
+        for (at, seq, ce) in [(0, 0, 0), (1, 1, 1), (100, 2, 0), (200, 3, 0), (201, 4, 0)] {
+            sim.schedule_agent_timer(ms(at), id, TimerToken(seq << 1 | ce));
+        }
+        sim.run_until(ms(1_000));
+        // One 1000-B segment serializes in 8 µs.
+        let owd = SimDuration::from_micros(10_008);
+        let acks = &sim.agent::<DelackHarness>(id).acks;
+        assert_eq!(
+            *acks,
+            vec![
+                (ms(1) + owd, 2, ms(1), owd, true),
+                (
+                    ms(100) + owd + SimDuration::from_millis(50),
+                    3,
+                    ms(100),
+                    owd,
+                    false
+                ),
+                (ms(201) + owd, 5, ms(201), owd, false),
+            ],
+            "the stale timers armed by segments 0 and 3 must send nothing"
+        );
     }
 }

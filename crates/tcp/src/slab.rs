@@ -41,6 +41,14 @@ use crate::sink::{SinkIo, SinkState, SinkStats, TOKEN_DELACK};
 use crate::source::Source;
 use crate::ConnectionSpec;
 
+/// [`FlowSlab::by_flow`] entry of a flow id no connection has.
+const UNREGISTERED: u32 = u32::MAX;
+
+/// The 32-bit index the slab stores for an id; `id` names it in the panic.
+fn index32(index: usize, id: impl std::fmt::Display) -> u32 {
+    u32::try_from(index).unwrap_or_else(|_| panic!("{id} does not fit the slab's 32-bit ids"))
+}
+
 /// Shared agent hosting every TCP connection of a simulation in
 /// struct-of-arrays form. Build implicitly through
 /// [`connect`](crate::connect) /
@@ -63,13 +71,14 @@ pub struct FlowSlab {
     // the slab — touching it there is a bug and panics rather than
     // silently diverging.
     cold: Vec<Option<Box<FlowCold>>>,
-    /// Source (sender-half) node of every slot.
-    nodes: Vec<NodeId>,
-    /// Sink (receiver-half) node of every slot.
-    sink_nodes: Vec<NodeId>,
+    /// Source (sender-half) node of every slot, as a 32-bit index.
+    nodes: Vec<u32>,
+    /// Sink (receiver-half) node of every slot, as a 32-bit index.
+    sink_nodes: Vec<u32>,
     /// Dense `flow id → slot` map (flow ids are small consecutive
-    /// integers in every topology builder).
-    by_flow: Vec<Option<u32>>,
+    /// integers in every topology builder); [`UNREGISTERED`] where no
+    /// flow has that id.
+    by_flow: Vec<u32>,
     /// Set only on the husk a shard split leaves behind: the node → shard
     /// map the parts were cut along, which names each row's owners at
     /// merge time.
@@ -98,12 +107,15 @@ impl FlowSlab {
     pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
         let slot = self.cold.len();
         assert!(
-            slot >> 32 == 0,
+            slot < UNREGISTERED as usize,
             "flow slot must fit the 32-bit slot field of a timer token"
         );
         let flow = spec.flow;
+        let flow32 = index32(flow.index(), flow);
+        let src = index32(spec.src.index(), spec.src);
+        let dst = index32(spec.dst.index(), spec.dst);
         let cfg = TcpConfig {
-            flow,
+            flow: flow32,
             seg_size: spec.seg_size,
             ecn: spec.ecn,
             record_samples: spec.record_samples,
@@ -112,18 +124,18 @@ impl FlowSlab {
         self.wnd.push(wnd);
         self.rtt.push(rtt);
         self.app.push(app);
-        self.sinks.push(SinkState::new(flow, spec.delack));
+        self.sinks.push(SinkState::new(flow32, spec.delack));
         self.cold.push(Some(Box::new(cold)));
-        self.nodes.push(spec.src);
-        self.sink_nodes.push(spec.dst);
+        self.nodes.push(src);
+        self.sink_nodes.push(dst);
         if self.by_flow.len() <= flow.index() {
-            self.by_flow.resize(flow.index() + 1, None);
+            self.by_flow.resize(flow.index() + 1, UNREGISTERED);
         }
         assert!(
-            self.by_flow[flow.index()].is_none(),
+            self.by_flow[flow.index()] == UNREGISTERED,
             "flow {flow} registered twice in the slab"
         );
-        self.by_flow[flow.index()] = Some(slot as u32);
+        self.by_flow[flow.index()] = slot as u32;
         slot
     }
 
@@ -131,9 +143,8 @@ impl FlowSlab {
     pub fn slot_of(&self, flow: FlowId) -> Option<usize> {
         self.by_flow
             .get(flow.index())
-            .copied()
-            .flatten()
-            .map(|s| s as usize)
+            .filter(|&&s| s != UNREGISTERED)
+            .map(|&s| s as usize)
     }
 
     fn expect_slot(&self, flow: FlowId) -> usize {
@@ -165,8 +176,8 @@ impl FlowSlab {
     /// How the sender half of `slot` reaches the simulator.
     fn sender_io<'a, 'b>(&self, slot: usize, ctx: &'a mut Ctx<'b>) -> FlowIo<'a, 'b> {
         FlowIo {
-            node: self.nodes[slot],
-            peer_node: self.sink_nodes[slot],
+            node: NodeId(self.nodes[slot] as usize),
+            peer_node: NodeId(self.sink_nodes[slot] as usize),
             token_bits: (slot as u64) << 8,
             ctx,
         }
@@ -179,8 +190,8 @@ impl FlowSlab {
         ctx: &'a mut Ctx<'b>,
     ) -> (&mut SinkState, SinkIo<'a, 'b>) {
         let io = SinkIo {
-            node: self.sink_nodes[slot],
-            peer_node: self.nodes[slot],
+            node: NodeId(self.sink_nodes[slot] as usize),
+            peer_node: NodeId(self.nodes[slot] as usize),
             slot,
             ctx,
         };
@@ -218,7 +229,7 @@ impl FlowSlab {
 
     /// Current smoothed RTT estimate of `flow`, seconds.
     pub fn srtt_of(&self, flow: FlowId) -> Option<f64> {
-        self.rtt[self.expect_slot(flow)].srtt
+        self.rtt[self.expect_slot(flow)].srtt()
     }
 
     /// True once `flow` has permanently finished.
@@ -228,7 +239,7 @@ impl FlowSlab {
 
     /// True while `flow` is in loss recovery.
     pub fn in_recovery_of(&self, flow: FlowId) -> bool {
-        self.wnd[self.expect_slot(flow)].recovery_point.is_some()
+        self.wnd[self.expect_slot(flow)].in_recovery()
     }
 
     /// Receiver statistics of `flow`.
@@ -244,7 +255,11 @@ impl Agent for FlowSlab {
             let mut io = self.sender_io(slot, ctx);
             self.view(slot).handle_packet(pkt, &mut io);
         } else {
-            debug_assert_eq!(ctx.node, self.sink_nodes[slot], "data off its sink node");
+            debug_assert_eq!(
+                ctx.node.index(),
+                self.sink_nodes[slot] as usize,
+                "data off its sink node"
+            );
             let (sink, mut io) = self.receiver(slot, ctx);
             sink.on_data(pkt, &mut io);
         }
@@ -274,11 +289,12 @@ impl Agent for FlowSlab {
     }
 
     fn shard_route_timer(&self, token: TimerToken) -> Option<NodeId> {
-        if token.0 & 0xff == TOKEN_DELACK {
-            self.sink_nodes.get(SinkState::token_slot(token)).copied()
+        let node = if token.0 & 0xff == TOKEN_DELACK {
+            self.sink_nodes.get(SinkState::token_slot(token))
         } else {
-            self.nodes.get((token.0 >> 8) as usize).copied()
-        }
+            self.nodes.get((token.0 >> 8) as usize)
+        };
+        node.map(|&n| NodeId(n as usize))
     }
 
     fn shard_split(&mut self, n: usize, shard_of_node: &[usize]) -> Vec<Box<dyn Agent>> {
@@ -305,7 +321,7 @@ impl Agent for FlowSlab {
             })
             .collect();
         for slot in 0..first.len() {
-            let owner = shard_of_node[first.nodes[slot].index()];
+            let owner = shard_of_node[first.nodes[slot] as usize];
             if owner != 0 {
                 rest[owner - 1].cold[slot] = first.cold[slot].take();
             }
@@ -334,7 +350,7 @@ impl Agent for FlowSlab {
         let mut rest = parts.split_off(1);
         *self = parts.pop().expect("one part per shard");
         for slot in 0..self.len() {
-            let owner = shard_of_node[self.nodes[slot].index()];
+            let owner = shard_of_node[self.nodes[slot] as usize];
             if owner != 0 {
                 let part = &mut rest[owner - 1];
                 self.cold[slot] = part.cold[slot].take();
@@ -343,7 +359,7 @@ impl Agent for FlowSlab {
                 self.app[slot] = part.app[slot];
             }
             debug_assert!(self.cold[slot].is_some(), "slot {slot} lost its sender");
-            let receiver = shard_of_node[self.sink_nodes[slot].index()];
+            let receiver = shard_of_node[self.sink_nodes[slot] as usize];
             if receiver != 0 {
                 std::mem::swap(&mut self.sinks[slot], &mut rest[receiver - 1].sinks[slot]);
             }
@@ -425,6 +441,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "n4294967296 does not fit the slab's 32-bit ids")]
+    fn node_ids_past_32_bits_are_rejected() {
+        add(&mut FlowSlab::new(), 0, 0, 1 << 32);
+    }
+
+    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_flow_registration_panics() {
         let mut slab = FlowSlab::new();
@@ -442,11 +464,14 @@ mod tests {
         use pert_core::pert::PertController;
         use std::mem::size_of;
         let parts = [
-            ("FlowCold", size_of::<FlowCold>(), 400),
-            ("Cc", size_of::<Cc>(), 160),
-            ("PertController", size_of::<PertController>(), 152),
-            ("Scoreboard", size_of::<Scoreboard>(), 104),
-            ("SinkState", size_of::<SinkState>(), 128),
+            ("Wnd", size_of::<Wnd>(), 48),
+            ("RttState", size_of::<RttState>(), 40),
+            ("AppState", size_of::<AppState>(), 24),
+            ("SinkState", size_of::<SinkState>(), 104),
+            ("FlowCold", size_of::<FlowCold>(), 360),
+            ("Cc", size_of::<Cc>(), 152),
+            ("PertController", size_of::<PertController>(), 144),
+            ("Scoreboard", size_of::<Scoreboard>(), 88),
         ];
         for (part, size, budget) in parts {
             assert!(size <= budget, "{part} is {size} B, budget {budget} B");

@@ -362,7 +362,7 @@ fn per_flow(sim: &Simulator, conns: &[Connection]) -> Vec<((u64, u64, u64), Sink
         .map(|c| {
             let s = sender_stats(sim, c);
             (
-                (s.acked_segments, s.retransmits, s.loss_events),
+                (s.acked_segments, s.retransmits.into(), s.loss_events.into()),
                 sink_stats(sim, c),
             )
         })

@@ -10,15 +10,12 @@
 //! * [`dumbbell`] — the single-bottleneck topology with per-flow RTT
 //!   control, reverse traffic, and web background (§2.2, §4.1–§4.5);
 //! * [`chain`] — the six-router multi-bottleneck line (§4.6, Fig. 10);
-//! * [`cbr`] — unresponsive constant-bit-rate sources (§4.7's
-//!   non-responsive-traffic dynamics);
 //! * [`measure`] — the warm-up/window measurement protocol and the
 //!   `(Q, p, U, F)` metrics.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cbr;
 pub mod chain;
 pub mod dist;
 pub mod dumbbell;
@@ -26,7 +23,6 @@ pub mod measure;
 pub mod scheme;
 pub mod web;
 
-pub use cbr::{add_cbr, CbrSink, CbrSource, CBR_START, CBR_STOP};
 pub use chain::{build_chain, Chain, ChainConfig};
 pub use dumbbell::{build_dumbbell, Dumbbell, DumbbellConfig};
 pub use measure::{link_metrics, run_measured, snapshot_goodput, GoodputSnapshot, LinkMetrics};
