@@ -1,10 +1,11 @@
 //! Space-parallel sharding probe for a 100k-flow dumbbell.
 //!
-//! Builds the same bounded-active-set slab population as `soa_profile`,
-//! but spread over 8 source and 8 sink hosts around a two-router
-//! bottleneck so the partitioner has positive-delay links to cut, then
-//! runs it through `netsim::ShardedSim` at `--shards N` and prints wall
-//! time / events / throughput. This is the topology `pert-bench`'s
+//! Builds a bounded-active-set population of 100 000 PERT slab flows
+//! (cohorts of 100 per ms, 8-segment transfers, 1 s think) spread over 8
+//! source and 8 sink hosts around a two-router bottleneck, so the
+//! partitioner has positive-delay links to cut, then runs it through
+//! `netsim::ShardedSim` at `--shards N` and prints wall time / events /
+//! throughput. This is the topology `pert-bench`'s
 //! `dumbbell100k` and `dumbbell100k_shards2` workloads time; `--shards 1`
 //! is the monolithic baseline. The `SECS` env var overrides the 1.5 s
 //! horizon.
@@ -36,7 +37,7 @@ fn main() {
     let srcs: Vec<_> = (0..HOSTS_PER_SIDE).map(|_| sim.add_node()).collect();
     let z = sim.add_node();
     let dsts: Vec<_> = (0..HOSTS_PER_SIDE).map(|_| sim.add_node()).collect();
-    // 10 Gb/s bottleneck as in soa_profile, 10 ms of propagation — the
+    // 10 Gb/s bottleneck, 10 ms of propagation — the
     // natural 2-way cut. 40 Gb/s access links at 5 ms give the 4-way
     // partition its lookahead.
     sim.add_duplex_link(a, z, 10_000_000_000, SimDuration::from_millis(10), |_| {

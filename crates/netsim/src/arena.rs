@@ -3,28 +3,39 @@
 //! Every in-flight [`Packet`] is interned here the moment it leaves its
 //! source agent and freed when it is delivered or dropped. Events, link
 //! queues, and traces hold a [`PacketRef`] — eight bytes instead of the
-//! ~100-byte packet — so the calendar and the queue stores move small
+//! 144-byte packet — so the calendar and the queue stores move small
 //! `Copy` values and the packet bodies stay put in one contiguous slab.
 //!
-//! Slots are recycled through a free list. Each slot carries a
-//! **generation** counter that is bumped on every free; a `PacketRef`
-//! captures the generation at allocation time, so a ref held across a
-//! free/reuse cycle can never alias the recycled slot's new occupant:
-//! lookups through a stale ref panic in debug builds and return `None`
-//! in release builds (see [`PacketArena::get`]).
+//! Each slot is split in two. A 24-byte **head** mirrors what a hop
+//! reads — destination node, wire size, data/ACK, the generation and the
+//! memoised tiebreak — and the 144-byte **body** holds the packet itself.
+//! Forwarding, queue byte accounting and transmission read only heads
+//! ([`PacketArena::dst_node`], [`PacketArena::size_bytes`],
+//! [`PacketArena::is_data`], [`PacketArena::order_tie`]), so a transit hop
+//! touches one cache line of arena instead of up to three. The head
+//! mirrors only fields that never change in flight; the one in-flight
+//! edit, an AQM's CE mark, goes through [`PacketArena::mark_ce`].
+//!
+//! Slots are recycled through a free list threaded through the vacant
+//! heads. Each slot carries a **generation** counter that is bumped on
+//! every free; a `PacketRef` captures the generation at allocation time,
+//! so a ref held across a free/reuse cycle can never alias the recycled
+//! slot's new occupant: head reads through a stale ref panic, and body
+//! lookups panic in debug builds and return `None` in release builds (see
+//! [`PacketArena::get`]).
 //!
 //! Determinism: slot assignment depends only on the alloc/free sequence
 //! (the free list is LIFO), which is itself a pure function of the event
 //! stream — identical runs intern identical packets in identical slots.
 //!
-//! Each slot also memoises its packet's calendar tiebreak
+//! Each head also memoises its packet's calendar tiebreak
 //! ([`Packet::order_tie`]) per **content version**: filled on first use by
-//! [`PacketArena::order_tie`], cleared by every mutable borrow
-//! ([`PacketArena::get_mut`], `IndexMut`) and on allocation — so a packet
-//! is hashed once per life plus once per in-flight edit (an AQM's CE
-//! mark), not once per hop, and no writer has to know the memo exists.
+//! [`PacketArena::order_tie`], cleared by [`PacketArena::mark_ce`] and on
+//! allocation — so a packet is hashed once per life plus once per
+//! in-flight edit, not once per hop.
 
-use crate::packet::Packet;
+use crate::ids::NodeId;
+use crate::packet::{Ecn, Packet};
 
 /// A handle to a packet interned in a [`PacketArena`].
 ///
@@ -67,15 +78,36 @@ impl PacketRef {
     }
 }
 
+/// `Head::flags`: the slot holds a packet.
+const OCCUPIED: u32 = 1;
+/// `Head::flags`: the packet is a data segment (else an ACK).
+const DATA: u32 = 2;
+/// End of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The hot part of a slot: what a hop reads, in 24 bytes.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    /// Bumped on every free; a ref is live iff its `gen` matches.
-    gen: u32,
-    /// `Some` while the slot is occupied.
-    pkt: Option<Packet>,
+struct Head {
     /// The occupant's [`Packet::order_tie`], or 0 while nobody has asked
     /// since the content last changed (the tie itself is always odd).
     tie: u64,
+    /// Bumped on every free; a ref is live iff its `gen` matches.
+    gen: u32,
+    /// Occupied: the packet's `dst_node`. Vacant: the next free slot, or
+    /// [`NIL`].
+    dst: u32,
+    /// The packet's `size_bytes`.
+    size: u32,
+    /// [`OCCUPIED`] | [`DATA`].
+    flags: u32,
+}
+
+impl Head {
+    /// True if `r` names this slot's current occupant.
+    #[inline]
+    fn holds(&self, r: PacketRef) -> bool {
+        self.gen == r.gen && self.flags & OCCUPIED != 0
+    }
 }
 
 /// Slab of in-flight packets with generation-checked handles.
@@ -85,13 +117,24 @@ struct Slot {
 /// stay valid in whichever shard's event stream or queue store holds
 /// them. Slots only one shard's refs point at simply idle in the other
 /// clones for the remainder of the run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PacketArena {
-    slots: Vec<Slot>,
-    /// Indices of vacant slots, reused LIFO (keeps the hot set compact).
-    free: Vec<u32>,
+    heads: Vec<Head>,
+    /// `Some` exactly where the head is occupied.
+    bodies: Vec<Option<Packet>>,
+    /// Most recently freed slot (LIFO keeps the hot set compact), or
+    /// [`NIL`]; each vacant head's `dst` links to the next.
+    free: u32,
+    /// Packets currently interned.
+    live: usize,
     /// Lifetime [`Packet::order_tie`] evaluations made to fill a memo.
     tie_hashes: u64,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl PacketArena {
@@ -103,8 +146,10 @@ impl PacketArena {
     /// An empty arena with room for `cap` packets before reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         PacketArena {
-            slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
+            heads: Vec::with_capacity(cap),
+            bodies: Vec::with_capacity(cap),
+            free: NIL,
+            live: 0,
             tie_hashes: 0,
         }
     }
@@ -122,53 +167,129 @@ impl PacketArena {
             tie == 0 || tie == pkt.order_tie(),
             "pre-seeded tie is stale"
         );
-        match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                debug_assert!(slot.pkt.is_none(), "free list pointed at a live slot");
-                slot.pkt = Some(pkt);
-                slot.tie = tie;
-                PacketRef { idx, gen: slot.gen }
-            }
-            None => {
-                let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 slots");
-                self.slots.push(Slot {
-                    gen: 0,
-                    pkt: Some(pkt),
-                    tie,
-                });
-                PacketRef { idx, gen: 0 }
-            }
+        let dst = u32::try_from(pkt.dst_node.index()).expect("node id exceeds u32");
+        let flags = OCCUPIED | if pkt.is_data() { DATA } else { 0 };
+        let mut head = Head {
+            tie,
+            gen: 0,
+            dst,
+            size: pkt.size_bytes,
+            flags,
+        };
+        self.live += 1;
+        if self.free != NIL {
+            let idx = self.free;
+            let slot = &mut self.heads[idx as usize];
+            debug_assert_eq!(slot.flags & OCCUPIED, 0, "free list pointed at a live slot");
+            self.free = slot.dst;
+            head.gen = slot.gen;
+            *slot = head;
+            self.bodies[idx as usize] = Some(pkt);
+            PacketRef { idx, gen: head.gen }
+        } else {
+            let idx = u32::try_from(self.heads.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("arena exceeds u32 slots");
+            self.heads.push(head);
+            self.bodies.push(Some(pkt));
+            PacketRef { idx, gen: 0 }
         }
+    }
+
+    /// The head behind `r`.
+    ///
+    /// # Panics
+    /// Panics on a stale ref, in every build.
+    #[inline]
+    fn head(&self, r: PacketRef) -> &Head {
+        match self.heads.get(r.idx as usize) {
+            Some(h) if h.holds(r) => h,
+            _ => stale(r),
+        }
+    }
+
+    /// The destination node of the packet behind `r` (its `dst_node`),
+    /// read from the head alone. Panics on a stale ref.
+    #[inline]
+    pub fn dst_node(&self, r: PacketRef) -> NodeId {
+        NodeId(self.head(r).dst as usize)
+    }
+
+    /// The wire size of the packet behind `r` (its `size_bytes`), read
+    /// from the head alone. Panics on a stale ref.
+    #[inline]
+    pub fn size_bytes(&self, r: PacketRef) -> u32 {
+        self.head(r).size
+    }
+
+    /// True if the packet behind `r` is a data segment
+    /// ([`Packet::is_data`]), read from the head alone. Panics on a stale
+    /// ref.
+    #[inline]
+    pub fn is_data(&self, r: PacketRef) -> bool {
+        self.head(r).flags & DATA != 0
     }
 
     /// The calendar tiebreak of the packet behind `r`
     /// ([`Packet::order_tie`], which stays the one definition of the
-    /// value): hashed on first use, then answered from the slot until the
-    /// packet is next borrowed mutably.
+    /// value): hashed on first use, then answered from the head until the
+    /// packet is next edited.
     ///
     /// # Panics
     /// Panics on a stale ref, like indexing.
     #[inline]
     pub fn order_tie(&mut self, r: PacketRef) -> u64 {
-        let slot = &mut self.slots[r.idx as usize];
-        let pkt = match &slot.pkt {
-            Some(pkt) if slot.gen == r.gen => pkt,
-            _ => panic!("stale PacketRef"),
+        let i = r.idx as usize;
+        let head = match self.heads.get_mut(i) {
+            Some(h) if h.holds(r) => h,
+            _ => stale(r),
         };
-        if slot.tie == 0 {
-            slot.tie = pkt.order_tie();
+        if head.tie == 0 {
+            head.tie = body(&self.bodies[i]).order_tie();
             self.tie_hashes += 1;
         }
-        debug_assert_eq!(slot.tie, pkt.order_tie(), "tie memo outlived an edit");
-        slot.tie
+        debug_assert_eq!(
+            head.tie,
+            body(&self.bodies[i]).order_tie(),
+            "tie memo outlived an edit"
+        );
+        head.tie
+    }
+
+    /// Apply the ECN CE mark to the packet behind `r` — the one edit a
+    /// packet takes in flight — and drop its memoised tiebreak, which
+    /// hashes the ECN codepoint.
+    ///
+    /// # Panics
+    /// Panics on a stale ref, like indexing.
+    #[inline]
+    pub fn mark_ce(&mut self, r: PacketRef) {
+        let i = r.idx as usize;
+        match self.heads.get_mut(i) {
+            Some(h) if h.holds(r) => h.tie = 0,
+            _ => stale(r),
+        }
+        self.bodies[i]
+            .as_mut()
+            .expect("occupied head without a body")
+            .ecn = Ecn::CongestionExperienced;
     }
 
     /// Lifetime count of [`Packet::order_tie`] evaluations made by
-    /// [`PacketArena::order_tie`]: one per packet, plus one per edit of a
-    /// packet whose tie had already been asked for.
+    /// [`PacketArena::order_tie`]: one per packet, plus one per CE mark on
+    /// a packet whose tie had already been asked for.
     pub fn tie_hashes(&self) -> u64 {
         self.tie_hashes
+    }
+
+    /// True if `r` names the current occupant of its slot; a stale ref
+    /// **panics in debug builds** here.
+    #[inline]
+    fn is_live(&self, r: PacketRef) -> bool {
+        let live = self.heads.get(r.idx as usize).is_some_and(|h| h.holds(r));
+        debug_assert!(live, "stale PacketRef {{idx: {}, gen: {}}}", r.idx, r.gen);
+        live
     }
 
     /// Borrow the packet behind `r`.
@@ -178,66 +299,31 @@ impl PacketArena {
     /// it never yields the recycled slot's new occupant.
     #[inline]
     pub fn get(&self, r: PacketRef) -> Option<&Packet> {
-        let slot = self.slots.get(r.idx as usize)?;
-        debug_assert!(
-            slot.gen == r.gen && slot.pkt.is_some(),
-            "stale PacketRef {{idx: {}, gen: {}}}: slot is at generation {}",
-            r.idx,
-            r.gen,
-            slot.gen
-        );
-        if slot.gen == r.gen {
-            slot.pkt.as_ref()
-        } else {
-            None
+        if !self.is_live(r) {
+            return None;
         }
-    }
-
-    /// Mutably borrow the packet behind `r` (same staleness contract as
-    /// [`PacketArena::get`]). The borrower may change the content, so the
-    /// memoised tiebreak is dropped.
-    #[inline]
-    pub fn get_mut(&mut self, r: PacketRef) -> Option<&mut Packet> {
-        let slot = self.slots.get_mut(r.idx as usize)?;
-        debug_assert!(
-            slot.gen == r.gen && slot.pkt.is_some(),
-            "stale PacketRef {{idx: {}, gen: {}}}: slot is at generation {}",
-            r.idx,
-            r.gen,
-            slot.gen
-        );
-        if slot.gen == r.gen {
-            slot.tie = 0;
-            slot.pkt.as_mut()
-        } else {
-            None
-        }
+        self.bodies[r.idx as usize].as_ref()
     }
 
     /// Remove and return the packet behind `r`, freeing its slot (the
     /// slot's generation is bumped, invalidating every outstanding copy of
     /// `r`). Same staleness contract as [`PacketArena::get`].
     pub fn take(&mut self, r: PacketRef) -> Option<Packet> {
-        let slot = self.slots.get_mut(r.idx as usize)?;
-        debug_assert!(
-            slot.gen == r.gen && slot.pkt.is_some(),
-            "stale PacketRef {{idx: {}, gen: {}}}: slot is at generation {}",
-            r.idx,
-            r.gen,
-            slot.gen
-        );
-        if slot.gen != r.gen {
+        if !self.is_live(r) {
             return None;
         }
-        let pkt = slot.pkt.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(r.idx);
-        Some(pkt)
+        let head = &mut self.heads[r.idx as usize];
+        head.gen = head.gen.wrapping_add(1);
+        head.flags = 0;
+        head.dst = self.free;
+        self.free = r.idx;
+        self.live -= 1;
+        self.bodies[r.idx as usize].take()
     }
 
     /// Packets currently interned.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.live
     }
 
     /// True if no packets are interned.
@@ -247,24 +333,29 @@ impl PacketArena {
 
     /// Total slots ever created (high-water mark of concurrent packets).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.heads.len()
     }
 }
 
-/// Panicking indexed access (tests and hot paths that hold a known-live
-/// ref). Unlike [`PacketArena::get`], a stale ref panics in release too.
+/// The body of an occupied slot.
+#[inline]
+fn body(slot: &Option<Packet>) -> &Packet {
+    slot.as_ref().expect("occupied head without a body")
+}
+
+#[cold]
+#[inline(never)]
+fn stale(r: PacketRef) -> ! {
+    panic!("stale PacketRef {{idx: {}, gen: {}}}", r.idx, r.gen)
+}
+
+/// Panicking indexed access (tests and paths that hold a known-live ref).
+/// Unlike [`PacketArena::get`], a stale ref panics in release too.
 impl std::ops::Index<PacketRef> for PacketArena {
     type Output = Packet;
     #[inline]
     fn index(&self, r: PacketRef) -> &Packet {
         self.get(r).expect("stale PacketRef")
-    }
-}
-
-impl std::ops::IndexMut<PacketRef> for PacketArena {
-    #[inline]
-    fn index_mut(&mut self, r: PacketRef) -> &mut Packet {
-        self.get_mut(r).expect("stale PacketRef")
     }
 }
 
@@ -291,11 +382,25 @@ mod tests {
     }
 
     #[test]
+    fn head_fits_in_24_bytes() {
+        assert_eq!(std::mem::size_of::<Head>(), 24);
+        assert!(std::mem::size_of::<Packet>() <= 144);
+        assert_eq!(
+            std::mem::size_of::<Option<Packet>>(),
+            std::mem::size_of::<Packet>()
+        );
+    }
+
+    #[test]
     fn alloc_get_take_roundtrip() {
         let mut a = PacketArena::new();
         let r = a.alloc(pkt(7));
         assert_eq!(a.len(), 1);
         assert_eq!(a[r].data_seq(), Some(7));
+        assert_eq!(
+            (a.dst_node(r), a.size_bytes(r), a.is_data(r)),
+            (NodeId(0), 1000, true)
+        );
         let p = a.take(r).expect("live");
         assert_eq!(p.data_seq(), Some(7));
         assert!(a.is_empty());
@@ -329,10 +434,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "stale PacketRef")]
+    fn stale_head_read_panics_in_every_build() {
+        let mut a = PacketArena::new();
+        let r = a.alloc(pkt(1));
+        a.take(r).unwrap();
+        a.alloc(pkt(2));
+        a.dst_node(r);
+    }
+
+    #[test]
     fn mutation_through_ref_sticks() {
         let mut a = PacketArena::new();
         let r = a.alloc(pkt(3));
-        a[r].ecn = Ecn::CongestionExperienced;
+        a.mark_ce(r);
         assert!(a[r].ecn.is_marked());
     }
 
@@ -352,9 +467,9 @@ mod tests {
         assert!(a[r].ecn.is_capable() && a.get(r).is_some());
         assert_eq!((a.order_tie(r), a.tie_hashes()), (p.order_tie(), 1));
 
-        // A CE mark through IndexMut, as the AQMs do it: the value changes
-        // and the memo follows.
-        a[r].ecn = Ecn::CongestionExperienced;
+        // A CE mark, as the AQMs apply it: the value changes and the memo
+        // follows.
+        a.mark_ce(r);
         p.ecn = Ecn::CongestionExperienced;
         assert_ne!(p.order_tie(), pkt(5).order_tie());
         assert_eq!((a.order_tie(r), a.tie_hashes()), (p.order_tie(), 2));
@@ -368,10 +483,12 @@ mod tests {
 
         // Pre-seeded (the shard injection path): no hash at all, until an
         // edit invalidates the seed like any other memo.
-        let s = a.alloc_with_tie(p, p.order_tie());
-        assert_eq!((a.order_tie(s), a.tie_hashes()), (p.order_tie(), 3));
-        a.get_mut(s).unwrap().size_bytes = 40;
-        p.size_bytes = 40;
-        assert_eq!((a.order_tie(s), a.tie_hashes()), (p.order_tie(), 4));
+        let mut s_pkt = pkt(8);
+        s_pkt.ecn = Ecn::Capable;
+        let s = a.alloc_with_tie(s_pkt, s_pkt.order_tie());
+        assert_eq!((a.order_tie(s), a.tie_hashes()), (s_pkt.order_tie(), 3));
+        a.mark_ce(s);
+        s_pkt.ecn = Ecn::CongestionExperienced;
+        assert_eq!((a.order_tie(s), a.tie_hashes()), (s_pkt.order_tie(), 4));
     }
 }

@@ -148,15 +148,34 @@ impl Packet {
     /// it would let an unrelated change in how agents are installed move
     /// same-instant ties — and with them whole trajectories. Every hashed
     /// field below is transport-level content.
+    ///
+    /// Each field is hashed as its eight little-endian bytes. XOR with a
+    /// zero byte changes nothing, so a word's zero high bytes are each a
+    /// bare multiply by the prime: the loop hashes only the significant
+    /// low bytes and folds the rest into one multiply by a power of the
+    /// prime — the byte-at-a-time value, bit for bit.
     pub fn order_tie(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut word = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
+        /// `PRIME^k` for k = 0..=8.
+        const POW: [u64; 9] = {
+            let mut pow = [1u64; 9];
+            let mut k = 1;
+            while k < 9 {
+                pow[k] = pow[k - 1].wrapping_mul(PRIME);
+                k += 1;
             }
+            pow
+        };
+        let mut h = OFFSET;
+        let mut word = |mut w: u64| {
+            let n = (71 - w.leading_zeros()) / 8;
+            for _ in 0..n {
+                h ^= w & 0xff;
+                h = h.wrapping_mul(PRIME);
+                w >>= 8;
+            }
+            h = h.wrapping_mul(POW[(8 - n) as usize]);
         };
         word(self.flow.0 as u64);
         word(self.dst_node.0 as u64);
@@ -266,6 +285,49 @@ mod tests {
         };
         assert_ne!(a.order_tie(), c.order_tie());
         assert_ne!(a.order_tie() % 2, 0, "tie must stay non-zero/odd");
+    }
+
+    /// The calendar tiebreak is part of the pop-order contract: these two
+    /// values were taken from the byte-at-a-time FNV-1a, so any change to
+    /// how `order_tie` walks its words that moves a bit fails here.
+    #[test]
+    fn order_tie_is_pinned() {
+        let data = Packet {
+            flow: FlowId(40_321),
+            dst_node: NodeId(17),
+            dst_agent: AgentId(3),
+            size_bytes: 1040,
+            ecn: Ecn::Capable,
+            sent_at: SimTime::from_nanos(1_234_567_891),
+            payload: Payload::Data {
+                seq: 98_765,
+                retransmit: true,
+            },
+        };
+        let ack = Packet {
+            flow: FlowId(7),
+            dst_node: NodeId(2),
+            dst_agent: AgentId(9),
+            size_bytes: 40,
+            ecn: Ecn::CongestionExperienced,
+            sent_at: SimTime::from_nanos(987_654_321),
+            payload: Payload::Ack {
+                cum_ack: (1 << 40) + 5,
+                sack: [
+                    Some(SackBlock { start: 10, end: 14 }),
+                    None,
+                    Some(SackBlock {
+                        start: u64::MAX - 3,
+                        end: u64::MAX,
+                    }),
+                ],
+                ts_echo: SimTime::from_nanos(555_000_000),
+                owd_echo: crate::time::SimDuration::from_nanos(12_345),
+                ece: true,
+            },
+        };
+        assert_eq!(data.order_tie(), 15_519_610_219_915_344_031);
+        assert_eq!(ack.order_tie(), 3_385_634_062_213_130_285);
     }
 
     #[test]

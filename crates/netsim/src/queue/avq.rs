@@ -22,7 +22,6 @@
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::SimTime;
@@ -154,7 +153,7 @@ impl QueueDiscipline for AvqQueue {
         if congested {
             // Virtual overflow: signal congestion (virtual queue unchanged).
             if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena[pkt].ecn = Ecn::CongestionExperienced;
+                arena.mark_ce(pkt);
                 self.store.push(pkt, arena);
                 self.stats.enqueued += 1;
                 self.stats.marked += 1;
@@ -210,6 +209,7 @@ impl QueueDiscipline for AvqQueue {
 mod tests {
     use super::super::tests::test_packet;
     use super::*;
+    use crate::packet::Ecn;
     use crate::time::SimDuration;
 
     fn mk() -> AvqQueue {

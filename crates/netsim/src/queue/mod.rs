@@ -193,7 +193,7 @@ pub trait QueueDiscipline: Send {
 }
 
 /// Shared plain-FIFO storage used by the concrete disciplines. Holds
-/// arena refs; byte accounting reads sizes through the arena at push time.
+/// arena refs; byte accounting reads sizes from the arena's packet heads.
 #[derive(Debug, Default)]
 pub(crate) struct FifoStore {
     buf: std::collections::VecDeque<PacketRef>,
@@ -202,13 +202,13 @@ pub(crate) struct FifoStore {
 
 impl FifoStore {
     pub(crate) fn push(&mut self, pkt: PacketRef, arena: &PacketArena) {
-        self.bytes += u64::from(arena[pkt].size_bytes);
+        self.bytes += u64::from(arena.size_bytes(pkt));
         self.buf.push_back(pkt);
     }
 
     pub(crate) fn pop(&mut self, arena: &PacketArena) -> Option<PacketRef> {
         let pkt = self.buf.pop_front()?;
-        self.bytes -= u64::from(arena[pkt].size_bytes);
+        self.bytes -= u64::from(arena.size_bytes(pkt));
         Some(pkt)
     }
 

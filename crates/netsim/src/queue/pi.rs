@@ -26,7 +26,6 @@ use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
 #[cfg(feature = "audit")]
 use crate::audit;
-use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
@@ -190,7 +189,7 @@ impl QueueDiscipline for PiQueue {
         }
         if self.p > 0.0 && self.rng.gen::<f64>() < self.p {
             if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena[pkt].ecn = Ecn::CongestionExperienced;
+                arena.mark_ce(pkt);
                 self.store.push(pkt, arena);
                 self.stats.enqueued += 1;
                 self.stats.marked += 1;
@@ -277,6 +276,7 @@ impl QueueDiscipline for PiQueue {
 mod tests {
     use super::super::tests::test_packet;
     use super::*;
+    use crate::packet::Ecn;
 
     fn mk(q_ref: f64) -> PiQueue {
         PiQueue::new(PiParams::hollot_example(500, q_ref, false, 3))

@@ -27,7 +27,6 @@ use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
 #[cfg(feature = "audit")]
 use crate::audit;
-use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
@@ -336,7 +335,7 @@ impl QueueDiscipline for RedQueue {
 
         match verdict {
             Some(DropReason::Early) if self.params.ecn && arena[pkt].ecn.is_capable() => {
-                arena[pkt].ecn = Ecn::CongestionExperienced;
+                arena.mark_ce(pkt);
                 self.store.push(pkt, arena);
                 self.stats.enqueued += 1;
                 self.stats.marked += 1;
@@ -435,6 +434,7 @@ impl QueueDiscipline for RedQueue {
 mod tests {
     use super::super::tests::test_packet;
     use super::*;
+    use crate::packet::Ecn;
     use crate::packet::Packet;
 
     /// Intern `pkt`, offer it, and free the ref again on a drop so the

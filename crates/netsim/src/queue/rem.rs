@@ -25,7 +25,6 @@ use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
 #[cfg(feature = "audit")]
 use crate::audit;
-use crate::packet::Ecn;
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
@@ -145,7 +144,7 @@ impl QueueDiscipline for RemQueue {
         let p = self.probability();
         if p > 0.0 && self.rng.gen::<f64>() < p {
             if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena[pkt].ecn = Ecn::CongestionExperienced;
+                arena.mark_ce(pkt);
                 self.store.push(pkt, arena);
                 self.stats.enqueued += 1;
                 self.stats.marked += 1;
@@ -235,6 +234,7 @@ impl QueueDiscipline for RemQueue {
 mod tests {
     use super::super::tests::test_packet;
     use super::*;
+    use crate::packet::Ecn;
 
     fn offer(q: &mut RemQueue, arena: &mut PacketArena, ecn: Ecn) -> EnqueueOutcome {
         let r = arena.alloc(test_packet(1000, ecn));

@@ -769,7 +769,7 @@ impl Simulator {
     /// A packet (by ref) reached `node` off a link: free-and-deliver on the
     /// final hop, else forward the same ref to the next-hop queue.
     fn on_arrival(&mut self, node: NodeId, r: PacketRef) {
-        let dst = self.arena[r].dst_node;
+        let dst = self.arena.dst_node(r);
         if dst == node {
             let pkt = self
                 .arena
@@ -788,10 +788,8 @@ impl Simulator {
     /// they reject.
     fn enqueue_on_link(&mut self, link_id: LinkId, pkt: PacketRef) {
         let now = self.now;
-        let was_data = self.arena[pkt].is_data();
-        let flow = self.arena[pkt].flow;
         #[cfg(feature = "audit")]
-        let size_bytes = self.arena[pkt].size_bytes;
+        let size_bytes = self.arena.size_bytes(pkt);
         let outcome = self.links[link_id.index()]
             .queue
             .enqueue(pkt, &mut self.arena, now);
@@ -816,14 +814,16 @@ impl Simulator {
             EnqueueOutcome::Marked => {
                 self.counters.enqueued += 1;
                 self.counters.marked += 1;
-                self.trace.record_mark(MarkRecord {
-                    at: now,
-                    link: link_id,
-                    flow,
-                });
+                if self.trace.record_marks {
+                    self.trace.record_mark(MarkRecord {
+                        at: now,
+                        link: link_id,
+                        flow: self.arena[pkt].flow,
+                    });
+                }
             }
             EnqueueOutcome::Dropped(r, reason) => {
-                self.arena.take(r);
+                let dropped = self.arena.take(r).expect("queue dropped a stale PacketRef");
                 match reason {
                     crate::queue::DropReason::Overflow => self.counters.dropped_overflow += 1,
                     crate::queue::DropReason::Early => self.counters.dropped_early += 1,
@@ -831,9 +831,9 @@ impl Simulator {
                 self.trace.drops.push(DropRecord {
                     at: now,
                     link: link_id,
-                    flow,
+                    flow: dropped.flow,
                     reason,
-                    was_data,
+                    was_data: dropped.is_data(),
                 });
                 return;
             }
@@ -877,9 +877,8 @@ impl Simulator {
             self.audit_queue_op(link_id, QueueOp::Dequeue { popped: None });
             return;
         };
-        let bits = self.arena[pkt].size_bits();
-        #[cfg(feature = "audit")]
-        let size_bytes = self.arena[pkt].size_bytes;
+        let size_bytes = self.arena.size_bytes(pkt);
+        let bits = u64::from(size_bytes) * 8;
         let link = &mut self.links[link_id.index()];
         let tx = transmission_delay(bits, link.capacity_bps);
         link.begin_service(now + tx, self.events.reserve());

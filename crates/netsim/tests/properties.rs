@@ -3,7 +3,7 @@
 use netsim::arena::{PacketArena, PacketRef};
 use netsim::event::{EventKind, EventQueue};
 use netsim::ids::{AgentId, FlowId, NodeId};
-use netsim::packet::{Ecn, Packet, Payload};
+use netsim::packet::{Ecn, Packet, Payload, SackBlock, MAX_SACK_BLOCKS};
 use netsim::queue::{
     AvqParams, AvqQueue, DropTail, EnqueueOutcome, PiParams, PiQueue, QueueDiscipline, RandomLoss,
     RedParams, RedQueue, RemParams, RemQueue,
@@ -402,6 +402,222 @@ fn stale_lookup_never_aliases() {
     std::panic::set_hook(hook);
     if let Err(e) = outcome {
         std::panic::resume_unwind(e);
+    }
+}
+
+/// The definition `Packet::order_tie` must reproduce: FNV-1a one byte at
+/// a time over the eight little-endian bytes of each field word.
+fn fnv1a_bytes(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h | 1
+}
+
+/// The words `Packet::order_tie` hashes, in order (`dst_agent` excluded).
+fn tie_words(p: &Packet) -> Vec<u64> {
+    let mut w = vec![
+        p.flow.0 as u64,
+        p.dst_node.0 as u64,
+        u64::from(p.size_bytes),
+        match p.ecn {
+            Ecn::NotCapable => 0,
+            Ecn::Capable => 1,
+            Ecn::CongestionExperienced => 2,
+        },
+        p.sent_at.as_nanos(),
+    ];
+    match p.payload {
+        Payload::Data { seq, retransmit } => w.extend([3, seq, u64::from(retransmit)]),
+        Payload::Ack {
+            cum_ack,
+            sack,
+            ts_echo,
+            owd_echo,
+            ece,
+        } => {
+            w.extend([4, cum_ack]);
+            for b in sack {
+                match b {
+                    Some(b) => w.extend([b.start, b.end]),
+                    None => w.push(u64::MAX),
+                }
+            }
+            w.extend([ts_echo.as_nanos(), owd_echo.as_nanos(), u64::from(ece)]);
+        }
+    }
+    w
+}
+
+/// Words that walk every significant-byte count: 0, `u64::MAX`, single
+/// bits and arbitrary values at every right shift, and arbitrary words.
+fn word() -> BoxedStrategy<u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        (0u32..64).prop_map(|s| 1u64 << s),
+        (any::<u64>(), 0u32..64).prop_map(|(w, s)| w >> s),
+        any::<u64>(),
+    ]
+    .boxed()
+}
+
+/// A packet built from eleven words and a byte of choices: payload kind,
+/// ECN codepoint, retransmit/ECE, and which SACK blocks are present.
+fn packet_from(w: &[u64], choice: u8) -> Packet {
+    let sack = |i: usize| {
+        (choice >> (4 + i) & 1 == 1).then_some(SackBlock {
+            start: w[5 + 2 * i],
+            end: w[6 + 2 * i],
+        })
+    };
+    let sack: [Option<SackBlock>; MAX_SACK_BLOCKS] = [sack(0), sack(1), sack(2)];
+    Packet {
+        flow: FlowId(w[0] as usize),
+        dst_node: NodeId(w[1] as usize),
+        dst_agent: AgentId(w[2] as usize),
+        size_bytes: w[3] as u32,
+        ecn: [Ecn::NotCapable, Ecn::Capable, Ecn::CongestionExperienced]
+            [usize::from(choice >> 1 & 3) % 3],
+        sent_at: SimTime::from_nanos(w[4]),
+        payload: if choice & 1 == 0 {
+            Payload::Data {
+                seq: w[5],
+                retransmit: choice & 8 != 0,
+            }
+        } else {
+            Payload::Ack {
+                cum_ack: w[0] ^ w[10],
+                sack,
+                ts_echo: SimTime::from_nanos(w[10]),
+                owd_echo: SimDuration::from_nanos(w[9]),
+                ece: choice & 8 != 0,
+            }
+        },
+    }
+}
+
+/// Field-wise packet equality (`Packet` has no `PartialEq`).
+fn same_packet(a: &Packet, b: &Packet) -> bool {
+    a.flow == b.flow
+        && a.dst_node == b.dst_node
+        && a.dst_agent == b.dst_agent
+        && a.size_bytes == b.size_bytes
+        && a.ecn == b.ecn
+        && a.sent_at == b.sent_at
+        && a.payload == b.payload
+}
+
+/// True if `f` panics.
+fn panics<R>(f: impl FnOnce() -> R) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+}
+
+proptest! {
+    /// The zero-skipping hash loop returns the byte-at-a-time FNV-1a value
+    /// for arbitrary ids, sizes, ECN codepoints and send times, both
+    /// payloads, SACK blocks present and absent, and words of every
+    /// significant-byte count including 0 and `u64::MAX`.
+    #[test]
+    fn order_tie_matches_the_byte_loop(
+        w in proptest::collection::vec(word(), 11),
+        choice in any::<u8>(),
+    ) {
+        let p = packet_from(&w, choice);
+        prop_assert_eq!(p.order_tie(), fnv1a_bytes(&tie_words(&p)));
+    }
+
+    /// The arena against a `Vec<Option<Packet>>` model under arbitrary
+    /// `alloc`/`alloc_with_tie`/`take`/`mark_ce`/`order_tie` sequences:
+    /// the head accessors agree with the body, freed slots come back
+    /// LIFO at the next generation, `len`/`slot_count` and the hash count
+    /// are exact, a CE mark clears the tie memo, and a stale ref panics
+    /// through every head accessor in every build.
+    #[test]
+    fn arena_matches_a_slot_model(
+        ops in proptest::collection::vec((0u8..6, any::<u16>(), word(), any::<u8>()), 1..120),
+    ) {
+        let mut arena = PacketArena::new();
+        // Per slot: the occupant, its generation, whether its tie is known.
+        let mut model: Vec<(Option<Packet>, u32, bool)> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut live: Vec<PacketRef> = Vec::new();
+        let mut stale: Vec<PacketRef> = Vec::new();
+        let mut hashes = 0u64;
+        for (kind, pick, w, choice) in ops {
+            let pick = usize::from(pick);
+            match kind {
+                0 | 1 => {
+                    let mut words: Vec<u64> = (0..11).map(|i| w.rotate_left(7 * i)).collect();
+                    words[1] &= u64::from(u32::MAX); // node ids fit the head's u32
+                    let p = packet_from(&words, choice);
+                    let r = if kind == 0 {
+                        arena.alloc(p)
+                    } else {
+                        arena.alloc_with_tie(p, p.order_tie())
+                    };
+                    let idx = match free.pop() {
+                        Some(idx) => idx,
+                        None => {
+                            model.push((None, 0, false));
+                            (model.len() - 1) as u32
+                        }
+                    };
+                    prop_assert_eq!(r.index(), idx, "slots are reused LIFO");
+                    let slot = &mut model[idx as usize];
+                    prop_assert_eq!(r.generation(), slot.1);
+                    *slot = (Some(p), slot.1, kind == 1);
+                    live.push(r);
+                }
+                2 if !live.is_empty() => {
+                    let r = live.swap_remove(pick % live.len());
+                    let slot = &mut model[r.index() as usize];
+                    let got = arena.take(r).expect("live ref failed to resolve");
+                    prop_assert!(same_packet(&got, &slot.0.take().unwrap()));
+                    slot.1 = slot.1.wrapping_add(1);
+                    free.push(r.index());
+                    stale.push(r);
+                }
+                3 if !live.is_empty() => {
+                    let r = live[pick % live.len()];
+                    arena.mark_ce(r);
+                    let slot = &mut model[r.index() as usize];
+                    slot.0.as_mut().unwrap().ecn = Ecn::CongestionExperienced;
+                    slot.2 = false;
+                }
+                4 if !live.is_empty() => {
+                    let r = live[pick % live.len()];
+                    let slot = &mut model[r.index() as usize];
+                    hashes += u64::from(!slot.2);
+                    slot.2 = true;
+                    prop_assert_eq!(arena.order_tie(r), slot.0.unwrap().order_tie());
+                }
+                5 if !stale.is_empty() => {
+                    let r = stale[pick % stale.len()];
+                    prop_assert!(panics(|| arena.dst_node(r)));
+                    prop_assert!(panics(|| arena.size_bytes(r)));
+                    prop_assert!(panics(|| arena.is_data(r)));
+                    prop_assert!(panics(|| arena.order_tie(r)));
+                    prop_assert!(panics(|| arena.mark_ce(r)));
+                    prop_assert!(panics(|| arena[r].size_bytes));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(arena.len(), live.len());
+            prop_assert_eq!(arena.slot_count(), model.len());
+            prop_assert_eq!(arena.tie_hashes(), hashes);
+            for &r in &live {
+                let p = model[r.index() as usize].0.as_ref().unwrap();
+                prop_assert!(same_packet(&arena[r], p));
+                prop_assert_eq!(arena.dst_node(r), p.dst_node);
+                prop_assert_eq!(arena.size_bytes(r), p.size_bytes);
+                prop_assert_eq!(arena.is_data(r), p.is_data());
+            }
+        }
     }
 }
 
