@@ -419,7 +419,7 @@ fn materialise(raw: &[Raw]) -> Vec<Record> {
     raw.iter().map(public).collect()
 }
 
-/// The newest handed-over records (up to [`flight_cap`]), oldest first,
+/// The newest handed-over records (up to [`FLIGHT_CAP`]), oldest first,
 /// in hand-over order — the window a post-mortem wants. The calling
 /// thread's own sink is handed over first.
 pub fn flight_snapshot() -> Vec<Record> {

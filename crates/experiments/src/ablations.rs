@@ -92,44 +92,6 @@ pub fn variant_groups() -> Vec<(&'static str, Vec<(String, PertParams)>)> {
     ]
 }
 
-fn run_group(group: &str, scale: Scale, seed: u64) -> Vec<AblationRow> {
-    variant_groups()
-        .into_iter()
-        .find(|(name, _)| *name == group)
-        .expect("known group")
-        .1
-        .into_iter()
-        .map(|(label, params)| AblationRow {
-            label,
-            point: run_one(&base_config(scale, seed), Scheme::PertCustom(params), scale),
-        })
-        .collect()
-}
-
-/// Sweep the early-response decrease factor.
-pub fn run_decrease(scale: Scale) -> Vec<AblationRow> {
-    run_group("decrease factor", scale, 777)
-}
-
-/// Sweep the smoothing weight of the congestion signal.
-pub fn run_weight(scale: Scale) -> Vec<AblationRow> {
-    run_group("EWMA weight", scale, 777)
-}
-
-/// Sweep the response curve (p_max and thresholds).
-pub fn run_curve(scale: Scale) -> Vec<AblationRow> {
-    run_group("response curve", scale, 777)
-}
-
-/// Run all three ablations.
-pub fn run(scale: Scale) -> Vec<(String, Vec<AblationRow>)> {
-    vec![
-        ("decrease factor".into(), run_decrease(scale)),
-        ("EWMA weight".into(), run_weight(scale)),
-        ("response curve".into(), run_curve(scale)),
-    ]
-}
-
 /// All three ablation groups as one [`Scenario`]: one job per variant,
 /// one table per group.
 pub struct AblationsScenario;
@@ -160,6 +122,7 @@ impl Scenario for AblationsScenario {
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
         let mut results = results.into_iter();
         let mut report = Report::new("ablations", scale, seed);
+        let mut groups = Vec::new();
         for (i, (group, variants)) in variant_groups().into_iter().enumerate() {
             let mut table = Table::new(
                 format!("Ablations ({group}): PERT design choices (150 Mbps, 50 flows, 60 ms)"),
@@ -176,10 +139,10 @@ impl Scenario for AblationsScenario {
                 table =
                     table.with_note("(eq. 1 motivates decrease=0.35; §2.4 motivates alpha=0.99)");
             }
-            for _ in 0..variants.len() {
-                let r = take::<AblationRow>(results.next().expect("one job per variant"));
+            let rows: Vec<AblationRow> = results.by_ref().take(variants.len()).map(take).collect();
+            for r in &rows {
                 table.push(vec![
-                    Cell::Str(r.label),
+                    Cell::Str(r.label.clone()),
                     Cell::Num(r.point.queue_norm),
                     Cell::Num(r.point.drop_rate),
                     Cell::Num(r.point.utilization),
@@ -188,34 +151,41 @@ impl Scenario for AblationsScenario {
                 ]);
             }
             report.tables.push(table);
+            groups.push(rows);
         }
+        let [decrease, _, curve] = &groups[..] else {
+            panic!("ablations runs three groups");
+        };
+        // A 0.5 decrease should not leave a larger queue than 0.2.
+        let (q_02, q_05) = (decrease[0].point.queue_norm, decrease[2].point.queue_norm);
+        report.claim(
+            "decrease_0.5_q_le_0.2_q_plus_0.05",
+            q_05 <= q_02 + 0.05,
+            || format!("Q at decrease=0.5 {q_05}, at 0.2 {q_02}"),
+        );
+        let (low, high) = (
+            curve[0].point.early_reductions,
+            curve[2].point.early_reductions,
+        );
+        report.claim("pmax_0.20_responds_ge_pmax_0.02", high >= low, || {
+            format!("early reductions: pmax=0.20 {high}, pmax=0.02 {low}")
+        });
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn larger_decrease_lowers_queue() {
-        let rows = run_decrease(Scale::Quick);
-        let q: Vec<f64> = rows.iter().map(|r| r.point.queue_norm).collect();
         // 0.5 decrease should not leave a larger queue than 0.2.
-        assert!(
-            q[2] <= q[0] + 0.05,
-            "queues not ordered with decrease factor: {q:?}"
-        );
+        assert_claims_hold("ablations", &["decrease_0.5_q_le_0.2_q_plus_0.05"]);
     }
 
     #[test]
     fn heavier_pmax_responds_more() {
-        let rows = run_curve(Scale::Quick);
-        let low = rows[0].point.early_reductions;
-        let high = rows[2].point.early_reductions;
-        assert!(
-            high >= low,
-            "pmax=0.20 responded less ({high}) than pmax=0.02 ({low})"
-        );
+        assert_claims_hold("ablations", &["pmax_0.20_responds_ge_pmax_0.02"]);
     }
 }

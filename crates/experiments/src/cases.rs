@@ -158,30 +158,8 @@ pub fn run_case(label: &str, n_long: usize, n_web: usize, scale: Scale, seed: u6
     }
 }
 
-/// Run all six cases at `scale`.
-pub fn run_all_cases(scale: Scale) -> Vec<CaseTrace> {
-    let cases = if scale == Scale::Quick {
-        QUICK_CASES
-    } else {
-        PAPER_CASES
-    };
-    cases
-        .iter()
-        .enumerate()
-        .map(|(i, &(n_long, n_web))| {
-            run_case(
-                &format!("case{}", i + 1),
-                n_long,
-                n_web,
-                scale,
-                42 + i as u64,
-            )
-        })
-        .collect()
-}
-
 /// One independent [`Job`] per §2.2 case (case `i` runs at `seed + i`,
-/// matching [`run_all_cases`]' historical per-case seeds).
+/// the historical per-case seeds 42–47 at the default seed).
 pub fn case_jobs(target: &str, scale: Scale, seed: u64) -> Vec<Job> {
     let cases = if scale == Scale::Quick {
         QUICK_CASES
@@ -201,18 +179,33 @@ pub fn case_jobs(target: &str, scale: Scale, seed: u64) -> Vec<Job> {
         .collect()
 }
 
-/// Downcast a full set of case-job results back to traces.
-pub fn take_traces(results: Vec<PointResult>) -> Vec<CaseTrace> {
-    results.into_iter().map(take::<CaseTrace>).collect()
+/// One figure's share of a case-based report: its table and its claims,
+/// computed from the six traces.
+pub type CaseFigure = fn(&mut Report, &[CaseTrace]);
+
+/// Figures 2–4 from one set of case runs.
+pub const FIG234: CaseScenario = CaseScenario {
+    name: "fig234",
+    figures: &[
+        crate::fig2::add_to,
+        crate::fig3::add_to,
+        crate::fig4::add_to,
+    ],
+};
+
+/// A [`Scenario`] over the six §2.2 case runs: the simulations run once
+/// and every figure in `figures` reads the same traces (`fig234` all
+/// three; `fig2`, `fig3`, `fig4` one each).
+pub struct CaseScenario {
+    /// The CLI name.
+    pub name: &'static str,
+    /// The figures the report holds, in display order.
+    pub figures: &'static [CaseFigure],
 }
 
-/// Figures 2–4 as one [`Scenario`]: the six case simulations run once and
-/// all three analyses read the same traces.
-pub struct Fig234Scenario;
-
-impl Scenario for Fig234Scenario {
+impl Scenario for CaseScenario {
     fn name(&self) -> &'static str {
-        "fig234"
+        self.name
     }
 
     fn default_seed(&self) -> u64 {
@@ -220,29 +213,67 @@ impl Scenario for Fig234Scenario {
     }
 
     fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        case_jobs("fig234", scale, seed)
+        case_jobs(self.name, scale, seed)
     }
 
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let traces = take_traces(results);
-        let mut report = Report::new("fig234", scale, seed);
-        report
-            .tables
-            .push(crate::fig2::build_table(&crate::fig2::analyze_traces(
-                &traces,
-            )));
-        report
-            .tables
-            .push(crate::fig3::build_table(&crate::fig3::analyze_traces(
-                &traces,
-            )));
-        report
-            .tables
-            .push(crate::fig4::build_table(&crate::fig4::analyze_traces(
-                &traces,
-            )));
+        let traces: Vec<CaseTrace> = results.into_iter().map(take).collect();
+        let mut report = Report::new(self.name, scale, seed);
+        for figure in self.figures {
+            figure(&mut report, &traces);
+        }
+        claim_trace_invariants(&mut report, &traces, scale);
         report
     }
+}
+
+/// The harness invariants every case trace meets: the observed flow is
+/// busy, its RTT floors at the configured value, and its samples lie in
+/// the window; at the paper's loads standard TCP also overflows the
+/// DropTail bottleneck.
+fn claim_trace_invariants(report: &mut Report, traces: &[CaseTrace], scale: Scale) {
+    let each = || traces.iter().map(|t| (t.label.as_str(), t));
+    report.claim_each(
+        "observed_flow_has_500_samples",
+        each().map(|(c, t)| (c, t.samples.len())),
+        |&(_, n)| n > 500,
+    );
+    report.claim_each(
+        "queue_probed",
+        each().map(|(c, t)| (c, t.queue_series.len())),
+        |&(_, n)| n > 0,
+    );
+    if scale >= Scale::Standard {
+        // Quick case2 (10 long flows, 30 web sessions) drops nothing in
+        // its 10 s window.
+        report.claim_each(
+            "queue_overflows",
+            each().map(|(c, t)| (c, t.queue_drops.len())),
+            |&(_, n)| n > 0,
+        );
+    }
+    // Flow-level losses are a subset of queue-level ones.
+    report.claim_each(
+        "flow_drops_le_queue_drops",
+        each().map(|(c, t)| (c, t.flow_drops.len(), t.queue_drops.len())),
+        |&(_, flow, queue)| flow <= queue,
+    );
+    let min_rtt = |t: &CaseTrace| {
+        t.samples
+            .iter()
+            .map(|s| s.rtt)
+            .fold(f64::INFINITY, f64::min)
+    };
+    report.claim_each(
+        "rtt_floors_at_configured_value",
+        each().map(|(c, t)| (c, min_rtt(t))),
+        |&(_, min)| (min - OBSERVED_RTT).abs() < 0.01,
+    );
+    report.claim_each(
+        "samples_inside_window",
+        each().map(|(c, t)| (c, t.samples.iter().all(|s| s.at >= t.window_start))),
+        |&(_, inside)| inside,
+    );
 }
 
 #[cfg(test)]

@@ -9,11 +9,14 @@
 /// simulator. The presets trade sweep breadth and window length for
 /// turnaround while preserving every qualitative comparison:
 ///
-/// * `Quick` — seconds; used by unit tests and Criterion benches.
+/// * `Quick` — seconds; used by the claims test and the benchmark.
 /// * `Standard` — the default for `cargo run -p experiments`; minutes for
 ///   the whole suite.
 /// * `Full` — the paper's durations and sweep extents (`--full`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Scales are ordered `Quick < Standard < Full`; a claim the paper makes
+/// only at its own scale is checked at `scale >= Scale::Standard`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scale {
     /// Tiny: for tests/benches.
     Quick,

@@ -48,11 +48,6 @@ pub fn config(scheme: Scheme, scale: Scale) -> ChainConfig {
     cfg
 }
 
-/// Run one scheme through the chain.
-pub fn run_scheme(scheme: Scheme, scale: Scale) -> Fig11Result {
-    run_scheme_seeded(scheme, scale, ChainConfig::paper(Scheme::Pert).seed)
-}
-
 /// Run one scheme through the chain with an explicit master seed.
 pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> Fig11Result {
     let name = scheme.name();
@@ -99,14 +94,6 @@ pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> Fig11Result
     Fig11Result { scheme: name, hops }
 }
 
-/// Run all four schemes.
-pub fn run(scale: Scale) -> Vec<Fig11Result> {
-    paper_schemes()
-        .into_iter()
-        .map(|s| run_scheme(s, scale))
-        .collect()
-}
-
 /// The chain experiment as a [`Scenario`]: one job per scheme.
 pub struct Fig11Scenario;
 
@@ -135,7 +122,8 @@ impl Scenario for Fig11Scenario {
             &["scheme", "hop", "Q (norm)", "drop rate", "util %", "Jain"],
         )
         .with_note("(paper: PERT holds low queues and ~zero drops on every hop)");
-        for r in results.into_iter().map(take::<Fig11Result>) {
+        let results: Vec<Fig11Result> = results.into_iter().map(take).collect();
+        for r in &results {
             for h in &r.hops {
                 table.push(vec![
                     Cell::Str(r.scheme.to_string()),
@@ -149,33 +137,39 @@ impl Scenario for Fig11Scenario {
         }
         let mut report = Report::new("fig11", scale, seed);
         report.tables.push(table);
+        let hops = |name: &str| {
+            &results
+                .iter()
+                .find(|r| r.scheme == name)
+                .expect("fig11 runs every paper scheme")
+                .hops
+        };
+        let mean_q = |hops: &[HopMetrics]| {
+            hops.iter().map(|h| h.queue_norm).sum::<f64>() / hops.len() as f64
+        };
+        let (pert, sack) = (hops("PERT"), hops("SACK/DropTail"));
+        let (pert_q, sack_q) = (mean_q(pert), mean_q(sack));
+        report.claim("pert_mean_hop_q_below_sack", pert_q < sack_q, || {
+            format!("PERT mean hop Q {pert_q}, SACK/DropTail {sack_q}")
+        });
+        report.claim_each(
+            "pert_hop_drop_below_0.02",
+            pert.iter().map(|h| (h.hop, h.drop_rate)),
+            |&(_, d)| d < 0.02,
+        );
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_low_queue_across_all_hops() {
-        let pert = run_scheme(Scheme::Pert, Scale::Quick);
-        let sack = run_scheme(Scheme::SackDroptail, Scale::Quick);
-        let pert_mean: f64 =
-            pert.hops.iter().map(|h| h.queue_norm).sum::<f64>() / pert.hops.len() as f64;
-        let sack_mean: f64 =
-            sack.hops.iter().map(|h| h.queue_norm).sum::<f64>() / sack.hops.len() as f64;
-        assert!(
-            pert_mean < sack_mean,
-            "PERT mean hop queue {pert_mean} !< SACK {sack_mean}"
+        assert_claims_hold(
+            "fig11",
+            &["pert_mean_hop_q_below_sack", "pert_hop_drop_below_0.02"],
         );
-        for h in &pert.hops {
-            assert!(
-                h.drop_rate < 0.02,
-                "hop {} drop rate {}",
-                h.hop,
-                h.drop_rate
-            );
-        }
     }
 }

@@ -4,7 +4,8 @@
 //! re-converge quickly after every arrival/departure and share bandwidth
 //! across cohorts.
 
-use netsim::{SimDuration, SimTime};
+use netsim::{SimDuration, SimTime, Simulator};
+use pert_tcp::Connection;
 use sim_stats::TimeSeries;
 use std::sync::{Arc, Mutex};
 use workload::{build_dumbbell, DumbbellConfig, Scheme};
@@ -74,11 +75,6 @@ pub struct Fig12Result {
     pub cohort_throughput: Vec<TimeSeries>,
 }
 
-/// Run the experiment.
-pub fn run_scheme(scheme: Scheme, scale: Scale) -> Fig12Result {
-    run_scheme_seeded(scheme, scale, 120)
-}
-
 /// Run the experiment with an explicit master seed.
 pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> Fig12Result {
     let cfg = Fig12Config::at_scale(scheme, scale);
@@ -112,54 +108,52 @@ pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> Fig12Result
         }
     }
 
-    // Sample each cohort's aggregate goodput once per second.
-    let series: Arc<Mutex<Vec<TimeSeries>>> =
-        Arc::new(Mutex::new(vec![TimeSeries::new(); cfg.cohorts]));
-    let series2 = Arc::clone(&series);
-    let cohort_conns: Vec<Vec<pert_tcp::Connection>> = (0..cfg.cohorts)
+    let cohorts = (0..cfg.cohorts)
         .map(|c| d.forward[c * cfg.cohort_size..(c + 1) * cfg.cohort_size].to_vec())
         .collect();
-    let prev: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; cfg.cohorts]));
-    let prev2 = Arc::clone(&prev);
-    sim.add_probe(SimDuration::from_secs(1), move |sim, now| {
-        let mut prev = prev2.lock().unwrap();
-        let mut ser = series2.lock().unwrap();
-        for (c, conns) in cohort_conns.iter().enumerate() {
-            let acked: u64 = conns
-                .iter()
-                .map(|conn| pert_tcp::sender_stats(sim, conn).acked_segments)
-                .sum();
-            let rate = acked.saturating_sub(prev[c]) as f64; // per 1 s
-            prev[c] = acked;
-            ser[c].push(now.as_secs_f64(), rate);
-        }
-    });
-
-    sim.run_until(SimTime::from_secs_f64(cfg.total_secs()));
-    drop(sim);
-    let cohort_throughput = Arc::try_unwrap(series)
-        .expect("probe closure still alive")
-        .into_inner()
-        .unwrap();
-
+    let until = SimTime::from_secs_f64(cfg.total_secs());
+    let cohort_throughput = cohort_goodput(sim, cohorts, until);
     Fig12Result {
         config: cfg,
         cohort_throughput,
     }
 }
 
-/// Run with PERT (the paper's displayed panel).
-pub fn run(scale: Scale) -> Fig12Result {
-    run_scheme(Scheme::Pert, scale)
+/// Run `sim` until `until`, sampling each cohort's aggregate goodput
+/// (segments acked in the last second) once per second.
+pub fn cohort_goodput(
+    mut sim: Simulator,
+    cohorts: Vec<Vec<Connection>>,
+    until: SimTime,
+) -> Vec<TimeSeries> {
+    let series = Arc::new(Mutex::new(vec![TimeSeries::new(); cohorts.len()]));
+    let sink = Arc::clone(&series);
+    let mut prev = vec![0; cohorts.len()];
+    sim.add_probe(SimDuration::from_secs(1), move |sim, now| {
+        let mut series = sink.lock().unwrap();
+        for (c, conns) in cohorts.iter().enumerate() {
+            let acked: u64 = conns
+                .iter()
+                .map(|conn| pert_tcp::sender_stats(sim, conn).acked_segments)
+                .sum();
+            series[c].push(now.as_secs_f64(), acked.saturating_sub(prev[c]) as f64);
+            prev[c] = acked;
+        }
+    });
+    sim.run_until(until);
+    drop(sim);
+    Arc::try_unwrap(series)
+        .expect("probe closure still alive")
+        .into_inner()
+        .unwrap()
 }
 
-/// Mean aggregate throughput of cohort `c` during phase `p` (phases are
-/// `phase_secs` long).
-pub fn phase_mean(result: &Fig12Result, cohort: usize, phase: usize) -> Option<f64> {
-    let p = result.config.phase_secs;
-    let from = phase as f64 * p + 0.25 * p; // skip the transient quarter
-    let to = (phase + 1) as f64 * p;
-    result.cohort_throughput[cohort].mean_in(from, to)
+/// Mean of `series` during phase `phase` (phases are `phase_secs` long),
+/// skipping the transient first quarter of the phase.
+pub fn phase_mean(series: &TimeSeries, phase_secs: f64, phase: usize) -> Option<f64> {
+    let from = phase as f64 * phase_secs + 0.25 * phase_secs;
+    let to = (phase + 1) as f64 * phase_secs;
+    series.mean_in(from, to)
 }
 
 /// The dynamic-behaviour experiment as a [`Scenario`]: a single job (the
@@ -185,6 +179,7 @@ impl Scenario for Fig12Scenario {
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
         let result = take::<Fig12Result>(results.into_iter().next().expect("one job"));
         let cfg = &result.config;
+        let mean = |c: usize, ph| phase_mean(&result.cohort_throughput[c], cfg.phase_secs, ph);
         let phases = 2 * cfg.cohorts - 1;
         let mut header = vec!["cohort".to_string()];
         for ph in 0..phases {
@@ -207,7 +202,7 @@ impl Scenario for Fig12Scenario {
             for ph in 0..phases {
                 let active = ph >= c && (c == cfg.cohorts - 1 || ph < cfg.cohorts + c);
                 if active {
-                    row.push(phase_mean(&result, c, ph).map_or(Cell::Str("-".into()), Cell::Num));
+                    row.push(mean(c, ph).map_or(Cell::Str("-".into()), Cell::Num));
                 } else {
                     row.push(Cell::Str("-".into()));
                 }
@@ -216,56 +211,59 @@ impl Scenario for Fig12Scenario {
         }
         let mut report = Report::new("fig12", scale, seed);
         report.tables.push(table);
+
+        // In the all-active phase (phase cohorts-1) each cohort gets a
+        // non-trivial, fair share.
+        let all_active = cfg.cohorts - 1;
+        let shares: Vec<f64> = (0..cfg.cohorts)
+            .map(|c| mean(c, all_active).unwrap_or(0.0))
+            .collect();
+        let total: f64 = shares.iter().sum();
+        let floor = total / (cfg.cohorts as f64 * 4.0);
+        report.claim(
+            "cohorts_share_when_all_active",
+            total > 0.0 && shares.iter().all(|&s| s > floor),
+            || format!("shares {shares:?}, floor {floor}"),
+        );
+        let jain = sim_stats::jain_index(&shares);
+        report.claim("all_active_jain_ge_0.95", jain >= 0.95, || {
+            format!("Jain {jain} over shares {shares:?}")
+        });
+        // In the final phase only the last cohort remains: it takes
+        // clearly more than its all-active share, and the departed
+        // cohort 0 is ~silent.
+        let final_phase = 2 * cfg.cohorts - 2;
+        let last_share = shares[all_active];
+        let final_rate = mean(all_active, final_phase).unwrap_or(0.0);
+        report.claim(
+            "last_cohort_takes_over",
+            final_rate > last_share * 1.5,
+            || format!("final {final_rate} vs all-active share {last_share}"),
+        );
+        let departed = mean(0, final_phase).unwrap_or(0.0);
+        report.claim(
+            "departed_cohorts_go_quiet",
+            departed < final_rate * 0.05 + 1.0,
+            || format!("cohort0 {departed} vs active {final_rate}"),
+        );
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn cohorts_share_when_all_active_and_last_takes_over() {
-        let r = run(Scale::Quick);
-        let cfg = &r.config;
-        // In the all-active phase (phase cohorts-1) each cohort gets a
-        // non-trivial share.
-        let all_active = cfg.cohorts - 1;
-        let shares: Vec<f64> = (0..cfg.cohorts)
-            .map(|c| phase_mean(&r, c, all_active).unwrap_or(0.0))
-            .collect();
-        let total: f64 = shares.iter().sum();
-        assert!(total > 0.0);
-        for (c, s) in shares.iter().enumerate() {
-            assert!(
-                *s > total / (cfg.cohorts as f64 * 4.0),
-                "cohort {c} starved in all-active phase: {shares:?}"
-            );
-        }
-        // In the final phase only the last cohort remains and should take
-        // clearly more than its all-active share.
-        let last = cfg.cohorts - 1;
-        let final_phase = 2 * cfg.cohorts - 2;
-        let final_rate = phase_mean(&r, last, final_phase).unwrap_or(0.0);
-        assert!(
-            final_rate > shares[last] * 1.5,
-            "last cohort did not absorb freed bandwidth: {final_rate} vs {}",
-            shares[last]
+        assert_claims_hold(
+            "fig12",
+            &["cohorts_share_when_all_active", "last_cohort_takes_over"],
         );
     }
 
     #[test]
     fn departed_cohorts_go_quiet() {
-        let r = run(Scale::Quick);
-        let cfg = &r.config;
-        // Cohort 0 leaves at phase `cohorts`; in the final phase its rate
-        // must be ~zero.
-        let final_phase = 2 * cfg.cohorts - 2;
-        let rate = phase_mean(&r, 0, final_phase).unwrap_or(0.0);
-        let active = phase_mean(&r, cfg.cohorts - 1, final_phase).unwrap_or(0.0);
-        assert!(
-            rate < active * 0.05 + 1.0,
-            "departed cohort still sending: {rate} vs active {active}"
-        );
+        assert_claims_hold("fig12", &["departed_cohorts_go_quiet"]);
     }
 }

@@ -113,15 +113,6 @@ pub fn run_trajectory(r: f64, horizon: f64) -> TrajectoryRun {
     }
 }
 
-/// Panels (b)–(d): the three RTTs of §5.3.
-pub fn run_13bcd(scale: Scale) -> Vec<TrajectoryRun> {
-    let horizon = if scale == Scale::Quick { 120.0 } else { 300.0 };
-    [0.100, 0.160, 0.171]
-        .into_iter()
-        .map(|r| run_trajectory(r, horizon))
-        .collect()
-}
-
 /// Panel (a) as a [`Scenario`]. The fluid model is deterministic, so the
 /// seed only labels the report.
 pub struct Fig13aScenario;
@@ -151,6 +142,20 @@ impl Scenario for Fig13aScenario {
         }
         let mut report = Report::new("fig13a", scale, seed);
         report.tables.push(table);
+        report.claim("fifty_points", points.len() == 50, || {
+            format!("{} points", points.len())
+        });
+        report.claim_each(
+            "delta_monotone_decreasing",
+            points
+                .windows(2)
+                .map(|w| (w[1].n_min, w[0].min_delta, w[1].min_delta)),
+            |&(_, before, at)| at <= before + 1e-12,
+        );
+        let d40 = points.get(39).map_or(f64::NAN, |p| p.min_delta);
+        report.claim("delta_at_n40_near_0.1", (0.08..0.15).contains(&d40), || {
+            format!("delta(40) = {d40}")
+        });
         report
     }
 }
@@ -185,7 +190,8 @@ impl Scenario for Fig13bcdScenario {
             &["R (ms)", "thm1 holds", "|dev| mid", "|dev| late", "class"],
         )
         .with_note("(paper: stable at 100 ms; decaying oscillation at 160 ms; unstable at 171 ms)");
-        for r in results.into_iter().map(take::<TrajectoryRun>) {
+        let runs: Vec<TrajectoryRun> = results.into_iter().map(take).collect();
+        for r in &runs {
             table.push(vec![
                 Cell::Fixed(r.rtt * 1e3, 0),
                 Cell::Str(format!("{}", r.theorem1_holds)),
@@ -196,6 +202,28 @@ impl Scenario for Fig13bcdScenario {
         }
         let mut report = Report::new("fig13bcd", scale, seed);
         report.tables.push(table);
+        let [r100, r160, r171] = &runs[..] else {
+            panic!("fig13bcd runs three RTTs");
+        };
+        let show = |r: &TrajectoryRun| {
+            format!(
+                "R {} ms: {:?}, thm1 {}, |dev| mid {} late {}",
+                r.rtt * 1e3,
+                r.class,
+                r.theorem1_holds,
+                r.mid_deviation,
+                r.late_deviation
+            )
+        };
+        report.claim("r100_stable", r100.class == TrajectoryClass::Stable, || {
+            show(r100)
+        });
+        report.claim("r100_theorem1_holds", r100.theorem1_holds, || show(r100));
+        let r160_unstable = r160.class == TrajectoryClass::Unstable;
+        report.claim("r160_not_unstable", !r160_unstable, || show(r160));
+        report.claim("r160_theorem1_holds", r160.theorem1_holds, || show(r160));
+        let r171_unstable = r171.class == TrajectoryClass::Unstable;
+        report.claim("r171_unstable", r171_unstable, || show(r171));
         report
     }
 }
@@ -203,6 +231,7 @@ impl Scenario for Fig13bcdScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn panel_a_monotone_and_anchored() {
@@ -217,11 +246,13 @@ mod tests {
 
     #[test]
     fn panels_bcd_reproduce_the_paper_classification() {
-        let runs = run_13bcd(Scale::Quick);
-        assert_eq!(runs[0].class, TrajectoryClass::Stable, "{:?}", runs[0]);
-        assert!(runs[0].theorem1_holds);
-        assert_ne!(runs[1].class, TrajectoryClass::Unstable);
-        assert!(runs[1].theorem1_holds);
-        assert_eq!(runs[2].class, TrajectoryClass::Unstable);
+        let names = [
+            "r100_stable",
+            "r100_theorem1_holds",
+            "r160_not_unstable",
+            "r160_theorem1_holds",
+            "r171_unstable",
+        ];
+        assert_claims_hold("fig13bcd", &names);
     }
 }

@@ -4,121 +4,59 @@
 
 use workload::Scheme;
 
-use crate::common::Scale;
-use crate::fig7::{config_for, rtt_grid};
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, regroup, SchemePoint};
+use crate::fig7::{config_for, rtt_cells, rtt_grid, rtt_label};
+use crate::sweep::{SchemePoint, SweepScenario};
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Fig14Point {
-    /// End-to-end RTT, seconds.
-    pub rtt: f64,
-    /// PERT/PI vs SACK over router PI-ECN.
-    pub schemes: Vec<SchemePoint>,
-}
-
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<Fig14Point> {
-    let schemes = vec![Scheme::PertPi, Scheme::SackPiEcn];
-    rtt_grid(scale)
-        .into_iter()
-        .map(|rtt| {
-            let mut cfg = config_for(rtt, scale);
-            cfg.seed = 140;
-            Fig14Point {
-                rtt,
-                schemes: compare_schemes(&cfg, &schemes, scale),
-            }
-        })
-        .collect()
-}
-
-/// The PI-emulation sweep as a [`Scenario`].
-pub struct Fig14Scenario;
-
-impl Scenario for Fig14Scenario {
-    fn name(&self) -> &'static str {
-        "fig14"
-    }
-
-    fn default_seed(&self) -> u64 {
-        140
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = rtt_grid(scale)
-            .into_iter()
-            .map(|rtt| {
-                let mut cfg = config_for(rtt, scale);
-                cfg.seed = seed;
-                (format!("{:.0}ms", rtt * 1e3), cfg)
-            })
-            .collect();
-        grid_jobs(
-            "fig14",
-            configs,
-            vec![Scheme::PertPi, Scheme::SackPiEcn],
-            scale,
-        )
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, 2);
-        let mut table = Table::new(
-            "Figure 14: emulating PI from end hosts (150 Mbps, 50 flows)",
-            &[
-                "RTT ms",
-                "scheme",
-                "Q (norm)",
-                "drop rate",
-                "util %",
-                "Jain",
-            ],
-        )
-        .with_note("(paper: PERT-PI ~ router PI-ECN on queue & utilization, near-zero drops)");
-        for (rtt, group) in rtt_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Fixed(rtt * 1e3, 0),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("fig14", scale, seed);
-        report.tables.push(table);
-        report
-    }
-}
+/// The PI-emulation sweep: PERT/PI vs SACK over router PI-ECN.
+pub const FIG14: SweepScenario<f64> = SweepScenario {
+    name: "fig14",
+    seed: 140,
+    title: "Figure 14: emulating PI from end hosts (150 Mbps, 50 flows)",
+    note: "(paper: PERT-PI ~ router PI-ECN on queue & utilization, near-zero drops)",
+    columns: &[
+        "RTT ms",
+        "scheme",
+        "Q (norm)",
+        "drop rate",
+        "util %",
+        "Jain",
+    ],
+    grid: rtt_grid,
+    label: rtt_label,
+    config: config_for,
+    schemes: || vec![Scheme::PertPi, Scheme::SackPiEcn],
+    key_cells: rtt_cells,
+    claims: |c, _| {
+        c.each(
+            "pert_pi_drop_below_0.01",
+            "PERT-PI",
+            |s| s.drop_rate,
+            |d| d < 0.01,
+        );
+        c.each(
+            "pert_pi_util_above_50",
+            "PERT-PI",
+            |s| s.utilization,
+            |u| u > 50.0,
+        );
+        let early = |s: &SchemePoint| s.early_reductions as f64;
+        c.each("pert_pi_responds_early", "PERT-PI", early, |e| e > 0.0);
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_pi_avoids_drops_like_router_pi() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let pert_pi = p.schemes.iter().find(|s| s.scheme == "PERT-PI").unwrap();
-            assert!(
-                pert_pi.drop_rate < 0.01,
-                "PERT-PI drop rate {} at rtt {}",
-                pert_pi.drop_rate,
-                p.rtt
-            );
-            assert!(
-                pert_pi.utilization > 50.0,
-                "PERT-PI util {} at rtt {}",
-                pert_pi.utilization,
-                p.rtt
-            );
-            assert!(pert_pi.early_reductions > 0, "PERT-PI never responded");
-        }
+        assert_claims_hold(
+            "fig14",
+            &[
+                "pert_pi_drop_below_0.01",
+                "pert_pi_util_above_50",
+                "pert_pi_responds_early",
+            ],
+        );
     }
 }

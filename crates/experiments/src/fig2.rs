@@ -10,11 +10,8 @@
 use pert_core::predictors::{CongestionState, InstRtt, Predictor};
 use sim_stats::analyze;
 
-use crate::cases::{case_jobs, run_all_cases, take_traces, CaseTrace, HIGH_RTT_THRESHOLD};
-use crate::common::Scale;
+use crate::cases::{CaseScenario, CaseTrace, HIGH_RTT_THRESHOLD};
 use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
 
 /// One row of Figure 2.
 #[derive(Clone, Debug)]
@@ -54,19 +51,21 @@ pub fn analyze_traces(traces: &[CaseTrace]) -> Vec<Fig2Row> {
         .collect()
 }
 
-/// Run the full experiment at `scale`.
-pub fn run(scale: Scale) -> Vec<Fig2Row> {
-    analyze_traces(&run_all_cases(scale))
-}
+/// Figure 2 alone: the six case runs feed only this figure.
+pub const FIG2: CaseScenario = CaseScenario {
+    name: "fig2",
+    figures: &[add_to],
+};
 
-/// Build the report table for a set of rows (shared with `fig234`).
-pub fn build_table(rows: &[Fig2Row]) -> Table {
+/// Figure 2's table and claims, from the case traces.
+pub fn add_to(report: &mut Report, traces: &[CaseTrace]) {
+    let rows = analyze_traces(traces);
     let mut table = Table::new(
         "Figure 2: fraction of high-RTT -> loss transitions",
         &["case", "long x web", "flow-level", "queue-level"],
     )
     .with_note("(paper: queue-level correlation substantially exceeds flow-level)");
-    for r in rows {
+    for r in &rows {
         table.push(vec![
             Cell::Str(r.case.clone()),
             Cell::Str(format!("{}x{}", r.load.0, r.load.1)),
@@ -74,37 +73,25 @@ pub fn build_table(rows: &[Fig2Row]) -> Table {
             Cell::Num(r.queue_level),
         ]);
     }
-    table
-}
-
-/// Figure 2 alone as a [`Scenario`].
-pub struct Fig2Scenario;
-
-impl Scenario for Fig2Scenario {
-    fn name(&self) -> &'static str {
-        "fig2"
-    }
-
-    fn default_seed(&self) -> u64 {
-        42
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        case_jobs("fig2", scale, seed)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let traces = take_traces(results);
-        let mut report = Report::new("fig2", scale, seed);
-        report.tables.push(build_table(&analyze_traces(&traces)));
-        report
-    }
+    report.tables.push(table);
+    let each = || {
+        rows.iter()
+            .map(|r| (r.case.as_str(), r.flow_level, r.queue_level))
+    };
+    report.claim_each("queue_level_ge_flow_level", each(), |&(_, flow, queue)| {
+        queue >= flow
+    });
+    let some = rows.iter().any(|r| r.queue_level > 0.0);
+    report.claim("queue_level_positive_in_some_case", some, || {
+        format!("{:?}", each().collect::<Vec<_>>())
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cases::run_case;
+    use crate::common::Scale;
 
     #[test]
     fn queue_level_correlation_dominates_flow_level() {

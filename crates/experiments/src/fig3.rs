@@ -11,13 +11,8 @@ use pert_core::predictors::{
 };
 use sim_stats::analyze;
 
-use crate::cases::{
-    case_jobs, run_all_cases, take_traces, CaseTrace, CASE_BUFFER, HIGH_RTT_THRESHOLD,
-};
-use crate::common::Scale;
+use crate::cases::{CaseScenario, CaseTrace, CASE_BUFFER, HIGH_RTT_THRESHOLD};
 use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
 
 /// One row of Figure 3 (averaged over cases).
 #[derive(Clone, Debug)]
@@ -104,19 +99,21 @@ pub fn analyze_traces(traces: &[CaseTrace]) -> Vec<Fig3Row> {
     rows
 }
 
-/// Run the full experiment at `scale`.
-pub fn run(scale: Scale) -> Vec<Fig3Row> {
-    analyze_traces(&run_all_cases(scale))
-}
+/// Figure 3 alone: the six case runs feed only this figure.
+pub const FIG3: CaseScenario = CaseScenario {
+    name: "fig3",
+    figures: &[add_to],
+};
 
-/// Build the report table for a set of rows (shared with `fig234`).
-pub fn build_table(rows: &[Fig3Row]) -> Table {
+/// Figure 3's table and claims, from the case traces.
+pub fn add_to(report: &mut Report, traces: &[CaseTrace]) {
+    let rows = analyze_traces(traces);
     let mut table = Table::new(
         "Figure 3: predictor quality vs queue-level losses (mean over cases)",
         &["predictor", "efficiency", "false-pos", "false-neg"],
     )
     .with_note("(paper: srtt_0.99 attains high efficiency with low FP and FN)");
-    for r in rows {
+    for r in &rows {
         table.push(vec![
             Cell::Str(r.predictor.to_string()),
             Cell::Num(r.efficiency),
@@ -124,37 +121,24 @@ pub fn build_table(rows: &[Fig3Row]) -> Table {
             Cell::Num(r.false_negatives),
         ]);
     }
-    table
-}
-
-/// Figure 3 alone as a [`Scenario`].
-pub struct Fig3Scenario;
-
-impl Scenario for Fig3Scenario {
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
-
-    fn default_seed(&self) -> u64 {
-        42
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        case_jobs("fig3", scale, seed)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let traces = take_traces(results);
-        let mut report = Report::new("fig3", scale, seed);
-        report.tables.push(build_table(&analyze_traces(&traces)));
-        report
-    }
+    report.tables.push(table);
+    // The §2.4 smoothing claim.
+    let fp = |name| {
+        rows.iter()
+            .find(|r| r.predictor == name)
+            .map_or(f64::NAN, |r| r.false_positives)
+    };
+    let (smooth, inst) = (fp("ewma-0.99"), fp("inst-rtt"));
+    report.claim("ewma_0.99_fp_le_inst_rtt_fp", smooth <= inst + 1e-9, || {
+        format!("ewma-0.99 FP {smooth}, inst-rtt FP {inst}")
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cases::run_case;
+    use crate::common::Scale;
 
     #[test]
     fn battery_and_names_align() {

@@ -9,11 +9,9 @@
 use pert_core::predictors::{CongestionState, EwmaRtt, Predictor};
 use sim_stats::{analyze, Histogram};
 
-use crate::cases::{case_jobs, run_all_cases, take_traces, CaseTrace, HIGH_RTT_THRESHOLD};
-use crate::common::{fmt, Scale};
+use crate::cases::{CaseScenario, CaseTrace, HIGH_RTT_THRESHOLD};
+use crate::common::fmt;
 use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
 
 /// Figure 4's result: one normalized-queue-length histogram per case plus
 /// the pooled distribution.
@@ -58,63 +56,48 @@ pub fn analyze_traces(traces: &[CaseTrace]) -> Fig4Result {
     }
 }
 
-/// Run the full experiment at `scale`.
-pub fn run(scale: Scale) -> Fig4Result {
-    analyze_traces(&run_all_cases(scale))
-}
+/// Figure 4 alone: the six case runs feed only this figure.
+pub const FIG4: CaseScenario = CaseScenario {
+    name: "fig4",
+    figures: &[add_to],
+};
 
-/// Build the report table for a result (shared with `fig234`).
-pub fn build_table(result: &Fig4Result) -> Table {
+/// Figure 4's table and claims, from the case traces.
+pub fn add_to(report: &mut Report, traces: &[CaseTrace]) {
+    let r = analyze_traces(traces);
     let mut table = Table::new(
         "Figure 4: PDF of normalized queue length at srtt_0.99 false positives",
         &["q/B", "pdf", ""],
     )
     .with_note(format!(
         "(paper: false positives cluster at low queue; pooled P(q < 0.5) here = {})",
-        fmt(result.fraction_below_half)
+        fmt(r.fraction_below_half)
     ));
-    for (i, &p) in result.pooled.pmf().iter().enumerate() {
+    for (i, &p) in r.pooled.pmf().iter().enumerate() {
         table.push(vec![
-            Cell::Fixed(result.pooled.bin_center(i), 2),
+            Cell::Fixed(r.pooled.bin_center(i), 2),
             Cell::Num(p),
             Cell::Str("#".repeat((p * 50.0).round() as usize)),
         ]);
     }
-    table.footer = Some(format!(
-        "(false positives pooled: {})",
-        result.pooled.total()
-    ));
-    table
-}
-
-/// Figure 4 alone as a [`Scenario`].
-pub struct Fig4Scenario;
-
-impl Scenario for Fig4Scenario {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-
-    fn default_seed(&self) -> u64 {
-        42
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        case_jobs("fig4", scale, seed)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let traces = take_traces(results);
-        let mut report = Report::new("fig4", scale, seed);
-        report.tables.push(build_table(&analyze_traces(&traces)));
-        report
-    }
+    table.footer = Some(format!("(false positives pooled: {})", r.pooled.total()));
+    report.tables.push(table);
+    // The paper's observation: the bulk sits in the lower half.
+    let (n, below) = (r.pooled.total(), r.fraction_below_half);
+    report.claim("fp_skew_below_half_buffer", n < 5 || below > 0.5, || {
+        format!("P(q < B/2) = {below} with {n} FPs")
+    });
+    let cases = r.per_case.len();
+    report.claim("one_histogram_per_case", cases == traces.len(), || {
+        format!("{cases} histograms for {} traces", traces.len())
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cases::run_case;
+    use crate::common::Scale;
 
     #[test]
     fn false_positives_skew_toward_low_queue() {

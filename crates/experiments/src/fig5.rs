@@ -44,11 +44,6 @@ pub fn samples_for(scale: Scale) -> usize {
     }
 }
 
-/// Run with the paper's parameters.
-pub fn run() -> Vec<CurvePoint> {
-    sample_curve(&ResponseCurve::PAPER_DEFAULT, 26)
-}
-
 /// The response curve as a [`Scenario`]. Purely analytic — a single job;
 /// the seed only labels the report.
 pub struct Fig5Scenario;
@@ -90,6 +85,18 @@ impl Scenario for Fig5Scenario {
         }
         let mut report = Report::new("fig5", scale, seed);
         report.tables.push(table);
+        // The anchors: 0 at T_min, p_max at T_max, 1 at 2*T_max.
+        for (name, qd, p) in [
+            ("p_zero_at_t_min", c.t_min, 0.0),
+            ("p_max_at_t_max", c.t_max, c.p_max),
+            ("p_one_at_2_t_max", 2.0 * c.t_max, 1.0),
+        ] {
+            let at = points.iter().find(|s| (s.queuing_delay - qd).abs() < 1e-9);
+            let got = at.map_or(f64::NAN, |s| s.probability);
+            report.claim(name, (got - p).abs() < 1e-9, || {
+                format!("p({} ms) = {got}, want {p}", qd * 1e3)
+            });
+        }
         report
     }
 }
@@ -100,7 +107,7 @@ mod tests {
 
     #[test]
     fn curve_sampling_covers_all_segments() {
-        let pts = run();
+        let pts = sample_curve(&ResponseCurve::PAPER_DEFAULT, 26);
         assert_eq!(pts.first().unwrap().probability, 0.0);
         assert_eq!(pts.last().unwrap().probability, 1.0);
         // Monotone.

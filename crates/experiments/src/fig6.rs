@@ -8,21 +8,8 @@ use netsim::SimDuration;
 use workload::{DumbbellConfig, Scheme};
 
 use crate::common::Scale;
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, paper_schemes, regroup, SchemePoint};
-
-/// One sweep point: a bandwidth and the four schemes' panels.
-#[derive(Clone, Debug)]
-pub struct Fig6Point {
-    /// Bottleneck bandwidth, Mbps.
-    pub bandwidth_mbps: f64,
-    /// Long-term flows used at this bandwidth.
-    pub flows: usize,
-    /// Per-scheme metrics.
-    pub schemes: Vec<SchemePoint>,
-}
+use crate::report::Cell;
+use crate::sweep::{paper_schemes, SchemePoint, SweepClaims, SweepScenario};
 
 /// The bandwidth grid (Mbps) at each scale.
 pub fn bandwidth_grid(scale: Scale) -> Vec<f64> {
@@ -52,85 +39,77 @@ pub fn config_for(mbps: f64, scale: Scale) -> DumbbellConfig {
     }
 }
 
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<Fig6Point> {
-    bandwidth_grid(scale)
-        .into_iter()
-        .map(|mbps| {
-            let cfg = config_for(mbps, scale);
-            Fig6Point {
-                bandwidth_mbps: mbps,
-                flows: cfg.forward_rtts.len(),
-                schemes: compare_schemes(&cfg, &paper_schemes(), scale),
-            }
-        })
-        .collect()
-}
+/// The bandwidth sweep.
+pub const FIG6: SweepScenario<f64> = SweepScenario {
+    name: "fig6",
+    seed: 60,
+    title: "Figure 6: impact of bottleneck bandwidth (RTT 60 ms)",
+    note: "(paper: PERT tracks SACK/RED-ECN on queue & drops; SACK/DropTail queue stays high)",
+    columns: &[
+        "Mbps",
+        "flows",
+        "scheme",
+        "Q (norm)",
+        "drop rate",
+        "util %",
+        "Jain",
+    ],
+    grid: bandwidth_grid,
+    label: |mbps| format!("{mbps}Mbps"),
+    config: config_for,
+    schemes: paper_schemes,
+    key_cells: |mbps, row| {
+        row.extend([
+            Cell::Plain(mbps),
+            Cell::Int(flows_for_bandwidth(mbps) as i64),
+        ])
+    },
+    claims,
+};
 
-/// The bandwidth sweep as a [`Scenario`]: one job per (bandwidth ×
-/// scheme) simulation.
-pub struct Fig6Scenario;
-
-impl Scenario for Fig6Scenario {
-    fn name(&self) -> &'static str {
-        "fig6"
+fn claims(c: &mut SweepClaims<f64>, scale: Scale) {
+    let sack = ("PERT", "SACK/DropTail");
+    c.vs(
+        "pert_q_le_sack_q_plus_0.05",
+        sack,
+        |s| s.queue_norm,
+        |p, s| p <= s + 0.05,
+    );
+    c.vs("pert_q_below_sack_q", sack, |s| s.queue_norm, |p, s| p < s);
+    c.vs(
+        "pert_drop_le_sack_drop",
+        sack,
+        |s| s.drop_rate,
+        |p, s| p <= s + 1e-9,
+    );
+    c.vs("pert_jain_ge_sack_jain", sack, |s| s.jain, |p, s| p >= s);
+    let red = ("PERT", "SACK/RED-ECN");
+    c.vs("pert_q_le_red_ecn_q", red, |s| s.queue_norm, |p, r| p <= r);
+    c.each(
+        "pert_util_above_70",
+        "PERT",
+        |s| s.utilization,
+        |u| u > 70.0,
+    );
+    let early = |s: &SchemePoint| s.early_reductions as f64;
+    c.each("pert_responds_early", "PERT", early, |e| e > 0.0);
+    c.each("sack_never_responds_early", sack.1, early, |e| e == 0.0);
+    for (name, scheme) in [
+        ("pert_drops_nothing", "PERT"),
+        ("red_ecn_drops_nothing", "SACK/RED-ECN"),
+        ("vegas_drops_nothing", "Vegas"),
+    ] {
+        c.each(name, scheme, |s| s.drop_rate, |d| d == 0.0);
     }
-
-    fn default_seed(&self) -> u64 {
-        60
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = bandwidth_grid(scale)
-            .into_iter()
-            .map(|mbps| {
-                let mut cfg = config_for(mbps, scale);
-                cfg.seed = seed;
-                (format!("{mbps}Mbps"), cfg)
-            })
-            .collect();
-        grid_jobs("fig6", configs, paper_schemes(), scale)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, paper_schemes().len());
-        let mut table = Table::new(
-            "Figure 6: impact of bottleneck bandwidth (RTT 60 ms)",
-            &[
-                "Mbps",
-                "flows",
-                "scheme",
-                "Q (norm)",
-                "drop rate",
-                "util %",
-                "Jain",
-            ],
-        )
-        .with_note(
-            "(paper: PERT tracks SACK/RED-ECN on queue & drops; SACK/DropTail queue stays high)",
-        );
-        for (mbps, group) in bandwidth_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Plain(mbps),
-                    Cell::Int(flows_for_bandwidth(mbps) as i64),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("fig6", scale, seed);
-        report.tables.push(table);
-        report
+    if scale >= Scale::Standard {
+        c.each("pert_jain_ge_0.99", "PERT", |s| s.jain, |j| j >= 0.99);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn flow_scaling_rule() {
@@ -149,18 +128,6 @@ mod tests {
 
     #[test]
     fn quick_sweep_preserves_orderings() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let get = |n: &str| p.schemes.iter().find(|s| s.scheme == n).unwrap();
-            let pert = get("PERT");
-            let sack = get("SACK/DropTail");
-            assert!(
-                pert.queue_norm <= sack.queue_norm + 0.05,
-                "{} Mbps: PERT Q {} vs SACK {}",
-                p.bandwidth_mbps,
-                pert.queue_norm,
-                sack.queue_norm
-            );
-        }
+        assert_claims_hold("fig6", &["pert_q_le_sack_q_plus_0.05"]);
     }
 }

@@ -5,19 +5,8 @@ use netsim::SimDuration;
 use workload::{DumbbellConfig, Scheme};
 
 use crate::common::Scale;
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, paper_schemes, regroup, SchemePoint};
-
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Fig7Point {
-    /// End-to-end RTT, seconds.
-    pub rtt: f64,
-    /// Per-scheme metrics.
-    pub schemes: Vec<SchemePoint>,
-}
+use crate::report::Cell;
+use crate::sweep::{paper_schemes, SweepScenario};
 
 /// RTT grid (seconds) per scale.
 pub fn rtt_grid(scale: Scale) -> Vec<f64> {
@@ -47,71 +36,42 @@ pub fn config_for(rtt: f64, scale: Scale) -> DumbbellConfig {
     }
 }
 
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<Fig7Point> {
-    rtt_grid(scale)
-        .into_iter()
-        .map(|rtt| Fig7Point {
-            rtt,
-            schemes: compare_schemes(&config_for(rtt, scale), &paper_schemes(), scale),
-        })
-        .collect()
+/// The RTT sweep.
+pub const FIG7: SweepScenario<f64> = SweepScenario {
+    name: "fig7",
+    seed: 70,
+    title: "Figure 7: impact of end-to-end RTT (150 Mbps, 50 flows)",
+    note: "(paper: PERT ~ SACK/RED-ECN queue & drops; fixed thresholds cost a little utilization)",
+    columns: &[
+        "RTT ms",
+        "scheme",
+        "Q (norm)",
+        "drop rate",
+        "util %",
+        "Jain",
+    ],
+    grid: rtt_grid,
+    label: rtt_label,
+    config: config_for,
+    schemes: paper_schemes,
+    key_cells: rtt_cells,
+    claims: |c, _| c.each("pert_jain_above_0.5", "PERT", |s| s.jain, |j| j > 0.5),
+};
+
+/// The job-label segment of an RTT key (shared with Figure 14 and §8).
+pub fn rtt_label(rtt: f64) -> String {
+    format!("{:.0}ms", rtt * 1e3)
 }
 
-/// The RTT sweep as a [`Scenario`].
-pub struct Fig7Scenario;
-
-impl Scenario for Fig7Scenario {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
-
-    fn default_seed(&self) -> u64 {
-        70
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = rtt_grid(scale)
-            .into_iter()
-            .map(|rtt| {
-                let mut cfg = config_for(rtt, scale);
-                cfg.seed = seed;
-                (format!("{:.0}ms", rtt * 1e3), cfg)
-            })
-            .collect();
-        grid_jobs("fig7", configs, paper_schemes(), scale)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, paper_schemes().len());
-        let mut table = Table::new(
-            "Figure 7: impact of end-to-end RTT (150 Mbps, 50 flows)",
-            &["RTT ms", "scheme", "Q (norm)", "drop rate", "util %", "Jain"],
-        )
-        .with_note(
-            "(paper: PERT ~ SACK/RED-ECN queue & drops; fixed thresholds cost a little utilization)",
-        );
-        for (rtt, group) in rtt_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Fixed(rtt * 1e3, 0),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("fig7", scale, seed);
-        report.tables.push(table);
-        report
-    }
+/// Push the key cell of an RTT row (shared with Figure 14 and §8).
+pub fn rtt_cells(rtt: f64, row: &mut Vec<Cell>) {
+    row.push(Cell::Fixed(rtt * 1e3, 0));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn configs_scale_bottleneck_delay_with_rtt() {
@@ -129,10 +89,6 @@ mod tests {
 
     #[test]
     fn quick_sweep_runs_and_keeps_fairness() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let pert = p.schemes.iter().find(|s| s.scheme == "PERT").unwrap();
-            assert!(pert.jain > 0.5, "PERT Jain {} at rtt {}", pert.jain, p.rtt);
-        }
+        assert_claims_hold("fig7", &["pert_jain_above_0.5"]);
     }
 }

@@ -10,19 +10,8 @@ use netsim::SimDuration;
 use workload::{DumbbellConfig, Scheme};
 
 use crate::common::Scale;
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, paper_schemes, regroup, SchemePoint};
-
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Fig8Point {
-    /// Number of long-term flows.
-    pub flows: usize,
-    /// Per-scheme metrics.
-    pub schemes: Vec<SchemePoint>,
-}
+use crate::report::Cell;
+use crate::sweep::{paper_schemes, point, SchemePoint, SweepClaims, SweepScenario};
 
 /// Flow-count grid per scale.
 pub fn flow_grid(scale: Scale) -> Vec<usize> {
@@ -51,102 +40,52 @@ pub fn config_for(flows: usize, scale: Scale) -> DumbbellConfig {
     }
 }
 
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<Fig8Point> {
-    flow_grid(scale)
-        .into_iter()
-        .map(|flows| Fig8Point {
-            flows,
-            schemes: compare_schemes(&config_for(flows, scale), &paper_schemes(), scale),
-        })
-        .collect()
-}
+/// The flow-count sweep.
+pub const FIG8: SweepScenario<usize> = SweepScenario {
+    name: "fig8",
+    seed: 80,
+    title: "Figure 8: impact of the number of long-term flows (500 Mbps, 60 ms)",
+    note: "(paper: Vegas queue/drops grow with N; PERT stays low with high fairness)",
+    columns: &["flows", "scheme", "Q (norm)", "drop rate", "util %", "Jain"],
+    grid: flow_grid,
+    label: |flows| format!("{flows}flows"),
+    config: config_for,
+    schemes: paper_schemes,
+    key_cells: |flows, row| row.push(Cell::Int(flows as i64)),
+    claims,
+};
 
-/// The flow-count sweep as a [`Scenario`].
-pub struct Fig8Scenario;
-
-impl Scenario for Fig8Scenario {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn default_seed(&self) -> u64 {
-        80
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = flow_grid(scale)
-            .into_iter()
-            .map(|flows| {
-                let mut cfg = config_for(flows, scale);
-                cfg.seed = seed;
-                (format!("{flows}flows"), cfg)
-            })
-            .collect();
-        grid_jobs("fig8", configs, paper_schemes(), scale)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, paper_schemes().len());
-        let mut table = Table::new(
-            "Figure 8: impact of the number of long-term flows (500 Mbps, 60 ms)",
-            &["flows", "scheme", "Q (norm)", "drop rate", "util %", "Jain"],
-        )
-        .with_note("(paper: Vegas queue/drops grow with N; PERT stays low with high fairness)");
-        for (flows, group) in flow_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Int(flows as i64),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("fig8", scale, seed);
-        report.tables.push(table);
-        report
-    }
+fn claims(c: &mut SweepClaims<usize>, _: Scale) {
+    let vegas_q = |g: &[SchemePoint]| point(g, "Vegas").queue_pkts;
+    let (first, last) = (
+        vegas_q(&c.groups[0]),
+        vegas_q(&c.groups[c.groups.len() - 1]),
+    );
+    let (n0, n1) = (c.keys[0], c.keys[c.keys.len() - 1]);
+    c.report
+        .claim("vegas_queue_grows_with_flows", last > first, || {
+            format!("Vegas queue {first} pkts at {n0} flows, {last} at {n1}")
+        });
+    let jain = |s: &SchemePoint| s.jain;
+    c.vs(
+        "pert_jain_ge_vegas_jain_minus_0.1",
+        ("PERT", "Vegas"),
+        jain,
+        |p, v| p >= v - 0.1,
+    );
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn vegas_queue_grows_with_flow_count() {
-        let pts = run(Scale::Quick);
-        let vegas_q: Vec<f64> = pts
-            .iter()
-            .map(|p| {
-                p.schemes
-                    .iter()
-                    .find(|s| s.scheme == "Vegas")
-                    .unwrap()
-                    .queue_pkts
-            })
-            .collect();
-        assert!(
-            vegas_q[1] > vegas_q[0],
-            "Vegas queue did not grow: {vegas_q:?}"
-        );
+        assert_claims_hold("fig8", &["vegas_queue_grows_with_flows"]);
     }
 
     #[test]
     fn pert_fairness_stays_high() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let pert = p.schemes.iter().find(|s| s.scheme == "PERT").unwrap();
-            let vegas = p.schemes.iter().find(|s| s.scheme == "Vegas").unwrap();
-            assert!(
-                pert.jain >= vegas.jain - 0.1,
-                "{} flows: PERT {} vs Vegas {}",
-                p.flows,
-                pert.jain,
-                vegas.jain
-            );
-        }
+        assert_claims_hold("fig8", &["pert_jain_ge_vegas_jain_minus_0.1"]);
     }
 }

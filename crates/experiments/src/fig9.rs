@@ -6,19 +6,8 @@ use netsim::SimDuration;
 use workload::{DumbbellConfig, Scheme};
 
 use crate::common::Scale;
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, paper_schemes, regroup, SchemePoint};
-
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct Fig9Point {
-    /// Number of web sessions.
-    pub web_sessions: usize,
-    /// Per-scheme metrics.
-    pub schemes: Vec<SchemePoint>,
-}
+use crate::report::Cell;
+use crate::sweep::{paper_schemes, SweepScenario};
 
 /// Web-session grid per scale.
 pub fn web_grid(scale: Scale) -> Vec<usize> {
@@ -47,84 +36,35 @@ pub fn config_for(web: usize, scale: Scale) -> DumbbellConfig {
     }
 }
 
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<Fig9Point> {
-    web_grid(scale)
-        .into_iter()
-        .map(|web| Fig9Point {
-            web_sessions: web,
-            schemes: compare_schemes(&config_for(web, scale), &paper_schemes(), scale),
-        })
-        .collect()
-}
-
-/// The web-session sweep as a [`Scenario`].
-pub struct Fig9Scenario;
-
-impl Scenario for Fig9Scenario {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn default_seed(&self) -> u64 {
-        90
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = web_grid(scale)
-            .into_iter()
-            .map(|web| {
-                let mut cfg = config_for(web, scale);
-                cfg.seed = seed;
-                (format!("{web}web"), cfg)
-            })
-            .collect();
-        grid_jobs("fig9", configs, paper_schemes(), scale)
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, paper_schemes().len());
-        let mut table = Table::new(
-            "Figure 9: impact of web traffic (150 Mbps, 50 long-term flows)",
-            &["web", "scheme", "Q (norm)", "drop rate", "util %", "Jain"],
-        )
-        .with_note("(paper: queue stays low and losses near zero for PERT as web load grows)");
-        for (web, group) in web_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Int(web as i64),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("fig9", scale, seed);
-        report.tables.push(table);
-        report
-    }
-}
+/// The web-session sweep.
+pub const FIG9: SweepScenario<usize> = SweepScenario {
+    name: "fig9",
+    seed: 90,
+    title: "Figure 9: impact of web traffic (150 Mbps, 50 long-term flows)",
+    note: "(paper: queue stays low and losses near zero for PERT as web load grows)",
+    columns: &["web", "scheme", "Q (norm)", "drop rate", "util %", "Jain"],
+    grid: web_grid,
+    label: |web| format!("{web}web"),
+    config: config_for,
+    schemes: paper_schemes,
+    key_cells: |web, row| row.push(Cell::Int(web as i64)),
+    claims: |c, _| {
+        let sack = ("PERT", "SACK/DropTail");
+        c.vs(
+            "pert_q_le_sack_q_plus_0.05",
+            sack,
+            |s| s.queue_norm,
+            |p, s| p <= s + 0.05,
+        );
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_keeps_low_queue_under_web_load() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let get = |n: &str| p.schemes.iter().find(|s| s.scheme == n).unwrap();
-            let pert = get("PERT");
-            let sack = get("SACK/DropTail");
-            assert!(
-                pert.queue_norm <= sack.queue_norm + 0.05,
-                "{} web: PERT {} vs SACK {}",
-                p.web_sessions,
-                pert.queue_norm,
-                sack.queue_norm
-            );
-        }
+        assert_claims_hold("fig9", &["pert_q_le_sack_q_plus_0.05"]);
     }
 }

@@ -18,9 +18,11 @@
 //! independent points run on a `--jobs`-sized worker pool and the results
 //! are reassembled in declared order, so the rendered output is
 //! byte-identical whatever the worker count. Tables go to stdout;
-//! progress and per-point timings go to stderr; `--json`/`--csv` write
-//! the structured reports to files. Every output file is opened before
-//! the first simulation, so a bad path exits 2 at once.
+//! progress, per-point timings and the paper's claims (`[t claims k/n
+//! hold]`, then a `FAIL` line per failing claim) go to stderr;
+//! `--json`/`--csv` write the structured reports to files. Every output
+//! file is opened before the first simulation, so a bad path exits 2 at
+//! once.
 
 use experiments::cli;
 use experiments::report::{reports_to_csv, reports_to_json, AuditCounts};
@@ -157,6 +159,7 @@ fn main() {
             eprintln!("  [{} {:.2}s]", tm.label, tm.secs);
         }
         eprintln!("[{t} done in {:.1}s]", t0.elapsed().as_secs_f64());
+        eprint!("{}", report.render_claims());
         reports.push(report);
     }
     if cli.telemetry {

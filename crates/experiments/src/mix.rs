@@ -18,12 +18,12 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use netsim::{SimDuration, SimTime};
 use sim_stats::{jain_index, TimeSeries};
-use std::sync::{Arc, Mutex};
 use workload::{
     build_dumbbell, link_metrics, run_measured, snapshot_goodput, DumbbellConfig, Scheme,
 };
 
 use crate::common::Scale;
+use crate::fig12::{cohort_goodput, phase_mean};
 use crate::report::{Cell, Report, Table};
 use crate::runner::{take, Job, PointResult};
 use crate::scenario::Scenario;
@@ -83,6 +83,8 @@ pub fn split_flows(total: usize) -> (usize, usize) {
 /// One `mix6` sweep point: PERT + one competitor on a shared bottleneck.
 #[derive(Clone, Debug)]
 pub struct MixPoint {
+    /// Bottleneck bandwidth, Mbps.
+    pub mbps: f64,
     /// Competitor display name.
     pub cross: &'static str,
     /// Mean queue normalized by the buffer.
@@ -142,6 +144,7 @@ pub fn run_mix_point(cfg: &DumbbellConfig, scale: Scale) -> MixPoint {
         .sum();
 
     MixPoint {
+        mbps: cfg.bottleneck_bps as f64 / 1e6,
         cross: cross_name,
         queue_norm: m.mean_queue_norm,
         drop_rate: m.drop_rate,
@@ -184,7 +187,6 @@ impl Scenario for Mix6Scenario {
     }
 
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let per_bw = cross_schemes().len();
         let mut table = Table::new(
             "mix6: PERT vs modern cross-traffic across bandwidths (RTT 60 ms)",
             &[
@@ -200,26 +202,35 @@ impl Scenario for Mix6Scenario {
             ],
         )
         .with_note("(beyond the paper: PERT share 0.5 = even split with the competitor)");
-        let mut it = results.into_iter();
-        for mbps in crate::fig6::bandwidth_grid(scale) {
-            let (n_pert, n_cross) = split_flows(crate::fig6::flows_for_bandwidth(mbps));
-            for _ in 0..per_bw {
-                let p = take::<MixPoint>(it.next().expect("one result per (bw, cross)"));
-                table.push(vec![
-                    Cell::Plain(mbps),
-                    Cell::Int(n_pert as i64),
-                    Cell::Int(n_cross as i64),
-                    Cell::Str(p.cross.to_string()),
-                    Cell::Num(p.queue_norm),
-                    Cell::Num(p.drop_rate),
-                    Cell::Num(p.utilization),
-                    Cell::Num(p.pert_share),
-                    Cell::Num(p.jain_all),
-                ]);
-            }
+        let points: Vec<MixPoint> = results.into_iter().map(take).collect();
+        for p in &points {
+            let (n_pert, n_cross) = split_flows(crate::fig6::flows_for_bandwidth(p.mbps));
+            table.push(vec![
+                Cell::Plain(p.mbps),
+                Cell::Int(n_pert as i64),
+                Cell::Int(n_cross as i64),
+                Cell::Str(p.cross.to_string()),
+                Cell::Num(p.queue_norm),
+                Cell::Num(p.drop_rate),
+                Cell::Num(p.utilization),
+                Cell::Num(p.pert_share),
+                Cell::Num(p.jain_all),
+            ]);
         }
         let mut report = Report::new("mix6", scale, seed);
         report.tables.push(table);
+        let names = cross_schemes().into_iter().cycle().map(|s| s.name());
+        report.claim_each(
+            "points_name_their_competitor",
+            points.iter().map(|p| p.cross).zip(names),
+            |(got, want)| got == want,
+        );
+        report.claim_each("util_above_50", &points, |p| p.utilization > 50.0);
+        let both_fed = |p: &&MixPoint| p.pert_share > 0.02 && p.pert_share < 0.98;
+        report.claim_each("no_side_starves", &points, both_fed);
+        report.claim_each("pert_responds_early", &points, |p| p.early_reductions > 0);
+        // §7: PERT concedes bandwidth to loss- and model-based rivals.
+        report.claim_each("pert_share_below_half", &points, |p| p.pert_share < 0.5);
         report
     }
 }
@@ -307,37 +318,10 @@ pub fn run_mix12(cross: Scheme, scale: Scale, seed: u64) -> Mix12Result {
         sim.schedule_agent_timer(leave, conn.sender, conn.stop_token);
     }
 
-    // Sample each side's aggregate goodput once per second.
-    let series: Arc<Mutex<(TimeSeries, TimeSeries)>> =
-        Arc::new(Mutex::new((TimeSeries::new(), TimeSeries::new())));
-    let series2 = Arc::clone(&series);
-    let pert_conns = d.forward.clone();
-    let cross_conns = d.cross.clone();
-    let prev: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
-    let prev2 = Arc::clone(&prev);
-    sim.add_probe(SimDuration::from_secs(1), move |sim, now| {
-        let acked = |conns: &[pert_tcp::Connection]| -> u64 {
-            conns
-                .iter()
-                .map(|c| pert_tcp::sender_stats(sim, c).acked_segments)
-                .sum()
-        };
-        let (p_now, c_now) = (acked(&pert_conns), acked(&cross_conns));
-        let mut prev = prev2.lock().unwrap();
-        let mut ser = series2.lock().unwrap();
-        ser.0
-            .push(now.as_secs_f64(), p_now.saturating_sub(prev.0) as f64);
-        ser.1
-            .push(now.as_secs_f64(), c_now.saturating_sub(prev.1) as f64);
-        *prev = (p_now, c_now);
-    });
-
-    sim.run_until(SimTime::from_secs_f64(3.0 * cfg.phase_secs));
-    drop(sim);
-    let (pert_throughput, cross_throughput) = Arc::try_unwrap(series)
-        .expect("probe closure still alive")
-        .into_inner()
-        .unwrap();
+    let cohorts = vec![d.forward.clone(), d.cross.clone()];
+    let until = SimTime::from_secs_f64(3.0 * cfg.phase_secs);
+    let mut sides = cohort_goodput(sim, cohorts, until).into_iter();
+    let (pert_throughput, cross_throughput) = (sides.next().unwrap(), sides.next().unwrap());
 
     Mix12Result {
         config: cfg,
@@ -345,14 +329,6 @@ pub fn run_mix12(cross: Scheme, scale: Scale, seed: u64) -> Mix12Result {
         pert_throughput,
         cross_throughput,
     }
-}
-
-/// Mean of `series` during phase `p`, skipping the transient first
-/// quarter of the phase.
-pub fn mix12_phase_mean(series: &TimeSeries, phase_secs: f64, phase: usize) -> Option<f64> {
-    let from = phase as f64 * phase_secs + 0.25 * phase_secs;
-    let to = (phase + 1) as f64 * phase_secs;
-    series.mean_in(from, to)
 }
 
 /// The dynamic mixed-competition experiment as a [`Scenario`]: one job
@@ -387,22 +363,44 @@ impl Scenario for Mix12Scenario {
             "(cells: mean aggregate goodput in segments/s; the competitor is active \
              only in ph1 — ph2 shows PERT's re-convergence)",
         );
-        for r in results {
-            let r = take::<Mix12Result>(r);
+        let runs: Vec<Mix12Result> = results.into_iter().map(take).collect();
+        let means = |r: &Mix12Result| {
             let p = r.config.phase_secs;
-            let cell = |s: &TimeSeries, ph: usize| {
-                mix12_phase_mean(s, p, ph).map_or(Cell::Str("-".into()), Cell::Num)
-            };
-            table.push(vec![
-                Cell::Str(r.cross.to_string()),
-                cell(&r.pert_throughput, 0),
-                cell(&r.pert_throughput, 1),
-                cell(&r.cross_throughput, 1),
-                cell(&r.pert_throughput, 2),
-            ]);
+            let mean = |s: &TimeSeries, ph| phase_mean(s, p, ph);
+            [
+                mean(&r.pert_throughput, 0),
+                mean(&r.pert_throughput, 1),
+                mean(&r.cross_throughput, 1),
+                mean(&r.pert_throughput, 2),
+                mean(&r.cross_throughput, 2),
+            ]
+        };
+        for r in &runs {
+            let mut row = Vec::with_capacity(5);
+            row.push(Cell::Str(r.cross.to_string()));
+            row.extend(
+                means(r)[..4]
+                    .iter()
+                    .map(|m| m.map_or(Cell::Str("-".into()), Cell::Num)),
+            );
+            table.push(row);
         }
         let mut report = Report::new("mix12", scale, seed);
         report.tables.push(table);
+        // The competitor gets real bandwidth in its phase, costing PERT
+        // some of its solo rate; once it leaves, PERT recovers. Each item
+        // is (cross, [PERT ph0, PERT ph1, cross ph1, PERT ph2, cross ph2]).
+        let phases = || {
+            runs.iter()
+                .map(|r| (r.cross, means(r).map(|m| m.unwrap_or(f64::NAN))))
+        };
+        report.claim_each("competitor_gets_bandwidth", phases(), |(_, m)| {
+            m[2] > m[0] * 0.05
+        });
+        report.claim_each("pert_yields_to_competitor", phases(), |(_, m)| m[1] < m[0]);
+        report.claim_each("pert_reconverges", phases(), |(_, m)| m[3] > m[1]);
+        let quiet = |(_, m): &(_, [f64; 5])| m[4] < m[2] * 0.05 + 1.0;
+        report.claim_each("departed_competitor_goes_quiet", phases(), quiet);
         report
     }
 }
@@ -450,11 +448,11 @@ mod tests {
     fn mix12_competitor_displaces_and_releases() {
         let r = run_mix12(Scheme::Cubic, Scale::Quick, 1200);
         let p = r.config.phase_secs;
-        let pert0 = mix12_phase_mean(&r.pert_throughput, p, 0).unwrap();
-        let pert1 = mix12_phase_mean(&r.pert_throughput, p, 1).unwrap();
-        let cross1 = mix12_phase_mean(&r.cross_throughput, p, 1).unwrap();
-        let pert2 = mix12_phase_mean(&r.pert_throughput, p, 2).unwrap();
-        let cross2 = mix12_phase_mean(&r.cross_throughput, p, 2).unwrap();
+        let pert0 = phase_mean(&r.pert_throughput, p, 0).unwrap();
+        let pert1 = phase_mean(&r.pert_throughput, p, 1).unwrap();
+        let cross1 = phase_mean(&r.cross_throughput, p, 1).unwrap();
+        let pert2 = phase_mean(&r.pert_throughput, p, 2).unwrap();
+        let cross2 = phase_mean(&r.cross_throughput, p, 2).unwrap();
         // The competitor gets real bandwidth in its phase, costing PERT
         // some of its solo rate; once it leaves, PERT recovers.
         assert!(cross1 > pert0 * 0.05, "competitor starved: {cross1}");

@@ -10,138 +10,76 @@
 use workload::Scheme;
 
 use crate::common::Scale;
-use crate::fig7::{config_for, rtt_grid};
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, regroup, SchemePoint};
+use crate::fig7::{config_for, rtt_cells, rtt_grid, rtt_label};
+use crate::sweep::{SchemePoint, SweepClaims, SweepScenario};
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct RemPoint {
-    /// End-to-end RTT, seconds.
-    pub rtt: f64,
-    /// PERT/REM vs SACK over router REM-ECN.
-    pub schemes: Vec<SchemePoint>,
-}
+/// The REM-emulation sweep: PERT/REM vs SACK over router REM-ECN.
+pub const REM: SweepScenario<f64> = SweepScenario {
+    name: "rem",
+    seed: 180,
+    title: "Section 8 generalization: emulating REM from end hosts (150 Mbps, 50 flows)",
+    note: "(PERT-REM ~ router REM-ECN on queue & utilization, near-zero drops)",
+    columns: &[
+        "RTT ms",
+        "scheme",
+        "Q (norm)",
+        "drop rate",
+        "util %",
+        "Jain",
+    ],
+    grid: rtt_grid,
+    label: rtt_label,
+    config: config_for,
+    schemes: || vec![Scheme::PertRem, Scheme::SackRemEcn],
+    key_cells: rtt_cells,
+    claims,
+};
 
-/// Run the sweep.
-pub fn run(scale: Scale) -> Vec<RemPoint> {
-    let schemes = vec![Scheme::PertRem, Scheme::SackRemEcn];
-    rtt_grid(scale)
-        .into_iter()
-        .map(|rtt| {
-            let mut cfg = config_for(rtt, scale);
-            cfg.seed = 180;
-            RemPoint {
-                rtt,
-                schemes: compare_schemes(&cfg, &schemes, scale),
-            }
-        })
-        .collect()
-}
-
-/// The REM-emulation sweep as a [`Scenario`].
-pub struct RemScenario;
-
-impl Scenario for RemScenario {
-    fn name(&self) -> &'static str {
-        "rem"
-    }
-
-    fn default_seed(&self) -> u64 {
-        180
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let configs = rtt_grid(scale)
-            .into_iter()
-            .map(|rtt| {
-                let mut cfg = config_for(rtt, scale);
-                cfg.seed = seed;
-                (format!("{:.0}ms", rtt * 1e3), cfg)
-            })
-            .collect();
-        grid_jobs(
-            "rem",
-            configs,
-            vec![Scheme::PertRem, Scheme::SackRemEcn],
-            scale,
-        )
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, 2);
-        let mut table = Table::new(
-            "Section 8 generalization: emulating REM from end hosts (150 Mbps, 50 flows)",
-            &[
-                "RTT ms",
-                "scheme",
-                "Q (norm)",
-                "drop rate",
-                "util %",
-                "Jain",
-            ],
-        )
-        .with_note("(PERT-REM ~ router REM-ECN on queue & utilization, near-zero drops)");
-        for (rtt, group) in rtt_grid(scale).into_iter().zip(groups) {
-            for s in group {
-                table.push(vec![
-                    Cell::Fixed(rtt * 1e3, 0),
-                    Cell::Str(s.scheme.to_string()),
-                    Cell::Num(s.queue_norm),
-                    Cell::Num(s.drop_rate),
-                    Cell::Num(s.utilization),
-                    Cell::Num(s.jain),
-                ]);
-            }
-        }
-        let mut report = Report::new("rem", scale, seed);
-        report.tables.push(table);
-        report
-    }
+fn claims(c: &mut SweepClaims<f64>, _: Scale) {
+    let early = |s: &SchemePoint| s.early_reductions as f64;
+    c.each("pert_rem_responds_early", "PERT-REM", early, |e| e > 0.0);
+    // The 30 ms quick point runs saturated (50 flows, queue near the
+    // buffer); the RFC 5681 stretch-ACK crossover fix moved its drop
+    // rate within the same regime, so the bound matches the router-REM
+    // one rather than the tighter pre-fix trajectory.
+    c.each(
+        "pert_rem_drop_below_0.05",
+        "PERT-REM",
+        |s| s.drop_rate,
+        |d| d < 0.05,
+    );
+    c.each(
+        "pert_rem_util_above_50",
+        "PERT-REM",
+        |s| s.utilization,
+        |u| u > 50.0,
+    );
+    c.each(
+        "router_rem_drop_below_0.05",
+        "SACK/REM-ECN",
+        |s| s.drop_rate,
+        |d| d < 0.05,
+    );
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_rem_responds_early_and_avoids_drops() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let rem = p.schemes.iter().find(|s| s.scheme == "PERT-REM").unwrap();
-            assert!(rem.early_reductions > 0, "PERT-REM never responded");
-            // The 30 ms quick point runs saturated (50 flows, queue near
-            // the buffer); the RFC 5681 stretch-ACK crossover fix moved
-            // its drop rate within the same regime, so the bound matches
-            // the router-REM comparison below rather than the tighter
-            // pre-fix trajectory.
-            assert!(
-                rem.drop_rate < 0.05,
-                "PERT-REM drop rate {} at rtt {}",
-                rem.drop_rate,
-                p.rtt
-            );
-            assert!(rem.utilization > 50.0, "PERT-REM util {}", rem.utilization);
-        }
+        assert_claims_hold(
+            "rem",
+            &[
+                "pert_rem_responds_early",
+                "pert_rem_drop_below_0.05",
+                "pert_rem_util_above_50",
+            ],
+        );
     }
 
     #[test]
     fn router_rem_marks_rather_than_drops() {
-        let pts = run(Scale::Quick);
-        for p in &pts {
-            let r = p
-                .schemes
-                .iter()
-                .find(|s| s.scheme == "SACK/REM-ECN")
-                .unwrap();
-            assert!(
-                r.drop_rate < 0.05,
-                "router REM drop rate {} at rtt {}",
-                r.drop_rate,
-                p.rtt
-            );
-        }
+        assert_claims_hold("rem", &["router_rem_drop_below_0.05"]);
     }
 }

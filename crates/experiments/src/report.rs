@@ -7,7 +7,10 @@
 //! worker threads produced the underlying points, because rendering only
 //! reads the (deterministically ordered) cells — per-point wall-clock
 //! lives in [`Report::timings`] and is excluded from JSON/CSV for the
-//! same reason.
+//! same reason. The paper's claims, checked by each target's `assemble`
+//! on its own typed results, live in [`Report::claims`] and are never
+//! rendered either; the CLI reports them on stderr
+//! ([`Report::render_claims`]).
 
 use crate::common::{fmt, Scale};
 use sim_stats::{json, DerivedSummary, MetricValue, MetricsSet};
@@ -134,6 +137,19 @@ pub struct PointTiming {
     pub secs: f64,
 }
 
+/// One of the paper's claims about a target, checked on the typed point
+/// results `assemble` reads (which hold values no table prints).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Claim {
+    /// Short `snake_case` name, unique within the target.
+    pub name: &'static str,
+    /// Whether the predicate held.
+    pub holds: bool,
+    /// The values the predicate read; formatted only when it failed, so
+    /// a passing claim is empty.
+    pub detail: String,
+}
+
 /// The structured result of one experiment target.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
@@ -157,6 +173,8 @@ pub struct Report {
     /// while this target ran (`--telemetry` runs only). Rendered after
     /// the metrics block so the CI strip marker covers both.
     pub derived: Option<DerivedSummary>,
+    /// The paper's claims, checked by `assemble` (not serialized).
+    pub claims: Vec<Claim>,
 }
 
 impl Report {
@@ -171,7 +189,55 @@ impl Report {
             audit: None,
             metrics: None,
             derived: None,
+            claims: Vec::new(),
         }
+    }
+
+    /// Record claim `name`; `detail` (the values the predicate read) is
+    /// called only when the claim fails.
+    pub fn claim(&mut self, name: &'static str, holds: bool, detail: impl FnOnce() -> String) {
+        let detail = if holds { String::new() } else { detail() };
+        self.claims.push(Claim {
+            name,
+            holds,
+            detail,
+        });
+    }
+
+    /// Record claim `name`: `holds` is true of every item. The detail
+    /// lists the failing items, so each item carries the values its
+    /// predicate reads (grid key first).
+    pub fn claim_each<T: std::fmt::Debug>(
+        &mut self,
+        name: &'static str,
+        items: impl IntoIterator<Item = T>,
+        holds: impl Fn(&T) -> bool,
+    ) {
+        let mut detail = String::new();
+        for item in items.into_iter().filter(|i| !holds(i)) {
+            let sep = if detail.is_empty() { "" } else { "; " };
+            let _ = write!(detail, "{sep}{item:?}");
+        }
+        self.claims.push(Claim {
+            name,
+            holds: detail.is_empty(),
+            detail,
+        });
+    }
+
+    /// The stderr lines for the claims: `[target claims k/n hold]`, then
+    /// `  FAIL target/claim: detail` for each claim that failed.
+    pub fn render_claims(&self) -> String {
+        let held = self.claims.iter().filter(|c| c.holds).count();
+        let mut out = format!(
+            "[{} claims {held}/{} hold]\n",
+            self.target,
+            self.claims.len()
+        );
+        for c in self.claims.iter().filter(|c| !c.holds) {
+            let _ = writeln!(out, "  FAIL {}/{}: {}", self.target, c.name, c.detail);
+        }
+        out
     }
 
     /// Render to the aligned text-table format the harness has always
@@ -441,6 +507,39 @@ mod tests {
     fn identical_reports_render_identically() {
         assert_eq!(sample().render_text(), sample().render_text());
         assert_eq!(sample().render_json(), sample().render_json());
+    }
+
+    #[test]
+    fn claims_are_never_rendered() {
+        let plain = sample();
+        let mut claimed = sample();
+        claimed.claim("a_holds", true, || {
+            unreachable!("detail of a passing claim")
+        });
+        claimed.claim("b_fails", false, || "x=1".into());
+        claimed.claim_each("c_each", [1, 2, 3], |x| *x < 3);
+        assert_eq!(claimed.claims.len(), 3);
+        assert_eq!(claimed.claims[0].detail, "");
+        assert_eq!(plain.render_text(), claimed.render_text());
+        assert_eq!(plain.render_json(), claimed.render_json());
+        assert_eq!(plain.render_csv(), claimed.render_csv());
+    }
+
+    #[test]
+    fn failing_claim_line_names_target_claim_and_values() {
+        let mut r = sample();
+        r.claim("pert_q_le_red_q", true, String::new);
+        r.claim_each(
+            "pert_q_le_sack_q",
+            [(5.0, 0.9, 0.8), (50.0, 0.1, 0.7)],
+            |(_, p, s)| p <= s,
+        );
+        r.claim("jain_above_0.5", false, || format!("jain={}", 0.25));
+        assert_eq!(
+            r.render_claims(),
+            "[demo claims 1/3 hold]\n  FAIL demo/pert_q_le_sack_q: (5.0, 0.9, 0.8)\n  \
+             FAIL demo/jain_above_0.5: jain=0.25\n"
+        );
     }
 
     #[test]

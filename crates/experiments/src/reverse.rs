@@ -40,13 +40,8 @@ pub struct ReverseRow {
     pub jain: f64,
 }
 
-/// Run one transport: `n` forward flows of `scheme` + `n` reverse SACK
-/// flows saturating the ACK path.
-pub fn run_scheme(scheme: Scheme, scale: Scale) -> ReverseRow {
-    run_scheme_seeded(scheme, scale, 1700)
-}
-
-/// [`run_scheme`] with an explicit master seed.
+/// Run one transport with master seed `seed`: `n` forward flows of
+/// `scheme` + `n` reverse flows saturating the ACK path.
 pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> ReverseRow {
     let name = scheme.name();
     let (bps, n) = if scale == Scale::Quick {
@@ -95,15 +90,6 @@ pub fn run_scheme_seeded(scheme: Scheme, scale: Scale, seed: u64) -> ReverseRow 
     }
 }
 
-/// Run the comparison: PERT (RTT) vs PERT-OWD vs SACK.
-pub fn run(scale: Scale) -> Vec<ReverseRow> {
-    vec![
-        run_scheme(Scheme::Pert, scale),
-        run_scheme(Scheme::PertOwd, scale),
-        run_scheme(Scheme::SackDroptail, scale),
-    ]
-}
-
 /// The reverse-traffic comparison as a [`Scenario`]: one job per
 /// transport variant.
 pub struct ReverseScenario;
@@ -142,7 +128,8 @@ impl Scenario for ReverseScenario {
         .with_note(
             "(paper: RTT-based PERT also responds to reverse congestion; one-way delays avoid it)",
         );
-        for r in results.into_iter().map(take::<ReverseRow>) {
+        let rows: Vec<ReverseRow> = results.into_iter().map(take).collect();
+        for r in &rows {
             table.push(vec![
                 Cell::Str(r.scheme.to_string()),
                 Cell::Num(r.fwd_utilization),
@@ -154,33 +141,42 @@ impl Scenario for ReverseScenario {
         }
         let mut report = Report::new("reverse", scale, seed);
         report.tables.push(table);
+        let (rtt, owd) = (&rows[0], &rows[1]);
+        // Under bidirectional congestion the OWD variant must not do
+        // worse on forward utilization (it ignores ACK-path queuing).
+        let (owd_u, rtt_u) = (owd.fwd_utilization, rtt.fwd_utilization);
+        report.claim("owd_fwd_util_ge_rtt_minus_5", owd_u >= rtt_u - 5.0, || {
+            format!("OWD fwd util {owd_u}, RTT fwd util {rtt_u}")
+        });
+        report.claim_each(
+            "pert_variants_respond_early",
+            [rtt, owd].map(|r| (r.scheme, r.early_reductions)),
+            |&(_, e)| e > 0,
+        );
+        report.claim("rtt_fwd_q_below_0.9", rtt.fwd_queue_norm < 0.9, || {
+            format!("RTT fwd Q {}", rtt.fwd_queue_norm)
+        });
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn owd_variant_holds_forward_throughput_at_least_as_well() {
-        let rtt = run_scheme(Scheme::Pert, Scale::Quick);
-        let owd = run_scheme(Scheme::PertOwd, Scale::Quick);
-        // Under bidirectional congestion the OWD variant must not do
-        // worse on forward utilization (it ignores ACK-path queuing).
-        assert!(
-            owd.fwd_utilization >= rtt.fwd_utilization - 5.0,
-            "OWD fwd util {} ≪ RTT fwd util {}",
-            owd.fwd_utilization,
-            rtt.fwd_utilization
+        assert_claims_hold(
+            "reverse",
+            &["owd_fwd_util_ge_rtt_minus_5", "pert_variants_respond_early"],
         );
-        assert!(owd.early_reductions > 0, "OWD variant never responded");
     }
 
     #[test]
     fn both_variants_respond_early() {
-        let rtt = run_scheme(Scheme::Pert, Scale::Quick);
-        assert!(rtt.early_reductions > 0);
-        assert!(rtt.fwd_queue_norm < 0.9);
+        assert_claims_hold(
+            "reverse",
+            &["pert_variants_respond_early", "rtt_fwd_q_below_0.9"],
+        );
     }
 }

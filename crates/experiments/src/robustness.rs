@@ -69,17 +69,6 @@ pub fn run_loss_point(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> LossPo
     }
 }
 
-/// Run the random-loss sweep for PERT and SACK.
-pub fn run_loss(scale: Scale) -> Vec<LossPoint> {
-    let mut out = Vec::new();
-    for scheme in [Scheme::Pert, Scheme::SackDroptail] {
-        for &p in &LOSS_PROBS {
-            out.push(run_loss_point(scheme.clone(), p, scale, 1900));
-        }
-    }
-    out
-}
-
 /// One delayed-ACK comparison row.
 #[derive(Clone, Debug)]
 pub struct DelackRow {
@@ -133,14 +122,6 @@ pub fn run_delack_point(
         drop_rate: m.drop_rate,
         early_reductions: early,
     }
-}
-
-/// Run PERT with per-packet vs delayed ACKs.
-pub fn run_delack(scale: Scale) -> Vec<DelackRow> {
-    ack_policies()
-        .into_iter()
-        .map(|(policy, delack)| run_delack_point(policy, delack, scale, 1950))
-        .collect()
 }
 
 /// A dumbbell whose sinks use delayed ACKs (hand-built: the generic
@@ -200,11 +181,6 @@ fn build_delack_dumbbell(cfg: &DumbbellConfig, delack: SimDuration) -> workload:
     }
 }
 
-/// Run both robustness studies.
-pub fn run(scale: Scale) -> (Vec<LossPoint>, Vec<DelackRow>) {
-    (run_loss(scale), run_delack(scale))
-}
-
 /// Both robustness studies as one [`Scenario`]: six random-loss jobs
 /// followed by the two ACK-policy jobs (run at `seed + 50`, matching the
 /// historical per-study seeds 1900/1950).
@@ -241,13 +217,18 @@ impl Scenario for RobustnessScenario {
 
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
         let mut results = results.into_iter();
+        let losses: Vec<LossPoint> = results
+            .by_ref()
+            .take(2 * LOSS_PROBS.len())
+            .map(take)
+            .collect();
+        let acks: Vec<DelackRow> = results.map(take).collect();
         let mut loss = Table::new(
             "Robustness: non-congestion (random) loss",
             &["scheme", "corruption", "util %", "Q (norm)"],
         )
         .with_note("(PERT's delay signal ignores corruption; goodput loss mirrors SACK's)");
-        for _ in 0..2 * LOSS_PROBS.len() {
-            let r = take::<LossPoint>(results.next().expect("six loss jobs"));
+        for r in &losses {
             loss.push(vec![
                 Cell::Str(r.scheme.to_string()),
                 Cell::Num(r.loss_prob),
@@ -259,7 +240,7 @@ impl Scenario for RobustnessScenario {
             "Robustness: delayed ACKs (halved RTT sampling)",
             &["ack policy", "util %", "Q (norm)", "drop rate", "early"],
         );
-        for r in results.map(take::<DelackRow>) {
+        for r in &acks {
             delack.push(vec![
                 Cell::Str(r.policy.to_string()),
                 Cell::Num(r.utilization),
@@ -271,45 +252,70 @@ impl Scenario for RobustnessScenario {
         let mut report = Report::new("robustness", scale, seed);
         report.tables.push(loss);
         report.tables.push(delack);
+
+        let util = |scheme: &str, p: f64| {
+            losses
+                .iter()
+                .find(|x| x.scheme == scheme && (x.loss_prob - p).abs() < 1e-12)
+                .map_or(f64::NAN, |x| x.utilization)
+        };
+        let (pert_0, pert_1) = (util("PERT", 0.0), util("PERT", 0.01));
+        let (sack_0, sack_1) = (util("SACK/DropTail", 0.0), util("SACK/DropTail", 0.01));
+        let (pert_drop, sack_drop) = (pert_0 - pert_1, sack_0 - sack_1);
+        let show = || {
+            format!(
+                "util at 0 / 1 % corruption: PERT {pert_0} / {pert_1}, SACK {sack_0} / {sack_1}"
+            )
+        };
+        report.claim(
+            "pert_util_loss_le_sack_plus_10",
+            pert_drop <= sack_drop + 10.0,
+            show,
+        );
+        report.claim("pert_util_loss_le_sack", pert_drop <= sack_drop, show);
+        // Sanity: corruption hurts SACK.
+        report.claim("sack_util_below_100_at_1pct", sack_1 < 100.0, show);
+
+        let [per_packet, delayed] = &acks[..] else {
+            panic!("robustness runs two ACK policies");
+        };
+        let show = || format!("per-packet {per_packet:?}, delayed {delayed:?}");
+        report.claim(
+            "delayed_acks_respond_early",
+            delayed.early_reductions > 0,
+            show,
+        );
+        let kept = delayed.utilization > per_packet.utilization - 15.0;
+        report.claim("delayed_acks_keep_util_within_15", kept, show);
+        report.claim("delayed_acks_q_below_0.9", delayed.queue_norm < 0.9, show);
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_degrades_no_worse_than_sack_under_corruption() {
-        let pts = run_loss(Scale::Quick);
-        let get = |scheme: &str, p: f64| {
-            pts.iter()
-                .find(|x| x.scheme == scheme && (x.loss_prob - p).abs() < 1e-12)
-                .unwrap()
-        };
-        let pert_drop = get("PERT", 0.0).utilization - get("PERT", 0.01).utilization;
-        let sack_drop =
-            get("SACK/DropTail", 0.0).utilization - get("SACK/DropTail", 0.01).utilization;
-        assert!(
-            pert_drop <= sack_drop + 10.0,
-            "PERT lost {pert_drop}% vs SACK {sack_drop}% under 1% corruption"
+        assert_claims_hold(
+            "robustness",
+            &[
+                "pert_util_loss_le_sack_plus_10",
+                "sack_util_below_100_at_1pct",
+            ],
         );
-        // Sanity: corruption hurts both.
-        assert!(get("SACK/DropTail", 0.01).utilization < 100.0);
     }
 
     #[test]
     fn pert_survives_delayed_acks() {
-        let rows = run_delack(Scale::Quick);
-        let per_packet = &rows[0];
-        let delayed = &rows[1];
-        assert!(delayed.early_reductions > 0, "predictor went silent");
-        assert!(
-            delayed.utilization > per_packet.utilization - 15.0,
-            "delayed ACKs collapsed utilization: {} vs {}",
-            delayed.utilization,
-            per_packet.utilization
+        assert_claims_hold(
+            "robustness",
+            &[
+                "delayed_acks_respond_early",
+                "delayed_acks_keep_util_within_15",
+                "delayed_acks_q_below_0.9",
+            ],
         );
-        assert!(delayed.queue_norm < 0.9);
     }
 }

@@ -24,7 +24,8 @@ pub trait Scenario {
     /// Job order defines result order in [`Scenario::assemble`].
     fn points(&self, scale: Scale, seed: u64) -> Vec<Job>;
 
-    /// Reassemble the ordered point results into the target's report.
+    /// Reassemble the ordered point results into the target's report,
+    /// recording the paper's claims about them in `Report::claims`.
     fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report;
 }
 
@@ -57,25 +58,25 @@ pub const EXTRA_TARGETS: [&str; 3] = ["fig2", "fig3", "fig4"];
 /// Look up a target by CLI name.
 pub fn lookup(name: &str) -> Option<Box<dyn Scenario>> {
     Some(match name {
-        "fig2" => Box::new(crate::fig2::Fig2Scenario),
-        "fig3" => Box::new(crate::fig3::Fig3Scenario),
-        "fig4" => Box::new(crate::fig4::Fig4Scenario),
-        "fig234" => Box::new(crate::cases::Fig234Scenario),
+        "fig2" => Box::new(crate::fig2::FIG2),
+        "fig3" => Box::new(crate::fig3::FIG3),
+        "fig4" => Box::new(crate::fig4::FIG4),
+        "fig234" => Box::new(crate::cases::FIG234),
         "fig5" => Box::new(crate::fig5::Fig5Scenario),
-        "fig6" => Box::new(crate::fig6::Fig6Scenario),
-        "fig7" => Box::new(crate::fig7::Fig7Scenario),
-        "fig8" => Box::new(crate::fig8::Fig8Scenario),
-        "fig9" => Box::new(crate::fig9::Fig9Scenario),
-        "table1" => Box::new(crate::table1::Table1Scenario),
+        "fig6" => Box::new(crate::fig6::FIG6),
+        "fig7" => Box::new(crate::fig7::FIG7),
+        "fig8" => Box::new(crate::fig8::FIG8),
+        "fig9" => Box::new(crate::fig9::FIG9),
+        "table1" => Box::new(crate::table1::TABLE1),
         "fig11" => Box::new(crate::fig11::Fig11Scenario),
         "fig12" => Box::new(crate::fig12::Fig12Scenario),
         "fig13a" => Box::new(crate::fig13::Fig13aScenario),
         "fig13bcd" => Box::new(crate::fig13::Fig13bcdScenario),
-        "fig14" => Box::new(crate::fig14::Fig14Scenario),
+        "fig14" => Box::new(crate::fig14::FIG14),
         "mix6" => Box::new(crate::mix::Mix6Scenario),
         "mix12" => Box::new(crate::mix::Mix12Scenario),
         "reverse" => Box::new(crate::reverse::ReverseScenario),
-        "rem" => Box::new(crate::rem::RemScenario),
+        "rem" => Box::new(crate::rem::REM),
         "robustness" => Box::new(crate::robustness::RobustnessScenario),
         "ablations" => Box::new(crate::ablations::AblationsScenario),
         _ => return None,
@@ -85,6 +86,50 @@ pub fn lookup(name: &str) -> Option<Box<dyn Scenario>> {
 /// Is `name` a registered target?
 pub fn is_target(name: &str) -> bool {
     ALL_TARGETS.contains(&name) || EXTRA_TARGETS.contains(&name)
+}
+
+/// Test support: a target's claims, checked on the run path users take.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::runner::run_jobs;
+    use std::sync::{Mutex, OnceLock};
+
+    /// `target` at quick scale and its default seed, run once through
+    /// `points` → `run_jobs` → `assemble` and shared by every test that
+    /// asks for it.
+    pub(crate) fn quick_report(target: &'static str) -> &'static Report {
+        type Cells = Vec<(&'static str, &'static OnceLock<Report>)>;
+        static CELLS: Mutex<Cells> = Mutex::new(Vec::new());
+        let cell = {
+            let mut cells = CELLS.lock().unwrap_or_else(|e| e.into_inner());
+            match cells.iter().find(|(t, _)| *t == target) {
+                Some(&(_, cell)) => cell,
+                None => {
+                    let cell: &'static OnceLock<Report> = Box::leak(Box::default());
+                    cells.push((target, cell));
+                    cell
+                }
+            }
+        };
+        cell.get_or_init(|| {
+            let sc = lookup(target).expect("registered target");
+            let seed = sc.default_seed();
+            let (results, _) = run_jobs(sc.points(Scale::Quick, seed), 1);
+            sc.assemble(Scale::Quick, seed, results)
+        })
+    }
+
+    /// Assert that `target` records each of `names` at quick scale and
+    /// that each holds.
+    pub(crate) fn assert_claims_hold(target: &'static str, names: &[&str]) {
+        let report = quick_report(target);
+        for name in names {
+            let claim = report.claims.iter().find(|c| c.name == *name);
+            let claim = claim.unwrap_or_else(|| panic!("{target} records no claim {name}"));
+            assert!(claim.holds, "{target}/{name}: {}", claim.detail);
+        }
+    }
 }
 
 #[cfg(test)]

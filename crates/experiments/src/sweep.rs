@@ -9,7 +9,9 @@ use workload::{
 };
 
 use crate::common::Scale;
+use crate::report::{Cell, Report, Table};
 use crate::runner::{take, Job, PointResult};
+use crate::scenario::Scenario;
 
 /// The four panels for one (scheme, configuration) point.
 #[derive(Clone, Debug)]
@@ -60,56 +62,144 @@ pub fn paper_schemes() -> Vec<Scheme> {
     ]
 }
 
-/// Run `base` under each scheme (overriding `base.scheme`) and measure.
-pub fn compare_schemes(
-    base: &DumbbellConfig,
-    schemes: &[Scheme],
-    scale: Scale,
-) -> Vec<SchemePoint> {
-    schemes
+/// The point of scheme `name` in one grid point's group.
+pub fn point<'a>(group: &'a [SchemePoint], name: &str) -> &'a SchemePoint {
+    group
         .iter()
-        .map(|s| run_one(base, s.clone(), scale))
-        .collect()
+        .find(|s| s.scheme == name)
+        .unwrap_or_else(|| panic!("no {name} point in the group"))
 }
 
-/// One runner job per `(grid point × scheme)` simulation: the unit of
-/// parallelism for every §4-style sweep. `configs` pairs a display key
-/// (used in the job label) with the base configuration of that grid
-/// point; job order is `configs × schemes`, which [`regroup`] relies on.
-pub fn grid_jobs(
-    target: &str,
-    configs: Vec<(String, DumbbellConfig)>,
-    schemes: Vec<Scheme>,
-    scale: Scale,
-) -> Vec<Job> {
-    let mut jobs = Vec::with_capacity(configs.len() * schemes.len());
-    for (key, cfg) in configs {
-        for scheme in &schemes {
-            let cfg = cfg.clone();
-            let scheme = scheme.clone();
-            jobs.push(Job::new(
-                format!("{target}/{key}/{}", scheme.name()),
-                move || run_one(&cfg, scheme, scale),
-            ));
+/// The paper's claims over an assembled sweep: `groups[i]` holds the
+/// scheme points at grid key `keys[i]`. Each claim reads one panel per
+/// point and must hold at every key; a failure lists `(key, values)`.
+pub struct SweepClaims<'a, K> {
+    /// The report the claims are recorded in.
+    pub report: &'a mut Report,
+    /// The grid keys (bandwidth, RTT, flow count, ...).
+    pub keys: &'a [K],
+    /// One group of scheme points per key, in scheme order.
+    pub groups: &'a [Vec<SchemePoint>],
+}
+
+impl<K: Copy + std::fmt::Debug> SweepClaims<'_, K> {
+    /// Claim `holds(panel(a), panel(b))` for schemes `a` and `b` at every
+    /// key.
+    pub fn vs(
+        &mut self,
+        name: &'static str,
+        (a, b): (&str, &str),
+        panel: impl Fn(&SchemePoint) -> f64,
+        holds: impl Fn(f64, f64) -> bool,
+    ) {
+        let items = self
+            .keys
+            .iter()
+            .zip(self.groups)
+            .map(|(&k, g)| (k, panel(point(g, a)), panel(point(g, b))));
+        self.report
+            .claim_each(name, items, |&(_, x, y)| holds(x, y));
+    }
+
+    /// Claim `holds(panel(a))` for scheme `a` at every key.
+    pub fn each(
+        &mut self,
+        name: &'static str,
+        a: &str,
+        panel: impl Fn(&SchemePoint) -> f64,
+        holds: impl Fn(f64) -> bool,
+    ) {
+        let items = (self.keys.iter().zip(self.groups)).map(|(&k, g)| (k, panel(point(g, a))));
+        self.report.claim_each(name, items, |&(_, x)| holds(x));
+    }
+}
+
+/// A §4-style comparison sweep as a [`Scenario`]: one job per (grid key
+/// × scheme) simulation, one table row per job, and the figure's claims
+/// over the assembled points.
+pub struct SweepScenario<K: 'static> {
+    /// The CLI name, also the job-label prefix.
+    pub name: &'static str,
+    /// The base seed this target has always used.
+    pub seed: u64,
+    /// Table heading.
+    pub title: &'static str,
+    /// Table note (the paper's expectation).
+    pub note: &'static str,
+    /// Columns: the key columns, then scheme and the four panels.
+    pub columns: &'static [&'static str],
+    /// The grid keys at a scale.
+    pub grid: fn(Scale) -> Vec<K>,
+    /// The key's job-label segment, e.g. `5Mbps`.
+    pub label: fn(K) -> String,
+    /// The base configuration at a key (the seed is overridden).
+    pub config: fn(K, Scale) -> DumbbellConfig,
+    /// The schemes run at every key, in row order.
+    pub schemes: fn() -> Vec<Scheme>,
+    /// Push the key cells that lead each of the key's rows.
+    pub key_cells: fn(K, &mut Vec<Cell>),
+    /// Record the figure's claims.
+    pub claims: fn(&mut SweepClaims<K>, Scale),
+}
+
+impl<K: Copy + std::fmt::Debug + Send + 'static> Scenario for SweepScenario<K> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn default_seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Job order is keys × schemes, which `assemble` relies on.
+    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
+        let schemes = (self.schemes)();
+        let mut jobs = Vec::new();
+        for key in (self.grid)(scale) {
+            let mut cfg = (self.config)(key, scale);
+            cfg.seed = seed;
+            for scheme in &schemes {
+                let label = format!("{}/{}/{}", self.name, (self.label)(key), scheme.name());
+                let (cfg, scheme) = (cfg.clone(), scheme.clone());
+                jobs.push(Job::new(label, move || run_one(&cfg, scheme, scale)));
+            }
         }
+        jobs
     }
-    jobs
-}
 
-/// Invert [`grid_jobs`]' flattening: chunk the ordered results back into
-/// one `Vec<SchemePoint>` per grid point.
-pub fn regroup(results: Vec<PointResult>, n_schemes: usize) -> Vec<Vec<SchemePoint>> {
-    assert!(n_schemes > 0 && results.len().is_multiple_of(n_schemes));
-    let mut groups = Vec::with_capacity(results.len() / n_schemes);
-    let mut it = results.into_iter();
-    while it.len() > 0 {
-        groups.push(
-            (0..n_schemes)
-                .map(|_| take::<SchemePoint>(it.next().unwrap()))
-                .collect(),
-        );
+    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
+        let keys = (self.grid)(scale);
+        let n_schemes = results.len() / keys.len();
+        let mut points = results.into_iter().map(take::<SchemePoint>);
+        let groups: Vec<Vec<SchemePoint>> = keys
+            .iter()
+            .map(|_| points.by_ref().take(n_schemes).collect())
+            .collect();
+        let mut table = Table::new(self.title, self.columns).with_note(self.note);
+        for (&key, group) in keys.iter().zip(&groups) {
+            for s in group {
+                let mut row = Vec::with_capacity(self.columns.len());
+                (self.key_cells)(key, &mut row);
+                row.extend([
+                    Cell::Str(s.scheme.to_string()),
+                    Cell::Num(s.queue_norm),
+                    Cell::Num(s.drop_rate),
+                    Cell::Num(s.utilization),
+                    Cell::Num(s.jain),
+                ]);
+                table.push(row);
+            }
+        }
+        let mut report = Report::new(self.name, scale, seed);
+        report.tables.push(table);
+        let mut claims = SweepClaims {
+            report: &mut report,
+            keys: &keys,
+            groups: &groups,
+        };
+        (self.claims)(&mut claims, scale);
+        report
     }
-    groups
 }
 
 /// Run one scheme point.
@@ -153,35 +243,21 @@ pub fn run_one(base: &DumbbellConfig, scheme: Scheme, scale: Scale) -> SchemePoi
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use netsim::SimDuration;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn four_scheme_comparison_reproduces_headline_ordering() {
-        // Small dumbbell, Quick scale: PERT's queue must undercut
-        // SACK/DropTail's, with comparable utilization — the essence of
-        // Figures 6–9.
-        let base = DumbbellConfig {
-            bottleneck_bps: 20_000_000,
-            bottleneck_delay: SimDuration::from_millis(10),
-            forward_rtts: vec![0.060; 6],
-            start_window_secs: 2.0,
-            ..DumbbellConfig::new(Scheme::Pert)
-        };
-        let pts = compare_schemes(&base, &paper_schemes(), Scale::Quick);
-        assert_eq!(pts.len(), 4);
-        let get = |n: &str| pts.iter().find(|p| p.scheme == n).unwrap();
-        let pert = get("PERT");
-        let sack = get("SACK/DropTail");
-        assert!(
-            pert.queue_norm < sack.queue_norm,
-            "PERT Q {} !< SACK Q {}",
-            pert.queue_norm,
-            sack.queue_norm
+        // PERT's queue must undercut SACK/DropTail's, with comparable
+        // utilization — the essence of Figures 6–9 — at fig6's points.
+        assert_claims_hold(
+            "fig6",
+            &[
+                "pert_q_below_sack_q",
+                "pert_util_above_70",
+                "pert_responds_early",
+                "sack_never_responds_early",
+                "pert_drop_le_sack_drop",
+            ],
         );
-        assert!(pert.utilization > 70.0, "PERT util {}", pert.utilization);
-        assert!(pert.early_reductions > 0, "PERT never responded early");
-        assert_eq!(sack.early_reductions, 0);
-        assert!(pert.drop_rate <= sack.drop_rate + 1e-9);
     }
 }

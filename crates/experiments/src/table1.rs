@@ -8,10 +8,7 @@ use netsim::SimDuration;
 use workload::{DumbbellConfig, Scheme};
 
 use crate::common::Scale;
-use crate::report::{Cell, Report, Table};
-use crate::runner::{Job, PointResult};
-use crate::scenario::Scenario;
-use crate::sweep::{compare_schemes, grid_jobs, paper_schemes, regroup, SchemePoint};
+use crate::sweep::{paper_schemes, SweepClaims, SweepScenario};
 
 /// The configuration of Table 1.
 pub fn config(scale: Scale) -> DumbbellConfig {
@@ -34,94 +31,39 @@ pub fn config(scale: Scale) -> DumbbellConfig {
     }
 }
 
-/// Run Table 1.
-pub fn run(scale: Scale) -> Vec<SchemePoint> {
-    compare_schemes(&config(scale), &paper_schemes(), scale)
-}
+/// Table 1: one job per scheme at the one configuration.
+pub const TABLE1: SweepScenario<&str> = SweepScenario {
+    name: "table1",
+    seed: 11,
+    title: "Table 1: flows with different RTTs (12..120 ms) + 100 web sessions, 150 Mbps",
+    note: "(paper: PERT Q=0.28 p~4e-6 U=93.8 F=0.86; SACK/DropTail F=0.44; Vegas F=0.98)",
+    columns: &["scheme", "Q", "p", "U %", "F"],
+    grid: |_| vec!["hetero-rtt"],
+    label: str::to_string,
+    config: |_, scale| config(scale),
+    schemes: paper_schemes,
+    key_cells: |_, _| {},
+    claims,
+};
 
-/// Table 1 as a [`Scenario`]: one job per scheme.
-pub struct Table1Scenario;
-
-impl Scenario for Table1Scenario {
-    fn name(&self) -> &'static str {
-        "table1"
-    }
-
-    fn default_seed(&self) -> u64 {
-        11
-    }
-
-    fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        let mut cfg = config(scale);
-        cfg.seed = seed;
-        grid_jobs(
-            "table1",
-            vec![("hetero-rtt".into(), cfg)],
-            paper_schemes(),
-            scale,
-        )
-    }
-
-    fn assemble(&self, scale: Scale, seed: u64, results: Vec<PointResult>) -> Report {
-        let groups = regroup(results, paper_schemes().len());
-        let mut table = Table::new(
-            "Table 1: flows with different RTTs (12..120 ms) + 100 web sessions, 150 Mbps",
-            &["scheme", "Q", "p", "U %", "F"],
-        )
-        .with_note("(paper: PERT Q=0.28 p~4e-6 U=93.8 F=0.86; SACK/DropTail F=0.44; Vegas F=0.98)");
-        for s in groups.into_iter().flatten() {
-            table.push(vec![
-                Cell::Str(s.scheme.to_string()),
-                Cell::Num(s.queue_norm),
-                Cell::Num(s.drop_rate),
-                Cell::Num(s.utilization),
-                Cell::Num(s.jain),
-            ]);
-        }
-        let mut report = Report::new("table1", scale, seed);
-        report.tables.push(table);
-        report
+fn claims(c: &mut SweepClaims<&str>, scale: Scale) {
+    let sack = ("PERT", "SACK/DropTail");
+    c.vs("pert_q_below_sack_q", sack, |s| s.queue_norm, |p, s| p < s);
+    c.vs("pert_p_le_sack_p", sack, |s| s.drop_rate, |p, s| p <= s);
+    // Quick windows (15 s) are too short for the fairness index to
+    // converge, so the paper's F ordering is checked from standard on.
+    c.each("pert_jain_above_0.3", "PERT", |s| s.jain, |j| j > 0.3);
+    if scale >= Scale::Standard {
+        c.vs("pert_f_above_sack_f", sack, |s| s.jain, |p, s| p > s);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::testing::assert_claims_hold;
 
     #[test]
     fn pert_keeps_queue_low_with_heterogeneous_rtts() {
-        // Quick windows (15 s) are too short for the fairness index to
-        // converge (the paper measures a 200 s window — see the ignored
-        // test below), but the queue ordering shows immediately.
-        let pts = run(Scale::Quick);
-        let get = |n: &str| pts.iter().find(|s| s.scheme == n).unwrap();
-        let pert = get("PERT");
-        let sack = get("SACK/DropTail");
-        assert!(
-            pert.queue_norm < sack.queue_norm,
-            "PERT Q {} !< SACK Q {}",
-            pert.queue_norm,
-            sack.queue_norm
-        );
-        assert!(pert.jain > 0.3, "PERT fairness collapsed: {}", pert.jain);
-    }
-
-    /// The paper's actual Table-1 fairness claim (PERT F ≫ SACK F) needs
-    /// the long measurement window; run with
-    /// `cargo test -p experiments -- --ignored table1`.
-    #[test]
-    #[ignore = "minutes: standard-scale windows"]
-    fn pert_reduces_rtt_unfairness_vs_sack_standard_scale() {
-        let pts = run(Scale::Standard);
-        let get = |n: &str| pts.iter().find(|s| s.scheme == n).unwrap();
-        let pert = get("PERT");
-        let sack = get("SACK/DropTail");
-        assert!(
-            pert.jain > sack.jain,
-            "PERT F {} !> SACK F {}",
-            pert.jain,
-            sack.jain
-        );
-        assert!(pert.queue_norm < sack.queue_norm);
+        assert_claims_hold("table1", &["pert_q_below_sack_q", "pert_jain_above_0.3"]);
     }
 }

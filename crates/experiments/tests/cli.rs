@@ -1,5 +1,6 @@
 //! The command line as users meet it: the commands the docs show still
-//! parse, and a bad output path fails before any simulation runs.
+//! parse, a bad output path fails before any simulation runs, and the
+//! claims report on stderr without touching stdout.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -113,4 +114,29 @@ fn unwritable_output_fails_before_any_simulation() {
         assert!(stderr.contains(bad), "{flag}: {stderr}");
     }
     assert!(!dir.exists());
+}
+
+#[test]
+fn claims_go_to_stderr_and_leave_stdout_alone() {
+    let sc = experiments::scenario::lookup("fig5").expect("fig5 registered");
+    let scale = experiments::Scale::Quick;
+    let seed = sc.default_seed();
+    let (results, _) = experiments::runner::run_jobs(sc.points(scale, seed), 1);
+    let report = sc.assemble(scale, seed, results);
+    let n = report.claims.len();
+    assert!(n > 0, "fig5 records no claims");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig5", "--quick"])
+        .output()
+        .expect("experiments runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains(&format!("[fig5 claims {n}/{n} hold]\n")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("FAIL"), "{stderr}");
+    assert_eq!(stdout, format!("scale: Quick\n{}", report.render_text()));
 }

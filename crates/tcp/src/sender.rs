@@ -1,12 +1,13 @@
 //! The TCP sender: hot/cold split flow state.
 //!
 //! A SACK-capable sender in the spirit of ns-2's `TCP/Sack1`, hosting any
-//! [`CcAlgorithm`]: slow start / congestion avoidance, FACK-style loss
-//! detection with fast retransmit and SACK-based recovery, retransmission
-//! timeouts with exponential backoff, ECN (ECE-triggered reductions, one
-//! per RTT), per-ACK RTT sampling through exact packet timestamps, and an
-//! application [`Source`] that supplies successive transfers (greedy FTP
-//! flows or think-time-separated web objects).
+//! [`CcAlgorithm`](crate::CcAlgorithm): slow start / congestion
+//! avoidance, FACK-style loss detection with fast retransmit and
+//! SACK-based recovery, retransmission timeouts with exponential backoff,
+//! ECN (ECE-triggered reductions, one per RTT), per-ACK RTT sampling
+//! through exact packet timestamps, and an application [`Source`] that
+//! supplies successive transfers (greedy FTP flows or think-time-separated
+//! web objects).
 //!
 //! Flow state is split by access pattern so the struct-of-arrays
 //! [`FlowSlab`](crate::FlowSlab) can keep the hot part in columns:
