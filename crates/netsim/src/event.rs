@@ -4,23 +4,14 @@
 //! — events pop in `(time, schedule time, content tie, insertion
 //! sequence)` order, FIFO among equals, so every simulation is
 //! bit-for-bit reproducible for a given seed. The two middle keys exist
-//! for the shard-split path ([`EventQueue::schedule_keyed`]):
-//!
-//! * The **schedule time** is the causality watermark at insertion. In a
-//!   single-queue run it is non-decreasing with the sequence number, so
-//!   it never reorders anything. A cross-shard packet is injected into
-//!   the destination queue *after* local events were scheduled, but
-//!   carries its true emission time as its schedule time, which slots it
-//!   into the position the monolithic run's sequence numbers would have
-//!   given it.
-//! * The **content tie** disambiguates arrivals emitted at the *same*
-//!   nanosecond on *different* shards, where no emission-time order
-//!   exists: every arrival event carries a content hash of its packet
-//!   ([`crate::packet::Packet::order_tie`], non-zero, memoised by
-//!   [`crate::arena::PacketArena::order_tie`]), every other event
-//!   carries 0, and both the monolithic scheduler and the shard injector
-//!   use the same value — so same-`(time, sched)` ties resolve
-//!   identically at any shard count:
+//! for the shard-split path ([`EventQueue::push_lane`]): the
+//! **schedule time** is the watermark at insertion, or a cross-shard
+//! packet's true emission time, which slots it where the monolithic run's
+//! sequence numbers would have; the **content tie** is a hash of an
+//! arrival's packet ([`crate::packet::Packet::order_tie`], 0 for other
+//! events), which orders arrivals emitted the same nanosecond on different
+//! shards identically at any shard count (see [`Event::sched`] and
+//! [`Event::tie`]). The backends:
 //!
 //! * [`CalendarKind::Wheel`] (what [`EventQueue::new`] builds, and so what
 //!   every simulator runs on): a hierarchical timing wheel —
@@ -37,9 +28,16 @@
 //!   on it.
 //!
 //! On top of either backend sits a one-event **front slot**: when a new
-//! event precedes everything pending (the common case for a link
+//! event precedes everything in the backend (the common case for a link
 //! scheduling its next back-to-back serialization), it is held directly
 //! and popped without touching the backend at all.
+//!
+//! Beside the wheel, each link has an **arrival lane**
+//! ([`EventQueue::push_lane`]): a link's arrivals leave it with strictly
+//! increasing keys, so they wait in a FIFO list through the wheel's node
+//! pool, and a min-heap of the lane heads is merged with the front slot
+//! and the wheel at every pop; an arrival never cascades. The heap backend
+//! takes a lane push as a plain insert.
 //!
 //! Events can be **cancelled** by the [`EventId`] returned from
 //! [`EventQueue::schedule`]; cancellation is lazy (a tombstone), so it is
@@ -309,6 +307,17 @@ impl Node {
         }
     }
 
+    /// The stored event's full ordering key.
+    #[inline]
+    fn key(&self) -> (SimTime, SimTime, u64, u64) {
+        (self.at, self.sched, self.tie, self.seq)
+    }
+
+    /// The stored event's [`EventKind::class`].
+    fn class(&self) -> usize {
+        (self.tag >> ID_BITS) as usize
+    }
+
     /// The event [`Node::pack`] stored.
     fn unpack(&self) -> Event {
         let id = (self.tag & ((1 << ID_BITS) - 1)) as usize;
@@ -380,7 +389,29 @@ struct Wheel {
     /// pop would start with, so it is kept and inserts keep it current.
     /// `None` (rescan) while events are stored only inside a pop.
     cand: Option<(usize, usize, u64)>,
+    /// One FIFO arrival list per link through `nodes`, in strictly
+    /// increasing key order; lane events are not counted in `stored`.
+    lanes: Vec<Lane>,
+    /// Binary min-heap of the non-empty lanes, by their head's full key;
+    /// its capacity is reserved as lanes are added.
+    lane_heap: Vec<u32>,
 }
+
+/// A link's arrival lane: its first and last node ([`NIL`] when empty),
+/// and the first one's time, by which the heap compares lanes without
+/// reading their nodes (a head's full key is read only on a tie).
+#[derive(Clone, Copy, Debug)]
+struct Lane {
+    head: u32,
+    tail: u32,
+    at: SimTime,
+}
+
+const EMPTY_LANE: Lane = Lane {
+    head: NIL,
+    tail: NIL,
+    at: SimTime::ZERO,
+};
 
 impl Wheel {
     fn new(elapsed: u64) -> Self {
@@ -395,6 +426,106 @@ impl Wheel {
             stored: 0,
             min_bound: u64::MAX,
             cand: None,
+            lanes: Vec::new(),
+            lane_heap: Vec::new(),
+        }
+    }
+
+    /// Store `node` in a pooled slot, off the free list when it has one.
+    fn alloc(&mut self, node: Node) -> u32 {
+        match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        }
+    }
+
+    /// Free node `idx`; returns its event and its old `next`.
+    fn release(&mut self, idx: u32) -> (Event, u32) {
+        let node = &mut self.nodes[idx as usize];
+        let (ev, next) = (node.unpack(), std::mem::replace(&mut node.next, self.free));
+        self.free = idx;
+        (ev, next)
+    }
+
+    /// The node at the head of `lane`.
+    #[inline]
+    fn head(&self, lane: u32) -> &Node {
+        &self.nodes[self.lanes[lane as usize].head as usize]
+    }
+
+    /// Append `ev` to `lane` if its key follows the tail's (else `false`).
+    fn lane_push(&mut self, lane: usize, ev: &Event) -> bool {
+        let tail = self.lanes[lane].tail;
+        if tail != NIL && self.nodes[tail as usize].key() >= ev.key() {
+            return false;
+        }
+        let idx = self.alloc(Node::pack(ev));
+        let l = &mut self.lanes[lane];
+        l.tail = idx;
+        if tail == NIL {
+            (l.head, l.at) = (idx, ev.at);
+            self.lane_heap.push(lane as u32);
+            self.sift_up(self.lane_heap.len() - 1);
+        } else {
+            self.nodes[tail as usize].next = idx;
+        }
+        true
+    }
+
+    /// Remove and return the head of the earliest lane.
+    fn lane_pop(&mut self) -> Event {
+        let lane = self.lane_heap[0] as usize;
+        let (ev, next) = self.release(self.lanes[lane].head);
+        if next == NIL {
+            self.lanes[lane] = EMPTY_LANE;
+            self.lane_heap.swap_remove(0);
+        } else {
+            let at = self.nodes[next as usize].at;
+            (self.lanes[lane].head, self.lanes[lane].at) = (next, at);
+        }
+        self.sift_down(0);
+        ev
+    }
+
+    /// Whether heap slot `a`'s lane head sorts before slot `b`'s.
+    #[inline]
+    fn before(&self, a: usize, b: usize) -> bool {
+        let (x, y) = (self.lane_heap[a], self.lane_heap[b]);
+        match self.lanes[x as usize].at.cmp(&self.lanes[y as usize].at) {
+            Ordering::Equal => self.head(x).key() < self.head(y).key(),
+            order => order == Ordering::Less,
+        }
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.before(pos, parent) {
+                break;
+            }
+            self.lane_heap.swap(parent, pos);
+            pos = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let n = self.lane_heap.len();
+        while 2 * pos + 1 < n {
+            let left = 2 * pos + 1;
+            let child = left + usize::from(left + 1 < n && self.before(left + 1, left));
+            if !self.before(child, pos) {
+                break;
+            }
+            self.lane_heap.swap(pos, child);
+            pos = child;
         }
     }
 
@@ -456,19 +587,7 @@ impl Wheel {
     fn insert(&mut self, ev: Event) {
         let at = ev.at.as_nanos();
         self.min_bound = self.min_bound.min(at);
-        let node = Node::pack(&ev);
-        let idx = match self.free {
-            NIL => {
-                assert!(self.nodes.len() < NIL as usize, "wheel node pool is full");
-                self.nodes.push(node);
-                self.nodes.len() as u32 - 1
-            }
-            idx => {
-                self.free = self.nodes[idx as usize].next;
-                self.nodes[idx as usize] = node;
-                idx
-            }
-        };
+        let idx = self.alloc(Node::pack(&ev));
         let (level, slot) = self.link(idx);
         // The slot's deadline as `next_candidate` computes it: its start
         // (strictly ahead of the horizon above level 0), or the exact time
@@ -599,10 +718,7 @@ impl Wheel {
 
     /// Unlink and free the head of an occupied slot, returning its event.
     fn free_head(&mut self, level: usize, slot: usize) -> Event {
-        let idx = self.head[level][slot];
-        let node = &mut self.nodes[idx as usize];
-        let (ev, next) = (node.unpack(), std::mem::replace(&mut node.next, self.free));
-        self.free = idx;
+        let (ev, next) = self.release(self.head[level][slot]);
         self.stored -= 1;
         match next {
             NIL => self.vacate(level, slot),
@@ -679,15 +795,23 @@ enum Backend {
     Wheel(Box<Wheel>),
 }
 
+/// Where the next event waits (see [`EventQueue::locate`]).
+#[derive(Clone, Copy)]
+enum Source {
+    Front,
+    Lane,
+}
+
 /// Deterministic event calendar (see module docs for the backends, the
-/// front-slot fast path, cancellation, and the audit shadow).
+/// front-slot fast path, arrival lanes, cancellation, and the audit
+/// shadow).
 #[derive(Debug)]
 pub struct EventQueue {
     backend: Backend,
-    /// One-event cache holding the next event to pop: filled directly by
-    /// [`EventQueue::schedule`] when the new event precedes everything
-    /// pending (bypassing the backend entirely — the departure fast
-    /// path), or pulled through from the backend by a pop/peek.
+    /// One-event cache preceding everything in the backend (not the
+    /// lanes): filled directly by [`EventQueue::schedule`] when the new
+    /// event precedes everything there (the departure fast path), or
+    /// pulled through from the backend by a pop/peek.
     front: Option<Event>,
     next_seq: u64,
     /// Scheduling below this instant would violate causality: the
@@ -757,42 +881,67 @@ impl EventQueue {
         // `(at, seq)` order for this queue's own schedules: the
         // watermark never decreases, so `sched` is non-decreasing with
         // `seq`, and a zero tie defers to `seq` among equals.
-        let sched = self.watermark;
-        self.schedule_keyed(at, sched, 0, kind)
+        let ev = self.stamp(at, self.watermark, 0, kind);
+        self.insert(ev);
+        EventId(ev.seq)
     }
 
-    /// Schedule `kind` to fire at `at` with an explicit schedule-time
-    /// tiebreak (which may lie *below* the watermark) and content tie.
-    /// This is the cross-shard path: a packet emitted on another shard
-    /// at (its local) time `sched` is handed over at a barrier, after
-    /// this queue's watermark has already passed `sched` — carrying the
-    /// true emission time lets it win or lose same-instant ties exactly
-    /// as the monolithic run's insertion order would have decided. The
-    /// content tie orders arrivals whose emission times are themselves
-    /// equal; the monolithic arrival scheduler passes the same hash so
-    /// both modes agree (see [`crate::packet::Packet::order_tie`]).
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the causality watermark. Debug
-    /// builds also reject `sched > at` (an event cannot be scheduled
-    /// after it fires).
-    pub(crate) fn schedule_keyed(
-        &mut self,
-        at: SimTime,
-        sched: SimTime,
-        tie: u64,
-        kind: EventKind,
-    ) -> EventId {
+    /// A new event under the next sequence number.
+    fn stamp(&mut self, at: SimTime, sched: SimTime, tie: u64, kind: EventKind) -> Event {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Event {
+        Event {
             at,
             sched,
             tie,
             seq,
             kind,
-        });
-        EventId(seq)
+        }
+    }
+
+    /// Register the next link's arrival lane (lane `i` is `LinkId(i)`'s)
+    /// and reserve its slot in the heap of lane heads.
+    pub fn add_lane(&mut self) {
+        if let Backend::Wheel(w) = &mut self.backend {
+            w.lanes.push(EMPTY_LANE);
+            w.lane_heap.reserve(w.lanes.len() - w.lane_heap.len());
+        }
+    }
+
+    /// Schedule an arrival over `link` at its lane's tail, with an explicit
+    /// schedule-time tiebreak (which may lie *below* the watermark: a
+    /// packet emitted on another shard at `sched`, handed over at a
+    /// barrier) and content tie (see [`Event::sched`] and [`Event::tie`]).
+    ///
+    /// # Panics
+    /// As [`EventQueue::schedule`]; debug builds also reject `sched > at`.
+    /// A key that does not follow the lane's tail is refused: debug builds
+    /// assert, the audit flag makes it a calendar violation, and otherwise
+    /// the wheel takes the event.
+    pub fn push_lane(
+        &mut self,
+        link: LinkId,
+        at: SimTime,
+        sched: SimTime,
+        tie: u64,
+        kind: EventKind,
+    ) {
+        let ev = self.stamp(at, sched, tie, kind);
+        let Backend::Wheel(w) = &mut self.backend else {
+            return self.insert(ev);
+        };
+        if w.lane_push(link.index(), &ev) {
+            return self.admit(&ev);
+        }
+        #[cfg(feature = "audit")]
+        if self.shadow.is_some() {
+            crate::audit::violation(
+                "calendar",
+                format_args!("lane {link} push {:?} does not follow its tail", ev.key()),
+            );
+        }
+        debug_assert!(false, "lane {link} push does not follow its tail");
+        self.insert(ev);
     }
 
     /// Take the key a [`EventQueue::schedule`] call would stamp right now
@@ -829,24 +978,53 @@ impl EventQueue {
 
     /// Put an event taken out by [`EventQueue::drain_all`] back under its
     /// own key: into the queue it came from (the split's rollback) or into
-    /// a [`EventQueue::fork`] of it (a shard calendar).
-    pub(crate) fn adopt(&mut self, ev: Event) {
+    /// a fork of it (a shard calendar). Arrivals go to the
+    /// backend, not to a lane.
+    pub fn adopt(&mut self, ev: Event) {
         debug_assert!(ev.seq < self.next_seq, "adopted event from another queue");
         self.insert(ev);
     }
 
-    /// An empty queue on this queue's backend that continues its sequence
-    /// numbers: events adopted from this queue, the [`EventId`]s and
-    /// [`Reservation`]s issued by it, and everything the fork schedules
-    /// later all stay distinct.
+    /// An empty queue on this queue's backend, with as many lanes, that
+    /// continues its sequence numbers: events adopted from this queue, the
+    /// [`EventId`]s and [`Reservation`]s issued by it, and everything the
+    /// fork schedules later all stay distinct.
     pub(crate) fn fork(&self) -> EventQueue {
         let mut q = Self::with_calendar(self.calendar());
+        if let (Backend::Wheel(from), Backend::Wheel(to)) = (&self.backend, &mut q.backend) {
+            to.lanes = vec![EMPTY_LANE; from.lanes.len()];
+            to.lane_heap = Vec::with_capacity(from.lanes.len());
+        }
         q.next_seq = self.next_seq;
         q
     }
 
     /// Insert a fully keyed event (mirrored into the audit shadow).
     fn insert(&mut self, ev: Event) {
+        self.admit(&ev);
+        match &mut self.front {
+            Some(f) if ev.key() < f.key() => {
+                // The new event precedes the front one: swap it in. The
+                // demoted one still precedes everything in the backend.
+                let demoted = std::mem::replace(f, ev);
+                self.backend_insert(demoted);
+            }
+            Some(_) => self.backend_insert(ev),
+            None => {
+                // Fast path: an event before everything in the backend is
+                // held directly (a link's next back-to-back serialization).
+                if ev.at.as_nanos() < self.backend_min_bound() {
+                    self.front = Some(ev);
+                } else {
+                    self.backend_insert(ev);
+                }
+            }
+        }
+    }
+
+    /// Check a new event against the causality watermark, mirror it into
+    /// the audit shadow and count it live.
+    fn admit(&mut self, ev: &Event) {
         assert!(
             ev.at >= self.watermark,
             "scheduling into the past: {:?} < {:?}",
@@ -864,29 +1042,6 @@ impl EventQueue {
             s.push(ev.at, ev.sched, ev.tie, ev.seq);
         }
         self.live += 1;
-        match &mut self.front {
-            Some(f) if ev.key() < f.key() => {
-                // New event precedes the cached next event: swap it in.
-                // The demoted event still precedes everything in the
-                // backend (in `(time, sched, tie, seq)` order), so the
-                // front invariant survives; the backend orders it ahead
-                // of any equal-time event already there by its key.
-                let demoted = std::mem::replace(f, ev);
-                self.backend_insert(demoted);
-            }
-            Some(_) => self.backend_insert(ev),
-            None => {
-                // Fast path: an event earlier than every pending one is
-                // held directly and never enters the backend — the common
-                // shape for a busy link scheduling its next back-to-back
-                // serialization.
-                if ev.at.as_nanos() < self.backend_min_bound() {
-                    self.front = Some(ev);
-                } else {
-                    self.backend_insert(ev);
-                }
-            }
-        }
     }
 
     /// Cancel a pending event. O(1): a tombstone is recorded and the
@@ -965,6 +1120,67 @@ impl EventQueue {
         }
     }
 
+    /// Where the earliest pending event waits, and its time, if it fires
+    /// by `until`: in the front slot — which, empty, first pulls the
+    /// backend's next event, bounded by `until` and the earliest lane head
+    /// — or at a lane head. A lane head below the wheel's bound is found
+    /// without touching the wheel.
+    fn locate(&mut self, until: SimTime) -> Option<(Source, SimTime)> {
+        let lane = match &self.backend {
+            Backend::Wheel(w) => w.lane_heap.first().map(|&l| w.lanes[l as usize].at),
+            Backend::Heap(_) => None,
+        };
+        if self.front.is_none() {
+            let bound = match lane {
+                Some(at) if at.as_nanos() < self.backend_min_bound() => {
+                    return (at <= until).then_some((Source::Lane, at));
+                }
+                Some(at) => at.min(until),
+                None => until,
+            };
+            self.front = self.backend_pop_before(bound);
+        }
+        let lane_first =
+            |f: &Event, at| at < f.at || at == f.at && self.lane_node().key() < f.key();
+        let found = match (&self.front, lane) {
+            (Some(f), Some(at)) if lane_first(f, at) => (Source::Lane, at),
+            (Some(f), _) => (Source::Front, f.at),
+            (None, Some(at)) => (Source::Lane, at),
+            (None, None) => return None,
+        };
+        (found.1 <= until).then_some(found)
+    }
+
+    /// The earliest lane head's node (wheel only).
+    fn lane_node(&self) -> &Node {
+        match &self.backend {
+            Backend::Wheel(w) => w.head(*w.lane_heap.first().expect("a lane was located")),
+            Backend::Heap(_) => unreachable!("the heap backend has no lanes"),
+        }
+    }
+
+    /// Remove the event [`EventQueue::locate`] found.
+    fn remove(&mut self, src: Source) -> Event {
+        match (src, &mut self.backend) {
+            (Source::Front, _) => self.front.take().expect("located in the front slot"),
+            (Source::Lane, Backend::Wheel(w)) => w.lane_pop(),
+            (Source::Lane, Backend::Heap(_)) => unreachable!("the heap backend has no lanes"),
+        }
+    }
+
+    /// Pop the event [`EventQueue::locate`] found, advancing the causality
+    /// watermark to its time.
+    fn take(&mut self, src: Source) -> Event {
+        let ev = self.remove(src);
+        self.live -= 1;
+        self.watermark = ev.at;
+        #[cfg(feature = "audit")]
+        if let Some(s) = &mut self.shadow {
+            s.verify_pop(ev.at, ev.sched, ev.tie, ev.seq);
+        }
+        ev
+    }
+
     /// Remove and return the earliest event if it fires at or before
     /// `until`, advancing the causality watermark — to the event's time,
     /// or to `until` itself when every pending event lies beyond it.
@@ -972,25 +1188,12 @@ impl EventQueue {
         if self.live == 0 {
             return None;
         }
-        // The front slot, when occupied, precedes everything in the
-        // backend, so it is always the next event; it is NOT refilled
-        // here — prefetching would drag the next backend event out only
-        // for the handler's own schedules to demote it straight back.
-        let ev = match &self.front {
-            Some(f) if f.at <= until => self.front.take(),
-            Some(_) => None,
-            None => self.backend_pop_before(until),
-        };
-        match ev {
-            Some(ev) => {
-                self.live -= 1;
-                self.watermark = ev.at;
-                #[cfg(feature = "audit")]
-                if let Some(s) = &mut self.shadow {
-                    s.verify_pop(ev.at, ev.sched, ev.tie, ev.seq);
-                }
-                Some(ev)
-            }
+        // A front-slot occupant precedes everything in the backend; the
+        // slot is NOT refilled after the pop — prefetching would drag the
+        // next backend event out only for the handler's own schedules to
+        // demote it straight back.
+        match self.locate(until) {
+            Some((src, ..)) => Some(self.take(src)),
             None => {
                 // Nothing fires by `until`; the caller's clock will advance
                 // there, so scheduling before it is now causally invalid
@@ -1010,84 +1213,71 @@ impl EventQueue {
     /// Pop the next event if it continues a run: it fires at `at` (the
     /// instant of the event popped last) and is of class `class`.
     ///
-    /// This is what lets the dispatch loop match on the event class once
-    /// per run instead of once per event. Only the very next event in
-    /// `(time, sched, tie, seq)` order is considered — a same-time event of
-    /// another class ends the run and stays pending — and it is looked for
-    /// only when asked, i.e. after the previous handler returned: a handler
-    /// may insert a reserved-key event at `at` that sorts *before* events
-    /// already pending there, and nothing may have been popped past it.
-    ///
-    /// Unlike [`EventQueue::peek_time`], the probe never raises the
-    /// causality watermark past `at`: handlers of later events in the run
-    /// may still schedule at that instant.
+    /// The dispatch loop matches on the class once per run this way. Only
+    /// the very next event is considered, and only once the previous
+    /// handler returned (it may insert a reserved key at `at` that sorts
+    /// before events pending there); the probe never raises the causality
+    /// watermark past `at`, unlike [`EventQueue::peek_time`].
     pub fn pop_next_in_run(&mut self, at: SimTime, class: usize) -> Option<Event> {
-        if self.front.is_none() {
-            if self.live == 0 {
-                return None;
-            }
-            // Bounded pull: the backend never drains (nor, on the wheel,
-            // cascades) past `at`, which equals the watermark, so this
-            // probe cannot move either. An event pulled in but not taken
-            // simply waits in the front slot.
-            self.front = self.backend_pop_before(at);
+        if self.live == 0 {
+            return None;
         }
-        match &self.front {
-            Some(f) if f.at == at && f.kind.class() == class => self.pop_before(at),
-            _ => None,
-        }
+        // Bounded pull: nothing drains or cascades past `at` (= the
+        // watermark); an event pulled in but not taken waits in front.
+        let (src, t) = self.locate(at)?;
+        let c = match src {
+            _ if t != at => return None,
+            Source::Front => self.front.as_ref()?.kind.class(),
+            Source::Lane => self.lane_node().class(),
+        };
+        (c == class).then(|| self.take(src))
     }
 
     /// The firing time of the next event, if any.
     ///
-    /// Finding it may pull the next event into the front slot (and, on
-    /// the wheel, cascade up to it), so the causality watermark is raised
-    /// to the returned time — whether or not this call had to pull, which
-    /// depends on the backend: a subsequent schedule below a peeked time
-    /// is rejected, and one at or after it is stamped the same schedule
-    /// time on the wheel and on the heap.
+    /// Finding it may pull an event into the front slot (and cascade the
+    /// wheel up to it), so the causality watermark is raised to the
+    /// returned time, pulled or not: a later schedule below it is rejected
+    /// and one at or after it gets the same key on every backend.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
         }
-        if self.front.is_none() {
-            // The shadow oracle needs no adjustment: it is consulted only
-            // at the logical pop, and prefetching into the front slot is
-            // not one.
-            self.front = self.backend_pop_before(SimTime::MAX);
-        }
-        let at = self.front.as_ref()?.at;
+        // The shadow oracle needs no adjustment: it is consulted only at
+        // the logical pop, and prefetching into the front slot is not one.
+        let (_, at) = self.locate(SimTime::MAX)?;
         self.watermark = self.watermark.max(at).max(self.backend_horizon());
         Some(at)
     }
 
     /// Remove **every** pending event in `(time, sched, tie, seq)` order,
-    /// without advancing the causality watermark and without consulting
-    /// the shadow oracle. The shard-split path moves each drained event,
-    /// key and all, into a shard-local [`EventQueue::fork`]
-    /// ([`EventQueue::adopt`]), where its eventual pop is verified (once)
-    /// against that queue's own shadow — so audit check totals stay
-    /// identical at any shard count. The shadow's accumulated check
-    /// count is preserved (it is flushed by `Drop`); its mirrored pending
-    /// set and the tombstone set are cleared alongside the events.
-    pub(crate) fn drain_all(&mut self) -> Vec<Event> {
+    /// without advancing the causality watermark or consulting the shadow
+    /// oracle: the shard split moves each, key and all, into a fork
+    /// ([`EventQueue::adopt`]), whose shadow verifies
+    /// its pop once, so audit totals match at any shard count. The shadow
+    /// keeps its check count and drops its pending set; lanes stay.
+    pub fn drain_all(&mut self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.live);
         while self.live > 0 {
-            let ev = match self.front.take() {
-                Some(f) => f,
-                None => self
-                    .backend_pop_before(SimTime::MAX)
-                    .expect("live count says events remain, but the backend is empty"),
-            };
+            let (src, ..) = self
+                .locate(SimTime::MAX)
+                .expect("live count says events remain, but the calendar is empty");
+            out.push(self.remove(src));
             self.live -= 1;
-            out.push(ev);
         }
         // Only cancelled residents are left, and the wheel's horizon ran to
         // the last event: restart at the watermark so a refill (the split's
         // rollback) works.
         match &mut self.backend {
             Backend::Heap(h) => h.clear(),
-            Backend::Wheel(w) => **w = Wheel::new(self.watermark.as_nanos()),
+            Backend::Wheel(w) => {
+                debug_assert!(w.lane_heap.is_empty(), "a lane outlived the drain");
+                **w = Wheel {
+                    lanes: std::mem::take(&mut w.lanes),
+                    lane_heap: std::mem::take(&mut w.lane_heap),
+                    ..Wheel::new(self.watermark.as_nanos())
+                };
+            }
         }
         self.cancelled.clear();
         #[cfg(feature = "audit")]
@@ -1137,6 +1327,13 @@ mod tests {
 
     fn ctrl(code: u64) -> EventKind {
         EventKind::Control { code }
+    }
+
+    /// Insert `kind` under an explicit schedule time and content tie, as a
+    /// drained event adopted back carries them.
+    fn keyed(q: &mut EventQueue, at: SimTime, sched: SimTime, tie: u64, kind: EventKind) {
+        let ev = q.stamp(at, sched, tie, kind);
+        q.insert(ev);
     }
 
     fn codes(q: &mut EventQueue) -> Vec<u64> {
@@ -1311,7 +1508,7 @@ mod tests {
             // Injection emitted at 10 on another shard, arriving at 100:
             // must precede both locals (their sched is 0 < 10? no — their
             // sched IS 0, so they keep winning; emitted-at-10 loses).
-            q.schedule_keyed(t(100), t(10), 0, ctrl(2));
+            keyed(&mut q, t(100), t(10), 0, ctrl(2));
             // Injection emitted "before" the locals were scheduled is
             // impossible monolithically (sched 0 ties break by seq), but
             // one landing between them in sched order is the real shape:
@@ -1330,7 +1527,7 @@ mod tests {
             q.schedule(t(40), ctrl(9));
             q.pop(); // watermark 40; backend empty
             let _front = q.schedule(t(100), ctrl(1)); // takes the front slot, sched 40
-            q.schedule_keyed(t(100), t(20), 0, ctrl(0)); // emitted earlier: precedes
+            keyed(&mut q, t(100), t(20), 0, ctrl(0)); // emitted earlier: precedes
             assert_eq!(codes(&mut q), vec![0, 1]);
         }
     }
@@ -1344,10 +1541,10 @@ mod tests {
             let t = SimTime::from_nanos;
             q.schedule(t(40), ctrl(9));
             q.pop(); // watermark 40
-            q.schedule_keyed(t(100), t(40), 7, ctrl(2)); // arrival-like, big tie
-            q.schedule_keyed(t(100), t(40), 3, ctrl(1)); // arrival-like, small tie
-            q.schedule_keyed(t(100), t(40), 0, ctrl(0)); // plain event wins
-            q.schedule_keyed(t(100), t(40), 7, ctrl(3)); // equal tie: falls to seq
+            keyed(&mut q, t(100), t(40), 7, ctrl(2)); // arrival-like, big tie
+            keyed(&mut q, t(100), t(40), 3, ctrl(1)); // arrival-like, small tie
+            keyed(&mut q, t(100), t(40), 0, ctrl(0)); // plain event wins
+            keyed(&mut q, t(100), t(40), 7, ctrl(3)); // equal tie: falls to seq
             assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
         }
     }
@@ -1406,6 +1603,31 @@ mod tests {
                 token: TimerToken(0),
             },
         });
+    }
+
+    /// A lane push whose key does not follow the lane's tail is refused:
+    /// debug builds assert, and under the audit flag (wheel queues then
+    /// carry the shadow oracle) it is a calendar violation. Otherwise the
+    /// wheel takes the event, and it still pops in key order.
+    #[test]
+    fn lane_push_that_does_not_increase_is_refused() {
+        let t = SimTime::from_nanos;
+        // An earlier time, then the tail's own time with a smaller tie.
+        for (at, tie) in [(99, 5), (100, 0)] {
+            let mut q = EventQueue::new();
+            q.add_lane();
+            q.push_lane(LinkId(0), t(100), t(0), 1, ctrl(0));
+            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                q.push_lane(LinkId(0), t(at), t(0), tie, ctrl(1))
+            }));
+            match pushed {
+                Err(panic) => {
+                    let msg = panic.downcast::<String>().expect("a formatted panic");
+                    assert!(msg.contains("does not follow its tail"), "{msg}");
+                }
+                Ok(()) => assert_eq!(codes(&mut q), [1, 0]),
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::ids::{LinkId, NodeId};
+use crate::ids::LinkId;
 use crate::packet::Packet;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
@@ -92,7 +92,7 @@ pub fn default_shards() -> usize {
 /// barrier exchanges move flat buffers of these, never boxed state.
 #[derive(Clone, Copy, Debug)]
 pub struct WirePacket {
-    /// Absolute arrival instant at `node`: emission time plus
+    /// Absolute arrival instant at `link`'s far end: emission time plus
     /// serialization plus the cut link's propagation delay (always at or
     /// beyond the next barrier).
     pub at: SimTime,
@@ -101,8 +101,10 @@ pub struct WirePacket {
     /// injected arrival against same-instant events on the destination
     /// shard exactly as the monolithic insertion order would.
     pub sched: SimTime,
-    /// The node the packet arrives at (owned by the destination shard).
-    pub node: NodeId,
+    /// The cut link the packet crossed: its far end, owned by the
+    /// destination shard, is where it arrives, and its arrival lane is
+    /// where it waits there.
+    pub link: LinkId,
     /// `pkt.order_tie()`, taken from the source arena's memo: the barrier
     /// sort and the destination's calendar key use it as is, and it seeds
     /// the destination arena's memo, so crossing a cut hashes nothing.
@@ -114,7 +116,7 @@ pub struct WirePacket {
 /// A node partition produced by [`partition`].
 #[derive(Clone, Debug)]
 pub struct Partition {
-    /// Owning shard of every node, indexed by [`NodeId`].
+    /// Owning shard of every node, indexed by [`NodeId`](crate::ids::NodeId).
     pub shard_of_node: Vec<usize>,
     /// Number of shards actually produced (≤ the requested count — the
     /// topology may not separate further).
@@ -713,7 +715,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::event::TimerToken;
-    use crate::ids::{AgentId, FlowId};
+    use crate::ids::{AgentId, FlowId, NodeId};
     use crate::packet::{Ecn, Payload};
     use crate::queue::DropTail;
     use crate::sim::{Agent, Ctx};

@@ -478,6 +478,7 @@ impl Simulator {
         }
         self.links
             .push(Link::new(id, from, to, capacity_bps, delay, queue));
+        self.events.add_lane();
         #[cfg(feature = "telemetry")]
         {
             if self.tel_on {
@@ -916,14 +917,15 @@ impl Simulator {
                     crate::shard::WirePacket {
                         at: arrive_at,
                         sched: now,
-                        node: to,
+                        link: link_id,
                         tie,
                         pkt,
                     },
                 ));
             }
             None => {
-                self.events.schedule_keyed(
+                self.events.push_lane(
+                    link_id,
                     arrive_at,
                     now,
                     tie,
@@ -1580,31 +1582,31 @@ impl Simulator {
     /// the packet (hashed once, on the source shard) and seeds this
     /// arena's memo; that it still is the wire copy's hash is checked in
     /// debug builds and, under the audit flag, as a calendar violation.
+    /// The arrival joins the cut link's lane, in which the canonical order
+    /// keeps each link's arrivals in increasing key order.
     pub(crate) fn inject_arrival(&mut self, w: crate::shard::WirePacket) {
+        let (_, node) = self.link_endpoints[w.link.index()];
         #[cfg(feature = "audit")]
         if !self.audit_hooks.is_empty() && w.tie != w.pkt.order_tie() {
             crate::audit::violation(
                 "calendar",
                 format_args!(
                     "wire tie {} is not the hash {} of the packet it travelled with \
-                     (arrival t={:?} at node {})",
+                     (arrival t={:?} at node {node})",
                     w.tie,
                     w.pkt.order_tie(),
                     w.at,
-                    w.node
                 ),
             );
         }
         debug_assert_eq!(w.tie, w.pkt.order_tie(), "wire tie drifted from its packet");
         let packet = self.arena.alloc_with_tie(w.pkt, w.tie);
-        self.events.schedule_keyed(
+        self.events.push_lane(
+            w.link,
             w.at,
             w.sched,
             w.tie,
-            EventKind::Arrival {
-                node: w.node,
-                packet,
-            },
+            EventKind::Arrival { node, packet },
         );
     }
 

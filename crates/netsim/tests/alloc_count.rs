@@ -10,7 +10,8 @@
 //! That loop never puts two events in one 1 ns calendar slot and never
 //! carries a burst across a high wheel level's boundary; the second test
 //! drives the calendar with the shape of the 100k-flow dumbbell, which
-//! does both.
+//! does both, and the third moves thousands of in-flight arrivals from
+//! one link's lane to the next.
 //!
 //! This lives in its own integration-test file because the global
 //! allocator is process-wide: sharing a binary with unrelated tests would
@@ -22,7 +23,7 @@ use std::any::Any;
 use std::cell::Cell;
 
 use netsim::event::{EventKind, EventQueue, TimerToken};
-use netsim::ids::{AgentId, FlowId, NodeId};
+use netsim::ids::{AgentId, FlowId, LinkId, NodeId};
 use netsim::packet::{Ecn, Packet, Payload};
 use netsim::queue::DropTail;
 use netsim::sim::{Agent, Ctx, Simulator};
@@ -271,6 +272,83 @@ fn same_instant_cohorts_and_boundary_bursts_are_allocation_free() {
     assert_eq!(allocs, 0, "calendar touched the heap over {popped} events");
     assert!(
         high_water >= (IN_FLIGHT + COHORT) as usize,
+        "load never built up: {high_water}"
+    );
+    assert!(
+        q.footprint_bytes() <= 2 * high_water * NODE_BYTES,
+        "calendar holds {} bytes for a high-water mark of {high_water} events",
+        q.footprint_bytes()
+    );
+}
+
+/// Arrival lanes share the calendar's node pool. 32 links each keep a FIFO
+/// of arrivals 5–10 ms out, across 2^24 ns level-4 boundaries, and the
+/// busy link rotates every 20 ms: it serializes back to back with 2 000
+/// arrivals in flight while the other 31 trickle. The total in flight
+/// repeats from phase to phase, but each lane peaks only in its own busy
+/// phase, which for all but the first few comes after the warm-up. Lists
+/// through the pool reuse the nodes the previous busy lane freed, so the
+/// loop makes no allocation; a container per lane would grow in each
+/// lane's first busy phase.
+#[test]
+fn rotating_arrival_lanes_share_the_node_pool() {
+    const LINKS: u64 = 32;
+    const MS: u64 = 1_000_000;
+    const PHASE: u64 = 20 * MS;
+    const BUSY_IN_FLIGHT: u64 = 2_000;
+    const IDLE_TX: u64 = 200_000;
+    const NODE_BYTES: usize = 48;
+
+    let at = SimTime::from_nanos;
+    // Longer for each link in rotation order, so a busy lane draining
+    // never overlaps a faster-filling successor: the per-phase peak repeats.
+    let delay = |link: u64| 5 * MS + link * 5 * MS / LINKS;
+    let mut q = EventQueue::new();
+    for link in 0..LINKS {
+        q.add_lane();
+        q.schedule(at(0), EventKind::Control { code: link });
+    }
+
+    let run_until = |q: &mut EventQueue, until: SimTime, high_water: &mut usize| {
+        let mut pushed = 0u64;
+        while let Some(ev) = q.pop_before(until) {
+            let now = ev.at.as_nanos();
+            if let EventKind::Control { code: link } = ev.kind {
+                let busy = (now / PHASE) % LINKS == link;
+                let tx = if busy {
+                    delay(link) / BUSY_IN_FLIGHT
+                } else {
+                    IDLE_TX
+                };
+                let arrival = EventKind::Timer {
+                    agent: AgentId(link as usize),
+                    token: TimerToken(pushed),
+                };
+                q.push_lane(
+                    LinkId(link as usize),
+                    at(now + delay(link)),
+                    ev.at,
+                    link + 1,
+                    arrival,
+                );
+                q.schedule(at(now + tx), EventKind::Control { code: link });
+                pushed += 1;
+            }
+            *high_water = (*high_water).max(q.len());
+        }
+        pushed
+    };
+
+    let mut high_water = 0;
+    run_until(&mut q, at(4 * PHASE), &mut high_water);
+    let before = allocs();
+    let pushed = run_until(&mut q, at(LINKS * PHASE - 1), &mut high_water);
+    let allocs = allocs() - before;
+
+    assert!(pushed > 200_000, "window too quiet: {pushed} arrivals");
+    assert_eq!(allocs, 0, "lanes touched the heap over {pushed} arrivals");
+    assert!(
+        high_water >= BUSY_IN_FLIGHT as usize,
         "load never built up: {high_water}"
     );
     assert!(

@@ -5,12 +5,14 @@
 //! pop loop is in flight, keys reserved early and scheduled late (or
 //! never), every way the wheel's pooled nodes are freed and reused, and
 //! the sparse calendars of small simulations, where an event sits alone in
-//! its slot and the wheel pops it in place instead of cascading it down.
+//! its slot and the wheel pops it in place instead of cascading it down,
+//! and per-link arrival lanes merged with all of the above (the heap takes
+//! a lane push as a plain insert).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use netsim::event::{CalendarKind, Event, EventKind, EventQueue};
-use netsim::ids::AgentId;
+use netsim::ids::{AgentId, LinkId};
 use netsim::time::SimTime;
 use netsim::TimerToken;
 use proptest::prelude::*;
@@ -59,10 +61,16 @@ const SPARSE_PENDING: usize = 8;
 /// Ops are `(selector, a, b)` triples decoded below. The interpreter keeps
 /// its own watermark mirror so every schedule lands at or after the last
 /// pop (the queue's causality contract), and tracks pending ids so it only
-/// cancels events that have not fired.
-fn drive(ops: &[(u8, u64, u64)]) {
+/// cancels events that have not fired. Both queues register `lanes`
+/// arrival lanes; the interpreter pushes each lane's events at strictly
+/// increasing times, as a link's serialization does.
+fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
     let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
     let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
+    for _ in 0..lanes {
+        wheel.add_lane();
+        heap.add_lane();
+    }
     let mut now = SimTime::ZERO;
     // insertion index -> (wheel id, heap id), removed on pop/cancel.
     let mut pending = BTreeMap::new();
@@ -70,6 +78,10 @@ fn drive(ops: &[(u8, u64, u64)]) {
     let mut scheduled: u64 = 0;
     // Keys reserved on (wheel, heap) and not yet scheduled.
     let mut reserved = Vec::new();
+    // Per lane: the last time pushed, and the `(seq, time)` of its events
+    // not yet popped, in push (= pop) order.
+    let mut lane_last = vec![None::<SimTime>; lanes];
+    let mut lane_pending: Vec<VecDeque<(u64, SimTime)>> = vec![VecDeque::new(); lanes];
 
     let schedule = |wheel: &mut EventQueue,
                     heap: &mut EventQueue,
@@ -87,6 +99,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     let compare_pop = |a: Option<Event>,
                        b: Option<Event>,
                        pending: &mut BTreeMap<u64, _>,
+                       lane_pending: &mut Vec<VecDeque<(u64, SimTime)>>,
                        now: &mut SimTime|
      -> Option<SimTime> {
         match (a, b) {
@@ -98,6 +111,11 @@ fn drive(ops: &[(u8, u64, u64)]) {
                     "wheel and heap popped different events"
                 );
                 pending.remove(&x.seq());
+                for lane in lane_pending.iter_mut() {
+                    if lane.front().is_some_and(|&(seq, _)| seq == x.seq()) {
+                        lane.pop_front();
+                    }
+                }
                 *now = x.at;
                 Some(x.at)
             }
@@ -106,7 +124,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     };
 
     for &(sel, a, b) in ops {
-        match sel % 14 {
+        match sel % 19 {
             // Spread-out schedule: anywhere in the next millisecond.
             0 | 1 => {
                 let at = after(now, a % 1_000_000);
@@ -136,7 +154,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
             // Single pop.
             5 => {
                 let (x, y) = (wheel.pop(), heap.pop());
-                compare_pop(x, y, &mut pending, &mut now);
+                compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
             }
             // Bounded pop_before drain, optionally scheduling new events
             // mid-drain (the schedule-during-pop interleaving).
@@ -145,7 +163,8 @@ fn drive(ops: &[(u8, u64, u64)]) {
                 let mut budget = 8u32;
                 loop {
                     let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                    let Some(at) = compare_pop(x, y, &mut pending, &mut now) else {
+                    let Some(at) = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now)
+                    else {
                         break;
                     };
                     if b % 3 == 0 && budget > 0 {
@@ -169,7 +188,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
             // that follow refill from the free list.
             7 => loop {
                 let (x, y) = (wheel.pop(), heap.pop());
-                if compare_pop(x, y, &mut pending, &mut now).is_none() {
+                if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
                     break;
                 }
             },
@@ -210,7 +229,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
                     schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
                 } else {
                     let (x, y) = (wheel.pop(), heap.pop());
-                    compare_pop(x, y, &mut pending, &mut now);
+                    compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
                 }
             }
             // Sparse bounded drain: the horizon stops wherever `until`
@@ -221,7 +240,8 @@ fn drive(ops: &[(u8, u64, u64)]) {
                 let mut budget = 4u32;
                 loop {
                     let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                    let Some(at) = compare_pop(x, y, &mut pending, &mut now) else {
+                    let Some(at) = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now)
+                    else {
                         break;
                     };
                     if b % 3 == 0 && budget > 0 && pending.len() < SPARSE_PENDING {
@@ -240,6 +260,89 @@ fn drive(ops: &[(u8, u64, u64)]) {
                 prop_assert_eq!(wheel.len(), heap.len());
                 now = now.max(until);
             }
+            // Lane push: an arrival 5–100 ms out (it would cascade three or
+            // four wheel levels), one up to 1 µs out, or one a few ns out
+            // (same-instant ties with the front slot and level 0), after
+            // the lane's previous push. 15: an injection, emitted on
+            // another shard before this queue's watermark.
+            // (A lane whose last push reached the end of time takes no more.)
+            14 | 15 if lanes > 0 && lane_last[b as usize % lanes] != Some(SimTime::MAX) => {
+                let lane = b as usize % lanes;
+                let x = a >> 2;
+                let off = match a % 4 {
+                    0 => x % 4,
+                    1 => x % 1_000,
+                    _ => 5_000_000 + x % 95_000_000,
+                };
+                let floor = lane_last[lane].map_or(now, |t| now.max(after(t, 1)));
+                let at = after(floor, off);
+                let sched = if sel % 19 == 15 {
+                    SimTime::from_nanos(x % now.as_nanos().saturating_add(1))
+                } else {
+                    now
+                };
+                let tie = (b >> 8) % 3;
+                for q in [&mut wheel, &mut heap] {
+                    q.push_lane(LinkId(lane), at, sched, tie, kind_for(b >> 16, scheduled));
+                }
+                lane_last[lane] = Some(at);
+                lane_pending[lane].push_back((scheduled, at));
+                scheduled += 1;
+            }
+            // At a lane head's instant: a plain event (it lands in the front
+            // slot or at level 0 beside the head), or a reserved departure
+            // whose older key sorts before it.
+            16 if lanes > 0 => {
+                if let Some(&(_, at)) = lane_pending[b as usize % lanes].front() {
+                    if a % 2 == 0 || reserved.is_empty() {
+                        schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                    } else {
+                        let (w, h) = reserved.swap_remove(b as usize % reserved.len());
+                        let kind = EventKind::Departure { link: LinkId(0) };
+                        wheel.schedule_reserved(at, w, kind);
+                        heap.schedule_reserved(at, h, kind);
+                    }
+                }
+            }
+            // One dispatch run: the next event due by a horizon, then every
+            // event that continues it (same instant, same class).
+            17 => {
+                let until = after(now, a % 10_000_000);
+                let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
+                let first = x.map(|e| (e.at, e.kind.class()));
+                let popped = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
+                if popped.is_none() {
+                    now = now.max(until);
+                }
+                if let Some((at, class)) = first {
+                    loop {
+                        let (x, y) = (
+                            wheel.pop_next_in_run(at, class),
+                            heap.pop_next_in_run(at, class),
+                        );
+                        if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+            // Take every pending event out in pop order and put it back:
+            // the shard split's drain and its rollback. Lane events return
+            // to the wheel, not to their lanes.
+            18 => {
+                let (dw, dh) = (wheel.drain_all(), heap.drain_all());
+                let key = |e: &Event| (e.at, e.sched, e.tie, e.seq(), disc(&e.kind));
+                prop_assert_eq!(
+                    dw.iter().map(key).collect::<Vec<_>>(),
+                    dh.iter().map(key).collect::<Vec<_>>(),
+                    "drained streams differ"
+                );
+                prop_assert!(wheel.is_empty() && heap.is_empty());
+                for (x, y) in dw.into_iter().zip(dh) {
+                    wheel.adopt(x);
+                    heap.adopt(y);
+                }
+            }
             // Peek must agree and may advance the causality watermark.
             _ => {
                 let (tw, th) = (wheel.peek_time(), heap.peek_time());
@@ -256,7 +359,7 @@ fn drive(ops: &[(u8, u64, u64)]) {
     // Drain to exhaustion: the tails must match event for event.
     loop {
         let (x, y) = (wheel.pop(), heap.pop());
-        if compare_pop(x, y, &mut pending, &mut now).is_none() {
+        if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
             break;
         }
     }
@@ -275,7 +378,7 @@ proptest! {
             1..120,
         ),
     ) {
-        drive(&ops);
+        drive(&ops, 0);
     }
 
     /// The sparse regime of the small-dumbbell sweeps: at most eight events
@@ -298,7 +401,30 @@ proptest! {
             1..160,
         ),
     ) {
-        drive(&ops);
+        drive(&ops, 0);
+    }
+
+    /// Every regime above with 2–40 arrival lanes: arrivals 5–100 ms out
+    /// and a few ns out, same-instant ties between a lane head, the front
+    /// slot, level-0 events and reserved departures, injections with a
+    /// schedule time below the watermark, dispatch runs, and drains
+    /// refilled by adoption.
+    #[test]
+    fn lanes_merge_into_identical_streams(
+        lanes in 2usize..41,
+        ops in proptest::collection::vec(
+            (
+                prop_oneof![
+                    6 => Just(14u8), 2 => Just(15u8), 3 => Just(16u8),
+                    3 => Just(17u8), 1 => Just(18u8), 2 => 0u8..14,
+                ],
+                0u64..u64::MAX,
+                0u64..u64::MAX,
+            ),
+            1..200,
+        ),
+    ) {
+        drive(&ops, lanes);
     }
 
     /// Pure collision storms: every event lands on one of two instants, so
@@ -312,7 +438,7 @@ proptest! {
             .enumerate()
             .map(|(i, &hi)| (2u8, if hi { 3 } else { 0 }, i as u64))
             .collect();
-        drive(&ops);
+        drive(&ops, 0);
     }
 }
 
@@ -409,6 +535,36 @@ fn horizon_inside_a_lone_slot_then_inserts_below_the_lone_node() {
         ];
         assert_eq!(stream, want, "until = {until}");
     }
+}
+
+/// A lane head inside the span of a wheel slot whose node lies beyond it:
+/// finding the head pulls the wheel only up to the head's instant, so a
+/// peek leaves the watermark there and an event scheduled at the head's
+/// instant is still legal — on the wheel as on the heap. Pulling the node
+/// itself would have moved the horizon, and with it the watermark, past
+/// the head.
+#[test]
+fn peek_at_a_lane_head_does_not_pull_the_wheel_past_it() {
+    let at = SimTime::from_nanos;
+    let (head, beyond) = (L3_START + 100_000, L3_START + 200_000);
+    let stream = on_both(|q| {
+        q.add_lane();
+        q.schedule(at(10), kind_for(1, 0));
+        q.schedule(at(20), kind_for(1, 1));
+        q.schedule(at(beyond), kind_for(1, 2));
+        // The second pop leaves the wheel's bound at the level-3 slot's
+        // start, below the lane head pushed next.
+        let mut out = vec![q.pop().expect("t=10"), q.pop().expect("t=20")];
+        q.push_lane(LinkId(0), at(head), at(20), 7, kind_for(0, 3));
+        assert_eq!(q.peek_time(), Some(at(head)));
+        q.schedule(at(head), kind_for(1, 4));
+        out.extend(std::iter::from_fn(|| q.pop()));
+        out
+    });
+    assert_eq!(
+        stream,
+        [(10, 0), (20, 1), (head, 3), (head, 4), (beyond, 2)]
+    );
 }
 
 /// A cancelled node alone in its slot is dropped where it lies, never
