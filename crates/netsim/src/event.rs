@@ -313,11 +313,6 @@ impl Node {
         (self.at, self.sched, self.tie, self.seq)
     }
 
-    /// The stored event's [`EventKind::class`].
-    fn class(&self) -> usize {
-        (self.tag >> ID_BITS) as usize
-    }
-
     /// The event [`Node::pack`] stored.
     fn unpack(&self) -> Event {
         let id = (self.tag & ((1 << ID_BITS) - 1)) as usize;
@@ -394,24 +389,29 @@ struct Wheel {
     lanes: Vec<Lane>,
     /// Binary min-heap of the non-empty lanes, by their head's full key;
     /// its capacity is reserved as lanes are added.
-    lane_heap: Vec<u32>,
+    lane_heap: Vec<LaneEntry>,
 }
 
-/// A link's arrival lane: its first and last node ([`NIL`] when empty),
-/// and the first one's time, by which the heap compares lanes without
-/// reading their nodes (a head's full key is read only on a tie).
+/// A link's arrival lane: its first and last node ([`NIL`] when empty).
 #[derive(Clone, Copy, Debug)]
 struct Lane {
     head: u32,
     tail: u32,
-    at: SimTime,
 }
 
 const EMPTY_LANE: Lane = Lane {
     head: NIL,
     tail: NIL,
-    at: SimTime::ZERO,
 };
+
+/// A non-empty lane in the heap, with its head's time, by which the heap
+/// compares lanes without reading their nodes (a head's full key is read
+/// only on a tie).
+#[derive(Clone, Copy, Debug)]
+struct LaneEntry {
+    at: SimTime,
+    lane: u32,
+}
 
 impl Wheel {
     fn new(elapsed: u64) -> Self {
@@ -471,8 +471,11 @@ impl Wheel {
         let l = &mut self.lanes[lane];
         l.tail = idx;
         if tail == NIL {
-            (l.head, l.at) = (idx, ev.at);
-            self.lane_heap.push(lane as u32);
+            l.head = idx;
+            self.lane_heap.push(LaneEntry {
+                at: ev.at,
+                lane: lane as u32,
+            });
             self.sift_up(self.lane_heap.len() - 1);
         } else {
             self.nodes[tail as usize].next = idx;
@@ -482,51 +485,69 @@ impl Wheel {
 
     /// Remove and return the head of the earliest lane.
     fn lane_pop(&mut self) -> Event {
-        let lane = self.lane_heap[0] as usize;
+        let lane = self.lane_heap[0].lane as usize;
         let (ev, next) = self.release(self.lanes[lane].head);
         if next == NIL {
             self.lanes[lane] = EMPTY_LANE;
             self.lane_heap.swap_remove(0);
+            if self.lane_heap.is_empty() {
+                return ev;
+            }
         } else {
-            let at = self.nodes[next as usize].at;
-            (self.lanes[lane].head, self.lanes[lane].at) = (next, at);
+            self.lanes[lane].head = next;
+            self.lane_heap[0].at = self.nodes[next as usize].at;
         }
         self.sift_down(0);
         ev
     }
 
-    /// Whether heap slot `a`'s lane head sorts before slot `b`'s.
+    /// Whether lane entry `a`'s head sorts before `b`'s.
     #[inline]
-    fn before(&self, a: usize, b: usize) -> bool {
-        let (x, y) = (self.lane_heap[a], self.lane_heap[b]);
-        match self.lanes[x as usize].at.cmp(&self.lanes[y as usize].at) {
-            Ordering::Equal => self.head(x).key() < self.head(y).key(),
+    fn before(&self, a: LaneEntry, b: LaneEntry) -> bool {
+        debug_assert!(a.at == self.head(a.lane).at && b.at == self.head(b.lane).at);
+        match a.at.cmp(&b.at) {
+            Ordering::Equal => self.head(a.lane).key() < self.head(b.lane).key(),
             order => order == Ordering::Less,
         }
     }
 
+    /// Move the entry at `pos` up to its place, shifting parents down
+    /// into the hole it leaves.
     fn sift_up(&mut self, mut pos: usize) {
+        let entry = self.lane_heap[pos];
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if !self.before(pos, parent) {
+            if !self.before(entry, self.lane_heap[parent]) {
                 break;
             }
-            self.lane_heap.swap(parent, pos);
+            self.lane_heap[pos] = self.lane_heap[parent];
             pos = parent;
         }
+        self.lane_heap[pos] = entry;
     }
 
+    /// Move the entry at `pos` down to its place, shifting the earlier
+    /// child up into the hole it leaves. Which child is earlier is a coin
+    /// toss, so it is selected without a branch.
     fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.lane_heap[pos];
         let n = self.lane_heap.len();
         while 2 * pos + 1 < n {
             let left = 2 * pos + 1;
-            let child = left + usize::from(left + 1 < n && self.before(left + 1, left));
-            if !self.before(child, pos) {
+            let right = left + 1;
+            let child = if right < n {
+                let first = self.before(self.lane_heap[right], self.lane_heap[left]);
+                std::hint::select_unpredictable(first, right, left)
+            } else {
+                left
+            };
+            if !self.before(self.lane_heap[child], entry) {
                 break;
             }
-            self.lane_heap.swap(pos, child);
+            self.lane_heap[pos] = self.lane_heap[child];
             pos = child;
         }
+        self.lane_heap[pos] = entry;
     }
 
     /// Where node `idx` sorts within a level-0 slot.
@@ -1127,7 +1148,7 @@ impl EventQueue {
     /// without touching the wheel.
     fn locate(&mut self, until: SimTime) -> Option<(Source, SimTime)> {
         let lane = match &self.backend {
-            Backend::Wheel(w) => w.lane_heap.first().map(|&l| w.lanes[l as usize].at),
+            Backend::Wheel(w) => w.lane_heap.first().map(|l| l.at),
             Backend::Heap(_) => None,
         };
         if self.front.is_none() {
@@ -1154,7 +1175,7 @@ impl EventQueue {
     /// The earliest lane head's node (wheel only).
     fn lane_node(&self) -> &Node {
         match &self.backend {
-            Backend::Wheel(w) => w.head(*w.lane_heap.first().expect("a lane was located")),
+            Backend::Wheel(w) => w.head(w.lane_heap.first().expect("a lane was located").lane),
             Backend::Heap(_) => unreachable!("the heap backend has no lanes"),
         }
     }
@@ -1208,29 +1229,6 @@ impl EventQueue {
     /// causality watermark.
     pub fn pop(&mut self) -> Option<Event> {
         self.pop_before(SimTime::MAX)
-    }
-
-    /// Pop the next event if it continues a run: it fires at `at` (the
-    /// instant of the event popped last) and is of class `class`.
-    ///
-    /// The dispatch loop matches on the class once per run this way. Only
-    /// the very next event is considered, and only once the previous
-    /// handler returned (it may insert a reserved key at `at` that sorts
-    /// before events pending there); the probe never raises the causality
-    /// watermark past `at`, unlike [`EventQueue::peek_time`].
-    pub fn pop_next_in_run(&mut self, at: SimTime, class: usize) -> Option<Event> {
-        if self.live == 0 {
-            return None;
-        }
-        // Bounded pull: nothing drains or cascades past `at` (= the
-        // watermark); an event pulled in but not taken waits in front.
-        let (src, t) = self.locate(at)?;
-        let c = match src {
-            _ if t != at => return None,
-            Source::Front => self.front.as_ref()?.kind.class(),
-            Source::Lane => self.lane_node().class(),
-        };
-        (c == class).then(|| self.take(src))
     }
 
     /// The firing time of the next event, if any.
@@ -1652,16 +1650,27 @@ mod tests {
         }
     }
 
-    /// One dispatch run as the simulator's loop takes it: the next event
-    /// due by `until`, then every event that continues its run.
-    fn pop_run(q: &mut EventQueue, until: SimTime) -> Vec<Event> {
-        let mut run: Vec<Event> = q.pop_before(until).into_iter().collect();
-        if let Some(first) = run.first().copied() {
-            while let Some(ev) = q.pop_next_in_run(first.at, first.kind.class()) {
-                run.push(ev);
+    /// One dispatch run as the simulator's loop takes it: the run's head
+    /// (`head`, handed on by the previous run, or the next event due by
+    /// `until`), then every event that continues it — same instant, same
+    /// class — one `pop_before` at a time, bounded by the run's instant.
+    /// The first event that does not continue the run is left in `head`.
+    fn pop_run(q: &mut EventQueue, head: &mut Option<Event>, until: SimTime) -> Vec<Event> {
+        let Some(first) = head.take().or_else(|| q.pop_before(until)) else {
+            return Vec::new();
+        };
+        let mut run = vec![first];
+        loop {
+            match q.pop_before(first.at) {
+                Some(ev) if (ev.at, ev.kind.class()) == (first.at, first.kind.class()) => {
+                    run.push(ev)
+                }
+                next => {
+                    *head = next;
+                    return run;
+                }
             }
         }
-        run
     }
 
     #[test]
@@ -1677,19 +1686,20 @@ mod tests {
             q.schedule(t(10), timer());
             q.schedule(t(10), ctrl(2));
             q.schedule(t(20), ctrl(3));
+            let mut head = None;
             // The two leading controls at t=10 run together…
-            let run = pop_run(&mut q, SimTime::MAX);
+            let run = pop_run(&mut q, &mut head, SimTime::MAX);
             assert!(run.iter().all(|e| e.at == t(10)));
             assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![0, 1]);
             // …the interleaved timer pops alone (it broke the class run)…
-            let run = pop_run(&mut q, SimTime::MAX);
+            let run = pop_run(&mut q, &mut head, SimTime::MAX);
             assert_eq!(run.len(), 1);
             assert_eq!(run[0].kind.class(), 2);
             // …the trailing control does NOT rejoin the earlier run…
-            let run = pop_run(&mut q, SimTime::MAX);
+            let run = pop_run(&mut q, &mut head, SimTime::MAX);
             assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![3]);
             // …and the t=20 event was never dragged into a t=10 run.
-            let run = pop_run(&mut q, SimTime::MAX);
+            let run = pop_run(&mut q, &mut head, SimTime::MAX);
             assert_eq!(run.iter().map(|e| e.at).collect::<Vec<_>>(), vec![t(20)]);
             assert!(q.is_empty());
         }
@@ -1701,8 +1711,8 @@ mod tests {
             q.schedule(SimTime::from_nanos(10), ctrl(0));
             q.schedule(SimTime::from_nanos(10), ctrl(1));
             q.schedule(SimTime::from_nanos(50), ctrl(9));
-            assert_eq!(pop_run(&mut q, SimTime::MAX).len(), 2);
-            // The probe that ended the run pulled the t=50 event forward; a
+            assert_eq!(pop_run(&mut q, &mut None, SimTime::MAX).len(), 2);
+            // The pop that ended the run was bounded at its instant: a
             // handler scheduling at the run's instant must still not hit
             // the causality assert (peek_time would have raised the
             // watermark to 50 here), and its event fires next.
@@ -1738,6 +1748,7 @@ mod tests {
         let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
         let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
         let mut watermark = 0u64;
+        let mut head = None;
         for round in 0..200 {
             for _ in 0..(rnd() % 8) {
                 // Coarse times force same-timestamp collisions; alternate
@@ -1756,7 +1767,7 @@ mod tests {
             }
             let until = SimTime::from_nanos(watermark + rnd() % 300);
             loop {
-                let run = pop_run(&mut wheel, until);
+                let run = pop_run(&mut wheel, &mut head, until);
                 if run.is_empty() {
                     assert!(heap.pop_before(until).is_none(), "heap had more events");
                     break;

@@ -24,7 +24,7 @@
 use crate::event::{Reservation, TieKey};
 use crate::ids::{LinkId, NodeId};
 use crate::queue::QueueDiscipline;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{transmission_delay, SimDuration, SimTime};
 
 /// A unidirectional link with an attached queue.
 pub struct Link {
@@ -48,6 +48,10 @@ pub struct Link {
     departure: Option<Reservation>,
     /// The reserved departure is in the calendar.
     armed: bool,
+    /// The last serialization's `(bits, capacity_bps, transmission
+    /// delay)`: a packet of the same size at the same rate skips the
+    /// division.
+    tx_memo: (u64, u64, SimDuration),
     /// Bits fully serialized since the last measurement-window reset;
     /// `delivered_bits / (capacity × window)` is the link utilization.
     pub delivered_bits: u64,
@@ -75,6 +79,7 @@ impl Link {
             free_at: SimTime::ZERO,
             departure: None,
             armed: false,
+            tx_memo: (0, capacity_bps, SimDuration::ZERO),
             delivered_bits: 0,
             delivered_pkts: 0,
         }
@@ -130,6 +135,18 @@ impl Link {
         let key = self.departure.filter(|_| !self.armed)?;
         self.armed = true;
         Some((self.free_at, key))
+    }
+
+    /// [`transmission_delay`] of `bits` at the current `capacity_bps`.
+    #[inline]
+    pub(crate) fn serialization(&mut self, bits: u64) -> SimDuration {
+        let (memo_bits, memo_bps, tx) = self.tx_memo;
+        if (memo_bits, memo_bps) == (bits, self.capacity_bps) {
+            return tx;
+        }
+        let tx = transmission_delay(bits, self.capacity_bps);
+        self.tx_memo = (bits, self.capacity_bps, tx);
+        tx
     }
 
     /// Utilization over a window of `span`: delivered bits divided by the
@@ -246,6 +263,38 @@ mod tests {
         assert!(!l.end_service());
         assert!(l.idle_for(t(1600), (t(0), 0, 0)));
         assert_eq!(l.arm(), None, "nothing in service, nothing to arm");
+    }
+
+    /// The memo is `transmission_delay` of the current size and rate,
+    /// whichever of the two changed, repeated or not.
+    #[test]
+    fn serialization_memo_equals_the_division() {
+        let mut l = Link::new(
+            LinkId(0),
+            NodeId(0),
+            NodeId(1),
+            10_000_000,
+            SimDuration::ZERO,
+            Box::new(DropTail::new(1)),
+        );
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few sizes and rates, so pairs repeat back to back and apart;
+            // 2e10 bits overflow `bits × 1e9` in a u64.
+            let bits = [0, 320, 8_000, 12_000, 20_000_000_000][(x % 5) as usize];
+            if (x >> 8).is_multiple_of(4) {
+                l.capacity_bps = [3, 7, 10_000_000, 1_000_000_000_000][(x >> 16) as usize % 4];
+            }
+            assert_eq!(
+                l.serialization(bits),
+                transmission_delay(bits, l.capacity_bps),
+                "{bits} bits at {} bps",
+                l.capacity_bps
+            );
+        }
     }
 
     #[test]

@@ -105,6 +105,67 @@ pub enum Payload {
     },
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for k = 0..=24.
+const FNV_POW: [u64; 25] = {
+    let mut pow = [1u64; 25];
+    let mut k = 1;
+    while k < 25 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// `FNV_ABSENT[k - 1][l]`: FNV-1a over `8k` bytes of `0xff` (k absent
+/// SACK blocks) started from the state `l` < 256.
+const FNV_ABSENT: [[u64; 256]; MAX_SACK_BLOCKS] = {
+    let mut t = [[0u64; 256]; MAX_SACK_BLOCKS];
+    let mut l = 0;
+    while l < 256 {
+        let mut h = l as u64;
+        let mut byte = 0;
+        while byte < 8 * MAX_SACK_BLOCKS {
+            h = (h ^ 0xff).wrapping_mul(FNV_PRIME);
+            byte += 1;
+            if byte % 8 == 0 {
+                t[byte / 8 - 1][l] = h;
+            }
+        }
+        l += 1;
+    }
+    t
+};
+
+/// FNV-1a from state `h` over the eight little-endian bytes of `w`.
+#[inline]
+fn fnv_word(mut h: u64, mut w: u64) -> u64 {
+    let n = (71 - w.leading_zeros()) / 8;
+    for _ in 0..n {
+        h ^= w & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
+        w >>= 8;
+    }
+    h.wrapping_mul(FNV_POW[(8 - n) as usize])
+}
+
+/// FNV-1a from state `h` over `k` absent SACK blocks, `8k` bytes of
+/// `0xff`. An XOR touches only the low byte `l` and a multiply carries
+/// only upward, so the bytes act on `h − l` as a bare multiply by
+/// `P^{8k}` and on `l` as the table [`FNV_ABSENT`] says.
+#[inline]
+fn fnv_absent(h: u64, k: usize) -> u64 {
+    if k == 0 {
+        return h;
+    }
+    let l = h & 0xff;
+    (h - l)
+        .wrapping_mul(FNV_POW[8 * k])
+        .wrapping_add(FNV_ABSENT[k - 1][l as usize])
+}
+
 /// A simulated packet.
 ///
 /// `size_bytes` covers the whole wire footprint (headers + payload) and is
@@ -151,46 +212,31 @@ impl Packet {
     ///
     /// Each field is hashed as its eight little-endian bytes. XOR with a
     /// zero byte changes nothing, so a word's zero high bytes are each a
-    /// bare multiply by the prime: the loop hashes only the significant
-    /// low bytes and folds the rest into one multiply by a power of the
-    /// prime — the byte-at-a-time value, bit for bit.
+    /// bare multiply by the prime: [`fnv_word`] hashes only the
+    /// significant low bytes and folds the rest into one multiply by a
+    /// power of the prime. A run of absent SACK blocks takes one table
+    /// step ([`fnv_absent`]). Both give the byte-at-a-time value, bit for
+    /// bit.
     pub fn order_tie(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        /// `PRIME^k` for k = 0..=8.
-        const POW: [u64; 9] = {
-            let mut pow = [1u64; 9];
-            let mut k = 1;
-            while k < 9 {
-                pow[k] = pow[k - 1].wrapping_mul(PRIME);
-                k += 1;
-            }
-            pow
-        };
-        let mut h = OFFSET;
-        let mut word = |mut w: u64| {
-            let n = (71 - w.leading_zeros()) / 8;
-            for _ in 0..n {
-                h ^= w & 0xff;
-                h = h.wrapping_mul(PRIME);
-                w >>= 8;
-            }
-            h = h.wrapping_mul(POW[(8 - n) as usize]);
-        };
-        word(self.flow.0 as u64);
-        word(self.dst_node.0 as u64);
-        word(u64::from(self.size_bytes));
-        word(match self.ecn {
-            Ecn::NotCapable => 0,
-            Ecn::Capable => 1,
-            Ecn::CongestionExperienced => 2,
-        });
-        word(self.sent_at.as_nanos());
+        let mut h = FNV_OFFSET;
+        for w in [
+            self.flow.0 as u64,
+            self.dst_node.0 as u64,
+            u64::from(self.size_bytes),
+            match self.ecn {
+                Ecn::NotCapable => 0,
+                Ecn::Capable => 1,
+                Ecn::CongestionExperienced => 2,
+            },
+            self.sent_at.as_nanos(),
+        ] {
+            h = fnv_word(h, w);
+        }
         match self.payload {
             Payload::Data { seq, retransmit } => {
-                word(3);
-                word(seq);
-                word(u64::from(retransmit));
+                for w in [3, seq, u64::from(retransmit)] {
+                    h = fnv_word(h, w);
+                }
             }
             Payload::Ack {
                 cum_ack,
@@ -199,20 +245,23 @@ impl Packet {
                 owd_echo,
                 ece,
             } => {
-                word(4);
-                word(cum_ack);
+                h = fnv_word(fnv_word(h, 4), cum_ack);
+                // Each absent block hashes as `u64::MAX`.
+                let mut absent = 0;
                 for b in sack {
                     match b {
                         Some(b) => {
-                            word(b.start);
-                            word(b.end);
+                            h = fnv_absent(h, absent);
+                            absent = 0;
+                            h = fnv_word(fnv_word(h, b.start), b.end);
                         }
-                        None => word(u64::MAX),
+                        None => absent += 1,
                     }
                 }
-                word(ts_echo.as_nanos());
-                word(owd_echo.as_nanos());
-                word(u64::from(ece));
+                h = fnv_absent(h, absent);
+                for w in [ts_echo.as_nanos(), owd_echo.as_nanos(), u64::from(ece)] {
+                    h = fnv_word(h, w);
+                }
             }
         }
         h | 1
@@ -328,6 +377,61 @@ mod tests {
         };
         assert_eq!(data.order_tie(), 15_519_610_219_915_344_031);
         assert_eq!(ack.order_tie(), 3_385_634_062_213_130_285);
+    }
+
+    /// ACKs with 0–3 absent SACK blocks, and an absent block between two
+    /// present ones, hash as the byte-at-a-time FNV-1a over their words:
+    /// the absent-block tables cover every run length and restart after
+    /// a present block.
+    #[test]
+    fn order_tie_of_absent_sack_blocks_matches_the_byte_loop() {
+        let byte_loop = |words: &[u64]| {
+            let mut h = FNV_OFFSET;
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+            h | 1
+        };
+        let block = |start| {
+            Some(SackBlock {
+                start,
+                end: start + 3,
+            })
+        };
+        let patterns = [
+            [block(9), block(1 << 33), block(77)],
+            [block(9), block(1 << 33), None],
+            [block(9), None, None],
+            [None; MAX_SACK_BLOCKS],
+            [block(9), None, block(77)],
+        ];
+        for (i, sack) in (0u64..).zip(patterns) {
+            let (flow, sent, cum_ack) = (3 + i, 123_456_789 + i, 1_000 + i);
+            let ack = Packet {
+                flow: FlowId(flow as usize),
+                dst_node: NodeId(5),
+                dst_agent: AgentId(1),
+                size_bytes: 40,
+                ecn: Ecn::Capable,
+                sent_at: SimTime::from_nanos(sent),
+                payload: Payload::Ack {
+                    cum_ack,
+                    sack,
+                    ts_echo: SimTime::from_nanos(99_999),
+                    owd_echo: crate::time::SimDuration::from_nanos(4_321),
+                    ece: i % 2 == 1,
+                },
+            };
+            let mut words = vec![flow, 5, 40, 1, sent, 4, cum_ack];
+            for b in sack {
+                match b {
+                    Some(b) => words.extend([b.start, b.end]),
+                    None => words.push(u64::MAX),
+                }
+            }
+            words.extend([99_999, 4_321, i % 2]);
+            assert_eq!(ack.order_tie(), byte_loop(&words), "{sack:?}");
+        }
     }
 
     #[test]

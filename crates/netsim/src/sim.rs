@@ -34,7 +34,7 @@ use crate::packet::Packet;
 #[cfg(feature = "audit")]
 use crate::queue::DropReason;
 use crate::queue::{EnqueueOutcome, QueueDiscipline};
-use crate::time::{transmission_delay, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropRecord, MarkRecord, Trace};
 
 /// A transport endpoint attached to a node.
@@ -881,7 +881,7 @@ impl Simulator {
         let size_bytes = self.arena.size_bytes(pkt);
         let bits = u64::from(size_bytes) * 8;
         let link = &mut self.links[link_id.index()];
-        let tx = transmission_delay(bits, link.capacity_bps);
+        let tx = link.serialization(bits);
         link.begin_service(now + tx, self.events.reserve());
         link.delivered_bits += bits;
         link.delivered_pkts += 1;
@@ -1065,10 +1065,11 @@ impl Simulator {
         #[cfg(feature = "telemetry")]
         let mut prog_since = self.now;
         // Run dispatch: the `match` below executes once per maximal run of
-        // same-(time, class) events, not once per event; a run is extended
-        // one pop at a time, after each handler returned (see
-        // `EventQueue::pop_next_in_run`).
-        while let Some(first) = self.events.pop_before(until) {
+        // same-(time, class) events, not once per event. A run is extended
+        // one `pop_before` at a time, after each handler returned; the
+        // first event that does not continue it heads the next run.
+        let mut next = self.events.pop_before(until);
+        while let Some(first) = next {
             let at = first.at;
             if at != stuck_at {
                 stuck_at = at;
@@ -1077,9 +1078,9 @@ impl Simulator {
             self.now = at;
             #[cfg(feature = "telemetry")]
             let before = stuck_count;
-            match first.kind {
+            next = match first.kind {
                 EventKind::Arrival { .. } => {
-                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                    self.dispatch_run(first, until, &mut stuck_count, |sim, kind| {
                         let EventKind::Arrival { node, packet } = kind else {
                             unreachable!("mixed-class run");
                         };
@@ -1088,7 +1089,7 @@ impl Simulator {
                     })
                 }
                 EventKind::Departure { .. } => {
-                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                    self.dispatch_run(first, until, &mut stuck_count, |sim, kind| {
                         let EventKind::Departure { link } = kind else {
                             unreachable!("mixed-class run");
                         };
@@ -1098,7 +1099,7 @@ impl Simulator {
                     })
                 }
                 EventKind::Timer { .. } => {
-                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                    self.dispatch_run(first, until, &mut stuck_count, |sim, kind| {
                         let EventKind::Timer { agent, token } = kind else {
                             unreachable!("mixed-class run");
                         };
@@ -1123,7 +1124,7 @@ impl Simulator {
                     })
                 }
                 EventKind::Control { .. } => {
-                    self.dispatch_run(first, &mut stuck_count, |sim, kind| {
+                    self.dispatch_run(first, until, &mut stuck_count, |sim, kind| {
                         let EventKind::Control { code } = kind else {
                             unreachable!("mixed-class run");
                         };
@@ -1136,7 +1137,7 @@ impl Simulator {
                         sim.on_control(code);
                     })
                 }
-            }
+            };
             #[cfg(feature = "telemetry")]
             if progress_on {
                 // Events actually dispatched in this run.
@@ -1170,19 +1171,23 @@ impl Simulator {
 
     /// Dispatch `first`, then every event that follows it in the pop order
     /// at the same instant with the same class, through `handle`; `storm`
-    /// counts the events dispatched since the clock last moved. Each
-    /// event's counters increment *before* the audit hooks run so
+    /// counts the events dispatched since the clock last moved. Returns
+    /// the next event due by `until` — the head of the next run — which
+    /// is popped only once the last handler returned (a handler may insert
+    /// a reserved key at `at` that sorts before events pending there).
+    /// Each event's counters increment *before* the audit hooks run so
     /// `event_index` in reproducers keeps its historical meaning.
     #[inline]
     fn dispatch_run(
         &mut self,
         first: Event,
+        until: SimTime,
         storm: &mut u64,
         mut handle: impl FnMut(&mut Simulator, EventKind),
-    ) {
+    ) -> Option<Event> {
         let (at, class) = (first.at, first.kind.class());
-        let mut next = Some(first);
-        while let Some(ev) = next {
+        let mut ev = first;
+        loop {
             *storm += 1;
             assert!(
                 *storm < 10_000_000,
@@ -1200,7 +1205,10 @@ impl Simulator {
                 }
             }
             handle(self, ev.kind);
-            next = self.events.pop_next_in_run(at, class);
+            match self.events.pop_before(until) {
+                Some(e) if e.at == at && e.kind.class() == class => ev = e,
+                next => return next,
+            }
         }
     }
 
@@ -1979,6 +1987,188 @@ mod tests {
             .unwrap_or_else(|| "<non-string payload>".into());
         assert!(msg.contains("audit violation [link]"), "{msg}");
         assert!(msg.contains("over-delivery"), "{msg}");
+    }
+
+    /// What the handlers of [`one_instant_sim`] did, in order.
+    type Log = Arc<Mutex<Vec<(SimTime, &'static str)>>>;
+
+    /// A FIFO that ticks every 500 µs and logs its ticks and operations.
+    struct Ticker {
+        fifo: DropTail,
+        log: Log,
+    }
+
+    impl QueueDiscipline for Ticker {
+        fn enqueue(
+            &mut self,
+            pkt: PacketRef,
+            arena: &mut PacketArena,
+            now: SimTime,
+        ) -> EnqueueOutcome {
+            self.log.lock().unwrap().push((now, "enqueue"));
+            self.fifo.enqueue(pkt, arena, now)
+        }
+        fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
+            self.log.lock().unwrap().push((now, "dequeue"));
+            self.fifo.dequeue(arena, now)
+        }
+        fn len(&self) -> usize {
+            self.fifo.len()
+        }
+        fn len_bytes(&self) -> u64 {
+            self.fifo.len_bytes()
+        }
+        fn capacity_pkts(&self) -> usize {
+            self.fifo.capacity_pkts()
+        }
+        fn stats(&self) -> &crate::queue::QueueStats {
+            self.fifo.stats()
+        }
+        fn stats_mut(&mut self) -> &mut crate::queue::QueueStats {
+            self.fifo.stats_mut()
+        }
+        fn on_tick(&mut self, now: SimTime) {
+            self.log.lock().unwrap().push((now, "tick"));
+        }
+        fn tick_interval(&self) -> Option<SimDuration> {
+            Some(SimDuration::from_micros(500))
+        }
+        fn name(&self) -> &'static str {
+            "ticker"
+        }
+    }
+
+    /// Logs its timers and packets; each timer sends `token` 1000-byte
+    /// packets to `dst`.
+    struct Logger {
+        dst: (NodeId, AgentId),
+        next_seq: u64,
+        log: Log,
+    }
+
+    impl Agent for Logger {
+        fn on_packet(&mut self, _pkt: Packet, ctx: &mut Ctx<'_>) {
+            self.log.lock().unwrap().push((ctx.now(), "arrival"));
+        }
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
+            self.log.lock().unwrap().push((ctx.now(), "timer"));
+            for _ in 0..token.0 {
+                self.next_seq += 1;
+                ctx.send(Packet {
+                    flow: FlowId(ctx.agent.index()),
+                    dst_node: self.dst.0,
+                    dst_agent: self.dst.1,
+                    size_bytes: 1000,
+                    ecn: Ecn::NotCapable,
+                    sent_at: ctx.now(),
+                    payload: Payload::Data {
+                        seq: self.next_seq,
+                        retransmit: false,
+                    },
+                });
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Two senders feed a router over equal 8 Mbps, 8 ms links (1 ms per
+    /// packet); the router's 8 Mbps link out is a [`Ticker`]. At 10 ms
+    /// one instant holds, in key order: a timer scheduled at the start,
+    /// two arrivals emitted at 1 ms (one per lane, ordered by content
+    /// tie), the router link's departure, reserved at 9 ms and armed by
+    /// the first of those arrivals, and a queue tick scheduled at 9.5 ms.
+    fn one_instant_sim(calendar: crate::event::CalendarKind) -> (Simulator, Log) {
+        let log = Log::default();
+        let mut sim = Simulator::new(1);
+        sim.events = EventQueue::with_calendar(calendar);
+        let [a1, a2, b, c] = [(); 4].map(|_| sim.add_node());
+        for a in [a1, a2] {
+            sim.add_link(
+                a,
+                b,
+                8_000_000,
+                SimDuration::from_millis(8),
+                Box::new(DropTail::new(8)),
+            );
+        }
+        let ticker = Ticker {
+            fifo: DropTail::new(8),
+            log: Arc::clone(&log),
+        };
+        sim.add_link(
+            b,
+            c,
+            8_000_000,
+            SimDuration::from_millis(1),
+            Box::new(ticker),
+        );
+        sim.compute_routes();
+        let sink = sim.alloc_agent();
+        let logger = |dst| Logger {
+            dst,
+            next_seq: 0,
+            log: Arc::clone(&log),
+        };
+        sim.install_agent(sink, c, Box::new(logger((c, sink))));
+        let s1 = sim.add_agent(a1, Box::new(logger((c, sink))));
+        let s2 = sim.add_agent(a2, Box::new(logger((c, sink))));
+        let ms = SimTime::from_millis;
+        sim.schedule_agent_timer(ms(0), s1, TimerToken(2));
+        sim.schedule_agent_timer(ms(1), s2, TimerToken(1));
+        sim.schedule_agent_timer(ms(10), s2, TimerToken(1));
+        sim.run_until(ms(25));
+        (sim, log)
+    }
+
+    /// The run loop pops each event only after the previous handler
+    /// returned, so a departure an arrival arms at the current instant
+    /// still precedes the tick pending there: the wheel-backed simulator
+    /// dispatches in the heap backend's pop order, event for event.
+    #[test]
+    fn one_instant_dispatches_in_heap_pop_order() {
+        use crate::event::CalendarKind;
+        let (wheel, log) = one_instant_sim(CalendarKind::Wheel);
+        let (heap, heap_log) = one_instant_sim(CalendarKind::Heap);
+        let log = log.lock().unwrap().clone();
+        assert_eq!(log, *heap_log.lock().unwrap());
+        let at_10ms: Vec<_> = log
+            .iter()
+            .filter(|(t, _)| *t == SimTime::from_millis(10))
+            .map(|&(_, what)| what)
+            .collect();
+        assert_eq!(at_10ms, ["timer", "enqueue", "enqueue", "dequeue", "tick"]);
+        assert_eq!(log.iter().filter(|(_, what)| *what == "arrival").count(), 4);
+        for sim in [&wheel, &heap] {
+            assert_eq!(sim.event_class_counts(), wheel.event_class_counts());
+            assert_eq!(
+                sim.event_class_counts().iter().sum::<u64>(),
+                sim.events_processed()
+            );
+        }
+    }
+
+    /// The serialization memo keys on the rate too: a capacity changed
+    /// between two packets serializes the second at the new rate.
+    #[test]
+    fn capacity_change_applies_to_the_next_packet() {
+        let (mut sim, tx, rx) = two_node_sim(100);
+        sim.schedule_agent_timer(SimTime::ZERO, tx, TimerToken(0));
+        sim.run_until(SimTime::from_millis(100));
+        sim.link_mut(LinkId(0)).capacity_bps = 4_000_000;
+        sim.schedule_agent_timer(SimTime::from_millis(100), tx, TimerToken(0));
+        sim.run_until(SimTime::from_millis(200));
+        let echo: &Echo = sim.agent(rx);
+        let got: Vec<_> = echo.received.iter().map(|&(t, _)| t).collect();
+        // 1 ms per packet at 8 Mbps, then 2 ms at 4 Mbps; 10 ms delay.
+        let want: Vec<_> = [11, 12, 13, 14, 15, 112, 114, 116, 118, 120]
+            .map(SimTime::from_millis)
+            .into();
+        assert_eq!(got, want);
     }
 
     /// `split_shards` drains the calendar to route its events and, when it

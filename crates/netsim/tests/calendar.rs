@@ -124,7 +124,7 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
     };
 
     for &(sel, a, b) in ops {
-        match sel % 19 {
+        match sel % 20 {
             // Spread-out schedule: anywhere in the next millisecond.
             0 | 1 => {
                 let at = after(now, a % 1_000_000);
@@ -276,7 +276,7 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
                 };
                 let floor = lane_last[lane].map_or(now, |t| now.max(after(t, 1)));
                 let at = after(floor, off);
-                let sched = if sel % 19 == 15 {
+                let sched = if sel % 20 == 15 {
                     SimTime::from_nanos(x % now.as_nanos().saturating_add(1))
                 } else {
                     now
@@ -304,25 +304,22 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
                     }
                 }
             }
-            // One dispatch run: the next event due by a horizon, then every
-            // event that continues it (same instant, same class).
+            // One dispatch run as the simulator's loop takes it: pops due
+            // by a horizon while they continue the first one's run (same
+            // instant, same class). The first pop that does not is handed
+            // on as the next run's head, already compared.
             17 => {
                 let until = after(now, a % 10_000_000);
-                let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                let first = x.map(|e| (e.at, e.kind.class()));
-                let popped = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
-                if popped.is_none() {
-                    now = now.max(until);
-                }
-                if let Some((at, class)) = first {
-                    loop {
-                        let (x, y) = (
-                            wheel.pop_next_in_run(at, class),
-                            heap.pop_next_in_run(at, class),
-                        );
-                        if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
-                            break;
-                        }
+                let mut run = None;
+                loop {
+                    let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
+                    let key = x.map(|e| (e.at, e.kind.class()));
+                    if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
+                        now = now.max(until);
+                        break;
+                    }
+                    if *run.get_or_insert(key) != key {
+                        break;
                     }
                 }
             }
@@ -341,6 +338,28 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
                 for (x, y) in dw.into_iter().zip(dh) {
                     wheel.adopt(x);
                     heap.adopt(y);
+                }
+            }
+            // Every lane's head at one instant: the dumbbell's equal-rate,
+            // equal-delay host links fed at once. Past 32 lanes, equal-time
+            // heads are ordered by their full key at heap depth 5 and more;
+            // small ties leave many of those keys to the sequence number.
+            19 if lanes > 0 => {
+                let floor = lane_last
+                    .iter()
+                    .flatten()
+                    .fold(now, |f, &t| f.max(after(t, 1)));
+                if floor < SimTime::MAX {
+                    let at = after(floor, a % 1_000);
+                    for lane in 0..lanes {
+                        let tie = (b >> (lane % 60)) % 3;
+                        for q in [&mut wheel, &mut heap] {
+                            q.push_lane(LinkId(lane), at, now, tie, kind_for(b >> 16, scheduled));
+                        }
+                        lane_last[lane] = Some(at);
+                        lane_pending[lane].push_back((scheduled, at));
+                        scheduled += 1;
+                    }
                 }
             }
             // Peek must agree and may advance the causality watermark.
@@ -404,19 +423,20 @@ proptest! {
         drive(&ops, 0);
     }
 
-    /// Every regime above with 2–40 arrival lanes: arrivals 5–100 ms out
-    /// and a few ns out, same-instant ties between a lane head, the front
-    /// slot, level-0 events and reserved departures, injections with a
-    /// schedule time below the watermark, dispatch runs, and drains
-    /// refilled by adoption.
+    /// Every regime above with 2–40 arrival lanes, or 33–96 of them:
+    /// arrivals 5–100 ms out and a few ns out, same-instant ties between a
+    /// lane head, the front slot, level-0 events and reserved departures,
+    /// injections with a schedule time below the watermark, dispatch runs,
+    /// drains refilled by adoption, and every lane's head at one instant.
     #[test]
     fn lanes_merge_into_identical_streams(
-        lanes in 2usize..41,
+        lanes in prop_oneof![2usize..41, 33usize..97],
         ops in proptest::collection::vec(
             (
                 prop_oneof![
                     6 => Just(14u8), 2 => Just(15u8), 3 => Just(16u8),
-                    3 => Just(17u8), 1 => Just(18u8), 2 => 0u8..14,
+                    3 => Just(17u8), 1 => Just(18u8), 1 => Just(19u8),
+                    2 => 0u8..14,
                 ],
                 0u64..u64::MAX,
                 0u64..u64::MAX,
@@ -447,7 +467,7 @@ proptest! {
 /// the reservation point would have: before the later-keyed events
 /// already pending at that instant, on both backends, whether the next of
 /// them waits in the front slot or in the backend. That is why a dispatch
-/// run is extended one pop at a time (`pop_next_in_run`), after each
+/// run is extended one pop at a time (`continue_run`), after each
 /// handler, and never popped ahead.
 #[test]
 fn reserved_key_at_the_current_instant_precedes_later_keys() {
@@ -468,7 +488,7 @@ fn reserved_key_at_the_current_instant_precedes_later_keys() {
             }
             q.schedule_reserved(at(10), key, kind_for(1, 1));
             assert_eq!(q.len(), 4);
-            let next = q.pop_next_in_run(first.at, first.kind.class());
+            let next = continue_run(&mut q, &first).ok();
             assert_eq!(next.map(|e| e.tie_key()), Some(key.tie_key()));
             let order: Vec<_> = std::iter::from_fn(|| q.pop())
                 .map(|e| (e.at, e.seq()))
@@ -476,6 +496,17 @@ fn reserved_key_at_the_current_instant_precedes_later_keys() {
             let want = [(at(10), 2), (at(10), 3), (at(11), 4)];
             assert_eq!(order, want, "{kind:?}, peeked: {peek_first}");
         }
+    }
+}
+
+/// Extend the run `first` heads as the simulator's loop does: pop the
+/// next event, which continues the run if it fires at `first`'s instant
+/// with `first`'s class, and otherwise is handed back (`Err`) as the next
+/// run's head.
+fn continue_run(q: &mut EventQueue, first: &Event) -> Result<Event, Option<Event>> {
+    match q.pop() {
+        Some(ev) if (ev.at, ev.kind.class()) == (first.at, first.kind.class()) => Ok(ev),
+        next => Err(next),
     }
 }
 
@@ -592,7 +623,7 @@ fn cancelled_lone_node_is_dropped_in_place() {
 /// The handler of a lone node popped in place arms a reserved departure
 /// key at that very instant: the horizon stands at the instant (not at the
 /// slot start, not past it), so the insert is legal, lands on level 0, and
-/// `pop_next_in_run` finds it before the later-keyed event there.
+/// the run's next pop finds it before the later-keyed event there.
 #[test]
 fn reserved_key_at_the_instant_a_lone_node_was_popped() {
     let at = SimTime::from_nanos;
@@ -607,10 +638,15 @@ fn reserved_key_at_the_instant_a_lone_node_was_popped() {
         out.push(popped);
         q.schedule(at(lone), kind_for(1, 4));
         q.schedule_reserved(at(lone), key, kind_for(1, 1));
-        while let Some(ev) = q.pop_next_in_run(popped.at, popped.kind.class()) {
-            out.push(ev);
-        }
-        assert_eq!(q.len(), 1, "the run ends at the instant");
+        let head = loop {
+            match continue_run(q, &popped) {
+                Ok(ev) => out.push(ev),
+                Err(head) => break head,
+            }
+        };
+        let left = q.len() + usize::from(head.is_some());
+        assert_eq!(left, 1, "the run ends at the instant");
+        out.extend(head);
         out.extend(std::iter::from_fn(|| q.pop()));
         out
     });
