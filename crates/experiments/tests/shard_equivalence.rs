@@ -3,7 +3,7 @@
 //! any worker count. This is the determinism suite's sibling — worker
 //! parallelism reorders *jobs*, sharding reorders *events inside one
 //! simulation* — and it exercises the whole stack: partitioning, event
-//! migration, the `(time, sched, seq)` tiebreak, barrier-epoch packet
+//! migration, the `(time, sched, tie, seq)` tiebreak, barrier-epoch packet
 //! exchange, and measurement merge.
 
 use experiments::common::Scale;
@@ -81,4 +81,22 @@ fn robustness_quick_is_byte_identical_across_shard_counts() {
     // bottleneck and delayed ACKs routed across shards; the warm-up
     // profile moves nodes here too.
     assert_shard_invariant("robustness");
+}
+
+#[test]
+fn mix6_quick_is_byte_identical_across_shard_counts() {
+    // CUBIC and BBR send across the cut, beside the PERT and SACK flows.
+    assert_shard_invariant("mix6");
+}
+
+#[test]
+fn rem_quick_is_byte_identical_across_shard_counts() {
+    // REM's periodic queue tick shares instants with injected arrivals.
+    assert_shard_invariant("rem");
+}
+
+#[test]
+fn fig14_quick_is_byte_identical_across_shard_counts() {
+    // So does the PI controller's tick.
+    assert_shard_invariant("fig14");
 }

@@ -1253,7 +1253,9 @@ impl EventQueue {
     /// oracle: the shard split moves each, key and all, into a fork
     /// ([`EventQueue::adopt`]), whose shadow verifies
     /// its pop once, so audit totals match at any shard count. The shadow
-    /// keeps its check count and drops its pending set; lanes stay.
+    /// keeps its check count and drops its pending set; lanes and the
+    /// node pool's capacity stay, so whoever adopts the drained events
+    /// back into this queue reuses the pool instead of regrowing it.
     pub fn drain_all(&mut self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.live);
         while self.live > 0 {
@@ -1265,12 +1267,14 @@ impl EventQueue {
         }
         // Only cancelled residents are left, and the wheel's horizon ran to
         // the last event: restart at the watermark so a refill (the split's
-        // rollback) works.
+        // rollback, or the shard that takes this queue over) works.
         match &mut self.backend {
             Backend::Heap(h) => h.clear(),
             Backend::Wheel(w) => {
                 debug_assert!(w.lane_heap.is_empty(), "a lane outlived the drain");
+                w.nodes.clear();
                 **w = Wheel {
+                    nodes: std::mem::take(&mut w.nodes),
                     lanes: std::mem::take(&mut w.lanes),
                     lane_heap: std::mem::take(&mut w.lane_heap),
                     ..Wheel::new(self.watermark.as_nanos())

@@ -35,16 +35,20 @@
 //!   a **content tie** ([`crate::packet::Packet::order_tie`], a hash of
 //!   the packet itself), memoised in the arena the packet lives in and
 //!   carried across a cut as [`WirePacket::tie`], so the monolithic
-//!   scheduler, the barrier sort and the shard injector all use one
-//!   value hashed once. Symmetric topologies hit
-//!   this constantly (mirror-image ACKs clocked by the same bottleneck
-//!   tick); content is the only key the two modes can agree on without
-//!   a global sequence. Arrivals that tie on content too are identical
-//!   packets, for which either processing order is observably the same.
-//! * Cross-shard packets are injected at every barrier in canonical
-//!   `(arrival time, emission time, content tie, source shard)` order,
-//!   regardless of which thread finished first (per-source mailboxes
-//!   are drained in source order and stably sorted).
+//!   scheduler and the shard injector use one value hashed once.
+//!   Symmetric topologies hit this constantly (mirror-image ACKs clocked
+//!   by the same bottleneck tick); content is the only key the two modes
+//!   can agree on without a global sequence. Arrivals that tie on content
+//!   too are identical packets, for which either processing order is
+//!   observably the same.
+//! * Cross-shard packets are injected at every barrier source shard by
+//!   source shard, each source's in emission order, regardless of which
+//!   thread finished first. No sort is needed: a cut link's arrivals all
+//!   come from one source in emission order, which is its lane's key
+//!   order; the calendar's full key orders arrivals across lanes whatever
+//!   order they were inserted in; and the one thing insertion order
+//!   still fixes, the sequence number, breaks ties only between
+//!   identical packets.
 //! * Epochs are half-open: each epoch runs to one nanosecond *before*
 //!   its barrier instant, so an arrival landing exactly on a barrier is
 //!   injected before any local event at that instant fires. The final
@@ -105,9 +109,9 @@ pub struct WirePacket {
     /// destination shard, is where it arrives, and its arrival lane is
     /// where it waits there.
     pub link: LinkId,
-    /// `pkt.order_tie()`, taken from the source arena's memo: the barrier
-    /// sort and the destination's calendar key use it as is, and it seeds
-    /// the destination arena's memo, so crossing a cut hashes nothing.
+    /// `pkt.order_tie()`, taken from the source arena's memo: the
+    /// destination's calendar key uses it as is, and it seeds the
+    /// destination arena's memo, so crossing a cut hashes nothing.
     pub tie: u64,
     /// The packet body, moved out of the source shard's arena.
     pub pkt: Packet,
@@ -385,13 +389,21 @@ impl AbortableBarrier {
     }
 }
 
-/// Per-destination, per-source mailboxes with two parity slots. During
-/// epoch k every shard writes into slot `k & 1`; after barrier k each
-/// shard drains its own slot `k & 1`. Epoch k+1 writes go to the other
-/// slot, and a shard cannot reach epoch k+2 (which reuses slot `k & 1`)
-/// before barrier k+1 — by which point every drain of that slot has
-/// completed. One barrier per epoch is therefore race-free.
+/// Per-destination, per-source mailboxes with two parity slots. At the
+/// end of epoch k every shard swaps its outbox for each destination into
+/// slot `k & 1`; after barrier k each shard drains its own slots `k & 1`
+/// in place. Epoch k+1 writes go to the other slot, and a shard cannot
+/// reach the end of epoch k+2 (which reuses slot `k & 1`) before barrier
+/// k+1 — by which point every drain of that slot has completed, so a
+/// drain never waits on its lock and one barrier per epoch is race-free.
+/// The boxes live as long as the [`ShardedSim`]: a pair's three buffers
+/// (the outbox and two slots) keep their capacity from epoch to epoch
+/// and call to call, and never pass to another pair.
 type Mailboxes = Vec<Vec<[Mutex<Vec<WirePacket>>; 2]>>;
+
+/// Why a mailbox lock can fail: only a peer that panicked mid-hand-off
+/// leaves one poisoned, and its panic is the one the caller sees.
+const POISONED: &str = "a shard panicked holding a mailbox";
 
 /// A simulator split into space-parallel shards, driven in lockstep
 /// barrier epochs. Construct with [`ShardedSim::split`], advance with
@@ -401,6 +413,7 @@ pub struct ShardedSim {
     /// The emptied original simulator; revived by `merge`.
     husk: Simulator,
     shards: Vec<Simulator>,
+    mail: Mailboxes,
     window: SimDuration,
     now: SimTime,
     /// Cumulative per-shard worker CPU time (see
@@ -451,6 +464,13 @@ impl ShardedSim {
             now: husk.now(),
             husk,
             shards,
+            mail: (0..n)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
+                        .collect()
+                })
+                .collect(),
             window: part.lookahead,
             cpu_ns: vec![0; n],
         })
@@ -513,13 +533,6 @@ impl ShardedSim {
         let window = self.window;
         let start = self.now;
         let barrier = AbortableBarrier::new(n);
-        let mail: Mailboxes = (0..n)
-            .map(|_| {
-                (0..n)
-                    .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
-                    .collect()
-            })
-            .collect();
         // Workers inherit the caller's telemetry scope (the job label),
         // so records they publish group exactly like the monolithic
         // run's would. The fork hands the caller's own sink over first
@@ -532,7 +545,7 @@ impl ShardedSim {
         std::thread::scope(|s| {
             for (me, shard) in self.shards.iter_mut().enumerate() {
                 let barrier = &barrier;
-                let mail = &mail;
+                let mail = &self.mail;
                 let cpu = &cpu;
                 #[cfg(feature = "telemetry")]
                 let scope = scope.clone();
@@ -547,7 +560,7 @@ impl ShardedSim {
                     let ev_before = shard.events_processed();
                     let cpu_before = thread_cpu_ns();
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(me, shard, mail, barrier, start, until, window, n);
+                        run_worker(me, shard, mail, barrier, start, until, window);
                     }));
                     cpu[me].store(
                         thread_cpu_ns().saturating_sub(cpu_before),
@@ -626,7 +639,6 @@ fn thread_cpu_ns() -> u64 {
 /// and mailbox counts (`shard/events`, `shard/mailbox_{in,out}_pkts`).
 /// Detached runs skip all of it — the `tel` flag is read once — so they
 /// stay byte-identical to a telemetry-free build.
-#[allow(clippy::too_many_arguments)]
 fn run_worker(
     me: usize,
     shard: &mut Simulator,
@@ -635,7 +647,6 @@ fn run_worker(
     start: SimTime,
     until: SimTime,
     window: SimDuration,
-    n: usize,
 ) {
     #[cfg(feature = "telemetry")]
     let tel = crate::telemetry::enabled();
@@ -663,38 +674,27 @@ fn run_worker(
         };
         shard.run_until(run_to);
         let slot = k & 1;
-        let mut by_dst: Vec<Vec<WirePacket>> = (0..n).map(|_| Vec::new()).collect();
-        for (dst, wp) in shard.take_outbox() {
-            by_dst[dst].push(wp);
-        }
-        #[cfg(feature = "telemetry")]
-        let out_pkts: usize = by_dst.iter().map(Vec::len).sum();
-        for (dst, pkts) in by_dst.into_iter().enumerate() {
-            if !pkts.is_empty() {
-                mail[dst][me][slot].lock().unwrap().extend(pkts);
+        let mut out_pkts = 0;
+        for (dst, boxes) in mail.iter().enumerate() {
+            if dst != me {
+                let mut sent = boxes[me][slot].lock().expect(POISONED);
+                shard.take_outbox(dst, &mut sent);
+                out_pkts += sent.len();
             }
         }
         if !barrier.wait() {
             return;
         }
-        // Canonical injection order: drain sources in shard-index order,
-        // then a stable sort by (arrival time, emission time, content
-        // tie) — so injected arrivals enter each calendar in exactly the
-        // order the (time, sched, tie, seq) key will pop them, and the
-        // result is independent of thread completion order. Two packets
-        // equal on all three keys have identical content (the tie is a
-        // content hash), so their residual source-order tiebreak cannot
-        // affect anything observable.
-        let mut incoming: Vec<WirePacket> = Vec::new();
-        for src_boxes in mail[me].iter().take(n) {
-            incoming.append(&mut src_boxes[slot].lock().unwrap());
+        // Source by source, each in emission order (see the module docs
+        // on why that order needs no sort).
+        let mut in_pkts = 0;
+        for (src, boxes) in mail[me].iter().enumerate() {
+            if src != me {
+                in_pkts += shard.inject_mail(&mut boxes[slot].lock().expect(POISONED));
+            }
         }
-        incoming.sort_by_key(|w| (w.at, w.sched, w.tie));
-        #[cfg(feature = "telemetry")]
-        let in_pkts = incoming.len();
-        for wp in incoming {
-            shard.inject_arrival(wp);
-        }
+        #[cfg(not(feature = "telemetry"))]
+        let _ = (out_pkts, in_pkts);
         #[cfg(feature = "telemetry")]
         if tel {
             use crate::telemetry::{self as tele, SeriesId};

@@ -174,8 +174,11 @@ const CTRL_PROBE: u64 = 2 << 32;
 /// Cross-shard send state installed on shard-local simulators by the
 /// space-parallel driver (see [`crate::shard`]). When present,
 /// transmissions whose arrival node lives on another shard divert into
-/// `outbox` instead of the local calendar; the driver exchanges outboxes
-/// at each epoch barrier. Aligned like [`Simulator`]: each shard's box is
+/// that shard's outbox instead of the local calendar; at each epoch
+/// barrier the driver swaps every outbox with the emptied mailbox the
+/// destination drained in place, so each source–destination pair's
+/// buffers go round between the two and no exchange copies or allocates
+/// once they have grown. Aligned like [`Simulator`]: each shard's box is
 /// allocated next to the others' and written on every cross-shard send.
 #[repr(align(128))]
 pub(crate) struct ShardIo {
@@ -183,10 +186,17 @@ pub(crate) struct ShardIo {
     me: usize,
     /// Owning shard of every node.
     shard_of_node: Vec<usize>,
-    /// Packets bound for other shards, in emission order, each tagged
-    /// with its destination shard.
-    outbox: Vec<(usize, crate::shard::WirePacket)>,
+    /// Packets bound for each shard (this shard's own entry stays empty),
+    /// in emission order.
+    outbox: Vec<Outbox>,
 }
+
+/// One destination's outbox, on cache lines of its own: a shard writes
+/// its outbox's length on every cross-shard send, and the split allocates
+/// every shard's outbox array back to back.
+#[repr(align(128))]
+#[derive(Default)]
+struct Outbox(Vec<crate::shard::WirePacket>);
 
 /// Width of a link-utilization window (telemetry derivation): one
 /// simulated second. Windows roll forward on transmission starts; fully
@@ -912,16 +922,15 @@ impl Simulator {
                     .arena
                     .take(pkt)
                     .expect("departing packet held a stale PacketRef");
-                self.shard_io.as_mut().expect("checked above").outbox.push((
-                    dst,
-                    crate::shard::WirePacket {
+                self.shard_io.as_mut().expect("checked above").outbox[dst]
+                    .0
+                    .push(crate::shard::WirePacket {
                         at: arrive_at,
                         sched: now,
                         link: link_id,
                         tie,
                         pkt,
-                    },
-                ));
+                    });
             }
             None => {
                 self.events.push_lane(
@@ -1358,13 +1367,21 @@ impl Simulator {
         }
 
         // ---- Point of no return: distribute state. ----
-        // Migrated events enter fresh calendars under their own
+        // Migrated events enter their shard's calendar under their own
         // `(time, sched, tie, seq)` keys, and each goes on numbering where
         // this one stopped: same-time tie order survives, the departure
         // keys links reserved stay free, and pre-split `EventId`s still
-        // name their events. A fork's watermark starts at zero, below every
-        // migrated timestamp.
+        // name their events. The shard adopting the most events takes this
+        // drained queue itself, node pool and all, and the husk keeps a
+        // fork; the others start from forks, whose watermark of zero is
+        // below every migrated timestamp.
+        let mut adopted = vec![0usize; n];
+        for &t in &routed {
+            adopted[t] += 1;
+        }
+        let busiest = (0..n).max_by_key(|&t| (adopted[t], n - t)).expect("n >= 1");
         let mut calendars: Vec<EventQueue> = (0..n).map(|_| self.events.fork()).collect();
+        std::mem::swap(&mut calendars[busiest], &mut self.events);
         for (ev, t) in drained.into_iter().zip(routed) {
             calendars[t].adopt(ev);
         }
@@ -1485,7 +1502,7 @@ impl Simulator {
                 shard_io: Some(Box::new(ShardIo {
                     me,
                     shard_of_node: shard_of_node.to_vec(),
-                    outbox: Vec::new(),
+                    outbox: (0..n).map(|_| Outbox::default()).collect(),
                 })),
             });
         }
@@ -1577,22 +1594,19 @@ impl Simulator {
     }
 
     /// Re-intern a packet received from another shard and schedule its
-    /// arrival. The shard driver calls this between epochs in the
-    /// canonical `(time, emission time, content tie, source shard)`
-    /// sequence, which fixes the insertion order of same-instant
-    /// cross-shard arrivals independently of thread scheduling. `sched`
-    /// is the packet's true emission time on its source shard — below
-    /// this queue's watermark by now — so the arrival wins or loses
-    /// same-instant ties against local events exactly as the monolithic
-    /// run's insertion order would have decided; the content tie settles
-    /// ties against arrivals emitted the same nanosecond elsewhere, by
-    /// the same rule the monolithic scheduler applies. It travels with
-    /// the packet (hashed once, on the source shard) and seeds this
-    /// arena's memo; that it still is the wire copy's hash is checked in
-    /// debug builds and, under the audit flag, as a calendar violation.
-    /// The arrival joins the cut link's lane, in which the canonical order
-    /// keeps each link's arrivals in increasing key order.
-    pub(crate) fn inject_arrival(&mut self, w: crate::shard::WirePacket) {
+    /// arrival. `sched` is the packet's true emission time on its source
+    /// shard — below this queue's watermark by now — so the arrival wins
+    /// or loses same-instant ties against local events exactly as the
+    /// monolithic run's insertion order would have decided; the content
+    /// tie settles ties against arrivals emitted the same nanosecond
+    /// elsewhere, by the same rule the monolithic scheduler applies. It
+    /// travels with the packet (hashed once, on the source shard) and
+    /// seeds this arena's memo; that it still is the wire copy's hash is
+    /// checked in debug builds and, under the audit flag, as a calendar
+    /// violation. The arrival joins the cut link's lane: all of a cut
+    /// link's packets come from one source shard in emission order, which
+    /// is the lane's key order.
+    fn inject_arrival(&mut self, w: crate::shard::WirePacket) {
         let (_, node) = self.link_endpoints[w.link.index()];
         #[cfg(feature = "audit")]
         if !self.audit_hooks.is_empty() && w.tie != w.pkt.order_tie() {
@@ -1618,14 +1632,27 @@ impl Simulator {
         );
     }
 
-    /// Drain the packets bound for other shards accumulated since the
-    /// last call, in emission order, each tagged with its destination
-    /// shard. Empty on non-shard simulators.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(usize, crate::shard::WirePacket)> {
-        self.shard_io
+    /// Inject one source shard's mail, in the order it was sent, and
+    /// return how many packets it held. `mail` is drained in place and
+    /// keeps its capacity for the source's next swap.
+    pub(crate) fn inject_mail(&mut self, mail: &mut Vec<crate::shard::WirePacket>) -> usize {
+        let n = mail.len();
+        for w in mail.drain(..) {
+            self.inject_arrival(w);
+        }
+        n
+    }
+
+    /// Swap the packets bound for shard `dst` accumulated since the last
+    /// call, in emission order, into `mail`, whose (empty) buffer becomes
+    /// the new outbox.
+    pub(crate) fn take_outbox(&mut self, dst: usize, mail: &mut Vec<crate::shard::WirePacket>) {
+        debug_assert!(mail.is_empty(), "mailbox refilled before its drain");
+        let io = self
+            .shard_io
             .as_mut()
-            .map(|io| std::mem::take(&mut io.outbox))
-            .unwrap_or_default()
+            .expect("take_outbox on a non-shard simulator");
+        std::mem::swap(&mut io.outbox[dst].0, mail);
     }
 }
 

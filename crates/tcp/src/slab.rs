@@ -69,7 +69,8 @@ pub struct FlowSlab {
     // vector's cache footprint. The option is the shard-split seam: a slot
     // is `None` while its sender lives on a (different) shard's copy of
     // the slab — touching it there is a bug and panics rather than
-    // silently diverging.
+    // silently diverging. A shard part that hosts no sender holds all four
+    // sender columns empty, and one that hosts no receiver `sinks` empty.
     cold: Vec<Option<Box<FlowCold>>>,
     /// Source (sender-half) node of every slot, as a 32-bit index.
     nodes: Vec<u32>,
@@ -93,19 +94,19 @@ impl FlowSlab {
 
     /// Number of connections hosted.
     pub fn len(&self) -> usize {
-        self.cold.len()
+        self.nodes.len()
     }
 
     /// True when the slab hosts no connections.
     pub fn is_empty(&self) -> bool {
-        self.cold.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Register the connection `spec` describes, both halves: its sender
     /// on `spec.src` fed by `source`, its receiver on `spec.dst`. Returns
     /// the connection's slot.
     pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
-        let slot = self.cold.len();
+        let slot = self.len();
         assert!(
             slot < UNREGISTERED as usize,
             "flow slot must fit the 32-bit slot field of a timer token"
@@ -163,13 +164,16 @@ impl FlowSlab {
     }
 
     fn view(&mut self, slot: usize) -> FlowView<'_> {
+        let cold = self
+            .cold
+            .get_mut(slot)
+            .and_then(Option::as_mut)
+            .expect("flow is hosted by another shard");
         FlowView {
             wnd: &mut self.wnd[slot],
             rtt: &mut self.rtt[slot],
             app: &mut self.app[slot],
-            cold: self.cold[slot]
-                .as_mut()
-                .expect("flow is hosted by another shard"),
+            cold,
         }
     }
 
@@ -195,15 +199,29 @@ impl FlowSlab {
             slot,
             ctx,
         };
-        (&mut self.sinks[slot], io)
+        let sink = self
+            .sinks
+            .get_mut(slot)
+            .expect("flow is hosted by another shard");
+        (sink, io)
     }
 
     // --- per-flow read-back ---------------------------------------------
 
+    /// The slot of `flow`, whose sender half this slab hosts.
+    fn sender_slot(&self, flow: FlowId) -> usize {
+        let slot = self.expect_slot(flow);
+        assert!(
+            self.cold.get(slot).is_some_and(Option::is_some),
+            "flow {flow} is hosted by another shard"
+        );
+        slot
+    }
+
     fn cold_of(&self, flow: FlowId) -> &FlowCold {
-        self.cold[self.expect_slot(flow)]
+        self.cold[self.sender_slot(flow)]
             .as_ref()
-            .expect("flow is hosted by another shard")
+            .expect("checked by sender_slot")
     }
 
     /// Cumulative statistics of `flow`.
@@ -224,27 +242,31 @@ impl FlowSlab {
 
     /// Current congestion window of `flow`, segments.
     pub fn cwnd_of(&self, flow: FlowId) -> f64 {
-        self.wnd[self.expect_slot(flow)].cwnd
+        self.wnd[self.sender_slot(flow)].cwnd
     }
 
     /// Current smoothed RTT estimate of `flow`, seconds.
     pub fn srtt_of(&self, flow: FlowId) -> Option<f64> {
-        self.rtt[self.expect_slot(flow)].srtt()
+        self.rtt[self.sender_slot(flow)].srtt()
     }
 
     /// True once `flow` has permanently finished.
     pub fn stopped_of(&self, flow: FlowId) -> bool {
-        self.app[self.expect_slot(flow)].stopped
+        self.app[self.sender_slot(flow)].stopped
     }
 
     /// True while `flow` is in loss recovery.
     pub fn in_recovery_of(&self, flow: FlowId) -> bool {
-        self.wnd[self.expect_slot(flow)].in_recovery()
+        self.wnd[self.sender_slot(flow)].in_recovery()
     }
 
     /// Receiver statistics of `flow`.
     pub fn sink_stats_of(&self, flow: FlowId) -> &SinkStats {
-        &self.sinks[self.expect_slot(flow)].stats
+        &self
+            .sinks
+            .get(self.expect_slot(flow))
+            .expect("flow is hosted by another shard")
+            .stats
     }
 }
 
@@ -298,44 +320,71 @@ impl Agent for FlowSlab {
     }
 
     fn shard_split(&mut self, n: usize, shard_of_node: &[usize]) -> Vec<Box<dyn Agent>> {
-        // Part 0 takes the whole slab; parts 1.. get clones of its row
-        // columns and flow/node maps — slot numbering and token routing
-        // stay identical everywhere — so n shards hold n copies, not n + 1.
-        // A sender's cold box (and thus the right to run it) moves to the
-        // shard owning its source node; a receiver row is authoritative on
-        // the shard owning its sink node. The husk keeps only the
-        // partition.
-        let mut first = std::mem::take(self);
+        // Every part keeps the row → node and flow → slot maps, so slot
+        // numbering and token routing stay identical everywhere. Each half's
+        // columns move to the first part that hosts a row of it and are
+        // cloned only into later parts that host one too; a part hosting
+        // none of a half holds empty columns for it. A sender's cold box
+        // (and thus the right to run it) moves to the shard owning its
+        // source node; a receiver row is authoritative on the shard owning
+        // its sink node. The husk keeps only the partition.
+        let mut whole = std::mem::take(self);
         self.shard_of_node = shard_of_node.to_vec();
-        let mut rest: Vec<FlowSlab> = (1..n)
-            .map(|_| FlowSlab {
-                wnd: first.wnd.clone(),
-                rtt: first.rtt.clone(),
-                app: first.app.clone(),
-                sinks: first.sinks.clone(),
-                cold: (0..first.len()).map(|_| None).collect(),
-                nodes: first.nodes.clone(),
-                sink_nodes: first.sink_nodes.clone(),
-                by_flow: first.by_flow.clone(),
-                shard_of_node: Vec::new(),
-            })
-            .collect();
-        for slot in 0..first.len() {
-            let owner = shard_of_node[first.nodes[slot] as usize];
-            if owner != 0 {
-                rest[owner - 1].cold[slot] = first.cold[slot].take();
+        let (mut senders, mut receivers) = (vec![false; n], vec![false; n]);
+        for slot in 0..whole.len() {
+            senders[shard_of_node[whole.nodes[slot] as usize]] = true;
+            receivers[shard_of_node[whole.sink_nodes[slot] as usize]] = true;
+        }
+        let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::default()).collect();
+        // Descending, so the first host, which takes the columns themselves,
+        // comes after every part that needs a clone of them.
+        let first_sender = senders.iter().position(|&h| h);
+        let first_receiver = receivers.iter().position(|&h| h);
+        for (s, part) in parts.iter_mut().enumerate().rev() {
+            if Some(s) == first_sender {
+                part.wnd = std::mem::take(&mut whole.wnd);
+                part.rtt = std::mem::take(&mut whole.rtt);
+                part.app = std::mem::take(&mut whole.app);
+                part.cold = std::mem::take(&mut whole.cold);
+            } else if senders[s] {
+                part.wnd = whole.wnd.clone();
+                part.rtt = whole.rtt.clone();
+                part.app = whole.app.clone();
+                part.cold = (0..whole.len()).map(|_| None).collect();
+            }
+            if Some(s) == first_receiver {
+                part.sinks = std::mem::take(&mut whole.sinks);
+            } else if receivers[s] {
+                part.sinks = whole.sinks.clone();
+            }
+            if s == 0 {
+                part.nodes = std::mem::take(&mut whole.nodes);
+                part.sink_nodes = std::mem::take(&mut whole.sink_nodes);
+                part.by_flow = std::mem::take(&mut whole.by_flow);
+            } else {
+                part.nodes = whole.nodes.clone();
+                part.sink_nodes = whole.sink_nodes.clone();
+                part.by_flow = whole.by_flow.clone();
             }
         }
-        std::iter::once(first)
-            .chain(rest)
+        if let Some(first) = first_sender {
+            for slot in 0..parts[first].len() {
+                let owner = shard_of_node[parts[first].nodes[slot] as usize];
+                if owner != first {
+                    parts[owner].cold[slot] = parts[first].cold[slot].take();
+                }
+            }
+        }
+        parts
+            .into_iter()
             .map(|p| Box::new(p) as Box<dyn Agent>)
             .collect()
     }
 
     fn shard_merge(&mut self, parts: Vec<Box<dyn Agent>>) {
-        // Part 0's columns come home whole; every other part returns the
-        // rows it owned: a sender row with its cold box, a receiver row by
-        // its sink node.
+        // Each half's columns come home from the part holding them; every
+        // other part returns the rows it owned: a sender row with its cold
+        // box, a receiver row by its sink node.
         let shard_of_node = std::mem::take(&mut self.shard_of_node);
         let mut parts: Vec<FlowSlab> = parts
             .into_iter()
@@ -347,12 +396,29 @@ impl Agent for FlowSlab {
                 )
             })
             .collect();
-        let mut rest = parts.split_off(1);
-        *self = parts.pop().expect("one part per shard");
+        let first_sender = parts.iter().position(|p| !p.cold.is_empty());
+        let first_receiver = parts.iter().position(|p| !p.sinks.is_empty());
+        let home = &mut parts[0];
+        *self = FlowSlab {
+            nodes: std::mem::take(&mut home.nodes),
+            sink_nodes: std::mem::take(&mut home.sink_nodes),
+            by_flow: std::mem::take(&mut home.by_flow),
+            ..FlowSlab::default()
+        };
+        if let Some(first) = first_sender {
+            let holder = &mut parts[first];
+            self.wnd = std::mem::take(&mut holder.wnd);
+            self.rtt = std::mem::take(&mut holder.rtt);
+            self.app = std::mem::take(&mut holder.app);
+            self.cold = std::mem::take(&mut holder.cold);
+        }
+        if let Some(first) = first_receiver {
+            self.sinks = std::mem::take(&mut parts[first].sinks);
+        }
         for slot in 0..self.len() {
             let owner = shard_of_node[self.nodes[slot] as usize];
-            if owner != 0 {
-                let part = &mut rest[owner - 1];
+            if Some(owner) != first_sender {
+                let part = &mut parts[owner];
                 self.cold[slot] = part.cold[slot].take();
                 self.wnd[slot] = part.wnd[slot];
                 self.rtt[slot] = part.rtt[slot];
@@ -360,8 +426,8 @@ impl Agent for FlowSlab {
             }
             debug_assert!(self.cold[slot].is_some(), "slot {slot} lost its sender");
             let receiver = shard_of_node[self.sink_nodes[slot] as usize];
-            if receiver != 0 {
-                std::mem::swap(&mut self.sinks[slot], &mut rest[receiver - 1].sinks[slot]);
+            if Some(receiver) != first_receiver {
+                std::mem::swap(&mut self.sinks[slot], &mut parts[receiver].sinks[slot]);
             }
         }
     }
@@ -436,6 +502,105 @@ mod tests {
         assert_eq!(slab.cwnd_of(FlowId(1)), 42.0);
         assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 7);
         assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 9);
+        assert!(slab.cold.iter().all(Option::is_some));
+        assert!(slab.shard_of_node.is_empty());
+    }
+
+    fn part(parts: &mut [Box<dyn Agent>], i: usize) -> &mut FlowSlab {
+        parts[i].as_any_mut().downcast_mut::<FlowSlab>().unwrap()
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the read should panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Sender columns on every part: empty or one row per connection.
+    fn sender_columns(p: &FlowSlab) -> [usize; 4] {
+        [p.wnd.len(), p.rtt.len(), p.app.len(), p.cold.len()]
+    }
+
+    #[test]
+    fn dumbbell_split_keeps_each_half_on_its_own_shard() {
+        // Senders on n0 and n1 (shard 0), receivers on n2 and n3 (shard 1).
+        let mut slab = FlowSlab::new();
+        add(&mut slab, 0, 0, 2);
+        add(&mut slab, 1, 1, 3);
+        add(&mut slab, 2, 0, 3);
+        let mut parts = slab.shard_split(2, &[0, 0, 1, 1]);
+        let p0 = part(&mut parts, 0);
+        assert_eq!(p0.len(), 3);
+        assert_eq!(sender_columns(p0), [3; 4]);
+        assert!(p0.sinks.is_empty(), "shard 0 hosts no receiver");
+        assert!(panic_message(|| {
+            p0.sink_stats_of(FlowId(1));
+        })
+        .contains("hosted by another shard"));
+        p0.wnd[2].cwnd = 17.0;
+        let p1 = part(&mut parts, 1);
+        assert_eq!(p1.len(), 3);
+        assert_eq!(sender_columns(p1), [0; 4], "shard 1 hosts no sender");
+        assert_eq!(p1.sinks.len(), 3);
+        assert!(panic_message(|| {
+            p1.cwnd_of(FlowId(0));
+        })
+        .contains("hosted by another shard"));
+        assert!(panic_message(|| {
+            p1.stats_of(FlowId(2));
+        })
+        .contains("hosted by another shard"));
+        p1.sinks[1].stats.rcv_next = 5;
+        slab.shard_merge(parts);
+        assert_eq!(slab.len(), 3);
+        assert_eq!(slab.cwnd_of(FlowId(2)), 17.0);
+        assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 5);
+        assert!(slab.cold.iter().all(Option::is_some));
+        assert_eq!(slab.slot_of(FlowId(2)), Some(2));
+    }
+
+    #[test]
+    fn a_part_hosting_no_row_holds_no_columns() {
+        // Flow 0 sends n0 → n2, flow 1 sends n2 → n0; shard 1 owns only n1.
+        let mut slab = FlowSlab::new();
+        add(&mut slab, 0, 0, 2);
+        add(&mut slab, 1, 2, 0);
+        let mut parts = slab.shard_split(3, &[0, 1, 2]);
+        let p1 = part(&mut parts, 1);
+        assert_eq!(p1.len(), 2);
+        assert_eq!(sender_columns(p1), [0; 4]);
+        assert!(p1.sinks.is_empty());
+        assert_eq!(p1.slot_of(FlowId(1)), Some(1));
+        assert!(panic_message(|| {
+            p1.stopped_of(FlowId(0));
+        })
+        .contains("hosted by another shard"));
+        // The hosts carry full-width columns; only the owners' rows move.
+        let p0 = part(&mut parts, 0);
+        assert_eq!(sender_columns(p0), [2; 4]);
+        assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
+        assert!(panic_message(|| {
+            p0.srtt_of(FlowId(1));
+        })
+        .contains("hosted by another shard"));
+        p0.sinks[1].stats.rcv_next = 3;
+        p0.wnd[0].cwnd = 8.0;
+        let p2 = part(&mut parts, 2);
+        assert_eq!(sender_columns(p2), [2; 4]);
+        assert!(p2.cold[0].is_none() && p2.cold[1].is_some());
+        assert_eq!(p2.sinks.len(), 2);
+        p2.sinks[0].stats.rcv_next = 4;
+        p2.wnd[1].cwnd = 9.0;
+        slab.shard_merge(parts);
+        assert_eq!(slab.cwnd_of(FlowId(0)), 8.0);
+        assert_eq!(slab.cwnd_of(FlowId(1)), 9.0);
+        assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 4);
+        assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 3);
         assert!(slab.cold.iter().all(Option::is_some));
         assert!(slab.shard_of_node.is_empty());
     }
