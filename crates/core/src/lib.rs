@@ -53,8 +53,8 @@ pub mod response;
 pub mod telemetry;
 
 pub use estimators::{Ewma, MinMax, MovingAverage};
-pub use pert::{EarlyResponse, PertController, PertParams, PertStats};
-pub use pi::{PertPiController, PertPiParams};
+pub use pert::{EarlyResponse, Law, PertController, PertParams, PertStats};
+pub use pi::{PertPiController, PertPiParams, PiLaw};
 pub use predictors::{AckSample, CongestionState, Predictor};
-pub use rem::{PertRemController, PertRemParams};
+pub use rem::{PertRemController, PertRemParams, RemLaw};
 pub use response::ResponseCurve;

@@ -2,6 +2,12 @@
 //! probabilistic early response, packaged as a transport-independent state
 //! machine a TCP sender drives once per ACK.
 //!
+//! One controller emulates every AQM the paper puts at the end host. It
+//! owns the filters, the holds, the coin and the audit shadow; a [`Law`]
+//! turns its queuing-delay estimate into the response probability:
+//! [`ResponseCurve`] (gentle RED, §3), [`crate::pi::PiLaw`] (§6) and
+//! [`crate::rem::RemLaw`] (§8).
+//!
 //! ```
 //! use pert_core::pert::{PertController, PertParams, EarlyResponse};
 //!
@@ -23,6 +29,35 @@ use crate::reference::PertReference;
 use crate::response::ResponseCurve;
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{self, SeriesId};
+
+/// How an emulated AQM turns the queuing-delay estimate into a response
+/// probability. Everything else, from the filters to the coin, belongs to
+/// [`PertController`].
+pub trait Law {
+    /// Scheme name the congestion-control adapter reports.
+    const NAME: &'static str;
+    /// XOR-ed into the construction seed of the coin-flip RNG.
+    const SALT: u64;
+    /// Whether the controller publishes the `pert/*` telemetry series.
+    const PUBLISHES: bool;
+
+    /// Fold the queuing-delay estimate of a new RTT sample into the law's
+    /// state; runs on every sample, `observe`-only ones included.
+    fn sample(&mut self, _qd: f64) {}
+
+    /// The response probability at queuing delay `qd`, seconds.
+    fn probability(&self, qd: f64) -> f64;
+}
+
+impl Law for ResponseCurve {
+    const NAME: &'static str = "pert";
+    const SALT: u64 = 0x0007_0e57_ca75;
+    const PUBLISHES: bool = true;
+
+    fn probability(&self, qd: f64) -> f64 {
+        ResponseCurve::probability(self, qd)
+    }
+}
 
 /// Configuration of the PERT controller.
 #[derive(Clone, Copy, Debug)]
@@ -47,20 +82,6 @@ impl Default for PertParams {
         }
     }
 }
-
-impl PertParams {
-    fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.srtt_weight),
-            "srtt_weight must be in [0,1)"
-        );
-        assert!(
-            self.decrease_factor > 0.0 && self.decrease_factor < 1.0,
-            "decrease_factor must be in (0,1)"
-        );
-    }
-}
-
 /// Regime code: the sender is in congestion avoidance.
 pub const REGIME_CONG_AVOID: u8 = 0;
 /// Regime code: the sender is in slow start (`cwnd < ssthresh`).
@@ -113,16 +134,20 @@ pub struct PertStats {
     pub suppressed: u32,
 }
 
-/// The per-flow PERT state machine.
+/// The per-flow PERT state machine, generic over the emulated AQM's
+/// response [`Law`].
 ///
 /// One is carried by every PERT connection, so the "no value yet" states
 /// are sentinels rather than `Option`s: RTT samples are positive and
 /// finite, which leaves 0, +∞ and −∞ free.
 #[derive(Clone, Debug)]
-pub struct PertController {
-    params: PertParams,
-    /// `srtt_0.99` (history weight `params.srtt_weight`), seconds; 0
-    /// before the first sample.
+pub struct PertController<L: Law = ResponseCurve> {
+    pub(crate) law: L,
+    /// History weight of the `srtt_0.99` filter.
+    srtt_weight: f64,
+    /// Multiplicative decrease factor of an early response.
+    decrease_factor: f64,
+    /// `srtt_0.99`, seconds; 0 before the first sample.
     srtt: f64,
     /// Lifetime minimum RTT, seconds; +∞ before the first sample.
     min_rtt: f64,
@@ -149,9 +174,9 @@ pub struct PertController {
     /// Telemetry key: the construction seed.
     #[cfg(feature = "telemetry")]
     tap_key: u64,
-    /// Telemetry was on at construction: the controller publishes
-    /// `pert/srtt`, `pert/qdelay` and `pert/prob` on every decision.
-    /// `false` ⇒ zero-cost.
+    /// Telemetry was on at construction and the law publishes: the
+    /// controller publishes `pert/srtt`, `pert/qdelay` and `pert/prob` on
+    /// every decision. `false` ⇒ zero-cost.
     #[cfg(feature = "telemetry")]
     tapped: bool,
 }
@@ -160,33 +185,61 @@ impl PertController {
     /// Create a controller with `params`, drawing response coin flips from
     /// a deterministic RNG seeded with `seed`.
     pub fn new(params: PertParams, seed: u64) -> Self {
-        params.validate();
+        Self::with_law(
+            params.curve,
+            params.srtt_weight,
+            params.decrease_factor,
+            seed,
+        )
+    }
+}
+
+impl<L: Law> PertController<L> {
+    /// A controller responding by `law`, with the shared filter weight and
+    /// decrease factor.
+    pub(crate) fn with_law(law: L, srtt_weight: f64, decrease_factor: f64, seed: u64) -> Self {
+        assert!(
+            (0.0..1.0).contains(&srtt_weight),
+            "srtt_weight must be in [0,1)"
+        );
+        assert!(
+            decrease_factor > 0.0 && decrease_factor < 1.0,
+            "decrease_factor must be in (0,1)"
+        );
         PertController {
-            params,
+            law,
+            srtt_weight,
+            decrease_factor,
             srtt: 0.0,
             min_rtt: f64::INFINITY,
             hold_until: 0.0,
             pending_loss: f64::NEG_INFINITY,
-            rng: SmallRng::seed_from_u64(seed ^ 0x0007_0e57_ca75),
+            rng: SmallRng::seed_from_u64(seed ^ L::SALT),
             regime: REGIME_CONG_AVOID,
             stats: PertStats::default(),
             #[cfg(feature = "audit")]
-            shadow: audit::enabled().then(|| Box::new(PertReference::new(params.srtt_weight))),
+            shadow: audit::enabled().then(|| Box::new(PertReference::new(srtt_weight))),
             #[cfg(feature = "telemetry")]
             tap_key: seed,
             #[cfg(feature = "telemetry")]
-            tapped: telemetry::enabled(),
+            tapped: L::PUBLISHES && telemetry::enabled(),
         }
     }
 
-    /// Update the RTT filters without making a response decision. Use this
-    /// for samples that arrive while the sender is already reacting to
-    /// congestion (e.g. during loss recovery), so the `srtt_0.99` signal
-    /// never goes stale.
+    /// Update the RTT filters and the law without making a response
+    /// decision. Use this for samples that arrive while the sender is
+    /// already reacting to congestion (e.g. during loss recovery), so the
+    /// `srtt_0.99` signal never goes stale.
     pub fn observe(&mut self, rtt: f64) {
+        self.filter(rtt);
+    }
+
+    /// [`PertController::observe`], returning the new queuing-delay
+    /// estimate `srtt − min_rtt`.
+    fn filter(&mut self, rtt: f64) -> f64 {
         assert!(rtt > 0.0 && rtt.is_finite(), "invalid RTT sample {rtt}");
         self.stats.acks += 1;
-        let w = self.params.srtt_weight;
+        let w = self.srtt_weight;
         let srtt = match self.srtt() {
             None => rtt,
             Some(s) => w * s + (1.0 - w) * rtt,
@@ -220,13 +273,16 @@ impl PertController {
                 );
             }
         }
+        let qd = (srtt - self.min_rtt).max(0.0);
+        self.law.sample(qd);
+        qd
     }
 
     /// Feed the RTT sample from an arriving ACK at time `now` (seconds).
     /// Returns a decrease decision, at most once per RTT.
     pub fn on_ack(&mut self, now: f64, rtt: f64) -> Option<EarlyResponse> {
-        self.observe(rtt);
-        self.decide(now, self.srtt)
+        let qd = self.filter(rtt);
+        self.decide(now, qd, self.srtt)
     }
 
     /// Like [`PertController::on_ack`] but with an explicit hold window:
@@ -240,20 +296,17 @@ impl PertController {
         delay_signal: f64,
         hold: f64,
     ) -> Option<EarlyResponse> {
-        self.observe(delay_signal);
-        self.decide(now, hold)
+        let qd = self.filter(delay_signal);
+        self.decide(now, qd, hold)
     }
 
-    /// The response decision; `observe` has just run, so `srtt` and
-    /// `min_rtt` hold samples.
-    fn decide(&mut self, now: f64, hold: f64) -> Option<EarlyResponse> {
-        let srtt = self.srtt;
-        let qd = (srtt - self.min_rtt).max(0.0);
-        let p = self.params.curve.probability(qd);
+    /// The response decision at queuing delay `qd`; `filter` has just run.
+    fn decide(&mut self, now: f64, qd: f64, hold: f64) -> Option<EarlyResponse> {
+        let p = self.law.probability(qd);
         #[cfg(feature = "telemetry")]
         if self.tapped {
             let key = self.tap_key;
-            telemetry::record_id(SeriesId::PERT_SRTT, key, now, srtt);
+            telemetry::record_id(SeriesId::PERT_SRTT, key, now, self.srtt);
             telemetry::record_id(SeriesId::PERT_QDELAY, key, now, qd);
             telemetry::record_id(SeriesId::PERT_PROB, key, now, p);
         }
@@ -279,7 +332,7 @@ impl PertController {
             );
         }
         Some(EarlyResponse {
-            factor: self.params.decrease_factor,
+            factor: self.decrease_factor,
         })
     }
 
@@ -320,9 +373,10 @@ impl PertController {
         Some((self.srtt()? - self.min_rtt()?).max(0.0))
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &PertParams {
-        &self.params
+    /// The law's current response probability, at zero queuing delay
+    /// before the first sample.
+    pub fn probability(&self) -> f64 {
+        self.law.probability(self.queuing_delay().unwrap_or(0.0))
     }
 }
 

@@ -18,8 +18,7 @@
 //! queuing *delay* rather than queue *length*, the plant gain carries `C²`
 //! rather than RED's `C³` (§6, discussion after Theorem 2).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::pert::{Law, PertController};
 
 /// Configuration of the PERT/PI controller.
 #[derive(Clone, Copy, Debug)]
@@ -91,91 +90,54 @@ impl PertPiParams {
             "stability requires gamma > beta > 0"
         );
         assert!(self.target_delay >= 0.0);
-        assert!((0.0..1.0).contains(&self.srtt_weight));
-        assert!(self.decrease_factor > 0.0 && self.decrease_factor < 1.0);
     }
 }
 
-/// The per-flow PERT/PI state machine. Drive with [`PertPiController::on_ack`].
-#[derive(Clone, Debug)]
-pub struct PertPiController {
-    params: PertPiParams,
-    srtt: Option<f64>,
-    min_rtt: Option<f64>,
+/// The §6 response law: the probability is the state of a discretized PI
+/// controller on the queuing-delay error.
+#[derive(Clone, Copy, Debug)]
+pub struct PiLaw {
+    gamma: f64,
+    beta: f64,
+    target_delay: f64,
     /// Current response probability (the PI state).
     p: f64,
     /// Previous delay error.
     prev_err: f64,
-    hold_until: f64,
-    rng: SmallRng,
-    /// Early responses taken.
-    pub early_responses: u64,
 }
 
-impl PertPiController {
-    /// Create with `params`; coin flips derive from `seed`.
-    pub fn new(params: PertPiParams, seed: u64) -> Self {
-        params.validate();
-        PertPiController {
-            params,
-            srtt: None,
-            min_rtt: None,
-            p: 0.0,
-            prev_err: 0.0,
-            hold_until: 0.0,
-            rng: SmallRng::seed_from_u64(seed ^ 0x9121_77e5),
-            early_responses: 0,
-        }
-    }
+impl Law for PiLaw {
+    const NAME: &'static str = "pert-pi";
+    const SALT: u64 = 0x9121_77e5;
+    const PUBLISHES: bool = false;
 
-    /// Update the RTT filters and PI state without making a response
-    /// decision (used for samples arriving during loss recovery).
-    pub fn observe(&mut self, rtt: f64) {
-        assert!(rtt > 0.0 && rtt.is_finite(), "invalid RTT sample {rtt}");
-        let w = self.params.srtt_weight;
-        let srtt = match self.srtt {
-            None => rtt,
-            Some(s) => w * s + (1.0 - w) * rtt,
-        };
-        self.srtt = Some(srtt);
-        self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
-        let qd = (srtt - self.min_rtt.expect("set")).max(0.0);
-
-        // PI update on the delay error.
-        let err = qd - self.params.target_delay;
-        self.p =
-            (self.p + self.params.gamma * err - self.params.beta * self.prev_err).clamp(0.0, 1.0);
+    fn sample(&mut self, qd: f64) {
+        let err = qd - self.target_delay;
+        self.p = (self.p + self.gamma * err - self.beta * self.prev_err).clamp(0.0, 1.0);
         self.prev_err = err;
     }
 
-    /// Feed an RTT sample at `now` seconds; returns the decrease factor if
-    /// the sender should reduce its window (at most once per RTT).
-    pub fn on_ack(&mut self, now: f64, rtt: f64) -> Option<f64> {
-        self.observe(rtt);
-        if self.p <= 0.0 || self.rng.gen::<f64>() >= self.p {
-            return None;
-        }
-        if now < self.hold_until {
-            return None;
-        }
-        self.hold_until = now + self.srtt.unwrap_or(rtt);
-        self.early_responses += 1;
-        Some(self.params.decrease_factor)
-    }
-
-    /// Current response probability (PI state).
-    pub fn probability(&self) -> f64 {
+    fn probability(&self, _qd: f64) -> f64 {
         self.p
     }
+}
 
-    /// Current queuing-delay estimate, seconds.
-    pub fn queuing_delay(&self) -> Option<f64> {
-        Some((self.srtt? - self.min_rtt?).max(0.0))
-    }
+/// The per-flow PERT/PI state machine: the PERT controller with the PI
+/// law.
+pub type PertPiController = PertController<PiLaw>;
 
-    /// The configured parameters.
-    pub fn params(&self) -> &PertPiParams {
-        &self.params
+impl PertController<PiLaw> {
+    /// Create with `params`; coin flips derive from `seed`.
+    pub fn pi(params: PertPiParams, seed: u64) -> Self {
+        params.validate();
+        let law = PiLaw {
+            gamma: params.gamma,
+            beta: params.beta,
+            target_delay: params.target_delay,
+            p: 0.0,
+            prev_err: 0.0,
+        };
+        Self::with_law(law, params.srtt_weight, params.decrease_factor, seed)
     }
 }
 
@@ -190,7 +152,7 @@ mod tests {
 
     #[test]
     fn probability_integrates_up_under_excess_delay() {
-        let mut c = PertPiController::new(params(), 1);
+        let mut c = PertController::pi(params(), 1);
         c.on_ack(0.0, 0.060);
         for i in 1..5_000 {
             c.on_ack(i as f64 * 0.001, 0.080); // 20 ms queuing delay ≫ 3 ms
@@ -200,7 +162,7 @@ mod tests {
 
     #[test]
     fn probability_unwinds_below_target() {
-        let mut c = PertPiController::new(params(), 1);
+        let mut c = PertController::pi(params(), 1);
         c.on_ack(0.0, 0.060);
         for i in 1..5_000 {
             c.on_ack(i as f64 * 0.001, 0.090);
@@ -216,7 +178,7 @@ mod tests {
 
     #[test]
     fn probability_stays_clamped() {
-        let mut c = PertPiController::new(params(), 1);
+        let mut c = PertController::pi(params(), 1);
         for i in 0..100_000 {
             c.on_ack(i as f64 * 0.0001, if i == 0 { 0.010 } else { 1.0 });
             let p = c.probability();
@@ -226,7 +188,7 @@ mod tests {
 
     #[test]
     fn once_per_rtt_limit_holds() {
-        let mut c = PertPiController::new(params(), 5);
+        let mut c = PertController::pi(params(), 5);
         c.on_ack(0.0, 0.050);
         let mut last: Option<f64> = None;
         let mut now = 0.0;
@@ -239,7 +201,7 @@ mod tests {
                 last = Some(now);
             }
         }
-        assert!(c.early_responses > 0);
+        assert!(c.stats.early_responses > 0);
     }
 
     #[test]
@@ -253,5 +215,48 @@ mod tests {
     #[should_panic(expected = "need a > b > 0")]
     fn from_router_rejects_bad_coeffs() {
         let _ = PertPiParams::from_router_pi(1.0e-5, 2.0e-5, 1000.0, 0.003);
+    }
+
+    /// FNV-1a over the little-endian bytes of one word.
+    fn fnv(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The controller's observable behaviour over a fixed RTT stream
+    /// (base, mid-ramp, saturated, drain; `observe` every 17th ACK),
+    /// pinned as a literal so that no change to how the PI law or the
+    /// shared filters are stored can move a result. Every response's ACK
+    /// index and factor, and `probability()` and `queuing_delay()` after
+    /// every ACK, enter the hash.
+    #[test]
+    fn behaviour_fingerprint_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut c = PertController::pi(params(), 2024);
+        let mut now = 0.0;
+        for i in 0..50_000u64 {
+            now += 0.0005;
+            let rtt = match i {
+                0..2_000 => 0.060 + 0.002 * ((i % 10) as f64 / 10.0),
+                2_000..30_000 => 0.064 + 0.004 * ((i % 13) as f64 / 13.0),
+                30_000..40_000 => 0.200,
+                _ => 0.061,
+            };
+            if let Some(r) = c.on_ack(now, rtt) {
+                fnv(&mut h, i);
+                fnv(&mut h, r.factor.to_bits());
+            }
+            if i % 17 == 0 {
+                c.observe(rtt);
+            }
+            fnv(&mut h, c.probability().to_bits());
+            fnv(&mut h, c.queuing_delay().map_or(u64::MAX, f64::to_bits));
+        }
+        assert_eq!(
+            h, 0x5dd7_d522_9ca1_8282,
+            "PERT/PI controller behaviour changed"
+        );
     }
 }

@@ -100,11 +100,6 @@ impl RedReference {
     pub fn avg(&self) -> f64 {
         self.avg
     }
-
-    /// Whether the reference believes the queue is idle.
-    pub fn is_idle(&self) -> bool {
-        self.idle_since_ns.is_some()
-    }
 }
 
 /// Straight-line PI controller (Hollot et al., INFOCOM 2001, eq. for the

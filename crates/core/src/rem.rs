@@ -21,8 +21,7 @@
 //! p     = 1 − φ^(−price)
 //! ```
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::pert::{Law, PertController};
 
 /// Configuration of the PERT/REM controller.
 #[derive(Clone, Copy, Debug)]
@@ -62,94 +61,61 @@ impl PertRemParams {
         assert!(self.alpha_w > 0.0, "alpha must be positive");
         assert!(self.phi > 1.0, "phi must exceed 1");
         assert!(self.target_delay >= 0.0);
-        assert!((0.0..1.0).contains(&self.srtt_weight));
-        assert!(self.decrease_factor > 0.0 && self.decrease_factor < 1.0);
     }
 }
 
-/// The per-flow PERT/REM state machine; drive with
-/// [`PertRemController::on_ack`] like its RED- and PI-emulating siblings.
-#[derive(Clone, Debug)]
-pub struct PertRemController {
-    params: PertRemParams,
-    srtt: Option<f64>,
-    min_rtt: Option<f64>,
+/// The §8 response law: REM's price, driven by the queuing-delay backlog
+/// and its change, marks with probability `1 − φ^(−price)`.
+#[derive(Clone, Copy, Debug)]
+pub struct RemLaw {
+    gamma: f64,
+    alpha_w: f64,
+    phi: f64,
+    target_delay: f64,
     price: f64,
     prev_qd: f64,
-    hold_until: f64,
-    rng: SmallRng,
-    /// Early responses taken.
-    pub early_responses: u64,
 }
 
-impl PertRemController {
-    /// Create with `params`; coin flips derive from `seed`.
-    pub fn new(params: PertRemParams, seed: u64) -> Self {
-        params.validate();
-        PertRemController {
-            params,
-            srtt: None,
-            min_rtt: None,
-            price: 0.0,
-            prev_qd: 0.0,
-            hold_until: 0.0,
-            rng: SmallRng::seed_from_u64(seed ^ 0x4e4d_7031),
-            early_responses: 0,
-        }
-    }
+impl Law for RemLaw {
+    const NAME: &'static str = "pert-rem";
+    const SALT: u64 = 0x4e4d_7031;
+    const PUBLISHES: bool = false;
 
-    /// Update the filters and price without a response decision.
-    pub fn observe(&mut self, rtt: f64) {
-        assert!(rtt > 0.0 && rtt.is_finite(), "invalid RTT sample {rtt}");
-        let w = self.params.srtt_weight;
-        let srtt = match self.srtt {
-            None => rtt,
-            Some(s) => w * s + (1.0 - w) * rtt,
-        };
-        self.srtt = Some(srtt);
-        self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
-        let qd = (srtt - self.min_rtt.expect("set")).max(0.0);
-        let backlog = qd - self.params.target_delay;
+    fn sample(&mut self, qd: f64) {
+        let backlog = qd - self.target_delay;
         let mismatch = qd - self.prev_qd;
-        self.price =
-            (self.price + self.params.gamma * (self.params.alpha_w * backlog + mismatch)).max(0.0);
+        self.price = (self.price + self.gamma * (self.alpha_w * backlog + mismatch)).max(0.0);
         self.prev_qd = qd;
     }
 
-    /// Feed an RTT sample at `now` seconds; returns the decrease factor if
-    /// the sender should reduce its window (at most once per RTT).
-    pub fn on_ack(&mut self, now: f64, rtt: f64) -> Option<f64> {
-        self.observe(rtt);
-        let p = self.probability();
-        if p <= 0.0 || self.rng.gen::<f64>() >= p {
-            return None;
-        }
-        if now < self.hold_until {
-            return None;
-        }
-        self.hold_until = now + self.srtt.unwrap_or(rtt);
-        self.early_responses += 1;
-        Some(self.params.decrease_factor)
-    }
-
     /// REM's exponential marking law `1 − φ^(−price)`.
-    pub fn probability(&self) -> f64 {
-        1.0 - self.params.phi.powf(-self.price)
+    fn probability(&self, _qd: f64) -> f64 {
+        1.0 - self.phi.powf(-self.price)
+    }
+}
+
+/// The per-flow PERT/REM state machine: the PERT controller with the REM
+/// law.
+pub type PertRemController = PertController<RemLaw>;
+
+impl PertController<RemLaw> {
+    /// Create with `params`; coin flips derive from `seed`.
+    pub fn rem(params: PertRemParams, seed: u64) -> Self {
+        params.validate();
+        let law = RemLaw {
+            gamma: params.gamma,
+            alpha_w: params.alpha_w,
+            phi: params.phi,
+            target_delay: params.target_delay,
+            price: 0.0,
+            prev_qd: 0.0,
+        };
+        Self::with_law(law, params.srtt_weight, params.decrease_factor, seed)
     }
 
     /// The current price.
     pub fn price(&self) -> f64 {
-        self.price
-    }
-
-    /// Current queuing-delay estimate, seconds.
-    pub fn queuing_delay(&self) -> Option<f64> {
-        Some((self.srtt? - self.min_rtt?).max(0.0))
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &PertRemParams {
-        &self.params
+        self.law.price
     }
 }
 
@@ -159,7 +125,7 @@ mod tests {
 
     #[test]
     fn price_rises_under_excess_delay_and_decays_below_target() {
-        let mut c = PertRemController::new(PertRemParams::default(), 1);
+        let mut c = PertController::rem(PertRemParams::default(), 1);
         c.on_ack(0.0, 0.060);
         for i in 1..5_000 {
             c.on_ack(i as f64 * 0.001, 0.090); // 30 ms ≫ 5 ms target
@@ -176,24 +142,24 @@ mod tests {
 
     #[test]
     fn probability_is_rem_law() {
-        let mut c = PertRemController::new(
+        let mut c = PertController::rem(
             PertRemParams {
                 phi: 2.0,
                 ..Default::default()
             },
             1,
         );
-        c.price = 1.0;
+        c.law.price = 1.0;
         assert!((c.probability() - 0.5).abs() < 1e-12);
-        c.price = 0.0;
+        c.law.price = 0.0;
         assert_eq!(c.probability(), 0.0);
-        c.price = 10.0;
+        c.law.price = 10.0;
         assert!(c.probability() > 0.999);
     }
 
     #[test]
     fn price_never_negative_probability_in_unit_interval() {
-        let mut c = PertRemController::new(PertRemParams::default(), 3);
+        let mut c = PertController::rem(PertRemParams::default(), 3);
         for i in 0..50_000 {
             let rtt = if i % 100 < 50 { 0.060 } else { 0.030 };
             c.on_ack(i as f64 * 0.001, rtt);
@@ -205,7 +171,7 @@ mod tests {
 
     #[test]
     fn responds_once_per_rtt_at_most() {
-        let mut c = PertRemController::new(PertRemParams::default(), 5);
+        let mut c = PertController::rem(PertRemParams::default(), 5);
         c.on_ack(0.0, 0.050);
         let mut last: Option<f64> = None;
         let mut now = 0.0;
@@ -218,18 +184,62 @@ mod tests {
                 last = Some(now);
             }
         }
-        assert!(c.early_responses > 0);
+        assert!(c.stats.early_responses > 0);
     }
 
     #[test]
     #[should_panic(expected = "phi must exceed 1")]
     fn rejects_bad_phi() {
-        let _ = PertRemController::new(
+        let _ = PertController::rem(
             PertRemParams {
                 phi: 0.9,
                 ..Default::default()
             },
             0,
+        );
+    }
+
+    /// FNV-1a over the little-endian bytes of one word.
+    fn fnv(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// The controller's observable behaviour over a fixed RTT stream
+    /// (base, mid-ramp, saturated, drain; `observe` every 17th ACK),
+    /// pinned as a literal so that no change to how the REM law or the
+    /// shared filters are stored can move a result. Every response's ACK
+    /// index and factor, and `probability()`, `queuing_delay()` and
+    /// `price()` after every ACK, enter the hash.
+    #[test]
+    fn behaviour_fingerprint_is_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut c = PertController::rem(PertRemParams::default(), 2024);
+        let mut now = 0.0;
+        for i in 0..50_000u64 {
+            now += 0.0005;
+            let rtt = match i {
+                0..2_000 => 0.060 + 0.002 * ((i % 10) as f64 / 10.0),
+                2_000..30_000 => 0.064 + 0.004 * ((i % 13) as f64 / 13.0),
+                30_000..40_000 => 0.200,
+                _ => 0.061,
+            };
+            if let Some(r) = c.on_ack(now, rtt) {
+                fnv(&mut h, i);
+                fnv(&mut h, r.factor.to_bits());
+            }
+            if i % 17 == 0 {
+                c.observe(rtt);
+            }
+            fnv(&mut h, c.probability().to_bits());
+            fnv(&mut h, c.queuing_delay().map_or(u64::MAX, f64::to_bits));
+            fnv(&mut h, c.price().to_bits());
+        }
+        assert_eq!(
+            h, 0x5383_532e_5a9f_a261,
+            "PERT/REM controller behaviour changed"
         );
     }
 }

@@ -3,7 +3,7 @@
 use pert_core::buffer::{bdp_packets, max_decrease_for_buffer, min_buffer_for_decrease};
 use pert_core::estimators::{Ewma, MovingAverage};
 use pert_core::pert::{PertController, PertParams};
-use pert_core::pi::{PertPiController, PertPiParams};
+use pert_core::pi::PertPiParams;
 use pert_core::response::ResponseCurve;
 use proptest::prelude::*;
 
@@ -113,7 +113,7 @@ proptest! {
         rtts in proptest::collection::vec(0.001f64..2.0, 2..300),
     ) {
         let params = PertPiParams::from_router_pi(1.822e-5, 1.816e-5, 10_000.0, 0.003);
-        let mut c = PertPiController::new(params, 3);
+        let mut c = PertController::pi(params, 3);
         let mut now = 0.0;
         for rtt in rtts {
             now += 0.001;

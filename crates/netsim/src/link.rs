@@ -12,10 +12,10 @@
 //! would pop, find the queue empty and do nothing. So a transmission only
 //! *reserves* its departure's calendar key ([`EventQueue::reserve`]) and
 //! notes when the link falls free; the event enters the calendar
-//! ([`Link::arm`]) when a packet actually queues up behind the one in
+//! (`Link::arm`) when a packet actually queues up behind the one in
 //! service. A packet offered to a link whose departure was never armed
 //! decides for itself whether that departure would already have fired
-//! ([`Link::idle_for`]) — by the full pop order, not by time alone, so the
+//! (`Link::idle_for`) — by the full pop order, not by time alone, so the
 //! events that do fire are exactly those of an always-scheduled departure
 //! with the no-ops deleted.
 //!

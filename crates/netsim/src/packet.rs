@@ -212,10 +212,10 @@ impl Packet {
     ///
     /// Each field is hashed as its eight little-endian bytes. XOR with a
     /// zero byte changes nothing, so a word's zero high bytes are each a
-    /// bare multiply by the prime: [`fnv_word`] hashes only the
+    /// bare multiply by the prime: `fnv_word` hashes only the
     /// significant low bytes and folds the rest into one multiply by a
     /// power of the prime. A run of absent SACK blocks takes one table
-    /// step ([`fnv_absent`]). Both give the byte-at-a-time value, bit for
+    /// step (`fnv_absent`). Both give the byte-at-a-time value, bit for
     /// bit.
     pub fn order_tie(&self) -> u64 {
         let mut h = FNV_OFFSET;

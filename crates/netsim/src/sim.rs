@@ -367,13 +367,6 @@ impl Simulator {
         self.seed
     }
 
-    /// Install an additional audit hook. Hooks see links added after this
-    /// call; links that already exist are adopted at their next operation.
-    #[cfg(feature = "audit")]
-    pub fn add_audit_hook(&mut self, hook: Box<dyn AuditHook>) {
-        self.audit_hooks.push(hook);
-    }
-
     #[cfg(feature = "audit")]
     #[inline]
     fn audit_ctx(&self) -> AuditCtx {
@@ -646,16 +639,6 @@ impl Simulator {
             a.as_deref()?
                 .as_any()
                 .downcast_ref::<T>()
-                .map(|t| (AgentId(i), t))
-        })
-    }
-
-    /// Mutable counterpart of [`Simulator::find_agent_by`].
-    pub fn find_agent_by_mut<T: 'static>(&mut self) -> Option<(AgentId, &mut T)> {
-        self.agents.iter_mut().enumerate().find_map(|(i, a)| {
-            a.as_deref_mut()?
-                .as_any_mut()
-                .downcast_mut::<T>()
                 .map(|t| (AgentId(i), t))
         })
     }

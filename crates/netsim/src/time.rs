@@ -126,7 +126,7 @@ impl SimTime {
     /// `earlier` being actually *later* is a causality bug: with the
     /// audit layer enabled it is reported as an audit violation (counted,
     /// panicking); debug builds without it assert; release builds without
-    /// it saturate to zero (see [`underflow`]).
+    /// it saturate to zero (see `underflow`).
     #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         if self.0 < earlier.0 {

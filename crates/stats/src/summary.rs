@@ -50,11 +50,6 @@ impl Summary {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
     /// Smallest sample.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)

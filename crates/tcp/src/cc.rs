@@ -8,22 +8,21 @@
 //! * [`Reno`] — AIMD with slow start; the window-growth core of the
 //!   paper's SACK baseline,
 //! * [`Vegas`] — Brakmo & Peterson's delay-based additive adjustment,
-//! * [`PertCc`] — PERT: Reno growth plus the probabilistic early response
-//!   of [`pert_core::PertController`],
-//! * [`PertPiCc`] — PERT/PI: Reno growth plus the PI-emulating controller
-//!   of [`pert_core::PertPiController`],
-//! * [`PertRemCc`] — PERT/REM: Reno growth plus the REM-emulating
-//!   controller of [`pert_core::PertRemController`] (the paper's §8
-//!   "other AQM schemes" generalization).
+//! * [`PertCc`] — Reno growth plus the probabilistic early response of
+//!   [`pert_core::PertController`], under any of its response laws:
+//!   gentle RED (PERT, on the RTT or, for `pert-owd`, the one-way delay),
+//!   PI (PERT/PI, §6) or REM (PERT/REM, the paper's §8 "other AQM
+//!   schemes" generalization).
 //!
 //! A connection holds its algorithm in the closed enum `Cc`, inline in the
 //! flow's cold state; [`crate::Cubic`] and [`crate::Bbr`] complete the zoo.
 
 use std::ops::{Deref, DerefMut};
 
-use pert_core::pert::{PertController, PertParams};
-use pert_core::pi::{PertPiController, PertPiParams};
-use pert_core::rem::{PertRemController, PertRemParams};
+use pert_core::pert::{Law, PertController, PertParams};
+use pert_core::pi::PiLaw;
+use pert_core::rem::RemLaw;
+use pert_core::ResponseCurve;
 
 use crate::bbr::Bbr;
 use crate::cubic::Cubic;
@@ -287,33 +286,37 @@ pub enum DelaySignal {
     OneWayDelay,
 }
 
-/// PERT: Reno growth plus the paper's probabilistic early response
-/// (emulated gentle RED on the `srtt_0.99` queuing-delay estimate).
+/// PERT: Reno growth plus the early response of a [`PertController`], for
+/// any of its response laws: gentle RED (`PertCc`, the paper's PERT),
+/// PI (`PertCc<PiLaw>`, PERT/PI) or REM (`PertCc<RemLaw>`, PERT/REM).
 #[derive(Debug)]
-pub struct PertCc {
-    ctl: PertController,
+pub struct PertCc<L: Law = ResponseCurve> {
+    ctl: PertController<L>,
     signal: DelaySignal,
 }
 
 impl PertCc {
     /// PERT with the paper's default parameters (RTT signal).
     pub fn new(seed: u64) -> Self {
-        Self::with_params(PertParams::default(), seed)
+        Self::around(PertController::new(PertParams::default(), seed))
     }
 
-    /// PERT with custom parameters (for the ablation experiments).
-    pub fn with_params(params: PertParams, seed: u64) -> Self {
-        PertCc {
-            ctl: PertController::new(params, seed),
-            signal: DelaySignal::Rtt,
-        }
-    }
-
-    /// PERT driven by forward one-way delay (§7's reverse-traffic remedy).
+    /// PERT driven by `signal`: the forward one-way delay is §7's
+    /// reverse-traffic remedy.
     pub fn with_signal(params: PertParams, signal: DelaySignal, seed: u64) -> Self {
         PertCc {
             ctl: PertController::new(params, seed),
             signal,
+        }
+    }
+}
+
+impl<L: Law> PertCc<L> {
+    /// Reno growth around `ctl`, driven by the RTT.
+    pub fn around(ctl: PertController<L>) -> Self {
+        PertCc {
+            ctl,
+            signal: DelaySignal::Rtt,
         }
     }
 
@@ -321,17 +324,12 @@ impl PertCc {
     pub fn signal(&self) -> DelaySignal {
         self.signal
     }
-
-    /// Access the underlying controller (for post-run inspection).
-    pub fn controller(&self) -> &PertController {
-        &self.ctl
-    }
 }
 
-impl CcAlgorithm for PertCc {
+impl<L: Law + Send> CcAlgorithm for PertCc<L> {
     fn name(&self) -> &'static str {
         match self.signal {
-            DelaySignal::Rtt => "pert",
+            DelaySignal::Rtt => L::NAME,
             DelaySignal::OneWayDelay => "pert-owd",
         }
     }
@@ -373,103 +371,17 @@ impl CcAlgorithm for PertCc {
     }
 }
 
-/// PERT/PI: Reno growth plus the §6 PI-emulating controller.
-#[derive(Debug)]
-pub struct PertPiCc {
-    ctl: PertPiController,
-}
-
-impl PertPiCc {
-    /// Create with explicit PI parameters.
-    pub fn new(params: PertPiParams, seed: u64) -> Self {
-        PertPiCc {
-            ctl: PertPiController::new(params, seed),
-        }
-    }
-
-    /// Access the underlying controller.
-    pub fn controller(&self) -> &PertPiController {
-        &self.ctl
-    }
-}
-
-impl CcAlgorithm for PertPiCc {
-    fn name(&self) -> &'static str {
-        "pert-pi"
-    }
-
-    fn on_ack(&mut self, ctx: &mut CcContext<'_>) -> CcAction {
-        ctx.reno_increase();
-        match self.ctl.on_ack(ctx.now, ctx.rtt) {
-            Some(factor) => CcAction::EarlyReduce { factor },
-            None => CcAction::None,
-        }
-    }
-
-    fn on_rtt_sample(&mut self, _now: f64, rtt: f64, _owd: f64) {
-        self.ctl.observe(rtt);
-    }
-
-    fn early_reductions(&self) -> u64 {
-        self.ctl.early_responses
-    }
-}
-
-/// PERT/REM: Reno growth plus the REM-emulating controller (price +
-/// exponential marking), demonstrating the paper's closing generality
-/// claim.
-#[derive(Debug)]
-pub struct PertRemCc {
-    ctl: PertRemController,
-}
-
-impl PertRemCc {
-    /// Create with explicit REM parameters.
-    pub fn new(params: PertRemParams, seed: u64) -> Self {
-        PertRemCc {
-            ctl: PertRemController::new(params, seed),
-        }
-    }
-
-    /// Access the underlying controller.
-    pub fn controller(&self) -> &PertRemController {
-        &self.ctl
-    }
-}
-
-impl CcAlgorithm for PertRemCc {
-    fn name(&self) -> &'static str {
-        "pert-rem"
-    }
-
-    fn on_ack(&mut self, ctx: &mut CcContext<'_>) -> CcAction {
-        ctx.reno_increase();
-        match self.ctl.on_ack(ctx.now, ctx.rtt) {
-            Some(factor) => CcAction::EarlyReduce { factor },
-            None => CcAction::None,
-        }
-    }
-
-    fn on_rtt_sample(&mut self, _now: f64, rtt: f64, _owd: f64) {
-        self.ctl.observe(rtt);
-    }
-
-    fn early_reductions(&self) -> u64 {
-        self.ctl.early_responses
-    }
-}
-
 /// A connection's congestion control, one variant per scheme of the zoo.
 /// Every connection carries one inline, so a variant is never larger than
-/// the PERT controllers it sits beside: CUBIC and BBR are larger still and
-/// stay boxed, and a PERT row does not pay for them. The sender reaches
-/// the algorithm through [`CcAlgorithm`] by dereference.
+/// the PERT controller it sits beside: the PI and REM laws, CUBIC and BBR
+/// are larger and stay boxed, and a PERT row does not pay for them. The
+/// sender reaches the algorithm through [`CcAlgorithm`] by dereference.
 pub(crate) enum Cc {
     Reno(Reno),
     Vegas(Vegas),
     Pert(PertCc),
-    PertPi(PertPiCc),
-    PertRem(PertRemCc),
+    PertPi(Box<PertCc<PiLaw>>),
+    PertRem(Box<PertCc<RemLaw>>),
     Cubic(Box<Cubic>),
     Bbr(Box<Bbr>),
 }
@@ -482,8 +394,8 @@ impl Deref for Cc {
             Cc::Reno(a) => a,
             Cc::Vegas(a) => a,
             Cc::Pert(a) => a,
-            Cc::PertPi(a) => a,
-            Cc::PertRem(a) => a,
+            Cc::PertPi(a) => a.as_ref(),
+            Cc::PertRem(a) => a.as_ref(),
             Cc::Cubic(a) => a.as_ref(),
             Cc::Bbr(a) => a.as_ref(),
         }
@@ -496,8 +408,8 @@ impl DerefMut for Cc {
             Cc::Reno(a) => a,
             Cc::Vegas(a) => a,
             Cc::Pert(a) => a,
-            Cc::PertPi(a) => a,
-            Cc::PertRem(a) => a,
+            Cc::PertPi(a) => a.as_mut(),
+            Cc::PertRem(a) => a.as_mut(),
             Cc::Cubic(a) => a.as_mut(),
             Cc::Bbr(a) => a.as_mut(),
         }
@@ -767,21 +679,123 @@ mod tests {
         assert_eq!(ssthresh, 2.0);
     }
 
+    /// PERT/PI and PERT/REM around a law that saturates under a 240 ms
+    /// queuing delay.
+    fn pi_and_rem() -> [Box<dyn CcAlgorithm>; 2] {
+        use pert_core::pi::PertPiParams;
+        use pert_core::rem::PertRemParams;
+        let pi = PertPiParams::from_router_pi(1.822e-5, 1.816e-5, 12_500.0, 0.003);
+        let rem = PertRemParams {
+            phi: 2.0,
+            ..Default::default()
+        };
+        [
+            Box::new(PertCc::around(PertController::pi(pi, 5))),
+            Box::new(PertCc::around(PertController::rem(rem, 5))),
+        ]
+    }
+
+    /// One ACK of one segment; true if it triggers an early reduction.
+    fn reduces(cc: &mut dyn CcAlgorithm, now: f64, rtt: f64) -> bool {
+        let (mut cwnd, mut ssthresh) = (100.0, 50.0);
+        let mut ctx = CcContext {
+            now,
+            rtt,
+            owd: rtt / 2.0,
+            newly_acked: 1,
+            in_flight: 0,
+            cwnd: &mut cwnd,
+            ssthresh: &mut ssthresh,
+        };
+        matches!(cc.on_ack(&mut ctx), CcAction::EarlyReduce { .. })
+    }
+
+    #[test]
+    fn pi_and_rem_hold_early_responses_for_one_rtt_after_a_loss() {
+        for mut cc in pi_and_rem() {
+            let cc = cc.as_mut();
+            let mut now = 0.0;
+            reduces(cc, now, 0.060);
+            for _ in 0..20_000 {
+                now += 0.001;
+                reduces(cc, now, 0.300);
+            }
+            // srtt has converged to 300 ms. A loss half-way through the
+            // hold of an early response pushes the next one a full RTT
+            // past the loss.
+            while !reduces(cc, now, 0.300) {
+                now += 0.001;
+            }
+            let loss = now + 0.150;
+            while now < loss {
+                now += 0.001;
+                assert!(
+                    !reduces(cc, now, 0.300),
+                    "{}: response in its own hold",
+                    cc.name()
+                );
+            }
+            cc.on_congestion(loss);
+            while !reduces(cc, now, 0.300) {
+                now += 0.001;
+            }
+            assert!(
+                now >= loss + 0.299,
+                "{}: early response {} s after a loss",
+                cc.name(),
+                now - loss
+            );
+            assert!(
+                now < loss + 0.31,
+                "{}: saturated law never responded",
+                cc.name()
+            );
+        }
+    }
+
+    #[test]
+    fn pi_and_rem_hold_a_loss_before_the_first_sample_for_one_rtt() {
+        for mut cc in pi_and_rem() {
+            let cc = cc.as_mut();
+            cc.on_congestion(0.0);
+            // The first sample (500 ms) sizes the hold; then a 50 ms floor
+            // puts the queuing-delay estimate far above either target.
+            assert!(!reduces(cc, 0.001, 0.500));
+            assert!(!reduces(cc, 0.002, 0.050));
+            let mut now = 0.002;
+            let first = loop {
+                now += 0.001;
+                if reduces(cc, now, 0.300) {
+                    break now;
+                }
+                assert!(now < 1.0, "{}: never responded", cc.name());
+            };
+            assert!(
+                first >= 0.5 - 1e-9,
+                "{}: early response at {first}, inside the first-RTT hold",
+                cc.name()
+            );
+        }
+    }
+
     #[test]
     fn names_are_distinct() {
+        use pert_core::pi::PertPiParams;
+        use pert_core::rem::PertRemParams;
         use std::collections::HashSet;
+        let pi = PertPiParams::from_router_pi(1.822e-5, 1.816e-5, 1000.0, 0.003);
         let names: HashSet<&str> = [
             Reno::new().name(),
             Vegas::new().name(),
             PertCc::new(0).name(),
-            PertPiCc::new(
-                pert_core::pi::PertPiParams::from_router_pi(1.822e-5, 1.816e-5, 1000.0, 0.003),
-                0,
-            )
-            .name(),
+            PertCc::with_signal(PertParams::default(), DelaySignal::OneWayDelay, 0).name(),
+            PertCc::around(PertController::pi(pi, 0)).name(),
+            PertCc::around(PertController::rem(PertRemParams::default(), 0)).name(),
+            Cubic::new(0).name(),
+            Bbr::new(0).name(),
         ]
         .into_iter()
         .collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 8);
     }
 }

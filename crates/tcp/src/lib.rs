@@ -3,12 +3,16 @@
 //! A SACK-capable TCP sender/sink pair with pluggable congestion control,
 //! covering every transport the PERT paper evaluates:
 //!
-//! | paper scheme     | construction                                     |
-//! |------------------|--------------------------------------------------|
-//! | SACK (DropTail or RED-ECN routers) | [`cc::Reno`] (+ `ecn: true`)   |
-//! | TCP Vegas        | [`cc::Vegas`]                                    |
-//! | PERT             | [`cc::PertCc`] (gentle-RED emulation, §3)        |
-//! | PERT/PI          | [`cc::PertPiCc`] (PI emulation, §6)              |
+//! | scheme (`CcKind`) | construction                                   |
+//! |-------------------|------------------------------------------------|
+//! | `Sack`            | [`cc::Reno`] (+ `ecn: true` for RED/PI/REM-ECN routers) |
+//! | `Vegas`           | [`cc::Vegas`]                                  |
+//! | `Pert`            | [`cc::PertCc`] (gentle-RED emulation, §3)      |
+//! | `PertOwd`         | [`cc::PertCc`] on the one-way delay (§7)       |
+//! | `PertPi`          | [`cc::PertCc`] with [`pert_core::PiLaw`] (PI emulation, §6) |
+//! | `PertRem`         | [`cc::PertCc`] with [`pert_core::RemLaw`] (REM emulation, §8) |
+//! | `Cubic`           | [`Cubic`] (RFC 9438, HyStart++, PRR)           |
+//! | `Bbr`             | [`Bbr`] (BBRv1-style, paced)                   |
 //!
 //! The sender implements slow start, congestion avoidance, FACK-style loss
 //! detection over a SACK scoreboard, fast retransmit/recovery, RTO with
@@ -50,9 +54,7 @@ pub mod slab;
 pub mod source;
 
 pub use bbr::Bbr;
-pub use cc::{
-    CcAction, CcAlgorithm, CcContext, DelaySignal, PertCc, PertPiCc, PertRemCc, Reno, Vegas,
-};
+pub use cc::{CcAction, CcAlgorithm, CcContext, DelaySignal, PertCc, Reno, Vegas};
 pub use cubic::Cubic;
 pub use intervals::IntervalSet;
 pub use scoreboard::{Scoreboard, SegState};
@@ -63,7 +65,7 @@ pub use source::{Finite, FnSource, Greedy, Source, Transfer};
 
 use cc::Cc;
 use netsim::{AgentId, FlowId, NodeId, Simulator, TimerToken};
-use pert_core::pert::PertParams;
+use pert_core::pert::{PertController, PertParams};
 use pert_core::pi::PertPiParams;
 use pert_core::predictors::AckSample;
 use pert_core::rem::PertRemParams;
@@ -96,10 +98,12 @@ impl CcKind {
         match self {
             CcKind::Sack => Cc::Reno(Reno::new()),
             CcKind::Vegas => Cc::Vegas(Vegas::new()),
-            CcKind::Pert(p) => Cc::Pert(PertCc::with_params(*p, seed)),
+            CcKind::Pert(p) => Cc::Pert(PertCc::around(PertController::new(*p, seed))),
             CcKind::PertOwd(p) => Cc::Pert(PertCc::with_signal(*p, DelaySignal::OneWayDelay, seed)),
-            CcKind::PertPi(p) => Cc::PertPi(PertPiCc::new(*p, seed)),
-            CcKind::PertRem(p) => Cc::PertRem(PertRemCc::new(*p, seed)),
+            CcKind::PertPi(p) => Cc::PertPi(Box::new(PertCc::around(PertController::pi(*p, seed)))),
+            CcKind::PertRem(p) => {
+                Cc::PertRem(Box::new(PertCc::around(PertController::rem(*p, seed))))
+            }
             CcKind::Cubic => Cc::Cubic(Box::new(Cubic::new(seed))),
             CcKind::Bbr => Cc::Bbr(Box::new(Bbr::new(seed))),
         }
@@ -165,11 +169,6 @@ impl ConnectionSpec {
     /// A PERT connection with the paper's default parameters.
     pub fn pert(flow: FlowId, src: NodeId, dst: NodeId, seed: u64) -> Self {
         Self::new(flow, src, dst, CcKind::Pert(PertParams::default()), seed)
-    }
-
-    /// A PERT/PI connection.
-    pub fn pert_pi(flow: FlowId, src: NodeId, dst: NodeId, p: PertPiParams, seed: u64) -> Self {
-        Self::new(flow, src, dst, CcKind::PertPi(p), seed)
     }
 
     /// A CUBIC connection.
@@ -289,11 +288,6 @@ pub fn sender_cc<'a>(sim: &'a Simulator, conn: &Connection) -> &'a dyn CcAlgorit
 /// Current congestion window of `conn`, segments.
 pub fn sender_cwnd(sim: &Simulator, conn: &Connection) -> f64 {
     sim.agent::<FlowSlab>(conn.sender).cwnd_of(conn.flow)
-}
-
-/// Current smoothed RTT estimate of `conn`, seconds.
-pub fn sender_srtt(sim: &Simulator, conn: &Connection) -> Option<f64> {
-    sim.agent::<FlowSlab>(conn.sender).srtt_of(conn.flow)
 }
 
 /// Receiver statistics of `conn`.

@@ -10,7 +10,7 @@
 //!
 //! The outstanding window is always the contiguous range
 //! `[high_ack, next_seq)`, so the states live in a flat ring offset by the
-//! lowest outstanding sequence, one byte per segment: [`INLINE`] of them
+//! lowest outstanding sequence, one byte per segment: `INLINE` of them
 //! inside the struct (a short transfer never touches the heap), then a
 //! doubling heap ring kept across transfers. `in_flight()` and
 //! `first_lost()` are O(1) (counters and a forward cursor), and the FACK

@@ -12,16 +12,16 @@
 //! Flow state is split by access pattern so the struct-of-arrays
 //! [`FlowSlab`](crate::FlowSlab) can keep the hot part in columns:
 //!
-//! * [`Wnd`], [`RttState`], [`AppState`] — small `Copy` structs touched on
+//! * `Wnd`, `RttState`, `AppState` — small `Copy` structs touched on
 //!   every ACK; the slab stores them in parallel vectors so a scan over
 //!   many flows stays in cache.
-//! * [`FlowCold`] — everything else (config, the congestion control held
-//!   inline as a [`Cc`] variant, boxed source, scoreboard, RNG, stats),
+//! * `FlowCold` — everything else (config, the congestion control held
+//!   inline as a `Cc` variant, boxed source, scoreboard, RNG, stats),
 //!   boxed per flow. Samples and telemetry hang off it in one more box
-//!   ([`FlowRecorders`]) that only exists while something reads them.
+//!   (`FlowRecorders`) that only exists while something reads them.
 //!
-//! All protocol logic lives on [`FlowView`] (a bundle of `&mut` borrows of
-//! the four parts) and performs I/O through [`FlowIo`], which maps
+//! All protocol logic lives on `FlowView` (a bundle of `&mut` borrows of
+//! the four parts) and performs I/O through `FlowIo`, which maps
 //! `send`/`schedule` onto the slab's identity and the flow's slot.
 
 use netsim::{Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken};

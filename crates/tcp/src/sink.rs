@@ -13,9 +13,9 @@
 //! highest block (which drives the sender's FACK loss declaration), and
 //! the lowest block.
 //!
-//! The receiver is split the way the sender is: [`SinkState`] holds one
+//! The receiver is split the way the sender is: `SinkState` holds one
 //! connection's state and all of its logic, and reaches the simulator
-//! through [`SinkIo`]. The [`FlowSlab`](crate::FlowSlab) keeps one
+//! through `SinkIo`. The [`FlowSlab`](crate::FlowSlab) keeps one
 //! `SinkState` per connection in a column next to the sender half.
 
 use netsim::{

@@ -6,10 +6,10 @@
 //! per-ACK fields sit interleaved with cold configuration in one large
 //! struct. The slab flips the layout: a connection is one *row* across
 //! parallel vectors indexed by a dense slot — the sender's hot parts
-//! ([`Wnd`], [`RttState`], [`AppState`], all `Copy`), its receiver half
-//! ([`SinkState`]), and the two endpoint nodes — so dispatching a burst of
+//! (`Wnd`, `RttState`, `AppState`, all `Copy`), its receiver half
+//! (`SinkState`), and the two endpoint nodes — so dispatching a burst of
 //! ACKs walks compact arrays, while the sender's cold remainder
-//! ([`FlowCold`], congestion control inline) stays boxed per flow.
+//! (`FlowCold`, congestion control inline) stays boxed per flow.
 //!
 //! The slab is installed once per simulator as a *shared* agent (it has no
 //! home node; every row records its source and sink nodes and transmits
@@ -22,10 +22,10 @@
 //!   row and the low byte selects the action (start/stop/transfer/RTO/
 //!   pacing). The receiver's delayed-ACK timer is kind `0xDA` with the
 //!   slot in bits 8–39 and its epoch in bits 40–63
-//!   ([`SinkState::token`]), so slots are limited to 32 bits.
+//!   (`SinkState::token`), so slots are limited to 32 bits.
 //!
-//! The protocol logic is [`FlowView`]/[`FlowIo`] and [`SinkState`]/
-//! [`SinkIo`]; the slab only demultiplexes and owns the columns.
+//! The protocol logic is `FlowView`/`FlowIo` and `SinkState`/
+//! `SinkIo`; the slab only demultiplexes and owns the columns.
 
 use std::any::Any;
 
@@ -245,19 +245,9 @@ impl FlowSlab {
         self.wnd[self.sender_slot(flow)].cwnd
     }
 
-    /// Current smoothed RTT estimate of `flow`, seconds.
-    pub fn srtt_of(&self, flow: FlowId) -> Option<f64> {
-        self.rtt[self.sender_slot(flow)].srtt()
-    }
-
     /// True once `flow` has permanently finished.
     pub fn stopped_of(&self, flow: FlowId) -> bool {
         self.app[self.sender_slot(flow)].stopped
-    }
-
-    /// True while `flow` is in loss recovery.
-    pub fn in_recovery_of(&self, flow: FlowId) -> bool {
-        self.wnd[self.sender_slot(flow)].in_recovery()
     }
 
     /// Receiver statistics of `flow`.
@@ -585,7 +575,7 @@ mod tests {
         assert_eq!(sender_columns(p0), [2; 4]);
         assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
         assert!(panic_message(|| {
-            p0.srtt_of(FlowId(1));
+            p0.cwnd_of(FlowId(1));
         })
         .contains("hosted by another shard"));
         p0.sinks[1].stats.rcv_next = 3;

@@ -4,13 +4,12 @@
 use std::collections::BTreeMap;
 
 use netsim::SackBlock;
-use pert_core::pert::PertParams;
+use pert_core::pert::{PertController, PertParams};
 use pert_core::pi::PertPiParams;
 use pert_core::rem::PertRemParams;
 use pert_tcp::scoreboard::DUP_THRESH;
 use pert_tcp::{
-    Bbr, CcAction, CcAlgorithm, CcContext, Cubic, PertCc, PertPiCc, PertRemCc, Reno, Scoreboard,
-    SegState, Vegas,
+    Bbr, CcAction, CcAlgorithm, CcContext, Cubic, PertCc, Reno, Scoreboard, SegState, Vegas,
 };
 use proptest::prelude::*;
 
@@ -316,18 +315,24 @@ fn cc_zoo(seed: u64) -> Vec<(&'static str, Box<dyn CcAlgorithm>)> {
         ("vegas", Box::new(Vegas::new())),
         (
             "pert",
-            Box::new(PertCc::with_params(PertParams::default(), seed)),
+            Box::new(PertCc::around(PertController::new(
+                PertParams::default(),
+                seed,
+            ))),
         ),
         (
             "pert-pi",
-            Box::new(PertPiCc::new(
+            Box::new(PertCc::around(PertController::pi(
                 PertPiParams::from_router_pi(1.822e-5, 1.816e-5, 1_000.0, 0.003),
                 seed,
-            )),
+            ))),
         ),
         (
             "pert-rem",
-            Box::new(PertRemCc::new(PertRemParams::default(), seed)),
+            Box::new(PertCc::around(PertController::rem(
+                PertRemParams::default(),
+                seed,
+            ))),
         ),
         ("cubic", Box::new(Cubic::new(seed))),
         ("bbr", Box::new(Bbr::new(seed))),
