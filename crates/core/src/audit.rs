@@ -1,14 +1,11 @@
 //! Process-wide audit registry: the runtime switch, check counters, and
 //! the violation reporter shared by every crate's invariant checks.
 //!
-//! The audit layer has two gates:
-//!
-//! * a **compile-time feature** (`audit`, on by default) — crates gate
-//!   their shadow state and check code behind it, so
-//!   `--no-default-features` builds carry literally zero audit cost;
-//! * a **runtime flag** ([`enabled`]) that defaults to on in debug/test
-//!   builds (`cfg!(debug_assertions)`) and off in release. The
-//!   `experiments` binary flips it on with `--audit`.
+//! The audit layer has one gate, a **runtime flag** ([`enabled`]) that
+//! defaults to on in debug/test builds (`cfg!(debug_assertions)`) and off
+//! in release. The `experiments` binary flips it on with `--audit`.
+//! With it down every check site is a branch on a flag or an `Option`
+//! that is `None`.
 //!
 //! Audited objects (queue ledgers, differential oracles, scoreboard
 //! shadows) attach their shadow state **at construction time** when the

@@ -34,11 +34,6 @@ impl Ewma {
         Ewma::new(0.99)
     }
 
-    /// TCP's classic RTO smoother (history weight 7/8).
-    pub fn tcp_srtt() -> Self {
-        Ewma::new(7.0 / 8.0)
-    }
-
     /// Fold in a sample; the first sample initializes the filter.
     /// Returns the updated smoothed value.
     pub fn update(&mut self, x: f64) -> f64 {
@@ -53,11 +48,6 @@ impl Ewma {
     /// The current smoothed value, if any sample has been folded in.
     pub fn value(&self) -> Option<f64> {
         self.value
-    }
-
-    /// The history weight α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Forget all history.
@@ -225,10 +215,5 @@ mod tests {
         assert_eq!(mm.min(), Some(0.03));
         assert_eq!(mm.max(), Some(0.09));
         assert!((mm.midpoint().unwrap() - 0.06).abs() < 1e-12);
-    }
-
-    #[test]
-    fn srtt_tcp_weight() {
-        assert!((Ewma::tcp_srtt().alpha() - 0.875).abs() < 1e-12);
     }
 }

@@ -22,12 +22,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-#[cfg(feature = "audit")]
 use crate::audit;
-#[cfg(feature = "audit")]
 use crate::reference::PertReference;
 use crate::response::ResponseCurve;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{self, SeriesId};
 
 /// How an emulated AQM turns the queuing-delay estimate into a response
@@ -169,15 +166,12 @@ pub struct PertController<L: Law = ResponseCurve> {
     /// Differential oracle: straight-line §3 srtt/prop transcription,
     /// boxed so a controller built with the audit flag down carries one
     /// pointer for it.
-    #[cfg(feature = "audit")]
     shadow: Option<Box<PertReference>>,
     /// Telemetry key: the construction seed.
-    #[cfg(feature = "telemetry")]
     tap_key: u64,
     /// Telemetry was on at construction and the law publishes: the
     /// controller publishes `pert/srtt`, `pert/qdelay` and `pert/prob` on
     /// every decision. `false` ⇒ zero-cost.
-    #[cfg(feature = "telemetry")]
     tapped: bool,
 }
 
@@ -217,11 +211,8 @@ impl<L: Law> PertController<L> {
             rng: SmallRng::seed_from_u64(seed ^ L::SALT),
             regime: REGIME_CONG_AVOID,
             stats: PertStats::default(),
-            #[cfg(feature = "audit")]
             shadow: audit::enabled().then(|| Box::new(PertReference::new(srtt_weight))),
-            #[cfg(feature = "telemetry")]
             tap_key: seed,
-            #[cfg(feature = "telemetry")]
             tapped: L::PUBLISHES && telemetry::enabled(),
         }
     }
@@ -251,7 +242,6 @@ impl<L: Law> PertController<L> {
             self.hold_until = self.hold_until.max(self.pending_loss + srtt);
             self.pending_loss = f64::NEG_INFINITY;
         }
-        #[cfg(feature = "audit")]
         if let Some(shadow) = &mut self.shadow {
             shadow.on_sample(rtt);
             audit::count_oracle_checks(1);
@@ -303,7 +293,6 @@ impl<L: Law> PertController<L> {
     /// The response decision at queuing delay `qd`; `filter` has just run.
     fn decide(&mut self, now: f64, qd: f64, hold: f64) -> Option<EarlyResponse> {
         let p = self.law.probability(qd);
-        #[cfg(feature = "telemetry")]
         if self.tapped {
             let key = self.tap_key;
             telemetry::record_id(SeriesId::PERT_SRTT, key, now, self.srtt);
@@ -322,7 +311,6 @@ impl<L: Law> PertController<L> {
         }
         self.hold_until = now + hold;
         self.stats.early_responses += 1;
-        #[cfg(feature = "telemetry")]
         if self.tapped {
             telemetry::record_id(
                 SeriesId::PERT_RESPONSE,

@@ -1,17 +1,11 @@
 //! Telemetry: signal taps, the metrics registry, derived metrics and
 //! the flight recorder.
 //!
-//! This mirrors the two-gate design of [`crate::audit`]:
-//!
-//! * a **compile-time feature** (`telemetry`, on by default in the
-//!   simulator crates) gates the tap fields and record calls in hot
-//!   code, so `--no-default-features` builds carry zero cost;
-//! * a **runtime flag** ([`enabled`], default **off**) decides at
-//!   construction time whether a [`Tap`] attaches. With the flag down
-//!   every publish site is a branch on an `Option` that is `None`, and
-//!   experiment output is byte-identical to a build without the
-//!   feature. The `experiments` binary raises it with `--telemetry` or
-//!   `--trace-out`.
+//! Like [`crate::audit`], it has one gate: a **runtime flag**
+//! ([`enabled`], default **off**) decides at construction time whether a
+//! [`Tap`] attaches. With the flag down every publish site is a branch
+//! on an `Option` that is `None`. The `experiments` binary raises it with
+//! `--telemetry` or `--trace-out`.
 //!
 //! Three kinds of data flow through here, none of them read from a
 //! wall clock, so attached output is as deterministic as the report:

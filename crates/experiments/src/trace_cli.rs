@@ -311,24 +311,26 @@ pub fn render_shards_report(records: &[TraceRecord]) -> Option<String> {
     let mut shards: BTreeMap<u64, [u64; 3]> = BTreeMap::new();
     for r in records.iter().filter(|r| r.series.starts_with("shard/")) {
         let a = shards.entry(r.key).or_default();
-        // Saturating casts: a negative count reads as 0.
+        let i = match r.series.as_str() {
+            "shard/events" => 0,
+            "shard/mailbox_in_pkts" => 1,
+            "shard/mailbox_out_pkts" => 2,
+            _ => continue,
+        };
+        // Saturating casts and sums: a negative count reads as 0, and a
+        // doctored trace cannot wrap a total.
         let v = if r.v.is_finite() { r.v as u64 } else { 0 };
-        match r.series.as_str() {
-            "shard/events" => a[0] += v,
-            "shard/mailbox_in_pkts" => a[1] += v,
-            "shard/mailbox_out_pkts" => a[2] += v,
-            _ => {}
-        }
+        a[i] = a[i].saturating_add(v);
     }
     if shards.is_empty() {
         return None;
     }
-    let total_events: u128 = shards.values().map(|a| u128::from(a[0])).sum();
+    let total_events = shards.values().fold(0, |t: u64, a| t.saturating_add(a[0]));
     let rows: Vec<Vec<String>> = shards
         .iter()
         .map(|(&id, &[events, ins, outs])| {
-            let share_bp = (u128::from(events) * 10_000).checked_div(total_events);
-            let share_bp = share_bp.unwrap_or(0) as u64;
+            // Rounded like the derived `shards:` line's `max_share`.
+            let share_bp = sim_stats::derive::rate_bp(events, total_events);
             [id, events, share_bp, ins, outs]
                 .map(|x| x.to_string())
                 .to_vec()
@@ -668,7 +670,13 @@ pub fn parse(args: &[String]) -> Result<TraceCmd, String> {
             _ => format!("{mode} needs exactly two trace files"),
         });
     }
-    let num = |flag| parsed(&flags, flag, "a number");
+    // NaN compares false with everything: as a bound it would keep no
+    // record, as a tolerance it would fail identical series.
+    let num = |flag, what, ok: fn(f64) -> bool| match parsed::<f64>(&flags, flag, what)? {
+        Some(v) if !ok(v) => Err(format!("{flag} wants {what}, got '{}'", flags[flag])),
+        v => Ok(v),
+    };
+    let time = |flag| num(flag, "a time in seconds", |t| !t.is_nan());
     let mut files = files.into_iter();
     let file = files.next().unwrap_or_default();
     Ok(match mode.as_str() {
@@ -677,15 +685,18 @@ pub fn parse(args: &[String]) -> Result<TraceCmd, String> {
             filters: Filters {
                 series: flags.get("--series").cloned(),
                 scope: flags.get("--scope").cloned(),
-                since: num("--since")?,
-                until: num("--until")?,
+                since: time("--since")?,
+                until: time("--until")?,
             },
             csv: flags.get("--csv").cloned(),
             json: flags.get("--json").cloned(),
         },
         "diff" => TraceCmd::Diff {
             files: [file, files.next().unwrap_or_default()],
-            tol: num("--tol")?.unwrap_or(0.0),
+            tol: num("--tol", "a finite tolerance >= 0", |x| {
+                x.is_finite() && x >= 0.0
+            })?
+            .unwrap_or(0.0),
         },
         "shards" => TraceCmd::Shards { file },
         _ => TraceCmd::Fidelity {
@@ -1113,6 +1124,22 @@ mod tests {
             "{report}"
         );
 
+        // A 2:1 split rounds to nearest, as the derived `max_share` does.
+        let split =
+            [(0u64, 2.0), (1, 1.0)].map(|(shard, ev)| rec("f", "shard/events", shard, 1.0, ev));
+        let report = render_shards_report(&split).unwrap();
+        let shares: Vec<&str> = report
+            .lines()
+            .skip(3)
+            .map(|l| l.split_whitespace().nth(2).unwrap())
+            .collect();
+        assert_eq!(shares, ["6667", "3333"], "{report}");
+
+        // Totals past u64::MAX saturate instead of wrapping.
+        let huge = [1.0, 2.0].map(|t| rec("f", "shard/events", 0, t, 1e19));
+        let report = render_shards_report(&huge).unwrap();
+        assert!(report.contains(&u64::MAX.to_string()), "{report}");
+
         // A shard-free trace has no report.
         assert!(render_shards_report(&[rec("a", "pert/srtt", 0, 1.0, 0.1)]).is_none());
     }
@@ -1205,6 +1232,11 @@ mod tests {
             "summarize",
             "summarize a b",
             "summarize a --since x",
+            "summarize a --since nan",
+            "summarize a --until NaN",
+            "diff a b --tol -1",
+            "diff a b --tol nan",
+            "diff a b --tol inf",
             "summarize a --flow 3",
             "diff a",
             "shards a --csv x",

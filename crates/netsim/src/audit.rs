@@ -1,6 +1,6 @@
-//! The invariant-audit layer: hooks wired into the simulator loop that
-//! re-derive, independently, everything the queues and the event loop
-//! claim about themselves — and panic with a reproducer on the first
+//! The invariant-audit layer: an auditor wired into the simulator loop
+//! that re-derives, independently, everything the queues and the event loop
+//! claim about themselves — and panics with a reproducer on the first
 //! divergence.
 //!
 //! # What is checked
@@ -30,11 +30,10 @@
 //!
 //! # Cost model
 //!
-//! The whole module is behind the `audit` cargo feature (a default
-//! feature — `--no-default-features` removes every trace of it), and the
-//! hooks are additionally behind the runtime flag re-exported as
-//! [`enabled`]: off in release binaries unless `experiments … --audit`
-//! is given, always on under `cargo test` (debug builds). Auditors batch
+//! One runtime flag, re-exported as [`enabled`], is the only switch: off
+//! in release binaries unless `experiments … --audit` is given, always on
+//! under `cargo test` (debug builds). With it off a simulator holds no
+//! auditor and each call site costs one `None` test. Auditors batch
 //! their check counts locally and flush them to the process-global
 //! registry on drop, so the hot path touches no shared state.
 
@@ -91,54 +90,6 @@ pub enum QueueOp {
         /// Size of the popped packet, if one was there.
         popped: Option<u32>,
     },
-}
-
-/// An observer wired into the simulator loop. All methods default to
-/// no-ops so a hook implements only what it audits. `Send` because whole
-/// simulators move across experiment-runner threads.
-pub trait AuditHook: Send {
-    /// Called when a link (and its fresh queue) joins the topology, so
-    /// per-queue auditors can attach before the first packet flows.
-    fn on_link_added(&mut self, _link: LinkId, _queue: &dyn QueueDiscipline) {}
-
-    /// Called once per event, before it is dispatched.
-    fn on_event(&mut self, _ctx: &AuditCtx) {}
-
-    /// Called after every queue operation on `link`, with its queue in
-    /// the post-op state.
-    fn on_queue_op(&mut self, _link: &Link, _op: &QueueOp, _ctx: &AuditCtx) {}
-
-    /// Called when a packet reaches its destination agent, before the
-    /// agent sees it.
-    fn on_delivery(&mut self, _pkt: &Packet, _ctx: &AuditCtx) {}
-
-    /// Called when the measurement windows restart
-    /// (`Simulator::reset_measurements`).
-    fn on_window_reset(&mut self, _ctx: &AuditCtx) {}
-
-    /// Called when occupancy integrals are flushed up to now
-    /// (`Simulator::flush_measurements`).
-    fn on_flush(&mut self, _ctx: &AuditCtx) {}
-
-    /// True when this hook can be divided across space-parallel shards by
-    /// [`AuditHook::shard_split`]. The simulator probes every installed
-    /// hook *before* mutating anything, so a `false` here vetoes the split
-    /// cleanly (the run falls back to single-shard execution).
-    fn supports_shard_split(&self) -> bool {
-        false
-    }
-
-    /// Split this hook into `n` per-shard hooks. `shard_of_link[i]` names
-    /// the shard owning link `i`; per-link state must *move* to the owner
-    /// (not be copied) so batched check counts stay identical at any shard
-    /// count. The husk hook keeps its accumulated counts and is only asked
-    /// to flush again after the shards are merged back.
-    ///
-    /// Only called after [`AuditHook::supports_shard_split`] returned
-    /// `true`; the default is therefore unreachable.
-    fn shard_split(&mut self, _shard_of_link: &[usize], _n: usize) -> Vec<Box<dyn AuditHook>> {
-        unreachable!("shard_split on a hook that does not support it")
-    }
 }
 
 /// An independent, step-by-step mirror of one queue's accounting.
@@ -423,9 +374,9 @@ struct FlowAudit {
     next_new_seq: Option<u64>,
 }
 
-/// The default auditor the simulator installs when audits are enabled:
-/// queue ledgers for every link, time monotonicity, and TCP
-/// sequence-space checks at delivery.
+/// The auditor the simulator installs when audits are enabled: queue
+/// ledgers for every link, time monotonicity, and TCP sequence-space
+/// checks at delivery.
 #[derive(Default)]
 pub struct ConservationAuditor {
     ledgers: BTreeMap<usize, (QueueLedger, ServiceLedger)>,
@@ -445,17 +396,18 @@ impl ConservationAuditor {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl AuditHook for ConservationAuditor {
-    fn on_link_added(&mut self, link: LinkId, queue: &dyn QueueDiscipline) {
+    /// A link (and its fresh queue) joined the topology: attach its
+    /// ledgers before the first packet flows.
+    pub fn on_link_added(&mut self, link: LinkId, queue: &dyn QueueDiscipline) {
         self.ledgers.insert(
             link.index(),
             (QueueLedger::new(queue), ServiceLedger::fresh()),
         );
     }
 
-    fn on_event(&mut self, ctx: &AuditCtx) {
+    /// One event is about to be dispatched.
+    pub fn on_event(&mut self, ctx: &AuditCtx) {
         self.event_checks += 1;
         if ctx.now < self.last_event {
             violation(
@@ -469,10 +421,12 @@ impl AuditHook for ConservationAuditor {
         self.last_event = ctx.now;
     }
 
-    fn on_queue_op(&mut self, link: &Link, op: &QueueOp, ctx: &AuditCtx) {
+    /// A queue operation on `link` finished; its queue is in the post-op
+    /// state.
+    pub fn on_queue_op(&mut self, link: &Link, op: &QueueOp, ctx: &AuditCtx) {
         let queue = link.queue.as_ref();
         let Some((ledger, service)) = self.ledgers.get_mut(&link.id.index()) else {
-            // Hook was attached mid-run and missed this link's creation:
+            // No ledger for this link (one this auditor never saw added):
             // the op already mutated the queue, so mirror its post-op
             // state and audit from the next operation on.
             self.ledgers.insert(
@@ -487,7 +441,8 @@ impl AuditHook for ConservationAuditor {
         self.queue_checks += 1;
     }
 
-    fn on_delivery(&mut self, pkt: &Packet, ctx: &AuditCtx) {
+    /// A packet reached its destination agent, which has not seen it yet.
+    pub fn on_delivery(&mut self, pkt: &Packet, ctx: &AuditCtx) {
         self.tcp_checks += 1;
         if pkt.sent_at > ctx.now {
             violation(
@@ -559,24 +514,27 @@ impl AuditHook for ConservationAuditor {
         }
     }
 
-    fn on_window_reset(&mut self, ctx: &AuditCtx) {
+    /// The measurement windows restarted
+    /// (`Simulator::reset_measurements`).
+    pub fn on_window_reset(&mut self, ctx: &AuditCtx) {
         for (ledger, _) in self.ledgers.values_mut() {
             ledger.on_window_reset(ctx.now);
         }
     }
 
-    fn on_flush(&mut self, ctx: &AuditCtx) {
+    /// Occupancy integrals were flushed up to now
+    /// (`Simulator::flush_measurements`).
+    pub fn on_flush(&mut self, ctx: &AuditCtx) {
         for (&link, (ledger, service)) in &mut self.ledgers {
             ledger.on_flush(ctx.now);
             service.on_flush(LinkId(link), ctx);
         }
     }
 
-    fn supports_shard_split(&self) -> bool {
-        true
-    }
-
-    fn shard_split(&mut self, shard_of_link: &[usize], n: usize) -> Vec<Box<dyn AuditHook>> {
+    /// Split this auditor into `n` per-shard auditors; `shard_of_link[i]`
+    /// names the shard owning link `i`. The husk keeps its accumulated
+    /// counts and flushes them when it drops, after the shards merged.
+    pub fn shard_split(&mut self, shard_of_link: &[usize], n: usize) -> Vec<ConservationAuditor> {
         let mut parts: Vec<ConservationAuditor> =
             (0..n).map(|_| ConservationAuditor::new()).collect();
         // Ledgers MOVE to the owning shard: `on_queue_op` silently adopts
@@ -595,9 +553,6 @@ impl AuditHook for ConservationAuditor {
             p.last_event = self.last_event;
         }
         parts
-            .into_iter()
-            .map(|p| Box::new(p) as Box<dyn AuditHook>)
-            .collect()
     }
 }
 

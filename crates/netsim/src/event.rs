@@ -52,11 +52,11 @@
 //! the stream (a link departure nobody waits for) leaves the surviving
 //! pop order untouched.
 //!
-//! When the `audit` feature is compiled in and the runtime audit flag is
-//! up, every wheel-backed queue carries a **shadow heap** that mirrors the
-//! schedule/cancel stream and independently re-derives each pop's
-//! `(time, sched, tie, seq)`; any divergence between the wheel and the
-//! heap ordering panics with both orderings in the message.
+//! When the runtime audit flag is up, every wheel-backed queue carries a
+//! **shadow heap** that mirrors the schedule/cancel stream and
+//! independently re-derives each pop's `(time, sched, tie, seq)`; any
+//! divergence between the wheel and the heap ordering panics with both
+//! orderings in the message.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -758,7 +758,6 @@ impl Wheel {
 /// wheel-backed queues when the audit runtime flag is up, it is the
 /// differential oracle proving the wheel's ordering equals the reference
 /// heap's.
-#[cfg(feature = "audit")]
 #[derive(Debug, Default)]
 struct Shadow {
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u64, u64)>>,
@@ -766,7 +765,6 @@ struct Shadow {
     checks: u64,
 }
 
-#[cfg(feature = "audit")]
 impl Shadow {
     fn push(&mut self, at: SimTime, sched: SimTime, tie: u64, seq: u64) {
         self.heap.push(std::cmp::Reverse((
@@ -844,7 +842,6 @@ pub struct EventQueue {
     live: usize,
     /// Tombstones for cancelled events still resident in the backend.
     cancelled: HashSet<u64>,
-    #[cfg(feature = "audit")]
     shadow: Option<Shadow>,
 }
 
@@ -869,7 +866,6 @@ impl EventQueue {
             CalendarKind::Wheel => Backend::Wheel(Box::new(Wheel::new(0))),
         };
         EventQueue {
-            #[cfg(feature = "audit")]
             shadow: (crate::audit::enabled() && matches!(backend, Backend::Wheel(_)))
                 .then(Shadow::default),
             backend,
@@ -954,7 +950,6 @@ impl EventQueue {
         if w.lane_push(link.index(), &ev) {
             return self.admit(&ev);
         }
-        #[cfg(feature = "audit")]
         if self.shadow.is_some() {
             crate::audit::violation(
                 "calendar",
@@ -1058,7 +1053,6 @@ impl EventQueue {
             ev.sched,
             ev.at
         );
-        #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
             s.push(ev.at, ev.sched, ev.tie, ev.seq);
         }
@@ -1077,13 +1071,11 @@ impl EventQueue {
     /// one: passing it is a caller bug that corrupts the live count.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_seq || self.cancelled.contains(&id.0) {
-            #[cfg(feature = "audit")]
             if self.shadow.is_some() {
                 crate::audit::violation("calendar", format_args!("cancel of dead {id:?}"));
             }
             return false;
         }
-        #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
             s.cancel(id.0);
         }
@@ -1195,7 +1187,6 @@ impl EventQueue {
         let ev = self.remove(src);
         self.live -= 1;
         self.watermark = ev.at;
-        #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
             s.verify_pop(ev.at, ev.sched, ev.tie, ev.seq);
         }
@@ -1282,7 +1273,6 @@ impl EventQueue {
             }
         }
         self.cancelled.clear();
-        #[cfg(feature = "audit")]
         if let Some(s) = &mut self.shadow {
             s.heap.clear();
             s.cancelled.clear();
@@ -1312,7 +1302,6 @@ impl EventQueue {
 
 /// Flush the shadow oracle's batched check count into the global audit
 /// registry.
-#[cfg(feature = "audit")]
 impl Drop for EventQueue {
     fn drop(&mut self) {
         if let Some(s) = &self.shadow {

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod event;
 pub mod ids;
@@ -52,7 +51,6 @@ pub mod packet;
 pub mod queue;
 pub mod shard;
 pub mod sim;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod time;
 pub mod trace;

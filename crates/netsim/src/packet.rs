@@ -189,12 +189,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Wire size in bits, for transmission-delay computation.
-    #[inline]
-    pub fn size_bits(&self) -> u64 {
-        u64::from(self.size_bytes) * 8
-    }
-
     /// A stable, content-only ordering tiebreak (FNV-1a over the wire
     /// content), guaranteed non-zero. Two *arrival* events landing at the
     /// same instant with the same emission time are ordered by this
@@ -304,15 +298,6 @@ mod tests {
             sent_at: SimTime::ZERO,
             payload,
         }
-    }
-
-    #[test]
-    fn size_bits() {
-        let p = mk(Payload::Data {
-            seq: 0,
-            retransmit: false,
-        });
-        assert_eq!(p.size_bits(), 8000);
     }
 
     /// The calendar tiebreak must not see the wiring: the same wire

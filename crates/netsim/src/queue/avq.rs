@@ -22,7 +22,6 @@
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::SimTime;
 
@@ -82,7 +81,6 @@ pub struct AvqQueue {
     c_tilde: f64,
     /// Time of the previous arrival.
     last_arrival: SimTime,
-    #[cfg(feature = "telemetry")]
     tap: Option<QueueTap>,
 }
 
@@ -98,7 +96,6 @@ impl AvqQueue {
             vq: 0.0,
             c_tilde: c,
             last_arrival: SimTime::ZERO,
-            #[cfg(feature = "telemetry")]
             tap: None,
         }
     }
@@ -130,7 +127,6 @@ impl QueueDiscipline for AvqQueue {
         self.c_tilde = (self.c_tilde
             + self.params.alpha * (self.params.gamma * self.params.link_pps * dt - b))
             .clamp(0.0, self.params.link_pps);
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &mut self.tap {
             let vq = self.vq;
             let c_tilde = self.c_tilde;
@@ -199,7 +195,6 @@ impl QueueDiscipline for AvqQueue {
         "AVQ"
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.tap = QueueTap::attach(key, capacity_bps);
     }

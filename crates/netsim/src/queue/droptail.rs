@@ -4,7 +4,6 @@
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "telemetry")]
 use crate::telemetry::QueueTap;
 use crate::time::SimTime;
 
@@ -14,7 +13,6 @@ pub struct DropTail {
     store: FifoStore,
     capacity_pkts: usize,
     stats: QueueStats,
-    #[cfg(feature = "telemetry")]
     tap: Option<QueueTap>,
 }
 
@@ -29,7 +27,6 @@ impl DropTail {
             store: FifoStore::default(),
             capacity_pkts,
             stats: QueueStats::default(),
-            #[cfg(feature = "telemetry")]
             tap: None,
         }
     }
@@ -38,7 +35,6 @@ impl DropTail {
 impl QueueDiscipline for DropTail {
     fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
         self.stats.advance(now, self.store.len());
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &mut self.tap {
             let (len, bytes) = (self.store.len(), self.store.bytes());
             // A FIFO's "drop probability" is the overflow indicator: the
@@ -86,7 +82,6 @@ impl QueueDiscipline for DropTail {
         "DropTail"
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.tap = QueueTap::attach(key, capacity_bps);
     }

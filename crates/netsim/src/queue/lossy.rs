@@ -117,7 +117,6 @@ impl QueueDiscipline for RandomLoss {
         "lossy"
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.inner.attach_tap(key, capacity_bps);
     }

@@ -188,7 +188,6 @@ pub trait QueueDiscipline: Send {
     /// simulator calls this from `add_link` when telemetry is enabled;
     /// disciplines that publish series override it (wrappers forward to
     /// their inner queue). The default ignores the request.
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, _key: u64, _capacity_bps: u64) {}
 }
 

@@ -19,14 +19,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-#[cfg(feature = "audit")]
 use pert_core::reference::PiReference;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "audit")]
 use crate::audit;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
@@ -141,9 +138,7 @@ pub struct PiQueue {
     q_old: f64,
     /// Differential oracle: straight-line transcription of Hollot et al.'s
     /// update equation, compared after every sampling tick.
-    #[cfg(feature = "audit")]
     oracle: Option<PiReference>,
-    #[cfg(feature = "telemetry")]
     tap: Option<QueueTap>,
 }
 
@@ -153,7 +148,6 @@ impl PiQueue {
         params.validate();
         let seed = params.seed;
         let q_ref = params.q_ref;
-        #[cfg(feature = "audit")]
         let oracle = audit::enabled().then(|| PiReference::new(params.a, params.b, q_ref));
         PiQueue {
             params,
@@ -162,9 +156,7 @@ impl PiQueue {
             rng: SmallRng::seed_from_u64(seed ^ 0x9e3779b9),
             p: 0.0,
             q_old: q_ref, // start with zero error history
-            #[cfg(feature = "audit")]
             oracle,
-            #[cfg(feature = "telemetry")]
             tap: None,
         }
     }
@@ -178,7 +170,6 @@ impl PiQueue {
 impl QueueDiscipline for PiQueue {
     fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
         self.stats.advance(now, self.store.len());
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &mut self.tap {
             let (len, bytes, p) = (self.store.len(), self.store.bytes(), self.p);
             tap.on_enqueue(now, len, bytes, p);
@@ -237,11 +228,9 @@ impl QueueDiscipline for PiQueue {
         let err_old = self.q_old - self.params.q_ref;
         self.p = (self.p + self.params.a * err_now - self.params.b * err_old).clamp(0.0, 1.0);
         self.q_old = q;
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
             telemetry::record_id(SeriesId::PI_P, tap.key(), _now.as_secs_f64(), self.p);
         }
-        #[cfg(feature = "audit")]
         if let Some(oracle) = &mut self.oracle {
             let ref_p = oracle.tick(q);
             audit::count_oracle_checks(1);
@@ -266,7 +255,6 @@ impl QueueDiscipline for PiQueue {
         "PI"
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.tap = QueueTap::attach(key, capacity_bps);
     }

@@ -20,14 +20,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-#[cfg(feature = "audit")]
 use pert_core::reference::RedReference;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "audit")]
 use crate::audit;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
@@ -138,9 +135,7 @@ pub struct RedQueue {
     max_p: f64,
     /// Differential oracle: straight-line transcription of the paper's
     /// average and probability equations, compared after every arrival.
-    #[cfg(feature = "audit")]
     oracle: Option<RedReference>,
-    #[cfg(feature = "telemetry")]
     tap: Option<QueueTap>,
 }
 
@@ -150,7 +145,6 @@ impl RedQueue {
         params.validate();
         let max_p = params.max_p;
         let seed = params.seed;
-        #[cfg(feature = "audit")]
         let oracle = audit::enabled().then(|| {
             RedReference::new(
                 params.w_q,
@@ -170,9 +164,7 @@ impl RedQueue {
             count: -1,
             idle_since: Some(SimTime::ZERO),
             max_p,
-            #[cfg(feature = "audit")]
             oracle,
-            #[cfg(feature = "telemetry")]
             tap: None,
         }
     }
@@ -232,7 +224,6 @@ impl RedQueue {
     /// Compare the just-updated average and the marking-probability curve
     /// against the straight-line paper transcription. Called after
     /// `update_avg` on every arrival.
-    #[cfg(feature = "audit")]
     fn check_oracle(&mut self, now: SimTime) {
         let Some(oracle) = &mut self.oracle else {
             return;
@@ -262,13 +253,10 @@ impl RedQueue {
 
     /// Detach the differential oracle, for tests that poke internal state
     /// (`avg`) the oracle could not have observed through the public API.
-    #[cfg(all(test, feature = "audit"))]
+    #[cfg(test)]
     fn detach_oracle(&mut self) {
         self.oracle = None;
     }
-
-    #[cfg(all(test, not(feature = "audit")))]
-    fn detach_oracle(&mut self) {}
 
     fn adapt(&mut self) {
         let Some(a) = &self.adaptive else { return };
@@ -288,13 +276,10 @@ impl QueueDiscipline for RedQueue {
     fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
         self.stats.advance(now, self.store.len());
         self.update_avg(now);
-        #[cfg(feature = "audit")]
         self.check_oracle(now);
         // `None` = the force-drop region beyond the probabilistic
         // ramp: the reference curve saturates at probability 1.
-        #[cfg(feature = "telemetry")]
         let truth_p = self.base_probability().unwrap_or(1.0);
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &mut self.tap {
             let (len, bytes) = (self.store.len(), self.store.bytes());
             if tap.on_enqueue(now, len, bytes, truth_p) {
@@ -350,7 +335,6 @@ impl QueueDiscipline for RedQueue {
                 // stale average keeps dropping packets at an empty queue.
                 if self.store.len() == 0 {
                     self.idle_since = Some(now);
-                    #[cfg(feature = "audit")]
                     if let Some(oracle) = &mut self.oracle {
                         oracle.on_idle_start(now.as_nanos());
                     }
@@ -371,7 +355,6 @@ impl QueueDiscipline for RedQueue {
         self.stats.dequeued += 1;
         if self.store.len() == 0 {
             self.idle_since = Some(now);
-            #[cfg(feature = "audit")]
             if let Some(oracle) = &mut self.oracle {
                 oracle.on_idle_start(now.as_nanos());
             }
@@ -401,7 +384,6 @@ impl QueueDiscipline for RedQueue {
 
     fn on_tick(&mut self, _now: SimTime) {
         self.adapt();
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
             telemetry::record_id(
                 SeriesId::RED_MAX_P,
@@ -424,7 +406,6 @@ impl QueueDiscipline for RedQueue {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.tap = QueueTap::attach(key, capacity_bps);
     }

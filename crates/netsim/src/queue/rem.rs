@@ -18,14 +18,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-#[cfg(feature = "audit")]
 use pert_core::reference::RemReference;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "audit")]
 use crate::audit;
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
@@ -88,9 +85,7 @@ pub struct RemQueue {
     q_prev: f64,
     /// Differential oracle: straight-line transcription of the REM price
     /// law, compared after every price update.
-    #[cfg(feature = "audit")]
     oracle: Option<RemReference>,
-    #[cfg(feature = "telemetry")]
     tap: Option<QueueTap>,
 }
 
@@ -99,7 +94,6 @@ impl RemQueue {
     pub fn new(params: RemParams) -> Self {
         params.validate();
         let seed = params.seed;
-        #[cfg(feature = "audit")]
         let oracle = audit::enabled()
             .then(|| RemReference::new(params.gamma, params.alpha_w, params.phi, params.q_ref));
         RemQueue {
@@ -109,9 +103,7 @@ impl RemQueue {
             rng: SmallRng::seed_from_u64(seed ^ 0x4e4d_0a11),
             price: 0.0,
             q_prev: 0.0,
-            #[cfg(feature = "audit")]
             oracle,
-            #[cfg(feature = "telemetry")]
             tap: None,
         }
     }
@@ -130,9 +122,7 @@ impl RemQueue {
 impl QueueDiscipline for RemQueue {
     fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
         self.stats.advance(now, self.store.len());
-        #[cfg(feature = "telemetry")]
         let truth_p = self.probability();
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &mut self.tap {
             let (len, bytes) = (self.store.len(), self.store.bytes());
             tap.on_enqueue(now, len, bytes, truth_p);
@@ -191,13 +181,11 @@ impl QueueDiscipline for RemQueue {
         let mismatch = q - self.q_prev;
         self.price = (self.price + self.params.gamma * (backlog + mismatch)).max(0.0);
         self.q_prev = q;
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap {
             let t = _now.as_secs_f64();
             telemetry::record_id(SeriesId::REM_PRICE, tap.key(), t, self.price);
             telemetry::record_id(SeriesId::REM_PROB, tap.key(), t, self.probability());
         }
-        #[cfg(feature = "audit")]
         if let Some(oracle) = &mut self.oracle {
             oracle.tick(q);
             let (ref_price, ref_p) = (oracle.price(), oracle.probability());
@@ -224,7 +212,6 @@ impl QueueDiscipline for RemQueue {
         "REM"
     }
 
-    #[cfg(feature = "telemetry")]
     fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
         self.tap = QueueTap::attach(key, capacity_bps);
     }

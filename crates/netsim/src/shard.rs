@@ -63,9 +63,8 @@
 //!
 //! A split is refused (and the caller falls back to one shard) when the
 //! simulator holds probes, a shared agent that is not
-//! [`Agent::shard_splittable`](crate::sim::Agent::shard_splittable), an
-//! audit hook without split support, or when the topology has no
-//! positive-delay links to cut.
+//! [`Agent::shard_splittable`](crate::sim::Agent::shard_splittable), or
+//! when the topology has no positive-delay links to cut.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -539,7 +538,6 @@ impl ShardedSim {
         // and each worker hands its over as its scope guard drops, before
         // the join: a series that moves from this thread to a worker and
         // back keeps its publication order.
-        #[cfg(feature = "telemetry")]
         let scope = crate::telemetry::fork_scope();
         let cpu: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|s| {
@@ -547,16 +545,12 @@ impl ShardedSim {
                 let barrier = &barrier;
                 let mail = &self.mail;
                 let cpu = &cpu;
-                #[cfg(feature = "telemetry")]
                 let scope = scope.clone();
                 s.spawn(move || {
-                    #[cfg(feature = "telemetry")]
                     let _scope = crate::telemetry::scoped(&scope);
                     // Tag every record this worker publishes (queue taps,
                     // epoch series, flight/panic dumps) with its shard id.
-                    #[cfg(feature = "telemetry")]
                     let _shard_tag = crate::telemetry::shard_scoped(me as u32);
-                    #[cfg(feature = "telemetry")]
                     let ev_before = shard.events_processed();
                     let cpu_before = thread_cpu_ns();
                     let r = catch_unwind(AssertUnwindSafe(|| {
@@ -574,7 +568,6 @@ impl ShardedSim {
                     }
                     // Per-shard event counter: load imbalance across
                     // shards, in events.
-                    #[cfg(feature = "telemetry")]
                     if crate::telemetry::enabled() {
                         crate::telemetry::counter_add(
                             &format!("shard/{me}"),
@@ -624,10 +617,22 @@ impl ShardedSim {
 /// the kernel scheduler's accounting (`/proc/thread-self/schedstat`,
 /// first field); 0 where unavailable. Purely observational — never fed
 /// back into simulation state, so it cannot perturb determinism.
+///
+/// Read into a stack buffer, which one `read` of the procfs file fills
+/// with the whole line: the line's length follows the thread's CPU and
+/// run-queue times, and a growing heap buffer would make the number of
+/// allocations a `run_until` call makes depend on them.
 fn thread_cpu_ns() -> u64 {
-    std::fs::read_to_string("/proc/thread-self/schedstat")
+    use std::io::Read as _;
+    let mut buf = [0u8; 128];
+    let Ok(n) =
+        std::fs::File::open("/proc/thread-self/schedstat").and_then(|mut f| f.read(&mut buf))
+    else {
+        return 0;
+    };
+    std::str::from_utf8(&buf[..n])
         .ok()
-        .and_then(|s| s.split_whitespace().next().and_then(|f| f.parse().ok()))
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
         .unwrap_or(0)
 }
 
@@ -637,8 +642,7 @@ fn thread_cpu_ns() -> u64 {
 /// When telemetry is attached, each epoch publishes per-shard records
 /// keyed by shard id and stamped with the barrier instant: exact event
 /// and mailbox counts (`shard/events`, `shard/mailbox_{in,out}_pkts`).
-/// Detached runs skip all of it — the `tel` flag is read once — so they
-/// stay byte-identical to a telemetry-free build.
+/// Detached runs skip all of it: the `tel` flag is read once.
 fn run_worker(
     me: usize,
     shard: &mut Simulator,
@@ -648,9 +652,7 @@ fn run_worker(
     until: SimTime,
     window: SimDuration,
 ) {
-    #[cfg(feature = "telemetry")]
     let tel = crate::telemetry::enabled();
-    #[cfg(feature = "telemetry")]
     let mut ev_last = shard.events_processed();
     let mut t = start;
     let mut k = 0usize;
@@ -693,9 +695,6 @@ fn run_worker(
                 in_pkts += shard.inject_mail(&mut boxes[slot].lock().expect(POISONED));
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (out_pkts, in_pkts);
-        #[cfg(feature = "telemetry")]
         if tel {
             use crate::telemetry::{self as tele, SeriesId};
             let tb = b.as_nanos() as f64 / 1e9;

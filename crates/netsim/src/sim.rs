@@ -22,8 +22,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::arena::{PacketArena, PacketRef};
-#[cfg(feature = "audit")]
-use crate::audit::{AuditCtx, AuditHook, ConservationAuditor, EnqueueKind, QueueOp};
+use crate::audit::{AuditCtx, ConservationAuditor, EnqueueKind, QueueOp};
 use crate::event::{
     assert_id_fits, Event, EventId, EventKind, EventQueue, TieKey, TimerToken, TIE_KEY_MAX,
 };
@@ -31,9 +30,7 @@ use crate::ids::{AgentId, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::{compute_routes, Node};
 use crate::packet::Packet;
-#[cfg(feature = "audit")]
-use crate::queue::DropReason;
-use crate::queue::{EnqueueOutcome, QueueDiscipline};
+use crate::queue::{DropReason, EnqueueOutcome, QueueDiscipline};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropRecord, MarkRecord, Trace};
 
@@ -201,18 +198,15 @@ struct Outbox(Vec<crate::shard::WirePacket>);
 /// Width of a link-utilization window (telemetry derivation): one
 /// simulated second. Windows roll forward on transmission starts; fully
 /// idle windows are coalesced into one `link/idle_wins` record.
-#[cfg(feature = "telemetry")]
 const UTIL_WINDOW_NS: u64 = crate::time::NANOS_PER_SEC;
 
 /// Progress counters flush to the global telemetry atomics once per
 /// this many events — frequent enough for a ~1 Hz display, rare enough
 /// to stay invisible in profiles.
-#[cfg(feature = "telemetry")]
 const PROGRESS_BATCH: u64 = 16_384;
 
 /// Per-link utilization-window state (telemetry derivation only; never
 /// read by the simulation itself).
-#[cfg(feature = "telemetry")]
 #[derive(Clone, Copy, Debug, Default)]
 struct UtilWindow {
     /// Start of the currently open window, ns.
@@ -232,9 +226,8 @@ struct UtilWindow {
 /// Cheap always-on per-simulation counters (plain integer increments on
 /// paths that already mutate state — they never affect event order or
 /// randomness). The window restarts at [`Simulator::reset_measurements`];
-/// when the `telemetry` feature is compiled in and the runtime flag was up
-/// at construction, the final window is flushed into the global metrics
-/// registry when the simulator drops.
+/// when the telemetry flag was up at construction, the final window is
+/// flushed into the global metrics registry when the simulator drops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimCounters {
     /// Timers armed via [`Ctx::schedule`] or
@@ -295,18 +288,15 @@ pub struct Simulator {
     node_events: Vec<u64>,
     counters: SimCounters,
     seed: u64,
-    #[cfg(feature = "audit")]
-    audit_hooks: Vec<Box<dyn AuditHook>>,
+    /// `Some` when the audit flag was up at construction.
+    audit: Option<Box<ConservationAuditor>>,
     /// Whether telemetry was enabled when this simulator was built (taps
     /// attach at construction; see `crate::telemetry`).
-    #[cfg(feature = "telemetry")]
     tel_on: bool,
     /// Per-link queue enqueue + dequeue calls (`tel_on` only), summed by
     /// discipline name at drop.
-    #[cfg(feature = "telemetry")]
     queue_ops: Vec<u64>,
     /// Per-link utilization-window state (`tel_on` only).
-    #[cfg(feature = "telemetry")]
     util: Vec<UtilWindow>,
     /// `Some` only on shard-local simulators created by
     /// [`Simulator::split_shards`]; diverts cross-shard transmissions.
@@ -316,10 +306,9 @@ pub struct Simulator {
 impl Simulator {
     /// Create a simulator whose randomness derives from `seed`.
     ///
-    /// When the audit layer is compiled in and enabled at runtime (see
-    /// [`crate::audit::enabled`]), a [`ConservationAuditor`] is installed
-    /// automatically — the flag must therefore be set *before* simulators
-    /// are built.
+    /// When the audit flag is up ([`crate::audit::enabled`]), a
+    /// [`ConservationAuditor`] is installed automatically — the flag must
+    /// therefore be set *before* simulators are built.
     pub fn new(seed: u64) -> Self {
         Simulator {
             now: SimTime::ZERO,
@@ -340,17 +329,9 @@ impl Simulator {
             node_events: Vec::new(),
             counters: SimCounters::default(),
             seed,
-            #[cfg(feature = "audit")]
-            audit_hooks: if crate::audit::enabled() {
-                vec![Box::new(ConservationAuditor::new()) as Box<dyn AuditHook>]
-            } else {
-                Vec::new()
-            },
-            #[cfg(feature = "telemetry")]
+            audit: crate::audit::enabled().then(Box::default),
             tel_on: crate::telemetry::enabled(),
-            #[cfg(feature = "telemetry")]
             queue_ops: Vec::new(),
-            #[cfg(feature = "telemetry")]
             util: Vec::new(),
             shard_io: None,
         }
@@ -367,34 +348,24 @@ impl Simulator {
         self.seed
     }
 
-    #[cfg(feature = "audit")]
+    /// The auditor when audits are on, with the links it checks queue
+    /// operations against and the context of the current event.
     #[inline]
-    fn audit_ctx(&self) -> AuditCtx {
-        AuditCtx {
-            seed: self.seed,
-            event_index: self.events_processed,
-            now: self.now,
-        }
-    }
-
-    /// Report a queue operation to every audit hook, with the queue in
-    /// its post-op state.
-    #[cfg(feature = "audit")]
-    fn audit_queue_op(&mut self, link_id: LinkId, op: QueueOp) {
-        if self.audit_hooks.is_empty() {
-            return;
-        }
+    fn auditor(&mut self) -> Option<(&mut ConservationAuditor, &[Link], AuditCtx)> {
+        let audit = self.audit.as_deref_mut()?;
         let ctx = AuditCtx {
             seed: self.seed,
             event_index: self.events_processed,
             now: self.now,
         };
-        let Simulator {
-            links, audit_hooks, ..
-        } = self;
-        let link = &links[link_id.index()];
-        for hook in audit_hooks.iter_mut() {
-            hook.on_queue_op(link, &op, &ctx);
+        Some((audit, &self.links, ctx))
+    }
+
+    /// Report a queue operation to the auditor, with the queue in its
+    /// post-op state.
+    fn audit_queue_op(&mut self, link_id: LinkId, op: QueueOp) {
+        if let Some((audit, links, ctx)) = self.auditor() {
+            audit.on_queue_op(&links[link_id.index()], &op, &ctx);
         }
     }
 
@@ -482,34 +453,24 @@ impl Simulator {
         self.links
             .push(Link::new(id, from, to, capacity_bps, delay, queue));
         self.events.add_lane();
-        #[cfg(feature = "telemetry")]
-        {
-            if self.tel_on {
-                // Tap key = link index: `queue/len` series line up with the
-                // LinkIds reported everywhere else. The capacity lets the
-                // tap publish truth/qdelay (backlog drain time).
-                self.links[id.index()]
-                    .queue
-                    .attach_tap(id.0 as u64, capacity_bps);
-            }
-            self.queue_ops.push(0);
-            self.util.push(UtilWindow {
-                start_ns: self.now.as_nanos(),
-                ..UtilWindow::default()
-            });
+        if self.tel_on {
+            // Tap key = link index: `queue/len` series line up with the
+            // LinkIds reported everywhere else. The capacity lets the
+            // tap publish truth/qdelay (backlog drain time).
+            self.links[id.index()]
+                .queue
+                .attach_tap(id.0 as u64, capacity_bps);
         }
+        self.queue_ops.push(0);
+        self.util.push(UtilWindow {
+            start_ns: self.now.as_nanos(),
+            ..UtilWindow::default()
+        });
         self.link_endpoints.push((from, to));
         self.nodes[from.index()].out_links.push(id);
         self.routes_ready = false;
-        #[cfg(feature = "audit")]
-        {
-            let Simulator {
-                links, audit_hooks, ..
-            } = self;
-            let queue = links[id.index()].queue.as_ref();
-            for hook in audit_hooks.iter_mut() {
-                hook.on_link_added(id, queue);
-            }
+        if let Some((audit, links, _)) = self.auditor() {
+            audit.on_link_added(id, links[id.index()].queue.as_ref());
         }
         id
     }
@@ -709,19 +670,14 @@ impl Simulator {
         // Utilization windows restart with the measurement window, so
         // derived utilization covers the same interval as the link and
         // queue statistics (warm-up windows are discarded, not flushed).
-        #[cfg(feature = "telemetry")]
         for w in &mut self.util {
             *w = UtilWindow {
                 start_ns: now.as_nanos(),
                 ..UtilWindow::default()
             };
         }
-        #[cfg(feature = "audit")]
-        {
-            let ctx = self.audit_ctx();
-            for hook in &mut self.audit_hooks {
-                hook.on_window_reset(&ctx);
-            }
+        if let Some((audit, _, ctx)) = self.auditor() {
+            audit.on_window_reset(&ctx);
         }
     }
 
@@ -732,12 +688,8 @@ impl Simulator {
         for link in &mut self.links {
             link.flush_stats(now);
         }
-        #[cfg(feature = "audit")]
-        {
-            let ctx = self.audit_ctx();
-            for hook in &mut self.audit_hooks {
-                hook.on_flush(&ctx);
-            }
+        if let Some((audit, _, ctx)) = self.auditor() {
+            audit.on_flush(&ctx);
         }
     }
 
@@ -782,25 +734,20 @@ impl Simulator {
     /// they reject.
     fn enqueue_on_link(&mut self, link_id: LinkId, pkt: PacketRef) {
         let now = self.now;
-        #[cfg(feature = "audit")]
         let size_bytes = self.arena.size_bytes(pkt);
         let outcome = self.links[link_id.index()]
             .queue
             .enqueue(pkt, &mut self.arena, now);
-        #[cfg(feature = "telemetry")]
         if self.tel_on {
             self.queue_ops[link_id.index()] += 1;
         }
-        #[cfg(feature = "audit")]
-        {
-            let kind = match &outcome {
-                EnqueueOutcome::Enqueued => EnqueueKind::Stored,
-                EnqueueOutcome::Marked => EnqueueKind::Marked,
-                EnqueueOutcome::Dropped(_, DropReason::Overflow) => EnqueueKind::DroppedOverflow,
-                EnqueueOutcome::Dropped(_, DropReason::Early) => EnqueueKind::DroppedEarly,
-            };
-            self.audit_queue_op(link_id, QueueOp::Enqueue { kind, size_bytes });
-        }
+        let kind = match &outcome {
+            EnqueueOutcome::Enqueued => EnqueueKind::Stored,
+            EnqueueOutcome::Marked => EnqueueKind::Marked,
+            EnqueueOutcome::Dropped(_, DropReason::Overflow) => EnqueueKind::DroppedOverflow,
+            EnqueueOutcome::Dropped(_, DropReason::Early) => EnqueueKind::DroppedEarly,
+        };
+        self.audit_queue_op(link_id, QueueOp::Enqueue { kind, size_bytes });
         match outcome {
             EnqueueOutcome::Enqueued => {
                 self.counters.enqueued += 1;
@@ -862,12 +809,10 @@ impl Simulator {
         let popped = self.links[link_id.index()]
             .queue
             .dequeue(&mut self.arena, now);
-        #[cfg(feature = "telemetry")]
         if self.tel_on {
             self.queue_ops[link_id.index()] += 1;
         }
         let Some(pkt) = popped else {
-            #[cfg(feature = "audit")]
             self.audit_queue_op(link_id, QueueOp::Dequeue { popped: None });
             return;
         };
@@ -928,14 +873,12 @@ impl Simulator {
                 );
             }
         }
-        #[cfg(feature = "audit")]
         self.audit_queue_op(
             link_id,
             QueueOp::Dequeue {
                 popped: Some(size_bytes),
             },
         );
-        #[cfg(feature = "telemetry")]
         if self.tel_on {
             self.util_account(link_id, now, bits);
         }
@@ -946,7 +889,6 @@ impl Simulator {
     /// has passed. Telemetry derivation only — the records never feed
     /// back into the simulation, and `t`/`value` are pure integer
     /// functions of deterministic state.
-    #[cfg(feature = "telemetry")]
     fn util_account(&mut self, link_id: LinkId, now: SimTime, bits: u64) {
         let capacity_bps = self.links[link_id.index()].capacity_bps;
         let w = &mut self.util[link_id.index()];
@@ -968,7 +910,6 @@ impl Simulator {
                 // only via the single transmission straddling its end;
                 // more than that means the link delivered bits it had no
                 // capacity for — broken accounting, not 100% utilization.
-                #[cfg(feature = "audit")]
                 if u128::from(w.bits) > u128::from(capacity_bps) + u128::from(w.last_bits)
                     && pert_core::audit::enabled()
                 {
@@ -1007,12 +948,8 @@ impl Simulator {
 
     /// Deliver `pkt` to its destination agent at `node`.
     fn deliver(&mut self, node: NodeId, pkt: Packet) {
-        #[cfg(feature = "audit")]
-        if !self.audit_hooks.is_empty() {
-            let ctx = self.audit_ctx();
-            for hook in &mut self.audit_hooks {
-                hook.on_delivery(&pkt, &ctx);
-            }
+        if let Some((audit, _, ctx)) = self.auditor() {
+            audit.on_delivery(&pkt, &ctx);
         }
         let id = pkt.dst_agent;
         debug_assert!(
@@ -1050,11 +987,8 @@ impl Simulator {
         // Progress counters batch locally and flush to the process-wide
         // atomics every PROGRESS_BATCH events — wall-clock/stderr tooling
         // only, so it reads state but never influences the simulation.
-        #[cfg(feature = "telemetry")]
         let progress_on = crate::telemetry::progress_enabled();
-        #[cfg(feature = "telemetry")]
         let mut prog_events: u64 = 0;
-        #[cfg(feature = "telemetry")]
         let mut prog_since = self.now;
         // Run dispatch: the `match` below executes once per maximal run of
         // same-(time, class) events, not once per event. A run is extended
@@ -1068,7 +1002,6 @@ impl Simulator {
                 stuck_count = 0;
             }
             self.now = at;
-            #[cfg(feature = "telemetry")]
             let before = stuck_count;
             next = match first.kind {
                 EventKind::Arrival { .. } => {
@@ -1130,7 +1063,6 @@ impl Simulator {
                     })
                 }
             };
-            #[cfg(feature = "telemetry")]
             if progress_on {
                 // Events actually dispatched in this run.
                 prog_events += stuck_count - before;
@@ -1142,7 +1074,6 @@ impl Simulator {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
         if progress_on && prog_events > 0 {
             let adv = self.now.duration_since(prog_since).as_nanos();
             crate::telemetry::progress_add(prog_events, adv);
@@ -1167,7 +1098,7 @@ impl Simulator {
     /// the next event due by `until` — the head of the next run — which
     /// is popped only once the last handler returned (a handler may insert
     /// a reserved key at `at` that sorts before events pending there).
-    /// Each event's counters increment *before* the audit hooks run so
+    /// Each event's counters increment *before* the auditor runs so
     /// `event_index` in reproducers keeps its historical meaning.
     #[inline]
     fn dispatch_run(
@@ -1189,12 +1120,8 @@ impl Simulator {
             self.cur_key = ev.tie_key();
             self.events_processed += 1;
             self.ev_counts[class] += 1;
-            #[cfg(feature = "audit")]
-            if !self.audit_hooks.is_empty() {
-                let ctx = self.audit_ctx();
-                for hook in &mut self.audit_hooks {
-                    hook.on_event(&ctx);
-                }
+            if let Some((audit, _, ctx)) = self.auditor() {
+                audit.on_event(&ctx);
             }
             handle(self, ev.kind);
             match self.events.pop_before(until) {
@@ -1254,14 +1181,14 @@ impl Simulator {
     /// node partition `shard_of_node`, leaving `self` as a husk that only
     /// [`Simulator::merge_shards`] may revive. Pending events migrate to
     /// the shard owning their node/link; single-node agents move to their
-    /// owner; shared agents and audit hooks split via their hooks; every
-    /// shard receives a full clone of the packet arena so pre-split
-    /// [`PacketRef`]s stay valid wherever they ended up.
+    /// owner; shared agents split via their hooks and the auditor's
+    /// ledgers move to their link's owner; every shard receives a full
+    /// clone of the packet arena so pre-split [`PacketRef`]s stay valid
+    /// wherever they ended up.
     ///
     /// Fails (with `self` fully restored) when anything cannot be
     /// attributed to one shard: probes, a cut link with zero delay, a
-    /// shared agent or audit hook that does not opt in, or an unroutable
-    /// pending event.
+    /// shared agent that does not opt in, or an unroutable pending event.
     pub(crate) fn split_shards(
         &mut self,
         shard_of_node: &[usize],
@@ -1297,10 +1224,6 @@ impl Simulator {
             if self.agent_nodes[i] == NodeId(usize::MAX) && !agent.shard_splittable() {
                 return Err(format!("shared agent {i} is not shard-splittable"));
             }
-        }
-        #[cfg(feature = "audit")]
-        if !self.audit_hooks.iter().all(|h| h.supports_shard_split()) {
-            return Err("an installed audit hook does not support shard splitting".into());
         }
 
         // Route every pending event to a shard. The routing pass is pure
@@ -1400,16 +1323,10 @@ impl Simulator {
             }
         }
 
-        #[cfg(feature = "audit")]
-        let mut shard_hooks: Vec<Vec<Box<dyn AuditHook>>> = (0..n).map(|_| Vec::new()).collect();
-        #[cfg(feature = "audit")]
-        for hook in &mut self.audit_hooks {
-            let parts = hook.shard_split(&shard_of_link, n);
-            assert_eq!(parts.len(), n, "shard_split must return one hook per shard");
-            for (sh, part) in shard_hooks.iter_mut().zip(parts) {
-                sh.push(part);
-            }
-        }
+        let mut shard_audits = self
+            .audit
+            .as_mut()
+            .map(|audit| audit.shard_split(&shard_of_link, n).into_iter());
 
         // Links move wholesale to their owner (queues keep their resident
         // packet refs — valid against the owner's arena clone). Every
@@ -1442,8 +1359,6 @@ impl Simulator {
         let mut calendars = calendars.into_iter();
         let mut shard_agents = shard_agents.into_iter();
         let mut shard_links = shard_links.into_iter();
-        #[cfg(feature = "audit")]
-        let mut shard_hooks = shard_hooks.into_iter();
         let mut shards = Vec::with_capacity(n);
         for me in 0..n {
             shards.push(Simulator {
@@ -1471,16 +1386,14 @@ impl Simulator {
                 node_events: vec![0; self.nodes.len()],
                 counters: SimCounters::default(),
                 seed: self.seed,
-                #[cfg(feature = "audit")]
-                audit_hooks: shard_hooks.next().expect("one list per shard"),
-                #[cfg(feature = "telemetry")]
+                audit: shard_audits
+                    .as_mut()
+                    .map(|parts| Box::new(parts.next().expect("one auditor per shard"))),
                 tel_on: self.tel_on,
                 // Full copies: the owner's entries evolve from the
                 // warm-up state exactly as the monolithic run's would;
                 // non-owned copies idle and are discarded at merge.
-                #[cfg(feature = "telemetry")]
                 queue_ops: self.queue_ops.clone(),
-                #[cfg(feature = "telemetry")]
                 util: self.util.clone(),
                 shard_io: Some(Box::new(ShardIo {
                     me,
@@ -1539,11 +1452,8 @@ impl Simulator {
                 let (from, _) = self.link_endpoints[i];
                 if io.shard_of_node[from.index()] == io.me {
                     std::mem::swap(&mut self.links[i], &mut shard.links[i]);
-                    #[cfg(feature = "telemetry")]
-                    {
-                        self.queue_ops[i] = shard.queue_ops[i];
-                        self.util[i] = shard.util[i];
-                    }
+                    self.queue_ops[i] = shard.queue_ops[i];
+                    self.util[i] = shard.util[i];
                 }
             }
             for a in 0..self.agents.len() {
@@ -1558,10 +1468,7 @@ impl Simulator {
             // The shard flushes its audit check counts when it drops here;
             // its telemetry flush is suppressed — the merged husk reports
             // the combined totals exactly once.
-            #[cfg(feature = "telemetry")]
-            {
-                shard.tel_on = false;
-            }
+            shard.tel_on = false;
         }
         // Stable sorts restore global time order; same-instant records
         // from different shards keep shard order (see DESIGN.md §9 on the
@@ -1591,8 +1498,7 @@ impl Simulator {
     /// is the lane's key order.
     fn inject_arrival(&mut self, w: crate::shard::WirePacket) {
         let (_, node) = self.link_endpoints[w.link.index()];
-        #[cfg(feature = "audit")]
-        if !self.audit_hooks.is_empty() && w.tie != w.pkt.order_tie() {
+        if self.audit.is_some() && w.tie != w.pkt.order_tie() {
             crate::audit::violation(
                 "calendar",
                 format_args!(
@@ -1639,17 +1545,14 @@ impl Simulator {
     }
 }
 
-/// When the `telemetry` feature is compiled in and the runtime flag was
-/// up at construction, flush the final measurement window into the
-/// global telemetry metrics registry.
+/// When the telemetry flag was up at construction, flush the final
+/// measurement window into the global telemetry metrics registry.
 impl Drop for Simulator {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         self.flush_telemetry();
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl Simulator {
     /// Drop-time telemetry flush. Only active when the runtime flag was
     /// up at construction, so simulators built with telemetry off cost
@@ -1961,7 +1864,6 @@ mod tests {
     /// One transmission straddling the window end can legitimately push a
     /// window past 100%; that must NOT trip the over-delivery audit.
     #[test]
-    #[cfg(all(feature = "telemetry", feature = "audit"))]
     fn util_straddling_transmission_is_not_a_violation() {
         let (mut sim, _tx, _rx) = two_node_sim(100);
         let cap = 8_000_000u64; // two_node_sim link capacity, bits/s
@@ -1976,7 +1878,7 @@ mod tests {
     /// accounting and must surface as an audit violation, not be hidden
     /// by the 10,000 bp clamp.
     #[test]
-    #[cfg(all(feature = "telemetry", feature = "audit", debug_assertions))]
+    #[cfg(debug_assertions)]
     fn util_over_delivery_is_an_audit_violation() {
         if !pert_core::audit::enabled() {
             return;

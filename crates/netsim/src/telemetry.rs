@@ -19,9 +19,8 @@
 //! nothing here reads a wall clock, so attached output is as
 //! deterministic as the report.
 //!
-//! Everything is double-gated like the audit layer: this module only
-//! exists under the `telemetry` cargo feature, and taps only attach
-//! when [`enabled`] was raised before construction.
+//! One runtime gate, like the audit layer's: taps only attach when
+//! [`enabled`] was raised before construction.
 
 pub use pert_core::telemetry::*;
 

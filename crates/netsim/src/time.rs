@@ -23,17 +23,16 @@ pub const MAX_F64_EXACT_NANOS: u64 = 1 << 53;
 /// Report a time-arithmetic underflow (`earlier - later`).
 ///
 /// Out of line and cold: the comparison guarding it is the only cost on
-/// the hot path. When the audit layer is compiled in and enabled it is an
-/// audit **violation** — counted and panicking, like a conservation-ledger
-/// breach — because a negative elapsed time means causality broke
-/// somewhere upstream (with cross-shard clock skew it would otherwise
-/// silently clamp to zero and corrupt RTT estimates downstream). Debug
-/// builds without the audit layer still assert; release builds without it
-/// keep the historical saturate-to-zero behavior.
+/// the hot path. When the audit flag is up it is an audit **violation** —
+/// counted and panicking, like a conservation-ledger breach — because a
+/// negative elapsed time means causality broke somewhere upstream (with
+/// cross-shard clock skew it would otherwise silently clamp to zero and
+/// corrupt RTT estimates downstream). Debug builds with the flag down
+/// still assert; release builds with it down keep the historical
+/// saturate-to-zero behavior.
 #[cold]
 #[inline(never)]
 fn underflow(op: &str, lhs_ns: u64, rhs_ns: u64) {
-    #[cfg(feature = "audit")]
     if pert_core::audit::enabled() {
         pert_core::audit::violation(
             "time",
@@ -204,13 +203,6 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiply by a non-negative float, rounding to the nearest nanosecond.
-    /// Useful for backoff factors (e.g. doubling an RTO).
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        assert!(k.is_finite() && k >= 0.0, "invalid factor: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 }
 
@@ -435,12 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_millis(100).mul_f64(1.5);
-        assert_eq!(d, SimDuration::from_millis(150));
-    }
-
-    #[test]
     fn saturating_sub_clamps() {
         let a = SimDuration::from_millis(1);
         let b = SimDuration::from_millis(2);
@@ -465,7 +451,6 @@ mod tests {
         .expect_err("underflow must panic, not clamp, when checks are on");
         let msg = panic_msg(&*err);
         assert!(msg.contains("underflow"), "unexpected panic: {msg}");
-        #[cfg(feature = "audit")]
         if pert_core::audit::enabled() {
             assert!(
                 msg.contains("audit violation [time]"),
@@ -495,7 +480,6 @@ mod tests {
         .expect_err("underflow must panic, not clamp, when checks are on");
         let msg = panic_msg(&*err);
         assert!(msg.contains("underflow"), "unexpected panic: {msg}");
-        #[cfg(feature = "audit")]
         if pert_core::audit::enabled() {
             assert!(
                 msg.contains("audit violation [time]"),
@@ -505,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg(all(debug_assertions, feature = "audit"))]
+    #[cfg(debug_assertions)]
     fn underflow_counts_as_audit_violation() {
         if !pert_core::audit::enabled() {
             return;

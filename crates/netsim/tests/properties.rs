@@ -621,7 +621,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "audit")]
 mod audit_props {
     use super::*;
     use netsim::audit::{AuditCtx, EnqueueKind, QueueLedger, QueueOp};

@@ -747,7 +747,7 @@ impl DeriveScope {
         }
         let n = self.shard_events.len() as u128;
         let total: u128 = self.shard_events.values().map(|&x| u128::from(x)).sum();
-        let max: u128 = u128::from(*self.shard_events.values().max().unwrap());
+        let max = *self.shard_events.values().max().unwrap();
         let sum_sq: u128 = self
             .shard_events
             .values()
@@ -760,12 +760,12 @@ impl DeriveScope {
         } else {
             (total * total * 1_000 / (n * sum_sq)) as u64
         };
-        // Rounded basis-point share; all shards idle renders as 0.
-        let max_share_bp = (max * 10_000 + total / 2).checked_div(total).unwrap_or(0) as u64;
+        let events = u64::try_from(total).unwrap_or(u64::MAX);
         Some(ShardSummary {
             shards: self.shard_events.len() as u64,
-            events: total as u64,
-            max_share_bp,
+            events,
+            // All shards idle renders as 0.
+            max_share_bp: rate_bp(max, events),
             jain_milli,
         })
     }
@@ -855,8 +855,8 @@ fn agreement_ok(est_bp: u64, truth_bp: u64) -> bool {
     est_bp.abs_diff(truth_bp) <= (truth_bp / 4).max(100)
 }
 
-/// `part / whole` in basis points, round-to-nearest.
-fn rate_bp(part: u64, whole: u64) -> u64 {
+/// `part / whole` in basis points, round-to-nearest; 0 when `whole` is 0.
+pub fn rate_bp(part: u64, whole: u64) -> u64 {
     if whole == 0 {
         0
     } else {

@@ -60,16 +60,6 @@ impl TimeSeries {
         Some(self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64)
     }
 
-    /// Maximum value sampled in `[from, to]`.
-    pub fn max_in(&self, from: f64, to: f64) -> Option<f64> {
-        let lo = self.times.partition_point(|&x| x < from);
-        let hi = self.times.partition_point(|&x| x <= to);
-        self.values[lo..hi]
-            .iter()
-            .copied()
-            .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
     /// Iterate `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -102,7 +92,6 @@ mod tests {
     fn windowed_mean_and_max() {
         let s = series();
         assert_eq!(s.mean_in(1.0, 2.0), Some(15.0));
-        assert_eq!(s.max_in(0.0, 10.0), Some(40.0));
         assert_eq!(s.mean_in(5.0, 6.0), None);
     }
 

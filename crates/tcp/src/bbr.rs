@@ -25,7 +25,6 @@ use std::collections::VecDeque;
 
 use pert_core::audit;
 use pert_core::reference::BbrReference;
-#[cfg(feature = "telemetry")]
 use pert_core::telemetry;
 
 use crate::cc::{CcAction, CcAlgorithm, CcContext};
@@ -96,7 +95,6 @@ enum State {
 
 impl State {
     /// Stable index for the `bbr/state` telemetry series.
-    #[cfg(feature = "telemetry")]
     fn index(self) -> f64 {
         match self {
             State::Startup => 0.0,
@@ -139,11 +137,8 @@ pub struct Bbr {
     in_recovery: bool,
     /// Straight-line filter oracle, attached when auditing.
     shadow: Option<BbrReference>,
-    #[cfg(feature = "telemetry")]
     tap_btlbw: Option<telemetry::Tap>,
-    #[cfg(feature = "telemetry")]
     tap_min_rtt: Option<telemetry::Tap>,
-    #[cfg(feature = "telemetry")]
     tap_state: Option<telemetry::Tap>,
 }
 
@@ -179,11 +174,8 @@ impl Bbr {
             prior_cwnd: 0.0,
             in_recovery: false,
             shadow: audit::enabled().then(|| BbrReference::new(BW_WINDOW_ROUNDS)),
-            #[cfg(feature = "telemetry")]
             tap_btlbw: telemetry::Tap::attach("bbr/btlbw", seed),
-            #[cfg(feature = "telemetry")]
             tap_min_rtt: telemetry::Tap::attach("bbr/min_rtt", seed),
-            #[cfg(feature = "telemetry")]
             tap_state: telemetry::Tap::attach("bbr/state", seed),
         }
     }
@@ -206,12 +198,9 @@ impl Bbr {
     fn set_state(&mut self, state: State, now: f64) {
         if self.state != state {
             self.state = state;
-            #[cfg(feature = "telemetry")]
             if let Some(tap) = &self.tap_state {
                 tap.record(now, state.index());
             }
-            #[cfg(not(feature = "telemetry"))]
-            let _ = now;
         }
     }
 
@@ -263,7 +252,6 @@ impl Bbr {
                         );
                     }
                 }
-                #[cfg(feature = "telemetry")]
                 if let Some(tap) = &self.tap_btlbw {
                     tap.record(now, self.btlbw.max());
                 }
@@ -280,7 +268,6 @@ impl Bbr {
         if rtt < self.min_rtt || expired {
             self.min_rtt = rtt;
             self.min_rtt_stamp = now;
-            #[cfg(feature = "telemetry")]
             if let Some(tap) = &self.tap_min_rtt {
                 tap.record(now, self.min_rtt);
             }

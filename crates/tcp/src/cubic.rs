@@ -11,7 +11,6 @@
 
 use pert_core::audit;
 use pert_core::reference::CubicReference;
-#[cfg(feature = "telemetry")]
 use pert_core::telemetry;
 
 use crate::cc::{CcAction, CcAlgorithm, CcContext};
@@ -136,9 +135,7 @@ pub struct Cubic {
     hystart_exits: u64,
     /// Straight-line oracle, attached when auditing.
     shadow: Option<CubicReference>,
-    #[cfg(feature = "telemetry")]
     tap_w_max: Option<telemetry::Tap>,
-    #[cfg(feature = "telemetry")]
     tap_hystart: Option<telemetry::Tap>,
 }
 
@@ -156,9 +153,7 @@ impl Cubic {
             prr: Prr::default(),
             hystart_exits: 0,
             shadow: audit::enabled().then(|| CubicReference::new(CUBIC_C, CUBIC_BETA)),
-            #[cfg(feature = "telemetry")]
             tap_w_max: telemetry::Tap::attach("cubic/w_max", seed),
-            #[cfg(feature = "telemetry")]
             tap_hystart: telemetry::Tap::attach("cubic/hystart_exit", seed),
         }
     }
@@ -227,7 +222,6 @@ impl CcAlgorithm for Cubic {
             // Hybrid slow start: exponential growth, watched by HyStart.
             if self.hystart.on_ack(ctx.now, ctx.rtt) {
                 self.hystart_exits += 1;
-                #[cfg(feature = "telemetry")]
                 if let Some(tap) = &self.tap_hystart {
                     tap.record(ctx.now, *ctx.cwnd);
                 }
@@ -289,12 +283,9 @@ impl CcAlgorithm for Cubic {
         self.prr.active = false;
         // A post-RTO slow start deserves a fresh HyStart probe.
         self.hystart.rearm();
-        #[cfg(feature = "telemetry")]
         if let Some(tap) = &self.tap_w_max {
             tap.record(now, self.w_max);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = now;
     }
 
     fn governs_recovery(&self) -> bool {

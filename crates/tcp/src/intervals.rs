@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-#[cfg(feature = "audit")]
 use pert_core::audit;
 
 /// Differential shadow: the same set held as a plain `BTreeSet<u64>`,
@@ -12,7 +11,6 @@ use pert_core::audit;
 /// Attached at construction when auditing is enabled; every mutation is
 /// replayed on it and cheap invariants compared per-op, with a full
 /// structural comparison every 64th operation.
-#[cfg(feature = "audit")]
 #[derive(Clone, Debug, Default)]
 struct Shadow {
     set: std::collections::BTreeSet<u64>,
@@ -25,7 +23,6 @@ pub struct IntervalSet {
     /// start → end, disjoint and non-adjacent.
     map: BTreeMap<u64, u64>,
     len: u64,
-    #[cfg(feature = "audit")]
     shadow: Option<Box<Shadow>>,
 }
 
@@ -34,7 +31,6 @@ impl Default for IntervalSet {
         IntervalSet {
             map: BTreeMap::new(),
             len: 0,
-            #[cfg(feature = "audit")]
             shadow: audit::enabled().then(Box::<Shadow>::default),
         }
     }
@@ -74,7 +70,6 @@ impl IntervalSet {
     /// was newly added (`false` = duplicate).
     pub fn insert(&mut self, x: u64) -> ((u64, u64), bool) {
         let res = self.insert_inner(x);
-        #[cfg(feature = "audit")]
         self.shadow_check_insert(x, res);
         res
     }
@@ -118,11 +113,9 @@ impl IntervalSet {
                 self.len -= e - s;
             }
         }
-        #[cfg(feature = "audit")]
         self.shadow_check_remove_below(cut);
     }
 
-    #[cfg(feature = "audit")]
     fn shadow_check_insert(&mut self, x: u64, ((start, end), fresh): ((u64, u64), bool)) {
         let Some(shadow) = &mut self.shadow else {
             return;
@@ -148,7 +141,6 @@ impl IntervalSet {
         }
     }
 
-    #[cfg(feature = "audit")]
     fn shadow_check_remove_below(&mut self, cut: u64) {
         let Some(shadow) = &mut self.shadow else {
             return;
@@ -175,7 +167,6 @@ impl IntervalSet {
 
     /// Full structural comparison: rebuild maximal runs from the shadow
     /// and demand the interval map matches exactly.
-    #[cfg(feature = "audit")]
     fn verify_structure(&self) {
         let Some(shadow) = &self.shadow else { return };
         let mut runs: Vec<(u64, u64)> = Vec::new();

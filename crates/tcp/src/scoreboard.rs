@@ -17,7 +17,6 @@
 //! sweep visits each sequence number at most once over the window's
 //! lifetime (watermark-based), so processing stays linear in packets.
 
-#[cfg(feature = "audit")]
 use pert_core::audit;
 
 use netsim::SackBlock;
@@ -72,7 +71,6 @@ pub struct Scoreboard {
     fack_mark: u64,
     /// Mutation counter driving the periodic full audit rescan (wrapping:
     /// 64 divides 2^32, so the period survives the wrap).
-    #[cfg(feature = "audit")]
     ops: u32,
 }
 
@@ -266,7 +264,6 @@ impl Scoreboard {
     /// it summarizes: O(1) conservation identity on every mutation, full
     /// linear rescan (the naive implementation the counters and the cursor
     /// replace) every 64th.
-    #[cfg(feature = "audit")]
     fn audit(&mut self) {
         if !audit::enabled() {
             return;
@@ -309,10 +306,6 @@ impl Scoreboard {
             );
         }
     }
-
-    #[cfg(not(feature = "audit"))]
-    #[inline(always)]
-    fn audit(&mut self) {}
 
     /// Lowest lost segment awaiting retransmission.
     pub fn first_lost(&self) -> Option<u64> {

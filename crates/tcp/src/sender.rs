@@ -26,7 +26,6 @@
 
 use netsim::{Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken};
 use pert_core::predictors::AckSample;
-#[cfg(feature = "telemetry")]
 use pert_core::telemetry::{self, BucketHistogram};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -207,11 +206,9 @@ impl FlowCold {
 /// runtime flag is up) and the per-ACK sample log (`record_samples`).
 pub(crate) struct FlowRecorders {
     /// Publishes `tcp/cwnd` (key = flow id) on every ACK.
-    #[cfg(feature = "telemetry")]
     tap: Option<telemetry::Tap>,
     /// Per-flow RTT histogram, merged into the global `tcp/rtt_ns` metric
     /// when the flow drops.
-    #[cfg(feature = "telemetry")]
     rtt_hist: Option<BucketHistogram>,
     /// Per-ACK samples (`record_samples`).
     samples: Vec<AckSample>,
@@ -221,15 +218,10 @@ impl FlowRecorders {
     /// The recorders `cfg` asks for, or `None` when nothing would read
     /// them.
     fn attach(cfg: &TcpConfig) -> Option<Box<FlowRecorders>> {
-        #[cfg(feature = "telemetry")]
         let tel = telemetry::enabled();
-        #[cfg(not(feature = "telemetry"))]
-        let tel = false;
         (tel || cfg.record_samples).then(|| {
             Box::new(FlowRecorders {
-                #[cfg(feature = "telemetry")]
                 tap: telemetry::Tap::attach("tcp/cwnd", cfg.flow.into()),
-                #[cfg(feature = "telemetry")]
                 rtt_hist: tel.then(|| BucketHistogram::new(&telemetry::RTT_EDGES_NS)),
                 samples: Vec::new(),
             })
@@ -239,15 +231,12 @@ impl FlowRecorders {
     /// Record one ACK's outcome (`rtt` = 0 when the ACK carried no
     /// sample).
     fn on_ack(&mut self, now: f64, rtt: f64, owd: f64, cwnd: f64, record_samples: bool) {
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(tap) = &self.tap {
-                tap.record(now, cwnd);
-            }
-            if rtt > 0.0 {
-                if let Some(h) = &mut self.rtt_hist {
-                    h.observe((rtt * 1e9) as u64);
-                }
+        if let Some(tap) = &self.tap {
+            tap.record(now, cwnd);
+        }
+        if rtt > 0.0 {
+            if let Some(h) = &mut self.rtt_hist {
+                h.observe((rtt * 1e9) as u64);
             }
         }
         if record_samples && rtt > 0.0 {
@@ -773,7 +762,6 @@ fn clamp_rto(rto: SimDuration, backoff: u32, min: SimDuration, max: SimDuration)
 /// registry. Lives on the cold part so the slab flushes every flow exactly
 /// once, whenever its state drops (a shard split moves the box, never
 /// copies it).
-#[cfg(feature = "telemetry")]
 impl Drop for FlowCold {
     fn drop(&mut self) {
         let Some(rec) = &self.rec else { return };

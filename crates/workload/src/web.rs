@@ -38,15 +38,6 @@ impl Default for WebParams {
     }
 }
 
-impl WebParams {
-    /// The long-run offered load of one session in segments/second
-    /// (approximate: mean page divided by mean think time; transfer time
-    /// itself is workload-dependent and excluded).
-    pub fn offered_load_segments_per_sec(&self) -> f64 {
-        self.page_mean_segments / self.think_mean_secs
-    }
-}
-
 /// An endless think/download web session (implements
 /// [`pert_tcp::Source`]).
 #[derive(Clone, Debug)]
@@ -137,11 +128,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let mut s = WebSession::new(WebParams::default());
         assert!((0..1000).all(|_| s.next_transfer(&mut rng).is_some()));
-    }
-
-    #[test]
-    fn offered_load_estimate() {
-        let p = WebParams::default();
-        assert!((p.offered_load_segments_per_sec() - 12.0).abs() < 1e-12);
     }
 }
