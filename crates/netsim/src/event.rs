@@ -1,64 +1,39 @@
 //! The event calendar.
 //!
-//! Two interchangeable backends implement the same deterministic contract
-//! — events pop in `(time, schedule time, content tie, insertion
-//! sequence)` order, FIFO among equals, so every simulation is
-//! bit-for-bit reproducible for a given seed. The two middle keys exist
-//! for the shard-split path ([`EventQueue::push_lane`]): the
-//! **schedule time** is the watermark at insertion, or a cross-shard
-//! packet's true emission time, which slots it where the monolithic run's
-//! sequence numbers would have; the **content tie** is a hash of an
-//! arrival's packet ([`crate::packet::Packet::order_tie`], 0 for other
-//! events), which orders arrivals emitted the same nanosecond on different
-//! shards identically at any shard count (see [`Event::sched`] and
-//! [`Event::tie`]). The backends:
+//! Events pop in `(time, schedule time, content tie, insertion sequence)`
+//! order, FIFO among equals, so every simulation is bit-for-bit
+//! reproducible for a given seed. The two middle keys exist for the
+//! shard-split path ([`EventQueue::push_lane`]): the **schedule time** is
+//! the watermark at insertion, or a cross-shard packet's true emission
+//! time, which slots it where the monolithic run's sequence numbers would
+//! have; the **content tie** is a hash of an arrival's packet
+//! ([`crate::packet::Packet::order_tie`], 0 for other events), which
+//! orders arrivals emitted the same nanosecond on different shards
+//! identically at any shard count (see [`Event::sched`] and [`Event::tie`]).
 //!
-//! * [`CalendarKind::Wheel`] (what [`EventQueue::new`] builds, and so what
-//!   every simulator runs on): a hierarchical timing wheel —
-//!   11 levels of 64 slots, 1 ns granularity at level 0, each level 64×
-//!   coarser — giving O(1) amortized schedule/pop independent of the
-//!   number of pending events. Far-future events (idle sentinels at
-//!   [`SimTime::MAX`]) park in a top-level slot and cost nothing until
-//!   cancelled or reached. An event alone in its slot — the rule on
-//!   sparse calendars — is popped where it lies instead of cascading.
-//! * [`CalendarKind::Heap`]: the original binary-heap priority queue,
-//!   kept only as the reference the wheel is differentially tested
-//!   against ([`EventQueue::with_calendar`]); the audit shadow below
-//!   re-derives the same order with a heap of its own. No simulator runs
-//!   on it.
+//! The calendar is a hierarchical timing wheel — 11 levels of 64 slots,
+//! 1 ns at level 0, each level 64× coarser — with O(1) amortized
+//! schedule/pop. Idle sentinels at [`SimTime::MAX`] park in a top-level
+//! slot for free, and an event alone in its slot pops where it lies
+//! instead of cascading. A one-event **front slot** holds a new event that
+//! precedes everything in the wheel (a link's next back-to-back
+//! serialization), and each link's arrivals wait in an **arrival lane**
+//! ([`EventQueue::push_lane`]): a FIFO of strictly increasing keys through
+//! the wheel's node pool, merged at every pop by a min-heap of lane heads.
 //!
-//! On top of either backend sits a one-event **front slot**: when a new
-//! event precedes everything in the backend (the common case for a link
-//! scheduling its next back-to-back serialization), it is held directly
-//! and popped without touching the backend at all.
+//! **Cancelling** ([`EventQueue::cancel`]) leaves an O(1) tombstone that
+//! never perturbs surviving events. A **reserved** key
+//! ([`EventQueue::reserve`]) holds the place a schedule would have taken,
+//! to be filled later ([`EventQueue::schedule_reserved`]) or never; every
+//! other event keeps the key it would have had.
 //!
-//! Beside the wheel, each link has an **arrival lane**
-//! ([`EventQueue::push_lane`]): a link's arrivals leave it with strictly
-//! increasing keys, so they wait in a FIFO list through the wheel's node
-//! pool, and a min-heap of the lane heads is merged with the front slot
-//! and the wheel at every pop; an arrival never cascades. The heap backend
-//! takes a lane push as a plain insert.
-//!
-//! Events can be **cancelled** by the [`EventId`] returned from
-//! [`EventQueue::schedule`]; cancellation is lazy (a tombstone), so it is
-//! O(1) and never perturbs the order of surviving events.
-//!
-//! A key can also be **reserved** without an event behind it
-//! ([`EventQueue::reserve`]): the caller holds the `(schedule time,
-//! sequence)` a [`EventQueue::schedule`] call at that point would have
-//! stamped, and may later insert an event under exactly that key
-//! ([`EventQueue::schedule_reserved`]) — or never. Either way every other
-//! event keeps the key it would have had, so deleting a no-op event from
-//! the stream (a link departure nobody waits for) leaves the surviving
-//! pop order untouched.
-//!
-//! When the runtime audit flag is up, every wheel-backed queue carries a
-//! **shadow heap** that mirrors the schedule/cancel stream and
-//! independently re-derives each pop's `(time, sched, tie, seq)`; any
-//! divergence between the wheel and the heap ordering panics with both
-//! orderings in the message.
+//! The reference order is the audit **shadow**: under the runtime audit
+//! flag a queue mirrors its schedule/cancel stream into a binary heap,
+//! verifies each pop's key against it, and checks that a `pop_before`
+//! that finds nothing leaves no live key due. A divergence panics with
+//! both orderings in the message.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::arena::PacketRef;
@@ -76,17 +51,6 @@ pub struct TimerToken(pub u64);
 /// insertion sequence numbers that also break ordering ties).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
-
-/// Which calendar backend an [`EventQueue`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// Hierarchical timing wheel: O(1) amortized schedule/pop.
-    #[default]
-    Wheel,
-    /// Binary heap: O(log n) schedule/pop. The reference implementation
-    /// the wheel is tested against.
-    Heap,
-}
 
 /// What an event does when it fires.
 ///
@@ -213,27 +177,6 @@ impl Reservation {
     #[inline]
     pub fn tie_key(&self) -> TieKey {
         (self.sched, 0, self.seq)
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, sched, tie, seq) pops first.
-        other.key().cmp(&self.key())
     }
 }
 
@@ -754,43 +697,40 @@ impl Wheel {
 // ---------------------------------------------------------------------
 
 /// A binary-heap mirror of the schedule/cancel stream that independently
-/// re-derives the `(time, sched, tie, seq)` of every pop. Attached to
-/// wheel-backed queues when the audit runtime flag is up, it is the
-/// differential oracle proving the wheel's ordering equals the reference
-/// heap's.
+/// re-derives the `(time, sched, tie, seq)` of every pop: the reference
+/// order the wheel is checked against, attached when the audit runtime
+/// flag is up.
 #[derive(Debug, Default)]
 struct Shadow {
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u64, u64)>>,
+    heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
     cancelled: HashSet<u64>,
     checks: u64,
 }
 
 impl Shadow {
     fn push(&mut self, at: SimTime, sched: SimTime, tie: u64, seq: u64) {
-        self.heap.push(std::cmp::Reverse((
-            at.as_nanos(),
-            sched.as_nanos(),
-            tie,
-            seq,
-        )));
+        self.heap
+            .push(Reverse((at.as_nanos(), sched.as_nanos(), tie, seq)));
     }
 
     fn cancel(&mut self, seq: u64) {
         self.cancelled.insert(seq);
     }
 
-    fn verify_pop(&mut self, at: SimTime, sched: SimTime, tie: u64, seq: u64) {
-        let expected = loop {
-            match self.heap.pop() {
-                None => break None,
-                Some(std::cmp::Reverse(e)) => {
-                    if self.cancelled.remove(&e.3) {
-                        continue;
-                    }
-                    break Some(e);
-                }
+    /// The earliest live key, after dropping the cancelled ones before it.
+    fn first_live(&mut self) -> Option<(u64, u64, u64, u64)> {
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if !self.cancelled.remove(&key.3) {
+                return Some(key);
             }
-        };
+            self.heap.pop();
+        }
+        None
+    }
+
+    fn verify_pop(&mut self, at: SimTime, sched: SimTime, tie: u64, seq: u64) {
+        let expected = self.first_live();
+        self.heap.pop();
         self.checks += 1;
         if expected != Some((at.as_nanos(), sched.as_nanos(), tie, seq)) {
             crate::audit::violation(
@@ -802,17 +742,22 @@ impl Shadow {
             );
         }
     }
+
+    /// A pop bounded by `until` found nothing: no live key may be due.
+    /// Not counted, as no event was popped.
+    fn verify_none(&mut self, until: SimTime) {
+        if let Some(key) = self.first_live().filter(|k| k.0 <= until.as_nanos()) {
+            crate::audit::violation(
+                "calendar",
+                format_args!("wheel found nothing due by {until:?}, shadow holds {key:?}"),
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // EventQueue
 // ---------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<Event>),
-    Wheel(Box<Wheel>),
-}
 
 /// Where the next event waits (see [`EventQueue::locate`]).
 #[derive(Clone, Copy)]
@@ -821,16 +766,18 @@ enum Source {
     Lane,
 }
 
-/// Deterministic event calendar (see module docs for the backends, the
+/// Deterministic event calendar (see module docs for the wheel, the
 /// front-slot fast path, arrival lanes, cancellation, and the audit
 /// shadow).
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
-    /// One-event cache preceding everything in the backend (not the
+    /// Boxed, so a simulator's own layout does not carry the wheel's
+    /// slot arrays.
+    wheel: Box<Wheel>,
+    /// One-event cache preceding everything in the wheel (not the
     /// lanes): filled directly by [`EventQueue::schedule`] when the new
     /// event precedes everything there (the departure fast path), or
-    /// pulled through from the backend by a pop/peek.
+    /// pulled through from the wheel by a pop/peek.
     front: Option<Event>,
     next_seq: u64,
     /// Scheduling below this instant would violate causality: the
@@ -840,7 +787,7 @@ pub struct EventQueue {
     watermark: SimTime,
     /// Live (scheduled minus popped minus cancelled) events.
     live: usize,
-    /// Tombstones for cancelled events still resident in the backend.
+    /// Tombstones for cancelled events still resident in the wheel.
     cancelled: HashSet<u64>,
     shadow: Option<Shadow>,
 }
@@ -852,36 +799,17 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Create an empty timing-wheel calendar. When the audit runtime flag
-    /// is up, it attaches the heap shadow oracle.
+    /// Create an empty calendar. When the audit runtime flag is up, it
+    /// attaches the heap shadow.
     pub fn new() -> Self {
-        Self::with_calendar(CalendarKind::Wheel)
-    }
-
-    /// Create an empty calendar on an explicit backend (tests compare the
-    /// wheel against [`CalendarKind::Heap`]).
-    pub fn with_calendar(kind: CalendarKind) -> Self {
-        let backend = match kind {
-            CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(Box::new(Wheel::new(0))),
-        };
         EventQueue {
-            shadow: (crate::audit::enabled() && matches!(backend, Backend::Wheel(_)))
-                .then(Shadow::default),
-            backend,
+            wheel: Box::new(Wheel::new(0)),
             front: None,
             next_seq: 0,
             watermark: SimTime::ZERO,
             live: 0,
             cancelled: HashSet::new(),
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn calendar(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Heap(_) => CalendarKind::Heap,
-            Backend::Wheel(_) => CalendarKind::Wheel,
+            shadow: crate::audit::enabled().then(Shadow::default),
         }
     }
 
@@ -919,10 +847,9 @@ impl EventQueue {
     /// Register the next link's arrival lane (lane `i` is `LinkId(i)`'s)
     /// and reserve its slot in the heap of lane heads.
     pub fn add_lane(&mut self) {
-        if let Backend::Wheel(w) = &mut self.backend {
-            w.lanes.push(EMPTY_LANE);
-            w.lane_heap.reserve(w.lanes.len() - w.lane_heap.len());
-        }
+        let w = &mut self.wheel;
+        w.lanes.push(EMPTY_LANE);
+        w.lane_heap.reserve(w.lanes.len() - w.lane_heap.len());
     }
 
     /// Schedule an arrival over `link` at its lane's tail, with an explicit
@@ -944,10 +871,7 @@ impl EventQueue {
         kind: EventKind,
     ) {
         let ev = self.stamp(at, sched, tie, kind);
-        let Backend::Wheel(w) = &mut self.backend else {
-            return self.insert(ev);
-        };
-        if w.lane_push(link.index(), &ev) {
+        if self.wheel.lane_push(link.index(), &ev) {
             return self.admit(&ev);
         }
         if self.shadow.is_some() {
@@ -994,24 +918,24 @@ impl EventQueue {
 
     /// Put an event taken out by [`EventQueue::drain_all`] back under its
     /// own key: into the queue it came from (the split's rollback) or into
-    /// a fork of it (a shard calendar). Arrivals go to the
-    /// backend, not to a lane.
+    /// a fork of it (a shard calendar). Arrivals go to the wheel, not to
+    /// a lane.
     pub fn adopt(&mut self, ev: Event) {
         debug_assert!(ev.seq < self.next_seq, "adopted event from another queue");
         self.insert(ev);
     }
 
-    /// An empty queue on this queue's backend, with as many lanes, that
+    /// An empty queue with as many lanes, audited if this one is, that
     /// continues its sequence numbers: events adopted from this queue, the
     /// [`EventId`]s and [`Reservation`]s issued by it, and everything the
     /// fork schedules later all stay distinct.
     pub(crate) fn fork(&self) -> EventQueue {
-        let mut q = Self::with_calendar(self.calendar());
-        if let (Backend::Wheel(from), Backend::Wheel(to)) = (&self.backend, &mut q.backend) {
-            to.lanes = vec![EMPTY_LANE; from.lanes.len()];
-            to.lane_heap = Vec::with_capacity(from.lanes.len());
-        }
+        let lanes = self.wheel.lanes.len();
+        let mut q = Self::new();
+        q.wheel.lanes = vec![EMPTY_LANE; lanes];
+        q.wheel.lane_heap = Vec::with_capacity(lanes);
         q.next_seq = self.next_seq;
+        q.shadow = self.shadow.as_ref().map(|_| Shadow::default());
         q
     }
 
@@ -1021,18 +945,20 @@ impl EventQueue {
         match &mut self.front {
             Some(f) if ev.key() < f.key() => {
                 // The new event precedes the front one: swap it in. The
-                // demoted one still precedes everything in the backend.
+                // demoted one still precedes everything in the wheel.
                 let demoted = std::mem::replace(f, ev);
-                self.backend_insert(demoted);
+                self.wheel.insert(demoted);
             }
-            Some(_) => self.backend_insert(ev),
+            Some(_) => self.wheel.insert(ev),
             None => {
-                // Fast path: an event before everything in the backend is
+                // Fast path: an event before everything in the wheel is
                 // held directly (a link's next back-to-back serialization).
-                if ev.at.as_nanos() < self.backend_min_bound() {
+                // Cancelled residents may hold the wheel's bound below its
+                // live minimum; that only makes the check stricter.
+                if ev.at.as_nanos() < self.wheel.min_bound {
                     self.front = Some(ev);
                 } else {
-                    self.backend_insert(ev);
+                    self.wheel.insert(ev);
                 }
             }
         }
@@ -1088,70 +1014,29 @@ impl EventQueue {
         true
     }
 
-    fn backend_insert(&mut self, ev: Event) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(ev),
-            Backend::Wheel(w) => w.insert(ev),
-        }
-    }
-
-    /// A lower bound on every event stored in the backend: an event
-    /// strictly before it may take the front slot. (Cancelled residents
-    /// may hold the bound below the live minimum; that only makes the
-    /// check stricter, never wrong.)
-    fn backend_min_bound(&self) -> u64 {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map_or(u64::MAX, |e| e.at.as_nanos()),
-            Backend::Wheel(w) => w.min_bound,
-        }
-    }
-
-    fn backend_pop_before(&mut self, until: SimTime) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Heap(h) => loop {
-                let at = h.peek()?.at;
-                if at > until {
-                    return None;
-                }
-                let ev = h.pop().expect("peeked event vanished");
-                if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
-                    continue;
-                }
-                return Some(ev);
-            },
-            Backend::Wheel(w) => w.pop_before(until.as_nanos(), &mut self.cancelled),
-        }
-    }
-
-    /// The wheel's internal horizon (the heap has none). The watermark is
-    /// raised to this after any call that may cascade, so subsequent
-    /// schedules can never land below it.
-    fn backend_horizon(&self) -> SimTime {
-        match &self.backend {
-            Backend::Heap(_) => SimTime::ZERO,
-            Backend::Wheel(w) => SimTime::from_nanos(w.elapsed),
-        }
+    /// The wheel's internal horizon. The watermark is raised to this
+    /// after any call that may cascade, so subsequent schedules can never
+    /// land below it.
+    fn horizon(&self) -> SimTime {
+        SimTime::from_nanos(self.wheel.elapsed)
     }
 
     /// Where the earliest pending event waits, and its time, if it fires
     /// by `until`: in the front slot — which, empty, first pulls the
-    /// backend's next event, bounded by `until` and the earliest lane head
+    /// wheel's next event, bounded by `until` and the earliest lane head
     /// — or at a lane head. A lane head below the wheel's bound is found
     /// without touching the wheel.
     fn locate(&mut self, until: SimTime) -> Option<(Source, SimTime)> {
-        let lane = match &self.backend {
-            Backend::Wheel(w) => w.lane_heap.first().map(|l| l.at),
-            Backend::Heap(_) => None,
-        };
+        let lane = self.wheel.lane_heap.first().map(|l| l.at);
         if self.front.is_none() {
             let bound = match lane {
-                Some(at) if at.as_nanos() < self.backend_min_bound() => {
+                Some(at) if at.as_nanos() < self.wheel.min_bound => {
                     return (at <= until).then_some((Source::Lane, at));
                 }
                 Some(at) => at.min(until),
                 None => until,
             };
-            self.front = self.backend_pop_before(bound);
+            self.front = self.wheel.pop_before(bound.as_nanos(), &mut self.cancelled);
         }
         let lane_first =
             |f: &Event, at| at < f.at || at == f.at && self.lane_node().key() < f.key();
@@ -1164,20 +1049,17 @@ impl EventQueue {
         (found.1 <= until).then_some(found)
     }
 
-    /// The earliest lane head's node (wheel only).
+    /// The earliest lane head's node.
     fn lane_node(&self) -> &Node {
-        match &self.backend {
-            Backend::Wheel(w) => w.head(w.lane_heap.first().expect("a lane was located").lane),
-            Backend::Heap(_) => unreachable!("the heap backend has no lanes"),
-        }
+        let w = &self.wheel;
+        w.head(w.lane_heap.first().expect("a lane was located").lane)
     }
 
     /// Remove the event [`EventQueue::locate`] found.
     fn remove(&mut self, src: Source) -> Event {
-        match (src, &mut self.backend) {
-            (Source::Front, _) => self.front.take().expect("located in the front slot"),
-            (Source::Lane, Backend::Wheel(w)) => w.lane_pop(),
-            (Source::Lane, Backend::Heap(_)) => unreachable!("the heap backend has no lanes"),
+        match src {
+            Source::Front => self.front.take().expect("located in the front slot"),
+            Source::Lane => self.wheel.lane_pop(),
         }
     }
 
@@ -1197,23 +1079,23 @@ impl EventQueue {
     /// `until`, advancing the causality watermark — to the event's time,
     /// or to `until` itself when every pending event lies beyond it.
     pub fn pop_before(&mut self, until: SimTime) -> Option<Event> {
-        if self.live == 0 {
-            return None;
-        }
-        // A front-slot occupant precedes everything in the backend; the
-        // slot is NOT refilled after the pop — prefetching would drag the
-        // next backend event out only for the handler's own schedules to
-        // demote it straight back.
-        match self.locate(until) {
-            Some((src, ..)) => Some(self.take(src)),
-            None => {
-                // Nothing fires by `until`; the caller's clock will advance
-                // there, so scheduling before it is now causally invalid
-                // (and the wheel may have cascaded up to it).
-                self.watermark = self.watermark.max(until).max(self.backend_horizon());
-                None
+        if self.live > 0 {
+            // A front-slot occupant precedes everything in the wheel; the
+            // slot is NOT refilled after the pop — prefetching would drag
+            // the next wheel event out only for the handler's own
+            // schedules to demote it straight back.
+            if let Some((src, ..)) = self.locate(until) {
+                return Some(self.take(src));
             }
+            // Nothing fires by `until`; the caller's clock will advance
+            // there, so scheduling before it is now causally invalid (and
+            // the wheel may have cascaded up to it).
+            self.watermark = self.watermark.max(until).max(self.horizon());
         }
+        if let Some(s) = &mut self.shadow {
+            s.verify_none(until);
+        }
+        None
     }
 
     /// Remove and return the earliest event, advancing the internal
@@ -1227,7 +1109,7 @@ impl EventQueue {
     /// Finding it may pull an event into the front slot (and cascade the
     /// wheel up to it), so the causality watermark is raised to the
     /// returned time, pulled or not: a later schedule below it is rejected
-    /// and one at or after it gets the same key on every backend.
+    /// and one at or after it gets the key it would have had.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.live == 0 {
             return None;
@@ -1235,7 +1117,7 @@ impl EventQueue {
         // The shadow oracle needs no adjustment: it is consulted only at
         // the logical pop, and prefetching into the front slot is not one.
         let (_, at) = self.locate(SimTime::MAX)?;
-        self.watermark = self.watermark.max(at).max(self.backend_horizon());
+        self.watermark = self.watermark.max(at).max(self.horizon());
         Some(at)
     }
 
@@ -1259,19 +1141,15 @@ impl EventQueue {
         // Only cancelled residents are left, and the wheel's horizon ran to
         // the last event: restart at the watermark so a refill (the split's
         // rollback, or the shard that takes this queue over) works.
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Wheel(w) => {
-                debug_assert!(w.lane_heap.is_empty(), "a lane outlived the drain");
-                w.nodes.clear();
-                **w = Wheel {
-                    nodes: std::mem::take(&mut w.nodes),
-                    lanes: std::mem::take(&mut w.lanes),
-                    lane_heap: std::mem::take(&mut w.lane_heap),
-                    ..Wheel::new(self.watermark.as_nanos())
-                };
-            }
-        }
+        let w = &mut self.wheel;
+        debug_assert!(w.lane_heap.is_empty(), "a lane outlived the drain");
+        w.nodes.clear();
+        **w = Wheel {
+            nodes: std::mem::take(&mut w.nodes),
+            lanes: std::mem::take(&mut w.lanes),
+            lane_heap: std::mem::take(&mut w.lane_heap),
+            ..Wheel::new(self.watermark.as_nanos())
+        };
         self.cancelled.clear();
         if let Some(s) = &mut self.shadow {
             s.heap.clear();
@@ -1280,13 +1158,10 @@ impl EventQueue {
         out
     }
 
-    /// Bytes of event storage the backend holds (capacity, not use): on
-    /// the wheel at most 2 × high-water stored events × the 48-byte node.
+    /// Bytes of event storage the wheel holds (capacity, not use): at
+    /// most 2 × high-water stored events × the 48-byte node.
     pub fn footprint_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.capacity() * std::mem::size_of::<Event>(),
-            Backend::Wheel(w) => w.nodes.capacity() * std::mem::size_of::<Node>(),
-        }
+        self.wheel.nodes.capacity() * std::mem::size_of::<Node>()
     }
 
     /// Number of pending (scheduled, unfired, uncancelled) events.
@@ -1346,32 +1221,39 @@ mod tests {
         }
     }
 
-    fn both() -> [EventQueue; 2] {
-        [
-            EventQueue::with_calendar(CalendarKind::Wheel),
-            EventQueue::with_calendar(CalendarKind::Heap),
-        ]
+    impl EventQueue {
+        /// An empty queue with the audit shadow attached whatever the
+        /// process-wide flag says, so tests that run in parallel need not
+        /// flip it.
+        pub(crate) fn audited() -> Self {
+            let mut q = Self::new();
+            q.shadow.get_or_insert_with(Shadow::default);
+            q
+        }
+
+        /// Pops the shadow has verified, if it is attached.
+        pub(crate) fn shadow_checks(&self) -> Option<u64> {
+            self.shadow.as_ref().map(|s| s.checks)
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(30), ctrl(3));
-            q.schedule(SimTime::from_nanos(10), ctrl(1));
-            q.schedule(SimTime::from_nanos(20), ctrl(2));
-            assert_eq!(codes(&mut q), vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::audited();
+        q.schedule(SimTime::from_nanos(30), ctrl(3));
+        q.schedule(SimTime::from_nanos(10), ctrl(1));
+        q.schedule(SimTime::from_nanos(20), ctrl(2));
+        assert_eq!(codes(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        for mut q in both() {
-            let t = SimTime::from_nanos(5);
-            for code in 0..10 {
-                q.schedule(t, ctrl(code));
-            }
-            assert_eq!(codes(&mut q), (0..10).collect::<Vec<_>>());
+        let mut q = EventQueue::audited();
+        let t = SimTime::from_nanos(5);
+        for code in 0..10 {
+            q.schedule(t, ctrl(code));
         }
+        assert_eq!(codes(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1385,159 +1267,149 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        for mut q in both() {
-            assert!(q.peek_time().is_none());
-            q.schedule(SimTime::from_nanos(42), ctrl(0));
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::audited();
+        assert!(q.peek_time().is_none());
+        q.schedule(SimTime::from_nanos(42), ctrl(0));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn pop_before_respects_horizon_and_watermark() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(500), ctrl(5));
-            assert!(q.pop_before(SimTime::from_nanos(100)).is_none());
-            assert_eq!(q.len(), 1);
-            // The horizon advanced to 100; scheduling at it is still legal.
-            q.schedule(SimTime::from_nanos(100), ctrl(1));
-            let ev = q.pop_before(SimTime::from_nanos(1_000)).expect("due");
-            assert_eq!(ev.at, SimTime::from_nanos(100));
-            let ev = q.pop_before(SimTime::from_nanos(1_000)).expect("due");
-            assert_eq!(ev.at, SimTime::from_nanos(500));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::audited();
+        q.schedule(SimTime::from_nanos(500), ctrl(5));
+        assert!(q.pop_before(SimTime::from_nanos(100)).is_none());
+        assert_eq!(q.len(), 1);
+        // The horizon advanced to 100; scheduling at it is still legal.
+        q.schedule(SimTime::from_nanos(100), ctrl(1));
+        let ev = q.pop_before(SimTime::from_nanos(1_000)).expect("due");
+        assert_eq!(ev.at, SimTime::from_nanos(100));
+        let ev = q.pop_before(SimTime::from_nanos(1_000)).expect("due");
+        assert_eq!(ev.at, SimTime::from_nanos(500));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn cancellation_removes_events_and_sentinels() {
-        for mut q in both() {
-            let a = q.schedule(SimTime::from_nanos(10), ctrl(0));
-            q.schedule(SimTime::from_nanos(20), ctrl(1));
-            // A far-future idle sentinel parks for free and cancels for
-            // free.
-            let sentinel = q.schedule(SimTime::MAX, ctrl(99));
-            assert_eq!(q.len(), 3);
-            q.cancel(a);
-            q.cancel(sentinel);
-            assert_eq!(q.len(), 1);
-            let order = codes(&mut q);
-            assert_eq!(order, vec![1]);
-        }
+        let mut q = EventQueue::audited();
+        let a = q.schedule(SimTime::from_nanos(10), ctrl(0));
+        q.schedule(SimTime::from_nanos(20), ctrl(1));
+        // A far-future idle sentinel parks for free and cancels for
+        // free.
+        let sentinel = q.schedule(SimTime::MAX, ctrl(99));
+        assert_eq!(q.len(), 3);
+        q.cancel(a);
+        q.cancel(sentinel);
+        assert_eq!(q.len(), 1);
+        let order = codes(&mut q);
+        assert_eq!(order, vec![1]);
     }
 
     #[test]
     fn cancel_front_slot_event() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(100), ctrl(1));
-            q.pop();
-            // Fast path: earlier than everything pending → front slot.
-            let id = q.schedule(SimTime::from_nanos(150), ctrl(2));
-            q.schedule(SimTime::from_nanos(200), ctrl(3));
-            q.cancel(id);
-            assert_eq!(codes(&mut q), vec![3]);
-        }
+        let mut q = EventQueue::audited();
+        q.schedule(SimTime::from_nanos(100), ctrl(1));
+        q.pop();
+        // Fast path: earlier than everything pending → front slot.
+        let id = q.schedule(SimTime::from_nanos(150), ctrl(2));
+        q.schedule(SimTime::from_nanos(200), ctrl(3));
+        q.cancel(id);
+        assert_eq!(codes(&mut q), vec![3]);
     }
 
     #[test]
     fn far_future_and_sentinel_events_pop_in_order() {
-        for mut q in both() {
-            // Spread across all wheel levels, scheduled out of order.
-            let times = [
-                u64::MAX,
-                1,
-                1 << 40,
-                (1 << 40) + 1,
-                1 << 18,
-                63,
-                64,
-                1 << 30,
-            ];
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), ctrl(i as u64));
-            }
-            let mut sorted: Vec<u64> = times.to_vec();
-            sorted.sort_unstable();
-            let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.at.as_nanos())
-                .collect();
-            assert_eq!(popped, sorted);
+        let mut q = EventQueue::audited();
+        // Spread across all wheel levels, scheduled out of order.
+        let times = [
+            u64::MAX,
+            1,
+            1 << 40,
+            (1 << 40) + 1,
+            1 << 18,
+            63,
+            64,
+            1 << 30,
+        ];
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_nanos(t), ctrl(i as u64));
         }
+        let mut sorted: Vec<u64> = times.to_vec();
+        sorted.sort_unstable();
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.at.as_nanos())
+            .collect();
+        assert_eq!(popped, sorted);
     }
 
     #[test]
     fn schedule_during_pop_interleaving_keeps_order() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(10), ctrl(0));
-            let ev = q.pop().unwrap();
-            assert_eq!(ev.at, SimTime::from_nanos(10));
-            // Zero-delay reschedule at the current instant pops next and
-            // FIFO after anything already pending at that instant.
-            q.schedule(SimTime::from_nanos(10), ctrl(1));
-            q.schedule(SimTime::from_nanos(10), ctrl(2));
-            q.schedule(SimTime::from_nanos(11), ctrl(3));
-            assert_eq!(codes(&mut q), vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::audited();
+        q.schedule(SimTime::from_nanos(10), ctrl(0));
+        let ev = q.pop().unwrap();
+        assert_eq!(ev.at, SimTime::from_nanos(10));
+        // Zero-delay reschedule at the current instant pops next and
+        // FIFO after anything already pending at that instant.
+        q.schedule(SimTime::from_nanos(10), ctrl(1));
+        q.schedule(SimTime::from_nanos(10), ctrl(2));
+        q.schedule(SimTime::from_nanos(11), ctrl(3));
+        assert_eq!(codes(&mut q), vec![1, 2, 3]);
     }
 
     /// The shard-injection path: an event scheduled *late* (after the
     /// watermark passed its emission time) but carrying an early `sched`
     /// wins same-instant ties against events scheduled earlier in wall
-    /// order with later `sched` — on both backends, including against a
-    /// front-slot occupant.
+    /// order with later `sched` — including against a front-slot occupant.
     #[test]
     fn explicit_sched_reorders_same_instant_ties() {
-        for mut q in both() {
-            let t = SimTime::from_nanos;
-            // Local events: scheduled at watermark 0, firing at 100.
-            q.schedule(t(100), ctrl(0));
-            q.schedule(t(100), ctrl(1));
-            // Advance the watermark to 50 without firing anything.
-            assert!(q.pop_before(t(50)).is_none());
-            // Injection emitted at 10 on another shard, arriving at 100:
-            // must precede both locals (their sched is 0 < 10? no — their
-            // sched IS 0, so they keep winning; emitted-at-10 loses).
-            keyed(&mut q, t(100), t(10), 0, ctrl(2));
-            // Injection emitted "before" the locals were scheduled is
-            // impossible monolithically (sched 0 ties break by seq), but
-            // one landing between them in sched order is the real shape:
-            // local at sched 0, injected at sched 10, local at sched 50.
-            q.schedule(t(100), ctrl(3)); // sched = watermark = 50
-            assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
-        }
+        let mut q = EventQueue::audited();
+        let t = SimTime::from_nanos;
+        // Local events: scheduled at watermark 0, firing at 100.
+        q.schedule(t(100), ctrl(0));
+        q.schedule(t(100), ctrl(1));
+        // Advance the watermark to 50 without firing anything.
+        assert!(q.pop_before(t(50)).is_none());
+        // Injection emitted at 10 on another shard, arriving at 100:
+        // must precede both locals (their sched is 0 < 10? no — their
+        // sched IS 0, so they keep winning; emitted-at-10 loses).
+        keyed(&mut q, t(100), t(10), 0, ctrl(2));
+        // Injection emitted "before" the locals were scheduled is
+        // impossible monolithically (sched 0 ties break by seq), but
+        // one landing between them in sched order is the real shape:
+        // local at sched 0, injected at sched 10, local at sched 50.
+        q.schedule(t(100), ctrl(3)); // sched = watermark = 50
+        assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
     }
 
     /// Same, but the tie victim sits in the front slot: the injected
     /// event must demote it.
     #[test]
     fn explicit_sched_demotes_front_slot_on_tie() {
-        for mut q in both() {
-            let t = SimTime::from_nanos;
-            q.schedule(t(40), ctrl(9));
-            q.pop(); // watermark 40; backend empty
-            let _front = q.schedule(t(100), ctrl(1)); // takes the front slot, sched 40
-            keyed(&mut q, t(100), t(20), 0, ctrl(0)); // emitted earlier: precedes
-            assert_eq!(codes(&mut q), vec![0, 1]);
-        }
+        let mut q = EventQueue::audited();
+        let t = SimTime::from_nanos;
+        q.schedule(t(40), ctrl(9));
+        q.pop(); // watermark 40; wheel empty
+        let _front = q.schedule(t(100), ctrl(1)); // takes the front slot, sched 40
+        keyed(&mut q, t(100), t(20), 0, ctrl(0)); // emitted earlier: precedes
+        assert_eq!(codes(&mut q), vec![0, 1]);
     }
 
     /// Equal `(time, sched)` resolves by the content tie before the
     /// insertion sequence, and a zero tie (non-arrival) precedes any
-    /// non-zero one — on both backends, including across the front slot.
+    /// non-zero one — including across the front slot.
     #[test]
     fn content_tie_orders_equal_time_and_sched() {
-        for mut q in both() {
-            let t = SimTime::from_nanos;
-            q.schedule(t(40), ctrl(9));
-            q.pop(); // watermark 40
-            keyed(&mut q, t(100), t(40), 7, ctrl(2)); // arrival-like, big tie
-            keyed(&mut q, t(100), t(40), 3, ctrl(1)); // arrival-like, small tie
-            keyed(&mut q, t(100), t(40), 0, ctrl(0)); // plain event wins
-            keyed(&mut q, t(100), t(40), 7, ctrl(3)); // equal tie: falls to seq
-            assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
-        }
+        let mut q = EventQueue::audited();
+        let t = SimTime::from_nanos;
+        q.schedule(t(40), ctrl(9));
+        q.pop(); // watermark 40
+        keyed(&mut q, t(100), t(40), 7, ctrl(2)); // arrival-like, big tie
+        keyed(&mut q, t(100), t(40), 3, ctrl(1)); // arrival-like, small tie
+        keyed(&mut q, t(100), t(40), 0, ctrl(0)); // plain event wins
+        keyed(&mut q, t(100), t(40), 7, ctrl(3)); // equal tie: falls to seq
+        assert_eq!(codes(&mut q), vec![0, 1, 2, 3]);
     }
 
     /// The pooled wheel node stays packed at 48 bytes: what the calendar's
@@ -1597,8 +1469,8 @@ mod tests {
     }
 
     /// A lane push whose key does not follow the lane's tail is refused:
-    /// debug builds assert, and under the audit flag (wheel queues then
-    /// carry the shadow oracle) it is a calendar violation. Otherwise the
+    /// debug builds assert, and under the audit flag (queues then carry
+    /// the shadow) it is a calendar violation. Otherwise the
     /// wheel takes the event, and it still pops in key order.
     #[test]
     fn lane_push_that_does_not_increase_is_refused() {
@@ -1621,26 +1493,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn new_queues_are_wheels() {
-        assert_eq!(EventQueue::new().calendar(), CalendarKind::Wheel);
-        assert_eq!(EventQueue::default().calendar(), CalendarKind::Wheel);
-    }
-
-    /// A fork keeps its parent's backend and continues its sequence
-    /// numbers, so adopted and newly scheduled events never share a key.
+    /// A fork keeps its parent's lanes and shadow and continues its
+    /// sequence numbers, so adopted and newly scheduled events never share
+    /// a key.
     #[test]
     fn fork_keeps_the_backend_and_continues_the_sequence() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(10), ctrl(0));
-            q.schedule(SimTime::from_nanos(20), ctrl(1));
-            let mut f = q.fork();
-            assert_eq!(f.calendar(), q.calendar());
-            assert!(f.is_empty());
-            let id = f.schedule(SimTime::from_nanos(5), ctrl(2));
-            assert_eq!(id, EventId(2));
-            assert_eq!(f.pop().map(|e| e.seq()), Some(2));
-        }
+        let t = SimTime::from_nanos;
+        let mut q = EventQueue::audited();
+        q.add_lane();
+        q.schedule(t(10), ctrl(0));
+        q.schedule(t(20), ctrl(1));
+        let mut f = q.fork();
+        assert!(f.is_empty());
+        assert_eq!(f.shadow_checks(), Some(0));
+        let id = f.schedule(t(5), ctrl(2));
+        assert_eq!(id, EventId(2));
+        f.push_lane(LinkId(0), t(7), t(0), 1, ctrl(3));
+        assert_eq!(codes(&mut f), [2, 3]);
+        assert_eq!(f.shadow_checks(), Some(2));
     }
 
     /// One dispatch run as the simulator's loop takes it: the run's head
@@ -1668,50 +1538,48 @@ mod tests {
 
     #[test]
     fn batches_group_consecutive_same_time_same_class_runs() {
-        for mut q in both() {
-            let t = |n| SimTime::from_nanos(n);
-            let timer = || EventKind::Timer {
-                agent: AgentId(0),
-                token: TimerToken(0),
-            };
-            q.schedule(t(10), ctrl(0));
-            q.schedule(t(10), ctrl(1));
-            q.schedule(t(10), timer());
-            q.schedule(t(10), ctrl(2));
-            q.schedule(t(20), ctrl(3));
-            let mut head = None;
-            // The two leading controls at t=10 run together…
-            let run = pop_run(&mut q, &mut head, SimTime::MAX);
-            assert!(run.iter().all(|e| e.at == t(10)));
-            assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![0, 1]);
-            // …the interleaved timer pops alone (it broke the class run)…
-            let run = pop_run(&mut q, &mut head, SimTime::MAX);
-            assert_eq!(run.len(), 1);
-            assert_eq!(run[0].kind.class(), 2);
-            // …the trailing control does NOT rejoin the earlier run…
-            let run = pop_run(&mut q, &mut head, SimTime::MAX);
-            assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![3]);
-            // …and the t=20 event was never dragged into a t=10 run.
-            let run = pop_run(&mut q, &mut head, SimTime::MAX);
-            assert_eq!(run.iter().map(|e| e.at).collect::<Vec<_>>(), vec![t(20)]);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::audited();
+        let t = |n| SimTime::from_nanos(n);
+        let timer = || EventKind::Timer {
+            agent: AgentId(0),
+            token: TimerToken(0),
+        };
+        q.schedule(t(10), ctrl(0));
+        q.schedule(t(10), ctrl(1));
+        q.schedule(t(10), timer());
+        q.schedule(t(10), ctrl(2));
+        q.schedule(t(20), ctrl(3));
+        let mut head = None;
+        // The two leading controls at t=10 run together…
+        let run = pop_run(&mut q, &mut head, SimTime::MAX);
+        assert!(run.iter().all(|e| e.at == t(10)));
+        assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![0, 1]);
+        // …the interleaved timer pops alone (it broke the class run)…
+        let run = pop_run(&mut q, &mut head, SimTime::MAX);
+        assert_eq!(run.len(), 1);
+        assert_eq!(run[0].kind.class(), 2);
+        // …the trailing control does NOT rejoin the earlier run…
+        let run = pop_run(&mut q, &mut head, SimTime::MAX);
+        assert_eq!(run.iter().map(|e| e.seq()).collect::<Vec<_>>(), vec![3]);
+        // …and the t=20 event was never dragged into a t=10 run.
+        let run = pop_run(&mut q, &mut head, SimTime::MAX);
+        assert_eq!(run.iter().map(|e| e.at).collect::<Vec<_>>(), vec![t(20)]);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn batch_probe_keeps_scheduling_at_batch_instant_legal() {
-        for mut q in both() {
-            q.schedule(SimTime::from_nanos(10), ctrl(0));
-            q.schedule(SimTime::from_nanos(10), ctrl(1));
-            q.schedule(SimTime::from_nanos(50), ctrl(9));
-            assert_eq!(pop_run(&mut q, &mut None, SimTime::MAX).len(), 2);
-            // The pop that ended the run was bounded at its instant: a
-            // handler scheduling at the run's instant must still not hit
-            // the causality assert (peek_time would have raised the
-            // watermark to 50 here), and its event fires next.
-            q.schedule(SimTime::from_nanos(10), ctrl(2));
-            assert_eq!(codes(&mut q), vec![2, 9]);
-        }
+        let mut q = EventQueue::audited();
+        q.schedule(SimTime::from_nanos(10), ctrl(0));
+        q.schedule(SimTime::from_nanos(10), ctrl(1));
+        q.schedule(SimTime::from_nanos(50), ctrl(9));
+        assert_eq!(pop_run(&mut q, &mut None, SimTime::MAX).len(), 2);
+        // The pop that ended the run was bounded at its instant: a
+        // handler scheduling at the run's instant must still not hit
+        // the causality assert (peek_time would have raised the
+        // watermark to 50 here), and its event fires next.
+        q.schedule(SimTime::from_nanos(10), ctrl(2));
+        assert_eq!(codes(&mut q), vec![2, 9]);
     }
 
     /// A reservation consumes a sequence number and nothing else: the
@@ -1719,28 +1587,27 @@ mod tests {
     /// it is ever scheduled.
     #[test]
     fn reservations_keep_every_other_key() {
-        for mut q in both() {
-            let t = SimTime::from_nanos;
-            q.schedule(t(5), ctrl(0));
-            let unused = q.reserve();
-            let used = q.reserve();
-            q.schedule(t(5), ctrl(3));
-            assert_eq!(q.len(), 2);
-            q.schedule_reserved(t(5), used, ctrl(2));
-            assert_eq!(unused.tie_key(), (SimTime::ZERO, 0, 1));
-            let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq()).collect();
-            assert_eq!(seqs, vec![0, 2, 3]);
-        }
+        let mut q = EventQueue::audited();
+        let t = SimTime::from_nanos;
+        q.schedule(t(5), ctrl(0));
+        let unused = q.reserve();
+        let used = q.reserve();
+        q.schedule(t(5), ctrl(3));
+        assert_eq!(q.len(), 2);
+        q.schedule_reserved(t(5), used, ctrl(2));
+        assert_eq!(unused.tie_key(), (SimTime::ZERO, 0, 1));
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq()).collect();
+        assert_eq!(seqs, vec![0, 2, 3]);
     }
 
-    /// The concatenation of dispatch runs is byte-identical to the plain
-    /// pop stream, across backends, under dense churn.
+    /// The concatenation of dispatch runs is the plain pop stream under
+    /// dense churn: the shadow verifies every pop and every empty pop, and
+    /// a count of the events scheduled checks `len`.
     #[test]
     fn batched_stream_equals_unbatched_stream_under_churn() {
-        let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
-        let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
+        let mut q = EventQueue::audited();
         let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
-        let mut watermark = 0u64;
+        let (mut watermark, mut pending, mut popped) = (0u64, 0usize, 0u64);
         let mut head = None;
         for round in 0..200 {
             for _ in 0..(rnd() % 8) {
@@ -1755,57 +1622,86 @@ mod tests {
                         token: TimerToken(round),
                     }
                 };
-                wheel.schedule(SimTime::from_nanos(at), kind);
-                heap.schedule(SimTime::from_nanos(at), kind);
+                q.schedule(SimTime::from_nanos(at), kind);
+                pending += 1;
             }
             let until = SimTime::from_nanos(watermark + rnd() % 300);
             loop {
-                let run = pop_run(&mut wheel, &mut head, until);
-                if run.is_empty() {
-                    assert!(heap.pop_before(until).is_none(), "heap had more events");
-                    break;
-                }
-                for ev in run {
-                    let other = heap.pop_before(until).expect("heap ran dry");
-                    assert_eq!((ev.at, ev.seq()), (other.at, other.seq()));
-                    assert_eq!(ev.kind.class(), other.kind.class());
-                    watermark = ev.at.as_nanos();
-                }
+                let run = pop_run(&mut q, &mut head, until);
+                let Some(last) = run.last() else { break };
+                watermark = last.at.as_nanos();
+                pending -= run.len();
+                popped += run.len() as u64;
             }
+            assert_eq!(q.len(), pending);
             watermark = watermark.max(until.as_nanos());
         }
-        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(q.shadow_checks(), Some(popped));
     }
 
     /// Dense churn: schedule/pop interleavings drained through `pop_before`
-    /// horizons produce identical (time, seq) streams on both backends.
+    /// horizons pop in the shadow's `(time, seq)` order, and every empty
+    /// pop leaves nothing due.
     #[test]
     fn wheel_matches_heap_under_churn() {
-        let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
-        let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
+        let mut q = EventQueue::audited();
         let mut rnd = xorshift(0x243f_6a88_85a3_08d3);
-        let mut watermark = 0u64;
+        let (mut watermark, mut pending, mut popped) = (0u64, 0usize, 0u64);
         for round in 0..200 {
             for _ in 0..(rnd() % 8) {
                 let at = watermark + rnd() % 100_000;
-                wheel.schedule(SimTime::from_nanos(at), ctrl(round));
-                heap.schedule(SimTime::from_nanos(at), ctrl(round));
+                q.schedule(SimTime::from_nanos(at), ctrl(round));
+                pending += 1;
             }
             let until = watermark + rnd() % 50_000;
-            loop {
-                let a = wheel.pop_before(SimTime::from_nanos(until));
-                let b = heap.pop_before(SimTime::from_nanos(until));
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.at, x.seq()), (y.at, y.seq()));
-                        watermark = x.at.as_nanos();
-                    }
-                    (None, None) => break,
-                    _ => panic!("backend divergence: {a:?} vs {b:?}"),
-                }
+            while let Some(ev) = q.pop_before(SimTime::from_nanos(until)) {
+                assert!(ev.at.as_nanos() <= until);
+                watermark = ev.at.as_nanos();
+                pending -= 1;
+                popped += 1;
             }
+            assert_eq!(q.len(), pending);
             watermark = watermark.max(until);
         }
-        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(q.shadow_checks(), Some(popped));
+    }
+
+    /// The shadow verifies each pop exactly once, wherever the event
+    /// waited: in the front slot, in a lane, in the wheel, or under a
+    /// reserved key.
+    #[test]
+    fn the_shadow_checks_each_pop_once_from_every_source() {
+        let t = SimTime::from_nanos;
+        let mut q = EventQueue::audited();
+        q.add_lane();
+        q.schedule(t(10), ctrl(0));
+        q.schedule(t(1 << 20), ctrl(1));
+        let key = q.reserve();
+        q.push_lane(LinkId(0), t(30), t(0), 1, ctrl(2));
+        q.schedule_reserved(t(40), key, ctrl(3));
+        assert!(q.front.is_some_and(|f| f.at == t(10)));
+        assert_eq!(q.wheel.stored, 2);
+        assert_eq!(q.wheel.lane_heap.len(), 1);
+        assert_eq!(codes(&mut q), [0, 2, 3, 1]);
+        assert_eq!(q.shadow_checks(), Some(4));
+        // Popping an empty queue checks that nothing is due, but counts
+        // no pop.
+        assert!(q.pop().is_none());
+        assert_eq!(q.shadow_checks(), Some(4));
+    }
+
+    /// An event lost from the wheel without the shadow knowing is caught
+    /// where the wheel finds nothing due and the shadow still holds it.
+    #[test]
+    #[should_panic(expected = "audit violation [calendar]")]
+    fn an_event_lost_from_the_wheel_is_a_violation_when_nothing_pops() {
+        let t = SimTime::from_nanos;
+        let mut q = EventQueue::audited();
+        q.schedule(t(10), ctrl(0));
+        q.schedule(t(20), ctrl(1));
+        let lost = q.wheel.pop_before(u64::MAX, &mut q.cancelled);
+        assert_eq!(lost.map(|e| e.at), Some(t(20)));
+        assert_eq!(q.pop().map(|e| e.at), Some(t(10)));
+        q.pop_before(t(30));
     }
 }

@@ -11,9 +11,9 @@
 //! * a transport-agnostic **agent** API ([`Agent`]/[`Ctx`]) on which the
 //!   `pert-tcp` crate builds TCP Reno/SACK, Vegas, PERT, and PERT/PI;
 //! * built-in **instrumentation**: time-weighted queue occupancy, per-link
-//!   utilization, a central drop/mark trace separable by flow or by queue
-//!   (the paper's flow-level vs. queue-level loss views), and periodic
-//!   read-only probes.
+//!   utilization, a central drop trace whose records carry both the flow
+//!   and the link (the paper's flow-level vs. queue-level loss views),
+//!   and periodic read-only probes.
 //!
 //! The engine is single-threaded and strictly deterministic: identical
 //! seeds produce identical runs, which the test suites rely on. For
@@ -56,7 +56,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PacketArena, PacketRef};
-pub use event::{CalendarKind, EventId, TimerToken};
+pub use event::{EventId, TimerToken};
 pub use ids::{AgentId, FlowId, LinkId, NodeId};
 pub use link::Link;
 pub use packet::{Ecn, Packet, Payload, SackBlock, MAX_SACK_BLOCKS};
@@ -67,7 +67,7 @@ pub use time::{transmission_delay, SimDuration, SimTime};
 /// Common imports for simulator users.
 pub mod prelude {
     pub use crate::arena::{PacketArena, PacketRef};
-    pub use crate::event::{CalendarKind, EventId, TimerToken};
+    pub use crate::event::{EventId, TimerToken};
     pub use crate::ids::{AgentId, FlowId, LinkId, NodeId};
     pub use crate::packet::{Ecn, Packet, Payload, SackBlock};
     pub use crate::queue::{

@@ -32,7 +32,7 @@ use crate::node::{compute_routes, Node};
 use crate::packet::Packet;
 use crate::queue::{DropReason, EnqueueOutcome, QueueDiscipline};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropRecord, MarkRecord, Trace};
+use crate::trace::{DropRecord, Trace};
 
 /// A transport endpoint attached to a node.
 ///
@@ -272,7 +272,7 @@ pub struct Simulator {
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_nodes: Vec<NodeId>,
     probes: Vec<Probe>,
-    /// Central drop/mark log.
+    /// Central drop log.
     pub trace: Trace,
     rng: SmallRng,
     routes_ready: bool,
@@ -655,7 +655,7 @@ impl Simulator {
     }
 
     /// Restart every link's measurement window (delivery counters, queue
-    /// occupancy integrals) and clear the drop/mark trace. Call at the end
+    /// occupancy integrals) and clear the drop trace. Call at the end
     /// of the warm-up transient; the paper measures t ∈ [100 s, 300 s].
     pub fn reset_measurements(&mut self) {
         let now = self.now;
@@ -755,13 +755,6 @@ impl Simulator {
             EnqueueOutcome::Marked => {
                 self.counters.enqueued += 1;
                 self.counters.marked += 1;
-                if self.trace.record_marks {
-                    self.trace.record_mark(MarkRecord {
-                        at: now,
-                        link: link_id,
-                        flow: self.arena[pkt].flow,
-                    });
-                }
             }
             EnqueueOutcome::Dropped(r, reason) => {
                 let dropped = self.arena.take(r).expect("queue dropped a stale PacketRef");
@@ -1372,11 +1365,7 @@ impl Simulator {
                 agents: shard_agents.next().expect("one list per shard"),
                 agent_nodes: self.agent_nodes.clone(),
                 probes: Vec::new(),
-                trace: Trace {
-                    record_marks: self.trace.record_marks,
-                    marks_cap: self.trace.marks_cap,
-                    ..Trace::default()
-                },
+                trace: Trace::default(),
                 // Never drawn from at runtime (no agent uses `Ctx::rng` on
                 // the shardable scenarios); seeded deterministically anyway.
                 rng: SmallRng::seed_from_u64(self.seed ^ me as u64),
@@ -1428,7 +1417,6 @@ impl Simulator {
                     .shard_merge(parts);
             }
         }
-        let mut marks: Vec<MarkRecord> = self.trace.marks.drain(..).collect();
         for mut shard in shards {
             let io = shard
                 .shard_io
@@ -1463,24 +1451,15 @@ impl Simulator {
                 }
             }
             self.trace.drops.append(&mut shard.trace.drops);
-            marks.extend(shard.trace.marks.drain(..));
-            self.trace.marks_dropped += shard.trace.marks_dropped;
             // The shard flushes its audit check counts when it drops here;
             // its telemetry flush is suppressed — the merged husk reports
             // the combined totals exactly once.
             shard.tel_on = false;
         }
-        // Stable sorts restore global time order; same-instant records
+        // A stable sort restores global time order; same-instant records
         // from different shards keep shard order (see DESIGN.md §9 on the
         // tie caveat).
         self.trace.drops.sort_by_key(|d| d.at);
-        marks.sort_by_key(|m| m.at);
-        let cap = self.trace.marks_cap;
-        if marks.len() > cap {
-            self.trace.marks_dropped += (marks.len() - cap) as u64;
-            marks.drain(..marks.len() - cap);
-        }
-        self.trace.marks = marks.into();
     }
 
     /// Re-intern a packet received from another shard and schedule its
@@ -1576,7 +1555,6 @@ impl Simulator {
         tel::counter_add("queue/marked", self.counters.marked);
         tel::counter_add("queue/dropped_overflow", self.counters.dropped_overflow);
         tel::counter_add("queue/dropped_early", self.counters.dropped_early);
-        tel::counter_add("trace/marks_dropped", self.trace.marks_dropped);
         for (i, name) in EventKind::CLASS_NAMES.iter().enumerate() {
             tel::counter_add(&format!("sim/ev_{name}"), self.ev_counts[i]);
         }
@@ -1799,8 +1777,6 @@ mod tests {
             "only the lifetime elision tally survives the reset"
         );
         assert!(sim.trace.drops.is_empty());
-        assert!(sim.trace.marks.is_empty());
-        assert_eq!(sim.trace.marks_dropped, 0);
 
         // The same workload after the reset fills a fresh window with
         // identical totals — nothing leaked across the boundary.
@@ -1994,10 +1970,10 @@ mod tests {
     /// two arrivals emitted at 1 ms (one per lane, ordered by content
     /// tie), the router link's departure, reserved at 9 ms and armed by
     /// the first of those arrivals, and a queue tick scheduled at 9.5 ms.
-    fn one_instant_sim(calendar: crate::event::CalendarKind) -> (Simulator, Log) {
+    fn one_instant_sim() -> (Simulator, Log) {
         let log = Log::default();
         let mut sim = Simulator::new(1);
-        sim.events = EventQueue::with_calendar(calendar);
+        sim.events = EventQueue::audited();
         let [a1, a2, b, c] = [(); 4].map(|_| sim.add_node());
         for a in [a1, a2] {
             sim.add_link(
@@ -2039,15 +2015,12 @@ mod tests {
 
     /// The run loop pops each event only after the previous handler
     /// returned, so a departure an arrival arms at the current instant
-    /// still precedes the tick pending there: the wheel-backed simulator
-    /// dispatches in the heap backend's pop order, event for event.
+    /// still precedes the tick pending there: the simulator dispatches in
+    /// the heap shadow's pop order, event for event.
     #[test]
     fn one_instant_dispatches_in_heap_pop_order() {
-        use crate::event::CalendarKind;
-        let (wheel, log) = one_instant_sim(CalendarKind::Wheel);
-        let (heap, heap_log) = one_instant_sim(CalendarKind::Heap);
+        let (sim, log) = one_instant_sim();
         let log = log.lock().unwrap().clone();
-        assert_eq!(log, *heap_log.lock().unwrap());
         let at_10ms: Vec<_> = log
             .iter()
             .filter(|(t, _)| *t == SimTime::from_millis(10))
@@ -2055,13 +2028,11 @@ mod tests {
             .collect();
         assert_eq!(at_10ms, ["timer", "enqueue", "enqueue", "dequeue", "tick"]);
         assert_eq!(log.iter().filter(|(_, what)| *what == "arrival").count(), 4);
-        for sim in [&wheel, &heap] {
-            assert_eq!(sim.event_class_counts(), wheel.event_class_counts());
-            assert_eq!(
-                sim.event_class_counts().iter().sum::<u64>(),
-                sim.events_processed()
-            );
-        }
+        assert_eq!(
+            sim.event_class_counts().iter().sum::<u64>(),
+            sim.events_processed()
+        );
+        assert_eq!(sim.events.shadow_checks(), Some(sim.events_processed()));
     }
 
     /// The serialization memo keys on the rate too: a capacity changed
@@ -2091,34 +2062,31 @@ mod tests {
     /// the drain cleared its tombstone.
     #[test]
     fn drained_calendar_refills_in_the_same_order() {
-        use crate::event::{CalendarKind, EventQueue};
         let at = SimTime::from_nanos;
-        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-            let mut q = EventQueue::with_calendar(kind);
-            q.schedule(at(5), EventKind::Control { code: 99 });
-            assert_eq!(q.pop().map(|e| e.at), Some(at(5)));
-            let times = [7, 1 << 30, 7, 1 << 20, 9, u64::MAX];
-            let ids: Vec<_> = (0u64..)
-                .zip(times)
-                .map(|(code, t)| q.schedule(at(t), EventKind::Control { code }))
-                .collect();
-            assert!(q.cancel(ids[5]));
+        let mut q = EventQueue::audited();
+        q.schedule(at(5), EventKind::Control { code: 99 });
+        assert_eq!(q.pop().map(|e| e.at), Some(at(5)));
+        let times = [7, 1 << 30, 7, 1 << 20, 9, u64::MAX];
+        let ids: Vec<_> = (0u64..)
+            .zip(times)
+            .map(|(code, t)| q.schedule(at(t), EventKind::Control { code }))
+            .collect();
+        assert!(q.cancel(ids[5]));
 
-            let code = |e: &Event| match e.kind {
-                EventKind::Control { code } => code,
-                _ => unreachable!(),
-            };
-            let in_order = [0, 2, 4, 3, 1];
-            let drained = q.drain_all();
-            assert_eq!(drained.iter().map(code).collect::<Vec<_>>(), in_order);
-            assert!(q.is_empty());
-            for ev in &drained {
-                q.adopt(*ev);
-            }
-            assert_eq!(q.len(), 5);
-            let again: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(again.iter().map(code).collect::<Vec<_>>(), in_order);
-            assert_eq!(again.last().map(|e| e.at), Some(at(1 << 30)), "{kind:?}");
+        let code = |e: &Event| match e.kind {
+            EventKind::Control { code } => code,
+            _ => unreachable!(),
+        };
+        let in_order = [0, 2, 4, 3, 1];
+        let drained = q.drain_all();
+        assert_eq!(drained.iter().map(code).collect::<Vec<_>>(), in_order);
+        assert!(q.is_empty());
+        for ev in &drained {
+            q.adopt(*ev);
         }
+        assert_eq!(q.len(), 5);
+        let again: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(again.iter().map(code).collect::<Vec<_>>(), in_order);
+        assert_eq!(again.last().map(|e| e.at), Some(at(1 << 30)));
     }
 }

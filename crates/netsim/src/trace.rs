@@ -1,25 +1,13 @@
-//! Simulation-wide event traces.
+//! Simulation-wide drop trace.
 //!
 //! The paper's §2 analysis needs losses observable at *two* levels: per-flow
 //! (what a single end host can see) and per-queue (what actually happens at
-//! the bottleneck). Every drop and ECN mark is therefore logged centrally
-//! with its time, link, and flow; analyzers slice the log either way.
-//!
-//! Drops are sparse and kept in full. Marks are plentiful under ECN (every
-//! AQM signal is a mark), so they live in a bounded ring: once
-//! [`Trace::marks_cap`] records are held, the oldest is discarded for each
-//! new one and [`Trace::marks_dropped`] counts the loss — truncation is
-//! visible, never silent.
-
-use std::collections::VecDeque;
+//! the bottleneck). Every drop is therefore logged centrally with its time,
+//! link, flow and reason. Drops are sparse, so the log is kept in full.
 
 use crate::ids::{FlowId, LinkId};
 use crate::queue::DropReason;
 use crate::time::SimTime;
-
-/// Default bound on retained mark records (records beyond it evict the
-/// oldest). At ~32 bytes per record this caps mark memory near 8 MiB.
-pub const DEFAULT_MARKS_CAP: usize = 1 << 18;
 
 /// One dropped packet.
 #[derive(Clone, Copy, Debug)]
@@ -36,170 +24,16 @@ pub struct DropRecord {
     pub was_data: bool,
 }
 
-/// One ECN-marked packet.
-#[derive(Clone, Copy, Debug)]
-pub struct MarkRecord {
-    /// When the mark was applied.
-    pub at: SimTime,
-    /// The marking link.
-    pub link: LinkId,
-    /// The flow the packet belonged to.
-    pub flow: FlowId,
-}
-
-/// Central drop/mark log.
-#[derive(Debug)]
+/// Central drop log.
+#[derive(Debug, Default)]
 pub struct Trace {
     /// All drops, in time order.
     pub drops: Vec<DropRecord>,
-    /// The newest ECN marks, in time order (only recorded when
-    /// `record_marks`; bounded by `marks_cap`).
-    pub marks: VecDeque<MarkRecord>,
-    /// Whether to store individual mark records (drops are always kept —
-    /// they are sparse; marks can be plentiful under ECN).
-    pub record_marks: bool,
-    /// Ring bound on `marks`; oldest records are evicted beyond it.
-    pub marks_cap: usize,
-    /// Mark records evicted from the ring since the last [`Trace::clear`].
-    pub marks_dropped: u64,
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace {
-            drops: Vec::new(),
-            marks: VecDeque::new(),
-            record_marks: false,
-            marks_cap: DEFAULT_MARKS_CAP,
-            marks_dropped: 0,
-        }
-    }
 }
 
 impl Trace {
-    /// Log an ECN mark, honouring `record_marks` and the ring bound.
-    pub fn record_mark(&mut self, rec: MarkRecord) {
-        if !self.record_marks {
-            return;
-        }
-        if self.marks.len() >= self.marks_cap {
-            self.marks.pop_front();
-            self.marks_dropped += 1;
-        }
-        self.marks.push_back(rec);
-    }
-
-    /// Drops on `link` only.
-    pub fn drops_at_link(&self, link: LinkId) -> impl Iterator<Item = &DropRecord> {
-        self.drops.iter().filter(move |d| d.link == link)
-    }
-
-    /// Drops belonging to `flow` only (the "flow-level" view of §2.2).
-    pub fn drops_of_flow(&self, flow: FlowId) -> impl Iterator<Item = &DropRecord> {
-        self.drops.iter().filter(move |d| d.flow == flow)
-    }
-
     /// Clear everything (used when discarding the warm-up transient).
     pub fn clear(&mut self) {
         self.drops.clear();
-        self.marks.clear();
-        self.marks_dropped = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drop_rec(i: u64) -> DropRecord {
-        DropRecord {
-            at: SimTime::from_nanos(i),
-            link: LinkId((i % 2) as usize),
-            flow: FlowId((i % 3) as usize),
-            reason: if i.is_multiple_of(2) {
-                DropReason::Overflow
-            } else {
-                DropReason::Early
-            },
-            was_data: i % 3 != 2,
-        }
-    }
-
-    fn mark_rec(i: u64) -> MarkRecord {
-        MarkRecord {
-            at: SimTime::from_nanos(i),
-            link: LinkId(0),
-            flow: FlowId(0),
-        }
-    }
-
-    #[test]
-    fn slicing_by_link_and_flow() {
-        let mut t = Trace::default();
-        for i in 0..6u64 {
-            t.drops.push(DropRecord {
-                at: SimTime::from_nanos(i),
-                link: LinkId((i % 2) as usize),
-                flow: FlowId((i % 3) as usize),
-                reason: DropReason::Overflow,
-                was_data: true,
-            });
-        }
-        assert_eq!(t.drops_at_link(LinkId(0)).count(), 3);
-        assert_eq!(t.drops_of_flow(FlowId(1)).count(), 2);
-        t.clear();
-        assert!(t.drops.is_empty());
-    }
-
-    #[test]
-    fn slicing_filters_are_disjoint_and_complete() {
-        let mut t = Trace::default();
-        for i in 0..12u64 {
-            t.drops.push(drop_rec(i));
-        }
-        // Per-link views partition the log (links 0 and 1 only).
-        let by_link: usize = (0..2).map(|l| t.drops_at_link(LinkId(l)).count()).sum();
-        assert_eq!(by_link, t.drops.len());
-        // Per-flow views partition it too (flows 0..3).
-        let by_flow: usize = (0..3).map(|f| t.drops_of_flow(FlowId(f)).count()).sum();
-        assert_eq!(by_flow, t.drops.len());
-        // A link absent from the log yields an empty view, not a panic.
-        assert_eq!(t.drops_at_link(LinkId(9)).count(), 0);
-        assert_eq!(t.drops_of_flow(FlowId(9)).count(), 0);
-        // Slices preserve time order and carry full records.
-        let link0: Vec<_> = t.drops_at_link(LinkId(0)).collect();
-        assert!(link0.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(link0.iter().all(|d| d.link == LinkId(0)));
-        assert!(link0
-            .iter()
-            .any(|d| matches!(d.reason, DropReason::Overflow)));
-    }
-
-    #[test]
-    fn marks_ring_evicts_oldest_and_counts() {
-        let mut t = Trace {
-            record_marks: true,
-            marks_cap: 4,
-            ..Trace::default()
-        };
-        for i in 0..10u64 {
-            t.record_mark(mark_rec(i));
-        }
-        assert_eq!(t.marks.len(), 4);
-        assert_eq!(t.marks_dropped, 6);
-        // The ring holds the *newest* records, oldest first.
-        let kept: Vec<u64> = t.marks.iter().map(|m| m.at.as_nanos()).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        t.clear();
-        assert!(t.marks.is_empty());
-        assert_eq!(t.marks_dropped, 0);
-    }
-
-    #[test]
-    fn marks_ignored_unless_recording() {
-        let mut t = Trace::default();
-        t.record_mark(mark_rec(1));
-        assert!(t.marks.is_empty());
-        assert_eq!(t.marks_dropped, 0);
     }
 }

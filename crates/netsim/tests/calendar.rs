@@ -1,23 +1,33 @@
-//! Calendar-equivalence property tests: the timing wheel and the binary
-//! heap must emit byte-identical `(time, sched, tie, seq, kind)` pop
-//! streams for any legal schedule, including simultaneous events,
-//! `SimTime::MAX` idle sentinels, cancellations, events scheduled while a
-//! pop loop is in flight, keys reserved early and scheduled late (or
-//! never), every way the wheel's pooled nodes are freed and reused, and
-//! the sparse calendars of small simulations, where an event sits alone in
-//! its slot and the wheel pops it in place instead of cascading it down,
-//! and per-link arrival lanes merged with all of the above (the heap takes
-//! a lane push as a plain insert).
+//! Calendar property tests. Every test here raises the audit flag (none
+//! lowers it), so each queue carries its heap shadow, the reference order:
+//! the shadow verifies the `(time, sched, tie, seq)` of every pop and that
+//! a pop finding nothing leaves nothing due, while the interpreter's own
+//! mirror of the pending events and of the watermark checks `len`,
+//! `peek_time`, every `None`, each popped event's key and kind, and the
+//! key a reserve takes. The op streams cover
+//! simultaneous events, `SimTime::MAX` idle sentinels, cancellations,
+//! events scheduled while a pop loop is in flight, keys reserved early and
+//! scheduled late (or never), every way the wheel's pooled nodes are freed
+//! and reused, the sparse calendars of small simulations, where an event
+//! sits alone in its slot and the wheel pops it in place instead of
+//! cascading it down, and per-link arrival lanes merged with all of the
+//! above.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use netsim::event::{CalendarKind, Event, EventKind, EventQueue};
+use netsim::event::{Event, EventKind, EventQueue, Reservation};
 use netsim::ids::{AgentId, LinkId};
 use netsim::time::SimTime;
-use netsim::TimerToken;
+use netsim::{EventId, TimerToken};
 use proptest::prelude::*;
 
-/// Stable discriminant for comparing event kinds across the two backends.
+/// A new queue with the audit shadow attached.
+fn audited() -> EventQueue {
+    netsim::audit::set_enabled(true);
+    EventQueue::new()
+}
+
+/// Stable discriminant for comparing event kinds with the mirror's.
 fn disc(kind: &EventKind) -> u8 {
     match kind {
         EventKind::Arrival { .. } => 0,
@@ -55,210 +65,263 @@ fn sparse_offset(x: u64) -> u64 {
 /// At most this many events pending in the sparse regime.
 const SPARSE_PENDING: usize = 8;
 
-/// Drive a wheel-backed and a heap-backed queue through the same operation
-/// stream and require identical observable behaviour at every step.
-///
-/// Ops are `(selector, a, b)` triples decoded below. The interpreter keeps
-/// its own watermark mirror so every schedule lands at or after the last
-/// pop (the queue's causality contract), and tracks pending ids so it only
-/// cancels events that have not fired. Both queues register `lanes`
-/// arrival lanes; the interpreter pushes each lane's events at strictly
-/// increasing times, as a link's serialization does.
-fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
-    let mut wheel = EventQueue::with_calendar(CalendarKind::Wheel);
-    let mut heap = EventQueue::with_calendar(CalendarKind::Heap);
-    for _ in 0..lanes {
-        wheel.add_lane();
-        heap.add_lane();
+/// A pending event as the interpreter expects it to pop.
+#[derive(Clone, Copy)]
+struct Pending {
+    at: SimTime,
+    sched: SimTime,
+    tie: u64,
+    kind: u8,
+    /// Its id, if the interpreter may cancel it.
+    id: Option<EventId>,
+}
+
+impl Pending {
+    /// What a pop or a drain must return for this event.
+    fn key(&self) -> (SimTime, SimTime, u64, u8) {
+        (self.at, self.sched, self.tie, self.kind)
     }
-    let mut now = SimTime::ZERO;
-    // insertion index -> (wheel id, heap id), removed on pop/cancel.
-    let mut pending = BTreeMap::new();
-    // Mirrors both queues' next sequence number (schedules and reserves).
-    let mut scheduled: u64 = 0;
-    // Keys reserved on (wheel, heap) and not yet scheduled.
-    let mut reserved = Vec::new();
-    // Per lane: the last time pushed, and the `(seq, time)` of its events
-    // not yet popped, in push (= pop) order.
-    let mut lane_last = vec![None::<SimTime>; lanes];
-    let mut lane_pending: Vec<VecDeque<(u64, SimTime)>> = vec![VecDeque::new(); lanes];
+}
 
-    let schedule = |wheel: &mut EventQueue,
-                    heap: &mut EventQueue,
-                    pending: &mut BTreeMap<u64, _>,
-                    scheduled: &mut u64,
-                    at: SimTime,
-                    tag: u64| {
-        let kind = |code| kind_for(tag, code);
-        let wid = wheel.schedule(at, kind(*scheduled));
-        let hid = heap.schedule(at, kind(*scheduled));
-        pending.insert(*scheduled, (wid, hid));
-        *scheduled += 1;
-    };
+/// What the interpreter knows of the queue it drives.
+struct Mirror {
+    /// The interpreter's clock: every schedule lands at or after it.
+    now: SimTime,
+    /// The queue's causality watermark, the schedule time it stamps: the
+    /// last pop, a `pop_before` horizon that found nothing while events
+    /// were pending, or a peeked time, whichever came last and highest.
+    mark: SimTime,
+    /// Every pending event by sequence number.
+    pending: BTreeMap<u64, Pending>,
+    /// The queue's next sequence number (schedules, lane pushes and
+    /// reserves).
+    next_seq: u64,
+    /// Keys reserved and not yet scheduled.
+    reserved: Vec<Reservation>,
+    /// Per lane: the last time pushed, and the `(seq, time)` of its events
+    /// not yet popped, in push (= pop) order.
+    lane_last: Vec<Option<SimTime>>,
+    lane_pending: Vec<VecDeque<(u64, SimTime)>>,
+}
 
-    let compare_pop = |a: Option<Event>,
-                       b: Option<Event>,
-                       pending: &mut BTreeMap<u64, _>,
-                       lane_pending: &mut Vec<VecDeque<(u64, SimTime)>>,
-                       now: &mut SimTime|
-     -> Option<SimTime> {
-        match (a, b) {
-            (None, None) => None,
-            (Some(x), Some(y)) => {
-                prop_assert_eq!(
-                    (x.at, x.sched, x.tie, x.seq(), disc(&x.kind)),
-                    (y.at, y.sched, y.tie, y.seq(), disc(&y.kind)),
-                    "wheel and heap popped different events"
-                );
-                pending.remove(&x.seq());
-                for lane in lane_pending.iter_mut() {
-                    if lane.front().is_some_and(|&(seq, _)| seq == x.seq()) {
-                        lane.pop_front();
-                    }
-                }
-                *now = x.at;
-                Some(x.at)
-            }
-            (x, y) => panic!("pop divergence: wheel {x:?} vs heap {y:?}"),
+impl Mirror {
+    fn new(lanes: usize) -> Self {
+        Mirror {
+            now: SimTime::ZERO,
+            mark: SimTime::ZERO,
+            pending: BTreeMap::new(),
+            next_seq: 0,
+            reserved: Vec::new(),
+            lane_last: vec![None; lanes],
+            lane_pending: vec![VecDeque::new(); lanes],
         }
-    };
+    }
+
+    /// Record an event inserted under sequence number `seq`.
+    fn add(
+        &mut self,
+        seq: u64,
+        at: SimTime,
+        (sched, tie): (SimTime, u64),
+        kind: EventKind,
+        id: Option<EventId>,
+    ) {
+        let kind = disc(&kind);
+        self.pending.insert(
+            seq,
+            Pending {
+                at,
+                sched,
+                tie,
+                kind,
+                id,
+            },
+        );
+    }
+
+    fn schedule(&mut self, q: &mut EventQueue, at: SimTime, tag: u64) {
+        let kind = kind_for(tag, self.next_seq);
+        let id = q.schedule(at, kind);
+        self.add(self.next_seq, at, (self.mark, 0), kind, Some(id));
+        self.next_seq += 1;
+    }
+
+    /// Schedule `kind` under the reserved `key`.
+    fn schedule_reserved(
+        &mut self,
+        q: &mut EventQueue,
+        at: SimTime,
+        key: Reservation,
+        kind: EventKind,
+    ) {
+        q.schedule_reserved(at, key, kind);
+        let (sched, tie, seq) = key.tie_key();
+        self.add(seq, at, (sched, tie), kind, None);
+    }
+
+    /// Push an arrival-like event at `lane`'s tail.
+    fn push_lane(
+        &mut self,
+        q: &mut EventQueue,
+        lane: usize,
+        at: SimTime,
+        sched: SimTime,
+        tie: u64,
+        tag: u64,
+    ) {
+        let kind = kind_for(tag, self.next_seq);
+        q.push_lane(LinkId(lane), at, sched, tie, kind);
+        self.add(self.next_seq, at, (sched, tie), kind, None);
+        self.lane_last[lane] = Some(at);
+        self.lane_pending[lane].push_back((self.next_seq, at));
+        self.next_seq += 1;
+    }
+
+    /// The earliest pending time.
+    fn first(&self) -> Option<SimTime> {
+        self.pending.values().map(|p| p.at).min()
+    }
+
+    /// Check what a pop bounded by `until` returned, and return the
+    /// popped event's time.
+    fn popped(&mut self, ev: Option<Event>, until: SimTime) -> Option<SimTime> {
+        let Some(ev) = ev else {
+            let first = self.first();
+            prop_assert!(
+                first.is_none_or(|t| t > until),
+                "nothing popped by {until:?}, but an event is pending at {first:?}"
+            );
+            if first.is_some() {
+                self.mark = self.mark.max(until);
+            }
+            return None;
+        };
+        let want = self
+            .pending
+            .remove(&ev.seq())
+            .expect("popped an event that is not pending");
+        let got = (ev.at, ev.sched, ev.tie, disc(&ev.kind));
+        prop_assert_eq!(got, want.key(), "popped event changed");
+        prop_assert!(ev.at <= until, "popped {:?} past {until:?}", ev.at);
+        for lane in &mut self.lane_pending {
+            if lane.front().is_some_and(|&(seq, _)| seq == ev.seq()) {
+                lane.pop_front();
+            }
+        }
+        (self.now, self.mark) = (ev.at, ev.at);
+        Some(ev.at)
+    }
+}
+
+/// Drive one audited queue through an operation stream.
+///
+/// Ops are `(selector, a, b)` triples decoded below. The mirror keeps the
+/// watermark so every schedule lands at or after the last pop (the queue's
+/// causality contract), and tracks pending ids so it only cancels events
+/// that have not fired. The queue registers `lanes` arrival lanes; the
+/// interpreter pushes each lane's events at strictly increasing times, as
+/// a link's serialization does.
+fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
+    let mut q = audited();
+    for _ in 0..lanes {
+        q.add_lane();
+    }
+    let mut m = Mirror::new(lanes);
 
     for &(sel, a, b) in ops {
         match sel % 20 {
             // Spread-out schedule: anywhere in the next millisecond.
-            0 | 1 => {
-                let at = after(now, a % 1_000_000);
-                schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
-            }
+            0 | 1 => m.schedule(&mut q, after(m.now, a % 1_000_000), b),
             // Collision-heavy schedule: at most 4 ns ahead, forcing
             // simultaneous events that exercise the FIFO tiebreak.
-            2 => {
-                let at = after(now, a % 4);
-                schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
-            }
+            2 => m.schedule(&mut q, after(m.now, a % 4), b),
             // Idle sentinel at the end of time.
-            3 => {
-                let at = SimTime::MAX;
-                schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
-            }
-            // Cancel a still-pending event (both queues).
+            3 => m.schedule(&mut q, SimTime::MAX, b),
+            // Cancel a still-pending scheduled event.
             4 => {
-                if !pending.is_empty() {
-                    let idx = b as usize % pending.len();
-                    let (&key, &(wid, hid)) = pending.iter().nth(idx).unwrap();
-                    wheel.cancel(wid);
-                    heap.cancel(hid);
-                    pending.remove(&key);
+                let ids: Vec<_> = m
+                    .pending
+                    .iter()
+                    .filter_map(|(&seq, p)| Some((seq, p.id?)))
+                    .collect();
+                if !ids.is_empty() {
+                    let (seq, id) = ids[b as usize % ids.len()];
+                    prop_assert!(q.cancel(id));
+                    m.pending.remove(&seq);
                 }
             }
             // Single pop.
             5 => {
-                let (x, y) = (wheel.pop(), heap.pop());
-                compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
+                m.popped(q.pop(), SimTime::MAX);
             }
             // Bounded pop_before drain, optionally scheduling new events
             // mid-drain (the schedule-during-pop interleaving).
             6 => {
-                let until = after(now, a % 100_000);
+                let until = after(m.now, a % 100_000);
                 let mut budget = 8u32;
-                loop {
-                    let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                    let Some(at) = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now)
-                    else {
-                        break;
-                    };
+                while let Some(at) = m.popped(q.pop_before(until), until) {
                     if b % 3 == 0 && budget > 0 {
                         budget -= 1;
-                        let again = after(at, 1 + b % 50);
-                        schedule(
-                            &mut wheel,
-                            &mut heap,
-                            &mut pending,
-                            &mut scheduled,
-                            again,
-                            b,
-                        );
+                        m.schedule(&mut q, after(at, 1 + b % 50), b);
                     }
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
-                now = now.max(until);
+                m.now = m.now.max(until);
             }
             // Drain to exhaustion: every live node returns to the pool (a
             // pending tombstone keeps its own until reached), and the ops
             // that follow refill from the free list.
-            7 => loop {
-                let (x, y) = (wheel.pop(), heap.pop());
-                if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
-                    break;
-                }
-            },
+            7 => while m.popped(q.pop(), SimTime::MAX).is_some() {},
             // Demotion into a non-empty level-0 list: two events a few ns
             // out share a 1 ns slot, the first of them usually in the
             // front slot; a third just ahead of them takes the front and
             // pushes its occupant back into the wheel, where it must sort
             // ahead of its later-scheduled twin.
             8 => {
-                let twin = after(now, 2 + a % 3);
-                for at in [twin, twin, after(now, 1)] {
-                    schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                let twin = after(m.now, 2 + a % 3);
+                for at in [twin, twin, after(m.now, 1)] {
+                    m.schedule(&mut q, at, b);
                 }
             }
-            // Reserve the key a schedule would take here, on both queues.
+            // Reserve the key a schedule would take here: the watermark
+            // and the next sequence number.
             10 => {
-                let (w, h) = (wheel.reserve(), heap.reserve());
-                prop_assert_eq!(w.tie_key(), h.tie_key());
-                reserved.push((w, h));
-                scheduled += 1;
+                let key = q.reserve();
+                prop_assert_eq!(key.tie_key(), (m.mark, 0, m.next_seq));
+                m.reserved.push(key);
+                m.next_seq += 1;
             }
             // Schedule under a reserved key, at the current instant
             // (`a % 3 == 0`: it may sort before events already pending
             // there) or just after it.
             11 => {
-                if !reserved.is_empty() {
-                    let (w, h) = reserved.swap_remove(b as usize % reserved.len());
-                    let at = after(now, a % 3);
-                    wheel.schedule_reserved(at, w, kind_for(b, w.tie_key().2));
-                    heap.schedule_reserved(at, h, kind_for(b, h.tie_key().2));
+                if !m.reserved.is_empty() {
+                    let key = m.reserved.swap_remove(b as usize % m.reserved.len());
+                    let (at, kind) = (after(m.now, a % 3), kind_for(b, key.tie_key().2));
+                    m.schedule_reserved(&mut q, at, key, kind);
                 }
             }
             // Sparse schedule: far apart and few, so most events are alone
             // in a wheel slot above level 0 (a pop when enough are pending).
             12 => {
-                if pending.len() < SPARSE_PENDING {
-                    let at = after(now, sparse_offset(a));
-                    schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                if m.pending.len() < SPARSE_PENDING {
+                    m.schedule(&mut q, after(m.now, sparse_offset(a)), b);
                 } else {
-                    let (x, y) = (wheel.pop(), heap.pop());
-                    compare_pop(x, y, &mut pending, &mut lane_pending, &mut now);
+                    m.popped(q.pop(), SimTime::MAX);
                 }
             }
             // Sparse bounded drain: the horizon stops wherever `until`
             // falls — short of a lone node's slot, at its start, inside it
             // below or above the node — and later schedules land around it.
             13 => {
-                let until = after(now, sparse_offset(a));
+                let until = after(m.now, sparse_offset(a));
                 let mut budget = 4u32;
-                loop {
-                    let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                    let Some(at) = compare_pop(x, y, &mut pending, &mut lane_pending, &mut now)
-                    else {
-                        break;
-                    };
-                    if b % 3 == 0 && budget > 0 && pending.len() < SPARSE_PENDING {
+                while let Some(at) = m.popped(q.pop_before(until), until) {
+                    if b % 3 == 0 && budget > 0 && m.pending.len() < SPARSE_PENDING {
                         budget -= 1;
-                        let again = after(at, sparse_offset(b >> 2));
-                        schedule(
-                            &mut wheel,
-                            &mut heap,
-                            &mut pending,
-                            &mut scheduled,
-                            again,
-                            b,
-                        );
+                        m.schedule(&mut q, after(at, sparse_offset(b >> 2)), b);
                     }
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
-                now = now.max(until);
+                m.now = m.now.max(until);
             }
             // Lane push: an arrival 5–100 ms out (it would cascade three or
             // four wheel levels), one up to 1 µs out, or one a few ns out
@@ -266,7 +329,7 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
             // the lane's previous push. 15: an injection, emitted on
             // another shard before this queue's watermark.
             // (A lane whose last push reached the end of time takes no more.)
-            14 | 15 if lanes > 0 && lane_last[b as usize % lanes] != Some(SimTime::MAX) => {
+            14 | 15 if lanes > 0 && m.lane_last[b as usize % lanes] != Some(SimTime::MAX) => {
                 let lane = b as usize % lanes;
                 let x = a >> 2;
                 let off = match a % 4 {
@@ -274,48 +337,47 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
                     1 => x % 1_000,
                     _ => 5_000_000 + x % 95_000_000,
                 };
-                let floor = lane_last[lane].map_or(now, |t| now.max(after(t, 1)));
-                let at = after(floor, off);
+                let floor = m.lane_last[lane].map_or(m.now, |t| m.now.max(after(t, 1)));
                 let sched = if sel % 20 == 15 {
-                    SimTime::from_nanos(x % now.as_nanos().saturating_add(1))
+                    SimTime::from_nanos(x % m.now.as_nanos().saturating_add(1))
                 } else {
-                    now
+                    m.now
                 };
-                let tie = (b >> 8) % 3;
-                for q in [&mut wheel, &mut heap] {
-                    q.push_lane(LinkId(lane), at, sched, tie, kind_for(b >> 16, scheduled));
-                }
-                lane_last[lane] = Some(at);
-                lane_pending[lane].push_back((scheduled, at));
-                scheduled += 1;
+                m.push_lane(
+                    &mut q,
+                    lane,
+                    after(floor, off),
+                    sched,
+                    (b >> 8) % 3,
+                    b >> 16,
+                );
             }
             // At a lane head's instant: a plain event (it lands in the front
             // slot or at level 0 beside the head), or a reserved departure
             // whose older key sorts before it.
             16 if lanes > 0 => {
-                if let Some(&(_, at)) = lane_pending[b as usize % lanes].front() {
-                    if a % 2 == 0 || reserved.is_empty() {
-                        schedule(&mut wheel, &mut heap, &mut pending, &mut scheduled, at, b);
+                if let Some(&(_, at)) = m.lane_pending[b as usize % lanes].front() {
+                    if a % 2 == 0 || m.reserved.is_empty() {
+                        m.schedule(&mut q, at, b);
                     } else {
-                        let (w, h) = reserved.swap_remove(b as usize % reserved.len());
+                        let key = m.reserved.swap_remove(b as usize % m.reserved.len());
                         let kind = EventKind::Departure { link: LinkId(0) };
-                        wheel.schedule_reserved(at, w, kind);
-                        heap.schedule_reserved(at, h, kind);
+                        m.schedule_reserved(&mut q, at, key, kind);
                     }
                 }
             }
             // One dispatch run as the simulator's loop takes it: pops due
             // by a horizon while they continue the first one's run (same
             // instant, same class). The first pop that does not is handed
-            // on as the next run's head, already compared.
+            // on as the next run's head, already checked.
             17 => {
-                let until = after(now, a % 10_000_000);
+                let until = after(m.now, a % 10_000_000);
                 let mut run = None;
                 loop {
-                    let (x, y) = (wheel.pop_before(until), heap.pop_before(until));
-                    let key = x.map(|e| (e.at, e.kind.class()));
-                    if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
-                        now = now.max(until);
+                    let ev = q.pop_before(until);
+                    let key = ev.map(|e| (e.at, e.kind.class()));
+                    if m.popped(ev, until).is_none() {
+                        m.now = m.now.max(until);
                         break;
                     }
                     if *run.get_or_insert(key) != key {
@@ -323,21 +385,25 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
                     }
                 }
             }
-            // Take every pending event out in pop order and put it back:
+            // Take every pending event out in key order and put it back:
             // the shard split's drain and its rollback. Lane events return
             // to the wheel, not to their lanes.
             18 => {
-                let (dw, dh) = (wheel.drain_all(), heap.drain_all());
-                let key = |e: &Event| (e.at, e.sched, e.tie, e.seq(), disc(&e.kind));
-                prop_assert_eq!(
-                    dw.iter().map(key).collect::<Vec<_>>(),
-                    dh.iter().map(key).collect::<Vec<_>>(),
-                    "drained streams differ"
+                let drained = q.drain_all();
+                let key = |e: &Event| (e.at, e.sched, e.tie, e.seq());
+                prop_assert!(
+                    drained.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "drained out of key order"
                 );
-                prop_assert!(wheel.is_empty() && heap.is_empty());
-                for (x, y) in dw.into_iter().zip(dh) {
-                    wheel.adopt(x);
-                    heap.adopt(y);
+                let got: BTreeMap<_, _> = drained
+                    .iter()
+                    .map(|e| (e.seq(), (e.at, e.sched, e.tie, disc(&e.kind))))
+                    .collect();
+                let want: BTreeMap<_, _> = m.pending.iter().map(|(&s, p)| (s, p.key())).collect();
+                prop_assert_eq!(got, want, "drained events differ from the pending ones");
+                prop_assert!(q.is_empty());
+                for ev in drained {
+                    q.adopt(ev);
                 }
             }
             // Every lane's head at one instant: the dumbbell's equal-rate,
@@ -345,49 +411,42 @@ fn drive(ops: &[(u8, u64, u64)], lanes: usize) {
             // heads are ordered by their full key at heap depth 5 and more;
             // small ties leave many of those keys to the sequence number.
             19 if lanes > 0 => {
-                let floor = lane_last
+                let floor = m
+                    .lane_last
                     .iter()
                     .flatten()
-                    .fold(now, |f, &t| f.max(after(t, 1)));
+                    .fold(m.now, |f, &t| f.max(after(t, 1)));
                 if floor < SimTime::MAX {
                     let at = after(floor, a % 1_000);
                     for lane in 0..lanes {
                         let tie = (b >> (lane % 60)) % 3;
-                        for q in [&mut wheel, &mut heap] {
-                            q.push_lane(LinkId(lane), at, now, tie, kind_for(b >> 16, scheduled));
-                        }
-                        lane_last[lane] = Some(at);
-                        lane_pending[lane].push_back((scheduled, at));
-                        scheduled += 1;
+                        m.push_lane(&mut q, lane, at, m.now, tie, b >> 16);
                     }
                 }
             }
-            // Peek must agree and may advance the causality watermark.
+            // Peek finds the earliest pending time and may advance the
+            // causality watermark.
             _ => {
-                let (tw, th) = (wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(tw, th, "peek_time diverged");
-                if let Some(t) = tw {
-                    now = now.max(t);
+                let t = q.peek_time();
+                prop_assert_eq!(t, m.first(), "peek_time is not the earliest pending time");
+                if let Some(t) = t {
+                    m.now = m.now.max(t);
+                    m.mark = m.mark.max(t);
                 }
             }
         }
-        prop_assert_eq!(wheel.len(), heap.len(), "live counts diverged");
-        prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+        prop_assert_eq!(q.len(), m.pending.len(), "live count diverged");
+        prop_assert_eq!(q.is_empty(), m.pending.is_empty());
     }
 
-    // Drain to exhaustion: the tails must match event for event.
-    loop {
-        let (x, y) = (wheel.pop(), heap.pop());
-        if compare_pop(x, y, &mut pending, &mut lane_pending, &mut now).is_none() {
-            break;
-        }
-    }
-    prop_assert!(wheel.is_empty() && heap.is_empty());
+    // Drain to exhaustion: the tail must match event for event.
+    while m.popped(q.pop(), SimTime::MAX).is_some() {}
+    prop_assert!(q.is_empty() && m.pending.is_empty());
 }
 
 proptest! {
-    /// Randomized op streams: wheel and heap pop identical
-    /// `(time, seq, kind)` sequences under schedules, collisions,
+    /// Randomized op streams: the wheel pops the shadow heap's
+    /// `(time, sched, tie, seq)` sequence under schedules, collisions,
     /// sentinels, cancellations, peeks, mid-drain schedules, full drains
     /// followed by refills, front-slot demotions, and reserved keys.
     #[test]
@@ -465,37 +524,35 @@ proptest! {
 /// A key reserved early and scheduled at the *current* instant — by the
 /// handler of the event just popped — pops where an event scheduled at
 /// the reservation point would have: before the later-keyed events
-/// already pending at that instant, on both backends, whether the next of
-/// them waits in the front slot or in the backend. That is why a dispatch
-/// run is extended one pop at a time (`continue_run`), after each
-/// handler, and never popped ahead.
+/// already pending at that instant, whether the next of them waits in the
+/// front slot or in the wheel. That is why a dispatch run is extended one
+/// pop at a time (`continue_run`), after each handler, and never popped
+/// ahead.
 #[test]
 fn reserved_key_at_the_current_instant_precedes_later_keys() {
     let at = SimTime::from_nanos;
-    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-        for peek_first in [false, true] {
-            let mut q = EventQueue::with_calendar(kind);
-            q.schedule(at(10), kind_for(1, 0));
-            let key = q.reserve();
-            q.schedule(at(10), kind_for(1, 2));
-            q.schedule(at(10), kind_for(1, 3));
-            q.schedule(at(11), kind_for(1, 4));
-            let first = q.pop().expect("due");
-            assert_eq!(first.seq(), 0);
-            if peek_first {
-                // Pull event 2 into the front slot; the insert demotes it.
-                assert_eq!(q.peek_time(), Some(at(10)));
-            }
-            q.schedule_reserved(at(10), key, kind_for(1, 1));
-            assert_eq!(q.len(), 4);
-            let next = continue_run(&mut q, &first).ok();
-            assert_eq!(next.map(|e| e.tie_key()), Some(key.tie_key()));
-            let order: Vec<_> = std::iter::from_fn(|| q.pop())
-                .map(|e| (e.at, e.seq()))
-                .collect();
-            let want = [(at(10), 2), (at(10), 3), (at(11), 4)];
-            assert_eq!(order, want, "{kind:?}, peeked: {peek_first}");
+    for peek_first in [false, true] {
+        let mut q = audited();
+        q.schedule(at(10), kind_for(1, 0));
+        let key = q.reserve();
+        q.schedule(at(10), kind_for(1, 2));
+        q.schedule(at(10), kind_for(1, 3));
+        q.schedule(at(11), kind_for(1, 4));
+        let first = q.pop().expect("due");
+        assert_eq!(first.seq(), 0);
+        if peek_first {
+            // Pull event 2 into the front slot; the insert demotes it.
+            assert_eq!(q.peek_time(), Some(at(10)));
         }
+        q.schedule_reserved(at(10), key, kind_for(1, 1));
+        assert_eq!(q.len(), 4);
+        let next = continue_run(&mut q, &first).ok();
+        assert_eq!(next.map(|e| e.tie_key()), Some(key.tie_key()));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.at, e.seq()))
+            .collect();
+        let want = [(at(10), 2), (at(10), 3), (at(11), 4)];
+        assert_eq!(order, want, "peeked: {peek_first}");
     }
 }
 
@@ -510,18 +567,11 @@ fn continue_run(q: &mut EventQueue, first: &Event) -> Result<Event, Option<Event
     }
 }
 
-/// Run `script` on a wheel and on a heap queue; both must pop the same
-/// `(at, sched, tie, seq)` stream, which is returned.
-fn on_both(script: impl Fn(&mut EventQueue) -> Vec<Event>) -> Vec<(u64, u64)> {
-    let key = |e: &Event| (e.at, e.sched, e.tie, e.seq());
-    let [wheel, heap] = [CalendarKind::Wheel, CalendarKind::Heap]
-        .map(|kind| script(&mut EventQueue::with_calendar(kind)));
-    assert_eq!(
-        wheel.iter().map(key).collect::<Vec<_>>(),
-        heap.iter().map(key).collect::<Vec<_>>(),
-        "wheel and heap streams differ"
-    );
-    wheel.iter().map(|e| (e.at.as_nanos(), e.seq())).collect()
+/// Run `script` on an audited queue, whose shadow verifies every pop,
+/// and return the `(at, seq)` stream it popped.
+fn on_audited(script: impl Fn(&mut EventQueue) -> Vec<Event>) -> Vec<(u64, u64)> {
+    let popped = script(&mut audited());
+    popped.iter().map(|e| (e.at.as_nanos(), e.seq())).collect()
 }
 
 /// Level-3 slots are 64³ ns wide; slot 5 of the first window.
@@ -539,7 +589,7 @@ fn horizon_inside_a_lone_slot_then_inserts_below_the_lone_node() {
     let at = SimTime::from_nanos;
     let lone = L3_START + 200_000;
     for until in [L3_START - 7, L3_START, L3_START + 1, L3_START + 100_000] {
-        let stream = on_both(|q| {
+        let stream = on_audited(|q| {
             // An earlier event takes the front slot, so `lone` enters the
             // wheel; popping it again leaves the wheel horizon at 0 and
             // `lone` alone in a level-3 slot.
@@ -568,17 +618,47 @@ fn horizon_inside_a_lone_slot_then_inserts_below_the_lone_node() {
     }
 }
 
+/// `pop_before(until)` is inclusive: an event at exactly `until` pops,
+/// whether it waits in the front slot, at a lane head, on wheel level 0
+/// or alone in a level-3 slot, and a horizon one nanosecond short of it
+/// pops nothing.
+#[test]
+fn pop_before_takes_an_event_at_exactly_until() {
+    let at = SimTime::from_nanos;
+    for t in [5, 63, L3_START + 200_000] {
+        for source in ["front", "lane", "wheel"] {
+            let mut q = audited();
+            q.add_lane();
+            match source {
+                "front" => drop(q.schedule(at(t), kind_for(1, 0))),
+                "lane" => q.push_lane(LinkId(0), at(t), SimTime::ZERO, 0, kind_for(1, 0)),
+                _ => {
+                    // An earlier event takes the front slot, so `t` enters
+                    // the wheel; popping it leaves `t` the wheel's only node.
+                    q.schedule(at(1), kind_for(1, 0));
+                    q.schedule(at(t), kind_for(1, 1));
+                    assert_eq!(q.pop().map(|e| e.at), Some(at(1)));
+                }
+            }
+            let ctx = format!("{source} at {t}");
+            assert!(q.pop_before(at(t - 1)).is_none(), "{ctx}: popped early");
+            assert_eq!(q.pop_before(at(t)).map(|e| e.at), Some(at(t)), "{ctx}");
+            assert!(q.is_empty(), "{ctx}");
+        }
+    }
+}
+
 /// A lane head inside the span of a wheel slot whose node lies beyond it:
 /// finding the head pulls the wheel only up to the head's instant, so a
 /// peek leaves the watermark there and an event scheduled at the head's
-/// instant is still legal — on the wheel as on the heap. Pulling the node
+/// instant is still legal. Pulling the node
 /// itself would have moved the horizon, and with it the watermark, past
 /// the head.
 #[test]
 fn peek_at_a_lane_head_does_not_pull_the_wheel_past_it() {
     let at = SimTime::from_nanos;
     let (head, beyond) = (L3_START + 100_000, L3_START + 200_000);
-    let stream = on_both(|q| {
+    let stream = on_audited(|q| {
         q.add_lane();
         q.schedule(at(10), kind_for(1, 0));
         q.schedule(at(20), kind_for(1, 1));
@@ -604,7 +684,7 @@ fn peek_at_a_lane_head_does_not_pull_the_wheel_past_it() {
 fn cancelled_lone_node_is_dropped_in_place() {
     let at = SimTime::from_nanos;
     let lone = L3_START + 200_000;
-    let stream = on_both(|q| {
+    let stream = on_audited(|q| {
         q.schedule(at(1), kind_for(1, 0));
         let victim = q.schedule(at(lone), kind_for(1, 1));
         q.schedule(at(40 * L3_SLOT), kind_for(1, 2));
@@ -628,7 +708,7 @@ fn cancelled_lone_node_is_dropped_in_place() {
 fn reserved_key_at_the_instant_a_lone_node_was_popped() {
     let at = SimTime::from_nanos;
     let lone = L3_START + 200_000;
-    let stream = on_both(|q| {
+    let stream = on_audited(|q| {
         q.schedule(at(1), kind_for(1, 0));
         let key = q.reserve(); // seq 1
         q.schedule(at(lone), kind_for(1, 2));
@@ -656,8 +736,7 @@ fn reserved_key_at_the_instant_a_lone_node_was_popped() {
 
 /// Cancelling an id that is not pending — never issued, or already
 /// cancelled — is refused without touching the live count: `false`, or
-/// under the audit flag (wheel queues then carry the shadow oracle) a
-/// calendar violation. Before, it decremented the count regardless and
+/// under the audit flag a calendar violation. Before, it decremented the count regardless and
 /// left a tombstone nothing ever reaches, so every later pop paid a hash
 /// probe.
 #[test]
@@ -670,30 +749,28 @@ fn cancelling_a_dead_id_is_refused() {
             .downcast_ref::<String>()
             .is_some_and(|m| m.contains("audit violation [calendar]")),
     };
-    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-        let at = SimTime::from_nanos;
-        // Ids are insertion sequence numbers: another queue's later ids
-        // are ids this queue never issued.
-        let mut other = EventQueue::with_calendar(kind);
-        let issued: Vec<_> = (0..4)
-            .map(|i| other.schedule(at(i), kind_for(1, i)))
-            .collect();
+    let at = SimTime::from_nanos;
+    // Ids are insertion sequence numbers: another queue's later ids
+    // are ids this queue never issued.
+    let mut other = audited();
+    let issued: Vec<_> = (0..4)
+        .map(|i| other.schedule(at(i), kind_for(1, i)))
+        .collect();
 
-        let mut q = EventQueue::with_calendar(kind);
-        let front = q.schedule(at(10), kind_for(1, 0));
-        let stored = q.schedule(at(20), kind_for(1, 1));
-        q.schedule(at(30), kind_for(1, 2));
-        assert!(refused(&mut q, issued[3]), "{kind:?}: never-issued id");
-        assert_eq!(q.len(), 3);
+    let mut q = audited();
+    let front = q.schedule(at(10), kind_for(1, 0));
+    let stored = q.schedule(at(20), kind_for(1, 1));
+    q.schedule(at(30), kind_for(1, 2));
+    assert!(refused(&mut q, issued[3]), "never-issued id");
+    assert_eq!(q.len(), 3);
 
-        assert!(q.cancel(stored), "{kind:?}: first cancel of a stored event");
-        assert!(refused(&mut q, stored), "{kind:?}: double cancel");
-        assert_eq!(q.len(), 2);
+    assert!(q.cancel(stored), "first cancel of a stored event");
+    assert!(refused(&mut q, stored), "double cancel");
+    assert_eq!(q.len(), 2);
 
-        assert!(q.cancel(front), "{kind:?}: cancel of the front-slot event");
-        assert_eq!(q.len(), 1);
-        let left: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.at).collect();
-        assert_eq!(left, [at(30)], "{kind:?}");
-        assert!(q.is_empty());
-    }
+    assert!(q.cancel(front), "cancel of the front-slot event");
+    assert_eq!(q.len(), 1);
+    let left: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.at).collect();
+    assert_eq!(left, [at(30)]);
+    assert!(q.is_empty());
 }

@@ -706,25 +706,11 @@ impl DeriveSet {
         let mut indices = Vec::new();
         let mut flows = 0u64;
         for per_flow in self.scopes.values().map(|s| &s.acked) {
-            let n = per_flow.len() as u128;
-            if n == 0 {
+            if per_flow.is_empty() {
                 continue;
             }
             flows += per_flow.len() as u64;
-            let sum: u128 = per_flow.values().map(|&x| u128::from(x)).sum();
-            let sum_sq: u128 = per_flow
-                .values()
-                .map(|&x| u128::from(x) * u128::from(x))
-                .sum();
-            // Jain's index in milli-units: (Σx)² · 1000 / (n · Σx²).
-            // Zero throughput everywhere degenerates to a perfectly
-            // fair 1.000 by convention.
-            let jain_milli = if sum_sq == 0 {
-                1_000
-            } else {
-                (sum * sum * 1_000 / (n * sum_sq)) as u64
-            };
-            indices.push(jain_milli);
+            indices.push(jain_milli(per_flow));
         }
         if indices.is_empty() {
             return None;
@@ -745,29 +731,30 @@ impl DeriveScope {
         if self.shard_events.is_empty() {
             return None;
         }
-        let n = self.shard_events.len() as u128;
         let total: u128 = self.shard_events.values().map(|&x| u128::from(x)).sum();
         let max = *self.shard_events.values().max().unwrap();
-        let sum_sq: u128 = self
-            .shard_events
-            .values()
-            .map(|&x| u128::from(x) * u128::from(x))
-            .sum();
-        // Jain's index over per-shard event counts, milli-units; all
-        // shards idle degenerates to perfectly balanced by convention.
-        let jain_milli = if sum_sq == 0 {
-            1_000
-        } else {
-            (total * total * 1_000 / (n * sum_sq)) as u64
-        };
         let events = u64::try_from(total).unwrap_or(u64::MAX);
         Some(ShardSummary {
             shards: self.shard_events.len() as u64,
             events,
             // All shards idle renders as 0.
             max_share_bp: rate_bp(max, events),
-            jain_milli,
+            jain_milli: jain_milli(&self.shard_events),
         })
+    }
+}
+
+/// Jain's fairness index over the values of `xs` in milli-units,
+/// `(Σx)² · 1000 / (n · Σx²)`: 1000 when all are equal, and by convention
+/// when all are zero.
+fn jain_milli(xs: &BTreeMap<u64, u64>) -> u64 {
+    let n = xs.len() as u128;
+    let sum: u128 = xs.values().map(|&x| u128::from(x)).sum();
+    let sum_sq: u128 = xs.values().map(|&x| u128::from(x) * u128::from(x)).sum();
+    if sum_sq == 0 {
+        1_000
+    } else {
+        (sum * sum * 1_000 / (n * sum_sq)) as u64
     }
 }
 
