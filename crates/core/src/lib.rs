@@ -58,3 +58,26 @@ pub use pi::{PertPiController, PertPiParams, PiLaw};
 pub use predictors::{AckSample, CongestionState, Predictor};
 pub use rem::{PertRemController, PertRemParams, RemLaw};
 pub use response::ResponseCurve;
+
+/// What an instrumented object attaches when it is built: telemetry taps
+/// and audit shadows. The public constructors read it from the process
+/// flags ([`Attach::process`]); a host that builds an object later than it
+/// declared it passes the decision it recorded at declaration instead, so
+/// the object is instrumented exactly as if it had been built then.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Attach {
+    /// Attach telemetry taps ([`telemetry::enabled`]).
+    pub telemetry: bool,
+    /// Attach audit shadows ([`audit::enabled`]).
+    pub audit: bool,
+}
+
+impl Attach {
+    /// The decision the process flags make now.
+    pub fn process() -> Self {
+        Attach {
+            telemetry: telemetry::enabled(),
+            audit: audit::enabled(),
+        }
+    }
+}

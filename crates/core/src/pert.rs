@@ -26,6 +26,7 @@ use crate::audit;
 use crate::reference::PertReference;
 use crate::response::ResponseCurve;
 use crate::telemetry::{self, SeriesId};
+use crate::Attach;
 
 /// How an emulated AQM turns the queuing-delay estimate into a response
 /// probability. Everything else, from the filters to the coin, belongs to
@@ -57,7 +58,7 @@ impl Law for ResponseCurve {
 }
 
 /// Configuration of the PERT controller.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PertParams {
     /// History weight of the smoothed-RTT filter (paper: 0.99).
     pub srtt_weight: f64,
@@ -179,19 +180,32 @@ impl PertController {
     /// Create a controller with `params`, drawing response coin flips from
     /// a deterministic RNG seeded with `seed`.
     pub fn new(params: PertParams, seed: u64) -> Self {
+        Self::new_attached(params, seed, Attach::process())
+    }
+
+    /// [`PertController::new`], instrumented as `attach` says rather than
+    /// as the process flags say now.
+    pub fn new_attached(params: PertParams, seed: u64, attach: Attach) -> Self {
         Self::with_law(
             params.curve,
             params.srtt_weight,
             params.decrease_factor,
             seed,
+            attach,
         )
     }
 }
 
 impl<L: Law> PertController<L> {
     /// A controller responding by `law`, with the shared filter weight and
-    /// decrease factor.
-    pub(crate) fn with_law(law: L, srtt_weight: f64, decrease_factor: f64, seed: u64) -> Self {
+    /// decrease factor, its shadow and taps attached as `attach` says.
+    pub(crate) fn with_law(
+        law: L,
+        srtt_weight: f64,
+        decrease_factor: f64,
+        seed: u64,
+        attach: Attach,
+    ) -> Self {
         assert!(
             (0.0..1.0).contains(&srtt_weight),
             "srtt_weight must be in [0,1)"
@@ -211,9 +225,11 @@ impl<L: Law> PertController<L> {
             rng: SmallRng::seed_from_u64(seed ^ L::SALT),
             regime: REGIME_CONG_AVOID,
             stats: PertStats::default(),
-            shadow: audit::enabled().then(|| Box::new(PertReference::new(srtt_weight))),
+            shadow: attach
+                .audit
+                .then(|| Box::new(PertReference::new(srtt_weight))),
             tap_key: seed,
-            tapped: L::PUBLISHES && telemetry::enabled(),
+            tapped: L::PUBLISHES && attach.telemetry,
         }
     }
 

@@ -19,9 +19,10 @@
 //! rather than RED's `C³` (§6, discussion after Theorem 2).
 
 use crate::pert::{Law, PertController};
+use crate::Attach;
 
 /// Configuration of the PERT/PI controller.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PertPiParams {
     /// Coefficient on the current delay error (γ).
     pub gamma: f64,
@@ -129,6 +130,12 @@ pub type PertPiController = PertController<PiLaw>;
 impl PertController<PiLaw> {
     /// Create with `params`; coin flips derive from `seed`.
     pub fn pi(params: PertPiParams, seed: u64) -> Self {
+        Self::pi_attached(params, seed, Attach::process())
+    }
+
+    /// [`PertController::pi`], instrumented as `attach` says rather than
+    /// as the process flags say now.
+    pub fn pi_attached(params: PertPiParams, seed: u64, attach: Attach) -> Self {
         params.validate();
         let law = PiLaw {
             gamma: params.gamma,
@@ -137,7 +144,13 @@ impl PertController<PiLaw> {
             p: 0.0,
             prev_err: 0.0,
         };
-        Self::with_law(law, params.srtt_weight, params.decrease_factor, seed)
+        Self::with_law(
+            law,
+            params.srtt_weight,
+            params.decrease_factor,
+            seed,
+            attach,
+        )
     }
 }
 

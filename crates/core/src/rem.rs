@@ -22,9 +22,10 @@
 //! ```
 
 use crate::pert::{Law, PertController};
+use crate::Attach;
 
 /// Configuration of the PERT/REM controller.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PertRemParams {
     /// Price step size γ (per second of delay error per ACK).
     pub gamma: f64,
@@ -101,6 +102,12 @@ pub type PertRemController = PertController<RemLaw>;
 impl PertController<RemLaw> {
     /// Create with `params`; coin flips derive from `seed`.
     pub fn rem(params: PertRemParams, seed: u64) -> Self {
+        Self::rem_attached(params, seed, Attach::process())
+    }
+
+    /// [`PertController::rem`], instrumented as `attach` says rather than
+    /// as the process flags say now.
+    pub fn rem_attached(params: PertRemParams, seed: u64, attach: Attach) -> Self {
         params.validate();
         let law = RemLaw {
             gamma: params.gamma,
@@ -110,7 +117,13 @@ impl PertController<RemLaw> {
             price: 0.0,
             prev_qd: 0.0,
         };
-        Self::with_law(law, params.srtt_weight, params.decrease_factor, seed)
+        Self::with_law(
+            law,
+            params.srtt_weight,
+            params.decrease_factor,
+            seed,
+            attach,
+        )
     }
 
     /// The current price.

@@ -386,7 +386,13 @@ pub struct Tap {
 impl Tap {
     /// Attach a tap for `series[key]`, or `None` when telemetry is off.
     pub fn attach(series: &'static str, key: u64) -> Option<Tap> {
-        enabled().then(|| Tap {
+        Self::attach_if(enabled(), series, key)
+    }
+
+    /// Attach a tap for `series[key]` when `on` (a decision recorded
+    /// earlier, see [`crate::Attach`]), else `None`.
+    pub fn attach_if(on: bool, series: &'static str, key: u64) -> Option<Tap> {
+        on.then(|| Tap {
             series: series_id(series),
             key,
         })

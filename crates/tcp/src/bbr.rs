@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use pert_core::audit;
 use pert_core::reference::BbrReference;
 use pert_core::telemetry;
+use pert_core::Attach;
 
 use crate::cc::{CcAction, CcAlgorithm, CcContext};
 
@@ -148,6 +149,11 @@ impl Bbr {
     /// probe in lockstep (BBR's randomized cycle start, made
     /// deterministic per flow).
     pub fn new(seed: u64) -> Self {
+        Self::attached(seed, Attach::process())
+    }
+
+    /// [`Bbr::new`], instrumented as `attach` says.
+    pub(crate) fn attached(seed: u64, attach: Attach) -> Self {
         // Any phase but the draining one (index 1), as BBR specifies.
         let mut phase = (seed % 7) as usize;
         if phase >= 1 {
@@ -173,10 +179,10 @@ impl Bbr {
             probe_rtt_done: None,
             prior_cwnd: 0.0,
             in_recovery: false,
-            shadow: audit::enabled().then(|| BbrReference::new(BW_WINDOW_ROUNDS)),
-            tap_btlbw: telemetry::Tap::attach("bbr/btlbw", seed),
-            tap_min_rtt: telemetry::Tap::attach("bbr/min_rtt", seed),
-            tap_state: telemetry::Tap::attach("bbr/state", seed),
+            shadow: attach.audit.then(|| BbrReference::new(BW_WINDOW_ROUNDS)),
+            tap_btlbw: telemetry::Tap::attach_if(attach.telemetry, "bbr/btlbw", seed),
+            tap_min_rtt: telemetry::Tap::attach_if(attach.telemetry, "bbr/min_rtt", seed),
+            tap_state: telemetry::Tap::attach_if(attach.telemetry, "bbr/state", seed),
         }
     }
 

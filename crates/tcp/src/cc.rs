@@ -300,24 +300,18 @@ impl PertCc {
     pub fn new(seed: u64) -> Self {
         Self::around(PertController::new(PertParams::default(), seed))
     }
-
-    /// PERT driven by `signal`: the forward one-way delay is §7's
-    /// reverse-traffic remedy.
-    pub fn with_signal(params: PertParams, signal: DelaySignal, seed: u64) -> Self {
-        PertCc {
-            ctl: PertController::new(params, seed),
-            signal,
-        }
-    }
 }
 
 impl<L: Law> PertCc<L> {
     /// Reno growth around `ctl`, driven by the RTT.
     pub fn around(ctl: PertController<L>) -> Self {
-        PertCc {
-            ctl,
-            signal: DelaySignal::Rtt,
-        }
+        Self::driven_by(ctl, DelaySignal::Rtt)
+    }
+
+    /// Reno growth around `ctl`, driven by `signal`: the forward one-way
+    /// delay is §7's reverse-traffic remedy.
+    pub(crate) fn driven_by(ctl: PertController<L>, signal: DelaySignal) -> Self {
+        PertCc { ctl, signal }
     }
 
     /// The configured signal.
@@ -788,7 +782,11 @@ mod tests {
             Reno::new().name(),
             Vegas::new().name(),
             PertCc::new(0).name(),
-            PertCc::with_signal(PertParams::default(), DelaySignal::OneWayDelay, 0).name(),
+            PertCc::driven_by(
+                PertController::new(PertParams::default(), 0),
+                DelaySignal::OneWayDelay,
+            )
+            .name(),
             PertCc::around(PertController::pi(pi, 0)).name(),
             PertCc::around(PertController::rem(PertRemParams::default(), 0)).name(),
             Cubic::new(0).name(),

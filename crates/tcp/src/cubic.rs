@@ -12,6 +12,7 @@
 use pert_core::audit;
 use pert_core::reference::CubicReference;
 use pert_core::telemetry;
+use pert_core::Attach;
 
 use crate::cc::{CcAction, CcAlgorithm, CcContext};
 
@@ -142,7 +143,11 @@ pub struct Cubic {
 impl Cubic {
     /// A fresh CUBIC flow. `seed` keys this flow's telemetry series.
     pub fn new(seed: u64) -> Self {
-        let _ = seed;
+        Self::attached(seed, Attach::process())
+    }
+
+    /// [`Cubic::new`], instrumented as `attach` says.
+    pub(crate) fn attached(seed: u64, attach: Attach) -> Self {
         Cubic {
             w_max: 0.0,
             epoch_start: None,
@@ -152,9 +157,11 @@ impl Cubic {
             hystart: Hystart::new(),
             prr: Prr::default(),
             hystart_exits: 0,
-            shadow: audit::enabled().then(|| CubicReference::new(CUBIC_C, CUBIC_BETA)),
-            tap_w_max: telemetry::Tap::attach("cubic/w_max", seed),
-            tap_hystart: telemetry::Tap::attach("cubic/hystart_exit", seed),
+            shadow: attach
+                .audit
+                .then(|| CubicReference::new(CUBIC_C, CUBIC_BETA)),
+            tap_w_max: telemetry::Tap::attach_if(attach.telemetry, "cubic/w_max", seed),
+            tap_hystart: telemetry::Tap::attach_if(attach.telemetry, "cubic/hystart_exit", seed),
         }
     }
 

@@ -69,9 +69,10 @@ use pert_core::pert::{PertController, PertParams};
 use pert_core::pi::PertPiParams;
 use pert_core::predictors::AckSample;
 use pert_core::rem::PertRemParams;
+use pert_core::Attach;
 
 /// Which congestion control a connection uses.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CcKind {
     /// Loss-based SACK (the paper's standard-TCP baseline).
     Sack,
@@ -94,18 +95,23 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    fn build(&self, seed: u64) -> Cc {
+    /// The algorithm of a connection seeded with `seed`, its taps and
+    /// shadows attached as `attach` says.
+    pub(crate) fn build(&self, seed: u64, attach: Attach) -> Cc {
+        let pert = |p: &PertParams| PertController::new_attached(*p, seed, attach);
         match self {
             CcKind::Sack => Cc::Reno(Reno::new()),
             CcKind::Vegas => Cc::Vegas(Vegas::new()),
-            CcKind::Pert(p) => Cc::Pert(PertCc::around(PertController::new(*p, seed))),
-            CcKind::PertOwd(p) => Cc::Pert(PertCc::with_signal(*p, DelaySignal::OneWayDelay, seed)),
-            CcKind::PertPi(p) => Cc::PertPi(Box::new(PertCc::around(PertController::pi(*p, seed)))),
-            CcKind::PertRem(p) => {
-                Cc::PertRem(Box::new(PertCc::around(PertController::rem(*p, seed))))
-            }
-            CcKind::Cubic => Cc::Cubic(Box::new(Cubic::new(seed))),
-            CcKind::Bbr => Cc::Bbr(Box::new(Bbr::new(seed))),
+            CcKind::Pert(p) => Cc::Pert(PertCc::around(pert(p))),
+            CcKind::PertOwd(p) => Cc::Pert(PertCc::driven_by(pert(p), DelaySignal::OneWayDelay)),
+            CcKind::PertPi(p) => Cc::PertPi(Box::new(PertCc::around(PertController::pi_attached(
+                *p, seed, attach,
+            )))),
+            CcKind::PertRem(p) => Cc::PertRem(Box::new(PertCc::around(
+                PertController::rem_attached(*p, seed, attach),
+            ))),
+            CcKind::Cubic => Cc::Cubic(Box::new(Cubic::attached(seed, attach))),
+            CcKind::Bbr => Cc::Bbr(Box::new(Bbr::attached(seed, attach))),
         }
     }
 

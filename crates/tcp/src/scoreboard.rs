@@ -15,11 +15,24 @@
 //! doubling heap ring kept across transfers. `in_flight()` and
 //! `first_lost()` are O(1) (counters and a forward cursor), and the FACK
 //! sweep visits each sequence number at most once over the window's
-//! lifetime (watermark-based), so processing stays linear in packets.
+//! lifetime (watermark-based).
+//!
+//! SACK processing is independent of the window too. A receiver repeats
+//! its blocks on every ACK, and during recovery the first one spans the
+//! whole SACKed region above the hole, so walking every segment of every
+//! block costs the window per ACK. Only [`Scoreboard::ack_to`] ever removes
+//! a SACKed segment, so every segment of a block applied before is SACKed
+//! still: like Linux's `recv_sack_cache`, a spilled scoreboard remembers
+//! the last [`MAX_SACK_BLOCKS`] blocks longer than four segments it
+//! applied (in the spill allocation, after the ring) and walks only the
+//! part of a new block none of them covers. [`sack_walk`] counts what that
+//! costs.
+
+use std::cell::Cell;
 
 use pert_core::audit;
 
-use netsim::SackBlock;
+use netsim::{SackBlock, MAX_SACK_BLOCKS};
 
 /// Number of SACKed segments above a hole required to declare it lost.
 pub const DUP_THRESH: u64 = 3;
@@ -27,8 +40,17 @@ pub const DUP_THRESH: u64 = 3;
 /// Window length held inside the [`Scoreboard`] itself (a power of two).
 const INLINE: usize = 16;
 
+/// Bytes after the spilled ring: the last [`MAX_SACK_BLOCKS`] applied
+/// blocks, clipped to the window, as little-endian `(start, end)` pairs.
+const RECENT_BYTES: usize = MAX_SACK_BLOCKS * 16;
+
+/// Blocks of at most this many outstanding segments are walked whole and
+/// not remembered.
+const SHORT_BLOCK: u64 = 4;
+
 /// Delivery state of one outstanding segment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SegState {
     /// Sent once, no feedback yet.
     #[default]
@@ -41,6 +63,48 @@ pub enum SegState {
     Retx,
 }
 
+impl SegState {
+    /// The state a ring byte holds.
+    #[inline]
+    fn from_byte(b: u8) -> SegState {
+        match b {
+            0 => SegState::InFlight,
+            1 => SegState::Sacked,
+            2 => SegState::Lost,
+            _ => SegState::Retx,
+        }
+    }
+}
+
+/// SACK blocks the calling thread's scoreboards applied, and the segments
+/// they visited doing it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SackWalk {
+    /// Non-empty blocks applied.
+    pub blocks: u64,
+    /// Segments whose state those applications examined.
+    pub segments: u64,
+    /// Outstanding segments those blocks covered: what walking every
+    /// block whole would have examined.
+    pub spanned: u64,
+}
+
+thread_local! {
+    static SACK_WALK: Cell<SackWalk> = const {
+        Cell::new(SackWalk {
+            blocks: 0,
+            segments: 0,
+            spanned: 0,
+        })
+    };
+}
+
+/// What [`Scoreboard::sack`] has cost on the calling thread so far: an
+/// exact count, cheap enough to keep on (a thread-local add per block).
+pub fn sack_walk() -> SackWalk {
+    SACK_WALK.with(Cell::get)
+}
+
 /// The send-window scoreboard: a ring of states for `[base, base + len)`
 /// plus the counters and cursors that summarize it.
 ///
@@ -49,12 +113,13 @@ pub enum SegState {
 /// sentinel rather than an `Option`.
 #[derive(Debug, Default)]
 pub struct Scoreboard {
-    /// The ring until a window first outgrows it.
-    inline: [SegState; INLINE],
-    /// The ring from then on (power-of-two length, its own capacity);
-    /// empty before.
-    spill: Box<[SegState]>,
-    /// Ring index of `base`'s state, unreduced and wrapping (`seg` masks
+    /// The ring until a window first outgrows it, one [`SegState`] byte a
+    /// segment.
+    inline: [u8; INLINE],
+    /// The ring from then on (power-of-two length), followed by the
+    /// recently applied SACK blocks ([`RECENT_BYTES`]); empty before.
+    spill: Box<[u8]>,
+    /// Ring index of `base`'s state, unreduced and wrapping (`slot` masks
     /// it; the ring length is a power of two no larger than 2^32).
     head: u32,
     /// Lowest outstanding sequence number (meaningful while `len > 0`).
@@ -110,47 +175,103 @@ impl Scoreboard {
         self.base + u64::from(self.len)
     }
 
-    fn ring(&mut self) -> &mut [SegState] {
-        if self.spill.is_empty() {
-            &mut self.inline
-        } else {
-            &mut self.spill
+    fn ring(&self) -> &[u8] {
+        match self.spill.len() {
+            0 => &self.inline,
+            n => &self.spill[..n - RECENT_BYTES],
         }
     }
 
-    /// The state of outstanding segment `seq`.
-    fn seg(&mut self, seq: u64) -> &mut SegState {
+    fn ring_mut(&mut self) -> &mut [u8] {
+        match self.spill.len() {
+            0 => &mut self.inline,
+            n => &mut self.spill[..n - RECENT_BYTES],
+        }
+    }
+
+    /// The ring index of outstanding segment `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
         debug_assert!(
             self.base <= seq && seq < self.end(),
             "{seq} not outstanding"
         );
-        let i = self.head.wrapping_add((seq - self.base) as u32) as usize;
-        let ring = self.ring();
-        &mut ring[i & (ring.len() - 1)]
+        self.head.wrapping_add((seq - self.base) as u32) as usize
+    }
+
+    /// The state of outstanding segment `seq`.
+    #[inline]
+    fn state(&self, seq: u64) -> SegState {
+        let (i, ring) = (self.slot(seq), self.ring());
+        SegState::from_byte(ring[i & (ring.len() - 1)])
+    }
+
+    /// Set the state of outstanding segment `seq`.
+    #[inline]
+    fn set(&mut self, seq: u64, st: SegState) {
+        let i = self.slot(seq);
+        let ring = self.ring_mut();
+        let mask = ring.len() - 1;
+        ring[i & mask] = st as u8;
+    }
+
+    /// The recently applied blocks, as `(start, end)` (empty ranges where
+    /// none was); none at all before the ring spills.
+    fn recent(&self) -> [(u64, u64); MAX_SACK_BLOCKS] {
+        let mut recent = [(0, 0); MAX_SACK_BLOCKS];
+        if let Some(tail) = self.spill.len().checked_sub(RECENT_BYTES) {
+            let word = |k: usize| {
+                let at = tail + 8 * k;
+                u64::from_le_bytes(self.spill[at..at + 8].try_into().expect("eight bytes"))
+            };
+            for (k, r) in recent.iter_mut().enumerate() {
+                *r = (word(2 * k), word(2 * k + 1));
+            }
+        }
+        recent
+    }
+
+    /// Remember `block` as the newest applied one, forgetting the oldest.
+    fn remember(&mut self, recent: [(u64, u64); MAX_SACK_BLOCKS], block: (u64, u64)) {
+        let Some(tail) = self.spill.len().checked_sub(RECENT_BYTES) else {
+            return;
+        };
+        let newest = recent[1..].iter().copied().chain([block]);
+        for (k, (start, end)) in newest.enumerate() {
+            let at = tail + 16 * k;
+            self.spill[at..at + 8].copy_from_slice(&start.to_le_bytes());
+            self.spill[at + 8..at + 16].copy_from_slice(&end.to_le_bytes());
+        }
     }
 
     /// Record the (first) transmission of `seq`, which must extend the
     /// outstanding window by one.
     pub fn on_send_new(&mut self, seq: u64) {
         if self.len == 0 {
+            // A new window: remembered blocks describe the old one.
             self.base = seq;
+            self.remember([(0, 0); MAX_SACK_BLOCKS], (0, 0));
         }
         assert_eq!(seq, self.end(), "new segment must extend the window");
         let len = self.len as usize;
         if len == self.ring().len() {
             // Full: unroll the ring into one twice its length, starting at
-            // `base`.
+            // `base`, and carry the remembered blocks over.
             let head = self.head as usize & (len - 1);
             self.head = 0;
-            let mut grown = Vec::with_capacity(2 * len);
+            let mut grown = Vec::with_capacity(2 * len + RECENT_BYTES);
             let ring = self.ring();
             grown.extend_from_slice(&ring[head..]);
             grown.extend_from_slice(&ring[..head]);
-            grown.resize(2 * len, SegState::InFlight);
+            grown.resize(2 * len, SegState::InFlight as u8);
+            match self.spill.len().checked_sub(RECENT_BYTES) {
+                Some(tail) => grown.extend_from_slice(&self.spill[tail..]),
+                None => grown.resize(2 * len + RECENT_BYTES, 0),
+            }
             self.spill = grown.into_boxed_slice();
         }
         self.len += 1;
-        *self.seg(seq) = SegState::InFlight;
+        self.set(seq, SegState::InFlight);
         self.in_flight += 1;
         self.audit();
     }
@@ -161,9 +282,12 @@ impl Scoreboard {
             self.base <= seq && seq < self.end(),
             "retransmit of unknown seq {seq}"
         );
-        let st = self.seg(seq);
-        debug_assert_eq!(*st, SegState::Lost, "retransmit of non-lost seq {seq}");
-        *st = SegState::Retx;
+        debug_assert_eq!(
+            self.state(seq),
+            SegState::Lost,
+            "retransmit of non-lost seq {seq}"
+        );
+        self.set(seq, SegState::Retx);
         self.lost -= 1;
         self.in_flight += 1;
         self.settle_first_lost();
@@ -175,7 +299,7 @@ impl Scoreboard {
     pub fn ack_to(&mut self, cum: u64) -> u64 {
         let removed = cum.saturating_sub(self.base).min(u64::from(self.len));
         for seq in self.base..self.base + removed {
-            match *self.seg(seq) {
+            match self.state(seq) {
                 SegState::InFlight | SegState::Retx => self.in_flight -= 1,
                 SegState::Sacked => self.sacked -= 1,
                 SegState::Lost => self.lost -= 1,
@@ -191,23 +315,60 @@ impl Scoreboard {
     }
 
     /// Apply one SACK block. Blocks can reference acked-away data
-    /// harmlessly; only the part inside the window is visited.
+    /// harmlessly; only the part inside the window that no remembered
+    /// block covers is visited.
     pub fn sack(&mut self, block: SackBlock) {
         if block.is_empty() {
             return;
         }
-        for seq in block.start.max(self.base)..block.end.min(self.end()) {
-            match *self.seg(seq) {
+        let (lo, hi) = (block.start.max(self.base), block.end.min(self.end()));
+        let mut visited = 0;
+        if hi.saturating_sub(lo) <= SHORT_BLOCK {
+            // Walking a short block costs no more than consulting the
+            // remembered ones, and leaving it out keeps them for the long.
+            visited = self.mark_sacked(lo, hi);
+        } else {
+            let recent = self.recent();
+            let mut seq = lo;
+            while seq < hi {
+                let covered = recent.iter().filter(|r| r.0 <= seq && seq < r.1);
+                if let Some(past) = covered.map(|r| r.1).max() {
+                    seq = past;
+                    continue;
+                }
+                let next = recent.iter().map(|r| r.0).filter(|&s| s > seq);
+                let stop = next.fold(hi, u64::min);
+                visited += self.mark_sacked(seq, stop);
+                seq = stop;
+            }
+            self.remember(recent, (lo, hi));
+        }
+        SACK_WALK.with(|w| {
+            let walk = w.get();
+            w.set(SackWalk {
+                blocks: walk.blocks + 1,
+                segments: walk.segments + visited,
+                spanned: walk.spanned + hi.saturating_sub(lo),
+            });
+        });
+        self.sack_end = self.sack_end.max(block.end);
+        self.settle_first_lost();
+        self.audit();
+    }
+
+    /// Mark the outstanding segments `lo..hi` SACKed; returns how many
+    /// it visited.
+    fn mark_sacked(&mut self, lo: u64, hi: u64) -> u64 {
+        for seq in lo..hi {
+            match self.state(seq) {
                 SegState::InFlight | SegState::Retx => self.in_flight -= 1,
                 SegState::Lost => self.lost -= 1,
                 SegState::Sacked => continue,
             }
-            *self.seg(seq) = SegState::Sacked;
+            self.set(seq, SegState::Sacked);
             self.sacked += 1;
         }
-        self.sack_end = self.sack_end.max(block.end);
-        self.settle_first_lost();
-        self.audit();
+        hi.saturating_sub(lo)
     }
 
     /// FACK loss declaration: mark as `Lost` every `InFlight` hole lying
@@ -234,9 +395,9 @@ impl Scoreboard {
     fn mark_lost(&mut self, range: std::ops::Range<u64>, retx_too: bool) -> usize {
         let before = self.lost;
         for seq in range {
-            let st = *self.seg(seq);
+            let st = self.state(seq);
             if st == SegState::InFlight || (retx_too && st == SegState::Retx) {
-                *self.seg(seq) = SegState::Lost;
+                self.set(seq, SegState::Lost);
                 self.in_flight -= 1;
                 if self.lost == 0 || seq < self.first_lost {
                     self.first_lost = seq;
@@ -253,7 +414,7 @@ impl Scoreboard {
     fn settle_first_lost(&mut self) {
         if self.lost > 0 {
             let mut seq = self.first_lost.max(self.base);
-            while *self.seg(seq) != SegState::Lost {
+            while self.state(seq) != SegState::Lost {
                 seq += 1;
             }
             self.first_lost = seq;
@@ -284,7 +445,7 @@ impl Scoreboard {
         }
         let (mut in_flight, mut sacked, mut lost, mut first_lost) = (0u32, 0u32, 0u32, None);
         for seq in self.base..self.end() {
-            match *self.seg(seq) {
+            match self.state(seq) {
                 SegState::InFlight | SegState::Retx => in_flight += 1,
                 SegState::Sacked => sacked += 1,
                 SegState::Lost => {

@@ -15,10 +15,14 @@
 //! * `Wnd`, `RttState`, `AppState` — small `Copy` structs touched on
 //!   every ACK; the slab stores them in parallel vectors so a scan over
 //!   many flows stays in cache.
+//! * `PendingRow` — what a declared sender needs before its first event
+//!   (its boxed source, seed, config, interned congestion-control kind and
+//!   the instrumentation decided at declaration), 40 bytes a connection.
 //! * `FlowCold` — everything else (config, the congestion control held
 //!   inline as a `Cc` variant, boxed source, scoreboard, RNG, stats),
-//!   boxed per flow. Samples and telemetry hang off it in one more box
-//!   (`FlowRecorders`) that only exists while something reads them.
+//!   built from the pending row when the sender first runs. Samples and
+//!   telemetry hang off it in one more box (`FlowRecorders`) that only
+//!   exists while something reads them.
 //!
 //! All protocol logic lives on `FlowView` (a bundle of `&mut` borrows of
 //! the four parts) and performs I/O through `FlowIo`, which maps
@@ -27,6 +31,7 @@
 use netsim::{Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken};
 use pert_core::predictors::AckSample;
 use pert_core::telemetry::{self, BucketHistogram};
+use pert_core::Attach;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -62,7 +67,7 @@ const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 /// What a connection chooses about its sender. Every other sender
 /// parameter is one of the constants above, the peer is the slab row's
 /// sink node, and the RNG seed is spent at construction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct TcpConfig {
     /// Flow id for tracing and accounting (a [`FlowId`], narrowed like
     /// the slab's slots).
@@ -174,8 +179,34 @@ pub(crate) struct AppState {
     pub pace_pending: bool,
 }
 
+/// A declared sender that has not run yet: what building its [`FlowCold`]
+/// takes beyond the hot parts. Construction is a pure function of these
+/// fields (every RNG is seeded from `seed`), so building it at the first
+/// event yields the bytes building it at declaration would have.
+pub(crate) struct PendingRow {
+    pub source: Box<dyn Source>,
+    pub seed: u64,
+    pub cfg: TcpConfig,
+    /// The connection's congestion control, as an index into its slab's
+    /// interned kinds.
+    pub kind: u16,
+    /// The telemetry and audit decisions in force at declaration.
+    pub attach: Attach,
+}
+
+impl PendingRow {
+    /// Publish what dropping an untouched [`FlowCold`] built from this row
+    /// publishes: zero totals, of which only the `tcp/acked_final` record
+    /// shows.
+    pub(crate) fn flush_telemetry(&self) {
+        if self.attach.telemetry {
+            flush_totals(self.cfg.flow, &SenderStats::default(), None);
+        }
+    }
+}
+
 /// Cold per-flow state: touched off the per-ACK fast path or behind a
-/// pointer anyway. The slab boxes one per flow.
+/// pointer anyway. The slab holds one per started sender.
 pub(crate) struct FlowCold {
     pub cfg: TcpConfig,
     pub cc: Cc,
@@ -195,9 +226,35 @@ pub(crate) struct FlowCold {
 }
 
 impl FlowCold {
+    /// The cold state `row` declares, around `cc` (its kind built from its
+    /// seed and attach decisions).
+    pub(crate) fn build(row: PendingRow, cc: Cc) -> FlowCold {
+        FlowCold {
+            cfg: row.cfg,
+            cc,
+            source: row.source,
+            rng: SmallRng::seed_from_u64(row.seed ^ 0x7c95_e4d3),
+            scoreboard: Scoreboard::new(),
+            pending_transfer: 0,
+            stats: SenderStats::default(),
+            rec: FlowRecorders::attach(&row.cfg, row.attach.telemetry),
+        }
+    }
+
     /// Per-ACK samples (empty unless `record_samples`).
     pub(crate) fn samples(&self) -> &[AckSample] {
         self.rec.as_ref().map_or(&[], |r| &r.samples)
+    }
+
+    /// Flush cumulative statistics into the global telemetry registry when
+    /// recorders were attached. The slab calls it exactly once per flow,
+    /// when the part hosting the flow drops (a shard split moves the
+    /// state, never copies it).
+    pub(crate) fn flush_telemetry(&self) {
+        let Some(rec) = &self.rec else { return };
+        if rec.tap.is_some() || rec.rtt_hist.is_some() {
+            flush_totals(self.cfg.flow, &self.stats, rec.rtt_hist.as_ref());
+        }
     }
 }
 
@@ -215,13 +272,12 @@ pub(crate) struct FlowRecorders {
 }
 
 impl FlowRecorders {
-    /// The recorders `cfg` asks for, or `None` when nothing would read
-    /// them.
-    fn attach(cfg: &TcpConfig) -> Option<Box<FlowRecorders>> {
-        let tel = telemetry::enabled();
+    /// The recorders `cfg` and the telemetry decision `tel` ask for, or
+    /// `None` when nothing would read them.
+    fn attach(cfg: &TcpConfig, tel: bool) -> Option<Box<FlowRecorders>> {
         (tel || cfg.record_samples).then(|| {
             Box::new(FlowRecorders {
-                tap: telemetry::Tap::attach("tcp/cwnd", cfg.flow.into()),
+                tap: telemetry::Tap::attach_if(tel, "tcp/cwnd", cfg.flow.into()),
                 rtt_hist: tel.then(|| BucketHistogram::new(&telemetry::RTT_EDGES_NS)),
                 samples: Vec::new(),
             })
@@ -250,16 +306,8 @@ impl FlowRecorders {
     }
 }
 
-/// Build the four state parts for a fresh flow (a `FlowSlab::add_flow`
-/// row); `seed` seeds the sender-local RNG (think-time draws etc.).
-pub(crate) fn new_flow(
-    cfg: TcpConfig,
-    seed: u64,
-    cc: Cc,
-    source: Box<dyn Source>,
-) -> (Wnd, RttState, AppState, FlowCold) {
-    assert!(cfg.seg_size > 0, "segments must carry data");
-    let rec = FlowRecorders::attach(&cfg);
+/// The hot parts of a fresh flow (a `FlowSlab::add_flow` row).
+pub(crate) fn fresh_hot() -> (Wnd, RttState, AppState) {
     let wnd = Wnd {
         cwnd: INITIAL_CWND,
         ssthresh: INITIAL_SSTHRESH,
@@ -284,17 +332,7 @@ pub(crate) fn new_flow(
         pace_next: SimTime::ZERO,
         pace_pending: false,
     };
-    let cold = FlowCold {
-        cfg,
-        cc,
-        source,
-        rng: SmallRng::seed_from_u64(seed ^ 0x7c95_e4d3),
-        scoreboard: Scoreboard::new(),
-        pending_transfer: 0,
-        stats: SenderStats::default(),
-        rec,
-    };
-    (wnd, rtt, app, cold)
+    (wnd, rtt, app)
 }
 
 /// How flow logic reaches the simulator: packets leave from `node` (a
@@ -758,37 +796,27 @@ fn clamp_rto(rto: SimDuration, backoff: u32, min: SimDuration, max: SimDuration)
     (rto * (1u64 << backoff.min(16))).clamp(min, max)
 }
 
-/// Flush cumulative per-flow statistics into the global telemetry metrics
-/// registry. Lives on the cold part so the slab flushes every flow exactly
-/// once, whenever its state drops (a shard split moves the box, never
-/// copies it).
-impl Drop for FlowCold {
-    fn drop(&mut self) {
-        let Some(rec) = &self.rec else { return };
-        if rec.tap.is_none() && rec.rtt_hist.is_none() {
-            return;
-        }
-        telemetry::counter_add("tcp/acked_segments", self.stats.acked_segments);
-        telemetry::counter_add("tcp/sent_segments", self.stats.sent_segments);
-        let s = &self.stats;
-        telemetry::counter_add("tcp/retransmits", s.retransmits.into());
-        telemetry::counter_add("tcp/loss_events", s.loss_events.into());
-        telemetry::counter_add("tcp/timeouts", s.timeouts.into());
-        telemetry::counter_add("tcp/ecn_reductions", s.ecn_reductions.into());
-        telemetry::counter_add("tcp/early_reductions", s.early_reductions.into());
-        if let Some(h) = &rec.rtt_hist {
-            telemetry::histogram_merge("tcp/rtt_ns", h);
-        }
-        // One record per flow with its final delivered-segment count —
-        // the per-flow throughput sample Jain's fairness index is
-        // derived from (key = flow id, summed per (scope, key)).
-        telemetry::record_id(
-            telemetry::SeriesId::TCP_ACKED_FINAL,
-            self.cfg.flow.into(),
-            0.0,
-            self.stats.acked_segments as f64,
-        );
+/// Publish a flow's cumulative statistics: counters, its RTT histogram,
+/// and one `tcp/acked_final` record with its final delivered-segment
+/// count — the per-flow throughput sample Jain's fairness index is derived
+/// from (key = flow id, summed per (scope, key)).
+fn flush_totals(flow: u32, s: &SenderStats, rtt_hist: Option<&BucketHistogram>) {
+    telemetry::counter_add("tcp/acked_segments", s.acked_segments);
+    telemetry::counter_add("tcp/sent_segments", s.sent_segments);
+    telemetry::counter_add("tcp/retransmits", s.retransmits.into());
+    telemetry::counter_add("tcp/loss_events", s.loss_events.into());
+    telemetry::counter_add("tcp/timeouts", s.timeouts.into());
+    telemetry::counter_add("tcp/ecn_reductions", s.ecn_reductions.into());
+    telemetry::counter_add("tcp/early_reductions", s.early_reductions.into());
+    if let Some(h) = rtt_hist {
+        telemetry::histogram_merge("tcp/rtt_ns", h);
     }
+    telemetry::record_id(
+        telemetry::SeriesId::TCP_ACKED_FINAL,
+        flow.into(),
+        0.0,
+        s.acked_segments as f64,
+    );
 }
 
 #[cfg(test)]
@@ -823,7 +851,15 @@ mod tests {
             ecn: false,
             record_samples: false,
         };
-        let (wnd, rtt, app, cold) = new_flow(cfg, 0, Cc::Reno(Reno::new()), Box::new(Greedy));
+        let (wnd, rtt, app) = fresh_hot();
+        let row = PendingRow {
+            source: Box::new(Greedy),
+            seed: 0,
+            cfg,
+            kind: 0,
+            attach: Attach::default(),
+        };
+        let cold = FlowCold::build(row, Cc::Reno(Reno::new()));
         Flow {
             wnd,
             rtt,

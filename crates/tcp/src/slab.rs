@@ -8,8 +8,13 @@
 //! parallel vectors indexed by a dense slot — the sender's hot parts
 //! (`Wnd`, `RttState`, `AppState`, all `Copy`), its receiver half
 //! (`SinkState`), and the two endpoint nodes — so dispatching a burst of
-//! ACKs walks compact arrays, while the sender's cold remainder
-//! (`FlowCold`, congestion control inline) stays boxed per flow.
+//! ACKs walks compact arrays.
+//!
+//! The sender's cold remainder (`FlowCold`, congestion control inline) is
+//! paid for when the sender first runs, not when it is declared: a
+//! declared connection holds a 40-byte `PendingRow`, and the sender's first
+//! event builds its `FlowCold` from it into a dense `live` column, in start
+//! order. A connection that never starts never costs its cold bytes.
 //!
 //! The slab is installed once per simulator as a *shared* agent (it has no
 //! home node; every row records its source and sink nodes and transmits
@@ -31,22 +36,70 @@ use std::any::Any;
 
 use netsim::{Agent, Ctx, FlowId, NodeId, Packet, TimerToken};
 use pert_core::predictors::AckSample;
+use pert_core::Attach;
 
-use crate::cc::CcAlgorithm;
+use crate::cc::{Cc, CcAlgorithm};
 use crate::sender::{
-    new_flow, AppState, FlowCold, FlowIo, FlowView, RttState, SenderStats, TcpConfig, Wnd,
-    TOKEN_START, TOKEN_STOP,
+    fresh_hot, AppState, FlowCold, FlowIo, FlowView, PendingRow, RttState, SenderStats, TcpConfig,
+    Wnd, TOKEN_START, TOKEN_STOP,
 };
 use crate::sink::{SinkIo, SinkState, SinkStats, TOKEN_DELACK};
 use crate::source::Source;
-use crate::ConnectionSpec;
+use crate::{CcKind, ConnectionSpec};
 
 /// [`FlowSlab::by_flow`] entry of a flow id no connection has.
 const UNREGISTERED: u32 = u32::MAX;
 
+/// What a sender that has not run reads back: a fresh row's statistics.
+const FRESH_STATS: SenderStats = SenderStats {
+    acked_segments: 0,
+    sent_segments: 0,
+    retransmits: 0,
+    loss_events: 0,
+    timeouts: 0,
+    ecn_reductions: 0,
+    early_reductions: 0,
+};
+
 /// The 32-bit index the slab stores for an id; `id` names it in the panic.
 fn index32(index: usize, id: impl std::fmt::Display) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| panic!("{id} does not fit the slab's 32-bit ids"))
+}
+
+/// The sender half of a slot, beyond its hot columns, on one part of the
+/// slab.
+enum Sender {
+    /// Declared and not yet run; its first event builds it into `live`.
+    Pending(PendingRow),
+    /// Running: its cold state is `live[i]`.
+    Live(u32),
+    /// Hosted by another shard's part of the slab. Touching it here is a
+    /// bug and panics rather than silently diverging.
+    Away,
+}
+
+/// One distinct congestion control of the slab's connections.
+struct Kind {
+    spec: CcKind,
+    /// An unseeded, uninstrumented instance: what a sender that never ran
+    /// reads back. Building it when the kind is interned also rejects bad
+    /// parameters at `add_flow`, before any simulation.
+    fresh: Cc,
+}
+
+impl Kind {
+    fn new(spec: &CcKind) -> Self {
+        Kind {
+            spec: spec.clone(),
+            fresh: spec.build(0, Attach::default()),
+        }
+    }
+}
+
+impl Clone for Kind {
+    fn clone(&self) -> Self {
+        Kind::new(&self.spec)
+    }
 }
 
 /// Shared agent hosting every TCP connection of a simulation in
@@ -63,15 +116,20 @@ pub struct FlowSlab {
     app: Vec<AppState>,
     /// Receiver half of every connection, same keying.
     sinks: Vec<SinkState>,
-    // Cold sender state, same keying. The box is deliberate: `FlowCold`
-    // is an order of magnitude larger than the hot rows, so boxing keeps
-    // slab growth cheap and keeps the cold bytes entirely out of this
-    // vector's cache footprint. The option is the shard-split seam: a slot
-    // is `None` while its sender lives on a (different) shard's copy of
-    // the slab — touching it there is a bug and panics rather than
-    // silently diverging. A shard part that hosts no sender holds all four
-    // sender columns empty, and one that hosts no receiver `sinks` empty.
-    cold: Vec<Option<Box<FlowCold>>>,
+    /// The rest of every sender, same keying: a pending row until the
+    /// sender's first event, then its index in `live`. A shard part that
+    /// hosts no sender holds this and the three hot columns empty, and one
+    /// that hosts no receiver `sinks` empty.
+    senders: Vec<Sender>,
+    /// Cold state of the started senders this part hosts, in start order.
+    /// There is no full-width cold column: a slot's cold bytes exist only
+    /// once its sender has run, and only on the part that runs it.
+    live: Vec<FlowCold>,
+    /// `Pending` rows in `senders`: the room the next growth of `live`
+    /// reserves, so one reservation holds every sender this part starts.
+    pending: usize,
+    /// The distinct congestion controls pending rows name by index.
+    kinds: Vec<Kind>,
     /// Source (sender-half) node of every slot, as a 32-bit index.
     nodes: Vec<u32>,
     /// Sink (receiver-half) node of every slot, as a 32-bit index.
@@ -104,31 +162,19 @@ impl FlowSlab {
 
     /// Register the connection `spec` describes, both halves: its sender
     /// on `spec.src` fed by `source`, its receiver on `spec.dst`. Returns
-    /// the connection's slot.
+    /// the connection's slot. The sender's cold state is built when it
+    /// first runs, instrumented as the telemetry and audit flags say now.
     pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
         let slot = self.len();
         assert!(
             slot < UNREGISTERED as usize,
             "flow slot must fit the 32-bit slot field of a timer token"
         );
+        assert!(spec.seg_size > 0, "segments must carry data");
         let flow = spec.flow;
         let flow32 = index32(flow.index(), flow);
         let src = index32(spec.src.index(), spec.src);
         let dst = index32(spec.dst.index(), spec.dst);
-        let cfg = TcpConfig {
-            flow: flow32,
-            seg_size: spec.seg_size,
-            ecn: spec.ecn,
-            record_samples: spec.record_samples,
-        };
-        let (wnd, rtt, app, cold) = new_flow(cfg, spec.seed, spec.cc.build(spec.seed), source);
-        self.wnd.push(wnd);
-        self.rtt.push(rtt);
-        self.app.push(app);
-        self.sinks.push(SinkState::new(flow32, spec.delack));
-        self.cold.push(Some(Box::new(cold)));
-        self.nodes.push(src);
-        self.sink_nodes.push(dst);
         if self.by_flow.len() <= flow.index() {
             self.by_flow.resize(flow.index() + 1, UNREGISTERED);
         }
@@ -136,8 +182,42 @@ impl FlowSlab {
             self.by_flow[flow.index()] == UNREGISTERED,
             "flow {flow} registered twice in the slab"
         );
+        let cfg = TcpConfig {
+            flow: flow32,
+            seg_size: spec.seg_size,
+            ecn: spec.ecn,
+            record_samples: spec.record_samples,
+        };
+        let kind = self.intern(&spec.cc);
+        let (wnd, rtt, app) = fresh_hot();
+        self.wnd.push(wnd);
+        self.rtt.push(rtt);
+        self.app.push(app);
+        self.sinks.push(SinkState::new(flow32, spec.delack));
+        self.senders.push(Sender::Pending(PendingRow {
+            source,
+            seed: spec.seed,
+            cfg,
+            kind,
+            attach: Attach::process(),
+        }));
+        self.pending += 1;
+        self.nodes.push(src);
+        self.sink_nodes.push(dst);
         self.by_flow[flow.index()] = slot as u32;
         slot
+    }
+
+    /// The index of `cc` among the slab's kinds, interning it if new.
+    fn intern(&mut self, cc: &CcKind) -> u16 {
+        let i = match self.kinds.iter().rposition(|k| k.spec == *cc) {
+            Some(i) => i,
+            None => {
+                self.kinds.push(Kind::new(cc));
+                self.kinds.len() - 1
+            }
+        };
+        u16::try_from(i).expect("a slab holds at most 65 536 distinct congestion controls")
     }
 
     /// The slot hosting `flow`, if registered.
@@ -164,17 +244,39 @@ impl FlowSlab {
     }
 
     fn view(&mut self, slot: usize) -> FlowView<'_> {
-        let cold = self
-            .cold
-            .get_mut(slot)
-            .and_then(Option::as_mut)
-            .expect("flow is hosted by another shard");
+        let i = match self.senders.get(slot) {
+            Some(Sender::Live(i)) => *i as usize,
+            Some(Sender::Pending(_)) => self.start(slot),
+            _ => panic!("flow is hosted by another shard"),
+        };
         FlowView {
             wnd: &mut self.wnd[slot],
             rtt: &mut self.rtt[slot],
             app: &mut self.app[slot],
-            cold,
+            cold: &mut self.live[i],
         }
+    }
+
+    /// Build the pending sender of `slot` into `live`; returns its index.
+    /// The first build on a part reserves room for every sender pending
+    /// there, so the column is allocated once and its pages are touched
+    /// only as senders start.
+    #[cold]
+    fn start(&mut self, slot: usize) -> usize {
+        let i = self.live.len();
+        let live = Sender::Live(index32(i, "live row"));
+        let Sender::Pending(row) = std::mem::replace(&mut self.senders[slot], live) else {
+            unreachable!("slot {slot} is not pending")
+        };
+        if i == self.live.capacity() {
+            self.live.reserve(self.pending);
+        }
+        self.pending -= 1;
+        let cc = self.kinds[usize::from(row.kind)]
+            .spec
+            .build(row.seed, row.attach);
+        self.live.push(FlowCold::build(row, cc));
+        i
     }
 
     /// How the sender half of `slot` reaches the simulator.
@@ -212,32 +314,43 @@ impl FlowSlab {
     fn sender_slot(&self, flow: FlowId) -> usize {
         let slot = self.expect_slot(flow);
         assert!(
-            self.cold.get(slot).is_some_and(Option::is_some),
+            matches!(
+                self.senders.get(slot),
+                Some(Sender::Pending(_) | Sender::Live(_))
+            ),
             "flow {flow} is hosted by another shard"
         );
         slot
     }
 
-    fn cold_of(&self, flow: FlowId) -> &FlowCold {
-        self.cold[self.sender_slot(flow)]
-            .as_ref()
-            .expect("checked by sender_slot")
+    /// The cold state of `flow`'s sender, or its pending row if it has not
+    /// run.
+    fn cold_of(&self, flow: FlowId) -> Result<&FlowCold, &PendingRow> {
+        match &self.senders[self.sender_slot(flow)] {
+            Sender::Live(i) => Ok(&self.live[*i as usize]),
+            Sender::Pending(row) => Err(row),
+            Sender::Away => unreachable!("checked by sender_slot"),
+        }
     }
 
     /// Cumulative statistics of `flow`.
     pub fn stats_of(&self, flow: FlowId) -> &SenderStats {
-        &self.cold_of(flow).stats
+        self.cold_of(flow).map_or(&FRESH_STATS, |c| &c.stats)
     }
 
     /// Per-ACK samples of `flow` (empty unless `record_samples`).
     pub fn samples_of(&self, flow: FlowId) -> &[AckSample] {
-        self.cold_of(flow).samples()
+        self.cold_of(flow).map_or(&[], FlowCold::samples)
     }
 
     /// Congestion-control algorithm of `flow`, for reading its counters
-    /// back after a run (`early_reductions`, `name`).
+    /// back after a run (`early_reductions`, `name`); a fresh one of its
+    /// kind while the sender has not run.
     pub fn cc_of(&self, flow: FlowId) -> &dyn CcAlgorithm {
-        &*self.cold_of(flow).cc
+        match self.cold_of(flow) {
+            Ok(cold) => &*cold.cc,
+            Err(row) => &*self.kinds[usize::from(row.kind)].fresh,
+        }
     }
 
     /// Current congestion window of `flow`, segments.
@@ -257,6 +370,22 @@ impl FlowSlab {
             .get(self.expect_slot(flow))
             .expect("flow is hosted by another shard")
             .stats
+    }
+}
+
+/// Every sender's totals reach telemetry exactly once, in slot order, when
+/// the part hosting it drops: a started sender's from its cold state, a
+/// pending one's as a fresh row's. A shard split or merge moves rows, so
+/// no row is flushed twice.
+impl Drop for FlowSlab {
+    fn drop(&mut self) {
+        for sender in &self.senders {
+            match sender {
+                Sender::Pending(row) => row.flush_telemetry(),
+                Sender::Live(i) => self.live[*i as usize].flush_telemetry(),
+                Sender::Away => {}
+            }
+        }
     }
 }
 
@@ -314,16 +443,17 @@ impl Agent for FlowSlab {
         // numbering and token routing stay identical everywhere. Each half's
         // columns move to the first part that hosts a row of it and are
         // cloned only into later parts that host one too; a part hosting
-        // none of a half holds empty columns for it. A sender's cold box
-        // (and thus the right to run it) moves to the shard owning its
-        // source node; a receiver row is authoritative on the shard owning
-        // its sink node. The husk keeps only the partition.
+        // none of a half holds empty columns for it. A sender's pending row
+        // or cold state (and thus the right to run it) moves to the shard
+        // owning its source node; a receiver row is authoritative on the
+        // shard owning its sink node. The husk keeps only the partition.
         let mut whole = std::mem::take(self);
         self.shard_of_node = shard_of_node.to_vec();
+        let owner = |nodes: &[u32], slot: usize| shard_of_node[nodes[slot] as usize];
         let (mut senders, mut receivers) = (vec![false; n], vec![false; n]);
         for slot in 0..whole.len() {
-            senders[shard_of_node[whole.nodes[slot] as usize]] = true;
-            receivers[shard_of_node[whole.sink_nodes[slot] as usize]] = true;
+            senders[owner(&whole.nodes, slot)] = true;
+            receivers[owner(&whole.sink_nodes, slot)] = true;
         }
         let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::default()).collect();
         // Descending, so the first host, which takes the columns themselves,
@@ -335,18 +465,43 @@ impl Agent for FlowSlab {
                 part.wnd = std::mem::take(&mut whole.wnd);
                 part.rtt = std::mem::take(&mut whole.rtt);
                 part.app = std::mem::take(&mut whole.app);
-                part.cold = std::mem::take(&mut whole.cold);
+                part.senders = std::mem::take(&mut whole.senders);
+                part.kinds = std::mem::take(&mut whole.kinds);
             } else if senders[s] {
                 part.wnd = whole.wnd.clone();
                 part.rtt = whole.rtt.clone();
                 part.app = whole.app.clone();
-                part.cold = (0..whole.len()).map(|_| None).collect();
+                part.senders = (0..whole.len()).map(|_| Sender::Away).collect();
+                part.kinds = whole.kinds.clone();
             }
             if Some(s) == first_receiver {
                 part.sinks = std::mem::take(&mut whole.sinks);
             } else if receivers[s] {
                 part.sinks = whole.sinks.clone();
             }
+        }
+        if let Some(first) = first_sender {
+            let mut slot_of_live = vec![0; whole.live.len()];
+            for slot in 0..whole.len() {
+                let row = std::mem::replace(&mut parts[first].senders[slot], Sender::Away);
+                let part = &mut parts[owner(&whole.nodes, slot)];
+                match row {
+                    Sender::Live(i) => slot_of_live[i as usize] = slot,
+                    Sender::Pending(_) => {
+                        part.senders[slot] = row;
+                        part.pending += 1;
+                    }
+                    Sender::Away => unreachable!("an unsplit slab hosts every sender"),
+                }
+            }
+            for (i, cold) in std::mem::take(&mut whole.live).into_iter().enumerate() {
+                let slot = slot_of_live[i];
+                let part = &mut parts[owner(&whole.nodes, slot)];
+                part.senders[slot] = Sender::Live(part.live.len() as u32);
+                part.live.push(cold);
+            }
+        }
+        for (s, part) in parts.iter_mut().enumerate().rev() {
             if s == 0 {
                 part.nodes = std::mem::take(&mut whole.nodes);
                 part.sink_nodes = std::mem::take(&mut whole.sink_nodes);
@@ -357,14 +512,6 @@ impl Agent for FlowSlab {
                 part.by_flow = whole.by_flow.clone();
             }
         }
-        if let Some(first) = first_sender {
-            for slot in 0..parts[first].len() {
-                let owner = shard_of_node[parts[first].nodes[slot] as usize];
-                if owner != first {
-                    parts[owner].cold[slot] = parts[first].cold[slot].take();
-                }
-            }
-        }
         parts
             .into_iter()
             .map(|p| Box::new(p) as Box<dyn Agent>)
@@ -373,8 +520,9 @@ impl Agent for FlowSlab {
 
     fn shard_merge(&mut self, parts: Vec<Box<dyn Agent>>) {
         // Each half's columns come home from the part holding them; every
-        // other part returns the rows it owned: a sender row with its cold
-        // box, a receiver row by its sink node.
+        // other part returns the rows it owned: a sender row with its hot
+        // state and its pending row or cold state, a receiver row by its
+        // sink node.
         let shard_of_node = std::mem::take(&mut self.shard_of_node);
         let mut parts: Vec<FlowSlab> = parts
             .into_iter()
@@ -386,35 +534,57 @@ impl Agent for FlowSlab {
                 )
             })
             .collect();
-        let first_sender = parts.iter().position(|p| !p.cold.is_empty());
+        let first_sender = parts.iter().position(|p| !p.senders.is_empty());
         let first_receiver = parts.iter().position(|p| !p.sinks.is_empty());
         let home = &mut parts[0];
-        *self = FlowSlab {
-            nodes: std::mem::take(&mut home.nodes),
-            sink_nodes: std::mem::take(&mut home.sink_nodes),
-            by_flow: std::mem::take(&mut home.by_flow),
-            ..FlowSlab::default()
-        };
+        self.nodes = std::mem::take(&mut home.nodes);
+        self.sink_nodes = std::mem::take(&mut home.sink_nodes);
+        self.by_flow = std::mem::take(&mut home.by_flow);
         if let Some(first) = first_sender {
             let holder = &mut parts[first];
             self.wnd = std::mem::take(&mut holder.wnd);
             self.rtt = std::mem::take(&mut holder.rtt);
             self.app = std::mem::take(&mut holder.app);
-            self.cold = std::mem::take(&mut holder.cold);
+            self.senders = std::mem::take(&mut holder.senders);
+            self.live = std::mem::take(&mut holder.live);
+            self.pending = holder.pending;
+            self.kinds = std::mem::take(&mut holder.kinds);
         }
         if let Some(first) = first_receiver {
             self.sinks = std::mem::take(&mut parts[first].sinks);
         }
-        for slot in 0..self.len() {
-            let owner = shard_of_node[self.nodes[slot] as usize];
-            if Some(owner) != first_sender {
-                let part = &mut parts[owner];
-                self.cold[slot] = part.cold[slot].take();
+        for (s, part) in parts.iter_mut().enumerate() {
+            if Some(s) == first_sender || part.senders.is_empty() {
+                continue;
+            }
+            let mut slot_of_live = vec![0; part.live.len()];
+            for slot in 0..self.len() {
+                if shard_of_node[self.nodes[slot] as usize] != s {
+                    continue;
+                }
                 self.wnd[slot] = part.wnd[slot];
                 self.rtt[slot] = part.rtt[slot];
                 self.app[slot] = part.app[slot];
+                match std::mem::replace(&mut part.senders[slot], Sender::Away) {
+                    Sender::Live(i) => slot_of_live[i as usize] = slot,
+                    row @ Sender::Pending(_) => {
+                        self.senders[slot] = row;
+                        self.pending += 1;
+                    }
+                    Sender::Away => unreachable!("slot {slot} lost its sender"),
+                }
             }
-            debug_assert!(self.cold[slot].is_some(), "slot {slot} lost its sender");
+            for (i, cold) in std::mem::take(&mut part.live).into_iter().enumerate() {
+                let slot = slot_of_live[i];
+                self.senders[slot] = Sender::Live(self.live.len() as u32);
+                self.live.push(cold);
+            }
+        }
+        for slot in 0..self.len() {
+            debug_assert!(
+                !matches!(self.senders[slot], Sender::Away),
+                "slot {slot} lost its sender"
+            );
             let receiver = shard_of_node[self.sink_nodes[slot] as usize];
             if Some(receiver) != first_receiver {
                 std::mem::swap(&mut self.sinks[slot], &mut parts[receiver].sinks[slot]);
@@ -458,13 +628,34 @@ mod tests {
         assert_eq!(t.0 >> 8, 1023);
     }
 
+    /// How `p` holds the sender of `slot`: pending, live or away.
+    fn held(p: &FlowSlab, slot: usize) -> &'static str {
+        match p.senders.get(slot) {
+            Some(Sender::Pending(_)) => "pending",
+            Some(Sender::Live(_)) => "live",
+            Some(Sender::Away) => "away",
+            None => "no column",
+        }
+    }
+
+    /// True when every sender is back on `slab`, none of them away.
+    fn all_home(slab: &FlowSlab) -> bool {
+        slab.senders.len() == slab.len() && slab.senders.iter().all(|s| !matches!(s, Sender::Away))
+    }
+
     #[test]
     fn shard_split_moves_cold_state_to_owner_and_merges_back() {
-        // Flow 0 sends n0 → n1, flow 1 sends n1 → n0: on two shards each
-        // connection's halves live apart.
+        // Flows 0 and 2 send n0 → n1, flows 1 and 3 send n1 → n0: on two
+        // shards each connection's halves live apart. Flows 3 and 2 have
+        // run (in that order) before the cut, so it is taken mid-run with
+        // a pending and a live sender on each side of it.
         let mut slab = FlowSlab::new();
-        add(&mut slab, 0, 0, 1);
-        add(&mut slab, 1, 1, 0);
+        for (flow, src, dst) in [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0)] {
+            add(&mut slab, flow, src, dst);
+        }
+        slab.view(3).cold.stats.acked_segments = 33;
+        slab.view(2).cold.stats.acked_segments = 22;
+        assert_eq!((slab.live.len(), slab.pending), (2, 2));
         let route = |s: &FlowSlab, t| s.shard_route_timer(t);
         assert_eq!(route(&slab, FlowSlab::start_token(1)), Some(NodeId(1)));
         assert_eq!(route(&slab, SinkState::token(1, 9)), Some(NodeId(0)));
@@ -472,19 +663,25 @@ mod tests {
 
         let mut parts = slab.shard_split(2, &[0, 1]);
         assert!(slab.is_empty(), "the husk keeps no rows");
-        fn part(parts: &mut [Box<dyn Agent>], i: usize) -> &mut FlowSlab {
-            parts[i].as_any_mut().downcast_mut::<FlowSlab>().unwrap()
-        }
         // Every part carries every row; only the owners' copies may move
-        // and only they come home. Shard 0 owns flow 0's sender and flow
-        // 1's receiver, shard 1 the other two halves.
+        // and only they come home. Shard 0 owns the senders of flows 0 and
+        // 2 and the receivers of 1 and 3, shard 1 the other halves. Each
+        // part's live column holds its own started senders and no more.
         let p0 = part(&mut parts, 0);
-        assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
+        let held0: Vec<_> = (0..4).map(|s| held(p0, s)).collect();
+        assert_eq!(held0, ["pending", "away", "live", "away"]);
+        assert_eq!((p0.live.len(), p0.pending), (1, 1));
+        assert_eq!(p0.stats_of(FlowId(2)).acked_segments, 22);
+        p0.view(0).cold.stats.acked_segments = 10;
         p0.sinks[1].stats.rcv_next = 9;
         p0.sinks[0].stats.rcv_next = 1_000;
         p0.wnd[1].cwnd = 1_000.0;
         let p1 = part(&mut parts, 1);
-        assert!(p1.cold[0].is_none() && p1.cold[1].is_some());
+        let held1: Vec<_> = (0..4).map(|s| held(p1, s)).collect();
+        assert_eq!(held1, ["away", "pending", "away", "live"]);
+        assert_eq!((p1.live.len(), p1.pending), (1, 1));
+        assert_eq!(p1.stats_of(FlowId(3)).acked_segments, 33);
+        assert_eq!(p1.stats_of(FlowId(1)).acked_segments, 0);
         p1.sinks[0].stats.rcv_next = 7;
         p1.sinks[1].stats.rcv_next = 1_000;
         p1.wnd[1].cwnd = 42.0;
@@ -492,8 +689,18 @@ mod tests {
         assert_eq!(slab.cwnd_of(FlowId(1)), 42.0);
         assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 7);
         assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 9);
-        assert!(slab.cold.iter().all(Option::is_some));
+        let acked: Vec<_> = (0..4)
+            .map(|f| slab.stats_of(FlowId(f)).acked_segments)
+            .collect();
+        assert_eq!(acked, [10, 0, 22, 33]);
+        let held: Vec<_> = (0..4).map(|s| held(&slab, s)).collect();
+        assert_eq!(held, ["live", "pending", "live", "live"]);
+        assert_eq!((slab.live.len(), slab.pending), (3, 1));
+        assert!(all_home(&slab));
         assert!(slab.shard_of_node.is_empty());
+        // The pending sender still runs after the round trip.
+        slab.view(1).cold.stats.acked_segments = 11;
+        assert_eq!(slab.stats_of(FlowId(1)).acked_segments, 11);
     }
 
     fn part(parts: &mut [Box<dyn Agent>], i: usize) -> &mut FlowSlab {
@@ -513,7 +720,7 @@ mod tests {
 
     /// Sender columns on every part: empty or one row per connection.
     fn sender_columns(p: &FlowSlab) -> [usize; 4] {
-        [p.wnd.len(), p.rtt.len(), p.app.len(), p.cold.len()]
+        [p.wnd.len(), p.rtt.len(), p.app.len(), p.senders.len()]
     }
 
     #[test]
@@ -550,7 +757,7 @@ mod tests {
         assert_eq!(slab.len(), 3);
         assert_eq!(slab.cwnd_of(FlowId(2)), 17.0);
         assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 5);
-        assert!(slab.cold.iter().all(Option::is_some));
+        assert!(all_home(&slab));
         assert_eq!(slab.slot_of(FlowId(2)), Some(2));
     }
 
@@ -573,7 +780,7 @@ mod tests {
         // The hosts carry full-width columns; only the owners' rows move.
         let p0 = part(&mut parts, 0);
         assert_eq!(sender_columns(p0), [2; 4]);
-        assert!(p0.cold[0].is_some() && p0.cold[1].is_none());
+        assert_eq!((held(p0, 0), held(p0, 1)), ("pending", "away"));
         assert!(panic_message(|| {
             p0.cwnd_of(FlowId(1));
         })
@@ -582,7 +789,7 @@ mod tests {
         p0.wnd[0].cwnd = 8.0;
         let p2 = part(&mut parts, 2);
         assert_eq!(sender_columns(p2), [2; 4]);
-        assert!(p2.cold[0].is_none() && p2.cold[1].is_some());
+        assert_eq!((held(p2, 0), held(p2, 1)), ("away", "pending"));
         assert_eq!(p2.sinks.len(), 2);
         p2.sinks[0].stats.rcv_next = 4;
         p2.wnd[1].cwnd = 9.0;
@@ -591,7 +798,7 @@ mod tests {
         assert_eq!(slab.cwnd_of(FlowId(1)), 9.0);
         assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 4);
         assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 3);
-        assert!(slab.cold.iter().all(Option::is_some));
+        assert!(all_home(&slab));
         assert!(slab.shard_of_node.is_empty());
     }
 
@@ -609,9 +816,10 @@ mod tests {
         add(&mut slab, 1, 0, 1);
     }
 
-    /// The per-connection parts a detached run builds, at their budgets:
-    /// the congestion control sits inline in `FlowCold`, recorders and the
-    /// audit oracle live behind one pointer each.
+    /// The per-connection parts a detached run builds, at their budgets: a
+    /// declared connection holds its pending row in the sender column; a
+    /// started one its `FlowCold`, with the congestion control inline and
+    /// recorders and the audit oracle behind one pointer each.
     #[test]
     fn row_parts_stay_within_their_budgets() {
         use crate::cc::Cc;
@@ -623,6 +831,8 @@ mod tests {
             ("RttState", size_of::<RttState>(), 40),
             ("AppState", size_of::<AppState>(), 24),
             ("SinkState", size_of::<SinkState>(), 104),
+            ("PendingRow", size_of::<PendingRow>(), 48),
+            ("Sender", size_of::<Sender>(), 48),
             ("FlowCold", size_of::<FlowCold>(), 360),
             ("Cc", size_of::<Cc>(), 152),
             ("PertController", size_of::<PertController>(), 144),

@@ -569,7 +569,9 @@ fn same_node_connection_is_refused() {
 /// on the other. Split after a warm-up so pending delayed-ACK timers and
 /// out-of-order intervals migrate; the run must match the monolithic one
 /// event for event, elided departure for elided departure, and in every
-/// per-flow statistic at both ends.
+/// per-flow statistic at both ends. The flows start 50 ms apart, so a cut
+/// at 120 ms moves started and not-yet-started senders to both shards,
+/// and one at 1 s only started ones.
 #[test]
 fn sharded_halves_match_monolithic() {
     let build = || {
@@ -614,28 +616,30 @@ fn sharded_halves_match_monolithic() {
             per_flow(sim, &conns),
         )
     };
-    let (warm, until) = (SimTime::from_secs(1), SimTime::from_secs(8));
+    let until = SimTime::from_secs(8);
 
     let (mut mono, conns) = build();
     mono.run_until(until);
     let want = fingerprint(&mono, &conns);
 
-    let (mut sim, conns) = build();
-    sim.run_until(warm);
-    let part = netsim::shard::partition(&sim, 2).expect("the dumbbell cuts in two");
-    for (c, src, dst) in &conns {
-        assert_ne!(
-            part.shard_of_node[src.index()],
-            part.shard_of_node[dst.index()],
-            "{}: both halves on one shard",
-            c.flow
-        );
+    for warm in [SimTime::from_millis(120), SimTime::from_secs(1)] {
+        let (mut sim, conns) = build();
+        sim.run_until(warm);
+        let part = netsim::shard::partition(&sim, 2).expect("the dumbbell cuts in two");
+        for (c, src, dst) in &conns {
+            assert_ne!(
+                part.shard_of_node[src.index()],
+                part.shard_of_node[dst.index()],
+                "{}: both halves on one shard",
+                c.flow
+            );
+        }
+        let mut sharded = netsim::ShardedSim::split(sim, 2).unwrap_or_else(|(_, e)| panic!("{e}"));
+        assert_eq!(sharded.num_shards(), 2);
+        sharded.run_until(until);
+        let got = fingerprint(&sharded.merge(), &conns);
+        assert_eq!(got, want, "split at {warm:?}");
     }
-    let mut sharded = netsim::ShardedSim::split(sim, 2).unwrap_or_else(|(_, e)| panic!("{e}"));
-    assert_eq!(sharded.num_shards(), 2);
-    sharded.run_until(until);
-    let got = fingerprint(&sharded.merge(), &conns);
-    assert_eq!(got, want);
     assert!(want.2 > 0, "no drops");
     assert!(want
         .3

@@ -202,12 +202,139 @@ fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
     ]
 }
 
+/// A loss episode over a window of 10⁴ segments and more, as the sink
+/// reports it: `holes` (offsets into the flight) are dropped, every other
+/// segment arrives in order and is ACKed with the sink's blocks, then the
+/// retransmissions arrive. Each ACK's first block spans everything SACKed
+/// above the last hole, the shape that makes a per-block walk quadratic.
+#[derive(Clone, Debug)]
+struct Recovery {
+    window: u64,
+    holes: Vec<u64>,
+}
+
+/// One case in 16 ends with a recovery stream (each costs the map model
+/// the quadratic walk the scoreboard avoids). Its first hole lies near
+/// the bottom of the flight, so the first block grows to the window.
+fn recovery_strategy() -> impl Strategy<Value = Option<Recovery>> {
+    (
+        0u32..16,
+        10_000u64..12_000,
+        0u64..64,
+        proptest::collection::vec(0u64..10_000, 0..5),
+    )
+        .prop_map(|(pick, window, first, mut holes)| {
+            holes.push(first);
+            (pick == 0).then_some(Recovery { window, holes })
+        })
+}
+
+/// The receiver of a recovery stream: the cumulative point and the
+/// out-of-order intervals above it, reporting like the sink does (the
+/// block the arrival joined, then the highest, then the lowest).
+#[derive(Default)]
+struct Receiver {
+    cum: u64,
+    ooo: BTreeMap<u64, u64>,
+}
+
+impl Receiver {
+    /// Deliver `seq`; returns the ACK's cumulative point and blocks.
+    fn deliver(&mut self, seq: u64) -> (u64, Vec<SackBlock>) {
+        let mut triggered = None;
+        if seq == self.cum {
+            self.cum += 1;
+            if let Some(end) = self.ooo.remove(&self.cum) {
+                self.cum = end;
+            }
+        } else {
+            let (mut start, mut end) = (seq, seq + 1);
+            if let Some((&s, &e)) = self.ooo.range(..=seq).next_back() {
+                if e >= seq {
+                    (start, end) = (s, e.max(end));
+                }
+            }
+            if let Some(e) = self.ooo.remove(&end) {
+                end = e;
+            }
+            self.ooo.insert(start, end);
+            triggered = Some((start, end));
+        }
+        let mut blocks: Vec<SackBlock> = Vec::new();
+        let highest = self.ooo.iter().next_back().map(|(&s, &e)| (s, e));
+        let lowest = self.ooo.iter().next().map(|(&s, &e)| (s, e));
+        for (start, end) in [triggered, highest, lowest].into_iter().flatten() {
+            let b = SackBlock { start, end };
+            if !blocks.contains(&b) {
+                blocks.push(b);
+            }
+        }
+        (self.cum, blocks)
+    }
+}
+
+/// Run `rec` from `first`, the next new sequence number of an empty `sb`,
+/// processing each ACK the way the sender does and checking `sb` against
+/// `model` along the way. Returns the next new sequence number.
+fn recovery_stream(sb: &mut Scoreboard, model: &mut MapBoard, first: u64, rec: &Recovery) -> u64 {
+    let end = first + rec.window;
+    for seq in first..end {
+        sb.on_send_new(seq);
+        model.segs.insert(seq, SegState::InFlight);
+    }
+    let mut rx = Receiver {
+        cum: first,
+        ..Receiver::default()
+    };
+    let holes: Vec<u64> = rec.holes.iter().map(|h| first + h).collect();
+    let mut arrivals: std::collections::VecDeque<u64> =
+        (first..end).filter(|s| !holes.contains(s)).collect();
+    let walk = pert_tcp::scoreboard::sack_walk();
+    let mut acks = 0u64;
+    while let Some(seq) = arrivals.pop_front() {
+        let (cum, blocks) = rx.deliver(seq);
+        if cum > model.segs.keys().next().copied().unwrap_or(cum) {
+            prop_assert_eq!(sb.ack_to(cum), model.ack_to(cum));
+        }
+        for b in blocks {
+            sb.sack(b);
+            model.sack(b.start, b.end);
+        }
+        prop_assert_eq!(sb.declare_losses(), model.declare_losses());
+        while let Some(lost) = sb.first_lost() {
+            sb.on_retransmit(lost);
+            model.segs.insert(lost, SegState::Retx);
+            arrivals.push_back(lost);
+        }
+        acks += 1;
+        if acks.is_multiple_of(1024) || arrivals.is_empty() {
+            prop_assert_eq!(sb.len(), model.segs.len());
+            prop_assert_eq!(sb.sacked_count(), model.count(|st| st == SegState::Sacked));
+            prop_assert_eq!(sb.lost_count(), model.count(|st| st == SegState::Lost));
+            prop_assert_eq!(sb.first_lost(), model.first_lost());
+            prop_assert_eq!(sb.highest_sacked(), model.highest_sacked);
+        }
+    }
+    prop_assert!(sb.is_empty(), "every segment arrived");
+    let after = pert_tcp::scoreboard::sack_walk();
+    let (blocks, visited) = (after.blocks - walk.blocks, after.segments - walk.segments);
+    prop_assert!(
+        visited <= 4 * blocks,
+        "{visited} segments visited for {blocks} SACK blocks over a {}-segment window",
+        rec.window
+    );
+    end
+}
+
 proptest! {
     /// Every accessor and every return value equals the map model's after
-    /// every operation.
+    /// every operation; one case in 16 then runs a recovery-shaped ACK
+    /// stream over a window of 10⁴ segments and more, where the walk must
+    /// visit at most four segments per SACK block.
     #[test]
     fn scoreboard_matches_map_model(
         ops in proptest::collection::vec(model_op_strategy(), 1..400),
+        recovery in recovery_strategy(),
     ) {
         let mut sb = Scoreboard::new();
         let mut model = MapBoard::default();
@@ -265,6 +392,10 @@ proptest! {
         // Drain: a spilled window shrinks back through the inline size.
         if next_seq > high_ack {
             prop_assert_eq!(sb.ack_to(next_seq), model.ack_to(next_seq));
+        }
+        if let Some(rec) = &recovery {
+            next_seq = recovery_stream(&mut sb, &mut model, next_seq, rec);
+            prop_assert!(next_seq > high_ack);
         }
         prop_assert!(sb.is_empty() && sb.first_lost().is_none());
         prop_assert_eq!(sb.in_flight() + sb.sacked_count() + sb.lost_count(), 0);
