@@ -1,26 +1,23 @@
-//! Process-wide audit registry: the runtime switch, check counters, and
-//! the violation reporter shared by every crate's invariant checks.
+//! Process-wide audit registry: check counters and the violation
+//! reporter shared by every crate's invariant checks.
 //!
-//! The audit layer has one gate, a **runtime flag** ([`enabled`]) that
-//! defaults to on in debug/test builds (`cfg!(debug_assertions)`) and off
-//! in release. The `experiments` binary flips it on with `--audit`.
-//! With it down every check site is a branch on a flag or an `Option`
-//! that is `None`.
+//! Whether anything is audited is not decided here: a simulator's config
+//! says so ([`crate::Attach::audit`]), on in debug/test builds and off in
+//! release unless `experiments … --audit` is given. With it off every
+//! check site is a branch on a flag or an `Option` that is `None`.
 //!
 //! Audited objects (queue ledgers, differential oracles, scoreboard
-//! shadows) attach their shadow state **at construction time** when the
-//! flag is set, so the flag must be raised before simulations are built.
-//! Checks count themselves into the global counters below; a failed check
-//! calls [`violation`], which records the violation and panics with a
-//! reproducer (the caller embeds seed, event index, and a state dump).
+//! shadows) attach their shadow state **at construction time**, as the
+//! simulator that builds them says. Checks count themselves into the
+//! global counters below; a failed check calls [`violation`], which
+//! records the violation and panics with a reproducer (the caller embeds
+//! seed, event index, and a state dump).
 //!
 //! Counters are process-global atomics so the parallel experiment runner
 //! can aggregate across worker threads; hot paths batch locally and flush
 //! on drop rather than touching the atomics per check.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(cfg!(debug_assertions));
+use std::sync::atomic::{AtomicU64, Ordering};
 
 static QUEUE_CHECKS: AtomicU64 = AtomicU64::new(0);
 static ORACLE_CHECKS: AtomicU64 = AtomicU64::new(0);
@@ -28,21 +25,6 @@ static TCP_CHECKS: AtomicU64 = AtomicU64::new(0);
 static EVENT_CHECKS: AtomicU64 = AtomicU64::new(0);
 static CALENDAR_CHECKS: AtomicU64 = AtomicU64::new(0);
 static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// True if audits should run. Defaults to `cfg!(debug_assertions)`, so
-/// `cargo test` audits everything while release experiment runs stay
-/// fast unless `--audit` is given.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn auditing on or off process-wide. Must be called before the
-/// audited objects (simulators, controllers, scoreboards) are built:
-/// shadow state attaches at construction time.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// Record `n` queue-ledger checks (conservation, byte accounting,
 /// integral consistency).
@@ -205,8 +187,4 @@ mod tests {
         assert!(close_opt(Some(2.0), Some(2.0)));
         assert!(!close_opt(Some(2.0), None));
     }
-
-    // NOTE: no test flips `set_enabled` — tests share one process and the
-    // flag is global; the debug-build default (on) is what `cargo test`
-    // relies on.
 }

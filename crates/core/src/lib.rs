@@ -59,25 +59,69 @@ pub use predictors::{AckSample, CongestionState, Predictor};
 pub use rem::{PertRemController, PertRemParams, RemLaw};
 pub use response::ResponseCurve;
 
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::Ordering;
+use std::thread::LocalKey;
+
 /// What an instrumented object attaches when it is built: telemetry taps
-/// and audit shadows. The public constructors read it from the process
-/// flags ([`Attach::process`]); a host that builds an object later than it
-/// declared it passes the decision it recorded at declaration instead, so
-/// the object is instrumented exactly as if it had been built then.
+/// and audit shadows. A simulator hands its config's to what it builds;
+/// the public constructors read [`Attach::current`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Attach {
-    /// Attach telemetry taps ([`telemetry::enabled`]).
+    /// Attach telemetry taps.
     pub telemetry: bool,
-    /// Attach audit shadows ([`audit::enabled`]).
+    /// Attach audit shadows.
     pub audit: bool,
 }
 
+thread_local! {
+    static ENTERED: Cell<Option<Attach>> = const { Cell::new(None) };
+}
+
 impl Attach {
-    /// The decision the process flags make now.
-    pub fn process() -> Self {
-        Attach {
-            telemetry: telemetry::enabled(),
-            audit: audit::enabled(),
+    /// The decision entered on this thread ([`Attach::enter`]), else audit
+    /// in debug builds and telemetry as `telemetry::set_enabled` left it.
+    #[inline]
+    pub fn current() -> Self {
+        let entered = ENTERED.try_with(Cell::get).ok().flatten();
+        entered.unwrap_or_else(|| Attach {
+            telemetry: telemetry::ATTACH_DEFAULT.load(Ordering::Relaxed),
+            audit: cfg!(debug_assertions),
+        })
+    }
+
+    /// Make `self` this thread's [`Attach::current`] until the guard
+    /// drops, when the previous decision comes back.
+    pub fn enter(self) -> Entered<Attach> {
+        Entered::new(&ENTERED, self)
+    }
+}
+
+/// A value entered in a thread-local slot, the previous one restored on
+/// drop. The guard stays on the thread that entered it.
+pub struct Entered<T: Copy + 'static> {
+    slot: &'static LocalKey<Cell<Option<T>>>,
+    prev: Option<T>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl<T: Copy + 'static> Entered<T> {
+    /// Enter `value` in `slot` on this thread.
+    pub fn new(slot: &'static LocalKey<Cell<Option<T>>>, value: T) -> Self {
+        let prev = slot.replace(Some(value));
+        let _thread = PhantomData;
+        Entered {
+            slot,
+            prev,
+            _thread,
         }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Entered<T> {
+    fn drop(&mut self) {
+        // Past the thread's teardown there is no slot left to restore.
+        let _ = self.slot.try_with(|slot| slot.set(self.prev));
     }
 }

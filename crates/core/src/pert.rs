@@ -165,7 +165,7 @@ pub struct PertController<L: Law = ResponseCurve> {
     /// Activity counters.
     pub stats: PertStats,
     /// Differential oracle: straight-line §3 srtt/prop transcription,
-    /// boxed so a controller built with the audit flag down carries one
+    /// boxed so a controller built unaudited carries one
     /// pointer for it.
     shadow: Option<Box<PertReference>>,
     /// Telemetry key: the construction seed.
@@ -180,11 +180,11 @@ impl PertController {
     /// Create a controller with `params`, drawing response coin flips from
     /// a deterministic RNG seeded with `seed`.
     pub fn new(params: PertParams, seed: u64) -> Self {
-        Self::new_attached(params, seed, Attach::process())
+        Self::new_attached(params, seed, Attach::current())
     }
 
     /// [`PertController::new`], instrumented as `attach` says rather than
-    /// as the process flags say now.
+    /// as [`Attach::current`] says.
     pub fn new_attached(params: PertParams, seed: u64, attach: Attach) -> Self {
         Self::with_law(
             params.curve,

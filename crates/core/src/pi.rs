@@ -130,11 +130,11 @@ pub type PertPiController = PertController<PiLaw>;
 impl PertController<PiLaw> {
     /// Create with `params`; coin flips derive from `seed`.
     pub fn pi(params: PertPiParams, seed: u64) -> Self {
-        Self::pi_attached(params, seed, Attach::process())
+        Self::pi_attached(params, seed, Attach::current())
     }
 
     /// [`PertController::pi`], instrumented as `attach` says rather than
-    /// as the process flags say now.
+    /// as [`Attach::current`] says.
     pub fn pi_attached(params: PertPiParams, seed: u64, attach: Attach) -> Self {
         params.validate();
         let law = PiLaw {

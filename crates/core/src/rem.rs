@@ -102,11 +102,11 @@ pub type PertRemController = PertController<RemLaw>;
 impl PertController<RemLaw> {
     /// Create with `params`; coin flips derive from `seed`.
     pub fn rem(params: PertRemParams, seed: u64) -> Self {
-        Self::rem_attached(params, seed, Attach::process())
+        Self::rem_attached(params, seed, Attach::current())
     }
 
     /// [`PertController::rem`], instrumented as `attach` says rather than
-    /// as the process flags say now.
+    /// as [`Attach::current`] says.
     pub fn rem_attached(params: PertRemParams, seed: u64, attach: Attach) -> Self {
         params.validate();
         let law = RemLaw {

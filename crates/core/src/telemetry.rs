@@ -1,11 +1,11 @@
 //! Telemetry: signal taps, the metrics registry, derived metrics and
 //! the flight recorder.
 //!
-//! Like [`crate::audit`], it has one gate: a **runtime flag**
-//! ([`enabled`], default **off**) decides at construction time whether a
-//! [`Tap`] attaches. With the flag down every publish site is a branch
-//! on an `Option` that is `None`. The `experiments` binary raises it with
-//! `--telemetry` or `--trace-out`.
+//! Like [`crate::audit`], it has one gate, decided per simulator: its
+//! config's [`crate::Attach::telemetry`] (default **off**) decides at
+//! construction time whether a [`Tap`] attaches. Detached, every publish
+//! site is a branch on an `Option` that is `None`. The `experiments`
+//! binary attaches with `--telemetry` or `--trace-out`.
 //!
 //! Three kinds of data flow through here, none of them read from a
 //! wall clock, so attached output is as deterministic as the report:
@@ -14,8 +14,8 @@
 //!   by attached taps (PERT `srtt`, queue lengths, controller state).
 //!   The publishing thread owns them: a record goes into a thread-local
 //!   sink, which is *handed over* — to the flight recorder (newest
-//!   [`FLIGHT_CAP`] handed-over records), under [`set_full_trace`] to
-//!   the full trace, its reducers to the derive state — once per
+//!   [`FLIGHT_CAP`] handed-over records), after [`trace_reset`] to the
+//!   full trace, its reducers to the derive state — once per
 //!   [`BATCH`] records and whenever its scope ends or changes hands.
 //! * **Metrics** — named counters/gauges/histograms in a shared
 //!   [`MetricsSet`]. All operations are commutative, so per-job flushes
@@ -58,7 +58,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// [`crate::Attach::current`]'s telemetry default (see [`set_enabled`]).
+pub(crate) static ATTACH_DEFAULT: AtomicBool = AtomicBool::new(false);
+/// The full trace is collecting (see [`trace_reset`]).
 static FULL_TRACE: AtomicBool = AtomicBool::new(false);
 
 /// Capacity of the flight-recorder ring: the newest records kept for a
@@ -82,23 +84,16 @@ fn lock_counted<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     lock(m)
 }
 
-/// True if telemetry is collecting. Defaults to **off**: unlike audits,
-/// telemetry is pull-based tooling, and reports must stay byte-identical
-/// unless explicitly requested otherwise.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn telemetry on or off process-wide. Like the audit flag, this must
-/// be raised **before** the instrumented objects are built: taps attach
-/// at construction time.
+/// Deprecated: set the telemetry default of threads that entered no
+/// [`crate::Attach`]; kept for one release for out-of-tree drivers.
+#[doc(hidden)]
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    ATTACH_DEFAULT.store(on, Ordering::Relaxed);
 }
 
-/// When on, keep *every* record (not just the flight-recorder window)
-/// for [`write_trace_jsonl`]. Implied by `--trace-out`.
+/// Deprecated: start or stop the full trace without clearing it. Use
+/// [`trace_reset`] and [`trace_clear`].
+#[doc(hidden)]
 pub fn set_full_trace(on: bool) {
     FULL_TRACE.store(on, Ordering::Relaxed);
 }
@@ -384,13 +379,8 @@ pub struct Tap {
 }
 
 impl Tap {
-    /// Attach a tap for `series[key]`, or `None` when telemetry is off.
-    pub fn attach(series: &'static str, key: u64) -> Option<Tap> {
-        Self::attach_if(enabled(), series, key)
-    }
-
-    /// Attach a tap for `series[key]` when `on` (a decision recorded
-    /// earlier, see [`crate::Attach`]), else `None`.
+    /// Attach a tap for `series[key]` when `on` (the decision of the
+    /// simulator that builds the publisher), else `None`.
     pub fn attach_if(on: bool, series: &'static str, key: u64) -> Option<Tap> {
         on.then(|| Tap {
             series: series_id(series),
@@ -428,7 +418,7 @@ pub fn flight_snapshot() -> Vec<Record> {
     materialise(&raw)
 }
 
-/// All records collected under [`set_full_trace`], stable-sorted by
+/// All records the full trace holds (see [`trace_reset`]), stable-sorted by
 /// `(scope, series, key)` so the output is deterministic at any worker
 /// count (within a group, records were published by one thread at a
 /// time and keep their publication order).
@@ -438,6 +428,20 @@ pub fn trace_snapshot_sorted() -> Vec<Record> {
     let mut out = materialise(&raw);
     out.sort_by(|a, b| (&*a.scope, a.series, a.key).cmp(&(&*b.scope, b.series, b.key)));
     out
+}
+
+/// Start the full trace afresh, for [`trace_snapshot_sorted`] and [`write_trace_jsonl`].
+pub fn trace_reset() {
+    hand_over_thread();
+    lock_counted(&BUFFERS).full = Vec::new();
+    FULL_TRACE.store(true, Ordering::Relaxed);
+}
+
+/// Stop the full trace and drop what it holds.
+pub fn trace_clear() {
+    hand_over_thread();
+    FULL_TRACE.store(false, Ordering::Relaxed);
+    lock_counted(&BUFFERS).full = Vec::new();
 }
 
 // ---------------------------------------------------------------------
@@ -619,7 +623,7 @@ pub fn write_flight_jsonl(path: &Path) -> io::Result<usize> {
     write_records_jsonl(path, &flight_snapshot())
 }
 
-/// Write the full trace (requires [`set_full_trace`]) as JSONL, sorted
+/// Write the full trace (see [`trace_reset`]) as JSONL, sorted
 /// for determinism as described on [`trace_snapshot_sorted`]. Returns
 /// the record count.
 pub fn write_trace_jsonl(path: &Path) -> io::Result<usize> {
@@ -651,20 +655,36 @@ pub fn install_flight_dump_on_panic(path: PathBuf) {
 mod tests {
     use super::*;
 
-    // NOTE: as with the audit flag, the enabled switch is process-global
-    // and tests share one process. Tests that need collection on flip it
-    // and never flip it back off mid-run would race other tests — so all
-    // tests here work with the flag *up* (extra records from concurrent
-    // tests are tolerated by filtering on unique series names), and no
-    // test ever lowers it.
+    use crate::Attach;
+
+    /// The full trace is one process-wide sink: the tests that reset it
+    /// take turns.
+    static FULL_TRACE_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn full_trace_sink() -> std::sync::MutexGuard<'static, ()> {
+        FULL_TRACE_SINK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn tap_requires_enabled_flag() {
-        // Runs first in lexical order? No guarantee — so assert only the
-        // off-state behaviour via a fresh look when the flag happens to
-        // be down, and the on-state behaviour after raising it.
-        set_enabled(true);
-        let tap = Tap::attach("test/tap_gate", 9).expect("enabled => attached");
+        let on = Attach {
+            telemetry: true,
+            audit: false,
+        };
+        let tap = {
+            let _on = on.enter();
+            let _off = Attach::default().enter();
+            assert_eq!(
+                Tap::attach_if(Attach::current().telemetry, "test/tap_gate", 9),
+                None
+            );
+            assert_eq!(Attach::current(), Attach::default());
+            drop(_off);
+            assert_eq!(Attach::current(), on);
+            Tap::attach_if(Attach::current().telemetry, "test/tap_gate", 9).expect("attached")
+        };
         tap.record(1.0, 2.0);
         let found = flight_snapshot()
             .iter()
@@ -674,8 +694,8 @@ mod tests {
 
     #[test]
     fn full_trace_sorted_deterministically() {
-        set_enabled(true);
-        set_full_trace(true);
+        let _sink = full_trace_sink();
+        trace_reset();
         {
             let _s = scoped("job-b");
             record("test/sorted", 1, 0.5, 5.0);
@@ -694,6 +714,8 @@ mod tests {
         // Within a scope, publication order survives the stable sort.
         assert_eq!(trace[0].t, 0.25);
         assert_eq!(trace[1].t, 0.75);
+        trace_clear();
+        assert!(trace_snapshot_sorted().is_empty());
     }
 
     #[test]
@@ -709,7 +731,6 @@ mod tests {
 
     #[test]
     fn metrics_flow_through_registry() {
-        set_enabled(true);
         let before = metrics_snapshot();
         counter_add("test/ctr", 3);
         counter_add("test/ctr", 4);
@@ -727,8 +748,8 @@ mod tests {
 
     #[test]
     fn writers_emit_valid_lines() {
-        set_enabled(true);
-        set_full_trace(true);
+        let _sink = full_trace_sink();
+        trace_reset();
         record("test/writer", 3, 1.5, 0.25);
         let dir = std::env::temp_dir();
         let flight = dir.join("pert_test_flight.jsonl");
@@ -747,11 +768,11 @@ mod tests {
         for p in [flight, trace] {
             let _ = std::fs::remove_file(p);
         }
+        trace_clear();
     }
 
     #[test]
     fn panic_dump_leaves_flight_window_on_disk() {
-        set_enabled(true);
         record("test/panic_dump", 7, 2.0, 42.0);
         let path = std::env::temp_dir().join("pert_test_panic_flight.jsonl");
         let _ = std::fs::remove_file(&path);
@@ -766,7 +787,6 @@ mod tests {
 
     #[test]
     fn derive_hook_feeds_recorded_samples() {
-        set_enabled(true);
         derive_reset();
         // Series no other test in this process emits, so the counts
         // below are exact even with tests running concurrently.
@@ -803,7 +823,6 @@ mod tests {
 
     #[test]
     fn shard_tag_flows_into_records_and_dumps() {
-        set_enabled(true);
         {
             let _g = shard_scoped(3);
             record("test/shard_tag", 1, 0.0, 1.0);

@@ -42,7 +42,7 @@ const RECORDS: usize = 100_000;
 /// Returns the allocations this thread made for the measured records.
 fn publish(scope: &str, gate: &Barrier) -> u64 {
     let _scope = telemetry::scoped(scope);
-    let tap = Tap::attach("pert/qdelay", 7).expect("telemetry is enabled");
+    let tap = Tap::attach_if(true, "pert/qdelay", 7).expect("attached");
     // Fifty fidelity windows, revisited: once warm, the reducers' maps
     // have every entry the measured records touch.
     let sample = |i: usize| tap.record((i % 50) as f64 * 0.01 + 0.005, 0.002);
@@ -81,8 +81,6 @@ fn publish_at_once(scopes: &[&str]) -> (Vec<u64>, u64) {
 
 #[test]
 fn scoped_publishing_neither_allocates_nor_contends() {
-    telemetry::set_enabled(true);
-
     // One publisher, then another: a lock per handed-over batch, plus
     // the reducers when the scope closes.
     telemetry::derive_reset();

@@ -8,6 +8,7 @@ use crate::common::Scale;
 use crate::mix::CcAxis;
 use crate::runner::default_workers;
 use crate::scenario::{is_target, ALL_TARGETS};
+use netsim::SimConfig;
 
 /// The usage text printed on a parse error.
 pub const USAGE: &str = "usage: experiments <target>... [--quick|--standard|--full] [--jobs N] \
@@ -46,19 +47,16 @@ pub struct Cli {
     pub scale: Scale,
     /// Worker threads for the runner.
     pub jobs: usize,
-    /// Space-parallel shards per simulation (1 = monolithic).
-    pub shards: usize,
+    /// Every simulation's shard count (`--shards`, 1 = monolithic), taps
+    /// (`--telemetry`) and audit shadows (`--audit`).
+    pub config: SimConfig,
     /// Base-seed override (`None` = each target's historical seed).
     pub seed: Option<u64>,
     /// Write all reports as a JSON array to this path.
     pub json: Option<String>,
     /// Write all reports as CSV sections to this path.
     pub csv: Option<String>,
-    /// Run with the invariant-audit layer enabled.
-    pub audit: bool,
-    /// Run with telemetry taps attached and report per-target metrics.
-    pub telemetry: bool,
-    /// Write the full telemetry trace (JSONL) here; implies `telemetry`.
+    /// Write the full telemetry trace (JSONL) here; implies `--telemetry`.
     pub trace_out: Option<String>,
     /// Force the stderr progress line on (otherwise it is shown only
     /// when stderr is a terminal).
@@ -78,12 +76,10 @@ fn flag_value<'a>(flag: &str, args: &'a [String], i: &mut usize) -> Result<&'a s
 pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut scale = Scale::Standard;
     let mut jobs = default_workers();
-    let mut shards = 1;
+    let mut config = SimConfig::default();
     let mut seed = None;
     let mut json = None;
     let mut csv = None;
-    let mut audit = false;
-    let mut telemetry = false;
     let mut trace_out = None;
     let mut progress = false;
     let mut cc = CcAxis::Both;
@@ -106,7 +102,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--shards" => {
                 let v = flag_value(a, args, &mut i)?;
-                shards = v
+                config.shards = v
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n >= 1)
@@ -121,8 +117,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--json" => json = Some(flag_value(a, args, &mut i)?.to_string()),
             "--csv" => csv = Some(flag_value(a, args, &mut i)?.to_string()),
-            "--audit" => audit = true,
-            "--telemetry" => telemetry = true,
+            "--audit" => config.attach.audit = true,
+            "--telemetry" => config.attach.telemetry = true,
             "--trace-out" => trace_out = Some(flag_value(a, args, &mut i)?.to_string()),
             "--progress" => progress = true,
             "--cc" => {
@@ -156,18 +152,16 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
 
     // A trace file is useless without collection, so --trace-out implies
     // --telemetry.
-    let telemetry = telemetry || trace_out.is_some();
+    config.attach.telemetry |= trace_out.is_some();
 
     Ok(Cli {
         targets,
         scale,
         jobs,
-        shards,
+        config,
         seed,
         json,
         csv,
-        audit,
-        telemetry,
         trace_out,
         progress,
         cc,
@@ -203,8 +197,8 @@ mod tests {
 
     #[test]
     fn shards_flag_defaults_to_one_and_is_validated() {
-        assert_eq!(p(&["fig6"]).unwrap().shards, 1);
-        assert_eq!(p(&["fig6", "--shards", "4"]).unwrap().shards, 4);
+        assert_eq!(p(&["fig6"]).unwrap().config.shards, 1);
+        assert_eq!(p(&["fig6", "--shards", "4"]).unwrap().config.shards, 4);
         assert!(p(&["fig6", "--shards", "0"])
             .unwrap_err()
             .contains("--shards"));
@@ -244,21 +238,21 @@ mod tests {
 
     #[test]
     fn audit_flag_is_off_by_default() {
-        assert!(!p(&["fig5"]).unwrap().audit);
-        assert!(p(&["fig5", "--audit"]).unwrap().audit);
+        assert!(!p(&["fig5"]).unwrap().config.attach.audit);
+        assert!(p(&["fig5", "--audit"]).unwrap().config.attach.audit);
     }
 
     #[test]
     fn telemetry_flags() {
         let off = p(&["fig5"]).unwrap();
-        assert!(!off.telemetry);
+        assert!(!off.config.attach.telemetry);
         assert_eq!(off.trace_out, None);
 
-        assert!(p(&["fig5", "--telemetry"]).unwrap().telemetry);
+        assert!(p(&["fig5", "--telemetry"]).unwrap().config.attach.telemetry);
 
         // --trace-out implies telemetry collection.
         let traced = p(&["fig5", "--trace-out", "t.jsonl"]).unwrap();
-        assert!(traced.telemetry);
+        assert!(traced.config.attach.telemetry);
         assert_eq!(traced.trace_out.as_deref(), Some("t.jsonl"));
 
         assert!(p(&["fig5", "--trace-out"])

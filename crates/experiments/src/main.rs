@@ -25,9 +25,8 @@
 //! once.
 
 use experiments::cli;
-use experiments::report::{reports_to_csv, reports_to_json, AuditCounts};
-use experiments::runner::run_jobs;
-use experiments::scenario::lookup;
+use experiments::report::{reports_to_csv, reports_to_json};
+use experiments::scenario::{lookup_with, run_target};
 use experiments::{progress, spans, trace_cli};
 use pert_core::telemetry;
 
@@ -91,15 +90,12 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Must happen before any simulator is built: audit shadows and
-    // telemetry taps attach at construction time.
-    netsim::set_default_shards(cli.shards);
-    experiments::mix::set_cc_axis(cli.cc);
-    netsim::audit::set_enabled(cli.audit);
-    telemetry::set_enabled(cli.telemetry);
+    let telemetry_on = cli.config.attach.telemetry;
     let flight = flight_path(cli.trace_out.as_deref());
-    if cli.telemetry {
-        telemetry::set_full_trace(cli.trace_out.is_some());
+    if cli.trace_out.is_some() {
+        telemetry::trace_reset();
+    }
+    if telemetry_on {
         // An audit violation panics; leave the preceding telemetry
         // window on disk when one fires (or any scenario panics).
         telemetry::install_flight_dump_on_panic(flight.clone().into());
@@ -110,50 +106,11 @@ fn main() {
     println!("scale: {:?}", cli.scale);
     let mut reports = Vec::new();
     for t in &cli.targets {
-        let scenario = lookup(t).expect("targets were validated by the parser");
+        let scenario = lookup_with(t, cli.cc).expect("targets were validated by the parser");
         let seed = cli.seed.unwrap_or_else(|| scenario.default_seed());
         let t0 = std::time::Instant::now();
-        let before = cli.audit.then(netsim::audit::snapshot);
-        let metrics_before = cli.telemetry.then(telemetry::metrics_snapshot);
-        if cli.telemetry {
-            // Fresh derive state per target: each report summarizes only
-            // its own records.
-            telemetry::derive_reset();
-        }
-        let jobs = {
-            let _span = spans::span(format!("{t}/points"));
-            scenario.points(cli.scale, seed)
-        };
-        let ticker = progress_on.then(|| {
-            telemetry::progress_start(jobs.len() as u64);
-            progress::Ticker::start(t)
-        });
-        let (results, timings) = run_jobs(jobs, cli.jobs);
-        if let Some(ticker) = ticker {
-            ticker.finish();
-        }
-        let mut report = {
-            let _span = spans::span(format!("{t}/assemble"));
-            scenario.assemble(cli.scale, seed, results)
-        };
-        report.timings = timings;
-        if let Some(b) = metrics_before {
-            report.metrics = Some(telemetry::metrics_snapshot().since(&b));
-        }
-        if cli.telemetry {
-            report.derived = telemetry::derive_summary();
-        }
-        if let Some(b) = before {
-            let d = netsim::audit::snapshot().since(&b);
-            report.audit = Some(AuditCounts {
-                queue_checks: d.queue_checks,
-                oracle_checks: d.oracle_checks,
-                tcp_checks: d.tcp_checks,
-                event_checks: d.event_checks,
-                calendar_checks: d.calendar_checks,
-                violations: d.violations,
-            });
-        }
+        let (scale, config) = (cli.scale, cli.config);
+        let report = run_target(&*scenario, scale, seed, config, cli.jobs, progress_on);
         print!("{}", report.render_text());
         for tm in &report.timings {
             eprintln!("  [{} {:.2}s]", tm.label, tm.secs);
@@ -162,7 +119,7 @@ fn main() {
         eprint!("{}", report.render_claims());
         reports.push(report);
     }
-    if cli.telemetry {
+    if telemetry_on {
         telemetry::derive_clear();
     }
 
@@ -198,7 +155,7 @@ fn main() {
             }
         }
     }
-    if cli.telemetry {
+    if telemetry_on {
         // Always leave the final flight window on disk: CI archives it,
         // and a clean run's window is the baseline to diff a crashed
         // run's dump against.

@@ -40,35 +40,33 @@ pub enum CcAxis {
     Both,
 }
 
+/// The axes [`CcAxis::current`] returns; written only by [`set_cc_axis`].
 static CC_AXIS: AtomicU8 = AtomicU8::new(2);
 
-/// Select the competitor axes for subsequent `mix6`/`mix12` runs. Must
-/// be called before [`Scenario::points`]; the CLI applies it once at
-/// startup, like the shard and audit globals.
+/// Deprecated: set the axes [`crate::scenario::lookup`] gives `mix6` and
+/// `mix12`; kept for one release. Use [`crate::scenario::lookup_with`].
+#[doc(hidden)]
 pub fn set_cc_axis(axis: CcAxis) {
-    let v = match axis {
-        CcAxis::Cubic => 0,
-        CcAxis::Bbr => 1,
-        CcAxis::Both => 2,
-    };
-    CC_AXIS.store(v, Ordering::SeqCst);
+    CC_AXIS.store(axis as u8, Ordering::Relaxed);
 }
 
-/// The currently selected competitor axes.
-pub fn cc_axis() -> CcAxis {
-    match CC_AXIS.load(Ordering::SeqCst) {
-        0 => CcAxis::Cubic,
-        1 => CcAxis::Bbr,
-        _ => CcAxis::Both,
+impl CcAxis {
+    /// Both competitors, unless the deprecated [`set_cc_axis`] said not.
+    pub fn current() -> CcAxis {
+        match CC_AXIS.load(Ordering::Relaxed) {
+            0 => CcAxis::Cubic,
+            1 => CcAxis::Bbr,
+            _ => CcAxis::Both,
+        }
     }
-}
 
-/// The cross-traffic schemes the current axis selects, in report order.
-pub fn cross_schemes() -> Vec<Scheme> {
-    match cc_axis() {
-        CcAxis::Cubic => vec![Scheme::Cubic],
-        CcAxis::Bbr => vec![Scheme::Bbr],
-        CcAxis::Both => vec![Scheme::Cubic, Scheme::Bbr],
+    /// The cross-traffic schemes these axes select, in report order.
+    pub fn schemes(self) -> Vec<Scheme> {
+        match self {
+            CcAxis::Cubic => vec![Scheme::Cubic],
+            CcAxis::Bbr => vec![Scheme::Bbr],
+            CcAxis::Both => vec![Scheme::Cubic, Scheme::Bbr],
+        }
     }
 }
 
@@ -159,9 +157,9 @@ pub fn run_mix_point(cfg: &DumbbellConfig, scale: Scale) -> MixPoint {
     }
 }
 
-/// The `mix6` bandwidth sweep as a [`Scenario`]: one job per
-/// (bandwidth × competitor) simulation.
-pub struct Mix6Scenario;
+/// The `mix6` bandwidth sweep against the competitors of its axes as a
+/// [`Scenario`]: one job per (bandwidth × competitor) simulation.
+pub struct Mix6Scenario(pub CcAxis);
 
 impl Scenario for Mix6Scenario {
     fn name(&self) -> &'static str {
@@ -175,7 +173,7 @@ impl Scenario for Mix6Scenario {
     fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
         let mut jobs = Vec::new();
         for mbps in crate::fig6::bandwidth_grid(scale) {
-            for cross in cross_schemes() {
+            for cross in self.0.schemes() {
                 let cfg = mix6_config(mbps, scale, seed, cross.clone());
                 jobs.push(Job::new(
                     format!("mix6/{mbps}Mbps/{}", cross.name()),
@@ -219,7 +217,7 @@ impl Scenario for Mix6Scenario {
         }
         let mut report = Report::new("mix6", scale, seed);
         report.tables.push(table);
-        let names = cross_schemes().into_iter().cycle().map(|s| s.name());
+        let names = self.0.schemes().into_iter().cycle().map(|s| s.name());
         report.claim_each(
             "points_name_their_competitor",
             points.iter().map(|p| p.cross).zip(names),
@@ -331,9 +329,9 @@ pub fn run_mix12(cross: Scheme, scale: Scale, seed: u64) -> Mix12Result {
     }
 }
 
-/// The dynamic mixed-competition experiment as a [`Scenario`]: one job
-/// per competitor.
-pub struct Mix12Scenario;
+/// The dynamic mixed-competition experiment against the competitors of
+/// its axes as a [`Scenario`]: one job per competitor.
+pub struct Mix12Scenario(pub CcAxis);
 
 impl Scenario for Mix12Scenario {
     fn name(&self) -> &'static str {
@@ -345,7 +343,8 @@ impl Scenario for Mix12Scenario {
     }
 
     fn points(&self, scale: Scale, seed: u64) -> Vec<Job> {
-        cross_schemes()
+        self.0
+            .schemes()
             .into_iter()
             .map(|cross| {
                 let label = format!("mix12/{}", cross.name());
@@ -419,15 +418,15 @@ mod tests {
 
     #[test]
     fn axis_selects_schemes() {
-        // Default (and the explicit Both) runs both competitors.
-        set_cc_axis(CcAxis::Both);
-        assert_eq!(cross_schemes().len(), 2);
-        set_cc_axis(CcAxis::Cubic);
-        assert_eq!(cross_schemes().len(), 1);
-        assert_eq!(cross_schemes()[0].name(), "CUBIC");
-        set_cc_axis(CcAxis::Bbr);
-        assert_eq!(cross_schemes()[0].name(), "BBR");
-        set_cc_axis(CcAxis::Both);
+        // The default runs both competitors.
+        assert_eq!(CcAxis::current(), CcAxis::Both);
+        assert_eq!(CcAxis::Both.schemes().len(), 2);
+        assert_eq!(CcAxis::Cubic.schemes().len(), 1);
+        assert_eq!(CcAxis::Cubic.schemes()[0].name(), "CUBIC");
+        assert_eq!(CcAxis::Bbr.schemes()[0].name(), "BBR");
+        let mix12 = |axis| Mix12Scenario(axis).points(Scale::Quick, 1);
+        assert_eq!(mix12(CcAxis::Bbr)[0].label, "mix12/BBR");
+        assert_eq!(mix12(CcAxis::Both).len(), 2);
     }
 
     #[test]

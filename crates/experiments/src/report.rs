@@ -13,6 +13,7 @@
 //! ([`Report::render_claims`]).
 
 use crate::common::{fmt, Scale};
+use pert_core::audit::AuditSnapshot;
 use sim_stats::{json, DerivedSummary, MetricValue, MetricsSet};
 use std::fmt::Write as _;
 
@@ -97,36 +98,6 @@ impl Table {
     }
 }
 
-/// Invariant-audit counters accumulated while one target ran (present
-/// only under `--audit`; rendering is unchanged when absent).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AuditCounts {
-    /// Queue-ledger verifications (conservation + stats mirror).
-    pub queue_checks: u64,
-    /// Differential-oracle comparisons (RED/PI/REM/PERT references,
-    /// interval-set and scoreboard shadows count as tcp checks).
-    pub oracle_checks: u64,
-    /// TCP-layer checks (sequence invariants, shadow structures).
-    pub tcp_checks: u64,
-    /// Event-loop checks (time monotonicity).
-    pub event_checks: u64,
-    /// Calendar-equivalence checks (timing wheel vs heap shadow pops).
-    pub calendar_checks: u64,
-    /// Invariant violations observed. Anything nonzero is a bug.
-    pub violations: u64,
-}
-
-impl AuditCounts {
-    /// Sum of all check counters.
-    pub fn total_checks(&self) -> u64 {
-        self.queue_checks
-            + self.oracle_checks
-            + self.tcp_checks
-            + self.event_checks
-            + self.calendar_checks
-    }
-}
-
 /// Wall-clock spent on one point, seconds (stderr/bench only — never
 /// serialized, so parallel and sequential runs emit identical files).
 #[derive(Clone, Debug, PartialEq)]
@@ -164,7 +135,7 @@ pub struct Report {
     /// Per-point wall-clock (populated by the runner; not serialized).
     pub timings: Vec<PointTiming>,
     /// Audit counters for this target (`--audit` runs only).
-    pub audit: Option<AuditCounts>,
+    pub audit: Option<AuditSnapshot>,
     /// Telemetry metrics accumulated while this target ran
     /// (`--telemetry` runs only; rendering is unchanged when absent).
     pub metrics: Option<MetricsSet>,
@@ -546,7 +517,7 @@ mod tests {
     fn audit_counts_render_only_when_present() {
         let plain = sample();
         let mut audited = sample();
-        audited.audit = Some(AuditCounts {
+        audited.audit = Some(AuditSnapshot {
             queue_checks: 10,
             oracle_checks: 4,
             tcp_checks: 3,

@@ -8,8 +8,9 @@
 //! and deposit each result in the slot matching the job's declared
 //! index, so assembly order is independent of completion order.
 //!
-//! Each job additionally runs under a telemetry *scope* equal to its
-//! label (see [`pert_core::telemetry::scoped`]): any records a job's
+//! Each job runs with the [`SimConfig`] it was declared under entered on
+//! its thread, and under a telemetry *scope* equal to its label (see
+//! [`pert_core::telemetry::scoped`]): any records a job's
 //! simulations publish are tagged with the label, which is what lets the
 //! trace writer group and sort them deterministically regardless of
 //! which worker thread ran the job. With telemetry off this is a
@@ -20,6 +21,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use netsim::SimConfig;
 
 use crate::report::PointTiming;
 
@@ -55,12 +58,16 @@ fn reraise_job_panic(label: &str, payload: Box<dyn Any + Send>) -> ! {
 pub struct Job {
     /// Display label for timing diagnostics, e.g. `"fig6/5Mbps/PERT"`.
     pub label: String,
+    /// The config the job's simulators are built with: the caller's
+    /// [`SimConfig::current`] when the job was declared.
+    pub config: SimConfig,
     /// The work. Must be self-seeding and side-effect free.
     pub run: Box<dyn FnOnce() -> PointResult + Send>,
 }
 
 impl Job {
-    /// Build a job from any `Send` result type.
+    /// Build a job from any `Send` result type, under the calling thread's
+    /// [`SimConfig::current`].
     pub fn new<T, F>(label: impl Into<String>, f: F) -> Self
     where
         T: Any + Send,
@@ -68,42 +75,25 @@ impl Job {
     {
         Job {
             label: label.into(),
+            config: SimConfig::current(),
             run: Box::new(move || Box::new(f()) as PointResult),
         }
     }
 }
 
-/// Execute `jobs` on up to `workers` threads. Results come back in the
-/// order the jobs were declared, with per-job wall-clock timings.
+/// Execute `jobs` on up to `workers` threads (one worker runs them on the
+/// calling thread). Results come back in the order the jobs were declared,
+/// with per-job wall-clock timings.
 pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> (Vec<PointResult>, Vec<PointTiming>) {
     let n = jobs.len();
     let workers = workers.max(1).min(n.max(1));
 
-    if workers <= 1 {
-        // Sequential fast path: same code path the pool reduces to, no
-        // thread overhead.
-        let mut results = Vec::with_capacity(n);
-        let mut timings = Vec::with_capacity(n);
-        for job in jobs {
-            let t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| run_scoped(&job.label, job.run))) {
-                Ok(result) => results.push(result),
-                Err(payload) => reraise_job_panic(&job.label, payload),
-            }
-            timings.push(PointTiming {
-                label: job.label,
-                secs: t0.elapsed().as_secs_f64(),
-            });
-        }
-        return (results, timings);
-    }
-
-    type WorkSlot = Mutex<Option<Box<dyn FnOnce() -> PointResult + Send>>>;
+    type WorkSlot = Mutex<Option<Job>>;
 
     let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-    // One slot per job: workers `take()` the closure, then write the
-    // result back into the slot of the same index.
-    let work: Vec<WorkSlot> = jobs.into_iter().map(|j| Mutex::new(Some(j.run))).collect();
+    // One slot per job: workers `take()` the job, then write the result
+    // into the slot of the same index.
+    let work: Vec<WorkSlot> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let done: Vec<Mutex<Option<(JobOutcome, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     // Raised by the first job that panics: workers stop claiming *new*
@@ -111,27 +101,32 @@ pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> (Vec<PointResult>, Vec<PointT
     // joins cleanly and completed results drain through assembly below
     // instead of vanishing in a poisoned pool.
     let poisoned = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let f = work[i].lock().unwrap().take().expect("job claimed twice");
-                let t0 = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_scoped(&labels[i], f)));
-                if outcome.is_err() {
-                    poisoned.store(true, Ordering::Relaxed);
-                }
-                *done[i].lock().unwrap() = Some((outcome, t0.elapsed().as_secs_f64()));
-            });
+    let worker = || loop {
+        if poisoned.load(Ordering::Relaxed) {
+            break;
         }
-    });
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let job = work[i].lock().unwrap().take().expect("job claimed twice");
+        let t0 = Instant::now();
+        let run = || run_scoped(&job.label, job.config, job.run);
+        let outcome = catch_unwind(AssertUnwindSafe(run));
+        if outcome.is_err() {
+            poisoned.store(true, Ordering::Relaxed);
+        }
+        *done[i].lock().unwrap() = Some((outcome, t0.elapsed().as_secs_f64()));
+    };
+    if workers == 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(worker);
+            }
+        });
+    }
 
     let mut results = Vec::with_capacity(n);
     let mut timings = Vec::with_capacity(n);
@@ -151,13 +146,13 @@ pub fn run_jobs(jobs: Vec<Job>, workers: usize) -> (Vec<PointResult>, Vec<PointT
     (results, timings)
 }
 
-/// Run one job closure under a telemetry scope named after its label,
-/// with a `job/<label>` profiler span (a no-op when telemetry is off).
-fn run_scoped(label: &str, f: impl FnOnce() -> PointResult) -> PointResult {
+/// Run one job closure with its config entered and under a telemetry
+/// scope named after its label, with a `job/<label>` profiler span (a
+/// no-op when the config detaches telemetry).
+fn run_scoped(label: &str, config: SimConfig, f: impl FnOnce() -> PointResult) -> PointResult {
+    let _config = config.enter();
     let _scope = pert_core::telemetry::scoped(label);
-    let _span = pert_core::telemetry::enabled()
-        .then(|| crate::spans::span(format!("job/{label}")))
-        .flatten();
+    let _span = crate::spans::span(|| format!("job/{label}"));
     let result = f();
     // Feed the stderr progress line (one relaxed atomic add; the
     // counters only tick while a progress ticker is running).

@@ -8,9 +8,14 @@
 //! embarrassingly parallel; the ordered reassembly is what keeps the
 //! output byte-identical to a sequential run.
 
+use netsim::SimConfig;
+use pert_core::telemetry;
+
 use crate::common::Scale;
+use crate::mix::CcAxis;
 use crate::report::Report;
-use crate::runner::{Job, PointResult};
+use crate::runner::{run_jobs, Job, PointResult};
+use crate::{progress, spans};
 
 /// One experiment target (a figure, table, or study).
 pub trait Scenario {
@@ -55,8 +60,13 @@ pub const ALL_TARGETS: [&str; 18] = [
 /// views of the shared §2.2 case runs).
 pub const EXTRA_TARGETS: [&str; 3] = ["fig2", "fig3", "fig4"];
 
-/// Look up a target by CLI name.
+/// Look up a target by CLI name, `mix6`/`mix12` at [`CcAxis::current`].
 pub fn lookup(name: &str) -> Option<Box<dyn Scenario>> {
+    lookup_with(name, CcAxis::current())
+}
+
+/// Look up a target by CLI name, `mix6`/`mix12` at the axes `cc` (`--cc`).
+pub fn lookup_with(name: &str, cc: CcAxis) -> Option<Box<dyn Scenario>> {
     Some(match name {
         "fig2" => Box::new(crate::fig2::FIG2),
         "fig3" => Box::new(crate::fig3::FIG3),
@@ -73,14 +83,56 @@ pub fn lookup(name: &str) -> Option<Box<dyn Scenario>> {
         "fig13a" => Box::new(crate::fig13::Fig13aScenario),
         "fig13bcd" => Box::new(crate::fig13::Fig13bcdScenario),
         "fig14" => Box::new(crate::fig14::FIG14),
-        "mix6" => Box::new(crate::mix::Mix6Scenario),
-        "mix12" => Box::new(crate::mix::Mix12Scenario),
+        "mix6" => Box::new(crate::mix::Mix6Scenario(cc)),
+        "mix12" => Box::new(crate::mix::Mix12Scenario(cc)),
         "reverse" => Box::new(crate::reverse::ReverseScenario),
         "rem" => Box::new(crate::rem::REM),
         "robustness" => Box::new(crate::robustness::RobustnessScenario),
         "ablations" => Box::new(crate::ablations::AblationsScenario),
         _ => return None,
     })
+}
+
+/// `sc` at `scale` and `seed` as the binary runs a target: its points run
+/// under `config` on `workers` threads and assembled, with the blocks
+/// `config` attaches and audits; `ticker` shows the progress line.
+pub fn run_target(
+    sc: &dyn Scenario,
+    scale: Scale,
+    seed: u64,
+    config: SimConfig,
+    workers: usize,
+    ticker: bool,
+) -> Report {
+    let _config = config.enter();
+    let (tel, t) = (config.attach.telemetry, sc.name());
+    let audit_before = config.attach.audit.then(netsim::audit::snapshot);
+    let metrics_before = tel.then(telemetry::metrics_snapshot);
+    if tel {
+        // Fresh derive state: each report summarizes only its own records.
+        telemetry::derive_reset();
+    }
+    let jobs = {
+        let _span = spans::span(|| format!("{t}/points"));
+        sc.points(scale, seed)
+    };
+    let ticker = ticker.then(|| {
+        telemetry::progress_start(jobs.len() as u64);
+        progress::Ticker::start(t)
+    });
+    let (results, timings) = run_jobs(jobs, workers);
+    if let Some(ticker) = ticker {
+        ticker.finish();
+    }
+    let mut report = {
+        let _span = spans::span(|| format!("{t}/assemble"));
+        sc.assemble(scale, seed, results)
+    };
+    report.timings = timings;
+    report.metrics = metrics_before.map(|b| telemetry::metrics_snapshot().since(&b));
+    report.derived = tel.then(telemetry::derive_summary).flatten();
+    report.audit = audit_before.map(|b| netsim::audit::snapshot().since(&b));
+    report
 }
 
 /// Is `name` a registered target?

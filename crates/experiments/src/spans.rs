@@ -7,7 +7,7 @@
 //! Spans time what the harness does around the simulator, never what
 //! happens inside it, and they never enter a report or the trace JSONL:
 //! they are host-dependent, so they live only in this file. Recording
-//! follows the telemetry flag ([`pert_core::telemetry::enabled`]).
+//! follows the thread's telemetry decision ([`Attach::current`]).
 
 use std::fmt::Write as _;
 use std::io;
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use pert_core::telemetry;
+use pert_core::{telemetry, Attach};
 use sim_stats::json;
 
 /// One closed wall-clock phase, microseconds relative to process start.
@@ -49,14 +49,12 @@ fn thread_id() -> u64 {
     TID.with(|t| *t)
 }
 
-/// Open a wall-clock span, closed when the guard drops. `None` when
-/// telemetry is off, so the idiom is `let _span = spans::span(..);`.
-pub fn span(name: impl Into<String>) -> Option<SpanGuard> {
-    if !telemetry::enabled() {
-        return None;
-    }
-    Some(SpanGuard {
-        name: name.into(),
+/// Open a wall-clock span named `name()`, closed when the guard drops.
+/// `None` (and no name built) when telemetry is detached, so the idiom is
+/// `let _span = spans::span(|| ..);`.
+pub fn span(name: impl FnOnce() -> String) -> Option<SpanGuard> {
+    Attach::current().telemetry.then(|| SpanGuard {
+        name: name(),
         started: Instant::now(),
     })
 }
@@ -118,8 +116,8 @@ pub fn write_chrome_trace(path: &Path) -> io::Result<usize> {
 mod tests {
     use super::*;
 
-    // The guards are built by hand: raising the process-global telemetry
-    // flag would attach taps to every simulation other tests here run.
+    // The guards are built by hand: the spans under test need no
+    // telemetry decision.
     fn open(name: &str) -> SpanGuard {
         SpanGuard {
             name: name.into(),

@@ -3,12 +3,11 @@
 //! claims it checks on its own typed results. One failure lists every
 //! failing `target/claim: detail`.
 //!
-//! This file is its own test binary because `set_cc_axis` is
-//! process-global and the claim counts below are for both competitors.
-//! In test builds the invariant audit is on, so every run is audited too.
+//! The claim counts below are for both competitors, `mix6` and `mix12`'s
+//! default. In test builds the invariant audit is on, so every run is
+//! audited too.
 
 use experiments::common::Scale;
-use experiments::mix::{set_cc_axis, CcAxis};
 use experiments::report::Report;
 use experiments::runner::run_jobs;
 use experiments::scenario::{lookup, ALL_TARGETS};
@@ -46,7 +45,6 @@ fn failures(report: &Report) -> Vec<String> {
 
 #[test]
 fn every_claim_holds_at_quick_scale() {
-    set_cc_axis(CcAxis::Both);
     let pinned: Vec<&str> = QUICK_CLAIMS.iter().map(|(t, _)| *t).collect();
     assert_eq!(pinned, ALL_TARGETS, "pin a claim count for every target");
     // One pool over every target's points keeps both workers busy; each

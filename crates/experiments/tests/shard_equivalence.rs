@@ -10,21 +10,15 @@ use experiments::common::Scale;
 use experiments::report::{reports_to_csv, reports_to_json};
 use experiments::runner::run_jobs;
 use experiments::scenario::lookup;
-use std::sync::Mutex;
-
-/// The shard count is a process-wide default (the CLI sets it once at
-/// startup); concurrent test threads must not interleave their settings.
-static SHARD_LOCK: Mutex<()> = Mutex::new(());
 
 /// Render `target` at Quick scale with a given shard count and worker
 /// count: (text, json, csv).
 fn render(target: &str, shards: usize, workers: usize) -> (String, String, String) {
     let sc = lookup(target).expect("known target");
     let seed = sc.default_seed();
-    netsim::set_default_shards(shards);
-    let jobs = sc.points(Scale::Quick, seed);
+    let mut jobs = sc.points(Scale::Quick, seed);
+    jobs.iter_mut().for_each(|j| j.config.shards = shards);
     let (results, _) = run_jobs(jobs, workers);
-    netsim::set_default_shards(1);
     let report = sc.assemble(Scale::Quick, seed, results);
     let csv = reports_to_csv(std::slice::from_ref(&report));
     let json = reports_to_json(std::slice::from_ref(&report));
@@ -34,7 +28,6 @@ fn render(target: &str, shards: usize, workers: usize) -> (String, String, Strin
 /// All three output surfaces are byte-identical across the shard × worker
 /// matrix for `target`.
 fn assert_shard_invariant(target: &str) {
-    let _guard = SHARD_LOCK.lock().unwrap();
     let baseline = render(target, 1, 1);
     for shards in [2, 4] {
         for workers in [1, 4] {

@@ -1,39 +1,65 @@
 //! Telemetry integration: taps attached to a real figure's simulations
-//! publish the paper's signals, and the metrics registry merges per-job
-//! flushes deterministically whatever the worker count.
+//! publish the paper's signals, the metrics registry merges per-job
+//! flushes deterministically whatever the worker count, and the mode
+//! matrix (workers × shards × telemetry, plus an audited run) changes no
+//! byte it must not.
 //!
-//! The telemetry flag is process-global and attachment happens at
-//! construction time, so these tests raise it once and serialize on a
-//! file-local mutex; no test ever lowers the flag (other test binaries
-//! run in their own processes and are unaffected).
+//! Each run says how it is built with the `SimConfig` its jobs carry; no
+//! test writes process state. The metrics registry, the derive state,
+//! the full trace and the audit counters are process-wide sinks, so the
+//! tests that read them take turns on `SINKS`.
 
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use experiments::common::Scale;
+use experiments::report::{reports_to_csv, reports_to_json, Report};
 use experiments::runner::{run_jobs, Job};
-use experiments::scenario::lookup;
-use pert_core::telemetry;
+use experiments::scenario::{lookup, run_target};
+use netsim::SimConfig;
+use pert_core::{telemetry, Attach};
 use sim_stats::MetricsSet;
 
-static LOCK: Mutex<()> = Mutex::new(());
+static SINKS: Mutex<()> = Mutex::new(());
 
-/// Run fig6 at Quick scale on `workers` threads and return the metrics
-/// delta that run contributed to the global registry.
+fn sinks() -> MutexGuard<'static, ()> {
+    SINKS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Monolithic, taps attached, not audited.
+const ATTACHED: SimConfig = SimConfig {
+    shards: 1,
+    attach: Attach {
+        telemetry: true,
+        audit: false,
+    },
+};
+
+/// `target` at quick scale and its default seed, run as the binary runs
+/// it with `config` on `workers` threads.
+fn run(target: &str, config: SimConfig, workers: usize) -> Report {
+    let sc = lookup(target).expect("known target");
+    let report = run_target(
+        &*sc,
+        Scale::Quick,
+        sc.default_seed(),
+        config,
+        workers,
+        false,
+    );
+    telemetry::derive_clear();
+    report
+}
+
+/// Run fig6 at Quick scale attached on `workers` threads and return the
+/// metrics delta that run contributed to the global registry.
 fn fig6_metrics_with_workers(workers: usize) -> MetricsSet {
-    let sc = lookup("fig6").expect("known target");
-    let seed = sc.default_seed();
-    let before = telemetry::metrics_snapshot();
-    let jobs = sc.points(Scale::Quick, seed);
-    let (results, _) = run_jobs(jobs, workers);
-    let _ = sc.assemble(Scale::Quick, seed, results);
-    telemetry::metrics_snapshot().since(&before)
+    run("fig6", ATTACHED, workers).metrics.expect("attached")
 }
 
 #[test]
 fn fig6_metrics_merge_identically_across_worker_counts() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
-
+    let _g = sinks();
     let m1 = fig6_metrics_with_workers(1);
     let m4 = fig6_metrics_with_workers(4);
 
@@ -68,18 +94,12 @@ fn fig6_metrics_merge_identically_across_worker_counts() {
     assert_eq!(events + elided, 4_518_919);
 }
 
-/// Run fig6 at Quick scale on `workers` threads and return the derived
-/// summary reduced online from that run's tap records.
+/// Run fig6 at Quick scale attached on `workers` threads and return the
+/// derived summary reduced online from that run's tap records.
 fn fig6_derived_with_workers(workers: usize) -> sim_stats::DerivedSummary {
-    let sc = lookup("fig6").expect("known target");
-    let seed = sc.default_seed();
-    telemetry::derive_reset();
-    let jobs = sc.points(Scale::Quick, seed);
-    let (results, _) = run_jobs(jobs, workers);
-    let _ = sc.assemble(Scale::Quick, seed, results);
-    let summary = telemetry::derive_summary().expect("derivation was running");
-    telemetry::derive_clear();
-    summary
+    run("fig6", ATTACHED, workers)
+        .derived
+        .expect("derivation was running")
 }
 
 /// Re-render compact JSON of objects, arrays, strings without escapes
@@ -173,8 +193,7 @@ fn jq_sorted(json: &str) -> String {
 /// moved by a byte.
 #[test]
 fn fig6_quick_derived_matches_the_golden_file() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
+    let _g = sinks();
 
     let golden = include_str!("../../../ci/golden/fig6_quick_derived.json");
     assert_eq!(jq_sorted(r#"{"b":[],"a":{"y":[{"k":-1},2],"x":"s"}}"#), {
@@ -192,8 +211,7 @@ fn fig6_quick_derived_matches_the_golden_file() {
 
 #[test]
 fn fig6_derived_summary_is_identical_across_worker_counts() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
+    let _g = sinks();
 
     let d1 = fig6_derived_with_workers(1);
     let d4 = fig6_derived_with_workers(4);
@@ -241,10 +259,9 @@ fn run_fig6_5mbps(run: &str, workers: usize, shards: usize) {
     assert_eq!(jobs.len(), 4, "fig6 quick has four 5 Mbps points");
     for j in &mut jobs {
         j.label = format!("{run}:{}", j.label);
+        j.config = SimConfig { shards, ..ATTACHED };
     }
-    netsim::set_default_shards(shards);
     drop(run_jobs(jobs, workers));
-    netsim::set_default_shards(1);
 }
 
 /// Panic naming the first `(scope, series, key, t)` where two traces
@@ -262,15 +279,14 @@ fn assert_same_trace(what: &str, a: &[Traced], b: &[Traced]) {
 
 #[test]
 fn full_trace_is_equal_across_workers_and_shards() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
-    telemetry::set_full_trace(true);
+    let _g = sinks();
+    telemetry::trace_reset();
     run_fig6_5mbps("w1", 1, 1);
     run_fig6_5mbps("w4", 4, 1);
     run_fig6_5mbps("s2", 2, 2);
-    telemetry::set_full_trace(false);
-
     let sorted = telemetry::trace_snapshot_sorted();
+    telemetry::trace_clear();
+
     let of_run = |run: &str| of_run(&sorted, run);
     let w1 = of_run("w1");
     assert!(w1.len() > 50_000, "only {} records traced", w1.len());
@@ -303,9 +319,8 @@ fn of_run(sorted: &[telemetry::Record], run: &str) -> Vec<Traced> {
 /// are the same at any worker count.
 #[test]
 fn attached_sharded_output_is_equal_across_workers() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
-    telemetry::set_full_trace(true);
+    let _g = sinks();
+    telemetry::trace_reset();
     let derived = |run: &str, workers: usize| {
         telemetry::derive_reset();
         run_fig6_5mbps(run, workers, 2);
@@ -317,11 +332,11 @@ fn attached_sharded_output_is_equal_across_workers() {
     };
     let d1 = derived("a1", 1);
     let d2 = derived("a2", 2);
-    telemetry::set_full_trace(false);
+    let sorted = telemetry::trace_snapshot_sorted();
+    telemetry::trace_clear();
 
     assert!(d1.0.contains("  shards: n=2 "), "{}", d1.0);
     assert_eq!(d1, d2, "derived summary differs between workers 1 and 2");
-    let sorted = telemetry::trace_snapshot_sorted();
     let a1 = of_run(&sorted, "a1");
     assert!(
         a1.iter().any(|r| r.1.starts_with("shard/")),
@@ -335,8 +350,7 @@ fn panicking_job_keeps_the_other_jobs_telemetry() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::mpsc::channel;
 
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
+    let _g = sinks();
     let dump = std::env::temp_dir().join("pert_test_panicking_job_flight.jsonl");
     let _ = std::fs::remove_file(&dump);
     telemetry::install_flight_dump_on_panic(dump.clone());
@@ -382,8 +396,7 @@ fn panicking_job_keeps_the_other_jobs_telemetry() {
 
 #[test]
 fn fig6_taps_publish_the_papers_signals() {
-    let _g = LOCK.lock().unwrap();
-    telemetry::set_enabled(true);
+    let _g = sinks();
 
     let sc = lookup("fig6").expect("known target");
     let seed = sc.default_seed();
@@ -392,6 +405,7 @@ fn fig6_taps_publish_the_papers_signals() {
     // to evict an earlier job's window — so run just the PERT points.
     let mut jobs = sc.points(Scale::Quick, seed);
     jobs.retain(|j| j.label.ends_with("/PERT"));
+    jobs.iter_mut().for_each(|j| j.config = ATTACHED);
     assert!(!jobs.is_empty(), "fig6 has no PERT jobs?");
     let (results, _) = run_jobs(jobs, 2);
     drop(results);
@@ -425,4 +439,205 @@ fn fig6_taps_publish_the_papers_signals() {
     assert!(vals("pert/srtt").iter().all(|&v| v > 0.0));
     assert!(vals("pert/qdelay").iter().all(|&v| v >= 0.0));
     assert!(vals("pert/prob").iter().all(|&v| (0.0..=1.0).contains(&v)));
+}
+
+/// One cell of the mode matrix: a worker count and the config every job
+/// of the cell is declared under.
+#[derive(Clone, Copy)]
+struct Cell {
+    jobs: usize,
+    config: SimConfig,
+}
+
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Attach { telemetry, audit } = self.config.attach;
+        let (shards, jobs) = (self.config.shards, self.jobs);
+        write!(
+            f,
+            "jobs {jobs} shards {shards} telemetry {telemetry} audit {audit}"
+        )
+    }
+}
+
+/// Per `(scope, series, key)` group of a full trace: record count and an
+/// FNV-1a digest of its `(t, value, shard)` in publication order.
+type TraceDigest = BTreeMap<(String, &'static str, u64), (usize, u64)>;
+
+fn digest(trace: &[telemetry::Record], keep: impl Fn(&telemetry::Record) -> bool) -> TraceDigest {
+    let mut groups = TraceDigest::new();
+    for r in trace.iter().filter(|r| keep(r)) {
+        let key = (r.scope.to_string(), r.series, r.key);
+        let (n, h) = groups.entry(key).or_insert((0, 0xcbf2_9ce4_8422_2325));
+        *n += 1;
+        let shard = r.shard.map_or(u64::MAX, u64::from);
+        for v in [r.t.to_bits(), r.value.to_bits(), shard] {
+            *h = (*h ^ v).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    groups
+}
+
+/// What one cell wrote: the reports of fig6, mix6 and mix12 and fig6's
+/// full trace, whole and without the `shard/*` series and shard tags.
+struct Outputs {
+    reports: Vec<Report>,
+    trace: TraceDigest,
+    unsharded_trace: TraceDigest,
+}
+
+fn run_cell(cell: Cell) -> Outputs {
+    let tel = cell.config.attach.telemetry;
+    if tel {
+        telemetry::trace_reset();
+    }
+    let fig6 = run("fig6", cell.config, cell.jobs);
+    let trace = telemetry::trace_snapshot_sorted();
+    telemetry::trace_clear();
+    let mut reports = vec![fig6];
+    for target in ["mix6", "mix12"] {
+        reports.push(run(target, cell.config, cell.jobs));
+    }
+    let not_shard = |r: &telemetry::Record| !r.series.starts_with("shard/");
+    let mut untagged = trace.clone();
+    untagged.iter_mut().for_each(|r| r.shard = None);
+    Outputs {
+        reports,
+        trace: digest(&trace, |_| true),
+        unsharded_trace: digest(&untagged, not_shard),
+    }
+}
+
+/// `reports` without what telemetry and audit add: the text every cell
+/// must print.
+fn tables_only(reports: &[Report]) -> Vec<Report> {
+    let strip = |r: &Report| Report {
+        timings: Vec::new(),
+        audit: None,
+        metrics: None,
+        derived: None,
+        ..r.clone()
+    };
+    reports.iter().map(strip).collect()
+}
+
+fn render(reports: &[Report]) -> [String; 3] {
+    let text = reports.iter().map(Report::render_text).collect();
+    [text, reports_to_json(reports), reports_to_csv(reports)]
+}
+
+/// Panic naming `cell` and the first `(scope, series, key)` group where
+/// `got` and `want` part ways.
+fn assert_same_digest(cell: Cell, what: &str, got: &TraceDigest, want: &TraceDigest) {
+    let mut pairs = got.iter().zip(want.iter());
+    if let Some((g, w)) = pairs.find(|(g, w)| g != w) {
+        panic!("{cell}: {what} diverges at {g:?}, want {w:?}");
+    }
+    assert_eq!(got.len(), want.len(), "{cell}: {what} has other groups");
+}
+
+/// The mode matrix: fig6, mix6 and mix12 at quick on jobs {1, 4} × shards
+/// {1, 2} × telemetry {off, on}, plus one audited detached cell, each
+/// cell's config set on its jobs. Every cell must print the same tables;
+/// detached cells the same bytes (the audited one beside its audit
+/// block, which must be clean); attached cells the same derived and
+/// fidelity blocks (outside the shard summary) and, at one shard count,
+/// the same text, JSON and trace at any worker count; and across shard
+/// counts the same trace once the `shard/*` series and shard tags are
+/// removed. Detached runs carry no derived or fidelity block. A failure
+/// names the first cell that diverges.
+#[test]
+fn mode_matrix_changes_only_what_each_mode_adds() {
+    let _g = sinks();
+    let mut cells = Vec::new();
+    for telemetry in [false, true] {
+        for shards in [1, 2] {
+            for jobs in [1, 4] {
+                let attach = Attach {
+                    telemetry,
+                    audit: false,
+                };
+                let config = SimConfig { shards, attach };
+                cells.push(Cell { jobs, config });
+            }
+        }
+    }
+    let audit = Attach {
+        telemetry: false,
+        audit: true,
+    };
+    let config = SimConfig {
+        shards: 2,
+        attach: audit,
+    };
+    cells.push(Cell { jobs: 4, config });
+
+    let (mut tables, mut detached) = (None, None);
+    // Per shard count: the first attached cell's (text, JSON, trace).
+    let mut attached: BTreeMap<usize, ([String; 3], TraceDigest)> = BTreeMap::new();
+    let (mut derived, mut unsharded_trace) = (None, None);
+    for cell in cells {
+        let out = run_cell(cell);
+        let tables_now = render(&tables_only(&out.reports))[0].clone();
+        let want = tables.get_or_insert_with(|| tables_now.clone());
+        assert!(
+            tables_now == *want,
+            "{cell}: tables differ from the first cell's"
+        );
+        let Attach { telemetry, audit } = cell.config.attach;
+        if !telemetry {
+            for r in &out.reports {
+                let block = r.render_text().contains("\nfidelity:");
+                assert!(
+                    r.derived.is_none() && !block,
+                    "{cell}: {} derived",
+                    r.target
+                );
+            }
+            let reports = if audit {
+                for r in &out.reports {
+                    let a = r.audit.expect("an audited run counts its checks");
+                    let checks = a.total_checks();
+                    assert!(
+                        checks > 0 && a.violations == 0,
+                        "{cell}: {} {a:?}",
+                        r.target
+                    );
+                }
+                tables_only(&out.reports)
+            } else {
+                out.reports
+            };
+            let bytes = render(&reports);
+            let want = detached.get_or_insert_with(|| bytes.clone());
+            for (k, kind) in ["text", "JSON", "CSV"].iter().enumerate() {
+                assert!(bytes[k] == want[k], "{cell}: detached {kind} differs");
+            }
+            continue;
+        }
+        assert!(
+            out.trace.len() > 100,
+            "{cell}: {} groups traced",
+            out.trace.len()
+        );
+        let mut blocks: Vec<_> = out.reports.iter().map(|r| r.derived.clone()).collect();
+        for d in blocks.iter_mut().flatten() {
+            d.shards = None;
+        }
+        assert!(blocks[0].as_ref().is_some_and(|d| d.fidelity.is_some()));
+        let want = derived.get_or_insert_with(|| blocks.clone());
+        if let Some(k) = (0..want.len()).find(|&k| blocks[k] != want[k]) {
+            let target = &out.reports[k].target;
+            panic!("{cell}: {target}'s derived or fidelity block differs");
+        }
+        let want = unsharded_trace.get_or_insert_with(|| out.unsharded_trace.clone());
+        assert_same_digest(cell, "trace without shards", &out.unsharded_trace, want);
+        let bytes = render(&out.reports);
+        let (want, trace) = attached
+            .entry(cell.config.shards)
+            .or_insert_with(|| (bytes.clone(), out.trace.clone()));
+        assert!(bytes[0] == want[0], "{cell}: attached text differs");
+        assert!(bytes[1] == want[1], "{cell}: attached JSON differs");
+        assert_same_digest(cell, "trace", &out.trace, trace);
+    }
 }

@@ -30,8 +30,8 @@
 //!
 //! # Cost model
 //!
-//! One runtime flag, re-exported as [`enabled`], is the only switch: off
-//! in release binaries unless `experiments … --audit` is given, always on
+//! A simulator's config is the only switch ([`crate::SimConfig`]): off in
+//! release binaries unless `experiments … --audit` is given, on by default
 //! under `cargo test` (debug builds). With it off a simulator holds no
 //! auditor and each call site costs one `None` test. Auditors batch
 //! their check counts locally and flush them to the process-global
@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 pub use pert_core::audit::{
     close, close_opt, count_calendar_checks, count_event_checks, count_oracle_checks,
-    count_queue_checks, count_tcp_checks, enabled, set_enabled, snapshot, violation, AuditSnapshot,
+    count_queue_checks, count_tcp_checks, snapshot, violation, AuditSnapshot,
 };
 
 use crate::ids::LinkId;
@@ -842,8 +842,15 @@ mod tests {
     /// DropTail of `cap`: (arrival µs at the sink, departures fired,
     /// departures elided, overflow drops).
     fn tie_run(order: u64, burst: u64, cap: usize) -> (Vec<u64>, u64, u64, u64) {
-        assert!(enabled(), "the link-service ledger must ride along");
-        let mut sim = crate::sim::Simulator::new(3);
+        // The link-service ledger rides along.
+        let audited = crate::SimConfig {
+            shards: 1,
+            attach: pert_core::Attach {
+                telemetry: false,
+                audit: true,
+            },
+        };
+        let mut sim = crate::sim::Simulator::with_config(3, audited);
         let (a, b) = (sim.add_node(), sim.add_node());
         sim.add_duplex_link(
             a,
@@ -879,11 +886,6 @@ mod tests {
     /// 800 µs, exactly as with an always-scheduled departure.
     #[test]
     fn tie_at_free_at_follows_the_reserved_key() {
-        if !enabled() {
-            // Release test build: the flag defaults to `cfg!(debug_assertions)`
-            // and no test may flip a process global.
-            return;
-        }
         let arrivals = vec![TX_US + 1000, 2 * TX_US + 1000];
         assert_eq!(tie_run(SEND_THEN_ARM, 1, 8), (arrivals.clone(), 0, 2, 0));
         assert_eq!(tie_run(ARM_THEN_SEND, 1, 8), (arrivals, 1, 1, 0));
@@ -896,9 +898,6 @@ mod tests {
     /// apart.
     #[test]
     fn same_instant_pair_sees_the_backlog_the_pop_order_implies() {
-        if !enabled() {
-            return; // as above: needs the ledger, which needs the flag
-        }
         let (arrivals, fired, elided, drops) = tie_run(ARM_THEN_SEND, 2, 1);
         assert_eq!(arrivals, [TX_US + 1000, 2 * TX_US + 1000]);
         assert_eq!((fired, elided, drops), (1, 1, 1));

@@ -698,8 +698,7 @@ impl Wheel {
 
 /// A binary-heap mirror of the schedule/cancel stream that independently
 /// re-derives the `(time, sched, tie, seq)` of every pop: the reference
-/// order the wheel is checked against, attached when the audit runtime
-/// flag is up.
+/// order the wheel is checked against, attached to an audited calendar.
 #[derive(Debug, Default)]
 struct Shadow {
     heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
@@ -799,9 +798,13 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Create an empty calendar. When the audit runtime flag is up, it
-    /// attaches the heap shadow.
+    /// An empty calendar, shadowed when [`pert_core::Attach::current`] audits.
     pub fn new() -> Self {
+        Self::with_shadow(pert_core::Attach::current().audit)
+    }
+
+    /// An empty calendar, with the reference shadow when `audited`.
+    pub fn with_shadow(audited: bool) -> Self {
         EventQueue {
             wheel: Box::new(Wheel::new(0)),
             front: None,
@@ -809,7 +812,7 @@ impl EventQueue {
             watermark: SimTime::ZERO,
             live: 0,
             cancelled: HashSet::new(),
-            shadow: crate::audit::enabled().then(Shadow::default),
+            shadow: audited.then(Shadow::default),
         }
     }
 
@@ -860,7 +863,7 @@ impl EventQueue {
     /// # Panics
     /// As [`EventQueue::schedule`]; debug builds also reject `sched > at`.
     /// A key that does not follow the lane's tail is refused: debug builds
-    /// assert, the audit flag makes it a calendar violation, and otherwise
+    /// assert, an audited calendar makes it a violation, and otherwise
     /// the wheel takes the event.
     pub fn push_lane(
         &mut self,
@@ -1469,8 +1472,8 @@ mod tests {
     }
 
     /// A lane push whose key does not follow the lane's tail is refused:
-    /// debug builds assert, and under the audit flag (queues then carry
-    /// the shadow) it is a calendar violation. Otherwise the
+    /// debug builds assert, and an audited queue (one carrying the
+    /// shadow) reports a calendar violation. Otherwise the
     /// wheel takes the event, and it still pops in key order.
     #[test]
     fn lane_push_that_does_not_increase_is_refused() {

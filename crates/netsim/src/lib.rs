@@ -60,8 +60,8 @@ pub use event::{EventId, TimerToken};
 pub use ids::{AgentId, FlowId, LinkId, NodeId};
 pub use link::Link;
 pub use packet::{Ecn, Packet, Payload, SackBlock, MAX_SACK_BLOCKS};
-pub use shard::{default_shards, set_default_shards, ShardedSim};
-pub use sim::{Agent, Ctx, Simulator};
+pub use shard::ShardedSim;
+pub use sim::{Agent, Ctx, SimConfig, Simulator};
 pub use time::{transmission_delay, SimDuration, SimTime};
 
 /// Common imports for simulator users.
@@ -73,6 +73,6 @@ pub mod prelude {
     pub use crate::queue::{
         AdaptiveRedParams, DropTail, PiParams, PiQueue, QueueDiscipline, RedParams, RedQueue,
     };
-    pub use crate::sim::{Agent, Ctx, Simulator};
+    pub use crate::sim::{Agent, Ctx, SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
 }

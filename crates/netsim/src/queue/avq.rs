@@ -21,6 +21,8 @@
 //! ```
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
+use pert_core::Attach;
+
 use crate::arena::{PacketArena, PacketRef};
 use crate::telemetry::{self, QueueTap, SeriesId};
 use crate::time::SimTime;
@@ -195,8 +197,8 @@ impl QueueDiscipline for AvqQueue {
         "AVQ"
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 

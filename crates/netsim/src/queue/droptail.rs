@@ -3,6 +3,8 @@
 //! which assume unmodified routers).
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
+use pert_core::Attach;
+
 use crate::arena::{PacketArena, PacketRef};
 use crate::telemetry::QueueTap;
 use crate::time::SimTime;
@@ -82,8 +84,8 @@ impl QueueDiscipline for DropTail {
         "DropTail"
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 

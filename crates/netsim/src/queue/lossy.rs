@@ -7,6 +7,7 @@
 //! by losses that carry no congestion information — a key failure mode of
 //! pure loss-based control.
 
+use pert_core::Attach;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,8 +118,8 @@ impl QueueDiscipline for RandomLoss {
         "lossy"
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.inner.attach_tap(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        self.inner.attach(attach, key, capacity_bps);
     }
 }
 

@@ -31,6 +31,8 @@ pub use pi::{PiParams, PiQueue};
 pub use red::{AdaptiveRedParams, RedParams, RedQueue};
 pub use rem::{RemParams, RemQueue};
 
+use pert_core::Attach;
+
 use crate::arena::{PacketArena, PacketRef};
 use crate::time::{SimDuration, SimTime};
 
@@ -182,13 +184,14 @@ pub trait QueueDiscipline: Send {
     /// A short human-readable name for reports (e.g. `"RED"`).
     fn name(&self) -> &'static str;
 
-    /// Attach a telemetry tap keyed by the owning link's index, carrying
-    /// the link's drain rate so the tap can publish the ground-truth
-    /// queueing delay (`truth/qdelay = backlog × 8 / capacity_bps`). The
-    /// simulator calls this from `add_link` when telemetry is enabled;
-    /// disciplines that publish series override it (wrappers forward to
-    /// their inner queue). The default ignores the request.
-    fn attach_tap(&mut self, _key: u64, _capacity_bps: u64) {}
+    /// Attach what `attach` asks for: a telemetry tap keyed by the owning
+    /// link's index, carrying the link's drain rate so the tap can publish
+    /// the ground-truth queueing delay (`truth/qdelay = backlog × 8 /
+    /// capacity_bps`), and the discipline's differential oracle. The
+    /// simulator calls this from `add_link` with its config's decision;
+    /// disciplines that publish series or hold an oracle override it
+    /// (wrappers forward to their inner queue). The default ignores it.
+    fn attach(&mut self, _attach: Attach, _key: u64, _capacity_bps: u64) {}
 }
 
 /// Shared plain-FIFO storage used by the concrete disciplines. Holds
@@ -225,6 +228,17 @@ mod tests {
     use super::*;
     use crate::ids::{AgentId, FlowId, NodeId};
     use crate::packet::{Ecn, Packet, Payload};
+
+    /// `q` with its differential oracle attached, as an audited
+    /// simulator's `add_link` would leave it.
+    pub(crate) fn audited<Q: QueueDiscipline>(mut q: Q) -> Q {
+        let attach = Attach {
+            telemetry: false,
+            audit: true,
+        };
+        q.attach(attach, 0, 0);
+        q
+    }
 
     pub(crate) fn test_packet(size: u32, ecn: Ecn) -> Packet {
         Packet {

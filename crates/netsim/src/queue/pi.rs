@@ -20,6 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::PiReference;
+use pert_core::Attach;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
@@ -148,7 +149,6 @@ impl PiQueue {
         params.validate();
         let seed = params.seed;
         let q_ref = params.q_ref;
-        let oracle = audit::enabled().then(|| PiReference::new(params.a, params.b, q_ref));
         PiQueue {
             params,
             store: FifoStore::default(),
@@ -156,7 +156,7 @@ impl PiQueue {
             rng: SmallRng::seed_from_u64(seed ^ 0x9e3779b9),
             p: 0.0,
             q_old: q_ref, // start with zero error history
-            oracle,
+            oracle: None,
             tap: None,
         }
     }
@@ -255,19 +255,21 @@ impl QueueDiscipline for PiQueue {
         "PI"
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        let p = &self.params;
+        self.oracle = attach.audit.then(|| PiReference::new(p.a, p.b, p.q_ref));
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::test_packet;
+    use super::super::tests::{audited, test_packet};
     use super::*;
     use crate::packet::Ecn;
 
     fn mk(q_ref: f64) -> PiQueue {
-        PiQueue::new(PiParams::hollot_example(500, q_ref, false, 3))
+        audited(PiQueue::new(PiParams::hollot_example(500, q_ref, false, 3)))
     }
 
     fn offer(q: &mut PiQueue, arena: &mut PacketArena, ecn: Ecn) -> EnqueueOutcome {
@@ -338,7 +340,7 @@ mod tests {
         let mut params = PiParams::hollot_example(500, 0.0, true, 3);
         params.a = 0.5;
         params.b = 0.25;
-        let mut q = PiQueue::new(params);
+        let mut q = audited(PiQueue::new(params));
         for _ in 0..20 {
             offer(&mut q, &mut arena, Ecn::Capable);
         }
@@ -363,7 +365,7 @@ mod tests {
         assert!(p.a > p.b && p.b > 0.0);
         // Sanity: controller must converge, not blow up, on the hollot test.
         let mut arena = PacketArena::new();
-        let mut q = PiQueue::new(p);
+        let mut q = audited(PiQueue::new(p));
         for _ in 0..100 {
             offer(&mut q, &mut arena, Ecn::Capable);
         }
@@ -376,7 +378,7 @@ mod tests {
     #[test]
     fn full_buffer_overflows() {
         let mut arena = PacketArena::new();
-        let mut q = PiQueue::new(PiParams::hollot_example(2, 10.0, false, 3));
+        let mut q = audited(PiQueue::new(PiParams::hollot_example(2, 10.0, false, 3)));
         offer(&mut q, &mut arena, Ecn::NotCapable);
         offer(&mut q, &mut arena, Ecn::NotCapable);
         assert!(matches!(
@@ -390,6 +392,6 @@ mod tests {
     fn invalid_coefficients_rejected() {
         let mut p = PiParams::hollot_example(10, 5.0, false, 0);
         p.b = p.a + 1.0;
-        PiQueue::new(p);
+        audited(PiQueue::new(p));
     }
 }

@@ -21,6 +21,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::RedReference;
+use pert_core::Attach;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
@@ -145,15 +146,6 @@ impl RedQueue {
         params.validate();
         let max_p = params.max_p;
         let seed = params.seed;
-        let oracle = audit::enabled().then(|| {
-            RedReference::new(
-                params.w_q,
-                params.min_th,
-                params.max_th,
-                params.gentle,
-                params.mean_pkt_time.as_secs_f64(),
-            )
-        });
         RedQueue {
             params,
             adaptive: None,
@@ -164,7 +156,7 @@ impl RedQueue {
             count: -1,
             idle_since: Some(SimTime::ZERO),
             max_p,
-            oracle,
+            oracle: None,
             tap: None,
         }
     }
@@ -406,14 +398,19 @@ impl QueueDiscipline for RedQueue {
         }
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        let p = &self.params;
+        self.oracle = attach.audit.then(|| {
+            let mean_pkt_time = p.mean_pkt_time.as_secs_f64();
+            RedReference::new(p.w_q, p.min_th, p.max_th, p.gentle, mean_pkt_time)
+        });
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::test_packet;
+    use super::super::tests::{audited, test_packet};
     use super::*;
     use crate::packet::Ecn;
     use crate::packet::Packet;
@@ -446,7 +443,7 @@ mod tests {
     #[test]
     fn below_min_th_never_drops() {
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(params(100));
+        let mut q = audited(RedQueue::new(params(100)));
         for _ in 0..4 {
             match offer(
                 &mut q,
@@ -464,7 +461,7 @@ mod tests {
     #[test]
     fn full_buffer_tail_drops() {
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(params(3));
+        let mut q = audited(RedQueue::new(params(3)));
         for _ in 0..3 {
             offer(
                 &mut q,
@@ -486,7 +483,7 @@ mod tests {
 
     #[test]
     fn probability_curve_shape() {
-        let mut q = RedQueue::new(params(1000));
+        let mut q = audited(RedQueue::new(params(1000)));
         // Below min_th.
         q.avg = 4.0;
         assert_eq!(q.base_probability(), Some(0.0));
@@ -511,7 +508,7 @@ mod tests {
     fn sharp_mode_forces_at_max_th() {
         let mut p = params(1000);
         p.gentle = false;
-        let mut q = RedQueue::new(p);
+        let mut q = audited(RedQueue::new(p));
         q.avg = 16.0;
         assert_eq!(q.base_probability(), None);
     }
@@ -522,7 +519,7 @@ mod tests {
         p.ecn = true;
         p.max_p = 1.0;
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(p);
+        let mut q = audited(RedQueue::new(p));
         q.detach_oracle(); // the test pokes `avg` directly below
         q.avg = 14.9; // deep in the probabilistic region
                       // Force avg to stay high by enqueueing many: with max_p=1 and
@@ -551,7 +548,7 @@ mod tests {
         p.ecn = true;
         p.max_p = 1.0;
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(p);
+        let mut q = audited(RedQueue::new(p));
         q.detach_oracle(); // the test pokes `avg` directly below
         let mut dropped = 0;
         for _ in 0..50 {
@@ -572,7 +569,7 @@ mod tests {
     #[test]
     fn idle_time_decays_average() {
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(params(100));
+        let mut q = audited(RedQueue::new(params(100)));
         // Build up some average.
         for _ in 0..50 {
             offer(
@@ -603,7 +600,7 @@ mod tests {
         // `idle_since` (taken by `update_avg`) without restoring it, so the
         // idle period silently ended and the average never decayed.
         let mut arena = PacketArena::new();
-        let mut q = RedQueue::new(params(100));
+        let mut q = audited(RedQueue::new(params(100)));
         q.detach_oracle(); // the test pokes `avg` directly below
         q.avg = 100.0; // way beyond 2*max_th: forced drop, queue stays empty
         match offer(
@@ -633,7 +630,10 @@ mod tests {
 
     #[test]
     fn adaptive_red_raises_max_p_when_above_band() {
-        let mut q = RedQueue::adaptive(params(1000), AdaptiveRedParams::default());
+        let mut q = audited(RedQueue::adaptive(
+            params(1000),
+            AdaptiveRedParams::default(),
+        ));
         q.avg = 14.0; // above min_th + 0.6 * 10 = 11
         let before = q.current_max_p();
         q.on_tick(SimTime::ZERO);
@@ -642,7 +642,10 @@ mod tests {
 
     #[test]
     fn adaptive_red_lowers_max_p_when_below_band() {
-        let mut q = RedQueue::adaptive(params(1000), AdaptiveRedParams::default());
+        let mut q = audited(RedQueue::adaptive(
+            params(1000),
+            AdaptiveRedParams::default(),
+        ));
         q.avg = 6.0; // below min_th + 0.4 * 10 = 9
         q.max_p = 0.2;
         q.on_tick(SimTime::ZERO);
@@ -651,7 +654,10 @@ mod tests {
 
     #[test]
     fn adaptive_red_respects_bounds() {
-        let mut q = RedQueue::adaptive(params(1000), AdaptiveRedParams::default());
+        let mut q = audited(RedQueue::adaptive(
+            params(1000),
+            AdaptiveRedParams::default(),
+        ));
         q.avg = 14.0;
         q.max_p = 0.5;
         q.on_tick(SimTime::ZERO);
@@ -664,9 +670,9 @@ mod tests {
 
     #[test]
     fn tick_interval_only_when_adaptive() {
-        let q = RedQueue::new(params(10));
+        let q = audited(RedQueue::new(params(10)));
         assert!(q.tick_interval().is_none());
-        let q = RedQueue::adaptive(params(10), AdaptiveRedParams::default());
+        let q = audited(RedQueue::adaptive(params(10), AdaptiveRedParams::default()));
         assert_eq!(q.tick_interval(), Some(SimDuration::from_millis(500)));
     }
 
@@ -674,7 +680,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let mut arena = PacketArena::new();
-            let mut q = RedQueue::new(params(50));
+            let mut q = audited(RedQueue::new(params(50)));
             q.detach_oracle(); // the test pokes `avg` directly below
             let mut outcomes = Vec::new();
             for i in 0..200 {

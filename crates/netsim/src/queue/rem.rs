@@ -19,6 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::RemReference;
+use pert_core::Attach;
 
 use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
 use crate::arena::{PacketArena, PacketRef};
@@ -94,8 +95,6 @@ impl RemQueue {
     pub fn new(params: RemParams) -> Self {
         params.validate();
         let seed = params.seed;
-        let oracle = audit::enabled()
-            .then(|| RemReference::new(params.gamma, params.alpha_w, params.phi, params.q_ref));
         RemQueue {
             params,
             store: FifoStore::default(),
@@ -103,7 +102,7 @@ impl RemQueue {
             rng: SmallRng::seed_from_u64(seed ^ 0x4e4d_0a11),
             price: 0.0,
             q_prev: 0.0,
-            oracle,
+            oracle: None,
             tap: None,
         }
     }
@@ -212,14 +211,18 @@ impl QueueDiscipline for RemQueue {
         "REM"
     }
 
-    fn attach_tap(&mut self, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach(key, capacity_bps);
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        let p = &self.params;
+        self.oracle = attach
+            .audit
+            .then(|| RemReference::new(p.gamma, p.alpha_w, p.phi, p.q_ref));
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::test_packet;
+    use super::super::tests::{audited, test_packet};
     use super::*;
     use crate::packet::Ecn;
 
@@ -248,7 +251,7 @@ mod tests {
     #[test]
     fn price_rises_with_standing_backlog() {
         let mut arena = PacketArena::new();
-        let mut q = RemQueue::new(params());
+        let mut q = audited(RemQueue::new(params()));
         for _ in 0..50 {
             offer(&mut q, &mut arena, Ecn::NotCapable);
         }
@@ -262,7 +265,7 @@ mod tests {
     #[test]
     fn price_unwinds_when_drained() {
         let mut arena = PacketArena::new();
-        let mut q = RemQueue::new(params());
+        let mut q = audited(RemQueue::new(params()));
         for _ in 0..50 {
             offer(&mut q, &mut arena, Ecn::NotCapable);
         }
@@ -281,10 +284,10 @@ mod tests {
 
     #[test]
     fn probability_law_and_bounds() {
-        let mut q = RemQueue::new(RemParams {
+        let mut q = audited(RemQueue::new(RemParams {
             phi: 2.0,
             ..params()
-        });
+        }));
         q.price = 1.0;
         assert!((q.probability() - 0.5).abs() < 1e-12);
         q.price = 0.0;
@@ -301,7 +304,7 @@ mod tests {
         let mut p = params();
         p.ecn = true;
         let mut arena = PacketArena::new();
-        let mut q = RemQueue::new(p);
+        let mut q = audited(RemQueue::new(p));
         q.price = 50.0; // probability ≈ 1
         let mut marked = 0;
         for _ in 0..20 {
@@ -317,10 +320,10 @@ mod tests {
     #[test]
     fn overflow_always_drops() {
         let mut arena = PacketArena::new();
-        let mut q = RemQueue::new(RemParams {
+        let mut q = audited(RemQueue::new(RemParams {
             capacity_pkts: 2,
             ..params()
-        });
+        }));
         offer(&mut q, &mut arena, Ecn::NotCapable);
         offer(&mut q, &mut arena, Ecn::NotCapable);
         assert!(matches!(

@@ -67,28 +67,13 @@
 //! when the topology has no positive-delay links to cut.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::ids::LinkId;
 use crate::packet::Packet;
 use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
-
-/// Process-default shard count used by drivers that honour `--shards`.
-/// `1` means run monolithically.
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the process-default shard count (clamped to at least 1). Set it
-/// before simulations are built and run, typically from CLI parsing.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-default shard count (see [`set_default_shards`]).
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
 
 /// A packet crossing a shard boundary: everything the destination shard
 /// needs to re-intern it and schedule its arrival. Compact and `Copy` —
@@ -568,7 +553,7 @@ impl ShardedSim {
                     }
                     // Per-shard event counter: load imbalance across
                     // shards, in events.
-                    if crate::telemetry::enabled() {
+                    if shard.config().attach.telemetry {
                         crate::telemetry::counter_add(
                             &format!("shard/{me}"),
                             shard.events_processed() - ev_before,
@@ -652,7 +637,7 @@ fn run_worker(
     until: SimTime,
     window: SimDuration,
 ) {
-    let tel = crate::telemetry::enabled();
+    let tel = shard.config().attach.telemetry;
     let mut ev_last = shard.events_processed();
     let mut t = start;
     let mut k = 0usize;
@@ -941,16 +926,6 @@ mod tests {
             let p2 = partition_with(&sim2, want, None).expect("separable");
             assert_eq!(canon(&p1, &ids1), canon(&p2, &ids2), "want = {want}");
         }
-    }
-
-    #[test]
-    fn default_shards_round_trips_and_clamps() {
-        assert_eq!(default_shards(), 1);
-        set_default_shards(4);
-        assert_eq!(default_shards(), 4);
-        set_default_shards(0);
-        assert_eq!(default_shards(), 1);
-        set_default_shards(1);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! order and all randomness flows from seeded [`SmallRng`]s.
 
 use std::any::Any;
+use std::cell::Cell;
 
+use pert_core::{Attach, Entered};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -226,7 +228,7 @@ struct UtilWindow {
 /// Cheap always-on per-simulation counters (plain integer increments on
 /// paths that already mutate state — they never affect event order or
 /// randomness). The window restarts at [`Simulator::reset_measurements`];
-/// when the telemetry flag was up at construction, the final window is
+/// when the simulator's config attaches telemetry, the final window is
 /// flushed into the global metrics registry when the simulator drops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimCounters {
@@ -246,6 +248,51 @@ pub struct SimCounters {
     /// end of [`Simulator::run_until`]. Lifetime, not windowed: added to
     /// [`Simulator::events_processed`] it gives the always-scheduled count.
     pub departures_elided: u64,
+}
+
+/// How one simulation runs: its measured phase's shard count and what its
+/// objects attach. A [`Simulator`] takes one when built and decides from
+/// it everything it builds or runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimConfig {
+    /// Space-parallel shards of the measured phase (1 = monolithic).
+    pub shards: usize,
+    /// Telemetry taps and audit shadows.
+    pub attach: Attach,
+}
+
+/// Monolithic, nothing attached.
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            shards: 1,
+            attach: Attach::default(),
+        }
+    }
+}
+
+thread_local! {
+    static ENTERED_SHARDS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+impl SimConfig {
+    /// The config entered on this thread, else one shard and [`Attach::current`].
+    pub fn current() -> Self {
+        SimConfig {
+            shards: ENTERED_SHARDS.with(Cell::get).unwrap_or(1),
+            attach: Attach::current(),
+        }
+    }
+
+    /// Make `self` this thread's [`SimConfig::current`] and
+    /// [`Attach::current`] until the guards drop: a running simulator
+    /// enters its own, a job runner the job's.
+    pub fn enter(self) -> (Entered<usize>, Entered<Attach>) {
+        (
+            Entered::new(&ENTERED_SHARDS, self.shards),
+            self.attach.enter(),
+        )
+    }
 }
 
 /// The discrete-event network simulator.
@@ -288,15 +335,14 @@ pub struct Simulator {
     node_events: Vec<u64>,
     counters: SimCounters,
     seed: u64,
-    /// `Some` when the audit flag was up at construction.
+    /// What this simulator attaches and how its measured phase shards.
+    config: SimConfig,
+    /// `Some` when the config audits.
     audit: Option<Box<ConservationAuditor>>,
-    /// Whether telemetry was enabled when this simulator was built (taps
-    /// attach at construction; see `crate::telemetry`).
-    tel_on: bool,
-    /// Per-link queue enqueue + dequeue calls (`tel_on` only), summed by
+    /// Per-link queue enqueue + dequeue calls (attached only), summed by
     /// discipline name at drop.
     queue_ops: Vec<u64>,
-    /// Per-link utilization-window state (`tel_on` only).
+    /// Per-link utilization-window state (attached only).
     util: Vec<UtilWindow>,
     /// `Some` only on shard-local simulators created by
     /// [`Simulator::split_shards`]; diverts cross-shard transmissions.
@@ -304,15 +350,17 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create a simulator whose randomness derives from `seed`.
-    ///
-    /// When the audit flag is up ([`crate::audit::enabled`]), a
-    /// [`ConservationAuditor`] is installed automatically — the flag must
-    /// therefore be set *before* simulators are built.
+    /// A simulator seeded by `seed`, configured by [`SimConfig::current`].
     pub fn new(seed: u64) -> Self {
+        Self::with_config(seed, SimConfig::current())
+    }
+
+    /// A simulator seeded by `seed`, configured by `config` (an audited one
+    /// installs a [`ConservationAuditor`] and the calendar's shadow).
+    pub fn with_config(seed: u64, config: SimConfig) -> Self {
         Simulator {
             now: SimTime::ZERO,
-            events: EventQueue::new(),
+            events: EventQueue::with_shadow(config.attach.audit),
             cur_key: TIE_KEY_MAX,
             arena: PacketArena::new(),
             nodes: Vec::new(),
@@ -329,8 +377,8 @@ impl Simulator {
             node_events: Vec::new(),
             counters: SimCounters::default(),
             seed,
-            audit: crate::audit::enabled().then(Box::default),
-            tel_on: crate::telemetry::enabled(),
+            config,
+            audit: config.attach.audit.then(Box::default),
             queue_ops: Vec::new(),
             util: Vec::new(),
             shard_io: None,
@@ -346,6 +394,11 @@ impl Simulator {
     /// reproducers).
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// The config this simulator was built with.
+    pub fn config(&self) -> SimConfig {
+        self.config
     }
 
     /// The auditor when audits are on, with the links it checks queue
@@ -453,14 +506,12 @@ impl Simulator {
         self.links
             .push(Link::new(id, from, to, capacity_bps, delay, queue));
         self.events.add_lane();
-        if self.tel_on {
-            // Tap key = link index: `queue/len` series line up with the
-            // LinkIds reported everywhere else. The capacity lets the
-            // tap publish truth/qdelay (backlog drain time).
-            self.links[id.index()]
-                .queue
-                .attach_tap(id.0 as u64, capacity_bps);
-        }
+        // Tap key = link index: `queue/len` series line up with the
+        // LinkIds reported everywhere else. The capacity lets the tap
+        // publish truth/qdelay (backlog drain time).
+        self.links[id.index()]
+            .queue
+            .attach(self.config.attach, id.0 as u64, capacity_bps);
         self.queue_ops.push(0);
         self.util.push(UtilWindow {
             start_ns: self.now.as_nanos(),
@@ -738,7 +789,7 @@ impl Simulator {
         let outcome = self.links[link_id.index()]
             .queue
             .enqueue(pkt, &mut self.arena, now);
-        if self.tel_on {
+        if self.config.attach.telemetry {
             self.queue_ops[link_id.index()] += 1;
         }
         let kind = match &outcome {
@@ -802,7 +853,7 @@ impl Simulator {
         let popped = self.links[link_id.index()]
             .queue
             .dequeue(&mut self.arena, now);
-        if self.tel_on {
+        if self.config.attach.telemetry {
             self.queue_ops[link_id.index()] += 1;
         }
         let Some(pkt) = popped else {
@@ -872,7 +923,7 @@ impl Simulator {
                 popped: Some(size_bytes),
             },
         );
-        if self.tel_on {
+        if self.config.attach.telemetry {
             self.util_account(link_id, now, bits);
         }
     }
@@ -904,7 +955,7 @@ impl Simulator {
                 // more than that means the link delivered bits it had no
                 // capacity for — broken accounting, not 100% utilization.
                 if u128::from(w.bits) > u128::from(capacity_bps) + u128::from(w.last_bits)
-                    && pert_core::audit::enabled()
+                    && self.config.attach.audit
                 {
                     pert_core::audit::violation(
                         "link",
@@ -967,7 +1018,8 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     /// Run until the clock reaches `until` (events at exactly `until` are
-    /// processed) or the calendar empties.
+    /// processed) or the calendar empties, with this simulator's config
+    /// entered on the thread ([`SimConfig::enter`]).
     ///
     /// # Panics
     /// Panics if more than ten million events fire without simulated time
@@ -975,6 +1027,7 @@ impl Simulator {
     /// agent bug (e.g. two agents answering each other with zero-latency
     /// messages). The panic message names the stuck timestamp.
     pub fn run_until(&mut self, until: SimTime) {
+        let _config = self.config.enter();
         let mut stuck_at = self.now;
         let mut stuck_count: u64 = 0;
         // Progress counters batch locally and flush to the process-wide
@@ -1378,7 +1431,7 @@ impl Simulator {
                 audit: shard_audits
                     .as_mut()
                     .map(|parts| Box::new(parts.next().expect("one auditor per shard"))),
-                tel_on: self.tel_on,
+                config: self.config,
                 // Full copies: the owner's entries evolve from the
                 // warm-up state exactly as the monolithic run's would;
                 // non-owned copies idle and are discarded at merge.
@@ -1454,7 +1507,7 @@ impl Simulator {
             // The shard flushes its audit check counts when it drops here;
             // its telemetry flush is suppressed — the merged husk reports
             // the combined totals exactly once.
-            shard.tel_on = false;
+            shard.config.attach.telemetry = false;
         }
         // A stable sort restores global time order; same-instant records
         // from different shards keep shard order (see DESIGN.md §9 on the
@@ -1471,7 +1524,7 @@ impl Simulator {
     /// elsewhere, by the same rule the monolithic scheduler applies. It
     /// travels with the packet (hashed once, on the source shard) and
     /// seeds this arena's memo; that it still is the wire copy's hash is
-    /// checked in debug builds and, under the audit flag, as a calendar
+    /// checked in debug builds and, when audited, as a calendar
     /// violation. The arrival joins the cut link's lane: all of a cut
     /// link's packets come from one source shard in emission order, which
     /// is the lane's key order.
@@ -1524,7 +1577,7 @@ impl Simulator {
     }
 }
 
-/// When the telemetry flag was up at construction, flush the final
+/// When the simulator's config attaches telemetry, flush the final
 /// measurement window into the global telemetry metrics registry.
 impl Drop for Simulator {
     fn drop(&mut self) {
@@ -1533,17 +1586,13 @@ impl Drop for Simulator {
 }
 
 impl Simulator {
-    /// Drop-time telemetry flush. Only active when the runtime flag was
-    /// up at construction, so simulators built with telemetry off cost
-    /// nothing here.
+    /// Drop-time telemetry flush. Only active when the config attaches
+    /// telemetry, so detached simulators cost nothing here.
     fn flush_telemetry(&mut self) {
-        if !self.tel_on {
+        if !self.config.attach.telemetry {
             return;
         }
-        // A placeholder left by `std::mem::replace` (the sharded
-        // measurement path swaps the real simulator out) has no links and
-        // processed no events; flushing it would pollute the metrics
-        // registry with zero-valued series.
+        // An empty simulator would flush zero-valued series.
         if self.events_processed == 0 && self.links.is_empty() {
             return;
         }
@@ -1843,7 +1892,7 @@ mod tests {
     fn util_straddling_transmission_is_not_a_violation() {
         let (mut sim, _tx, _rx) = two_node_sim(100);
         let cap = 8_000_000u64; // two_node_sim link capacity, bits/s
-        sim.tel_on = true;
+        sim.config.attach.telemetry = true;
         sim.util_account(LinkId(0), SimTime::ZERO, cap);
         sim.util_account(LinkId(0), SimTime::ZERO, cap);
         // Closing the window sees exactly capacity + straddle allowance.
@@ -1854,14 +1903,13 @@ mod tests {
     /// accounting and must surface as an audit violation, not be hidden
     /// by the 10,000 bp clamp.
     #[test]
-    #[cfg(debug_assertions)]
     fn util_over_delivery_is_an_audit_violation() {
-        if !pert_core::audit::enabled() {
-            return;
-        }
         let (mut sim, _tx, _rx) = two_node_sim(100);
         let cap = 8_000_000u64;
-        sim.tel_on = true;
+        sim.config.attach = Attach {
+            telemetry: true,
+            audit: true,
+        };
         for _ in 0..3 {
             sim.util_account(LinkId(0), SimTime::ZERO, cap);
         }

@@ -19,8 +19,8 @@
 //! nothing here reads a wall clock, so attached output is as
 //! deterministic as the report.
 //!
-//! One runtime gate, like the audit layer's: taps only attach when
-//! [`enabled`] was raised before construction.
+//! One gate, like the audit layer's: taps attach only when the simulator
+//! that builds them says so ([`pert_core::Attach::telemetry`]).
 
 pub use pert_core::telemetry::*;
 
@@ -63,11 +63,11 @@ pub struct QueueTap {
 }
 
 impl QueueTap {
-    /// Attach a tap keyed by link index with the link's drain rate, or
-    /// `None` when telemetry is off (the zero-cost path: disciplines
-    /// hold `Option<QueueTap>`).
-    pub fn attach(key: u64, capacity_bps: u64) -> Option<QueueTap> {
-        enabled().then_some(QueueTap {
+    /// A tap keyed by link index with the link's drain rate when `on`,
+    /// else `None` (the zero-cost path: disciplines hold
+    /// `Option<QueueTap>`).
+    pub fn attach_if(on: bool, key: u64, capacity_bps: u64) -> Option<QueueTap> {
+        on.then_some(QueueTap {
             key,
             capacity_bps,
             enqueues: 0,
@@ -119,8 +119,7 @@ mod tests {
 
     #[test]
     fn queue_tap_decimates() {
-        set_enabled(true);
-        let mut tap = QueueTap::attach(777, 8_000_000).expect("enabled");
+        let mut tap = QueueTap::attach_if(true, 777, 8_000_000).expect("attached");
         let mut published = 0;
         for i in 0..(2 * QUEUE_SAMPLE_EVERY) {
             if tap.on_enqueue(

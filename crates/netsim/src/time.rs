@@ -23,17 +23,18 @@ pub const MAX_F64_EXACT_NANOS: u64 = 1 << 53;
 /// Report a time-arithmetic underflow (`earlier - later`).
 ///
 /// Out of line and cold: the comparison guarding it is the only cost on
-/// the hot path. When the audit flag is up it is an audit **violation** —
+/// the hot path. When [`pert_core::Attach::current`] audits (a running
+/// simulator enters its config) it is an audit **violation** —
 /// counted and panicking, like a conservation-ledger breach — because a
 /// negative elapsed time means causality broke somewhere upstream (with
 /// cross-shard clock skew it would otherwise silently clamp to zero and
-/// corrupt RTT estimates downstream). Debug builds with the flag down
-/// still assert; release builds with it down keep the historical
-/// saturate-to-zero behavior.
+/// corrupt RTT estimates downstream). Debug builds without audit still
+/// assert; release builds without it keep the historical saturate-to-zero
+/// behavior.
 #[cold]
 #[inline(never)]
 fn underflow(op: &str, lhs_ns: u64, rhs_ns: u64) {
-    if pert_core::audit::enabled() {
+    if pert_core::Attach::current().audit {
         pert_core::audit::violation(
             "time",
             format_args!("{op} underflow: {rhs_ns} ns subtracted from {lhs_ns} ns"),
@@ -442,21 +443,29 @@ mod tests {
             .unwrap_or_default()
     }
 
+    /// Audit on this thread, as a running audited simulator enters it.
+    fn audited() -> pert_core::Entered<pert_core::Attach> {
+        let attach = pert_core::Attach {
+            telemetry: false,
+            audit: true,
+        };
+        attach.enter()
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     fn duration_since_underflow_is_reported() {
+        let _audit = audited();
         let err = std::panic::catch_unwind(|| {
             let _ = SimTime::from_nanos(5).duration_since(SimTime::from_nanos(9));
         })
         .expect_err("underflow must panic, not clamp, when checks are on");
         let msg = panic_msg(&*err);
         assert!(msg.contains("underflow"), "unexpected panic: {msg}");
-        if pert_core::audit::enabled() {
-            assert!(
-                msg.contains("audit violation [time]"),
-                "underflow must surface through the audit layer: {msg}"
-            );
-        }
+        assert!(
+            msg.contains("audit violation [time]"),
+            "underflow must surface through the audit layer: {msg}"
+        );
     }
 
     #[test]
@@ -474,26 +483,22 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn duration_sub_underflow_is_reported() {
+        let _audit = audited();
         let err = std::panic::catch_unwind(|| {
             let _ = SimDuration::from_millis(1) - SimDuration::from_millis(2);
         })
         .expect_err("underflow must panic, not clamp, when checks are on");
         let msg = panic_msg(&*err);
         assert!(msg.contains("underflow"), "unexpected panic: {msg}");
-        if pert_core::audit::enabled() {
-            assert!(
-                msg.contains("audit violation [time]"),
-                "underflow must surface through the audit layer: {msg}"
-            );
-        }
+        assert!(
+            msg.contains("audit violation [time]"),
+            "underflow must surface through the audit layer: {msg}"
+        );
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     fn underflow_counts_as_audit_violation() {
-        if !pert_core::audit::enabled() {
-            return;
-        }
+        let _audit = audited();
         let before = pert_core::audit::snapshot().violations;
         let _ = std::panic::catch_unwind(|| {
             let _ = SimTime::ZERO.duration_since(SimTime::from_nanos(1));

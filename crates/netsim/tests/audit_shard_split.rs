@@ -16,7 +16,7 @@ use netsim::packet::{Ecn, Packet, Payload};
 use netsim::queue::DropTail;
 use netsim::sim::{Agent, Ctx, Simulator};
 use netsim::time::{SimDuration, SimTime};
-use netsim::ShardedSim;
+use netsim::{ShardedSim, SimConfig};
 
 /// Sends a burst of new data every 10 ms; bursts overflow the 8-packet
 /// queues on the way, so the ledgers see drops as well as service.
@@ -91,7 +91,14 @@ impl Agent for Acker {
 /// Three routers in a 5 ms chain, two hosts on each; every host sends
 /// to a host two routers away or one, so traffic crosses every cut.
 fn build() -> Simulator {
-    let mut sim = Simulator::new(7);
+    let audited = SimConfig {
+        shards: 1,
+        attach: pert_core::Attach {
+            telemetry: false,
+            audit: true,
+        },
+    };
+    let mut sim = Simulator::with_config(7, audited);
     let routers = sim.add_nodes(3);
     for w in routers.windows(2) {
         sim.add_duplex_link(w[0], w[1], 8_000_000, SimDuration::from_millis(5), |_| {
@@ -162,7 +169,6 @@ fn audited_run(shards: usize) -> AuditSnapshot {
 
 #[test]
 fn shard_split_audit_totals_match_the_monolithic_run() {
-    audit::set_enabled(true);
     let mono = audited_run(1);
     assert!(
         mono.event_checks > 0 && mono.queue_checks > 0 && mono.calendar_checks > 0,

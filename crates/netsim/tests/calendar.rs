@@ -1,5 +1,5 @@
-//! Calendar property tests. Every test here raises the audit flag (none
-//! lowers it), so each queue carries its heap shadow, the reference order:
+//! Calendar property tests. Every queue here is built audited, so it
+//! carries its heap shadow, the reference order:
 //! the shadow verifies the `(time, sched, tie, seq)` of every pop and that
 //! a pop finding nothing leaves nothing due, while the interpreter's own
 //! mirror of the pending events and of the watermark checks `len`,
@@ -23,8 +23,7 @@ use proptest::prelude::*;
 
 /// A new queue with the audit shadow attached.
 fn audited() -> EventQueue {
-    netsim::audit::set_enabled(true);
-    EventQueue::new()
+    EventQueue::with_shadow(true)
 }
 
 /// Stable discriminant for comparing event kinds with the mirror's.
@@ -736,7 +735,7 @@ fn reserved_key_at_the_instant_a_lone_node_was_popped() {
 
 /// Cancelling an id that is not pending — never issued, or already
 /// cancelled — is refused without touching the live count: `false`, or
-/// under the audit flag a calendar violation. Before, it decremented the count regardless and
+/// on an audited queue a calendar violation. Before, it decremented the count regardless and
 /// left a tombstone nothing ever reaches, so every later pop paid a hash
 /// probe.
 #[test]

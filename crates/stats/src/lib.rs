@@ -10,7 +10,6 @@
 //! * [`histogram::Histogram`] — empirical PDFs (Figure 4);
 //! * [`timeseries::TimeSeries`] — step-interpolated time-indexed lookups
 //!   (queue length at false-positive instants; throughput traces);
-//! * [`summary::Summary`] — streaming mean/variance;
 //! * [`metrics::MetricsSet`] — named counters/gauges/fixed-bucket
 //!   histograms with deterministic, commutative merging (the model
 //!   behind the telemetry registry);
@@ -32,7 +31,6 @@ pub mod jain;
 pub mod json;
 pub mod metrics;
 pub mod series;
-pub mod summary;
 pub mod timeseries;
 pub mod transitions;
 
@@ -41,6 +39,5 @@ pub use histogram::Histogram;
 pub use jain::jain_index;
 pub use metrics::{BucketHistogram, MetricValue, MetricsSet};
 pub use series::SeriesId;
-pub use summary::Summary;
 pub use timeseries::TimeSeries;
 pub use transitions::{analyze, cluster_losses, TransitionCounts};

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sim_stats::metrics::BucketHistogram;
 use sim_stats::transitions::{analyze, cluster_losses};
-use sim_stats::{jain_index, Histogram, Summary, TimeSeries};
+use sim_stats::{jain_index, Histogram, TimeSeries};
 
 proptest! {
     /// Integer-bucket percentiles bracket the exact sorted quantile:
@@ -139,15 +139,5 @@ proptest! {
         } else {
             prop_assert_eq!(got, Some(*vals.last().unwrap()));
         }
-    }
-
-    /// Welford summary matches naive mean/min/max.
-    #[test]
-    fn summary_matches_naive(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {
-        let s: Summary = xs.iter().copied().collect();
-        let naive_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((s.mean().unwrap() - naive_mean).abs() < 1e-6);
-        prop_assert_eq!(s.min().unwrap(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max().unwrap(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
     }
 }

@@ -149,7 +149,7 @@ impl Bbr {
     /// probe in lockstep (BBR's randomized cycle start, made
     /// deterministic per flow).
     pub fn new(seed: u64) -> Self {
-        Self::attached(seed, Attach::process())
+        Self::attached(seed, Attach::current())
     }
 
     /// [`Bbr::new`], instrumented as `attach` says.

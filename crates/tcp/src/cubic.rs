@@ -143,7 +143,7 @@ pub struct Cubic {
 impl Cubic {
     /// A fresh CUBIC flow. `seed` keys this flow's telemetry series.
     pub fn new(seed: u64) -> Self {
-        Self::attached(seed, Attach::process())
+        Self::attached(seed, Attach::current())
     }
 
     /// [`Cubic::new`], instrumented as `attach` says.

@@ -8,7 +8,7 @@ use pert_core::audit;
 
 /// Differential shadow: the same set held as a plain `BTreeSet<u64>`,
 /// the obviously-correct O(n) structure the interval map optimizes.
-/// Attached at construction when auditing is enabled; every mutation is
+/// Attached at construction when audited; every mutation is
 /// replayed on it and cheap invariants compared per-op, with a full
 /// structural comparison every 64th operation.
 #[derive(Clone, Debug, Default)]
@@ -26,20 +26,14 @@ pub struct IntervalSet {
     shadow: Option<Box<Shadow>>,
 }
 
-impl Default for IntervalSet {
-    fn default() -> Self {
+impl IntervalSet {
+    /// Empty set, shadowed when `audited`.
+    pub fn new(audited: bool) -> Self {
         IntervalSet {
             map: BTreeMap::new(),
             len: 0,
-            shadow: audit::enabled().then(Box::<Shadow>::default),
+            shadow: audited.then(Box::<Shadow>::default),
         }
-    }
-}
-
-impl IntervalSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// Number of integers covered.
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn inserts_merge_adjacent_runs() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         assert_eq!(s.insert(5), ((5, 6), true));
         assert_eq!(s.insert(7), ((7, 8), true));
         assert_eq!(s.interval_count(), 2);
@@ -223,7 +217,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_reports_existing_interval() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         s.insert(3);
         s.insert(4);
         let ((a, b), fresh) = s.insert(3);
@@ -234,7 +228,7 @@ mod tests {
 
     #[test]
     fn contains_checks_coverage() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         for x in [1u64, 2, 3, 10] {
             s.insert(x);
         }
@@ -246,7 +240,7 @@ mod tests {
 
     #[test]
     fn remove_below_trims_straddlers() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         for x in 0..10u64 {
             s.insert(x);
         }
@@ -261,7 +255,7 @@ mod tests {
 
     #[test]
     fn first_and_last() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         s.insert(100);
         s.insert(3);
         s.insert(4);
@@ -271,7 +265,7 @@ mod tests {
 
     #[test]
     fn many_random_inserts_stay_consistent() {
-        let mut s = IntervalSet::new();
+        let mut s = IntervalSet::new(true);
         let mut naive = std::collections::BTreeSet::new();
         let mut x = 12345u64;
         for _ in 0..2000 {

@@ -251,7 +251,8 @@ pub fn connect_with_source(
         Some((id, _)) => id,
         None => {
             let id = sim.alloc_agent();
-            sim.install_shared_agent(id, Box::new(FlowSlab::new()));
+            let slab = FlowSlab::new(sim.config().attach);
+            sim.install_shared_agent(id, Box::new(slab));
             id
         }
     };

@@ -25,12 +25,14 @@
 //! still: like Linux's `recv_sack_cache`, a spilled scoreboard remembers
 //! the last [`MAX_SACK_BLOCKS`] blocks longer than four segments it
 //! applied (in the spill allocation, after the ring) and walks only the
-//! part of a new block none of them covers. [`sack_walk`] counts what that
-//! costs.
+//! part of a new block none of them covers. Runs SACKed long ago still
+//! lie in such parts (a retransmission joins its block to the run above),
+//! so a SACKed segment's byte keeps the largest `k` with `seq..seq + 2^k`
+//! SACKed and a walk jumps over it. [`sack_walk`] counts what that costs.
 
 use std::cell::Cell;
 
-use pert_core::audit;
+use pert_core::{audit, Attach};
 
 use netsim::{SackBlock, MAX_SACK_BLOCKS};
 
@@ -64,10 +66,10 @@ pub enum SegState {
 }
 
 impl SegState {
-    /// The state a ring byte holds.
+    /// The state a ring byte holds (its low two bits).
     #[inline]
     fn from_byte(b: u8) -> SegState {
-        match b {
+        match b & 3 {
             0 => SegState::InFlight,
             1 => SegState::Sacked,
             2 => SegState::Lost,
@@ -199,20 +201,26 @@ impl Scoreboard {
         self.head.wrapping_add((seq - self.base) as u32) as usize
     }
 
+    /// The ring byte of `seq`: its state, then a SACKed one's skip exponent.
+    #[inline]
+    fn byte(&self, seq: u64) -> u8 {
+        let (i, ring) = (self.slot(seq), self.ring());
+        ring[i & (ring.len() - 1)]
+    }
+
     /// The state of outstanding segment `seq`.
     #[inline]
     fn state(&self, seq: u64) -> SegState {
-        let (i, ring) = (self.slot(seq), self.ring());
-        SegState::from_byte(ring[i & (ring.len() - 1)])
+        SegState::from_byte(self.byte(seq))
     }
 
-    /// Set the state of outstanding segment `seq`.
+    /// Set the ring byte of outstanding segment `seq`.
     #[inline]
-    fn set(&mut self, seq: u64, st: SegState) {
+    fn set(&mut self, seq: u64, byte: u8) {
         let i = self.slot(seq);
         let ring = self.ring_mut();
         let mask = ring.len() - 1;
-        ring[i & mask] = st as u8;
+        ring[i & mask] = byte;
     }
 
     /// The recently applied blocks, as `(start, end)` (empty ranges where
@@ -231,13 +239,22 @@ impl Scoreboard {
         recent
     }
 
-    /// Remember `block` as the newest applied one, forgetting the oldest.
-    fn remember(&mut self, recent: [(u64, u64); MAX_SACK_BLOCKS], block: (u64, u64)) {
+    /// Remember `block` in an empty slot or over a block it covers, else in
+    /// place of the oldest unless one covers it: the highest and lowest
+    /// blocks, repeated on every ACK, take one slot each.
+    fn remember(&mut self, mut recent: [(u64, u64); MAX_SACK_BLOCKS], block: (u64, u64)) {
         let Some(tail) = self.spill.len().checked_sub(RECENT_BYTES) else {
             return;
         };
-        let newest = recent[1..].iter().copied().chain([block]);
-        for (k, (start, end)) in newest.enumerate() {
+        let within = |a: (u64, u64), b: (u64, u64)| b.0 <= a.0 && a.1 <= b.1;
+        let spare = |r: (u64, u64)| r.0 >= r.1 || within(r, block);
+        if let Some(k) = recent.iter().position(|&r| spare(r)) {
+            recent[k] = block;
+        } else if recent.iter().all(|&r| !within(block, r)) {
+            recent.rotate_left(1);
+            recent[MAX_SACK_BLOCKS - 1] = block;
+        }
+        for (k, (start, end)) in recent.into_iter().enumerate() {
             let at = tail + 16 * k;
             self.spill[at..at + 8].copy_from_slice(&start.to_le_bytes());
             self.spill[at + 8..at + 16].copy_from_slice(&end.to_le_bytes());
@@ -271,7 +288,7 @@ impl Scoreboard {
             self.spill = grown.into_boxed_slice();
         }
         self.len += 1;
-        self.set(seq, SegState::InFlight);
+        self.set(seq, SegState::InFlight as u8);
         self.in_flight += 1;
         self.audit();
     }
@@ -287,7 +304,7 @@ impl Scoreboard {
             SegState::Lost,
             "retransmit of non-lost seq {seq}"
         );
-        self.set(seq, SegState::Retx);
+        self.set(seq, SegState::Retx as u8);
         self.lost -= 1;
         self.in_flight += 1;
         self.settle_first_lost();
@@ -356,19 +373,30 @@ impl Scoreboard {
         self.audit();
     }
 
-    /// Mark the outstanding segments `lo..hi` SACKed; returns how many
-    /// it visited.
+    /// Mark the outstanding segments `lo..hi` SACKed, jumping over the
+    /// SACKed runs it meets; returns how many segments it visited.
     fn mark_sacked(&mut self, lo: u64, hi: u64) -> u64 {
-        for seq in lo..hi {
-            match self.state(seq) {
+        let (mut seq, mut visited) = (lo, 0);
+        while seq < hi {
+            visited += 1;
+            let byte = self.byte(seq);
+            // `seq..hi` is SACKed once this walk is done.
+            let sacked = SegState::Sacked as u8 | ((hi - seq).ilog2() as u8) << 2;
+            match SegState::from_byte(byte) {
                 SegState::InFlight | SegState::Retx => self.in_flight -= 1,
                 SegState::Lost => self.lost -= 1,
-                SegState::Sacked => continue,
+                // `seq..seq + 2^k` is SACKed: only `ack_to` unsacks, from below.
+                SegState::Sacked => {
+                    self.set(seq, sacked.max(byte));
+                    seq += 1 << (byte >> 2);
+                    continue;
+                }
             }
-            self.set(seq, SegState::Sacked);
+            self.set(seq, sacked);
             self.sacked += 1;
+            seq += 1;
         }
-        hi.saturating_sub(lo)
+        visited
     }
 
     /// FACK loss declaration: mark as `Lost` every `InFlight` hole lying
@@ -397,7 +425,7 @@ impl Scoreboard {
         for seq in range {
             let st = self.state(seq);
             if st == SegState::InFlight || (retx_too && st == SegState::Retx) {
-                self.set(seq, SegState::Lost);
+                self.set(seq, SegState::Lost as u8);
                 self.in_flight -= 1;
                 if self.lost == 0 || seq < self.first_lost {
                     self.first_lost = seq;
@@ -424,9 +452,9 @@ impl Scoreboard {
     /// Differential check of the incremental bookkeeping against the ring
     /// it summarizes: O(1) conservation identity on every mutation, full
     /// linear rescan (the naive implementation the counters and the cursor
-    /// replace) every 64th.
+    /// replace) every 64th, when the running simulator audits.
     fn audit(&mut self) {
-        if !audit::enabled() {
+        if !Attach::current().audit {
             return;
         }
         self.ops = self.ops.wrapping_add(1);

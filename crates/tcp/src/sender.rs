@@ -16,8 +16,8 @@
 //!   every ACK; the slab stores them in parallel vectors so a scan over
 //!   many flows stays in cache.
 //! * `PendingRow` — what a declared sender needs before its first event
-//!   (its boxed source, seed, config, interned congestion-control kind and
-//!   the instrumentation decided at declaration), 40 bytes a connection.
+//!   (its boxed source, seed, config and interned congestion-control
+//!   kind), 40 bytes a connection.
 //! * `FlowCold` — everything else (config, the congestion control held
 //!   inline as a `Cc` variant, boxed source, scoreboard, RNG, stats),
 //!   built from the pending row when the sender first runs. Samples and
@@ -31,7 +31,6 @@
 use netsim::{Ctx, Ecn, FlowId, NodeId, Packet, Payload, SimDuration, SimTime, TimerToken};
 use pert_core::predictors::AckSample;
 use pert_core::telemetry::{self, BucketHistogram};
-use pert_core::Attach;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -190,18 +189,14 @@ pub(crate) struct PendingRow {
     /// The connection's congestion control, as an index into its slab's
     /// interned kinds.
     pub kind: u16,
-    /// The telemetry and audit decisions in force at declaration.
-    pub attach: Attach,
 }
 
 impl PendingRow {
-    /// Publish what dropping an untouched [`FlowCold`] built from this row
-    /// publishes: zero totals, of which only the `tcp/acked_final` record
-    /// shows.
+    /// Publish what dropping an untouched attached [`FlowCold`] built from
+    /// this row publishes: zero totals, of which only the
+    /// `tcp/acked_final` record shows.
     pub(crate) fn flush_telemetry(&self) {
-        if self.attach.telemetry {
-            flush_totals(self.cfg.flow, &SenderStats::default(), None);
-        }
+        flush_totals(self.cfg.flow, &SenderStats::default(), None);
     }
 }
 
@@ -227,8 +222,8 @@ pub(crate) struct FlowCold {
 
 impl FlowCold {
     /// The cold state `row` declares, around `cc` (its kind built from its
-    /// seed and attach decisions).
-    pub(crate) fn build(row: PendingRow, cc: Cc) -> FlowCold {
+    /// seed), with telemetry recorders when `tel`.
+    pub(crate) fn build(row: PendingRow, cc: Cc, tel: bool) -> FlowCold {
         FlowCold {
             cfg: row.cfg,
             cc,
@@ -237,7 +232,7 @@ impl FlowCold {
             scoreboard: Scoreboard::new(),
             pending_transfer: 0,
             stats: SenderStats::default(),
-            rec: FlowRecorders::attach(&row.cfg, row.attach.telemetry),
+            rec: FlowRecorders::attach(&row.cfg, tel),
         }
     }
 
@@ -260,7 +255,7 @@ impl FlowCold {
 
 /// What a flow records about itself for readers outside the simulation:
 /// the telemetry tap and RTT histogram (attached at construction when the
-/// runtime flag is up) and the per-ACK sample log (`record_samples`).
+/// simulator attaches telemetry) and the per-ACK sample log (`record_samples`).
 pub(crate) struct FlowRecorders {
     /// Publishes `tcp/cwnd` (key = flow id) on every ACK.
     tap: Option<telemetry::Tap>,
@@ -857,9 +852,8 @@ mod tests {
             seed: 0,
             cfg,
             kind: 0,
-            attach: Attach::default(),
         };
-        let cold = FlowCold::build(row, Cc::Reno(Reno::new()));
+        let cold = FlowCold::build(row, Cc::Reno(Reno::new()), false);
         Flow {
             wnd,
             rtt,

@@ -90,8 +90,9 @@ impl SinkState {
     /// timeout, whichever first; out-of-order arrivals and CE marks are
     /// acknowledged immediately (RFC 5681 duplicate-ACK and ECN
     /// behaviour). Halves the sender's RTT sampling rate — the `delack`
-    /// ablation measures what that does to PERT's predictor.
-    pub(crate) fn new(flow: u32, delack: Option<SimDuration>) -> Self {
+    /// ablation measures what that does to PERT's predictor. `audited`
+    /// shadows the out-of-order store.
+    pub(crate) fn new(flow: u32, delack: Option<SimDuration>, audited: bool) -> Self {
         assert!(
             delack.is_none_or(|t| !t.is_zero()),
             "delayed-ACK timeout must be positive"
@@ -102,7 +103,7 @@ impl SinkState {
             delack: delack.unwrap_or(SimDuration::ZERO),
             echo_ts: SimTime::MAX,
             echo_owd: SimDuration::ZERO,
-            ooo: IntervalSet::new(),
+            ooo: IntervalSet::new(audited),
             stats: SinkStats::default(),
         }
     }
@@ -255,7 +256,7 @@ mod tests {
     use super::*;
 
     fn sink() -> SinkState {
-        SinkState::new(0, None)
+        SinkState::new(0, None, true)
     }
 
     #[test]
@@ -458,7 +459,7 @@ mod tests {
         sim.install_shared_agent(
             id,
             Box::new(DelackHarness {
-                sink: SinkState::new(0, delack),
+                sink: SinkState::new(0, delack, true),
                 acks: Vec::new(),
             }),
         );

@@ -142,12 +142,16 @@ pub struct FlowSlab {
     /// map the parts were cut along, which names each row's owners at
     /// merge time.
     shard_of_node: Vec<usize>,
+    /// What the connections attach: the simulator's config's decision.
+    attach: Attach,
 }
 
 impl FlowSlab {
-    /// An empty slab.
-    pub fn new() -> Self {
-        FlowSlab::default()
+    /// An empty slab whose connections attach as `attach` says.
+    pub fn new(attach: Attach) -> Self {
+        let mut slab = FlowSlab::default();
+        slab.attach = attach;
+        slab
     }
 
     /// Number of connections hosted.
@@ -163,7 +167,7 @@ impl FlowSlab {
     /// Register the connection `spec` describes, both halves: its sender
     /// on `spec.src` fed by `source`, its receiver on `spec.dst`. Returns
     /// the connection's slot. The sender's cold state is built when it
-    /// first runs, instrumented as the telemetry and audit flags say now.
+    /// first runs.
     pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
         let slot = self.len();
         assert!(
@@ -193,13 +197,13 @@ impl FlowSlab {
         self.wnd.push(wnd);
         self.rtt.push(rtt);
         self.app.push(app);
-        self.sinks.push(SinkState::new(flow32, spec.delack));
+        self.sinks
+            .push(SinkState::new(flow32, spec.delack, self.attach.audit));
         self.senders.push(Sender::Pending(PendingRow {
             source,
             seed: spec.seed,
             cfg,
             kind,
-            attach: Attach::process(),
         }));
         self.pending += 1;
         self.nodes.push(src);
@@ -274,8 +278,9 @@ impl FlowSlab {
         self.pending -= 1;
         let cc = self.kinds[usize::from(row.kind)]
             .spec
-            .build(row.seed, row.attach);
-        self.live.push(FlowCold::build(row, cc));
+            .build(row.seed, self.attach);
+        self.live
+            .push(FlowCold::build(row, cc, self.attach.telemetry));
         i
     }
 
@@ -381,9 +386,9 @@ impl Drop for FlowSlab {
     fn drop(&mut self) {
         for sender in &self.senders {
             match sender {
-                Sender::Pending(row) => row.flush_telemetry(),
+                Sender::Pending(row) if self.attach.telemetry => row.flush_telemetry(),
                 Sender::Live(i) => self.live[*i as usize].flush_telemetry(),
-                Sender::Away => {}
+                Sender::Pending(_) | Sender::Away => {}
             }
         }
     }
@@ -449,13 +454,14 @@ impl Agent for FlowSlab {
         // shard owning its sink node. The husk keeps only the partition.
         let mut whole = std::mem::take(self);
         self.shard_of_node = shard_of_node.to_vec();
+        self.attach = whole.attach;
         let owner = |nodes: &[u32], slot: usize| shard_of_node[nodes[slot] as usize];
         let (mut senders, mut receivers) = (vec![false; n], vec![false; n]);
         for slot in 0..whole.len() {
             senders[owner(&whole.nodes, slot)] = true;
             receivers[owner(&whole.sink_nodes, slot)] = true;
         }
-        let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::default()).collect();
+        let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::new(whole.attach)).collect();
         // Descending, so the first host, which takes the columns themselves,
         // comes after every part that needs a clone of them.
         let first_sender = senders.iter().position(|&h| h);
@@ -605,7 +611,7 @@ mod tests {
 
     #[test]
     fn slots_are_dense_and_flow_keyed() {
-        let mut slab = FlowSlab::new();
+        let mut slab = FlowSlab::new(Attach::default());
         let s0 = add(&mut slab, 7, 0, 1);
         let s1 = add(&mut slab, 3, 2, 1);
         assert_eq!((s0, s1), (0, 1));
@@ -649,7 +655,7 @@ mod tests {
         // shards each connection's halves live apart. Flows 3 and 2 have
         // run (in that order) before the cut, so it is taken mid-run with
         // a pending and a live sender on each side of it.
-        let mut slab = FlowSlab::new();
+        let mut slab = FlowSlab::new(Attach::default());
         for (flow, src, dst) in [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0)] {
             add(&mut slab, flow, src, dst);
         }
@@ -726,7 +732,7 @@ mod tests {
     #[test]
     fn dumbbell_split_keeps_each_half_on_its_own_shard() {
         // Senders on n0 and n1 (shard 0), receivers on n2 and n3 (shard 1).
-        let mut slab = FlowSlab::new();
+        let mut slab = FlowSlab::new(Attach::default());
         add(&mut slab, 0, 0, 2);
         add(&mut slab, 1, 1, 3);
         add(&mut slab, 2, 0, 3);
@@ -764,7 +770,7 @@ mod tests {
     #[test]
     fn a_part_hosting_no_row_holds_no_columns() {
         // Flow 0 sends n0 → n2, flow 1 sends n2 → n0; shard 1 owns only n1.
-        let mut slab = FlowSlab::new();
+        let mut slab = FlowSlab::new(Attach::default());
         add(&mut slab, 0, 0, 2);
         add(&mut slab, 1, 2, 0);
         let mut parts = slab.shard_split(3, &[0, 1, 2]);
@@ -805,13 +811,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "n4294967296 does not fit the slab's 32-bit ids")]
     fn node_ids_past_32_bits_are_rejected() {
-        add(&mut FlowSlab::new(), 0, 0, 1 << 32);
+        add(&mut FlowSlab::new(Attach::default()), 0, 0, 1 << 32);
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_flow_registration_panics() {
-        let mut slab = FlowSlab::new();
+        let mut slab = FlowSlab::new(Attach::default());
         add(&mut slab, 1, 0, 1);
         add(&mut slab, 1, 0, 1);
     }

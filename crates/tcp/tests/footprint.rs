@@ -88,10 +88,8 @@ fn slab_connections_cost_their_source_box_and_no_agent() {
     let greedy = || Box::new(Greedy) as Box<dyn Source>;
     let later = |ms| SimTime::from_millis(ms);
 
-    // A detached release build: debug builds default the audit flag on.
-    pert_core::audit::set_enabled(false);
-    pert_core::telemetry::set_enabled(false);
-    let mut sim = Simulator::new(1);
+    // Detached: debug builds default to audited simulators.
+    let mut sim = Simulator::with_config(1, SimConfig::default());
     let ends = (sim.add_node(), sim.add_node());
     sim.add_duplex_link(
         ends.0,

@@ -1,31 +1,41 @@
 //! A sender's cold state is built by its first event, not when it is
 //! declared. These tests pin what that must not change: a late start ends
 //! with the same statistics, window and samples; taps and shadows follow
-//! the telemetry and audit decisions in force at `connect`, not at the
-//! start; and a connection that never starts reads back, and flushes into
-//! telemetry, as a fresh row.
+//! the config of the simulator that builds them, even with another
+//! simulator running differently on another thread; and a connection that
+//! never starts reads back, and flushes into telemetry, as a fresh row.
 //!
-//! The telemetry and audit flags and the audit counters are process-wide,
-//! so every test here holds one lock.
+//! The audit counters are process-wide: the tests that run audited
+//! simulators take turns on them.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use netsim::prelude::*;
-use pert_core::{audit, telemetry};
+use pert_core::{audit, telemetry, Attach};
 use pert_tcp::{
     connect, sender_cc, sender_cwnd, sender_samples, sender_stats, sender_stopped, Connection,
     ConnectionSpec, SenderStats,
 };
 
-static FLAGS: Mutex<()> = Mutex::new(());
+static AUDIT_COUNTERS: Mutex<()> = Mutex::new(());
 
-fn flags() -> MutexGuard<'static, ()> {
-    FLAGS.lock().unwrap_or_else(PoisonError::into_inner)
+fn audit_counters() -> MutexGuard<'static, ()> {
+    AUDIT_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// n0 — 10 Mb/s, 10 ms, DropTail(50) — n1.
-fn two_nodes(seed: u64) -> (Simulator, NodeId, NodeId) {
-    let mut sim = Simulator::new(seed);
+/// Monolithic, with the given taps and shadows.
+fn config(telemetry: bool, audit: bool) -> SimConfig {
+    SimConfig {
+        shards: 1,
+        attach: Attach { telemetry, audit },
+    }
+}
+
+/// n0 — 10 Mb/s, 10 ms, DropTail(50) — n1, configured by `config`.
+fn two_nodes(seed: u64, config: SimConfig) -> (Simulator, NodeId, NodeId) {
+    let mut sim = Simulator::with_config(seed, config);
     let (a, b) = (sim.add_node(), sim.add_node());
     sim.add_duplex_link(a, b, 10_000_000, SimDuration::from_millis(10), |_| {
         Box::new(DropTail::new(50))
@@ -77,8 +87,8 @@ fn records_of(scope: &str) -> Vec<(&'static str, u64, f64)> {
 /// `connect`. The pinned values are that hosting's.
 #[test]
 fn a_late_start_ends_with_the_values_of_an_early_build() {
-    let _flags = flags();
-    let (mut sim, a, b) = two_nodes(3);
+    let _counters = audit_counters();
+    let (mut sim, a, b) = two_nodes(3, config(false, true));
     let pert = connect(
         &mut sim,
         ConnectionSpec::pert(FlowId(0), a, b, 11).with_samples(),
@@ -115,56 +125,63 @@ fn a_late_start_ends_with_the_values_of_an_early_build() {
     }
 }
 
-/// Runs one PERT connection declared with the flags at `at_connect` and
-/// started with them at `at_start` (telemetry, audit); returns its taps'
-/// records and the oracle checks its shadow ran.
-fn instrumented_run(scope: &str, at_connect: bool, at_start: bool) -> (usize, u64) {
-    audit::set_enabled(false);
-    telemetry::set_enabled(false);
-    let (mut sim, a, b) = two_nodes(5);
+/// Runs one PERT connection from start to 1 s on a simulator built with
+/// `config`, publishing under `scope`; meets the other thread at `gate`
+/// before building, so the two simulators are built and run at once.
+fn instrumented_run(scope: &str, config: SimConfig, gate: &Barrier) {
     let _scope = telemetry::scoped(scope);
-    audit::set_enabled(at_connect);
-    telemetry::set_enabled(at_connect);
+    gate.wait();
+    let (mut sim, a, b) = two_nodes(5, config);
     let conn = connect(&mut sim, ConnectionSpec::pert(FlowId(4), a, b, 44));
-    audit::set_enabled(at_start);
-    telemetry::set_enabled(at_start);
     start_at(&mut sim, &conn, 0.1);
-    let before = audit::snapshot().oracle_checks;
     sim.run_until(SimTime::from_secs_f64(1.0));
-    let oracle_checks = audit::snapshot().oracle_checks - before;
     assert!(sender_stats(&sim, &conn).acked_segments > 0);
-    drop(sim);
-    drop(_scope);
-    telemetry::set_enabled(false);
-    audit::set_enabled(cfg!(debug_assertions));
-    let tapped = records_of(scope)
+}
+
+/// The audit checks `f` makes.
+fn checks_of(f: impl FnOnce()) -> audit::AuditSnapshot {
+    let before = audit::snapshot();
+    f();
+    audit::snapshot().since(&before)
+}
+
+/// (b) Two simulators with different configs, built and run at once on
+/// two threads, each attach exactly their own taps and shadows: the
+/// attached one publishes its PERT and TCP series and checks nothing; the
+/// audited one publishes nothing and makes exactly the checks it makes
+/// alone.
+#[test]
+fn concurrent_simulators_attach_only_their_own_config() {
+    let _counters = audit_counters();
+    let (attached, audited) = (config(true, false), config(false, true));
+    let alone = checks_of(|| instrumented_run("late-start/alone", audited, &Barrier::new(1)));
+    assert!(
+        alone.oracle_checks > 100 && alone.tcp_checks > 100 && alone.calendar_checks > 100,
+        "an audited run checks its controller, scoreboard and calendar: {alone:?}"
+    );
+    let gate = Barrier::new(2);
+    let both = checks_of(|| {
+        std::thread::scope(|s| {
+            let gate = &gate;
+            s.spawn(move || instrumented_run("late-start/attached", attached, gate));
+            s.spawn(move || instrumented_run("late-start/audited", audited, gate));
+        })
+    });
+    assert_eq!(both, alone, "the attached simulator ran audit checks");
+    let tapped = records_of("late-start/attached")
         .into_iter()
         .filter(|&(series, key, _)| {
             (series == "tcp/cwnd" && key == 4) || (series == "pert/srtt" && key == 44)
         })
         .count();
-    (tapped, oracle_checks)
-}
-
-/// (b) Taps and shadows follow the decision in force at `connect`, in
-/// both directions.
-#[test]
-fn taps_and_shadows_follow_the_flags_at_connect() {
-    let _flags = flags();
-    let (tapped, checks) = instrumented_run("late-start/raised-at-connect", true, false);
     assert!(
         tapped > 100,
-        "{tapped} tap records from a connection declared attached"
+        "{tapped} tap records from the attached simulator"
     );
-    assert!(
-        checks > 100,
-        "{checks} oracle checks from a connection declared audited"
-    );
-    let (tapped, checks) = instrumented_run("late-start/raised-at-start", false, true);
     assert_eq!(
-        (tapped, checks),
-        (0, 0),
-        "a connection declared detached stays detached"
+        records_of("late-start/audited"),
+        [],
+        "the detached simulator published"
     );
 }
 
@@ -172,18 +189,14 @@ fn taps_and_shadows_follow_the_flags_at_connect() {
 /// telemetry attached still flushes its `tcp/acked_final` record of 0.
 #[test]
 fn a_never_started_connection_reads_back_as_a_fresh_row() {
-    let _flags = flags();
-    telemetry::set_enabled(false);
-    let (mut sim, a, b) = two_nodes(9);
+    let (mut sim, a, b) = two_nodes(9, config(true, false));
     let scope = "late-start/never-started";
     let guard = telemetry::scoped(scope);
-    telemetry::set_enabled(true);
     let pert = connect(
         &mut sim,
         ConnectionSpec::pert(FlowId(6), a, b, 66).with_samples(),
     );
     let cubic = connect(&mut sim, ConnectionSpec::cubic(FlowId(7), a, b, 77));
-    telemetry::set_enabled(false);
     sim.run_until(SimTime::from_secs_f64(1.0));
     for (conn, name) in [(&pert, "pert"), (&cubic, "cubic")] {
         assert_eq!(stats_tuple(sender_stats(&sim, conn)), [0; 7]);

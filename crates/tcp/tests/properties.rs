@@ -204,18 +204,40 @@ fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
 
 /// A loss episode over a window of 10⁴ segments and more, as the sink
 /// reports it: `holes` (offsets into the flight) are dropped, every other
-/// segment arrives in order and is ACKed with the sink's blocks, then the
-/// retransmissions arrive. Each ACK's first block spans everything SACKed
-/// above the last hole, the shape that makes a per-block walk quadratic.
+/// segment arrives in order and is ACKed with the sink's blocks, and each
+/// retransmission arrives behind `lag` more of them (`None`: behind all),
+/// except those of the holes in `again`, which are lost again and arrive
+/// last. Each ACK's first block spans everything SACKed above the last
+/// hole, the shape that makes a per-block walk quadratic.
 #[derive(Clone, Debug)]
 struct Recovery {
     window: u64,
     holes: Vec<u64>,
+    lag: Option<usize>,
+    again: Vec<u64>,
 }
 
-/// One case in 16 ends with a recovery stream (each costs the map model
-/// the quadratic walk the scoreboard avoids). Its first hole lies near
-/// the bottom of the flight, so the first block grows to the window.
+/// The loss train of a DropTail queue that many flows overflow at once
+/// (fig8's 10-flow SACK point at `--standard`): a hole every 80 segments,
+/// every 25th hole's retransmission lost again, and the others arriving a
+/// tenth of the window late, amid new-data ACKs. Each of those arrivals
+/// merges the block it joins, which lies between two open holes, with the
+/// next run above; the new-data ACKs in between carry only the highest and
+/// the lowest block, the same two every time.
+fn loss_train() -> Recovery {
+    let holes: Vec<u64> = (0..10_000).step_by(80).collect();
+    Recovery {
+        window: 10_000,
+        again: holes.iter().copied().step_by(25).collect(),
+        holes,
+        lag: Some(1_000),
+    }
+}
+
+/// One case in 16 ends with a random recovery stream and one in 16 with
+/// the loss train (each costs the map model the quadratic walk the
+/// scoreboard avoids). A random stream's first hole lies near the bottom
+/// of the flight, so the first block grows to the window.
 fn recovery_strategy() -> impl Strategy<Value = Option<Recovery>> {
     (
         0u32..16,
@@ -225,7 +247,16 @@ fn recovery_strategy() -> impl Strategy<Value = Option<Recovery>> {
     )
         .prop_map(|(pick, window, first, mut holes)| {
             holes.push(first);
-            (pick == 0).then_some(Recovery { window, holes })
+            match pick {
+                0 => Some(Recovery {
+                    window,
+                    holes,
+                    lag: None,
+                    again: Vec::new(),
+                }),
+                1 => Some(loss_train()),
+                _ => None,
+            }
         })
 }
 
@@ -304,7 +335,11 @@ fn recovery_stream(sb: &mut Scoreboard, model: &mut MapBoard, first: u64, rec: &
         while let Some(lost) = sb.first_lost() {
             sb.on_retransmit(lost);
             model.segs.insert(lost, SegState::Retx);
-            arrivals.push_back(lost);
+            let behind = rec.lag.filter(|_| !rec.again.contains(&(lost - first)));
+            arrivals.insert(
+                behind.map_or(arrivals.len(), |lag| lag.min(arrivals.len())),
+                lost,
+            );
         }
         acks += 1;
         if acks.is_multiple_of(1024) || arrivals.is_empty() {

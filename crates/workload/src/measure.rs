@@ -82,7 +82,8 @@ pub fn link_metrics(sim: &Simulator, link: LinkId, start: SimTime, end: SimTime)
 /// `warmup`, reset counters, simulate to `end`, flush, and return nothing —
 /// the caller then reads metrics. Returns the `(start, end)` window.
 ///
-/// When [`netsim::default_shards`] is above 1, the post-warmup phase is
+/// When the simulator's config asks for more than one shard
+/// ([`netsim::SimConfig::shards`]), the post-warmup phase is
 /// attempted space-parallel: the simulator is split along positive-delay
 /// links and the shards run in deterministic barrier epochs, merged back
 /// before the caller reads metrics (byte-identical results — see the
@@ -92,12 +93,12 @@ pub fn run_measured(sim: &mut Simulator, warmup: f64, end: f64) -> (SimTime, Sim
     assert!(end > warmup, "measurement window must be positive");
     let w = SimTime::from_secs_f64(warmup);
     let e = SimTime::from_secs_f64(end);
-    let shards = netsim::default_shards();
+    let shards = sim.config().shards;
     if shards > 1 {
         // Warm up sequentially (cheap: the transient is short), then
         // split for the long measured phase.
         sim.run_until(w);
-        let owned = std::mem::replace(sim, Simulator::new(0));
+        let owned = std::mem::replace(sim, Simulator::with_config(0, Default::default()));
         match netsim::ShardedSim::split(owned, shards) {
             Ok(mut sharded) => {
                 sharded.reset_measurements();
