@@ -26,6 +26,7 @@ use crate::series::SeriesId;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Queueing-delay bucket edges, microseconds: a 1–2–5 ladder from
 /// 100 µs to 5 s. A percentile read from the histogram is exact to
@@ -54,7 +55,33 @@ pub const FIDELITY_WINDOW_US: u64 = 10_000;
 pub const FIDELITY_LAG_WINDOWS: [u64; 5] = [0, 1, 2, 5, 10];
 
 /// (key, fidelity window) → (Σ quantized value, samples).
-type FidMap = HashMap<(u64, u64), (u64, u64)>;
+type FidMap = HashMap<(u64, u64), (u64, u64), BuildHasherDefault<FidHasher>>;
+
+/// The fidelity maps' hasher: one multiply-add per `u64` of the key,
+/// then a rotation that brings the well-mixed high bits down to the
+/// bucket index. Keys are small trusted integers (flow or link id, window
+/// number), so SipHash's flooding resistance buys nothing on this
+/// per-record path, and the seedless hash keeps every run's table layout
+/// the same. Iteration order still never reaches an output: every reader
+/// adds commutatively or sorts first.
+#[derive(Clone, Copy, Default)]
+struct FidHasher(u64);
+
+impl Hasher for FidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Fold one sample at time `t` into its fidelity window.
 fn fid_add(map: &mut FidMap, key: u64, t: f64, amount: u64) {

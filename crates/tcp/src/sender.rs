@@ -12,17 +12,18 @@
 //! Flow state is split by access pattern so the struct-of-arrays
 //! [`FlowSlab`](crate::FlowSlab) can keep the hot part in columns:
 //!
-//! * `Wnd`, `RttState`, `AppState` — small `Copy` structs touched on
-//!   every ACK; the slab stores them in parallel vectors so a scan over
-//!   many flows stays in cache.
 //! * `PendingRow` — what a declared sender needs before its first event
 //!   (its boxed source, seed, config and interned congestion-control
-//!   kind), 40 bytes a connection.
+//!   kind), 40 bytes a connection. It is all a sender holds until then.
+//! * `Hot` — `Wnd`, `RttState`, `AppState`: small `Copy` structs touched
+//!   on every ACK, built fresh at the sender's first event into a dense
+//!   column of started senders, so a scan over many flows stays in cache.
 //! * `FlowCold` — everything else (config, the congestion control held
 //!   inline as a `Cc` variant, boxed source, scoreboard, RNG, stats),
-//!   built from the pending row when the sender first runs. Samples and
-//!   telemetry hang off it in one more box (`FlowRecorders`) that only
-//!   exists while something reads them.
+//!   built from the pending row at the same first event, into a column
+//!   parallel to the hot one. Samples and telemetry hang off it in one
+//!   more box (`FlowRecorders`) that only exists while something reads
+//!   them.
 //!
 //! All protocol logic lives on `FlowView` (a bundle of `&mut` borrows of
 //! the four parts) and performs I/O through `FlowIo`, which maps
@@ -103,8 +104,8 @@ pub struct SenderStats {
 }
 
 // ---------------------------------------------------------------------
-// Hot state: per-ACK fields, `Copy`, stored in parallel vectors by the
-// flow slab.
+// Hot state: per-ACK fields, `Copy`, one `Hot` row per started sender in
+// the flow slab.
 // ---------------------------------------------------------------------
 
 /// Congestion-window and sequence state (hot).
@@ -301,8 +302,17 @@ impl FlowRecorders {
     }
 }
 
-/// The hot parts of a fresh flow (a `FlowSlab::add_flow` row).
-pub(crate) fn fresh_hot() -> (Wnd, RttState, AppState) {
+/// A sender's hot parts, one dense row per started sender.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Hot {
+    pub wnd: Wnd,
+    pub rtt: RttState,
+    pub app: AppState,
+}
+
+/// The hot parts of a fresh flow: what a sender's first event starts
+/// from, and what a sender that never ran reads back.
+pub(crate) fn fresh_hot() -> Hot {
     let wnd = Wnd {
         cwnd: INITIAL_CWND,
         ssthresh: INITIAL_SSTHRESH,
@@ -327,7 +337,7 @@ pub(crate) fn fresh_hot() -> (Wnd, RttState, AppState) {
         pace_next: SimTime::ZERO,
         pace_pending: false,
     };
-    (wnd, rtt, app)
+    Hot { wnd, rtt, app }
 }
 
 /// How flow logic reaches the simulator: packets leave from `node` (a
@@ -846,7 +856,7 @@ mod tests {
             ecn: false,
             record_samples: false,
         };
-        let (wnd, rtt, app) = fresh_hot();
+        let Hot { wnd, rtt, app } = fresh_hot();
         let row = PendingRow {
             source: Box::new(Greedy),
             seed: 0,

@@ -15,8 +15,10 @@
 //!
 //! The receiver is split the way the sender is: `SinkState` holds one
 //! connection's state and all of its logic, and reaches the simulator
-//! through `SinkIo`. The [`FlowSlab`](crate::FlowSlab) keeps one
-//! `SinkState` per connection in a column next to the sender half.
+//! through `SinkIo`. The [`FlowSlab`](crate::FlowSlab) builds a
+//! connection's `SinkState` at its first data segment, into a dense column
+//! of the receivers that have seen data; until then the connection's
+//! receiver is an 8-byte pending entry.
 
 use netsim::{
     Ctx, Ecn, FlowId, NodeId, Packet, Payload, SackBlock, SimDuration, SimTime, TimerToken,
@@ -63,6 +65,24 @@ pub(crate) struct SinkIo<'a, 'b> {
     pub slot: usize,
 }
 
+/// The delayed-ACK timeout a receiver keeps for the setting `delack`:
+/// `Some(t)` enables RFC-1122 delayed ACKs (acknowledge every second
+/// in-order segment or after `t`, whichever first; out-of-order arrivals
+/// and CE marks are acknowledged immediately, RFC 5681 duplicate-ACK and
+/// ECN behaviour), and [`SimDuration::ZERO`] stands for `None`, an ACK
+/// per segment. Delayed ACKs halve the sender's RTT sampling rate — the
+/// `delack` ablation measures what that does to PERT's predictor.
+///
+/// # Panics
+/// On a zero timeout.
+pub(crate) fn delack_timeout(delack: Option<SimDuration>) -> SimDuration {
+    assert!(
+        delack.is_none_or(|t| !t.is_zero()),
+        "delayed-ACK timeout must be positive"
+    );
+    delack.unwrap_or(SimDuration::ZERO)
+}
+
 /// One connection's receiver state. `stats.rcv_next` is the cumulative
 /// point itself, not a copy of it.
 #[derive(Clone, Debug)]
@@ -85,22 +105,14 @@ pub(crate) struct SinkState {
 }
 
 impl SinkState {
-    /// A fresh receiver for `flow`; `delack` enables RFC-1122 delayed
-    /// ACKs: acknowledge every second in-order segment or after the
-    /// timeout, whichever first; out-of-order arrivals and CE marks are
-    /// acknowledged immediately (RFC 5681 duplicate-ACK and ECN
-    /// behaviour). Halves the sender's RTT sampling rate — the `delack`
-    /// ablation measures what that does to PERT's predictor. `audited`
-    /// shadows the out-of-order store.
-    pub(crate) fn new(flow: u32, delack: Option<SimDuration>, audited: bool) -> Self {
-        assert!(
-            delack.is_none_or(|t| !t.is_zero()),
-            "delayed-ACK timeout must be positive"
-        );
+    /// A fresh receiver for `flow` with the timeout [`delack_timeout`]
+    /// made of a connection's delayed-ACK setting. `audited` shadows the
+    /// out-of-order store.
+    pub(crate) fn new(flow: u32, delack: SimDuration, audited: bool) -> Self {
         SinkState {
             flow,
             epoch: 0,
-            delack: delack.unwrap_or(SimDuration::ZERO),
+            delack,
             echo_ts: SimTime::MAX,
             echo_owd: SimDuration::ZERO,
             ooo: IntervalSet::new(audited),
@@ -256,7 +268,7 @@ mod tests {
     use super::*;
 
     fn sink() -> SinkState {
-        SinkState::new(0, None, true)
+        SinkState::new(0, SimDuration::ZERO, true)
     }
 
     #[test]
@@ -455,7 +467,7 @@ mod tests {
         });
         sim.compute_routes();
         let id = sim.alloc_agent();
-        let delack = Some(SimDuration::from_millis(50));
+        let delack = SimDuration::from_millis(50);
         sim.install_shared_agent(
             id,
             Box::new(DelackHarness {

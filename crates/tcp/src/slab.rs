@@ -5,16 +5,26 @@
 //! `Box<dyn Agent>` (pointer chase + heap spread per event), and the hot
 //! per-ACK fields sit interleaved with cold configuration in one large
 //! struct. The slab flips the layout: a connection is one *row* across
-//! parallel vectors indexed by a dense slot — the sender's hot parts
-//! (`Wnd`, `RttState`, `AppState`, all `Copy`), its receiver half
-//! (`SinkState`), and the two endpoint nodes — so dispatching a burst of
-//! ACKs walks compact arrays.
+//! parallel vectors indexed by a dense slot, and each half of it is paid
+//! for when it first runs, not when it is declared.
 //!
-//! The sender's cold remainder (`FlowCold`, congestion control inline) is
-//! paid for when the sender first runs, not when it is declared: a
-//! declared connection holds a 40-byte `PendingRow`, and the sender's first
-//! event builds its `FlowCold` from it into a dense `live` column, in start
-//! order. A connection that never starts never costs its cold bytes.
+//! * *Slot-indexed columns* hold only what demultiplexing needs: the
+//!   sender entry (a 40-byte `PendingRow` until the sender's first event,
+//!   then its index among the started senders), the 8-byte receiver entry
+//!   (an interned delayed-ACK setting until the first data segment, then
+//!   its index among the opened receivers), the two endpoint nodes and the
+//!   `flow → slot` map: 60 bytes a declared connection.
+//! * *Sender rows* — the hot parts (`Wnd`, `RttState`, `AppState`, all
+//!   `Copy`) and the cold remainder (`FlowCold`, congestion control
+//!   inline) — are built by the sender's first event into two parallel
+//!   dense columns, in start order.
+//! * *Receiver rows* (`SinkState`) are built by the receiver's first data
+//!   segment, which is always its first event, into a dense column in
+//!   order of first data.
+//!
+//! A connection that never starts never costs either row, and each dense
+//! column is reserved once per part for every row still pending there, so
+//! it is allocated once and its pages are touched only as rows open.
 //!
 //! The slab is installed once per simulator as a *shared* agent (it has no
 //! home node; every row records its source and sink nodes and transmits
@@ -34,16 +44,16 @@
 
 use std::any::Any;
 
-use netsim::{Agent, Ctx, FlowId, NodeId, Packet, TimerToken};
+use netsim::{Agent, Ctx, FlowId, NodeId, Packet, SimDuration, TimerToken};
 use pert_core::predictors::AckSample;
 use pert_core::Attach;
 
 use crate::cc::{Cc, CcAlgorithm};
 use crate::sender::{
-    fresh_hot, AppState, FlowCold, FlowIo, FlowView, PendingRow, RttState, SenderStats, TcpConfig,
-    Wnd, TOKEN_START, TOKEN_STOP,
+    fresh_hot, FlowCold, FlowIo, FlowView, Hot, PendingRow, SenderStats, TcpConfig, TOKEN_START,
+    TOKEN_STOP,
 };
-use crate::sink::{SinkIo, SinkState, SinkStats, TOKEN_DELACK};
+use crate::sink::{delack_timeout, SinkIo, SinkState, SinkStats, TOKEN_DELACK};
 use crate::source::Source;
 use crate::{CcKind, ConnectionSpec};
 
@@ -61,20 +71,65 @@ const FRESH_STATS: SenderStats = SenderStats {
     early_reductions: 0,
 };
 
+/// What a receiver that has seen no data reads back.
+const FRESH_SINK_STATS: SinkStats = SinkStats {
+    segments_received: 0,
+    duplicates: 0,
+    marked: 0,
+    rcv_next: 0,
+};
+
 /// The 32-bit index the slab stores for an id; `id` names it in the panic.
 fn index32(index: usize, id: impl std::fmt::Display) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| panic!("{id} does not fit the slab's 32-bit ids"))
 }
 
-/// The sender half of a slot, beyond its hot columns, on one part of the
-/// slab.
+/// The index of the last entry of `table` that `is` picks, pushing
+/// `new()` when none does.
+fn interned<T>(table: &mut Vec<T>, is: impl Fn(&T) -> bool, new: impl FnOnce() -> T) -> usize {
+    table.iter().rposition(is).unwrap_or_else(|| {
+        table.push(new());
+        table.len() - 1
+    })
+}
+
+/// Room for every row still `pending` on a part, reserved when the dense
+/// `column` is full: the first row a part opens allocates the column once,
+/// and its pages are touched only as rows open.
+fn reserve_pending<T>(column: &mut Vec<T>, pending: usize) {
+    if column.len() == column.capacity() {
+        column.reserve(pending);
+    }
+}
+
+/// The slots whose endpoint in `nodes` shard `s` owns.
+fn owned_by<'a>(
+    s: usize,
+    nodes: &'a [u32],
+    shard_of_node: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    (0..nodes.len()).filter(move |&slot| shard_of_node[nodes[slot] as usize] == s)
+}
+
+/// The sender half of a slot on one part of the slab.
 enum Sender {
-    /// Declared and not yet run; its first event builds it into `live`.
+    /// Declared and not yet run; its first event builds its rows.
     Pending(PendingRow),
-    /// Running: its cold state is `live[i]`.
+    /// Running: its hot parts are `hot[i]` and its cold state `live[i]`.
     Live(u32),
     /// Hosted by another shard's part of the slab. Touching it here is a
     /// bug and panics rather than silently diverging.
+    Away,
+}
+
+/// The receiver half of a slot on one part of the slab, in 8 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Receiver {
+    /// Has seen no data; its delayed-ACK timeout is `delacks[i]`.
+    Pending(u32),
+    /// Has seen data: its state is `sinks[i]`.
+    Live(u32),
+    /// Hosted by another shard's part of the slab.
     Away,
 }
 
@@ -110,26 +165,15 @@ impl Clone for Kind {
 /// the crate root.
 #[derive(Default)]
 pub struct FlowSlab {
-    // Hot sender state, parallel vectors keyed by slot.
-    wnd: Vec<Wnd>,
-    rtt: Vec<RttState>,
-    app: Vec<AppState>,
-    /// Receiver half of every connection, same keying.
-    sinks: Vec<SinkState>,
-    /// The rest of every sender, same keying: a pending row until the
-    /// sender's first event, then its index in `live`. A shard part that
-    /// hosts no sender holds this and the three hot columns empty, and one
-    /// that hosts no receiver `sinks` empty.
+    // --- slot-indexed: one entry per connection ---------------------------
+    /// The sender half of every slot: a pending row until the sender's
+    /// first event, then its index in `hot` and `live`. A shard part that
+    /// hosts no sender holds this column empty.
     senders: Vec<Sender>,
-    /// Cold state of the started senders this part hosts, in start order.
-    /// There is no full-width cold column: a slot's cold bytes exist only
-    /// once its sender has run, and only on the part that runs it.
-    live: Vec<FlowCold>,
-    /// `Pending` rows in `senders`: the room the next growth of `live`
-    /// reserves, so one reservation holds every sender this part starts.
-    pending: usize,
-    /// The distinct congestion controls pending rows name by index.
-    kinds: Vec<Kind>,
+    /// The receiver half of every slot: pending until its first data
+    /// segment, then its index in `sinks`. A shard part that hosts no
+    /// receiver holds this column empty.
+    receivers: Vec<Receiver>,
     /// Source (sender-half) node of every slot, as a 32-bit index.
     nodes: Vec<u32>,
     /// Sink (receiver-half) node of every slot, as a 32-bit index.
@@ -138,6 +182,27 @@ pub struct FlowSlab {
     /// integers in every topology builder); [`UNREGISTERED`] where no
     /// flow has that id.
     by_flow: Vec<u32>,
+    // --- dense: one row per half this part has run ------------------------
+    /// Hot parts of the started senders this part hosts, in start order.
+    hot: Vec<Hot>,
+    /// Cold state of the same senders, parallel to `hot`. There is no
+    /// full-width sender column: a slot's sender rows exist only once it
+    /// has run, and only on the part that runs it.
+    live: Vec<FlowCold>,
+    /// State of the receivers this part hosts that have seen data, in
+    /// order of first data.
+    sinks: Vec<SinkState>,
+    // --- what pending entries need ---------------------------------------
+    /// `Pending` entries in `senders`: the room the next growth of `hot`
+    /// and `live` reserves.
+    pending: usize,
+    /// `Pending` entries in `receivers`: the room the next growth of
+    /// `sinks` reserves.
+    pending_sinks: usize,
+    /// The distinct congestion controls pending rows name by index.
+    kinds: Vec<Kind>,
+    /// The distinct delayed-ACK timeouts pending receivers name by index.
+    delacks: Vec<SimDuration>,
     /// Set only on the husk a shard split leaves behind: the node → shard
     /// map the parts were cut along, which names each row's owners at
     /// merge time.
@@ -166,8 +231,8 @@ impl FlowSlab {
 
     /// Register the connection `spec` describes, both halves: its sender
     /// on `spec.src` fed by `source`, its receiver on `spec.dst`. Returns
-    /// the connection's slot. The sender's cold state is built when it
-    /// first runs.
+    /// the connection's slot. Each half's rows are built when it first
+    /// runs.
     pub fn add_flow(&mut self, spec: &ConnectionSpec, source: Box<dyn Source>) -> usize {
         let slot = self.len();
         assert!(
@@ -193,12 +258,7 @@ impl FlowSlab {
             record_samples: spec.record_samples,
         };
         let kind = self.intern(&spec.cc);
-        let (wnd, rtt, app) = fresh_hot();
-        self.wnd.push(wnd);
-        self.rtt.push(rtt);
-        self.app.push(app);
-        self.sinks
-            .push(SinkState::new(flow32, spec.delack, self.attach.audit));
+        let delack = self.intern_delack(delack_timeout(spec.delack));
         self.senders.push(Sender::Pending(PendingRow {
             source,
             seed: spec.seed,
@@ -206,6 +266,8 @@ impl FlowSlab {
             kind,
         }));
         self.pending += 1;
+        self.receivers.push(Receiver::Pending(delack));
+        self.pending_sinks += 1;
         self.nodes.push(src);
         self.sink_nodes.push(dst);
         self.by_flow[flow.index()] = slot as u32;
@@ -214,14 +276,15 @@ impl FlowSlab {
 
     /// The index of `cc` among the slab's kinds, interning it if new.
     fn intern(&mut self, cc: &CcKind) -> u16 {
-        let i = match self.kinds.iter().rposition(|k| k.spec == *cc) {
-            Some(i) => i,
-            None => {
-                self.kinds.push(Kind::new(cc));
-                self.kinds.len() - 1
-            }
-        };
+        let i = interned(&mut self.kinds, |k| k.spec == *cc, || Kind::new(cc));
         u16::try_from(i).expect("a slab holds at most 65 536 distinct congestion controls")
+    }
+
+    /// The index of `delack` among the slab's delayed-ACK timeouts,
+    /// interning it if new.
+    fn intern_delack(&mut self, delack: SimDuration) -> u32 {
+        let i = interned(&mut self.delacks, |&d| d == delack, || delack);
+        index32(i, "delayed-ACK setting")
     }
 
     /// The slot hosting `flow`, if registered.
@@ -253,18 +316,17 @@ impl FlowSlab {
             Some(Sender::Pending(_)) => self.start(slot),
             _ => panic!("flow is hosted by another shard"),
         };
+        let Hot { wnd, rtt, app } = &mut self.hot[i];
         FlowView {
-            wnd: &mut self.wnd[slot],
-            rtt: &mut self.rtt[slot],
-            app: &mut self.app[slot],
+            wnd,
+            rtt,
+            app,
             cold: &mut self.live[i],
         }
     }
 
-    /// Build the pending sender of `slot` into `live`; returns its index.
-    /// The first build on a part reserves room for every sender pending
-    /// there, so the column is allocated once and its pages are touched
-    /// only as senders start.
+    /// Build the pending sender of `slot` into `hot` and `live`; returns
+    /// its index there.
     #[cold]
     fn start(&mut self, slot: usize) -> usize {
         let i = self.live.len();
@@ -272,13 +334,13 @@ impl FlowSlab {
         let Sender::Pending(row) = std::mem::replace(&mut self.senders[slot], live) else {
             unreachable!("slot {slot} is not pending")
         };
-        if i == self.live.capacity() {
-            self.live.reserve(self.pending);
-        }
+        reserve_pending(&mut self.hot, self.pending);
+        reserve_pending(&mut self.live, self.pending);
         self.pending -= 1;
         let cc = self.kinds[usize::from(row.kind)]
             .spec
             .build(row.seed, self.attach);
+        self.hot.push(fresh_hot());
         self.live
             .push(FlowCold::build(row, cc, self.attach.telemetry));
         i
@@ -294,10 +356,42 @@ impl FlowSlab {
         }
     }
 
-    /// Run the receiver half of `slot`.
+    /// The receiver state of `slot`. A pending receiver is built here by
+    /// its first data segment, which carries its `flow`; every other event
+    /// of a receiver comes after that one.
+    fn sink(&mut self, slot: usize, first_data: Option<FlowId>) -> &mut SinkState {
+        let i = match (self.receivers.get(slot), first_data) {
+            (Some(Receiver::Live(i)), _) => *i as usize,
+            (Some(&Receiver::Pending(delack)), Some(flow)) => self.open(slot, flow, delack),
+            (Some(Receiver::Pending(_)), None) => {
+                unreachable!("slot {slot}'s receiver has an event before its first data")
+            }
+            _ => panic!("flow is hosted by another shard"),
+        };
+        &mut self.sinks[i]
+    }
+
+    /// Build the pending receiver of `slot` into `sinks`; returns its
+    /// index there.
+    #[cold]
+    fn open(&mut self, slot: usize, flow: FlowId, delack: u32) -> usize {
+        let i = self.sinks.len();
+        self.receivers[slot] = Receiver::Live(index32(i, "receiver row"));
+        reserve_pending(&mut self.sinks, self.pending_sinks);
+        self.pending_sinks -= 1;
+        let flow = index32(flow.index(), flow);
+        let delack = self.delacks[delack as usize];
+        self.sinks
+            .push(SinkState::new(flow, delack, self.attach.audit));
+        i
+    }
+
+    /// Run the receiver half of `slot`; `first_data` as for
+    /// [`sink`](Self::sink).
     fn receiver<'a, 'b>(
         &mut self,
         slot: usize,
+        first_data: Option<FlowId>,
         ctx: &'a mut Ctx<'b>,
     ) -> (&mut SinkState, SinkIo<'a, 'b>) {
         let io = SinkIo {
@@ -306,11 +400,7 @@ impl FlowSlab {
             slot,
             ctx,
         };
-        let sink = self
-            .sinks
-            .get_mut(slot)
-            .expect("flow is hosted by another shard");
-        (sink, io)
+        (self.sink(slot, first_data), io)
     }
 
     // --- per-flow read-back ---------------------------------------------
@@ -328,14 +418,26 @@ impl FlowSlab {
         slot
     }
 
-    /// The cold state of `flow`'s sender, or its pending row if it has not
-    /// run.
-    fn cold_of(&self, flow: FlowId) -> Result<&FlowCold, &PendingRow> {
+    /// The index of `flow`'s sender rows, or its pending row if it has
+    /// not run.
+    fn row_of(&self, flow: FlowId) -> Result<usize, &PendingRow> {
         match &self.senders[self.sender_slot(flow)] {
-            Sender::Live(i) => Ok(&self.live[*i as usize]),
+            Sender::Live(i) => Ok(*i as usize),
             Sender::Pending(row) => Err(row),
             Sender::Away => unreachable!("checked by sender_slot"),
         }
+    }
+
+    /// The cold state of `flow`'s sender, or its pending row if it has not
+    /// run.
+    fn cold_of(&self, flow: FlowId) -> Result<&FlowCold, &PendingRow> {
+        self.row_of(flow).map(|i| &self.live[i])
+    }
+
+    /// The hot parts of `flow`'s sender; a fresh row's if it has not run.
+    fn hot_of(&self, flow: FlowId) -> Hot {
+        self.row_of(flow)
+            .map_or_else(|_| fresh_hot(), |i| self.hot[i])
     }
 
     /// Cumulative statistics of `flow`.
@@ -360,21 +462,22 @@ impl FlowSlab {
 
     /// Current congestion window of `flow`, segments.
     pub fn cwnd_of(&self, flow: FlowId) -> f64 {
-        self.wnd[self.sender_slot(flow)].cwnd
+        self.hot_of(flow).wnd.cwnd
     }
 
     /// True once `flow` has permanently finished.
     pub fn stopped_of(&self, flow: FlowId) -> bool {
-        self.app[self.sender_slot(flow)].stopped
+        self.hot_of(flow).app.stopped
     }
 
-    /// Receiver statistics of `flow`.
+    /// Receiver statistics of `flow`; a fresh receiver's while it has
+    /// seen no data.
     pub fn sink_stats_of(&self, flow: FlowId) -> &SinkStats {
-        &self
-            .sinks
-            .get(self.expect_slot(flow))
-            .expect("flow is hosted by another shard")
-            .stats
+        match self.receivers.get(self.expect_slot(flow)) {
+            Some(Receiver::Live(i)) => &self.sinks[*i as usize].stats,
+            Some(Receiver::Pending(_)) => &FRESH_SINK_STATS,
+            _ => panic!("flow {flow} is hosted by another shard"),
+        }
     }
 }
 
@@ -406,14 +509,14 @@ impl Agent for FlowSlab {
                 self.sink_nodes[slot] as usize,
                 "data off its sink node"
             );
-            let (sink, mut io) = self.receiver(slot, ctx);
+            let (sink, mut io) = self.receiver(slot, Some(pkt.flow), ctx);
             sink.on_data(pkt, &mut io);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_>) {
         if token.0 & 0xff == TOKEN_DELACK {
-            let (sink, mut io) = self.receiver(SinkState::token_slot(token), ctx);
+            let (sink, mut io) = self.receiver(SinkState::token_slot(token), None, ctx);
             sink.on_delack_timer(token, &mut io);
             return;
         }
@@ -444,14 +547,14 @@ impl Agent for FlowSlab {
     }
 
     fn shard_split(&mut self, n: usize, shard_of_node: &[usize]) -> Vec<Box<dyn Agent>> {
-        // Every part keeps the row → node and flow → slot maps, so slot
-        // numbering and token routing stay identical everywhere. Each half's
-        // columns move to the first part that hosts a row of it and are
-        // cloned only into later parts that host one too; a part hosting
-        // none of a half holds empty columns for it. A sender's pending row
-        // or cold state (and thus the right to run it) moves to the shard
-        // owning its source node; a receiver row is authoritative on the
-        // shard owning its sink node. The husk keeps only the partition.
+        // Every part keeps the slot → node and flow → slot maps, so slot
+        // numbering and token routing stay identical everywhere. A part
+        // hosting a row of a half holds that half's slot-indexed column,
+        // `Away` where another part owns the slot; the first such part
+        // takes the column itself. A sender's pending row or dense rows
+        // (and thus the right to run it) move to the shard owning its
+        // source node, a receiver's to the shard owning its sink node. The
+        // husk keeps only the partition.
         let mut whole = std::mem::take(self);
         self.shard_of_node = shard_of_node.to_vec();
         self.attach = whole.attach;
@@ -461,53 +564,26 @@ impl Agent for FlowSlab {
             senders[owner(&whole.nodes, slot)] = true;
             receivers[owner(&whole.sink_nodes, slot)] = true;
         }
-        let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::new(whole.attach)).collect();
-        // Descending, so the first host, which takes the columns themselves,
-        // comes after every part that needs a clone of them.
         let first_sender = senders.iter().position(|&h| h);
         let first_receiver = receivers.iter().position(|&h| h);
+        let mut parts: Vec<FlowSlab> = (0..n).map(|_| FlowSlab::new(whole.attach)).collect();
+        // Descending, so the part that takes a column or table itself comes
+        // after every part that needs a copy of it.
         for (s, part) in parts.iter_mut().enumerate().rev() {
             if Some(s) == first_sender {
-                part.wnd = std::mem::take(&mut whole.wnd);
-                part.rtt = std::mem::take(&mut whole.rtt);
-                part.app = std::mem::take(&mut whole.app);
                 part.senders = std::mem::take(&mut whole.senders);
                 part.kinds = std::mem::take(&mut whole.kinds);
             } else if senders[s] {
-                part.wnd = whole.wnd.clone();
-                part.rtt = whole.rtt.clone();
-                part.app = whole.app.clone();
                 part.senders = (0..whole.len()).map(|_| Sender::Away).collect();
                 part.kinds = whole.kinds.clone();
             }
             if Some(s) == first_receiver {
-                part.sinks = std::mem::take(&mut whole.sinks);
+                part.receivers = std::mem::take(&mut whole.receivers);
+                part.delacks = std::mem::take(&mut whole.delacks);
             } else if receivers[s] {
-                part.sinks = whole.sinks.clone();
+                part.receivers = vec![Receiver::Away; whole.len()];
+                part.delacks = whole.delacks.clone();
             }
-        }
-        if let Some(first) = first_sender {
-            let mut slot_of_live = vec![0; whole.live.len()];
-            for slot in 0..whole.len() {
-                let row = std::mem::replace(&mut parts[first].senders[slot], Sender::Away);
-                let part = &mut parts[owner(&whole.nodes, slot)];
-                match row {
-                    Sender::Live(i) => slot_of_live[i as usize] = slot,
-                    Sender::Pending(_) => {
-                        part.senders[slot] = row;
-                        part.pending += 1;
-                    }
-                    Sender::Away => unreachable!("an unsplit slab hosts every sender"),
-                }
-            }
-            for (i, cold) in std::mem::take(&mut whole.live).into_iter().enumerate() {
-                let slot = slot_of_live[i];
-                let part = &mut parts[owner(&whole.nodes, slot)];
-                part.senders[slot] = Sender::Live(part.live.len() as u32);
-                part.live.push(cold);
-            }
-        }
-        for (s, part) in parts.iter_mut().enumerate().rev() {
             if s == 0 {
                 part.nodes = std::mem::take(&mut whole.nodes);
                 part.sink_nodes = std::mem::take(&mut whole.sink_nodes);
@@ -518,6 +594,54 @@ impl Agent for FlowSlab {
                 part.by_flow = whole.by_flow.clone();
             }
         }
+        let nodes = std::mem::take(&mut parts[0].nodes);
+        let sink_nodes = std::mem::take(&mut parts[0].sink_nodes);
+        if let Some(first) = first_sender {
+            let mut hot = std::mem::take(&mut whole.hot).into_iter();
+            let mut live = std::mem::take(&mut whole.live).into_iter();
+            let mut slot_of_live = vec![0; live.len()];
+            for slot in 0..nodes.len() {
+                let row = std::mem::replace(&mut parts[first].senders[slot], Sender::Away);
+                let part = &mut parts[owner(&nodes, slot)];
+                match row {
+                    Sender::Live(i) => slot_of_live[i as usize] = slot,
+                    Sender::Pending(_) => {
+                        part.senders[slot] = row;
+                        part.pending += 1;
+                    }
+                    Sender::Away => unreachable!("an unsplit slab hosts every sender"),
+                }
+            }
+            for slot in slot_of_live {
+                let part = &mut parts[owner(&nodes, slot)];
+                part.senders[slot] = Sender::Live(part.live.len() as u32);
+                part.hot.extend(hot.next());
+                part.live.extend(live.next());
+            }
+        }
+        if let Some(first) = first_receiver {
+            let mut sinks = std::mem::take(&mut whole.sinks).into_iter();
+            let mut slot_of_sink = vec![0; sinks.len()];
+            for slot in 0..sink_nodes.len() {
+                let entry = std::mem::replace(&mut parts[first].receivers[slot], Receiver::Away);
+                let part = &mut parts[owner(&sink_nodes, slot)];
+                match entry {
+                    Receiver::Live(i) => slot_of_sink[i as usize] = slot,
+                    Receiver::Pending(_) => {
+                        part.receivers[slot] = entry;
+                        part.pending_sinks += 1;
+                    }
+                    Receiver::Away => unreachable!("an unsplit slab hosts every receiver"),
+                }
+            }
+            for slot in slot_of_sink {
+                let part = &mut parts[owner(&sink_nodes, slot)];
+                part.receivers[slot] = Receiver::Live(part.sinks.len() as u32);
+                part.sinks.extend(sinks.next());
+            }
+        }
+        parts[0].nodes = nodes;
+        parts[0].sink_nodes = sink_nodes;
         parts
             .into_iter()
             .map(|p| Box::new(p) as Box<dyn Agent>)
@@ -525,11 +649,12 @@ impl Agent for FlowSlab {
     }
 
     fn shard_merge(&mut self, parts: Vec<Box<dyn Agent>>) {
-        // Each half's columns come home from the part holding them; every
-        // other part returns the rows it owned: a sender row with its hot
-        // state and its pending row or cold state, a receiver row by its
-        // sink node.
+        // Each half's slot-indexed column and dense rows come home from the
+        // first part holding them; every other part returns the rows it
+        // owns, appended to the dense columns: a sender by its source
+        // node, a receiver by its sink node.
         let shard_of_node = std::mem::take(&mut self.shard_of_node);
+        let shard_of_node = shard_of_node.as_slice();
         let mut parts: Vec<FlowSlab> = parts
             .into_iter()
             .map(|mut p| {
@@ -541,61 +666,69 @@ impl Agent for FlowSlab {
             })
             .collect();
         let first_sender = parts.iter().position(|p| !p.senders.is_empty());
-        let first_receiver = parts.iter().position(|p| !p.sinks.is_empty());
+        let first_receiver = parts.iter().position(|p| !p.receivers.is_empty());
         let home = &mut parts[0];
         self.nodes = std::mem::take(&mut home.nodes);
         self.sink_nodes = std::mem::take(&mut home.sink_nodes);
         self.by_flow = std::mem::take(&mut home.by_flow);
         if let Some(first) = first_sender {
             let holder = &mut parts[first];
-            self.wnd = std::mem::take(&mut holder.wnd);
-            self.rtt = std::mem::take(&mut holder.rtt);
-            self.app = std::mem::take(&mut holder.app);
             self.senders = std::mem::take(&mut holder.senders);
+            self.hot = std::mem::take(&mut holder.hot);
             self.live = std::mem::take(&mut holder.live);
             self.pending = holder.pending;
             self.kinds = std::mem::take(&mut holder.kinds);
         }
         if let Some(first) = first_receiver {
-            self.sinks = std::mem::take(&mut parts[first].sinks);
+            let holder = &mut parts[first];
+            self.receivers = std::mem::take(&mut holder.receivers);
+            self.sinks = std::mem::take(&mut holder.sinks);
+            self.pending_sinks = holder.pending_sinks;
+            self.delacks = std::mem::take(&mut holder.delacks);
         }
         for (s, part) in parts.iter_mut().enumerate() {
-            if Some(s) == first_sender || part.senders.is_empty() {
-                continue;
-            }
-            let mut slot_of_live = vec![0; part.live.len()];
-            for slot in 0..self.len() {
-                if shard_of_node[self.nodes[slot] as usize] != s {
-                    continue;
-                }
-                self.wnd[slot] = part.wnd[slot];
-                self.rtt[slot] = part.rtt[slot];
-                self.app[slot] = part.app[slot];
-                match std::mem::replace(&mut part.senders[slot], Sender::Away) {
-                    Sender::Live(i) => slot_of_live[i as usize] = slot,
-                    row @ Sender::Pending(_) => {
-                        self.senders[slot] = row;
-                        self.pending += 1;
+            if Some(s) != first_sender && !part.senders.is_empty() {
+                let mut slot_of_live = vec![0; part.live.len()];
+                for slot in owned_by(s, &self.nodes, shard_of_node) {
+                    match std::mem::replace(&mut part.senders[slot], Sender::Away) {
+                        Sender::Live(i) => slot_of_live[i as usize] = slot,
+                        row @ Sender::Pending(_) => {
+                            self.senders[slot] = row;
+                            self.pending += 1;
+                        }
+                        Sender::Away => unreachable!("slot {slot} lost its sender"),
                     }
-                    Sender::Away => unreachable!("slot {slot} lost its sender"),
+                }
+                let rows = part.hot.drain(..).zip(part.live.drain(..));
+                for (slot, (hot, cold)) in slot_of_live.into_iter().zip(rows) {
+                    self.senders[slot] = Sender::Live(self.live.len() as u32);
+                    self.hot.push(hot);
+                    self.live.push(cold);
                 }
             }
-            for (i, cold) in std::mem::take(&mut part.live).into_iter().enumerate() {
-                let slot = slot_of_live[i];
-                self.senders[slot] = Sender::Live(self.live.len() as u32);
-                self.live.push(cold);
+            if Some(s) != first_receiver && !part.receivers.is_empty() {
+                let mut slot_of_sink = vec![0; part.sinks.len()];
+                for slot in owned_by(s, &self.sink_nodes, shard_of_node) {
+                    match part.receivers[slot] {
+                        Receiver::Live(i) => slot_of_sink[i as usize] = slot,
+                        entry @ Receiver::Pending(_) => {
+                            self.receivers[slot] = entry;
+                            self.pending_sinks += 1;
+                        }
+                        Receiver::Away => unreachable!("slot {slot} lost its receiver"),
+                    }
+                }
+                for (slot, sink) in slot_of_sink.into_iter().zip(part.sinks.drain(..)) {
+                    self.receivers[slot] = Receiver::Live(self.sinks.len() as u32);
+                    self.sinks.push(sink);
+                }
             }
         }
-        for slot in 0..self.len() {
-            debug_assert!(
-                !matches!(self.senders[slot], Sender::Away),
-                "slot {slot} lost its sender"
-            );
-            let receiver = shard_of_node[self.sink_nodes[slot] as usize];
-            if Some(receiver) != first_receiver {
-                std::mem::swap(&mut self.sinks[slot], &mut parts[receiver].sinks[slot]);
-            }
-        }
+        debug_assert!(
+            self.senders.iter().all(|s| !matches!(s, Sender::Away))
+                && !self.receivers.contains(&Receiver::Away),
+            "a half lost its row in the merge"
+        );
     }
 }
 
@@ -634,34 +767,61 @@ mod tests {
         assert_eq!(t.0 >> 8, 1023);
     }
 
-    /// How `p` holds the sender of `slot`: pending, live or away.
-    fn held(p: &FlowSlab, slot: usize) -> &'static str {
-        match p.senders.get(slot) {
+    /// How `p` holds the sender and the receiver of `slot`: pending, live
+    /// or away.
+    fn held(p: &FlowSlab, slot: usize) -> [&'static str; 2] {
+        let sender = match p.senders.get(slot) {
             Some(Sender::Pending(_)) => "pending",
             Some(Sender::Live(_)) => "live",
             Some(Sender::Away) => "away",
             None => "no column",
-        }
+        };
+        let receiver = match p.receivers.get(slot) {
+            Some(Receiver::Pending(_)) => "pending",
+            Some(Receiver::Live(_)) => "live",
+            Some(Receiver::Away) => "away",
+            None => "no column",
+        };
+        [sender, receiver]
     }
 
-    /// True when every sender is back on `slab`, none of them away.
+    /// `held` of every slot of `p`, senders then receivers.
+    fn held_all(p: &FlowSlab) -> [Vec<&'static str>; 2] {
+        let rows: Vec<_> = (0..p.len()).map(|slot| held(p, slot)).collect();
+        [0, 1].map(|half| rows.iter().map(|r| r[half]).collect())
+    }
+
+    /// True when every half is back on `slab`, none of them away.
     fn all_home(slab: &FlowSlab) -> bool {
-        slab.senders.len() == slab.len() && slab.senders.iter().all(|s| !matches!(s, Sender::Away))
+        slab.senders.len() == slab.len()
+            && slab.receivers.len() == slab.len()
+            && held_all(slab).iter().flatten().all(|&h| h != "away")
+    }
+
+    /// The receiver state of `slot`, whose flow id is its slot in these
+    /// tests, opened as its first data segment would open it.
+    fn sink_mut(p: &mut FlowSlab, slot: usize) -> &mut SinkState {
+        p.sink(slot, Some(FlowId(slot)))
     }
 
     #[test]
     fn shard_split_moves_cold_state_to_owner_and_merges_back() {
         // Flows 0 and 2 send n0 → n1, flows 1 and 3 send n1 → n0: on two
         // shards each connection's halves live apart. Flows 3 and 2 have
-        // run (in that order) before the cut, so it is taken mid-run with
-        // a pending and a live sender on each side of it.
+        // run (in that order) before the cut, and so have their receivers,
+        // so it is taken mid-run with a pending and a live sender, and a
+        // receiver that has seen no data and one that has, on each side.
         let mut slab = FlowSlab::new(Attach::default());
         for (flow, src, dst) in [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0)] {
             add(&mut slab, flow, src, dst);
         }
         slab.view(3).cold.stats.acked_segments = 33;
         slab.view(2).cold.stats.acked_segments = 22;
+        slab.view(2).wnd.cwnd = 20.0;
+        sink_mut(&mut slab, 3).stats.rcv_next = 3;
+        sink_mut(&mut slab, 2).stats.rcv_next = 2;
         assert_eq!((slab.live.len(), slab.pending), (2, 2));
+        assert_eq!((slab.sinks.len(), slab.pending_sinks), (2, 2));
         let route = |s: &FlowSlab, t| s.shard_route_timer(t);
         assert_eq!(route(&slab, FlowSlab::start_token(1)), Some(NodeId(1)));
         assert_eq!(route(&slab, SinkState::token(1, 9)), Some(NodeId(0)));
@@ -669,44 +829,67 @@ mod tests {
 
         let mut parts = slab.shard_split(2, &[0, 1]);
         assert!(slab.is_empty(), "the husk keeps no rows");
-        // Every part carries every row; only the owners' copies may move
-        // and only they come home. Shard 0 owns the senders of flows 0 and
-        // 2 and the receivers of 1 and 3, shard 1 the other halves. Each
-        // part's live column holds its own started senders and no more.
+        // Shard 0 owns the senders of flows 0 and 2 and the receivers of 1
+        // and 3, shard 1 the other halves. Each part's dense columns hold
+        // its own started halves and no more.
         let p0 = part(&mut parts, 0);
-        let held0: Vec<_> = (0..4).map(|s| held(p0, s)).collect();
-        assert_eq!(held0, ["pending", "away", "live", "away"]);
-        assert_eq!((p0.live.len(), p0.pending), (1, 1));
+        assert_eq!(
+            held_all(p0),
+            [
+                ["pending", "away", "live", "away"],
+                ["away", "pending", "away", "live"]
+            ]
+        );
+        assert_eq!((p0.live.len(), p0.hot.len(), p0.pending), (1, 1, 1));
+        assert_eq!((p0.sinks.len(), p0.pending_sinks), (1, 1));
         assert_eq!(p0.stats_of(FlowId(2)).acked_segments, 22);
+        assert_eq!(p0.cwnd_of(FlowId(2)), 20.0);
+        assert_eq!(p0.sink_stats_of(FlowId(3)).rcv_next, 3);
+        assert_eq!(*p0.sink_stats_of(FlowId(1)), SinkStats::default());
         p0.view(0).cold.stats.acked_segments = 10;
-        p0.sinks[1].stats.rcv_next = 9;
-        p0.sinks[0].stats.rcv_next = 1_000;
-        p0.wnd[1].cwnd = 1_000.0;
+        sink_mut(p0, 1).stats.rcv_next = 9;
         let p1 = part(&mut parts, 1);
-        let held1: Vec<_> = (0..4).map(|s| held(p1, s)).collect();
-        assert_eq!(held1, ["away", "pending", "away", "live"]);
-        assert_eq!((p1.live.len(), p1.pending), (1, 1));
+        assert_eq!(
+            held_all(p1),
+            [
+                ["away", "pending", "away", "live"],
+                ["pending", "away", "live", "away"]
+            ]
+        );
+        assert_eq!((p1.live.len(), p1.hot.len(), p1.pending), (1, 1, 1));
+        assert_eq!((p1.sinks.len(), p1.pending_sinks), (1, 1));
         assert_eq!(p1.stats_of(FlowId(3)).acked_segments, 33);
         assert_eq!(p1.stats_of(FlowId(1)).acked_segments, 0);
-        p1.sinks[0].stats.rcv_next = 7;
-        p1.sinks[1].stats.rcv_next = 1_000;
-        p1.wnd[1].cwnd = 42.0;
+        assert_eq!(p1.sink_stats_of(FlowId(2)).rcv_next, 2);
+        p1.view(3).wnd.cwnd = 42.0;
         slab.shard_merge(parts);
-        assert_eq!(slab.cwnd_of(FlowId(1)), 42.0);
-        assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 7);
-        assert_eq!(slab.sink_stats_of(FlowId(1)).rcv_next, 9);
+        let cwnd: Vec<_> = (0..4).map(|f| slab.cwnd_of(FlowId(f))).collect();
+        assert_eq!(cwnd, [2.0, 2.0, 20.0, 42.0]);
         let acked: Vec<_> = (0..4)
             .map(|f| slab.stats_of(FlowId(f)).acked_segments)
             .collect();
         assert_eq!(acked, [10, 0, 22, 33]);
-        let held: Vec<_> = (0..4).map(|s| held(&slab, s)).collect();
-        assert_eq!(held, ["live", "pending", "live", "live"]);
-        assert_eq!((slab.live.len(), slab.pending), (3, 1));
+        let rcv_next: Vec<_> = (0..4)
+            .map(|f| slab.sink_stats_of(FlowId(f)).rcv_next)
+            .collect();
+        assert_eq!(rcv_next, [0, 9, 2, 3]);
+        assert_eq!(
+            held_all(&slab),
+            [
+                ["live", "pending", "live", "live"],
+                ["pending", "live", "live", "live"]
+            ]
+        );
+        assert_eq!((slab.live.len(), slab.hot.len(), slab.pending), (3, 3, 1));
+        assert_eq!((slab.sinks.len(), slab.pending_sinks), (3, 1));
         assert!(all_home(&slab));
         assert!(slab.shard_of_node.is_empty());
-        // The pending sender still runs after the round trip.
+        // The pending halves still open after the round trip.
         slab.view(1).cold.stats.acked_segments = 11;
         assert_eq!(slab.stats_of(FlowId(1)).acked_segments, 11);
+        sink_mut(&mut slab, 0).stats.rcv_next = 1;
+        assert_eq!(slab.sink_stats_of(FlowId(0)).rcv_next, 1);
+        assert_eq!((slab.pending, slab.pending_sinks), (0, 0));
     }
 
     fn part(parts: &mut [Box<dyn Agent>], i: usize) -> &mut FlowSlab {
@@ -724,9 +907,10 @@ mod tests {
             .unwrap_or_default()
     }
 
-    /// Sender columns on every part: empty or one row per connection.
-    fn sender_columns(p: &FlowSlab) -> [usize; 4] {
-        [p.wnd.len(), p.rtt.len(), p.app.len(), p.senders.len()]
+    /// The slot-indexed columns of the two halves on a part: empty or one
+    /// entry per connection.
+    fn half_columns(p: &FlowSlab) -> [usize; 2] {
+        [p.senders.len(), p.receivers.len()]
     }
 
     #[test]
@@ -739,17 +923,15 @@ mod tests {
         let mut parts = slab.shard_split(2, &[0, 0, 1, 1]);
         let p0 = part(&mut parts, 0);
         assert_eq!(p0.len(), 3);
-        assert_eq!(sender_columns(p0), [3; 4]);
-        assert!(p0.sinks.is_empty(), "shard 0 hosts no receiver");
+        assert_eq!(half_columns(p0), [3, 0], "shard 0 hosts no receiver");
         assert!(panic_message(|| {
             p0.sink_stats_of(FlowId(1));
         })
         .contains("hosted by another shard"));
-        p0.wnd[2].cwnd = 17.0;
+        p0.view(2).wnd.cwnd = 17.0;
         let p1 = part(&mut parts, 1);
         assert_eq!(p1.len(), 3);
-        assert_eq!(sender_columns(p1), [0; 4], "shard 1 hosts no sender");
-        assert_eq!(p1.sinks.len(), 3);
+        assert_eq!(half_columns(p1), [0, 3], "shard 1 hosts no sender");
         assert!(panic_message(|| {
             p1.cwnd_of(FlowId(0));
         })
@@ -758,7 +940,7 @@ mod tests {
             p1.stats_of(FlowId(2));
         })
         .contains("hosted by another shard"));
-        p1.sinks[1].stats.rcv_next = 5;
+        sink_mut(p1, 1).stats.rcv_next = 5;
         slab.shard_merge(parts);
         assert_eq!(slab.len(), 3);
         assert_eq!(slab.cwnd_of(FlowId(2)), 17.0);
@@ -776,29 +958,28 @@ mod tests {
         let mut parts = slab.shard_split(3, &[0, 1, 2]);
         let p1 = part(&mut parts, 1);
         assert_eq!(p1.len(), 2);
-        assert_eq!(sender_columns(p1), [0; 4]);
-        assert!(p1.sinks.is_empty());
+        assert_eq!(half_columns(p1), [0, 0]);
         assert_eq!(p1.slot_of(FlowId(1)), Some(1));
         assert!(panic_message(|| {
             p1.stopped_of(FlowId(0));
         })
         .contains("hosted by another shard"));
-        // The hosts carry full-width columns; only the owners' rows move.
+        // The hosts carry full-width entry columns; only the owners' rows
+        // move.
         let p0 = part(&mut parts, 0);
-        assert_eq!(sender_columns(p0), [2; 4]);
-        assert_eq!((held(p0, 0), held(p0, 1)), ("pending", "away"));
+        assert_eq!(half_columns(p0), [2, 2]);
+        assert_eq!(held_all(p0), [["pending", "away"], ["away", "pending"]]);
         assert!(panic_message(|| {
             p0.cwnd_of(FlowId(1));
         })
         .contains("hosted by another shard"));
-        p0.sinks[1].stats.rcv_next = 3;
-        p0.wnd[0].cwnd = 8.0;
+        sink_mut(p0, 1).stats.rcv_next = 3;
+        p0.view(0).wnd.cwnd = 8.0;
         let p2 = part(&mut parts, 2);
-        assert_eq!(sender_columns(p2), [2; 4]);
-        assert_eq!((held(p2, 0), held(p2, 1)), ("away", "pending"));
-        assert_eq!(p2.sinks.len(), 2);
-        p2.sinks[0].stats.rcv_next = 4;
-        p2.wnd[1].cwnd = 9.0;
+        assert_eq!(half_columns(p2), [2, 2]);
+        assert_eq!(held_all(p2), [["away", "pending"], ["pending", "away"]]);
+        sink_mut(p2, 0).stats.rcv_next = 4;
+        p2.view(1).wnd.cwnd = 9.0;
         slab.shard_merge(parts);
         assert_eq!(slab.cwnd_of(FlowId(0)), 8.0);
         assert_eq!(slab.cwnd_of(FlowId(1)), 9.0);
@@ -814,6 +995,16 @@ mod tests {
         add(&mut FlowSlab::new(Attach::default()), 0, 0, 1 << 32);
     }
 
+    /// The receiver is built at its first data segment, but a zero
+    /// delayed-ACK timeout is refused when the connection is declared.
+    #[test]
+    #[should_panic(expected = "delayed-ACK timeout must be positive")]
+    fn a_zero_delayed_ack_timeout_is_rejected_at_declaration() {
+        let mut spec = ConnectionSpec::sack(FlowId(0), NodeId(0), NodeId(1), 0);
+        spec.delack = Some(SimDuration::ZERO);
+        FlowSlab::new(Attach::default()).add_flow(&spec, Box::new(Greedy));
+    }
+
     #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_flow_registration_panics() {
@@ -822,23 +1013,49 @@ mod tests {
         add(&mut slab, 1, 0, 1);
     }
 
+    /// What every connection pays in slot-indexed columns, declared or
+    /// started: its sender and receiver entries, its two endpoint nodes
+    /// and its `flow → slot` entry. Everything else is a dense row that
+    /// only a half that has run holds.
+    #[test]
+    fn a_declared_connection_holds_at_most_64_bytes_of_slot_columns() {
+        fn element<T>(_: &Vec<T>) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let s = FlowSlab::default();
+        let per_slot = element(&s.senders)
+            + element(&s.receivers)
+            + element(&s.nodes)
+            + element(&s.sink_nodes)
+            + element(&s.by_flow);
+        assert!(
+            per_slot <= 64,
+            "a declared connection holds {per_slot} B of slot-indexed columns, budget 64 B"
+        );
+    }
+
     /// The per-connection parts a detached run builds, at their budgets: a
-    /// declared connection holds its pending row in the sender column; a
-    /// started one its `FlowCold`, with the congestion control inline and
-    /// recorders and the audit oracle behind one pointer each.
+    /// declared connection holds its pending row in the sender column and
+    /// an 8-byte receiver entry; a started sender its `Hot` row and its
+    /// `FlowCold`, with the congestion control inline and recorders and
+    /// the audit oracle behind one pointer each; a receiver that has seen
+    /// data its `SinkState` row.
     #[test]
     fn row_parts_stay_within_their_budgets() {
         use crate::cc::Cc;
         use crate::scoreboard::Scoreboard;
+        use crate::sender::{AppState, RttState, Wnd};
         use pert_core::pert::PertController;
         use std::mem::size_of;
         let parts = [
             ("Wnd", size_of::<Wnd>(), 48),
             ("RttState", size_of::<RttState>(), 40),
             ("AppState", size_of::<AppState>(), 24),
+            ("Hot", size_of::<Hot>(), 112),
             ("SinkState", size_of::<SinkState>(), 104),
-            ("PendingRow", size_of::<PendingRow>(), 48),
-            ("Sender", size_of::<Sender>(), 48),
+            ("PendingRow", size_of::<PendingRow>(), 40),
+            ("Sender", size_of::<Sender>(), 40),
+            ("Receiver", size_of::<Receiver>(), 8),
             ("FlowCold", size_of::<FlowCold>(), 360),
             ("Cc", size_of::<Cc>(), 152),
             ("PertController", size_of::<PertController>(), 144),

@@ -570,8 +570,9 @@ fn same_node_connection_is_refused() {
 /// out-of-order intervals migrate; the run must match the monolithic one
 /// event for event, elided departure for elided departure, and in every
 /// per-flow statistic at both ends. The flows start 50 ms apart, so a cut
-/// at 120 ms moves started and not-yet-started senders to both shards,
-/// and one at 1 s only started ones.
+/// at 120 ms moves started and not-yet-started senders, and receivers that
+/// have and have not yet seen data, to both shards; one at 1 s only
+/// started senders.
 #[test]
 fn sharded_halves_match_monolithic() {
     let build = || {
@@ -626,12 +627,23 @@ fn sharded_halves_match_monolithic() {
         let (mut sim, conns) = build();
         sim.run_until(warm);
         let part = netsim::shard::partition(&sim, 2).expect("the dumbbell cuts in two");
+        let mut unseen = [0; 2];
         for (c, src, dst) in &conns {
+            let rx_shard = part.shard_of_node[dst.index()];
             assert_ne!(
                 part.shard_of_node[src.index()],
-                part.shard_of_node[dst.index()],
+                rx_shard,
                 "{}: both halves on one shard",
                 c.flow
+            );
+            if sink_stats(&sim, c).segments_received == 0 {
+                unseen[rx_shard] += 1;
+            }
+        }
+        if warm < SimTime::from_secs(1) {
+            assert!(
+                unseen.iter().all(|&n| n > 0),
+                "receivers without data per shard at {warm:?}: {unseen:?}"
             );
         }
         let mut sharded = netsim::ShardedSim::split(sim, 2).unwrap_or_else(|(_, e)| panic!("{e}"));

@@ -3,7 +3,8 @@
 //! with the same statistics, window and samples; taps and shadows follow
 //! the config of the simulator that builds them, even with another
 //! simulator running differently on another thread; and a connection that
-//! never starts reads back, and flushes into telemetry, as a fresh row.
+//! never starts reads back, both halves, and flushes into telemetry, as a
+//! fresh row.
 //!
 //! The audit counters are process-wide: the tests that run audited
 //! simulators take turns on them.
@@ -13,8 +14,8 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use netsim::prelude::*;
 use pert_core::{audit, telemetry, Attach};
 use pert_tcp::{
-    connect, sender_cc, sender_cwnd, sender_samples, sender_stats, sender_stopped, Connection,
-    ConnectionSpec, SenderStats,
+    connect, sender_cc, sender_cwnd, sender_samples, sender_stats, sender_stopped, sink_stats,
+    Connection, ConnectionSpec, SenderStats, SinkStats,
 };
 
 static AUDIT_COUNTERS: Mutex<()> = Mutex::new(());
@@ -185,8 +186,10 @@ fn concurrent_simulators_attach_only_their_own_config() {
     );
 }
 
-/// (c) A connection that never starts reads back as a fresh row, and with
-/// telemetry attached still flushes its `tcp/acked_final` record of 0.
+/// (c) A connection that never starts reads back as a fresh row — its
+/// statistics, samples, window, stop flag, congestion control and its
+/// receiver's statistics — and with telemetry attached still flushes its
+/// `tcp/acked_final` record of 0.
 #[test]
 fn a_never_started_connection_reads_back_as_a_fresh_row() {
     let (mut sim, a, b) = two_nodes(9, config(true, false));
@@ -203,6 +206,7 @@ fn a_never_started_connection_reads_back_as_a_fresh_row() {
         assert!(sender_samples(&sim, conn).is_empty());
         assert_eq!(sender_cwnd(&sim, conn), 2.0);
         assert!(!sender_stopped(&sim, conn));
+        assert_eq!(sink_stats(&sim, conn), SinkStats::default());
         let cc = sender_cc(&sim, conn);
         assert_eq!((cc.name(), cc.early_reductions()), (name, 0));
         assert_eq!(cc.pacing_rate(), None);
