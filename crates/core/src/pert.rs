@@ -84,14 +84,6 @@ impl Default for PertParams {
 pub const REGIME_CONG_AVOID: u8 = 0;
 /// Regime code: the sender is in slow start (`cwnd < ssthresh`).
 pub const REGIME_SLOW_START: u8 = 1;
-/// Regime code: inside a post-response hold window. Never emitted on a
-/// `pert/response` record (responses are suppressed during holds); reserved
-/// for trace-side regime timelines.
-pub const REGIME_LOSS_HOLD: u8 = 2;
-/// Regime code: loss recovery. Never emitted on a `pert/response` record
-/// (the controller is not consulted during recovery); reserved for
-/// trace-side regime timelines.
-pub const REGIME_RECOVERY: u8 = 3;
 
 /// Pack a regime code and a response probability into one telemetry value:
 /// `regime·100_000 + round(p·10_000)`. The probability lands in basis
@@ -575,12 +567,7 @@ mod tests {
 
     #[test]
     fn response_encoding_round_trips() {
-        for regime in [
-            REGIME_CONG_AVOID,
-            REGIME_SLOW_START,
-            REGIME_LOSS_HOLD,
-            REGIME_RECOVERY,
-        ] {
+        for regime in [REGIME_CONG_AVOID, REGIME_SLOW_START] {
             for p in [0.0, 0.0001, 0.025, 0.5, 0.99995, 1.0] {
                 let (r, bp) = decode_response(encode_response(regime, p));
                 assert_eq!(r, regime);

@@ -95,7 +95,8 @@ impl PertPiParams {
 }
 
 /// The §6 response law: the probability is the state of a discretized PI
-/// controller on the queuing-delay error.
+/// controller on the queuing-delay error. The router's PI queue runs the
+/// same law on queue length.
 #[derive(Clone, Copy, Debug)]
 pub struct PiLaw {
     gamma: f64,
@@ -107,11 +108,34 @@ pub struct PiLaw {
     prev_err: f64,
 }
 
+impl PiLaw {
+    /// A PI law on a signal in the caller's units (queuing delay in
+    /// seconds at the end host, queue length in packets at the router):
+    /// `gamma` weighs the current error against `target`, `beta` the
+    /// previous one. The probability and the error history start at zero.
+    pub fn new(gamma: f64, beta: f64, target: f64) -> Self {
+        PiLaw {
+            gamma,
+            beta,
+            target_delay: target,
+            p: 0.0,
+            prev_err: 0.0,
+        }
+    }
+
+    /// The current probability, the controller's state.
+    #[inline]
+    pub fn p(&self) -> f64 {
+        self.p
+    }
+}
+
 impl Law for PiLaw {
     const NAME: &'static str = "pert-pi";
     const SALT: u64 = 0x9121_77e5;
     const PUBLISHES: bool = false;
 
+    #[inline]
     fn sample(&mut self, qd: f64) {
         let err = qd - self.target_delay;
         self.p = (self.p + self.gamma * err - self.beta * self.prev_err).clamp(0.0, 1.0);
@@ -137,15 +161,8 @@ impl PertController<PiLaw> {
     /// as [`Attach::current`] says.
     pub fn pi_attached(params: PertPiParams, seed: u64, attach: Attach) -> Self {
         params.validate();
-        let law = PiLaw {
-            gamma: params.gamma,
-            beta: params.beta,
-            target_delay: params.target_delay,
-            p: 0.0,
-            prev_err: 0.0,
-        };
         Self::with_law(
-            law,
+            PiLaw::new(params.gamma, params.beta, params.target_delay),
             params.srtt_weight,
             params.decrease_factor,
             seed,

@@ -66,7 +66,8 @@ impl PertRemParams {
 }
 
 /// The §8 response law: REM's price, driven by the queuing-delay backlog
-/// and its change, marks with probability `1 − φ^(−price)`.
+/// and its change, marks with probability `1 − φ^(−price)`. The router's
+/// REM queue runs the same law on queue length.
 #[derive(Clone, Copy, Debug)]
 pub struct RemLaw {
     gamma: f64,
@@ -77,11 +78,36 @@ pub struct RemLaw {
     prev_qd: f64,
 }
 
+impl RemLaw {
+    /// A REM law on a signal in the caller's units (queuing delay in
+    /// seconds at the end host, queue length in packets at the router):
+    /// price step `gamma`, backlog weight `alpha_w`, marking base `phi`
+    /// and backlog target `target`. The price and the previous sample
+    /// start at zero.
+    pub fn new(gamma: f64, alpha_w: f64, phi: f64, target: f64) -> Self {
+        RemLaw {
+            gamma,
+            alpha_w,
+            phi,
+            target_delay: target,
+            price: 0.0,
+            prev_qd: 0.0,
+        }
+    }
+
+    /// The current price.
+    #[inline]
+    pub fn price(&self) -> f64 {
+        self.price
+    }
+}
+
 impl Law for RemLaw {
     const NAME: &'static str = "pert-rem";
     const SALT: u64 = 0x4e4d_7031;
     const PUBLISHES: bool = false;
 
+    #[inline]
     fn sample(&mut self, qd: f64) {
         let backlog = qd - self.target_delay;
         let mismatch = qd - self.prev_qd;
@@ -90,6 +116,7 @@ impl Law for RemLaw {
     }
 
     /// REM's exponential marking law `1 − φ^(−price)`.
+    #[inline]
     fn probability(&self, _qd: f64) -> f64 {
         1.0 - self.phi.powf(-self.price)
     }
@@ -109,14 +136,8 @@ impl PertController<RemLaw> {
     /// as [`Attach::current`] says.
     pub fn rem_attached(params: PertRemParams, seed: u64, attach: Attach) -> Self {
         params.validate();
-        let law = RemLaw {
-            gamma: params.gamma,
-            alpha_w: params.alpha_w,
-            phi: params.phi,
-            target_delay: params.target_delay,
-            price: 0.0,
-            prev_qd: 0.0,
-        };
+        let p = &params;
+        let law = RemLaw::new(p.gamma, p.alpha_w, p.phi, p.target_delay);
         Self::with_law(
             law,
             params.srtt_weight,
@@ -128,7 +149,7 @@ impl PertController<RemLaw> {
 
     /// The current price.
     pub fn price(&self) -> f64 {
-        self.law.price
+        self.law.price()
     }
 }
 

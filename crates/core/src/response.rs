@@ -15,7 +15,8 @@
 //! The paper uses fixed thresholds `T_min = 5 ms`, `T_max = 10 ms` above
 //! the propagation-delay estimate, and `p_max = 0.05`.
 
-/// The gentle-RED-shaped response curve on queuing delay.
+/// The gentle-RED-shaped response curve on queuing delay. The router's
+/// RED queue ramps on the same curve over its average queue length.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResponseCurve {
     /// Lower queuing-delay threshold in seconds (default 5 ms).
@@ -50,6 +51,7 @@ impl ResponseCurve {
 
     /// The response probability for a queuing-delay estimate `qd` seconds.
     /// Total (piecewise-linear, monotonically non-decreasing, continuous).
+    #[inline]
     pub fn probability(&self, qd: f64) -> f64 {
         if !qd.is_finite() || qd < self.t_min {
             0.0

@@ -442,8 +442,8 @@ pub fn fidelity_report(
                 let e_us = est.binary_search_by_key(&w, |e| e.1).ok().map(|i| est[i].2);
                 let err = e_us.map(|e| e as i64 - t_us as i64);
                 let regime = if let Some((code, _)) = resp.and_then(|m| m.get(&w)) {
-                    match code {
-                        1 => Regime::SlowStart,
+                    match *code {
+                        pert_core::pert::REGIME_SLOW_START => Regime::SlowStart,
                         _ => Regime::Avoid,
                     }
                 } else if e_us.is_none() {

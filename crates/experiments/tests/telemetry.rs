@@ -8,14 +8,19 @@
 //! test writes process state. The metrics registry, the derive state,
 //! the full trace and the audit counters are process-wide sinks, so the
 //! tests that read them take turns on `SINKS`.
+//!
+//! The CC zoo's two checks live here for that lock: per competitor axis
+//! an audited mixed-competition run is clean with its reference oracles
+//! live, and an attached one reports the CC derived block.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use experiments::common::Scale;
+use experiments::mix::CcAxis;
 use experiments::report::{reports_to_csv, reports_to_json, Report};
 use experiments::runner::{run_jobs, Job};
-use experiments::scenario::{lookup, run_target};
+use experiments::scenario::{lookup, lookup_with, run_target};
 use netsim::SimConfig;
 use pert_core::{telemetry, Attach};
 use sim_stats::MetricsSet;
@@ -640,4 +645,40 @@ fn mode_matrix_changes_only_what_each_mode_adds() {
         assert!(bytes[1] == want[1], "{cell}: attached JSON differs");
         assert_same_digest(cell, "trace", &out.trace, trace);
     }
+}
+
+/// Each competitor's window arithmetic is shadowed by its straight-line
+/// reference (`CubicReference` / `BbrReference`): per axis, audited mix6
+/// and mix12 at quick have no violation and ran the oracles in every
+/// report (a zero count means the cross-check fell off the hot path).
+#[test]
+fn cc_zoo_audits_clean_with_live_oracles_per_axis() {
+    let _g = sinks();
+    let config = SimConfig {
+        shards: 1,
+        attach: Attach {
+            telemetry: false,
+            audit: true,
+        },
+    };
+    for cc in [CcAxis::Cubic, CcAxis::Bbr] {
+        for target in ["mix6", "mix12"] {
+            let sc = lookup_with(target, cc).expect("known target");
+            let r = run_target(&*sc, Scale::Quick, sc.default_seed(), config, 2, false);
+            let a = r.audit.expect("an audited run counts its checks");
+            assert!(
+                a.violations == 0 && a.oracle_checks > 0,
+                "{target} --cc {cc:?}: {a:?}"
+            );
+        }
+    }
+}
+
+/// An attached mix12 reports the CC derived block (HyStart++ exits,
+/// CUBIC epochs, BBR rounds and filters).
+#[test]
+fn attached_mix12_reports_cc_derived_metrics() {
+    let _g = sinks();
+    let derived = run("mix12", ATTACHED, 2).derived.expect("attached");
+    assert!(derived.cc.is_some(), "mix12 has no CC derived block");
 }

@@ -5,9 +5,10 @@
 //!
 //! * arbitrary topologies of nodes and unidirectional **links** (capacity +
 //!   propagation delay), with static shortest-path routing;
-//! * pluggable **queue disciplines**: [`queue::DropTail`],
-//!   [`queue::RedQueue`] (gentle + Adaptive RED), [`queue::PiQueue`], all
-//!   with ECN marking support;
+//! * pluggable **queue disciplines**: one [`queue::Fifo`] run by an AQM
+//!   policy — [`queue::DropTail`], [`queue::RedQueue`] (gentle + Adaptive
+//!   RED), [`queue::PiQueue`], [`queue::RemQueue`], [`queue::AvqQueue`],
+//!   all with ECN marking support;
 //! * a transport-agnostic **agent** API ([`Agent`]/[`Ctx`]) on which the
 //!   `pert-tcp` crate builds TCP Reno/SACK, Vegas, PERT, and PERT/PI;
 //! * built-in **instrumentation**: time-weighted queue occupancy, per-link

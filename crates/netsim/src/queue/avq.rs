@@ -20,11 +20,8 @@
 //! if VQ + b > B̃ : mark/drop  else VQ ← VQ + b
 //! ```
 
-use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
-use pert_core::Attach;
-
-use crate::arena::{PacketArena, PacketRef};
-use crate::telemetry::{self, QueueTap, SeriesId};
+use super::{Fifo, Policy};
+use crate::telemetry::{self, SeriesId};
 use crate::time::SimTime;
 
 /// AVQ configuration.
@@ -60,7 +57,6 @@ impl AvqParams {
     }
 
     fn validate(&self) {
-        assert!(self.capacity_pkts > 0, "capacity must be positive");
         assert!(self.virtual_capacity_pkts > 0.0);
         assert!(self.link_pps > 0.0);
         assert!(
@@ -71,57 +67,69 @@ impl AvqParams {
     }
 }
 
-/// An AVQ queue.
+/// The AVQ policy.
 #[derive(Debug)]
-pub struct AvqQueue {
+pub struct Avq {
     params: AvqParams,
-    store: FifoStore,
-    stats: QueueStats,
     /// Virtual queue occupancy, packets (fractional).
     vq: f64,
     /// Virtual capacity C̃, packets/second.
     c_tilde: f64,
-    /// Time of the previous arrival.
+    /// Time of the previous arrival the real buffer had room for.
     last_arrival: SimTime,
-    tap: Option<QueueTap>,
 }
+
+/// An AVQ queue.
+pub type AvqQueue = Fifo<Avq>;
 
 impl AvqQueue {
     /// Create an AVQ queue; the virtual capacity starts at the real one.
     pub fn new(params: AvqParams) -> Self {
         params.validate();
-        let c = params.link_pps;
-        AvqQueue {
-            params,
-            store: FifoStore::default(),
-            stats: QueueStats::default(),
+        let avq = Avq {
             vq: 0.0,
-            c_tilde: c,
+            c_tilde: params.link_pps,
             last_arrival: SimTime::ZERO,
-            tap: None,
-        }
+            params,
+        };
+        Fifo::with_policy(avq.params.capacity_pkts, avq.params.ecn, avq)
     }
 
     /// Current virtual capacity C̃, packets/second.
     pub fn virtual_capacity(&self) -> f64 {
-        self.c_tilde
+        self.policy.c_tilde
     }
 
     /// Current virtual queue occupancy, packets.
     pub fn virtual_queue(&self) -> f64 {
-        self.vq
+        self.policy.vq
     }
 }
 
-impl QueueDiscipline for AvqQueue {
-    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.stats.advance(now, self.store.len());
-        if self.store.len() >= self.params.capacity_pkts {
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
+impl Policy for Avq {
+    /// AVQ marks deterministically on virtual overflow; its reference
+    /// probability is the 0/1 congestion indicator, here on the virtual
+    /// queue as the previous update left it: the update itself runs in
+    /// [`Policy::signal`], only for arrivals the real buffer has room for.
+    #[inline]
+    fn arrive(&mut self, _now: SimTime, _len: usize, _capacity: usize) -> f64 {
+        if self.vq + 1.0 > self.params.virtual_capacity_pkts {
+            1.0
+        } else {
+            0.0
         }
+    }
 
-        // Event-driven AVQ update at this arrival.
+    fn sampled(&self, key: u64, t: f64) {
+        telemetry::record_id(SeriesId::AVQ_VQ, key, t, self.vq);
+        telemetry::record_id(SeriesId::AVQ_C_TILDE, key, t, self.c_tilde);
+    }
+
+    /// The event-driven AVQ update at this arrival, then the virtual
+    /// overflow test: a congested arrival leaves the virtual queue as it
+    /// is, any other joins it.
+    #[inline]
+    fn signal(&mut self, now: SimTime, _p: f64) -> bool {
         let dt = now.duration_since(self.last_arrival).as_secs_f64();
         self.last_arrival = now;
         let b = 1.0; // one packet
@@ -129,83 +137,24 @@ impl QueueDiscipline for AvqQueue {
         self.c_tilde = (self.c_tilde
             + self.params.alpha * (self.params.gamma * self.params.link_pps * dt - b))
             .clamp(0.0, self.params.link_pps);
-        if let Some(tap) = &mut self.tap {
-            let vq = self.vq;
-            let c_tilde = self.c_tilde;
-            let (len, bytes) = (self.store.len(), self.store.bytes());
-            // AVQ marks deterministically on virtual overflow; its
-            // reference probability is the 0/1 congestion indicator.
-            let p = if vq + 1.0 > self.params.virtual_capacity_pkts {
-                1.0
-            } else {
-                0.0
-            };
-            if tap.on_enqueue(now, len, bytes, p) {
-                let t = now.as_secs_f64();
-                telemetry::record_id(SeriesId::AVQ_VQ, tap.key(), t, vq);
-                telemetry::record_id(SeriesId::AVQ_C_TILDE, tap.key(), t, c_tilde);
-            }
-        }
-
         let congested = self.vq + b > self.params.virtual_capacity_pkts;
-        if congested {
-            // Virtual overflow: signal congestion (virtual queue unchanged).
-            if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena.mark_ce(pkt);
-                self.store.push(pkt, arena);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                return EnqueueOutcome::Marked;
-            }
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Early);
+        if !congested {
+            self.vq += b;
         }
-        self.vq += b;
-        self.store.push(pkt, arena);
-        self.stats.enqueued += 1;
-        EnqueueOutcome::Enqueued
-    }
-
-    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
-        self.stats.advance(now, self.store.len());
-        let pkt = self.store.pop(arena)?;
-        self.stats.dequeued += 1;
-        Some(pkt)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.store.bytes()
-    }
-
-    fn capacity_pkts(&self) -> usize {
-        self.params.capacity_pkts
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
+        congested
     }
 
     fn name(&self) -> &'static str {
         "AVQ"
-    }
-
-    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::test_packet;
+    use super::super::{EnqueueOutcome, QueueDiscipline};
     use super::*;
+    use crate::arena::PacketArena;
     use crate::packet::Ecn;
     use crate::time::SimDuration;
 

@@ -2,21 +2,15 @@
 //! SACK/DropTail baseline and under the PERT and Vegas experiments (both of
 //! which assume unmodified routers).
 
-use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
-use pert_core::Attach;
-
-use crate::arena::{PacketArena, PacketRef};
-use crate::telemetry::QueueTap;
+use super::{Fifo, Policy};
 use crate::time::SimTime;
 
-/// First-in first-out queue that drops arrivals when full.
+/// The tail-drop policy: never signals, so only overflow drops.
 #[derive(Debug)]
-pub struct DropTail {
-    store: FifoStore,
-    capacity_pkts: usize,
-    stats: QueueStats,
-    tap: Option<QueueTap>,
-}
+pub struct TailDrop;
+
+/// First-in first-out queue that drops arrivals when full.
+pub type DropTail = Fifo<TailDrop>;
 
 impl DropTail {
     /// Create a tail-drop FIFO holding at most `capacity_pkts` packets.
@@ -24,75 +18,38 @@ impl DropTail {
     /// # Panics
     /// Panics if `capacity_pkts` is zero.
     pub fn new(capacity_pkts: usize) -> Self {
-        assert!(capacity_pkts > 0, "queue capacity must be positive");
-        DropTail {
-            store: FifoStore::default(),
-            capacity_pkts,
-            stats: QueueStats::default(),
-            tap: None,
-        }
+        Fifo::with_policy(capacity_pkts, false, TailDrop)
     }
 }
 
-impl QueueDiscipline for DropTail {
-    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.stats.advance(now, self.store.len());
-        if let Some(tap) = &mut self.tap {
-            let (len, bytes) = (self.store.len(), self.store.bytes());
-            // A FIFO's "drop probability" is the overflow indicator: the
-            // reference AQM curve for tail drop is a step at capacity.
-            let p = if len >= self.capacity_pkts { 1.0 } else { 0.0 };
-            tap.on_enqueue(now, len, bytes, p);
+impl Policy for TailDrop {
+    /// A FIFO's "drop probability" is the overflow indicator: the
+    /// reference AQM curve for tail drop is a step at capacity.
+    #[inline]
+    fn arrive(&mut self, _now: SimTime, len: usize, capacity: usize) -> f64 {
+        if len >= capacity {
+            1.0
+        } else {
+            0.0
         }
-        if self.store.len() >= self.capacity_pkts {
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
-        }
-        self.store.push(pkt, arena);
-        self.stats.enqueued += 1;
-        EnqueueOutcome::Enqueued
     }
 
-    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
-        self.stats.advance(now, self.store.len());
-        let pkt = self.store.pop(arena)?;
-        self.stats.dequeued += 1;
-        Some(pkt)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.store.bytes()
-    }
-
-    fn capacity_pkts(&self) -> usize {
-        self.capacity_pkts
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
+    #[inline]
+    fn signal(&mut self, _now: SimTime, _p: f64) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
         "DropTail"
-    }
-
-    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
-        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::test_packet;
+    use super::super::{DropReason, EnqueueOutcome, QueueDiscipline};
     use super::*;
+    use crate::arena::PacketArena;
     use crate::packet::Ecn;
 
     #[test]

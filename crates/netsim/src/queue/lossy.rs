@@ -59,11 +59,6 @@ impl RandomLoss {
             corrupted: 0,
         }
     }
-
-    /// The wrapped discipline.
-    pub fn inner(&self) -> &dyn QueueDiscipline {
-        self.inner.as_ref()
-    }
 }
 
 impl QueueDiscipline for RandomLoss {

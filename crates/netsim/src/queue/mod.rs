@@ -5,7 +5,12 @@
 //! or drop them; the link pulls packets for transmission with
 //! [`QueueDiscipline::dequeue`].
 //!
-//! Implementations:
+//! The five router disciplines are each one [`Fifo`], which owns the packet
+//! store, the [`QueueStats`], the telemetry tap and the shared arrival tail
+//! (overflow drop, then ECN mark or early drop, then push), run by a
+//! [`Policy`] that supplies only what differs. The PI and REM policies run
+//! `pert_core`'s end-host `PiLaw` and `RemLaw` on queue length, and RED's
+//! ramp is its `ResponseCurve`:
 //! * [`DropTail`] — plain FIFO with tail drop (the paper's baseline),
 //! * [`RedQueue`] — Random Early Detection with optional *gentle* slope and
 //!   the Adaptive-RED auto-tuning the paper uses for its RED/ECN routers,
@@ -13,9 +18,10 @@
 //!   PERT/PI emulates from the end host,
 //! * [`RemQueue`] — Random Exponential Marking (Athuraliya & Low), the
 //!   reference point for the PERT/REM generalization,
-//! * [`AvqQueue`] — the Adaptive Virtual Queue of Kunniyur & Srikant,
-//! * [`RandomLoss`] — a Bernoulli-corruption wrapper for robustness
-//!   experiments (non-congestion loss).
+//! * [`AvqQueue`] — the Adaptive Virtual Queue of Kunniyur & Srikant.
+//!
+//! [`RandomLoss`] wraps any discipline with Bernoulli corruption for the
+//! robustness experiments (non-congestion loss).
 
 mod avq;
 mod droptail;
@@ -24,16 +30,19 @@ mod pi;
 mod red;
 mod rem;
 
-pub use avq::{AvqParams, AvqQueue};
-pub use droptail::DropTail;
+pub use avq::{Avq, AvqParams, AvqQueue};
+pub use droptail::{DropTail, TailDrop};
 pub use lossy::RandomLoss;
-pub use pi::{PiParams, PiQueue};
-pub use red::{AdaptiveRedParams, RedParams, RedQueue};
-pub use rem::{RemParams, RemQueue};
+pub use pi::{Pi, PiParams, PiQueue};
+pub use red::{AdaptiveRedParams, Red, RedParams, RedQueue};
+pub use rem::{Rem, RemParams, RemQueue};
+
+use std::collections::VecDeque;
 
 use pert_core::Attach;
 
 use crate::arena::{PacketArena, PacketRef};
+use crate::telemetry::QueueTap;
 use crate::time::{SimDuration, SimTime};
 
 /// Why a queue dropped a packet.
@@ -84,6 +93,7 @@ pub struct QueueStats {
 impl QueueStats {
     /// Fold the elapsed interval at occupancy `len` into the time integral.
     /// Call *before* every occupancy change and once at measurement end.
+    #[inline]
     pub fn advance(&mut self, now: SimTime, len: usize) {
         let dt = now.duration_since(self.last_change).as_nanos();
         self.integral_pkt_ns += dt as u128 * len as u128;
@@ -118,21 +128,20 @@ impl QueueStats {
 
     /// Fraction of offered packets that were dropped.
     pub fn drop_rate(&self) -> f64 {
-        let offered = self.enqueued + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
+        self.share_of_offered(self.dropped)
     }
 
     /// Fraction of offered packets that were ECN-marked.
     pub fn mark_rate(&self) -> f64 {
+        self.share_of_offered(self.marked)
+    }
+
+    fn share_of_offered(&self, n: u64) -> f64 {
         let offered = self.enqueued + self.dropped;
         if offered == 0 {
             0.0
         } else {
-            self.marked as f64 / offered as f64
+            n as f64 / offered as f64
         }
     }
 }
@@ -194,32 +203,165 @@ pub trait QueueDiscipline: Send {
     fn attach(&mut self, _attach: Attach, _key: u64, _capacity_bps: u64) {}
 }
 
-/// Shared plain-FIFO storage used by the concrete disciplines. Holds
-/// arena refs; byte accounting reads sizes from the arena's packet heads.
-#[derive(Debug, Default)]
-pub(crate) struct FifoStore {
-    buf: std::collections::VecDeque<PacketRef>,
-    bytes: u64,
-}
+/// What one AQM adds to the shared [`Fifo`]: its state update per
+/// arrival, its signal decision and its periodic work. The FIFO calls the
+/// hooks in one fixed order per arrival: `arrive` (and `sampled` if the
+/// tap published), then, unless the buffer is full, `signal`, then
+/// `leave` after an early drop.
+///
+/// The per-packet hooks and what they call are `#[inline]`: `Fifo<P>` is
+/// compiled in the crate that builds the queue, so without the hint each
+/// hook is an out-of-line call across crates on every packet.
+pub trait Policy: Send {
+    /// Fold an arrival that finds `len` packets buffered (of at most
+    /// `capacity`: a full buffer drops it) into the policy's state, and
+    /// return the drop/mark
+    /// probability on that state: the tap's `truth/prob`, and the `p`
+    /// that [`Policy::signal`] is handed.
+    fn arrive(&mut self, now: SimTime, len: usize, capacity: usize) -> f64;
 
-impl FifoStore {
-    pub(crate) fn push(&mut self, pkt: PacketRef, arena: &PacketArena) {
-        self.bytes += u64::from(arena.size_bytes(pkt));
-        self.buf.push_back(pkt);
+    /// Publish the policy's own series at `t` beside a tap sample on the
+    /// link `key`.
+    fn sampled(&self, _key: u64, _t: f64) {}
+
+    /// Whether to signal congestion (mark, or drop if the packet is not
+    /// ECN-capable) to an arrival the buffer has room for; `p` is what
+    /// [`Policy::arrive`] returned.
+    fn signal(&mut self, now: SimTime, p: f64) -> bool;
+
+    /// A packet left at `now`, by dequeue or early drop, and `len`
+    /// packets remain.
+    fn leave(&mut self, _now: SimTime, _len: usize) {}
+
+    /// The periodic update at `now` with `len` packets buffered; `tap` is
+    /// the link key when telemetry is attached.
+    fn tick(&mut self, _now: SimTime, _len: usize, _tap: Option<u64>) {}
+
+    /// See [`QueueDiscipline::tick_interval`].
+    fn tick_interval(&self) -> Option<SimDuration> {
+        None
     }
 
-    pub(crate) fn pop(&mut self, arena: &PacketArena) -> Option<PacketRef> {
+    /// See [`QueueDiscipline::name`].
+    fn name(&self) -> &'static str;
+
+    /// Hold the differential oracle when `audit` is on.
+    fn attach(&mut self, _audit: bool) {}
+}
+
+/// A first-in first-out buffer of at most `capacity` packets run by an
+/// AQM [`Policy`]. It alone holds a packet store, the [`QueueStats`] and
+/// the telemetry tap.
+#[derive(Debug)]
+pub struct Fifo<P> {
+    buf: VecDeque<PacketRef>,
+    bytes: u64,
+    capacity: usize,
+    /// Mark ECN-capable packets instead of dropping them.
+    ecn: bool,
+    stats: QueueStats,
+    tap: Option<QueueTap>,
+    policy: P,
+}
+
+impl<P: Policy> Fifo<P> {
+    /// A FIFO of `capacity` packets, which must be positive, run by
+    /// `policy`.
+    pub(crate) fn with_policy(capacity: usize, ecn: bool, policy: P) -> Self {
+        assert!(capacity > 0, "queue capacity must be positive");
+        Fifo {
+            buf: VecDeque::new(),
+            bytes: 0,
+            capacity,
+            ecn,
+            stats: QueueStats::default(),
+            tap: None,
+            policy,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, pkt: PacketRef, arena: &PacketArena) {
+        self.bytes += u64::from(arena.size_bytes(pkt));
+        self.buf.push_back(pkt);
+        self.stats.enqueued += 1;
+    }
+}
+
+impl<P: Policy> QueueDiscipline for Fifo<P> {
+    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
+        let len = self.buf.len();
+        self.stats.advance(now, len);
+        let p = self.policy.arrive(now, len, self.capacity);
+        if let Some(tap) = &mut self.tap {
+            if tap.on_enqueue(now, len, self.bytes, p) {
+                self.policy.sampled(tap.key(), now.as_secs_f64());
+            }
+        }
+        if len >= self.capacity {
+            self.stats.dropped += 1;
+            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
+        }
+        if !self.policy.signal(now, p) {
+            self.push(pkt, arena);
+            return EnqueueOutcome::Enqueued;
+        }
+        if self.ecn && arena[pkt].ecn.is_capable() {
+            arena.mark_ce(pkt);
+            self.push(pkt, arena);
+            self.stats.marked += 1;
+            return EnqueueOutcome::Marked;
+        }
+        self.stats.dropped += 1;
+        self.policy.leave(now, len);
+        EnqueueOutcome::Dropped(pkt, DropReason::Early)
+    }
+
+    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
+        self.stats.advance(now, self.buf.len());
         let pkt = self.buf.pop_front()?;
         self.bytes -= u64::from(arena.size_bytes(pkt));
+        self.stats.dequeued += 1;
+        self.policy.leave(now, self.buf.len());
         Some(pkt)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.buf.len()
     }
 
-    pub(crate) fn bytes(&self) -> u64 {
+    fn len_bytes(&self) -> u64 {
         self.bytes
+    }
+
+    fn capacity_pkts(&self) -> usize {
+        self.capacity
+    }
+
+    fn stats(&self) -> &QueueStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut QueueStats {
+        &mut self.stats
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        let key = self.tap.as_ref().map(QueueTap::key);
+        self.policy.tick(now, self.buf.len(), key);
+    }
+
+    fn tick_interval(&self) -> Option<SimDuration> {
+        self.policy.tick_interval()
+    }
+
+    fn name(&self) -> &'static str {
+        self.policy.name()
+    }
+
+    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+        self.policy.attach(attach.audit);
+        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
@@ -296,15 +438,14 @@ mod tests {
     #[test]
     fn fifo_store_tracks_bytes() {
         let mut arena = PacketArena::new();
-        let mut f = FifoStore::default();
+        let mut q = DropTail::new(4);
         let a = arena.alloc(test_packet(100, Ecn::NotCapable));
         let b = arena.alloc(test_packet(250, Ecn::NotCapable));
-        f.push(a, &arena);
-        f.push(b, &arena);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.bytes(), 350);
-        let first = f.pop(&arena).unwrap();
+        q.enqueue(a, &mut arena, SimTime::ZERO);
+        q.enqueue(b, &mut arena, SimTime::ZERO);
+        assert_eq!((q.len(), q.len_bytes()), (2, 350));
+        let first = q.dequeue(&mut arena, SimTime::ZERO).unwrap();
         assert_eq!(arena[first].size_bytes, 100);
-        assert_eq!(f.bytes(), 250);
+        assert_eq!(q.len_bytes(), 250);
     }
 }

@@ -15,17 +15,19 @@
 //! eq. (19) of the PERT paper swaps the `β`/`γ` symbols relative to its own
 //! definitions below eq. (18); we implement the standard (stable) PI form
 //! where the larger coefficient multiplies the *current* error.
+//!
+//! The update is PERT/PI's [`PiLaw`] run on queue length instead of
+//! queuing delay.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::PiReference;
-use pert_core::Attach;
+use pert_core::{Law, PiLaw};
 
-use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
-use crate::arena::{PacketArena, PacketRef};
+use super::{Fifo, Policy};
 use crate::audit;
-use crate::telemetry::{self, QueueTap, SeriesId};
+use crate::telemetry::{self, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// PI controller configuration.
@@ -52,15 +54,7 @@ impl PiParams {
     /// given the link capacity `c_pps` (packets/second), a lower bound
     /// `n_min` on the number of flows and an upper bound `r_max` (seconds)
     /// on the RTT, place the zero at `m = 2·n_min / (r_max² · c_pps)` and
-    /// choose the gain so the loop crosses over at
-    /// `w_g = 0.1·min(m, 1/r_max)`:
-    ///
-    /// ```text
-    /// K = w_g · |j·w_g/m + 1|⁻¹ · (2 n_min)² / (r_max³ · c_pps³) ⁻¹ ...
-    /// ```
-    ///
-    /// concretely `K = m·sqrt((r_max·m)²+1) / (r_max³·c_pps³/(2 n_min)²)`
-    /// matching [16, Proposition 2] (the `C³` form: queue *length* input).
+    /// take the gain `K = m·sqrt((r_max·m)² + 1)·(2 n_min)² / (r_max·c_pps²)`.
     /// The sampling rate is `sample_hz` (Hollot et al. use 160–170 Hz).
     #[allow(clippy::too_many_arguments)]
     pub fn design(
@@ -75,12 +69,6 @@ impl PiParams {
     ) -> Self {
         assert!(c_pps > 0.0 && n_min > 0.0 && r_max > 0.0 && sample_hz > 0.0);
         let m = 2.0 * n_min / (r_max * r_max * c_pps);
-        let plant_gain = (r_max * c_pps).powi(3) / (2.0 * n_min).powi(2) / c_pps / r_max; // = R⁺³C³/(2N⁻)² · 1/(C R⁺)… simplified below
-                                                                                          // Plant magnitude at low frequency is (R⁺ C)³ / (2N⁻)² · 1/(R⁺²C²)?
-                                                                                          // We use the standard result: |P(jw)| ≈ (R⁺C)³/(2N⁻)² / R⁺ for the
-                                                                                          // queue-length loop; the exact constant only scales convergence
-                                                                                          // speed, not stability, so we take the conservative form:
-        let _ = plant_gain;
         let loop_gain = (r_max * c_pps).powi(3) / (2.0 * n_min).powi(2) / (c_pps * r_max * r_max);
         let k = m * ((r_max * m).powi(2) + 1.0).sqrt() / loop_gain;
         let t = 1.0 / sample_hz;
@@ -112,7 +100,6 @@ impl PiParams {
     }
 
     fn validate(&self) {
-        assert!(self.capacity_pkts > 0, "capacity must be positive");
         assert!(self.q_ref >= 0.0, "q_ref must be non-negative");
         assert!(
             self.a > 0.0 && self.b > 0.0,
@@ -126,121 +113,70 @@ impl PiParams {
     }
 }
 
-/// A PI-controlled queue.
+/// The PI policy.
 #[derive(Debug)]
-pub struct PiQueue {
+pub struct Pi {
     params: PiParams,
-    store: FifoStore,
-    stats: QueueStats,
     rng: SmallRng,
-    /// Current marking probability, updated every sampling tick.
-    p: f64,
-    /// Queue length at the previous sampling instant.
-    q_old: f64,
+    /// The probability update, sampled every tick.
+    law: PiLaw,
     /// Differential oracle: straight-line transcription of Hollot et al.'s
     /// update equation, compared after every sampling tick.
     oracle: Option<PiReference>,
-    tap: Option<QueueTap>,
 }
+
+/// A PI-controlled queue.
+pub type PiQueue = Fifo<Pi>;
 
 impl PiQueue {
     /// Create a PI queue.
     pub fn new(params: PiParams) -> Self {
         params.validate();
-        let seed = params.seed;
-        let q_ref = params.q_ref;
-        PiQueue {
-            params,
-            store: FifoStore::default(),
-            stats: QueueStats::default(),
-            rng: SmallRng::seed_from_u64(seed ^ 0x9e3779b9),
-            p: 0.0,
-            q_old: q_ref, // start with zero error history
+        let pi = Pi {
+            rng: SmallRng::seed_from_u64(params.seed ^ 0x9e3779b9),
+            law: PiLaw::new(params.a, params.b, params.q_ref),
             oracle: None,
-            tap: None,
-        }
+            params,
+        };
+        Fifo::with_policy(pi.params.capacity_pkts, pi.params.ecn, pi)
     }
 
     /// Current marking probability.
     pub fn probability(&self) -> f64 {
-        self.p
+        self.policy.law.p()
     }
 }
 
-impl QueueDiscipline for PiQueue {
-    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.stats.advance(now, self.store.len());
-        if let Some(tap) = &mut self.tap {
-            let (len, bytes, p) = (self.store.len(), self.store.bytes(), self.p);
-            tap.on_enqueue(now, len, bytes, p);
-        }
-        if self.store.len() >= self.params.capacity_pkts {
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
-        }
-        if self.p > 0.0 && self.rng.gen::<f64>() < self.p {
-            if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena.mark_ce(pkt);
-                self.store.push(pkt, arena);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                return EnqueueOutcome::Marked;
-            }
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Early);
-        }
-        self.store.push(pkt, arena);
-        self.stats.enqueued += 1;
-        EnqueueOutcome::Enqueued
+impl Policy for Pi {
+    #[inline]
+    fn arrive(&mut self, _now: SimTime, _len: usize, _capacity: usize) -> f64 {
+        self.law.p()
     }
 
-    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
-        self.stats.advance(now, self.store.len());
-        let pkt = self.store.pop(arena)?;
-        self.stats.dequeued += 1;
-        Some(pkt)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.store.bytes()
-    }
-
-    fn capacity_pkts(&self) -> usize {
-        self.params.capacity_pkts
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
+    #[inline]
+    fn signal(&mut self, _now: SimTime, p: f64) -> bool {
+        p > 0.0 && self.rng.gen::<f64>() < p
     }
 
     /// The fixed-rate probability update.
-    fn on_tick(&mut self, _now: SimTime) {
-        let q = self.store.len() as f64;
-        let err_now = q - self.params.q_ref;
-        let err_old = self.q_old - self.params.q_ref;
-        self.p = (self.p + self.params.a * err_now - self.params.b * err_old).clamp(0.0, 1.0);
-        self.q_old = q;
-        if let Some(tap) = &self.tap {
-            telemetry::record_id(SeriesId::PI_P, tap.key(), _now.as_secs_f64(), self.p);
+    #[inline]
+    fn tick(&mut self, now: SimTime, len: usize, tap: Option<u64>) {
+        let q = len as f64;
+        self.law.sample(q);
+        let p = self.law.p();
+        if let Some(key) = tap {
+            telemetry::record_id(SeriesId::PI_P, key, now.as_secs_f64(), p);
         }
         if let Some(oracle) = &mut self.oracle {
             let ref_p = oracle.tick(q);
             audit::count_oracle_checks(1);
-            if !audit::close(ref_p, self.p) {
+            if !audit::close(ref_p, p) {
                 audit::violation(
                     "pi",
                     format_args!(
-                        "PI diverged from the Hollot et al. reference at t={_now:?} \
-                         (seed {}): p={} ref={}, q={q}, q_old={}",
-                        self.params.seed, self.p, ref_p, self.q_old,
+                        "PI diverged from the Hollot et al. reference at t={now:?} \
+                         (seed {}): p={p} ref={ref_p}, q={q}",
+                        self.params.seed,
                     ),
                 );
             }
@@ -255,17 +191,18 @@ impl QueueDiscipline for PiQueue {
         "PI"
     }
 
-    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+    fn attach(&mut self, audit: bool) {
         let p = &self.params;
-        self.oracle = attach.audit.then(|| PiReference::new(p.a, p.b, p.q_ref));
-        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
+        self.oracle = audit.then(|| PiReference::new(p.a, p.b, p.q_ref));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{audited, test_packet};
+    use super::super::{DropReason, EnqueueOutcome, QueueDiscipline};
     use super::*;
+    use crate::arena::PacketArena;
     use crate::packet::Ecn;
 
     fn mk(q_ref: f64) -> PiQueue {
@@ -373,6 +310,17 @@ mod tests {
             q.on_tick(SimTime::ZERO);
         }
         assert!((0.0..=1.0).contains(&q.probability()));
+    }
+
+    /// The design rule's output, bit for bit.
+    #[test]
+    fn design_output_is_pinned() {
+        let p = PiParams::design(500, 50.0, 1250.0, 5.0, 0.2, 170.0, true, 1);
+        assert_eq!(
+            (p.a.to_bits(), p.b.to_bits()),
+            (4_554_546_777_331_882_550, 4_554_539_827_121_785_334)
+        );
+        assert_eq!(p.sample_interval, SimDuration::from_secs_f64(1.0 / 170.0));
     }
 
     #[test]

@@ -14,19 +14,22 @@
 //!    `p_b = max_p + (1 − max_p)(avg − max_th)/max_th`;
 //!    beyond the region (`avg ≥ 2·max_th`, or `≥ max_th` when not gentle):
 //!    force a drop,
-//! 3. ECN-capable packets are marked instead of dropped in the
-//!    probabilistic region; forced drops always drop.
+//! 3. ECN-capable packets are marked instead of dropped, in the forced
+//!    region as well as in the probabilistic one (ns-2 drops every forced
+//!    packet; this code marks an ECN-capable one).
+//!
+//! The ramp of step 2 is PERT's [`ResponseCurve`] over `avg` instead of
+//! queuing delay; RED adds only the forced region beyond it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::RedReference;
-use pert_core::Attach;
+use pert_core::ResponseCurve;
 
-use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
-use crate::arena::{PacketArena, PacketRef};
+use super::{Fifo, Policy};
 use crate::audit;
-use crate::telemetry::{self, QueueTap, SeriesId};
+use crate::telemetry::{self, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// Static RED configuration.
@@ -77,7 +80,6 @@ impl RedParams {
     }
 
     fn validate(&self) {
-        assert!(self.capacity_pkts > 0, "capacity must be positive");
         assert!(
             self.min_th > 0.0 && self.max_th > self.min_th,
             "need 0 < min_th < max_th"
@@ -117,13 +119,11 @@ impl Default for AdaptiveRedParams {
     }
 }
 
-/// A RED (optionally Adaptive-RED) queue.
+/// The RED (optionally Adaptive-RED) policy.
 #[derive(Debug)]
-pub struct RedQueue {
+pub struct Red {
     params: RedParams,
     adaptive: Option<AdaptiveRedParams>,
-    store: FifoStore,
-    stats: QueueStats,
     rng: SmallRng,
     /// EWMA of the queue length in packets.
     avg: f64,
@@ -132,122 +132,107 @@ pub struct RedQueue {
     count: i64,
     /// Start of the current idle period, if the queue is empty.
     idle_since: Option<SimTime>,
-    /// Current max_p (mutated by the adaptive add-on).
-    max_p: f64,
+    /// The ramp over `avg`; its `p_max` is the current `max_p`, which the
+    /// adaptive add-on moves.
+    curve: ResponseCurve,
+    /// `p_b` at the current arrival: `None` in the forced region.
+    p_b: Option<f64>,
     /// Differential oracle: straight-line transcription of the paper's
     /// average and probability equations, compared after every arrival.
     oracle: Option<RedReference>,
-    tap: Option<QueueTap>,
 }
+
+/// A RED (optionally Adaptive-RED) queue.
+pub type RedQueue = Fifo<Red>;
 
 impl RedQueue {
     /// Create a RED queue with fixed parameters.
     pub fn new(params: RedParams) -> Self {
         params.validate();
-        let max_p = params.max_p;
-        let seed = params.seed;
-        RedQueue {
-            params,
+        let red = Red {
             adaptive: None,
-            store: FifoStore::default(),
-            stats: QueueStats::default(),
-            rng: SmallRng::seed_from_u64(seed ^ 0x5ca1ab1e),
+            rng: SmallRng::seed_from_u64(params.seed ^ 0x5ca1ab1e),
             avg: 0.0,
             count: -1,
             idle_since: Some(SimTime::ZERO),
-            max_p,
+            curve: ResponseCurve {
+                t_min: params.min_th,
+                t_max: params.max_th,
+                p_max: params.max_p,
+            },
+            p_b: None,
             oracle: None,
-            tap: None,
-        }
+            params,
+        };
+        Fifo::with_policy(red.params.capacity_pkts, red.params.ecn, red)
     }
 
     /// Create an Adaptive-RED queue (what the paper runs at RED routers).
     pub fn adaptive(params: RedParams, adaptive: AdaptiveRedParams) -> Self {
         let mut q = RedQueue::new(params);
-        q.adaptive = Some(adaptive);
+        q.policy.adaptive = Some(adaptive);
         q
     }
 
     /// Current EWMA average queue length in packets.
     pub fn avg_queue(&self) -> f64 {
-        self.avg
+        self.policy.avg
     }
 
     /// Current `max_p` (differs from the configured value once the
     /// adaptive machinery has run).
     pub fn current_max_p(&self) -> f64 {
-        self.max_p
+        self.policy.curve.p_max
     }
+}
 
-    /// Update the EWMA. If the queue has been idle, decay the average as if
-    /// `m` small packets had drained during the idle time (ns-2 idle
-    /// compensation), where `m = idle_time / mean_pkt_time`.
-    fn update_avg(&mut self, now: SimTime) {
+impl Red {
+    /// Update the EWMA at an arrival that finds `len` packets. If the
+    /// queue has been idle, decay the average as if `m` small packets had
+    /// drained during the idle time (ns-2 idle compensation), where
+    /// `m = idle_time / mean_pkt_time`.
+    #[inline]
+    fn update_avg(&mut self, now: SimTime, len: usize) {
         if let Some(idle_start) = self.idle_since.take() {
             let idle = now.duration_since(idle_start).as_secs_f64();
             let mean = self.params.mean_pkt_time.as_secs_f64().max(1e-12);
             let m = idle / mean;
             self.avg *= (1.0 - self.params.w_q).powf(m);
         }
-        self.avg += self.params.w_q * (self.store.len() as f64 - self.avg);
+        self.avg += self.params.w_q * (len as f64 - self.avg);
     }
 
-    /// The base marking probability `p_b` for the current average.
-    /// Returns `None` when the average lies beyond the probabilistic region
-    /// (forced drop) and `Some(0.0)` below `min_th`.
+    /// The base marking probability `p_b` for the current average: the
+    /// ramp, or `None` beyond it (`avg ≥ 2·max_th` gentle, `≥ max_th`
+    /// sharp), where the drop is forced.
+    #[inline]
     fn base_probability(&self) -> Option<f64> {
-        let RedParams {
-            min_th,
-            max_th,
-            gentle,
-            ..
-        } = self.params;
-        if self.avg < min_th {
-            Some(0.0)
-        } else if self.avg < max_th {
-            Some(self.max_p * (self.avg - min_th) / (max_th - min_th))
-        } else if gentle && self.avg < 2.0 * max_th {
-            Some(self.max_p + (1.0 - self.max_p) * (self.avg - max_th) / max_th)
-        } else {
-            None
-        }
+        let c = &self.curve;
+        let limit = c.t_max * if self.params.gentle { 2.0 } else { 1.0 };
+        (self.avg < limit).then(|| c.probability(self.avg))
     }
 
-    /// Compare the just-updated average and the marking-probability curve
-    /// against the straight-line paper transcription. Called after
-    /// `update_avg` on every arrival.
-    fn check_oracle(&mut self, now: SimTime) {
+    /// Compare the just-updated average and `p_b` against the
+    /// straight-line paper transcription.
+    #[inline]
+    fn check_oracle(&mut self, now: SimTime, len: usize) {
         let Some(oracle) = &mut self.oracle else {
             return;
         };
-        let ref_avg = oracle.on_arrival(now.as_nanos(), self.store.len());
-        let ref_p = oracle.marking_probability(self.max_p);
-        let opt_p = self.base_probability();
+        let ref_avg = oracle.on_arrival(now.as_nanos(), len);
+        let ref_p = oracle.marking_probability(self.curve.p_max);
         audit::count_oracle_checks(1);
-        if !audit::close(ref_avg, self.avg) || !audit::close_opt(ref_p, opt_p) {
+        if !audit::close(ref_avg, self.avg) || !audit::close_opt(ref_p, self.p_b) {
             audit::violation(
                 "red",
                 format_args!(
                     "RED diverged from the Floyd–Jacobson reference at t={now:?} \
-                     (seed {}): avg={} ref={}, p_b={:?} ref={:?}, q={}, count={}, max_p={}",
-                    self.params.seed,
-                    self.avg,
-                    ref_avg,
-                    opt_p,
-                    ref_p,
-                    self.store.len(),
-                    self.count,
-                    self.max_p,
+                     (seed {}): avg={} ref={ref_avg}, p_b={:?} ref={ref_p:?}, q={len}, \
+                     count={}, max_p={}",
+                    self.params.seed, self.avg, self.p_b, self.count, self.curve.p_max,
                 ),
             );
         }
-    }
-
-    /// Detach the differential oracle, for tests that poke internal state
-    /// (`avg`) the oracle could not have observed through the public API.
-    #[cfg(test)]
-    fn detach_oracle(&mut self) {
-        self.oracle = None;
     }
 
     fn adapt(&mut self) {
@@ -255,39 +240,39 @@ impl RedQueue {
         let delta = self.params.max_th - self.params.min_th;
         let target_lo = self.params.min_th + 0.4 * delta;
         let target_hi = self.params.min_th + 0.6 * delta;
-        if self.avg > target_hi && self.max_p < a.max_p_bounds.1 {
-            let inc = a.alpha.min(self.max_p / 4.0);
-            self.max_p = (self.max_p + inc).min(a.max_p_bounds.1);
-        } else if self.avg < target_lo && self.max_p > a.max_p_bounds.0 {
-            self.max_p = (self.max_p * a.beta).max(a.max_p_bounds.0);
+        let max_p = &mut self.curve.p_max;
+        if self.avg > target_hi && *max_p < a.max_p_bounds.1 {
+            let inc = a.alpha.min(*max_p / 4.0);
+            *max_p = (*max_p + inc).min(a.max_p_bounds.1);
+        } else if self.avg < target_lo && *max_p > a.max_p_bounds.0 {
+            *max_p = (*max_p * a.beta).max(a.max_p_bounds.0);
         }
     }
 }
 
-impl QueueDiscipline for RedQueue {
-    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.stats.advance(now, self.store.len());
-        self.update_avg(now);
-        self.check_oracle(now);
-        // `None` = the force-drop region beyond the probabilistic
-        // ramp: the reference curve saturates at probability 1.
-        let truth_p = self.base_probability().unwrap_or(1.0);
-        if let Some(tap) = &mut self.tap {
-            let (len, bytes) = (self.store.len(), self.store.bytes());
-            if tap.on_enqueue(now, len, bytes, truth_p) {
-                telemetry::record_id(SeriesId::RED_AVG, tap.key(), now.as_secs_f64(), self.avg);
-            }
-        }
-
-        // Hard limit first: a full buffer always tail-drops.
-        if self.store.len() >= self.params.capacity_pkts {
+impl Policy for Red {
+    /// Update `avg` and run the oracle, also for an arrival the full
+    /// buffer drops, which restarts the count. The forced region
+    /// saturates the reference curve at probability 1.
+    #[inline]
+    fn arrive(&mut self, now: SimTime, len: usize, capacity: usize) -> f64 {
+        if len >= capacity {
             self.count = 0;
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
         }
+        self.update_avg(now, len);
+        self.p_b = self.base_probability();
+        self.check_oracle(now, len);
+        self.p_b.unwrap_or(1.0)
+    }
 
-        let verdict = match self.base_probability() {
-            None => Some(DropReason::Early), // beyond 2·max_th (or max_th, sharp)
+    fn sampled(&self, key: u64, t: f64) {
+        telemetry::record_id(SeriesId::RED_AVG, key, t, self.avg);
+    }
+
+    #[inline]
+    fn signal(&mut self, _now: SimTime, _p: f64) -> bool {
+        match self.p_b {
+            None => true, // beyond 2·max_th (or max_th, sharp)
             Some(p_b) if p_b > 0.0 => {
                 self.count += 1;
                 // Uniformize inter-mark gaps: p_a = p_b / (1 − count·p_b).
@@ -297,92 +282,39 @@ impl QueueDiscipline for RedQueue {
                 } else {
                     (p_b / denom).min(1.0)
                 };
-                if self.rng.gen::<f64>() < p_a {
+                let hit = self.rng.gen::<f64>() < p_a;
+                if hit {
                     self.count = 0;
-                    Some(DropReason::Early)
-                } else {
-                    None
                 }
+                hit
             }
             _ => {
                 self.count = -1;
-                None
-            }
-        };
-
-        match verdict {
-            Some(DropReason::Early) if self.params.ecn && arena[pkt].ecn.is_capable() => {
-                arena.mark_ce(pkt);
-                self.store.push(pkt, arena);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                EnqueueOutcome::Marked
-            }
-            Some(reason) => {
-                self.stats.dropped += 1;
-                // The arrival consumed `idle_since` in `update_avg`, but a
-                // dropped packet never occupies the queue: if the store is
-                // still empty the idle period continues. Without this the
-                // next `update_avg` skips the idle decay entirely and the
-                // stale average keeps dropping packets at an empty queue.
-                if self.store.len() == 0 {
-                    self.idle_since = Some(now);
-                    if let Some(oracle) = &mut self.oracle {
-                        oracle.on_idle_start(now.as_nanos());
-                    }
-                }
-                EnqueueOutcome::Dropped(pkt, reason)
-            }
-            None => {
-                self.store.push(pkt, arena);
-                self.stats.enqueued += 1;
-                EnqueueOutcome::Enqueued
+                false
             }
         }
     }
 
-    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
-        self.stats.advance(now, self.store.len());
-        let pkt = self.store.pop(arena)?;
-        self.stats.dequeued += 1;
-        if self.store.len() == 0 {
+    /// An empty queue starts an idle period, also after an early drop:
+    /// the arrival consumed `idle_since` in `update_avg`, but a dropped
+    /// packet never occupies the queue. Without the restore the next
+    /// `update_avg` skips the idle decay entirely and the stale average
+    /// keeps dropping packets at an empty queue.
+    #[inline]
+    fn leave(&mut self, now: SimTime, len: usize) {
+        if len == 0 {
             self.idle_since = Some(now);
             if let Some(oracle) = &mut self.oracle {
                 oracle.on_idle_start(now.as_nanos());
             }
         }
-        Some(pkt)
     }
 
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.store.bytes()
-    }
-
-    fn capacity_pkts(&self) -> usize {
-        self.params.capacity_pkts
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {
+    fn tick(&mut self, now: SimTime, _len: usize, tap: Option<u64>) {
         self.adapt();
-        if let Some(tap) = &self.tap {
-            telemetry::record_id(
-                SeriesId::RED_MAX_P,
-                tap.key(),
-                _now.as_secs_f64(),
-                self.max_p,
-            );
+        if let Some(key) = tap {
+            let t = now.as_secs_f64();
+            telemetry::record_id(SeriesId::RED_MAX_P, key, t, self.curve.p_max);
         }
     }
 
@@ -398,22 +330,22 @@ impl QueueDiscipline for RedQueue {
         }
     }
 
-    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+    fn attach(&mut self, audit: bool) {
         let p = &self.params;
-        self.oracle = attach.audit.then(|| {
+        self.oracle = audit.then(|| {
             let mean_pkt_time = p.mean_pkt_time.as_secs_f64();
             RedReference::new(p.w_q, p.min_th, p.max_th, p.gentle, mean_pkt_time)
         });
-        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{audited, test_packet};
+    use super::super::{DropReason, EnqueueOutcome, QueueDiscipline};
     use super::*;
-    use crate::packet::Ecn;
-    use crate::packet::Packet;
+    use crate::arena::PacketArena;
+    use crate::packet::{Ecn, Packet};
 
     /// Intern `pkt`, offer it, and free the ref again on a drop so the
     /// test arena only retains resident packets.
@@ -485,23 +417,23 @@ mod tests {
     fn probability_curve_shape() {
         let mut q = audited(RedQueue::new(params(1000)));
         // Below min_th.
-        q.avg = 4.0;
-        assert_eq!(q.base_probability(), Some(0.0));
+        q.policy.avg = 4.0;
+        assert_eq!(q.policy.base_probability(), Some(0.0));
         // Midpoint of [min, max]: p = max_p/2.
-        q.avg = 10.0;
-        let p = q.base_probability().unwrap();
+        q.policy.avg = 10.0;
+        let p = q.policy.base_probability().unwrap();
         assert!((p - 0.05).abs() < 1e-12, "{p}");
         // At max_th the gentle region starts at exactly max_p.
-        q.avg = 15.0;
-        let p = q.base_probability().unwrap();
+        q.policy.avg = 15.0;
+        let p = q.policy.base_probability().unwrap();
         assert!((p - 0.1).abs() < 1e-12, "{p}");
         // Midpoint of gentle region [max_th, 2max_th]: max_p + (1-max_p)/2.
-        q.avg = 22.5;
-        let p = q.base_probability().unwrap();
+        q.policy.avg = 22.5;
+        let p = q.policy.base_probability().unwrap();
         assert!((p - 0.55).abs() < 1e-12, "{p}");
         // Beyond 2·max_th: forced.
-        q.avg = 30.0;
-        assert_eq!(q.base_probability(), None);
+        q.policy.avg = 30.0;
+        assert_eq!(q.policy.base_probability(), None);
     }
 
     #[test]
@@ -509,8 +441,8 @@ mod tests {
         let mut p = params(1000);
         p.gentle = false;
         let mut q = audited(RedQueue::new(p));
-        q.avg = 16.0;
-        assert_eq!(q.base_probability(), None);
+        q.policy.avg = 16.0;
+        assert_eq!(q.policy.base_probability(), None);
     }
 
     #[test]
@@ -520,13 +452,13 @@ mod tests {
         p.max_p = 1.0;
         let mut arena = PacketArena::new();
         let mut q = audited(RedQueue::new(p));
-        q.detach_oracle(); // the test pokes `avg` directly below
-        q.avg = 14.9; // deep in the probabilistic region
-                      // Force avg to stay high by enqueueing many: with max_p=1 and
-                      // avg>min_th, marks should occur and never early-drops for ECT.
+        q.policy.oracle = None; // the test pokes `avg` directly below
+        q.policy.avg = 14.9; // deep in the probabilistic region
+                             // Force avg to stay high by enqueueing many: with max_p=1 and
+                             // avg>min_th, marks should occur and never early-drops for ECT.
         let mut marked = 0;
         for _ in 0..50 {
-            q.avg = 14.9;
+            q.policy.avg = 14.9;
             match offer(
                 &mut q,
                 &mut arena,
@@ -542,6 +474,33 @@ mod tests {
         assert_eq!(q.stats().marked, marked);
     }
 
+    /// Pins what the code does, which is not what ns-2 does: beyond the
+    /// ramp (`avg ≥ 2·max_th` gentle, `≥ max_th` sharp) an ECN-capable
+    /// arrival is marked, like one in the probabilistic region; only an
+    /// ECN-incapable one is dropped. ns-2 drops both.
+    #[test]
+    fn forced_region_marks_ecn_capable_packets() {
+        for gentle in [true, false] {
+            let mut p = params(1000);
+            p.ecn = true;
+            p.gentle = gentle;
+            let mut arena = PacketArena::new();
+            let mut q = audited(RedQueue::new(p));
+            q.policy.oracle = None; // the test pokes `avg` directly below
+            q.policy.avg = 100.0;
+            let t = SimTime::ZERO;
+            let out = offer(&mut q, &mut arena, test_packet(1000, Ecn::Capable), t);
+            assert!(matches!(out, EnqueueOutcome::Marked), "{out:?}");
+            q.policy.avg = 100.0;
+            let out = offer(&mut q, &mut arena, test_packet(1000, Ecn::NotCapable), t);
+            assert!(
+                matches!(out, EnqueueOutcome::Dropped(_, DropReason::Early)),
+                "{out:?}"
+            );
+            assert_eq!((q.stats().marked, q.stats().dropped), (1, 1));
+        }
+    }
+
     #[test]
     fn non_ect_dropped_in_probabilistic_region() {
         let mut p = params(1000);
@@ -549,10 +508,10 @@ mod tests {
         p.max_p = 1.0;
         let mut arena = PacketArena::new();
         let mut q = audited(RedQueue::new(p));
-        q.detach_oracle(); // the test pokes `avg` directly below
+        q.policy.oracle = None; // the test pokes `avg` directly below
         let mut dropped = 0;
         for _ in 0..50 {
-            q.avg = 14.9;
+            q.policy.avg = 14.9;
             if let EnqueueOutcome::Dropped(_, DropReason::Early) = offer(
                 &mut q,
                 &mut arena,
@@ -601,8 +560,8 @@ mod tests {
         // idle period silently ended and the average never decayed.
         let mut arena = PacketArena::new();
         let mut q = audited(RedQueue::new(params(100)));
-        q.detach_oracle(); // the test pokes `avg` directly below
-        q.avg = 100.0; // way beyond 2*max_th: forced drop, queue stays empty
+        q.policy.oracle = None; // the test pokes `avg` directly below
+        q.policy.avg = 100.0; // way beyond 2*max_th: forced drop, queue stays empty
         match offer(
             &mut q,
             &mut arena,
@@ -634,7 +593,7 @@ mod tests {
             params(1000),
             AdaptiveRedParams::default(),
         ));
-        q.avg = 14.0; // above min_th + 0.6 * 10 = 11
+        q.policy.avg = 14.0; // above min_th + 0.6 * 10 = 11
         let before = q.current_max_p();
         q.on_tick(SimTime::ZERO);
         assert!(q.current_max_p() > before);
@@ -646,8 +605,8 @@ mod tests {
             params(1000),
             AdaptiveRedParams::default(),
         ));
-        q.avg = 6.0; // below min_th + 0.4 * 10 = 9
-        q.max_p = 0.2;
+        q.policy.avg = 6.0; // below min_th + 0.4 * 10 = 9
+        q.policy.curve.p_max = 0.2;
         q.on_tick(SimTime::ZERO);
         assert!((q.current_max_p() - 0.18).abs() < 1e-12);
     }
@@ -658,12 +617,12 @@ mod tests {
             params(1000),
             AdaptiveRedParams::default(),
         ));
-        q.avg = 14.0;
-        q.max_p = 0.5;
+        q.policy.avg = 14.0;
+        q.policy.curve.p_max = 0.5;
         q.on_tick(SimTime::ZERO);
         assert!(q.current_max_p() <= 0.5);
-        q.avg = 6.0;
-        q.max_p = 0.01;
+        q.policy.avg = 6.0;
+        q.policy.curve.p_max = 0.01;
         q.on_tick(SimTime::ZERO);
         assert!(q.current_max_p() >= 0.01);
     }
@@ -681,10 +640,10 @@ mod tests {
         let run = || {
             let mut arena = PacketArena::new();
             let mut q = audited(RedQueue::new(params(50)));
-            q.detach_oracle(); // the test pokes `avg` directly below
+            q.policy.oracle = None; // the test pokes `avg` directly below
             let mut outcomes = Vec::new();
             for i in 0..200 {
-                q.avg = 10.0; // stay in probabilistic region
+                q.policy.avg = 10.0; // stay in probabilistic region
                 let t = SimTime::from_nanos(i);
                 outcomes.push(matches!(
                     offer(&mut q, &mut arena, test_packet(1000, Ecn::NotCapable), t),

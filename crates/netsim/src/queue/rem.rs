@@ -13,18 +13,18 @@
 //!
 //! (`q − q_prev` over one period is the integral of the rate mismatch.)
 //! This router is the reference point for the PERT/REM end-host emulation
-//! in `pert-core::rem`.
+//! in `pert-core::rem`, and runs that emulation's [`RemLaw`] on queue
+//! length instead of queuing delay.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pert_core::reference::RemReference;
-use pert_core::Attach;
+use pert_core::{Law, RemLaw};
 
-use super::{DropReason, EnqueueOutcome, FifoStore, QueueDiscipline, QueueStats};
-use crate::arena::{PacketArena, PacketRef};
+use super::{Fifo, Policy};
 use crate::audit;
-use crate::telemetry::{self, QueueTap, SeriesId};
+use crate::telemetry::{self, SeriesId};
 use crate::time::{SimDuration, SimTime};
 
 /// REM configuration.
@@ -67,7 +67,6 @@ impl RemParams {
     }
 
     fn validate(&self) {
-        assert!(self.capacity_pkts > 0, "capacity must be positive");
         assert!(self.q_ref >= 0.0);
         assert!(self.gamma > 0.0 && self.alpha_w > 0.0);
         assert!(self.phi > 1.0, "phi must exceed 1");
@@ -75,128 +74,79 @@ impl RemParams {
     }
 }
 
-/// A REM queue.
+/// The REM policy.
 #[derive(Debug)]
-pub struct RemQueue {
+pub struct Rem {
     params: RemParams,
-    store: FifoStore,
-    stats: QueueStats,
     rng: SmallRng,
-    price: f64,
-    q_prev: f64,
+    /// The price update, sampled every tick, and the marking law.
+    law: RemLaw,
     /// Differential oracle: straight-line transcription of the REM price
     /// law, compared after every price update.
     oracle: Option<RemReference>,
-    tap: Option<QueueTap>,
 }
+
+/// A REM queue.
+pub type RemQueue = Fifo<Rem>;
 
 impl RemQueue {
     /// Create a REM queue.
     pub fn new(params: RemParams) -> Self {
         params.validate();
-        let seed = params.seed;
-        RemQueue {
-            params,
-            store: FifoStore::default(),
-            stats: QueueStats::default(),
-            rng: SmallRng::seed_from_u64(seed ^ 0x4e4d_0a11),
-            price: 0.0,
-            q_prev: 0.0,
+        let p = &params;
+        let rem = Rem {
+            rng: SmallRng::seed_from_u64(p.seed ^ 0x4e4d_0a11),
+            law: RemLaw::new(p.gamma, p.alpha_w, p.phi, p.q_ref),
             oracle: None,
-            tap: None,
-        }
+            params,
+        };
+        Fifo::with_policy(rem.params.capacity_pkts, rem.params.ecn, rem)
     }
 
     /// Current price.
     pub fn price(&self) -> f64 {
-        self.price
+        self.policy.law.price()
     }
 
     /// Current marking probability `1 − φ^(−price)`.
     pub fn probability(&self) -> f64 {
-        1.0 - self.params.phi.powf(-self.price)
+        self.policy.law.probability(self.buf.len() as f64)
     }
 }
 
-impl QueueDiscipline for RemQueue {
-    fn enqueue(&mut self, pkt: PacketRef, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.stats.advance(now, self.store.len());
-        let truth_p = self.probability();
-        if let Some(tap) = &mut self.tap {
-            let (len, bytes) = (self.store.len(), self.store.bytes());
-            tap.on_enqueue(now, len, bytes, truth_p);
-        }
-        if self.store.len() >= self.params.capacity_pkts {
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Overflow);
-        }
-        let p = self.probability();
-        if p > 0.0 && self.rng.gen::<f64>() < p {
-            if self.params.ecn && arena[pkt].ecn.is_capable() {
-                arena.mark_ce(pkt);
-                self.store.push(pkt, arena);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                return EnqueueOutcome::Marked;
-            }
-            self.stats.dropped += 1;
-            return EnqueueOutcome::Dropped(pkt, DropReason::Early);
-        }
-        self.store.push(pkt, arena);
-        self.stats.enqueued += 1;
-        EnqueueOutcome::Enqueued
+impl Policy for Rem {
+    #[inline]
+    fn arrive(&mut self, _now: SimTime, len: usize, _capacity: usize) -> f64 {
+        self.law.probability(len as f64)
     }
 
-    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketRef> {
-        self.stats.advance(now, self.store.len());
-        let pkt = self.store.pop(arena)?;
-        self.stats.dequeued += 1;
-        Some(pkt)
+    #[inline]
+    fn signal(&mut self, _now: SimTime, p: f64) -> bool {
+        p > 0.0 && self.rng.gen::<f64>() < p
     }
 
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.store.bytes()
-    }
-
-    fn capacity_pkts(&self) -> usize {
-        self.params.capacity_pkts
-    }
-
-    fn stats(&self) -> &QueueStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
-    }
-
-    fn on_tick(&mut self, _now: SimTime) {
-        let q = self.store.len() as f64;
-        let backlog = self.params.alpha_w * (q - self.params.q_ref);
-        let mismatch = q - self.q_prev;
-        self.price = (self.price + self.params.gamma * (backlog + mismatch)).max(0.0);
-        self.q_prev = q;
-        if let Some(tap) = &self.tap {
-            let t = _now.as_secs_f64();
-            telemetry::record_id(SeriesId::REM_PRICE, tap.key(), t, self.price);
-            telemetry::record_id(SeriesId::REM_PROB, tap.key(), t, self.probability());
+    #[inline]
+    fn tick(&mut self, now: SimTime, len: usize, tap: Option<u64>) {
+        let q = len as f64;
+        self.law.sample(q);
+        let price = self.law.price();
+        if let Some(key) = tap {
+            let t = now.as_secs_f64();
+            telemetry::record_id(SeriesId::REM_PRICE, key, t, price);
+            telemetry::record_id(SeriesId::REM_PROB, key, t, self.law.probability(q));
         }
         if let Some(oracle) = &mut self.oracle {
             oracle.tick(q);
             let (ref_price, ref_p) = (oracle.price(), oracle.probability());
-            let own_p = 1.0 - self.params.phi.powf(-self.price);
+            let p = self.law.probability(q);
             audit::count_oracle_checks(1);
-            if !audit::close(ref_price, self.price) || !audit::close(ref_p, own_p) {
+            if !audit::close(ref_price, price) || !audit::close(ref_p, p) {
                 audit::violation(
                     "rem",
                     format_args!(
-                        "REM diverged from the Athuraliya et al. reference at t={_now:?} \
-                         (seed {}): price={} ref={ref_price}, p={own_p} ref={ref_p}, q={q}",
-                        self.params.seed, self.price,
+                        "REM diverged from the Athuraliya et al. reference at t={now:?} \
+                         (seed {}): price={price} ref={ref_price}, p={p} ref={ref_p}, q={q}",
+                        self.params.seed,
                     ),
                 );
             }
@@ -211,19 +161,18 @@ impl QueueDiscipline for RemQueue {
         "REM"
     }
 
-    fn attach(&mut self, attach: Attach, key: u64, capacity_bps: u64) {
+    fn attach(&mut self, audit: bool) {
         let p = &self.params;
-        self.oracle = attach
-            .audit
-            .then(|| RemReference::new(p.gamma, p.alpha_w, p.phi, p.q_ref));
-        self.tap = QueueTap::attach_if(attach.telemetry, key, capacity_bps);
+        self.oracle = audit.then(|| RemReference::new(p.gamma, p.alpha_w, p.phi, p.q_ref));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{audited, test_packet};
+    use super::super::{DropReason, EnqueueOutcome, QueueDiscipline};
     use super::*;
+    use crate::arena::PacketArena;
     use crate::packet::Ecn;
 
     fn offer(q: &mut RemQueue, arena: &mut PacketArena, ecn: Ecn) -> EnqueueOutcome {
@@ -284,14 +233,19 @@ mod tests {
 
     #[test]
     fn probability_law_and_bounds() {
+        let mut arena = PacketArena::new();
         let mut q = audited(RemQueue::new(RemParams {
+            q_ref: 0.0,
+            gamma: 0.5,
+            alpha_w: 1.0,
             phi: 2.0,
             ..params()
         }));
-        q.price = 1.0;
-        assert!((q.probability() - 0.5).abs() < 1e-12);
-        q.price = 0.0;
         assert_eq!(q.probability(), 0.0);
+        offer(&mut q, &mut arena, Ecn::NotCapable);
+        q.on_tick(SimTime::ZERO); // price = 0.5·(1·(1 − 0) + (1 − 0)) = 1
+        assert_eq!(q.price(), 1.0);
+        assert!((q.probability() - 0.5).abs() < 1e-12);
         for _ in 0..1000 {
             q.on_tick(SimTime::ZERO);
             assert!(q.price() >= 0.0);
@@ -303,9 +257,15 @@ mod tests {
     fn marks_ect_instead_of_dropping() {
         let mut p = params();
         p.ecn = true;
+        p.q_ref = 0.0;
+        p.gamma = 1.0;
+        p.alpha_w = 1.0;
         let mut arena = PacketArena::new();
         let mut q = audited(RemQueue::new(p));
-        q.price = 50.0; // probability ≈ 1
+        for _ in 0..25 {
+            offer(&mut q, &mut arena, Ecn::NotCapable);
+        }
+        q.on_tick(SimTime::ZERO); // price = 50: probability ≈ 1
         let mut marked = 0;
         for _ in 0..20 {
             match offer(&mut q, &mut arena, Ecn::Capable) {
